@@ -8,7 +8,7 @@ a double recursion (refinement ladder per norm level, norm halving across
 levels) drives the approximation down to roughly (16 beta)^(log2 p).
 """
 
-from ._kernels import BACKEND, NUMBA_ENABLED
+from ._kernels import BACKEND
 from .base_schemes import (
     CoarseScheme,
     L2Scheme,
@@ -65,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "NUMBA_ENABLED",
     "ApproxBound",
     "Cluster",
     "CoarseScheme",

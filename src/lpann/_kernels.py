@@ -1,35 +1,25 @@
-"""Hot numeric kernels: lp distances, pairwise diameters, signed-power maps.
+"""Hot numeric kernels: lp distances and signed-power maps, in numpy.
 
-Two interchangeable backends live here. The numba path JIT-compiles the
-tight loops; the numpy path is pure vectorized code. Selection happens once
-at import time via the LPANN_NUMBA environment variable ("0" forces numpy);
-``benchmarks/backend_bench.py`` times one against the other. Both backends
-are importable under explicit names (``*_nb`` / ``*_np``) so tests can check
-they agree.
+One lp reduction serves both distance kernels: ``dists_to_point`` measures
+one point against every row of a matrix, and ``pairwise_blocks`` measures
+every row of one matrix against every row of another, a block of rows at a
+time so that no temporary array outgrows ``BLOCK_BYTES``. Row k of a
+pairwise block equals the matching ``dists_to_point`` call bit for bit.
 
-All kernels assume C-contiguous float64 input; the thin public wrappers
-coerce. Powers use exact repeated squaring whenever the exponent is an
-integer power of two (every exponent on the recursion path is), and fall
-back to ``x ** p`` otherwise.
+Distance kernels coerce their input to C-contiguous float64. Powers use exact
+repeated squaring whenever the exponent is an integer power of two (every
+exponent on the recursion path is), and fall back to ``x ** p`` otherwise.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("LPANN_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _flag not in ("0", "false", "no", "off")
-
-NUMBA_ENABLED = False
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
+BACKEND = "numpy"
+# cap on the one (rows, cols, d) float64 temporary of a pairwise block; at
+# 1 MiB it stays cache-resident, while 4 MiB blocks ran about a quarter
+# slower on a Xeon with 4 MiB of L2 per core
+BLOCK_BYTES = 1 << 20
 
 
 def _pow2_exponent(p: float) -> int:
@@ -49,46 +39,42 @@ def _as_matrix(mat) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-def dists_to_point_np(mat: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """lp distance from v to every row of mat, shape (n,).
+def _lp_reduce(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    """lp norm of the broadcast difference x - y along the last axis.
 
     Overflow is allowed to produce inf; callers decide whether that is an
     error (lp_distance raises NumericRangeError on non-finite results).
     """
-    mat = _as_matrix(mat)
-    v = np.ascontiguousarray(v, dtype=np.float64)
     with np.errstate(over="ignore"):
-        diff = np.abs(mat - v)
+        diff = np.subtract(x, y)
+        np.abs(diff, out=diff)  # in place: one temporary, not one per step
         a = _pow2_exponent(p)
         if a >= 1:
-            s = diff * diff
-            for _ in range(a - 1):
-                s = s * s
-            tot = s.sum(axis=1)
+            for _ in range(a):
+                np.multiply(diff, diff, out=diff)
         else:
-            tot = (diff ** p).sum(axis=1)
-        return tot ** (1.0 / p)
+            diff = diff ** p
+        return diff.sum(axis=-1) ** (1.0 / p)
 
 
-def pairwise_diameter_np(mat: np.ndarray, p: float) -> float:
-    """Max pairwise lp distance over the rows of mat (exhaustive scan)."""
-    mat = _as_matrix(mat)
-    n = mat.shape[0]
-    best = 0.0
-    for i in range(n - 1):
-        d = dists_to_point_np(mat[i + 1:], mat[i], p)
-        if d.size:
-            m = float(d.max())
-            if m > best:
-                best = m
-    return best
+def dists_to_point(mat: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """lp distance from v to every row of mat, shape (n,)."""
+    return _lp_reduce(_as_matrix(mat), np.ascontiguousarray(v, dtype=np.float64), p)
 
 
-def signed_power_np(mat: np.ndarray, exponent: float, scale: float) -> np.ndarray:
+def pairwise_blocks(a: np.ndarray, b: np.ndarray, p: float):
+    """Yield (i, j, block) with block[k, l] the lp distance between a[i + k]
+    and b[j + l], covering every pair of rows exactly once."""
+    a, b = _as_matrix(a), _as_matrix(b)
+    row_bytes = max(8, 8 * b.shape[1])
+    cols = max(1, min(b.shape[0], BLOCK_BYTES // row_bytes))
+    rows = max(1, BLOCK_BYTES // (row_bytes * cols))
+    for j in range(0, b.shape[0], cols):
+        for i in range(0, a.shape[0], rows):
+            yield i, j, _lp_reduce(a[i:i + rows, None, :], b[j:j + cols], p)
+
+
+def signed_power(mat: np.ndarray, exponent: float, scale: float) -> np.ndarray:
     """sign(x) * |x|**exponent / scale, elementwise."""
     mat = np.asarray(mat, dtype=np.float64)
     if exponent == 2.0:
@@ -96,102 +82,3 @@ def signed_power_np(mat: np.ndarray, exponent: float, scale: float) -> np.ndarra
     else:
         out = np.sign(mat) * np.abs(mat) ** exponent
     return out / scale
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _dists_to_point_jit(mat, v, p, a):  # pragma: no cover - compiled
-        n, d = mat.shape
-        out = np.empty(n, dtype=np.float64)
-        inv = 1.0 / p
-        for i in range(n):
-            s = 0.0
-            if a >= 1:
-                for j in range(d):
-                    t = mat[i, j] - v[j]
-                    t = t * t
-                    for _ in range(a - 1):
-                        t = t * t
-                    s += t
-            else:
-                for j in range(d):
-                    t = abs(mat[i, j] - v[j])
-                    if t > 0.0:
-                        s += t ** p
-            out[i] = s ** inv
-        return out
-
-    @njit(cache=True)
-    def _pairwise_diameter_jit(mat, p, a):  # pragma: no cover - compiled
-        n, d = mat.shape
-        inv = 1.0 / p
-        best = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                s = 0.0
-                if a >= 1:
-                    for c in range(d):
-                        t = mat[i, c] - mat[j, c]
-                        t = t * t
-                        for _ in range(a - 1):
-                            t = t * t
-                        s += t
-                else:
-                    for c in range(d):
-                        t = abs(mat[i, c] - mat[j, c])
-                        if t > 0.0:
-                            s += t ** p
-                dist = s ** inv
-                if dist > best:
-                    best = dist
-        return best
-
-    @njit(cache=True)
-    def _signed_power_jit(mat, exponent, scale):  # pragma: no cover - compiled
-        n, d = mat.shape
-        out = np.empty((n, d), dtype=np.float64)
-        for i in range(n):
-            for j in range(d):
-                x = mat[i, j]
-                if exponent == 2.0:
-                    y = x * abs(x)
-                else:
-                    ax = abs(x)
-                    y = ax ** exponent
-                    if x < 0.0:
-                        y = -y
-                out[i, j] = y / scale
-        return out
-
-    def dists_to_point_nb(mat, v, p):
-        mat = _as_matrix(mat)
-        v = np.ascontiguousarray(v, dtype=np.float64)
-        return _dists_to_point_jit(mat, v, float(p), _pow2_exponent(p))
-
-    def pairwise_diameter_nb(mat, p):
-        mat = _as_matrix(mat)
-        return float(_pairwise_diameter_jit(mat, float(p), _pow2_exponent(p)))
-
-    def signed_power_nb(mat, exponent, scale):
-        arr = _as_matrix(mat)
-        out = _signed_power_jit(arr, float(exponent), float(scale))
-        return out.reshape(np.asarray(mat).shape)
-
-    dists_to_point = dists_to_point_nb
-    pairwise_diameter = pairwise_diameter_nb
-    signed_power = signed_power_nb
-else:
-    dists_to_point = dists_to_point_np
-    pairwise_diameter = pairwise_diameter_np
-
-    def signed_power(mat, exponent, scale):
-        arr = np.asarray(mat, dtype=np.float64)
-        return signed_power_np(arr, exponent, scale)
-
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"

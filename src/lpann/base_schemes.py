@@ -25,7 +25,6 @@ import numpy as np
 from . import _kernels
 from .errors import UsageError
 
-L2_APPROX = 2.0
 BUCKET_WIDTH_FACTOR = 4.0  # w = 4r, design collision at distance exactly r
 
 
@@ -66,13 +65,11 @@ class L2Scheme:
     ids: np.ndarray
     vectors: np.ndarray
     r: float
-    delta_fail: float
     k: int
     w: float
     projections: np.ndarray  # (L, k, d)
     offsets: np.ndarray      # (L, k)
     max_probe: int
-    c: float = L2_APPROX
     tables: list = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -127,7 +124,6 @@ def build_l2_ann(ids, vectors, r: float, delta_fail: float, seed) -> L2Scheme:
         ids=np.ascontiguousarray(ids, dtype=np.int64),
         vectors=vectors,
         r=float(r),
-        delta_fail=float(delta_fail),
         k=k,
         w=w,
         projections=projections,

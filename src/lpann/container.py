@@ -8,20 +8,25 @@ Layout (documented in docs/index_format.md):
     bytes 16+H..  raw data blocks, little-endian float64 / int64
 
 The header carries the format version, build configuration, the computed
-approximation bound, per-level metadata, and a block table mapping block
+approximation bound, the scheme tree, and a block table mapping block
 names to (offset, dtype, shape); offsets are relative to the end of the
 header. Hash tables and grid dictionaries are not stored: they are derived
 data and are rebuilt deterministically from the stored projections, shifts,
 and vectors at load time, so a loaded index answers queries identically to
 the in-memory one that was saved.
+
+Only the current format version loads. A file that is truncated, names an
+unknown block, or lacks or mistypes a header key raises ``UsageError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from .recursive import (
 )
 
 MAGIC = b"LPANNIDX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
@@ -63,11 +68,7 @@ class _BlockWriter:
         code = "<i8" if arr.dtype.kind in "iu" else "<f8"
         arr = np.ascontiguousarray(arr, dtype=_DTYPES[code])
         name = f"b{len(self.blocks)}"
-        self.table[name] = {
-            "offset": self.offset,
-            "dtype": code,
-            "shape": list(arr.shape),
-        }
+        self.table[name] = {"offset": self.offset, "dtype": code, "shape": list(arr.shape)}
         raw = arr.tobytes()
         self.blocks.append(raw)
         self.offset += len(raw)
@@ -79,11 +80,9 @@ def _encode_l2(s: L2Scheme, w: _BlockWriter) -> dict:
     return {
         "kind": "l2",
         "r": s.r,
-        "delta_fail": s.delta_fail,
         "k": s.k,
         "w": s.w,
         "max_probe": s.max_probe,
-        "c": s.c,
         "ids": w.add(s.ids),
         "vectors": w.add(s.vectors),
         "projections": w.add(s.projections),
@@ -137,28 +136,19 @@ def _encode_node(node: SchemeNode, w: _BlockWriter) -> dict:
         ]
         ladder = []
         for lvl in copy.ladder:
-            children = []
-            for ch in lvl.children:
-                children.append(
-                    {
-                        "center_id": ch.center_id,
-                        "mazur": None
-                        if ch.mazur is None
-                        else {
-                            "p": ch.mazur.p,
-                            "q": ch.mazur.q,
-                            "c0": ch.mazur.c0,
-                            "scale": ch.mazur.scale,
-                        },
-                        "copies": [_encode_node(sub, w) for sub in ch.copies],
-                    }
-                )
+            children = [
+                {
+                    "center_id": ch.center_id,
+                    "mazur": None if ch.mazur is None else asdict(ch.mazur),
+                    "copies": [_encode_node(sub, w) for sub in ch.copies],
+                }
+                for ch in lvl.children
+            ]
             ladder.append(
                 {
                     "index": lvl.index,
                     "base_approx": lvl.base_approx,
                     "new_approx": lvl.new_approx,
-                    "beta_eff": lvl.beta_eff,
                     "cover": _encode_cover(lvl.cover, w),
                     "children": children,
                 }
@@ -166,11 +156,6 @@ def _encode_node(node: SchemeNode, w: _BlockWriter) -> dict:
         copies.append({"base": base, "ladder": ladder})
     return {
         "t": node.t,
-        "level_index": node.level_index,
-        "r": node.r,
-        "c_value": node.c_value,
-        "k_nominal": node.k_nominal,
-        "failure_budget": node.failure_budget,
         "ids": w.add(node.ids),
         "vectors": w.add(node.vectors),
         "copies": copies,
@@ -190,14 +175,7 @@ def save_index(scheme: LpScheme, path: str) -> None:
         "p_effective": scheme.p_effective,
         "holder_factor": scheme.holder_factor,
         "r_effective": scheme.r_effective,
-        "config": {
-            "p": scheme.config.p,
-            "r": scheme.config.r,
-            "delta": scheme.config.delta,
-            "seed": scheme.config.seed,
-            "base_copies": scheme.config.base_copies,
-            "child_copies": scheme.config.child_copies,
-        },
+        "config": asdict(scheme.config),
         "bound": scheme.bound.as_dict(),
         "id_alias": [[k, v] for k, v in sorted(scheme.id_alias.items())],
         "scheme": scheme_tree,
@@ -220,6 +198,21 @@ def save_index(scheme: LpScheme, path: str) -> None:
         raise
 
 
+def _typed(value, kind, key: str):
+    """value itself if it is a JSON number of the given kind (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise UsageError(f"header key {key!r} has the wrong type: {value!r}")
+    return value
+
+
+def _num(meta: dict, key: str) -> float:
+    return float(_typed(meta[key], (int, float), key))
+
+
+def _int(meta: dict, key: str) -> int:
+    return _typed(meta[key], int, key)
+
+
 class _BlockReader:
     def __init__(self, buf: bytes, table: dict, data_start: int):
         self.buf = buf
@@ -227,11 +220,19 @@ class _BlockReader:
         self.data_start = data_start
 
     def get(self, name: str) -> np.ndarray:
-        meta = self.table[name]
-        dtype = _DTYPES[meta["dtype"]]
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = self.data_start + meta["offset"]
+        meta = self.table.get(name)
+        if not isinstance(meta, dict):
+            raise UsageError(f"block {name!r} is missing from the block table")
+        dtype = _DTYPES.get(meta.get("dtype"))
+        if dtype is None:
+            raise UsageError(f"block {name!r} has unknown dtype {meta.get('dtype')!r}")
+        shape = meta.get("shape")
+        if not isinstance(shape, list) or not all(_typed(x, int, "shape") >= 0 for x in shape):
+            raise UsageError(f"block {name!r} has malformed shape {shape!r}")
+        start = self.data_start + _int(meta, "offset")
+        count = math.prod(shape)
+        if start < self.data_start or start + count * dtype.itemsize > len(self.buf):
+            raise UsageError(f"block {name!r} lies outside the file")
         arr = np.frombuffer(self.buf, dtype=dtype, count=count, offset=start)
         return arr.reshape(shape).copy()
 
@@ -241,22 +242,20 @@ def _decode_base(meta: dict, r: _BlockReader):
         return L2Scheme(
             ids=r.get(meta["ids"]),
             vectors=r.get(meta["vectors"]),
-            r=meta["r"],
-            delta_fail=meta["delta_fail"],
-            k=meta["k"],
-            w=meta["w"],
+            r=_num(meta, "r"),
+            k=_int(meta, "k"),
+            w=_num(meta, "w"),
             projections=r.get(meta["projections"]),
             offsets=r.get(meta["offsets"]),
-            max_probe=meta["max_probe"],
-            c=meta["c"],
+            max_probe=_int(meta, "max_probe"),
         )
     return CoarseScheme(
         ids=r.get(meta["ids"]),
         vectors=r.get(meta["vectors"]),
-        p=meta["p"],
-        r=meta["r"],
-        c0=meta["c0"],
-        cell_side=meta["cell_side"],
+        p=_num(meta, "p"),
+        r=_num(meta, "r"),
+        c0=_num(meta, "c0"),
+        cell_side=_num(meta, "cell_side"),
         shifts=r.get(meta["shifts"]),
     )
 
@@ -278,57 +277,89 @@ def _decode_cover(meta: dict, r: _BlockReader) -> SparseCover:
     return SparseCover(
         clusters=clusters,
         covering_ref=covering_ref,
-        beta=meta["beta"],
-        radius=meta["radius"],
-        diameter_bound=meta["diameter_bound"],
-        sparsity=meta["sparsity"],
+        beta=_num(meta, "beta"),
+        radius=_num(meta, "radius"),
+        diameter_bound=_num(meta, "diameter_bound"),
+        sparsity=_int(meta, "sparsity"),
     )
 
 
 def _decode_node(meta: dict, r: _BlockReader) -> SchemeNode:
-    node_vectors = r.get(meta["vectors"])
-    id_arr = r.get(meta["ids"])
-    id_to_local = {int(pid): i for i, pid in enumerate(id_arr)}
-    copies = []
+    node = SchemeNode(t=_num(meta, "t"), ids=r.get(meta["ids"]), vectors=r.get(meta["vectors"]))
     for cmeta in meta["copies"]:
         base = [_decode_base(b, r) for b in cmeta["base"]]
         ladder = []
         for lmeta in cmeta["ladder"]:
-            children = []
-            for ch in lmeta["children"]:
-                mz = ch["mazur"]
-                children.append(
-                    ClusterChild(
-                        center_id=ch["center_id"],
-                        center_vector=node_vectors[id_to_local[ch["center_id"]]],
-                        mazur=None
-                        if mz is None
-                        else MazurMapSpec(p=mz["p"], q=mz["q"], c0=mz["c0"], scale=mz["scale"]),
-                        copies=[_decode_node(sub, r) for sub in ch["copies"]],
-                    )
+            children = [
+                ClusterChild(
+                    center_id=_int(ch, "center_id"),
+                    center_vector=node.vector_of(_int(ch, "center_id")),
+                    mazur=None if ch["mazur"] is None else MazurMapSpec(
+                        **{f.name: _num(ch["mazur"], f.name) for f in fields(MazurMapSpec)}
+                    ),
+                    copies=[_decode_node(sub, r) for sub in ch["copies"]],
                 )
+                for ch in lmeta["children"]
+            ]
             ladder.append(
                 LadderLevel(
-                    index=lmeta["index"],
-                    base_approx=lmeta["base_approx"],
-                    new_approx=lmeta["new_approx"],
-                    beta_eff=lmeta["beta_eff"],
+                    index=_int(lmeta, "index"),
+                    base_approx=_num(lmeta, "base_approx"),
+                    new_approx=_num(lmeta, "new_approx"),
                     cover=_decode_cover(lmeta["cover"], r),
                     children=children,
                 )
             )
-        copies.append(SchemeCopy(base=base, ladder=ladder))
-    return SchemeNode(
-        t=meta["t"],
-        level_index=meta["level_index"],
-        r=meta["r"],
-        ids=id_arr,
-        vectors=node_vectors,
-        c_value=meta["c_value"],
-        k_nominal=meta["k_nominal"],
-        failure_budget=meta["failure_budget"],
-        copies=copies,
-        id_to_local=id_to_local,
+        node.copies.append(SchemeCopy(base=base, ladder=ladder))
+    return node
+
+
+def _optional_num(meta: dict, key: str) -> float:
+    """A number stored as null when infinite."""
+    return math.inf if meta[key] is None else _num(meta, key)
+
+
+def _decode_bound(bmeta: dict) -> ApproxBound:
+    return ApproxBound(
+        p=_num(bmeta, "p"),
+        d=_int(bmeta, "d"),
+        delta=_num(bmeta, "delta"),
+        p_effective=_num(bmeta, "p_effective"),
+        holder_factor=_num(bmeta, "holder_factor"),
+        beta=_optional_num(bmeta, "beta"),
+        beta_eff=_optional_num(bmeta, "beta_eff"),
+        levels=tuple(
+            LevelPlan(
+                t=_num(lv, "t"),
+                initial_approx=_num(lv, "initial_approx"),
+                k_nominal=_int(lv, "k"),
+                ladder=tuple(float(_typed(c, (int, float), "ladder")) for c in lv["ladder"]),
+            )
+            for lv in bmeta["levels"]
+        ),
+        c_l2=_num(bmeta, "c_l2"),
+        c_p=_num(bmeta, "c_p"),
+        closed_form_literal=_num(bmeta, "closed_form_literal"),
+    )
+
+
+def _decode_scheme(header: dict, reader: _BlockReader) -> LpScheme:
+    cmeta = header["config"]
+    return LpScheme(
+        config=SchemeConfig(**{
+            f.name: (_int if f.type in (int, "int") else _num)(cmeta, f.name)
+            for f in fields(SchemeConfig)
+        }),
+        p=_num(header, "p"),
+        d=_int(header, "d"),
+        n=_int(header, "n"),
+        p_effective=_num(header, "p_effective"),
+        holder_factor=_num(header, "holder_factor"),
+        r=_num(header, "r"),
+        r_effective=_num(header, "r_effective"),
+        bound=_decode_bound(header["bound"]),
+        root=_decode_node(header["scheme"], reader),
+        id_alias={int(k): int(v) for k, v in header["id_alias"]},
     )
 
 
@@ -345,46 +376,12 @@ def load_index(path: str) -> LpScheme:
         header = json.loads(buf[16: 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"{path}: corrupt header: {exc}") from exc
-    if header.get("format_version") != FORMAT_VERSION:
-        raise UsageError(
-            f"{path}: unsupported format version {header.get('format_version')}"
-        )
-
-    reader = _BlockReader(buf, header["blocks"], 16 + header_len)
-    bmeta = header["bound"]
-    inf = float("inf")
-    bound = ApproxBound(
-        p=bmeta["p"],
-        d=bmeta["d"],
-        delta=bmeta["delta"],
-        p_effective=bmeta["p_effective"],
-        holder_factor=bmeta["holder_factor"],
-        beta=bmeta["beta"] if bmeta["beta"] is not None else inf,
-        beta_eff=bmeta["beta_eff"] if bmeta["beta_eff"] is not None else inf,
-        levels=tuple(
-            LevelPlan(
-                t=lv["t"],
-                initial_approx=lv["initial_approx"],
-                k_nominal=lv["k"],
-                ladder=tuple(lv["ladder"]),
-            )
-            for lv in bmeta["levels"]
-        ),
-        c_l2=bmeta["c_l2"],
-        c_p=bmeta["c_p"],
-        closed_form_literal=bmeta["closed_form_literal"],
-    )
-    cmeta = header["config"]
-    return LpScheme(
-        config=SchemeConfig(**cmeta),
-        p=header["p"],
-        d=header["d"],
-        n=header["n"],
-        p_effective=header["p_effective"],
-        holder_factor=header["holder_factor"],
-        r=header["r"],
-        r_effective=header["r_effective"],
-        bound=bound,
-        root=_decode_node(header["scheme"], reader),
-        id_alias={int(k): int(v) for k, v in header["id_alias"]},
-    )
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise UsageError(f"{path}: unsupported format version {version}")
+    try:
+        return _decode_scheme(header, _BlockReader(buf, header["blocks"], 16 + header_len))
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise UsageError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc

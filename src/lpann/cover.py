@@ -66,30 +66,20 @@ def _coverable(vectors: np.ndarray, p: float, radius: float,
     """Candidates whose whole radius-ball lies inside the emitted cluster.
 
     A candidate is blocked iff some point outside the cluster sits within
-    ``radius`` of it. Scans from whichever side is smaller, so singleton
-    carves stay O(n d) per round.
+    ``radius`` of it.
     """
-    outside = np.flatnonzero(~inside)
-    if outside.size == 0 or candidates.size == 0:
+    outside = vectors[~inside]
+    if outside.shape[0] == 0 or candidates.size == 0:
         return candidates
-    if candidates.size <= outside.size:
-        keep = [
-            x for x in candidates
-            if not (_kernels.dists_to_point(vectors[outside], vectors[x], p) <= radius).any()
-        ]
-        return np.asarray(keep, dtype=np.int64)
-    blocked = np.zeros(vectors.shape[0], dtype=bool)
-    for z in outside:
-        blocked |= _kernels.dists_to_point(vectors, vectors[z], p) <= radius
-    return candidates[~blocked[candidates]]
+    keep = np.ones(candidates.size, dtype=bool)
+    for i, _, block in _kernels.pairwise_blocks(vectors[candidates], outside, p):
+        keep[i:i + block.shape[0]] &= ~(block <= radius).any(axis=1)
+    return candidates[keep]
 
 
-def build_sparse_cover(dataset: Dataset, radius: float, beta: float, seed: int = 0) -> SparseCover:
-    """Carve a (beta, radius)-sparse cover of the dataset's lp metric.
-
-    The construction is deterministic; ``seed`` is accepted for interface
-    uniformity and ignored.
-    """
+def build_sparse_cover(dataset: Dataset, radius: float, beta: float) -> SparseCover:
+    """Carve a (beta, radius)-sparse cover of the dataset's lp metric; the
+    construction is deterministic."""
     if dataset.n == 0:
         raise UsageError("cannot cover an empty dataset")
     if radius <= 0.0:

@@ -147,4 +147,4 @@ def subset_diameter(points, p: float) -> float:
         mat = mat.reshape(1, -1)
     if mat.shape[0] == 0:
         raise UsageError("subset_diameter needs at least one point")
-    return float(_kernels.pairwise_diameter(mat, p))
+    return max(float(block.max()) for _, _, block in _kernels.pairwise_blocks(mat, mat, p))

@@ -255,7 +255,6 @@ class LadderLevel:
     index: int
     base_approx: float
     new_approx: float
-    beta_eff: float
     cover: SparseCover
     children: list
 
@@ -268,20 +267,17 @@ class SchemeCopy:
 
 @dataclass
 class SchemeNode:
+    """One norm level over a point set: t == 2 nodes hold l2 leaves, larger
+    t hold coarse grids plus a refinement ladder."""
+
     t: float
-    level_index: int
-    r: float
     ids: np.ndarray
     vectors: np.ndarray
-    c_value: float
-    k_nominal: int
-    failure_budget: float
-    copies: list
-    id_to_local: dict = field(default=None, repr=False)
+    copies: list = field(default_factory=list)
+    id_to_local: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.id_to_local is None:
-            self.id_to_local = {int(pid): i for i, pid in enumerate(self.ids)}
+        self.id_to_local = {int(pid): i for i, pid in enumerate(self.ids)}
 
     def vector_of(self, point_id: int) -> np.ndarray:
         return self.vectors[self.id_to_local[int(point_id)]]
@@ -335,33 +331,25 @@ def _build_node(
     config: SchemeConfig,
     path: tuple,
 ) -> SchemeNode:
-    level_index = int(round(math.log2(t)))
-    copies = []
+    node = SchemeNode(t=t, ids=np.ascontiguousarray(ids, dtype=np.int64), vectors=vectors)
     n_copies = norm_level_copies(bound.p_effective)
 
     if t == 2.0:
         for ci in range(n_copies):
             leaf = build_l2_ann(
-                ids, vectors, r, PRIMITIVE_FAILURE,
+                node.ids, vectors, r, PRIMITIVE_FAILURE,
                 _seed(config.seed, path + (TAG_NODE_COPY, ci, TAG_BASE, 0)),
             )
-            copies.append(SchemeCopy(base=[leaf], ladder=[]))
-        return SchemeNode(
-            t=2.0, level_index=1, r=r, ids=ids, vectors=vectors,
-            c_value=L2_LEAF_APPROX, k_nominal=0,
-            failure_budget=1.0 / (3.0 * max(math.log2(bound.p_effective), 1.0)),
-            copies=copies,
-        )
+            node.copies.append(SchemeCopy(base=[leaf], ladder=[]))
+        return node
 
     plan = bound.level_for(t)
     c_child_plan = bound.level_for(t / 2.0).final if t > 4.0 else L2_LEAF_APPROX
-    node_ids = np.ascontiguousarray(ids, dtype=np.int64)
-    id_to_local = {int(pid): i for i, pid in enumerate(node_ids)}
 
     for ci in range(n_copies):
         base = [
             build_coarse_ann(
-                node_ids, vectors, t, r,
+                node.ids, vectors, t, r,
                 _seed(config.seed, path + (TAG_NODE_COPY, ci, TAG_BASE, bi)),
             )
             for bi in range(config.base_copies)
@@ -371,7 +359,7 @@ def _build_node(
         for j, c_plan in enumerate(plan.ladder, start=1):
             cover_radius = 2.0 * c_base * r
             cover = build_sparse_cover(
-                Dataset(vectors, t, ids=node_ids), cover_radius, bound.beta
+                Dataset(vectors, t, ids=node.ids), cover_radius, bound.beta
             )
             beta_eff = cover.diameter_bound / cover_radius
             c_new = refine_approx(t, t / 2.0, c_child_plan, beta_eff, c_base)
@@ -382,13 +370,13 @@ def _build_node(
             children = []
             for ki, cluster in enumerate(cover.clusters):
                 center_id = cluster.center_id
-                center_vec = vectors[id_to_local[center_id]]
+                center_vec = node.vector_of(center_id)
                 if len(cluster.member_ids) == 1:
                     children.append(ClusterChild(center_id, center_vec, None, []))
                     continue
                 mazur = MazurMapSpec(p=t, q=t / 2.0, c0=cover.diameter_bound)
                 locs = np.asarray(
-                    [id_to_local[int(m)] for m in cluster.member_ids], dtype=np.int64
+                    [node.id_to_local[int(m)] for m in cluster.member_ids], dtype=np.int64
                 )
                 try:
                     image = mazur_map_points(mazur, vectors[locs] - center_vec)
@@ -408,18 +396,12 @@ def _build_node(
             ladder.append(
                 LadderLevel(
                     index=j, base_approx=c_base, new_approx=c_new,
-                    beta_eff=beta_eff, cover=cover, children=children,
+                    cover=cover, children=children,
                 )
             )
             c_base = c_new
-        copies.append(SchemeCopy(base=base, ladder=ladder))
-
-    return SchemeNode(
-        t=t, level_index=level_index, r=r, ids=node_ids, vectors=vectors,
-        c_value=plan.final, k_nominal=plan.k_nominal,
-        failure_budget=1.0 / (3.0 * math.log2(bound.p_effective)),
-        copies=copies, id_to_local=id_to_local,
-    )
+        node.copies.append(SchemeCopy(base=base, ladder=ladder))
+    return node
 
 
 def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
@@ -456,7 +438,7 @@ def _node_distance(node: SchemeNode, point_id: int, q: np.ndarray) -> float:
 
 
 def _query_copy(node: SchemeNode, copy: SchemeCopy, q: np.ndarray):
-    if node.level_index == 1:
+    if node.t == 2.0:
         best = None
         for leaf in copy.base:
             cid = query_l2_ann(leaf, q)
@@ -510,13 +492,18 @@ def _query_node(node: SchemeNode, q: np.ndarray):
     return best
 
 
+def _query_vector(q, d: int) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64).ravel()
+    if q.shape[0] != d:
+        raise UsageError(f"query dimension {q.shape[0]} does not match index dimension {d}")
+    if not np.isfinite(q).all():
+        raise UsageError("query contains non-finite coordinates")
+    return q
+
+
 def query(scheme: LpScheme, q) -> QueryAnswer | None:
     """Answer a near-neighbor query; distance is reported in the original lp."""
-    q = np.asarray(q, dtype=np.float64).ravel()
-    if q.shape[0] != scheme.d:
-        raise UsageError(
-            f"query dimension {q.shape[0]} does not match index dimension {scheme.d}"
-        )
+    q = _query_vector(q, scheme.d)
     res = _query_node(scheme.root, q)
     if res is None:
         return None
@@ -597,16 +584,11 @@ def space_usage(scheme: LpScheme) -> SpaceReport:
 def _pairwise_extremes(dataset: Dataset) -> tuple[float, float]:
     """(min nonzero pairwise distance, diameter); (inf, 0) for n == 1."""
     min_nz, diam = math.inf, 0.0
-    for i in range(dataset.n - 1):
-        d = _kernels.dists_to_point(dataset.vectors[i + 1:], dataset.vectors[i], dataset.p)
-        dm = float(d.max())
-        if dm > diam:
-            diam = dm
-        nz = d[d > 0.0]
+    for _, _, block in _kernels.pairwise_blocks(dataset.vectors, dataset.vectors, dataset.p):
+        diam = max(diam, float(block.max()))
+        nz = block[block > 0.0]
         if nz.size:
-            m = float(nz.min())
-            if m < min_nz:
-                min_nz = m
+            min_nz = min(min_nz, float(nz.min()))
     return min_nz, diam
 
 
@@ -634,7 +616,7 @@ def nns_search(
         raise UsageError(f"dataset exponent {dataset.p} disagrees with p={p}")
     if not (c_slack > 0.0):
         raise UsageError(f"c_slack must be positive, got {c_slack}")
-    q = np.asarray(q, dtype=np.float64).ravel()
+    q = _query_vector(q, dataset.d)
     if dataset.n == 1:
         return int(dataset.ids[0])
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lpann import Dataset, SchemeConfig, UsageError, load_index, preprocess, query, save_index
+from lpann.cli import main
 from lpann.container import FORMAT_VERSION, MAGIC
 from lpann.oracle import TrialSpec, make_planted_instance
 
@@ -101,3 +102,64 @@ def test_unknown_version_rejected(built, tmp_path):
     p.write_bytes(blob)
     with pytest.raises(UsageError):
         load_index(str(p))
+
+
+def _rewrite_header(path, out, edit):
+    """Copy an index file to out with edit(header) applied to its JSON header."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16: 16 + hlen])
+    edit(header)
+    new_header = json.dumps(header, separators=(",", ":")).encode()
+    out.write_bytes(raw[:8] + struct.pack("<Q", len(new_header)) + new_header + raw[16 + hlen:])
+    return out
+
+
+def _cli_query_exit(index, tmp_path):
+    queries = tmp_path / "q.txt"
+    queries.write_text("1 32 4\n" + " ".join(["0"] * 32) + "\n")
+    return main(["query", "--index", str(index), "--query-file", str(queries)])
+
+
+def _first_block(header):
+    return header["blocks"][header["scheme"]["ids"]]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: _first_block(h).update(shape=[1.5]),
+        lambda h: _first_block(h).update(shape=["100"]),
+        lambda h: _first_block(h).update(shape=[-1]),
+        lambda h: _first_block(h).update(dtype="<f4"),
+        lambda h: _first_block(h).update(offset=-8),
+        lambda h: _first_block(h).update(offset=10**12),
+        lambda h: h["blocks"].pop(h["scheme"]["ids"]),
+        lambda h: h["scheme"].pop("t"),
+        lambda h: h["scheme"].update(t="4"),
+        lambda h: h.update(d=32.5),
+        lambda h: h["config"].update(seed=None),
+        lambda h: h.update(blocks=[]),
+        lambda h: h.update(format_version=1),
+    ],
+    ids=[
+        "float-shape", "string-shape", "negative-shape", "unknown-dtype",
+        "negative-offset", "offset-past-end", "missing-block", "missing-key",
+        "string-number", "float-integer", "null-seed", "block-table-list", "version-1",
+    ],
+)
+def test_malformed_header_is_usage_error(built, tmp_path, capsys, edit):
+    _, _, path = built
+    bad = _rewrite_header(path, tmp_path / "bad.lpann", edit)
+    with pytest.raises(UsageError):
+        load_index(str(bad))
+    assert _cli_query_exit(bad, tmp_path) == 2
+
+
+def test_truncated_blocks_are_usage_error(built, tmp_path, capsys):
+    _, _, path = built
+    bad = tmp_path / "short.lpann"
+    bad.write_bytes(path.read_bytes()[:-100])
+    with pytest.raises(UsageError, match="outside the file"):
+        load_index(str(bad))
+    assert _cli_query_exit(bad, tmp_path) == 2

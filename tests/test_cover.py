@@ -81,8 +81,8 @@ def test_mutation_breaks_cover():
 def test_cover_is_deterministic():
     rng = np.random.default_rng(8)
     ds = Dataset(rng.standard_normal((150, 6)), 2.0)
-    a = build_sparse_cover(ds, radius=0.8, beta=2.5, seed=1)
-    b = build_sparse_cover(ds, radius=0.8, beta=2.5, seed=99)
+    a = build_sparse_cover(ds, radius=0.8, beta=2.5)
+    b = build_sparse_cover(ds, radius=0.8, beta=2.5)
     assert a.covering_ref == b.covering_ref
     assert len(a.clusters) == len(b.clusters)
     for ca, cb in zip(a.clusters, b.clusters):

@@ -1,50 +1,50 @@
-"""Backend parity: the numba kernels and the numpy fallbacks must agree."""
+"""Kernel checks: the blocked all-pairs kernel agrees with the per-point
+kernel bit for bit, and its blocks respect the temporary-size cap."""
 
 import numpy as np
 import pytest
 
 from lpann import _kernels
 
-needs_numba = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED, reason="numba backend disabled or unavailable"
-)
-
 EXPONENTS = [1.0, 2.0, 2.5, 3.0, 4.0, 8.0]
 
 
 def test_backend_name():
-    assert _kernels.BACKEND in ("numba", "numpy")
+    assert _kernels.BACKEND == "numpy"
 
 
-@needs_numba
 @pytest.mark.parametrize("p", EXPONENTS)
-def test_dists_parity(p):
+def test_pairwise_blocks_match_dists_to_point(p):
     rng = np.random.default_rng(11)
-    mat = rng.standard_normal((64, 9))
-    v = rng.standard_normal(9)
-    a = _kernels.dists_to_point_nb(mat, v, p)
-    b = _kernels.dists_to_point_np(mat, v, p)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
+    a = rng.standard_normal((300, 9))
+    b = rng.standard_normal((310, 9))
+    assert a.shape[0] * b.nbytes > _kernels.BLOCK_BYTES  # needs several blocks
+    seen = np.zeros((a.shape[0], b.shape[0]), dtype=int)
+    blocks = 0
+    for i, j, block in _kernels.pairwise_blocks(a, b, p):
+        blocks += 1
+        rows, cols = block.shape
+        assert rows * cols * b.shape[1] * 8 <= _kernels.BLOCK_BYTES
+        seen[i:i + rows, j:j + cols] += 1
+        for k in range(rows):
+            want = _kernels.dists_to_point(b[j:j + cols], a[i + k], p)
+            assert np.array_equal(block[k].view(np.int64), want.view(np.int64))
+    assert blocks > 1
+    assert (seen == 1).all()
 
 
-@needs_numba
-@pytest.mark.parametrize("p", EXPONENTS)
-def test_diameter_parity(p):
-    rng = np.random.default_rng(5)
-    mat = rng.standard_normal((40, 6))
-    a = _kernels.pairwise_diameter_nb(mat, p)
-    b = _kernels.pairwise_diameter_np(mat, p)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
-@needs_numba
-@pytest.mark.parametrize("exponent", [2.0, 2.5])
-def test_signed_power_parity(exponent):
-    rng = np.random.default_rng(7)
-    mat = rng.standard_normal((30, 8))
-    a = _kernels.signed_power_nb(mat, exponent, 3.0)
-    b = _kernels.signed_power_np(mat, exponent, 3.0)
-    np.testing.assert_allclose(a, b, rtol=1e-13)
+def test_pairwise_blocks_split_wide_rows():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 70_000))
+    b = rng.standard_normal((20, 70_000))
+    seen = np.zeros((3, 20), dtype=int)
+    for i, j, block in _kernels.pairwise_blocks(a, b, 4.0):
+        rows, cols = block.shape
+        assert rows * cols * b.shape[1] * 8 <= _kernels.BLOCK_BYTES
+        seen[i:i + rows, j:j + cols] += 1
+        for k in range(rows):
+            assert np.array_equal(block[k], _kernels.dists_to_point(b[j:j + cols], a[i + k], 4.0))
+    assert (seen == 1).all()
 
 
 def test_dists_exactness_p2():

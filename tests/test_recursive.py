@@ -282,6 +282,18 @@ def test_query_dimension_mismatch(small_scheme):
     assert "7" in str(err.value) and "32" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_query_rejected(small_scheme, bad):
+    *_, scheme = small_scheme
+    q = np.zeros(scheme.d)
+    q[3] = bad
+    with np.errstate(all="raise"), pytest.raises(UsageError, match="non-finite"):
+        query(scheme, q)
+    ds = Dataset(np.eye(4), 4.0)
+    with np.errstate(all="raise"), pytest.raises(UsageError, match="non-finite"):
+        nns_search(ds, 4.0, 0.5, np.full(4, bad))
+
+
 def test_determinism_same_seed(small_scheme):
     dataset, q, _, scheme = small_scheme
     twin = preprocess(dataset, cfg(seed=4))
