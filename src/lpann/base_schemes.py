@@ -13,6 +13,10 @@ Two schemes, both randomized, both with re-checked answers:
 
 Neither scheme ever returns a candidate violating its bound: distances are
 re-verified and a bad candidate set yields ``None`` instead.
+
+Both keep their buckets or cells in one flat table, sorted (table, key) rows
+with CSR member groups, built by the constructor and never saved; a query
+finds its bucket in every table with one ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -61,6 +65,52 @@ def num_tables(n: int, delta_fail: float) -> int:
 
 
 @dataclass
+class _BucketTable:
+    """Points grouped by (table, key). ``rows[g]`` is group g's tagged key
+    (see ``_tagged_rows``), in sorted order; its local indices, ascending,
+    are ``members[starts[g]:starts[g + 1]]``."""
+
+    rows: np.ndarray
+    starts: np.ndarray
+    members: np.ndarray
+
+
+def _tagged_rows(table, keys: np.ndarray) -> np.ndarray:
+    """One opaque row per (table, key) pair, equal iff table and key are. The
+    leading big-endian table number makes the bytewise order sort by table
+    first, so per-table sorted runs concatenate into one sorted array."""
+    rows = np.empty((keys.shape[0], keys.shape[1] + 1), dtype=">i8")
+    rows[:, 0] = table
+    rows[:, 1:] = keys
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}")[:, 0]
+
+
+def _bucket_table(keys: np.ndarray) -> _BucketTable:
+    """Group the points of each table of int keys (T, m, k) by key, with one
+    stable sort per table so every group lists its members in ascending order."""
+    n_tables, m, _ = keys.shape
+    rows, starts, members = [], [], []
+    for t in range(n_tables):
+        tagged = _tagged_rows(t, keys[t])
+        order = np.argsort(tagged, kind="stable")
+        tagged = tagged[order]
+        first = np.flatnonzero(np.r_[True, tagged[1:] != tagged[:-1]])
+        rows.append(tagged[first])
+        starts.append(first + t * m)
+        members.append(order)
+    starts.append([n_tables * m])
+    return _BucketTable(np.concatenate(rows), np.concatenate(starts), np.concatenate(members))
+
+
+def _lookup(table: _BucketTable, keys: np.ndarray) -> np.ndarray:
+    """Groups matching keys[t] in table t, in table order, from one search
+    over all tables (a key past the last row is clipped and fails the compare)."""
+    tagged = _tagged_rows(np.arange(keys.shape[0]), keys)
+    pos = table.rows.searchsorted(tagged)
+    return pos[table.rows.take(pos, mode="clip") == tagged]
+
+
+@dataclass
 class L2Scheme:
     ids: np.ndarray
     vectors: np.ndarray
@@ -70,32 +120,16 @@ class L2Scheme:
     projections: np.ndarray  # (L, k, d)
     offsets: np.ndarray      # (L, k)
     max_probe: int
-    tables: list = field(default=None, repr=False)
+    table: _BucketTable = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.tables is None:
-            self.tables = _l2_tables(self)
-
-    @property
-    def num_tables(self) -> int:
-        return self.projections.shape[0]
+        self.table = _bucket_table(_l2_keys(self, self.vectors))
 
 
 def _l2_keys(scheme: L2Scheme, vecs: np.ndarray) -> np.ndarray:
     """Bucket keys for each (table, vector): int array (L, m, k)."""
     proj = np.einsum("lkd,md->lmk", scheme.projections, vecs)
     return _to_cell_index((proj + scheme.offsets[:, None, :]) / scheme.w)
-
-
-def _l2_tables(scheme: L2Scheme) -> list:
-    keys = _l2_keys(scheme, scheme.vectors)
-    tables = []
-    for li in range(keys.shape[0]):
-        buckets = {}
-        for local, key in enumerate(map(tuple, keys[li])):
-            buckets.setdefault(key, []).append(local)
-        tables.append({k: np.asarray(v, dtype=np.int64) for k, v in buckets.items()})
-    return tables
 
 
 def build_l2_ann(ids, vectors, r: float, delta_fail: float, seed) -> L2Scheme:
@@ -142,12 +176,9 @@ def query_l2_ann(scheme: L2Scheme, q) -> int | None:
             f"{scheme.vectors.shape[1]}"
         )
     keys = _l2_keys(scheme, q.reshape(1, -1))[:, 0, :]
-    limit = 2.0 * scheme.r
-    for li, table in enumerate(scheme.tables):
-        bucket = table.get(tuple(keys[li]))
-        if bucket is None:
-            continue
-        cand = bucket[: scheme.max_probe]
+    limit, table = 2.0 * scheme.r, scheme.table
+    for g in _lookup(table, keys):
+        cand = table.members[table.starts[g]: table.starts[g + 1]][: scheme.max_probe]
         dists = _kernels.dists_to_point(scheme.vectors[cand], q, 2.0)
         hits = np.flatnonzero(dists <= limit)
         if hits.size:
@@ -164,15 +195,10 @@ class CoarseScheme:
     c0: float
     cell_side: float
     shifts: np.ndarray  # (G, d)
-    tables: list = field(default=None, repr=False)
+    table: _BucketTable = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.tables is None:
-            self.tables = _grid_tables(self)
-
-    @property
-    def num_grids(self) -> int:
-        return self.shifts.shape[0]
+        self.table = _bucket_table(_grid_cells(self, self.vectors))
 
 
 def coarse_approximation(d: int, p: float) -> float:
@@ -183,17 +209,6 @@ def _grid_cells(scheme: CoarseScheme, vecs: np.ndarray) -> np.ndarray:
     return _to_cell_index(
         (vecs[None, :, :] + scheme.shifts[:, None, :]) / scheme.cell_side
     )
-
-
-def _grid_tables(scheme: CoarseScheme) -> list:
-    cells = _grid_cells(scheme, scheme.vectors)
-    tables = []
-    for gi in range(cells.shape[0]):
-        reps = {}
-        for local, cell in enumerate(map(tuple, cells[gi])):
-            reps.setdefault(cell, local)  # lowest local index wins
-        tables.append(reps)
-    return tables
 
 
 def build_coarse_ann(ids, vectors, p: float, r: float, seed) -> CoarseScheme:
@@ -234,14 +249,11 @@ def query_coarse_ann(scheme: CoarseScheme, q) -> int | None:
             f"{scheme.vectors.shape[1]}"
         )
     cells = _grid_cells(scheme, q.reshape(1, -1))[:, 0, :]
-    found = set()
-    for gi, table in enumerate(scheme.tables):
-        rep = table.get(tuple(cells[gi]))
-        if rep is not None:
-            found.add(rep)
-    if not found:
+    groups = _lookup(scheme.table, cells)
+    if not groups.size:
         return None
-    cand = np.asarray(sorted(found), dtype=np.int64)
+    # a cell's representative is its lowest local index, the group's first member
+    cand = np.unique(scheme.table.members[scheme.table.starts[groups]])
     dists = _kernels.dists_to_point(scheme.vectors[cand], q, scheme.p)
     ok = dists <= scheme.c0 * scheme.r
     if not ok.any():

@@ -10,13 +10,14 @@ Layout (documented in docs/index_format.md):
 The header carries the format version, build configuration, the computed
 approximation bound, the scheme tree, and a block table mapping block
 names to (offset, dtype, shape); offsets are relative to the end of the
-header. Hash tables and grid dictionaries are not stored: they are derived
-data and are rebuilt deterministically from the stored projections, shifts,
-and vectors at load time, so a loaded index answers queries identically to
-the in-memory one that was saved.
+header. Bucket tables are not stored: they are derived data, rebuilt
+deterministically from the stored projections, shifts, and vectors at load
+time, so a loaded index answers queries identically to the saved one.
 
 Only the current format version loads. A file that is truncated, names an
-unknown block, or lacks or mistypes a header key raises ``UsageError``.
+unknown block, lacks or mistypes a header key, or whose blocks break the
+index's invariants (ascending ids, cluster indices and ids that exist)
+raises ``UsageError``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .recursive import (
 )
 
 MAGIC = b"LPANNIDX"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
@@ -83,8 +84,6 @@ def _encode_l2(s: L2Scheme, w: _BlockWriter) -> dict:
         "k": s.k,
         "w": s.w,
         "max_probe": s.max_probe,
-        "ids": w.add(s.ids),
-        "vectors": w.add(s.vectors),
         "projections": w.add(s.projections),
         "offsets": w.add(s.offsets),
     }
@@ -97,23 +96,14 @@ def _encode_coarse(s: CoarseScheme, w: _BlockWriter) -> dict:
         "r": s.r,
         "c0": s.c0,
         "cell_side": s.cell_side,
-        "ids": w.add(s.ids),
-        "vectors": w.add(s.vectors),
         "shifts": w.add(s.shifts),
     }
 
 
 def _encode_cover(cover: SparseCover, w: _BlockWriter) -> dict:
     centers = np.asarray([cl.center_id for cl in cover.clusters], dtype=np.int64)
-    lengths = [len(cl.member_ids) for cl in cover.clusters]
-    offsets = np.cumsum([0] + lengths).astype(np.int64)
-    members = (
-        np.concatenate([cl.member_ids for cl in cover.clusters])
-        if cover.clusters
-        else np.empty(0, dtype=np.int64)
-    )
-    ref_ids = np.asarray(sorted(cover.covering_ref), dtype=np.int64)
-    ref_clusters = np.asarray([cover.covering_ref[int(i)] for i in ref_ids], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(cl.member_ids) for cl in cover.clusters])
+    members = np.concatenate([cl.member_ids for cl in cover.clusters])
     return {
         "beta": cover.beta,
         "radius": cover.radius,
@@ -122,8 +112,7 @@ def _encode_cover(cover: SparseCover, w: _BlockWriter) -> dict:
         "centers": w.add(centers),
         "member_offsets": w.add(offsets),
         "members": w.add(members),
-        "ref_ids": w.add(ref_ids),
-        "ref_clusters": w.add(ref_clusters),
+        "covering": w.add(cover.covering_ref),
     }
 
 
@@ -138,7 +127,6 @@ def _encode_node(node: SchemeNode, w: _BlockWriter) -> dict:
         for lvl in copy.ladder:
             children = [
                 {
-                    "center_id": ch.center_id,
                     "mazur": None if ch.mazur is None else asdict(ch.mazur),
                     "copies": [_encode_node(sub, w) for sub in ch.copies],
                 }
@@ -237,11 +225,12 @@ class _BlockReader:
         return arr.reshape(shape).copy()
 
 
-def _decode_base(meta: dict, r: _BlockReader):
+def _decode_base(meta: dict, r: _BlockReader, node: SchemeNode):
+    """A base scheme over its node's points; like a built one, it shares their arrays."""
     if meta["kind"] == "l2":
         return L2Scheme(
-            ids=r.get(meta["ids"]),
-            vectors=r.get(meta["vectors"]),
+            ids=node.ids,
+            vectors=node.vectors,
             r=_num(meta, "r"),
             k=_int(meta, "k"),
             w=_num(meta, "w"),
@@ -250,8 +239,8 @@ def _decode_base(meta: dict, r: _BlockReader):
             max_probe=_int(meta, "max_probe"),
         )
     return CoarseScheme(
-        ids=r.get(meta["ids"]),
-        vectors=r.get(meta["vectors"]),
+        ids=node.ids,
+        vectors=node.vectors,
         p=_num(meta, "p"),
         r=_num(meta, "r"),
         c0=_num(meta, "c0"),
@@ -260,23 +249,34 @@ def _decode_base(meta: dict, r: _BlockReader):
     )
 
 
-def _decode_cover(meta: dict, r: _BlockReader) -> SparseCover:
+def _require(ok, what: str) -> None:
+    if not ok:
+        raise UsageError(f"corrupt index: {what}")
+
+
+def _decode_cover(meta: dict, r: _BlockReader, ids: np.ndarray) -> SparseCover:
     centers = r.get(meta["centers"])
     offsets = r.get(meta["member_offsets"])
     members = r.get(meta["members"])
+    covering = r.get(meta["covering"])
+    _require(
+        centers.ndim == 1 and offsets.shape == (centers.size + 1,) and offsets[0] >= 0
+        and (np.diff(offsets) >= 0).all() and offsets[-1] <= members.size,
+        "cluster member offsets decrease or run past the member list",
+    )
+    _require(
+        covering.shape == ids.shape and ((covering >= 0) & (covering < centers.size)).all(),
+        "covering cluster index out of range",
+    )
+    _require(np.isin(centers, ids).all() and np.isin(members, ids).all(),
+             "cluster names an id its node does not hold")
     clusters = [
-        Cluster(
-            member_ids=members[offsets[i]: offsets[i + 1]],
-            center_id=int(centers[i]),
-        )
-        for i in range(len(centers))
+        Cluster(member_ids=members[a:b], center_id=int(c))
+        for c, a, b in zip(centers, offsets[:-1], offsets[1:])
     ]
-    ref_ids = r.get(meta["ref_ids"])
-    ref_clusters = r.get(meta["ref_clusters"])
-    covering_ref = {int(a): int(b) for a, b in zip(ref_ids, ref_clusters)}
     return SparseCover(
         clusters=clusters,
-        covering_ref=covering_ref,
+        covering_ref=covering,
         beta=_num(meta, "beta"),
         radius=_num(meta, "radius"),
         diameter_bound=_num(meta, "diameter_bound"),
@@ -286,14 +286,19 @@ def _decode_cover(meta: dict, r: _BlockReader) -> SparseCover:
 
 def _decode_node(meta: dict, r: _BlockReader) -> SchemeNode:
     node = SchemeNode(t=_num(meta, "t"), ids=r.get(meta["ids"]), vectors=r.get(meta["vectors"]))
+    ids = node.ids
+    _require(
+        ids.ndim == 1 and ids.size and (np.diff(ids) > 0).all()
+        and node.vectors.ndim == 2 and node.vectors.shape[0] == ids.size,
+        "node ids do not ascend or do not match its vectors",
+    )
     for cmeta in meta["copies"]:
-        base = [_decode_base(b, r) for b in cmeta["base"]]
+        base = [_decode_base(b, r, node) for b in cmeta["base"]]
         ladder = []
         for lmeta in cmeta["ladder"]:
+            cover = _decode_cover(lmeta["cover"], r, ids)
             children = [
                 ClusterChild(
-                    center_id=_int(ch, "center_id"),
-                    center_vector=node.vector_of(_int(ch, "center_id")),
                     mazur=None if ch["mazur"] is None else MazurMapSpec(
                         **{f.name: _num(ch["mazur"], f.name) for f in fields(MazurMapSpec)}
                     ),
@@ -301,12 +306,19 @@ def _decode_node(meta: dict, r: _BlockReader) -> SchemeNode:
                 )
                 for ch in lmeta["children"]
             ]
+            _require(len(children) == len(cover.clusters), "child count differs from clusters")
+            for ch, cl in zip(children, cover.clusters):
+                _require(
+                    (ch.mazur is None) == (not ch.copies)
+                    and all(np.array_equal(sub.ids, cl.member_ids) for sub in ch.copies),
+                    "cluster child does not match its cluster",
+                )
             ladder.append(
                 LadderLevel(
                     index=_int(lmeta, "index"),
                     base_approx=_num(lmeta, "base_approx"),
                     new_approx=_num(lmeta, "new_approx"),
-                    cover=_decode_cover(lmeta["cover"], r),
+                    cover=cover,
                     children=children,
                 )
             )

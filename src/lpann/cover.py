@@ -42,7 +42,7 @@ class Cluster:
 @dataclass
 class SparseCover:
     clusters: list
-    covering_ref: dict  # point id -> cluster index
+    covering_ref: np.ndarray  # int64 cluster index of every dataset row
     beta: float
     radius: float
     diameter_bound: float
@@ -128,10 +128,9 @@ def build_sparse_cover(dataset: Dataset, radius: float, beta: float) -> SparseCo
         covering_local[newly] = cluster_index
         covered[newly] = True
 
-    covering_ref = {int(ids[i]): int(covering_local[i]) for i in range(n)}
     return SparseCover(
         clusters=clusters,
-        covering_ref=covering_ref,
+        covering_ref=covering_local,
         beta=float(beta),
         radius=float(radius),
         diameter_bound=diameter_bound_for(radius, beta),
@@ -139,12 +138,12 @@ def build_sparse_cover(dataset: Dataset, radius: float, beta: float) -> SparseCo
     )
 
 
-def cover_lookup(cover: SparseCover, point_id: int) -> int:
-    """Index of the cluster containing B(point, radius); unknown ids are errors."""
-    try:
-        return cover.covering_ref[int(point_id)]
-    except KeyError:
-        raise UsageError(f"point id {point_id} is not covered by this cover") from None
+def cover_lookup(cover: SparseCover, row: int) -> int:
+    """Index of the cluster containing B(point, radius) for the point at
+    ``row`` of the covered dataset; rows outside the dataset are errors."""
+    if not 0 <= row < cover.covering_ref.shape[0]:
+        raise UsageError(f"row {row} is not covered by this cover")
+    return int(cover.covering_ref[row])
 
 
 def verify_cover(cover: SparseCover, dataset: Dataset) -> CoverCheck:
@@ -154,33 +153,17 @@ def verify_cover(cover: SparseCover, dataset: Dataset) -> CoverCheck:
     ``radius`` of x belongs to the cluster x references. O(n^2).
     """
     vectors = dataset.vectors
-    ids = dataset.ids
-    id_to_local = {int(pid): i for i, pid in enumerate(ids)}
+    member_masks = [np.isin(dataset.ids, cl.member_ids) for cl in cover.clusters]
 
-    member_masks = []
-    for cl in cover.clusters:
-        mask = np.zeros(dataset.n, dtype=bool)
-        for pid in cl.member_ids:
-            mask[id_to_local[int(pid)]] = True
-        member_masks.append(mask)
-
-    ok = True
-    for i in range(dataset.n):
-        ci = cover.covering_ref.get(int(ids[i]))
-        if ci is None or ci < 0:
-            ok = False
-            break
-        dist = _kernels.dists_to_point(vectors, vectors[i], dataset.p)
-        ball = dist <= cover.radius
-        if not member_masks[ci][ball].all():
+    ref = cover.covering_ref
+    ok = ref.shape == (dataset.n,) and bool(((ref >= 0) & (ref < len(cover.clusters))).all())
+    for i in range(dataset.n if ok else 0):
+        ball = _kernels.dists_to_point(vectors, vectors[i], dataset.p) <= cover.radius
+        if not member_masks[ref[i]][ball].all():
             ok = False
             break
 
-    max_diam = 0.0
-    for cl, mask in zip(cover.clusters, member_masks):
-        diam = subset_diameter(vectors[mask], dataset.p)
-        if diam > max_diam:
-            max_diam = diam
+    max_diam = max((subset_diameter(vectors[m], dataset.p) for m in member_masks), default=0.0)
 
     sparsity = sum(len(cl.member_ids) for cl in cover.clusters)
     return CoverCheck(cover_ok=ok, max_diameter=max_diam, sparsity=sparsity)

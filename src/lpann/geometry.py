@@ -28,7 +28,7 @@ def check_norm_param(p: float) -> float:
 class Dataset:
     """An indexed collection of d-dimensional vectors under an lp norm.
 
-    ``ids`` default to row indices and stay ascending; subsets built during
+    ``ids`` are distinct and default to row indices; subsets built during
     index construction keep their original ids.
     """
 
@@ -49,6 +49,8 @@ class Dataset:
             self.ids = np.ascontiguousarray(self.ids, dtype=np.int64)
             if self.ids.shape[0] != self.vectors.shape[0]:
                 raise UsageError("ids and vectors length mismatch")
+            if np.unique(self.ids).shape[0] != self.ids.shape[0]:
+                raise UsageError("dataset ids must be distinct")
 
     @property
     def n(self) -> int:

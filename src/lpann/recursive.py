@@ -238,14 +238,10 @@ def approximation_bound(config: SchemeConfig, d: int) -> ApproxBound:
 
 @dataclass
 class ClusterChild:
-    """Per-cluster reduction: center, scaled map, child scheme copies.
+    """Per-cluster reduction: scaled map and child scheme copies of the
+    cover's cluster at the same index. Singleton clusters have neither; a
+    lookup returns the lone member, the cluster's center."""
 
-    Singleton clusters skip the map and child build; a lookup just returns
-    the lone member.
-    """
-
-    center_id: int
-    center_vector: np.ndarray
     mazur: MazurMapSpec | None
     copies: list
 
@@ -268,19 +264,19 @@ class SchemeCopy:
 @dataclass
 class SchemeNode:
     """One norm level over a point set: t == 2 nodes hold l2 leaves, larger
-    t hold coarse grids plus a refinement ladder."""
+    t hold coarse grids plus a refinement ladder. ``ids`` ascend, so a point
+    id maps to its row by binary search."""
 
     t: float
     ids: np.ndarray
     vectors: np.ndarray
     copies: list = field(default_factory=list)
-    id_to_local: dict = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.id_to_local = {int(pid): i for i, pid in enumerate(self.ids)}
+    def row_of(self, point_id: int) -> int:
+        return int(self.ids.searchsorted(point_id))
 
     def vector_of(self, point_id: int) -> np.ndarray:
-        return self.vectors[self.id_to_local[int(point_id)]]
+        return self.vectors[self.row_of(point_id)]
 
 
 @dataclass
@@ -308,17 +304,14 @@ class QueryAnswer:
 
 
 def _dedup(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Collapse coincident rows, keeping first-occurrence ids ascending."""
+    """Collapse coincident rows into their first occurrence, ordered by id."""
     _, first_idx, inverse = np.unique(
         dataset.vectors, axis=0, return_index=True, return_inverse=True
     )
-    keep = np.sort(first_idx)
-    rep_of_group = {g: int(dataset.ids[idx]) for g, idx in enumerate(first_idx)}
-    alias = {}
-    for i in range(dataset.n):
-        rep = rep_of_group[int(inverse[i])]
-        if int(dataset.ids[i]) != rep:
-            alias[int(dataset.ids[i])] = rep
+    rep = dataset.ids[first_idx][inverse.ravel()]
+    dup = dataset.ids != rep
+    alias = dict(zip(dataset.ids[dup].tolist(), rep[dup].tolist()))
+    keep = first_idx[np.argsort(dataset.ids[first_idx])]
     return dataset.ids[keep], dataset.vectors[keep], alias
 
 
@@ -370,16 +363,13 @@ def _build_node(
             children = []
             for ki, cluster in enumerate(cover.clusters):
                 center_id = cluster.center_id
-                center_vec = node.vector_of(center_id)
                 if len(cluster.member_ids) == 1:
-                    children.append(ClusterChild(center_id, center_vec, None, []))
+                    children.append(ClusterChild(None, []))
                     continue
                 mazur = MazurMapSpec(p=t, q=t / 2.0, c0=cover.diameter_bound)
-                locs = np.asarray(
-                    [node.id_to_local[int(m)] for m in cluster.member_ids], dtype=np.int64
-                )
+                locs = np.searchsorted(node.ids, cluster.member_ids)
                 try:
-                    image = mazur_map_points(mazur, vectors[locs] - center_vec)
+                    image = mazur_map_points(mazur, vectors[locs] - node.vector_of(center_id))
                 except NumericRangeError as exc:
                     raise NumericRangeError(
                         f"signed-power map overflow in cluster centered at id "
@@ -392,7 +382,7 @@ def _build_node(
                     )
                     for cc in range(config.child_copies)
                 ]
-                children.append(ClusterChild(center_id, center_vec, mazur, child_copies))
+                children.append(ClusterChild(mazur, child_copies))
             ladder.append(
                 LadderLevel(
                     index=j, base_approx=c_base, new_approx=c_new,
@@ -462,10 +452,11 @@ def _query_copy(node: SchemeNode, copy: SchemeCopy, q: np.ndarray):
 
     trace = [x_id]
     for lvl in copy.ladder:
-        child = lvl.children[lvl.cover.covering_ref[x_id]]
+        ci = lvl.cover.covering_ref[node.row_of(x_id)]
+        child, center_id = lvl.children[ci], lvl.cover.clusters[ci].center_id
         cand_id = None
         if child.copies:
-            img_q = mazur_map_apply(child.mazur, q - child.center_vector)
+            img_q = mazur_map_apply(child.mazur, q - node.vector_of(center_id))
             best_child = None
             for sub in child.copies:
                 res = _query_node(sub, img_q)
@@ -474,7 +465,7 @@ def _query_copy(node: SchemeNode, copy: SchemeCopy, q: np.ndarray):
             if best_child is not None:
                 cand_id = best_child[0]
         else:
-            cand_id = child.center_id
+            cand_id = center_id
         if cand_id is not None:
             d_cand = _node_distance(node, cand_id, q)
             if d_cand < x_dist:

@@ -214,7 +214,8 @@ def p4_run():
                     x_base, x_dist = cid, dd
         containment = None
         if x_base is not None and x_dist <= base_bound:
-            members = level1.cover.clusters[level1.cover.covering_ref[x_base]].member_ids
+            ci = level1.cover.covering_ref[scheme.root.row_of(x_base)]
+            members = level1.cover.clusters[ci].member_ids
             containment = bool(np.isin(exact_id, members))
         records.append((success, ratio, containment))
     return dataset, scheme, bound, records, time.perf_counter() - t_start

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lpann import (
     UsageError,
@@ -10,7 +13,13 @@ from lpann import (
     query_coarse_ann,
     query_l2_ann,
 )
-from lpann.base_schemes import collision_probability, num_tables
+from lpann.base_schemes import (
+    _bucket_table,
+    _lookup,
+    _to_cell_index,
+    collision_probability,
+    num_tables,
+)
 
 
 def test_collision_probability_design_point():
@@ -135,12 +144,8 @@ def test_coarse_colocation_rate():
     g = rng.standard_normal(d)
     y = x + r * g / (np.abs(g) ** p).sum() ** (1.0 / p)
     scheme = build_coarse_ann([0, 1], np.vstack([x, y]), p=p, r=r, seed=77)
-    same = 0
-    for table in scheme.tables:
-        cells = list(table)
-        if len(cells) == 1:
-            same += 1
-    assert same / scheme.num_grids >= 0.7
+    cx, cy = (np.floor((v + scheme.shifts) / scheme.cell_side) for v in (x, y))
+    assert (cx == cy).all(axis=1).mean() >= 0.7
 
 
 def test_coarse_determinism():
@@ -166,3 +171,39 @@ def test_build_precondition_errors():
         build_l2_ann([0], np.zeros((1, 3)), 1.0, 1.5, seed=0)
     with pytest.raises(UsageError):
         build_coarse_ann([0], np.zeros((1, 3)), 1.5, 1.0, seed=0)
+
+
+# few distinct values, so rows repeat; the ends are the clipped extremes
+KEY_VALUES = [*_to_cell_index(np.array([-1e300, 1e300])).tolist(), -2, -1, 0, 1, 2]
+
+
+@st.composite
+def _keys_and_probes(draw):
+    t, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    elements = st.sampled_from(KEY_VALUES)
+    keys = draw(arrays(np.int64, (t, m, k), elements=elements))
+    probes = draw(st.lists(arrays(np.int64, (t, k), elements=elements), max_size=4))
+    return keys, probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(_keys_and_probes())
+def test_bucket_table_matches_dict_reference(case):
+    keys, probes = case
+    reference = {}
+    for t in range(keys.shape[0]):
+        for local, key in enumerate(map(tuple, keys[t])):
+            reference.setdefault((t, key), []).append(local)
+    table = _bucket_table(keys)
+    # every stored key of every point, then arbitrary (often absent) keys
+    for probe in [keys[:, i, :] for i in range(keys.shape[1])] + probes:
+        expected = [
+            reference[t, tuple(key)]
+            for t, key in enumerate(probe)
+            if (t, tuple(key)) in reference
+        ]
+        found = [
+            table.members[table.starts[g]: table.starts[g + 1]].tolist()
+            for g in _lookup(table, probe)
+        ]
+        assert found == expected

@@ -141,11 +141,13 @@ def _first_block(header):
         lambda h: h["config"].update(seed=None),
         lambda h: h.update(blocks=[]),
         lambda h: h.update(format_version=1),
+        lambda h: h.update(format_version=2),
     ],
     ids=[
         "float-shape", "string-shape", "negative-shape", "unknown-dtype",
         "negative-offset", "offset-past-end", "missing-block", "missing-key",
         "string-number", "float-integer", "null-seed", "block-table-list", "version-1",
+        "version-2",
     ],
 )
 def test_malformed_header_is_usage_error(built, tmp_path, capsys, edit):
@@ -161,5 +163,39 @@ def test_truncated_blocks_are_usage_error(built, tmp_path, capsys):
     bad = tmp_path / "short.lpann"
     bad.write_bytes(path.read_bytes()[:-100])
     with pytest.raises(UsageError, match="outside the file"):
+        load_index(str(bad))
+    assert _cli_query_exit(bad, tmp_path) == 2
+
+
+def _rewrite_block(path, out, pick, value):
+    """Copy an index file to out with every entry of one block set to value;
+    pick(header) names the block."""
+    raw = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16: 16 + hlen])
+    meta = header["blocks"][pick(header)]
+    start = 16 + hlen + meta["offset"]
+    count = int(np.prod(meta["shape"]))
+    raw[start: start + 8 * count] = np.full(count, value, dtype="<i8").tobytes()
+    out.write_bytes(bytes(raw))
+    return out
+
+
+def _first_cover(header):
+    return header["scheme"]["copies"][0]["ladder"][0]["cover"]
+
+
+@pytest.mark.parametrize(
+    "pick,value",
+    [
+        (lambda h: _first_cover(h)["covering"], 99),
+        (lambda h: _first_cover(h)["centers"], 10**9),
+    ],
+    ids=["cluster-index-past-end", "foreign-center-id"],
+)
+def test_corrupt_block_contents_are_usage_error(built, tmp_path, capsys, pick, value):
+    _, _, path = built
+    bad = _rewrite_block(path, tmp_path / "bad.lpann", pick, value)
+    with pytest.raises(UsageError, match="corrupt index"):
         load_index(str(bad))
     assert _cli_query_exit(bad, tmp_path) == 2

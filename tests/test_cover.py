@@ -83,7 +83,7 @@ def test_cover_is_deterministic():
     ds = Dataset(rng.standard_normal((150, 6)), 2.0)
     a = build_sparse_cover(ds, radius=0.8, beta=2.5)
     b = build_sparse_cover(ds, radius=0.8, beta=2.5)
-    assert a.covering_ref == b.covering_ref
+    assert np.array_equal(a.covering_ref, b.covering_ref)
     assert len(a.clusters) == len(b.clusters)
     for ca, cb in zip(a.clusters, b.clusters):
         assert ca.center_id == cb.center_id

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from lpann import Dataset, SchemeConfig, preprocess, query
+from lpann import Dataset, SchemeConfig, load_index, preprocess, query, save_index
 
 N, D, P, QUERIES = 200, 32, 4.0, 20
 BLOBS, BLOB_SPACING = 4, 100.0  # blobs sit 100 * sqrt(d) apart
@@ -41,8 +41,13 @@ def _instance(kind: str, seed: int):
     return scheme, queries
 
 
-def answers(kind: str, seed: int) -> list:
+def answers(kind: str, seed: int, saved_to=None) -> list:
+    """Answers of the built index, or, given a path, of the index saved
+    there and loaded back."""
     scheme, queries = _instance(kind, seed)
+    if saved_to is not None:
+        save_index(scheme, str(saved_to))
+        scheme = load_index(str(saved_to))
     out = []
     for q in queries:
         a = query(scheme, q)
@@ -96,3 +101,8 @@ GOLDEN = {'blobs': [(179, '0x1.70a3d70a3d732p-3', [179, 179, 179, 179, 179]),
 @pytest.mark.parametrize("kind", ["gauss", "blobs"])
 def test_golden_answers(kind):
     assert answers(kind, 5) == GOLDEN[kind]
+
+
+@pytest.mark.parametrize("kind", ["gauss", "blobs"])
+def test_golden_answers_after_reload(kind, tmp_path):
+    assert answers(kind, 5, tmp_path / "golden.lpann") == GOLDEN[kind]

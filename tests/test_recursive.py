@@ -212,7 +212,7 @@ def test_mazur_image_and_liftback_contracts(small_scheme):
         next(i for i, ch in enumerate(level.children) if ch is child)
     ]
     mazur = child.mazur
-    y = child.center_vector
+    y = scheme.root.vector_of(cluster.center_id)
     r = scheme.r_effective
     tol = 1e-9 * mazur.c0
     rng = np.random.default_rng(3)
@@ -262,6 +262,24 @@ def test_duplicate_points_are_deduplicated():
     assert scheme.id_alias == {30: 0, 31: 1, 32: 2, 33: 3, 34: 4}
     ans = query(scheme, base[2] + 0.01)
     assert ans is not None and ans.id < 30
+
+
+def test_duplicate_ids_rejected():
+    # one id on several rows would let a query report another row's distance
+    vectors = np.random.default_rng(9).standard_normal((50, 32))
+    with pytest.raises(UsageError, match="distinct"):
+        Dataset(vectors, 4.0, ids=np.zeros(50))
+
+
+def test_reversed_ids_report_the_distance_of_their_own_vector():
+    vectors = np.random.default_rng(9).standard_normal((50, 32))
+    ids = np.arange(50)[::-1]
+    scheme = preprocess(Dataset(vectors, 4.0, ids=ids), cfg(seed=3))
+    for row in (3, 17, 40):
+        q = vectors[row] + 0.01
+        ans = query(scheme, q)
+        assert ans is not None
+        assert ans.distance == lp_distance(vectors[ids == ans.id][0], q, 4.0)
 
 
 def test_preprocess_usage_errors():
