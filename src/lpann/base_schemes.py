@@ -112,17 +112,21 @@ def _lookup(table: _BucketTable, keys: np.ndarray) -> np.ndarray:
 
 @dataclass
 class L2Scheme:
+    """The drawn projections and offsets fix everything else: bucket width
+    w = 4r, at most 3L candidates probed per table, and the buckets."""
+
     ids: np.ndarray
     vectors: np.ndarray
     r: float
-    k: int
-    w: float
     projections: np.ndarray  # (L, k, d)
     offsets: np.ndarray      # (L, k)
-    max_probe: int
+    w: float = field(init=False)
+    max_probe: int = field(init=False)
     table: _BucketTable = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.w = BUCKET_WIDTH_FACTOR * self.r
+        self.max_probe = 3 * self.projections.shape[0]
         self.table = _bucket_table(_l2_keys(self, self.vectors))
 
 
@@ -150,19 +154,15 @@ def build_l2_ann(ids, vectors, r: float, delta_fail: float, seed) -> L2Scheme:
     n, d = vectors.shape
     k = num_hash_bits(n)
     big_l = num_tables(n, delta_fail)
-    w = BUCKET_WIDTH_FACTOR * r
     rng = _rng(seed)
     projections = rng.standard_normal((big_l, k, d))
-    offsets = rng.uniform(0.0, w, size=(big_l, k))
+    offsets = rng.uniform(0.0, BUCKET_WIDTH_FACTOR * r, size=(big_l, k))
     return L2Scheme(
         ids=np.ascontiguousarray(ids, dtype=np.int64),
         vectors=vectors,
         r=float(r),
-        k=k,
-        w=w,
         projections=projections,
         offsets=offsets,
-        max_probe=3 * big_l,
     )
 
 
@@ -188,21 +188,31 @@ def query_l2_ann(scheme: L2Scheme, q) -> int | None:
 
 @dataclass
 class CoarseScheme:
+    """The drawn shifts fix everything else: cell side 4 d r, approximation
+    c0 = 4 d^(1+1/p), and the occupied cells."""
+
     ids: np.ndarray
     vectors: np.ndarray
     p: float
     r: float
-    c0: float
-    cell_side: float
     shifts: np.ndarray  # (G, d)
+    c0: float = field(init=False)
+    cell_side: float = field(init=False)
     table: _BucketTable = field(init=False, repr=False)
 
     def __post_init__(self):
+        d = self.vectors.shape[1]
+        self.c0 = coarse_approximation(d, self.p)
+        self.cell_side = grid_cell_side(d, self.r)
         self.table = _bucket_table(_grid_cells(self, self.vectors))
 
 
 def coarse_approximation(d: int, p: float) -> float:
     return 4.0 * d ** (1.0 + 1.0 / p)
+
+
+def grid_cell_side(d: int, r: float) -> float:
+    return 4.0 * d * r
 
 
 def _grid_cells(scheme: CoarseScheme, vecs: np.ndarray) -> np.ndarray:
@@ -226,16 +236,13 @@ def build_coarse_ann(ids, vectors, p: float, r: float, seed) -> CoarseScheme:
         raise UsageError(f"coarse scheme requires p >= 2, got {p}")
 
     n, d = vectors.shape
-    side = 4.0 * d * r
     grids = max(1, math.ceil(8.0 * math.log(max(n, 2))))
-    shifts = _rng(seed).uniform(0.0, side, size=(grids, d))
+    shifts = _rng(seed).uniform(0.0, grid_cell_side(d, r), size=(grids, d))
     return CoarseScheme(
         ids=np.ascontiguousarray(ids, dtype=np.int64),
         vectors=vectors,
         p=float(p),
         r=float(r),
-        c0=coarse_approximation(d, p),
-        cell_side=side,
         shifts=shifts,
     )
 

@@ -2,22 +2,29 @@
 
 Layout (documented in docs/index_format.md):
 
-    bytes 0..8    magic  b"LPANNIDX"
-    bytes 8..16   header length H, little-endian uint64
+    bytes 0..8      magic  b"LPANNIDX"
+    bytes 8..16     header length H, little-endian uint64
     bytes 16..16+H  JSON header, UTF-8
-    bytes 16+H..  raw data blocks, little-endian float64 / int64
+    then            raw data blocks, little-endian float64 / int64
+    last 4 bytes    CRC32 of every preceding byte, little-endian uint32
 
-The header carries the format version, build configuration, the computed
-approximation bound, the scheme tree, and a block table mapping block
+Only what the build drew or carved is stored: the root's ids and vectors,
+every base scheme's random projections and offsets or grid shifts, and
+every cover's clusters and point-to-cluster map. The header holds the build
+configuration, a scheme tree of block names, and a block table mapping
 names to (offset, dtype, shape); offsets are relative to the end of the
-header. Bucket tables are not stored: they are derived data, rebuilt
-deterministically from the stored projections, shifts, and vectors at load
-time, so a loaded index answers queries identically to the saved one.
+header.
 
-Only the current format version loads. A file that is truncated, names an
-unknown block, lacks or mistypes a header key, or whose blocks break the
-index's invariants (ascending ids, cluster indices and ids that exist)
-raises ``UsageError``.
+Everything else is a function of these, and the loader derives it with the
+build's own code: the bound (``approximation_bound``), each ladder level's
+cover radius and approximations (``ladder_steps``), each cluster's map and
+the points its child nodes index (``cluster_image``), and the base schemes'
+widths, probe limits and bucket tables (their constructors). A loaded index
+equals the saved one bit for bit.
+
+Only the current format version loads. A file that fails its checksum, is
+truncated, names an unknown block, lacks or mistypes a header key, or whose
+blocks break the index's invariants raises ``UsageError``.
 """
 
 from __future__ import annotations
@@ -27,27 +34,29 @@ import math
 import os
 import struct
 import tempfile
+import zlib
 from dataclasses import asdict, fields
 
 import numpy as np
 
 from .base_schemes import CoarseScheme, L2Scheme
-from .cover import Cluster, SparseCover
+from .cover import Cluster, SparseCover, diameter_bound_for
 from .errors import UsageError
 from .geometry import MazurMapSpec
 from .recursive import (
-    ApproxBound,
     ClusterChild,
     LadderLevel,
-    LevelPlan,
     LpScheme,
     SchemeConfig,
     SchemeCopy,
     SchemeNode,
+    approximation_bound,
+    cluster_image,
+    ladder_steps,
 )
 
 MAGIC = b"LPANNIDX"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
@@ -57,116 +66,55 @@ class _BlockWriter:
         self.blocks = []
         self.table = {}
         self.offset = 0
-        self._seen = {}  # id(array) -> block name, dedupes shared arrays
-        self._pin = []  # keeps arrays alive so ids in _seen stay unique
 
-    def add(self, array: np.ndarray) -> str:
-        key = id(array)
-        if key in self._seen:
-            return self._seen[key]
-        self._pin.append(array)
+    def add(self, array) -> str:
         arr = np.asarray(array)
         code = "<i8" if arr.dtype.kind in "iu" else "<f8"
-        arr = np.ascontiguousarray(arr, dtype=_DTYPES[code])
+        raw = np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes()
         name = f"b{len(self.blocks)}"
         self.table[name] = {"offset": self.offset, "dtype": code, "shape": list(arr.shape)}
-        raw = arr.tobytes()
         self.blocks.append(raw)
         self.offset += len(raw)
-        self._seen[key] = name
         return name
 
 
-def _encode_l2(s: L2Scheme, w: _BlockWriter) -> dict:
+def _encode_level(lvl: LadderLevel, w: _BlockWriter) -> dict:
+    clusters = lvl.cover.clusters
     return {
-        "kind": "l2",
-        "r": s.r,
-        "k": s.k,
-        "w": s.w,
-        "max_probe": s.max_probe,
-        "projections": w.add(s.projections),
-        "offsets": w.add(s.offsets),
-    }
-
-
-def _encode_coarse(s: CoarseScheme, w: _BlockWriter) -> dict:
-    return {
-        "kind": "coarse",
-        "p": s.p,
-        "r": s.r,
-        "c0": s.c0,
-        "cell_side": s.cell_side,
-        "shifts": w.add(s.shifts),
-    }
-
-
-def _encode_cover(cover: SparseCover, w: _BlockWriter) -> dict:
-    centers = np.asarray([cl.center_id for cl in cover.clusters], dtype=np.int64)
-    offsets = np.cumsum([0] + [len(cl.member_ids) for cl in cover.clusters])
-    members = np.concatenate([cl.member_ids for cl in cover.clusters])
-    return {
-        "beta": cover.beta,
-        "radius": cover.radius,
-        "diameter_bound": cover.diameter_bound,
-        "sparsity": cover.sparsity,
-        "centers": w.add(centers),
-        "member_offsets": w.add(offsets),
-        "members": w.add(members),
-        "covering": w.add(cover.covering_ref),
+        "centers": w.add([cl.center_id for cl in clusters]),
+        "member_offsets": w.add(np.cumsum([0] + [len(cl.member_ids) for cl in clusters])),
+        "members": w.add(np.concatenate([cl.member_ids for cl in clusters])),
+        "covering": w.add(lvl.cover.covering_ref),
+        "children": [[_encode_node(sub, w) for sub in ch.copies] for ch in lvl.children],
     }
 
 
 def _encode_node(node: SchemeNode, w: _BlockWriter) -> dict:
-    copies = []
-    for copy in node.copies:
-        base = [
-            _encode_l2(b, w) if isinstance(b, L2Scheme) else _encode_coarse(b, w)
-            for b in copy.base
-        ]
-        ladder = []
-        for lvl in copy.ladder:
-            children = [
-                {
-                    "mazur": None if ch.mazur is None else asdict(ch.mazur),
-                    "copies": [_encode_node(sub, w) for sub in ch.copies],
-                }
-                for ch in lvl.children
-            ]
-            ladder.append(
-                {
-                    "index": lvl.index,
-                    "base_approx": lvl.base_approx,
-                    "new_approx": lvl.new_approx,
-                    "cover": _encode_cover(lvl.cover, w),
-                    "children": children,
-                }
-            )
-        copies.append({"base": base, "ladder": ladder})
     return {
-        "t": node.t,
-        "ids": w.add(node.ids),
-        "vectors": w.add(node.vectors),
-        "copies": copies,
+        "copies": [
+            {
+                "base": [
+                    {"projections": w.add(b.projections), "offsets": w.add(b.offsets)}
+                    if isinstance(b, L2Scheme) else {"shifts": w.add(b.shifts)}
+                    for b in copy.base
+                ],
+                "ladder": [_encode_level(lvl, w) for lvl in copy.ladder],
+            }
+            for copy in node.copies
+        ]
     }
 
 
 def save_index(scheme: LpScheme, path: str) -> None:
     """Serialize a built index; the write is atomic (temp file + rename)."""
     w = _BlockWriter()
-    scheme_tree = _encode_node(scheme.root, w)
     header = {
         "format_version": FORMAT_VERSION,
-        "p": scheme.p,
-        "r": scheme.r,
         "d": scheme.d,
-        "n": scheme.n,
-        "p_effective": scheme.p_effective,
-        "holder_factor": scheme.holder_factor,
-        "r_effective": scheme.r_effective,
         "config": asdict(scheme.config),
-        "bound": scheme.bound.as_dict(),
-        "id_alias": [[k, v] for k, v in sorted(scheme.id_alias.items())],
-        "scheme": scheme_tree,
+        "ids": w.add(scheme.root.ids),
+        "vectors": w.add(scheme.root.vectors),
+        "scheme": _encode_node(scheme.root, w),
         "blocks": w.table,
     }
     payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
@@ -174,11 +122,11 @@ def save_index(scheme: LpScheme, path: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lpann-tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<Q", len(payload)))
-            f.write(payload)
-            for raw in w.blocks:
-                f.write(raw)
+            crc = 0
+            for chunk in [MAGIC, struct.pack("<Q", len(payload)), payload, *w.blocks]:
+                f.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            f.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -202,7 +150,7 @@ def _int(meta: dict, key: str) -> int:
 
 
 class _BlockReader:
-    def __init__(self, buf: bytes, table: dict, data_start: int):
+    def __init__(self, buf, table: dict, data_start: int):
         self.buf = buf
         self.table = table
         self.data_start = data_start
@@ -225,36 +173,13 @@ class _BlockReader:
         return arr.reshape(shape).copy()
 
 
-def _decode_base(meta: dict, r: _BlockReader, node: SchemeNode):
-    """A base scheme over its node's points; like a built one, it shares their arrays."""
-    if meta["kind"] == "l2":
-        return L2Scheme(
-            ids=node.ids,
-            vectors=node.vectors,
-            r=_num(meta, "r"),
-            k=_int(meta, "k"),
-            w=_num(meta, "w"),
-            projections=r.get(meta["projections"]),
-            offsets=r.get(meta["offsets"]),
-            max_probe=_int(meta, "max_probe"),
-        )
-    return CoarseScheme(
-        ids=node.ids,
-        vectors=node.vectors,
-        p=_num(meta, "p"),
-        r=_num(meta, "r"),
-        c0=_num(meta, "c0"),
-        cell_side=_num(meta, "cell_side"),
-        shifts=r.get(meta["shifts"]),
-    )
-
-
 def _require(ok, what: str) -> None:
     if not ok:
         raise UsageError(f"corrupt index: {what}")
 
 
-def _decode_cover(meta: dict, r: _BlockReader, ids: np.ndarray) -> SparseCover:
+def _decode_cover(meta: dict, r: _BlockReader, ids: np.ndarray,
+                  radius: float, beta: float) -> SparseCover:
     centers = r.get(meta["centers"])
     offsets = r.get(meta["member_offsets"])
     members = r.get(meta["members"])
@@ -274,105 +199,70 @@ def _decode_cover(meta: dict, r: _BlockReader, ids: np.ndarray) -> SparseCover:
         Cluster(member_ids=members[a:b], center_id=int(c))
         for c, a, b in zip(centers, offsets[:-1], offsets[1:])
     ]
+    _require(all((np.diff(cl.member_ids) > 0).all() for cl in clusters),
+             "cluster members do not ascend")
     return SparseCover(
         clusters=clusters,
         covering_ref=covering,
-        beta=_num(meta, "beta"),
-        radius=_num(meta, "radius"),
-        diameter_bound=_num(meta, "diameter_bound"),
-        sparsity=_int(meta, "sparsity"),
+        beta=beta,
+        radius=radius,
+        diameter_bound=diameter_bound_for(radius, beta),
+        sparsity=sum(len(cl.member_ids) for cl in clusters),
     )
 
 
-def _decode_node(meta: dict, r: _BlockReader) -> SchemeNode:
-    node = SchemeNode(t=_num(meta, "t"), ids=r.get(meta["ids"]), vectors=r.get(meta["vectors"]))
-    ids = node.ids
-    _require(
-        ids.ndim == 1 and ids.size and (np.diff(ids) > 0).all()
-        and node.vectors.ndim == 2 and node.vectors.shape[0] == ids.size,
-        "node ids do not ascend or do not match its vectors",
-    )
+def _decode_node(meta: dict, r: _BlockReader, node: SchemeNode, scheme: LpScheme) -> SchemeNode:
+    """Fill ``node`` with its stored copies, deriving the rest as the build does."""
+    bound, r_eff = scheme.bound, scheme.r_effective
+    steps = ladder_steps(node.t, r_eff, bound) if node.t > 2.0 else []
     for cmeta in meta["copies"]:
-        base = [_decode_base(b, r, node) for b in cmeta["base"]]
+        base = [
+            L2Scheme(node.ids, node.vectors, r_eff, r.get(b["projections"]), r.get(b["offsets"]))
+            if node.t == 2.0 else
+            CoarseScheme(node.ids, node.vectors, node.t, r_eff, r.get(b["shifts"]))
+            for b in cmeta["base"]
+        ]
+        _require(len(cmeta["ladder"]) == len(steps), "ladder length differs from the plan")
         ladder = []
-        for lmeta in cmeta["ladder"]:
-            cover = _decode_cover(lmeta["cover"], r, ids)
-            children = [
-                ClusterChild(
-                    mazur=None if ch["mazur"] is None else MazurMapSpec(
-                        **{f.name: _num(ch["mazur"], f.name) for f in fields(MazurMapSpec)}
-                    ),
-                    copies=[_decode_node(sub, r) for sub in ch["copies"]],
-                )
-                for ch in lmeta["children"]
-            ]
-            _require(len(children) == len(cover.clusters), "child count differs from clusters")
-            for ch, cl in zip(children, cover.clusters):
-                _require(
-                    (ch.mazur is None) == (not ch.copies)
-                    and all(np.array_equal(sub.ids, cl.member_ids) for sub in ch.copies),
-                    "cluster child does not match its cluster",
-                )
-            ladder.append(
-                LadderLevel(
-                    index=_int(lmeta, "index"),
-                    base_approx=_num(lmeta, "base_approx"),
-                    new_approx=_num(lmeta, "new_approx"),
-                    cover=cover,
-                    children=children,
-                )
-            )
+        for j, (lmeta, (radius, c_base, c_new)) in enumerate(zip(cmeta["ladder"], steps), 1):
+            cover = _decode_cover(lmeta, r, node.ids, radius, bound.beta)
+            _require(len(lmeta["children"]) == len(cover.clusters),
+                     "child count differs from clusters")
+            children = []
+            for cl, trees in zip(cover.clusters, lmeta["children"]):
+                _require((len(cl.member_ids) == 1) == (not trees),
+                         "a cluster has child nodes exactly when it is not a singleton")
+                if not trees:
+                    children.append(ClusterChild(None, []))
+                    continue
+                mazur = MazurMapSpec(p=node.t, q=node.t / 2.0, c0=cover.diameter_bound)
+                image = cluster_image(node, cl, mazur)
+                children.append(ClusterChild(mazur, [
+                    _decode_node(sub, r, SchemeNode(node.t / 2.0, cl.member_ids, image), scheme)
+                    for sub in trees
+                ]))
+            ladder.append(LadderLevel(j, c_base, c_new, cover, children))
         node.copies.append(SchemeCopy(base=base, ladder=ladder))
     return node
 
 
-def _optional_num(meta: dict, key: str) -> float:
-    """A number stored as null when infinite."""
-    return math.inf if meta[key] is None else _num(meta, key)
-
-
-def _decode_bound(bmeta: dict) -> ApproxBound:
-    return ApproxBound(
-        p=_num(bmeta, "p"),
-        d=_int(bmeta, "d"),
-        delta=_num(bmeta, "delta"),
-        p_effective=_num(bmeta, "p_effective"),
-        holder_factor=_num(bmeta, "holder_factor"),
-        beta=_optional_num(bmeta, "beta"),
-        beta_eff=_optional_num(bmeta, "beta_eff"),
-        levels=tuple(
-            LevelPlan(
-                t=_num(lv, "t"),
-                initial_approx=_num(lv, "initial_approx"),
-                k_nominal=_int(lv, "k"),
-                ladder=tuple(float(_typed(c, (int, float), "ladder")) for c in lv["ladder"]),
-            )
-            for lv in bmeta["levels"]
-        ),
-        c_l2=_num(bmeta, "c_l2"),
-        c_p=_num(bmeta, "c_p"),
-        closed_form_literal=_num(bmeta, "closed_form_literal"),
-    )
-
-
 def _decode_scheme(header: dict, reader: _BlockReader) -> LpScheme:
     cmeta = header["config"]
-    return LpScheme(
-        config=SchemeConfig(**{
-            f.name: (_int if f.type in (int, "int") else _num)(cmeta, f.name)
-            for f in fields(SchemeConfig)
-        }),
-        p=_num(header, "p"),
-        d=_int(header, "d"),
-        n=_int(header, "n"),
-        p_effective=_num(header, "p_effective"),
-        holder_factor=_num(header, "holder_factor"),
-        r=_num(header, "r"),
-        r_effective=_num(header, "r_effective"),
-        bound=_decode_bound(header["bound"]),
-        root=_decode_node(header["scheme"], reader),
-        id_alias={int(k): int(v) for k, v in header["id_alias"]},
+    config = SchemeConfig(**{
+        f.name: (_int if f.type in (int, "int") else _num)(cmeta, f.name)
+        for f in fields(SchemeConfig)
+    })
+    d = _int(header, "d")
+    ids, vectors = reader.get(header["ids"]), reader.get(header["vectors"])
+    _require(
+        ids.ndim == 1 and ids.size and (np.diff(ids) > 0).all()
+        and vectors.shape == (ids.size, d),
+        "root ids do not ascend or do not match its vectors",
     )
+    scheme = LpScheme(config=config, d=d, bound=approximation_bound(config, d), root=None)
+    root = SchemeNode(t=scheme.p_effective, ids=ids, vectors=vectors)
+    scheme.root = _decode_node(header["scheme"], reader, root, scheme)
+    return scheme
 
 
 def load_index(path: str) -> LpScheme:
@@ -391,8 +281,11 @@ def load_index(path: str) -> LpScheme:
     version = header.get("format_version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         raise UsageError(f"{path}: unsupported format version {version}")
+    body = memoryview(buf)[:-4]
+    if len(body) < 16 + header_len or zlib.crc32(body) != struct.unpack("<I", buf[-4:])[0]:
+        raise UsageError(f"{path}: checksum mismatch: the file is corrupt or truncated")
     try:
-        return _decode_scheme(header, _BlockReader(buf, header["blocks"], 16 + header_len))
+        return _decode_scheme(header, _BlockReader(body, header["blocks"], 16 + header_len))
     except UsageError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:

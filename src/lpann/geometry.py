@@ -99,18 +99,12 @@ class MazurMapSpec:
     p: float
     q: float
     c0: float
-    scale: float = field(default=None)
+    scale: float = field(init=False)
 
     def __post_init__(self):
         if not (1.0 <= self.q < self.p < math.inf):
             raise UsageError(f"need 1 <= q < p < inf, got q={self.q} p={self.p}")
-        expected = mazur_scale_factor(self.p, self.q, self.c0)
-        if self.scale is None:
-            object.__setattr__(self, "scale", expected)
-        elif not math.isclose(self.scale, expected, rel_tol=4e-16, abs_tol=0.0):
-            raise UsageError(
-                f"scale {self.scale} inconsistent with (p/q)*c0^(p/q-1) = {expected}"
-            )
+        object.__setattr__(self, "scale", mazur_scale_factor(self.p, self.q, self.c0))
 
     @property
     def exponent(self) -> float:

@@ -13,9 +13,10 @@ A refinement step improves the bound to
     c_new = (p/t)^(t/p) * c_t^(t/p) * (4 * beta_eff * c_base)^(1 - t/p)
 
 where beta_eff is the cover's certified diameter bound divided by its
-radius (read from the built cover, never assumed). With t = p/2 this is
-sqrt(8 * beta_eff * c_t * c_base), a contraction toward the fixed point
-8 * beta_eff * c_t; ladder levels are kept only while they strictly improve.
+radius (``ladder_steps`` computes it with the carving's own formula).
+With t = p/2 this is sqrt(8 * beta_eff * c_t * c_base), a contraction
+toward the fixed point 8 * beta_eff * c_t; ladder levels are kept only
+while they strictly improve.
 
 Query time runs the same chain: coarse answer, then per level look up the
 covering cluster of the current iterate, query the cluster's child scheme
@@ -44,7 +45,7 @@ from .base_schemes import (
     query_coarse_ann,
     query_l2_ann,
 )
-from .cover import SparseCover, build_sparse_cover
+from .cover import Cluster, SparseCover, build_sparse_cover, diameter_bound_for
 from .errors import NumericRangeError, UsageError
 from .geometry import Dataset, MazurMapSpec, mazur_map_apply, mazur_map_points
 
@@ -281,19 +282,30 @@ class SchemeNode:
 
 @dataclass
 class LpScheme:
-    """Top-level index: the root node plus exponent-normalization bookkeeping."""
+    """Top-level index: the root node, built by ``config`` over points of
+    dimension ``d``, and its bound ``approximation_bound(config, d)``."""
 
     config: SchemeConfig
-    p: float
     d: int
-    n: int
-    p_effective: float
-    holder_factor: float
-    r: float
-    r_effective: float
     bound: ApproxBound
     root: SchemeNode
-    id_alias: dict
+
+    @property
+    def p(self) -> float:
+        return self.config.p
+
+    @property
+    def p_effective(self) -> float:
+        return self.bound.p_effective
+
+    @property
+    def holder_factor(self) -> float:
+        return self.bound.holder_factor
+
+    @property
+    def r_effective(self) -> float:
+        """The radius every node is built for: the Holder factor times r."""
+        return self.bound.holder_factor * self.config.r
 
 
 @dataclass
@@ -303,16 +315,47 @@ class QueryAnswer:
     trace: list
 
 
-def _dedup(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Collapse coincident rows into their first occurrence, ordered by id."""
-    _, first_idx, inverse = np.unique(
-        dataset.vectors, axis=0, return_index=True, return_inverse=True
-    )
-    rep = dataset.ids[first_idx][inverse.ravel()]
-    dup = dataset.ids != rep
-    alias = dict(zip(dataset.ids[dup].tolist(), rep[dup].tolist()))
+def _dedup(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and rows of the first occurrence of each distinct point, ordered by id."""
+    _, first_idx = np.unique(dataset.vectors, axis=0, return_index=True)
     keep = first_idx[np.argsort(dataset.ids[first_idx])]
-    return dataset.ids[keep], dataset.vectors[keep], alias
+    return dataset.ids[keep], dataset.vectors[keep]
+
+
+def ladder_steps(t: float, r: float, bound: ApproxBound) -> list:
+    """(cover radius, base_approx, new_approx) of each ladder level of a
+    norm-t node built for radius r; the bound's plan fixes the count.
+
+    Each step is refined with the effective beta of the cover it carves,
+    diameter_bound / radius, and must reproduce the planned value.
+    """
+    plan = bound.level_for(t)
+    c_child = bound.level_for(t / 2.0).final if t > 4.0 else L2_LEAF_APPROX
+    steps, c_base = [], plan.initial_approx
+    for j, c_plan in enumerate(plan.ladder, start=1):
+        radius = 2.0 * c_base * r
+        beta_eff = diameter_bound_for(radius, bound.beta) / radius
+        c_new = refine_approx(t, t / 2.0, c_child, beta_eff, c_base)
+        if not math.isclose(c_new, c_plan, rel_tol=1e-9):
+            raise AssertionError(
+                f"ladder bound drifted from plan at t={t} j={j}: {c_new} vs {c_plan}"
+            )
+        steps.append((radius, c_base, c_new))
+        c_base = c_new
+    return steps
+
+
+def cluster_image(node: SchemeNode, cluster: Cluster, mazur: MazurMapSpec) -> np.ndarray:
+    """The points a cluster's child nodes index: its members, centered on
+    its center and mapped into l_{t/2}."""
+    rows = node.ids.searchsorted(cluster.member_ids)
+    try:
+        return mazur_map_points(mazur, node.vectors[rows] - node.vector_of(cluster.center_id))
+    except NumericRangeError as exc:
+        raise NumericRangeError(
+            f"signed-power map overflow in cluster centered at id "
+            f"{cluster.center_id} (t={node.t}): {exc}"
+        ) from exc
 
 
 def _build_node(
@@ -336,9 +379,7 @@ def _build_node(
             node.copies.append(SchemeCopy(base=[leaf], ladder=[]))
         return node
 
-    plan = bound.level_for(t)
-    c_child_plan = bound.level_for(t / 2.0).final if t > 4.0 else L2_LEAF_APPROX
-
+    steps = ladder_steps(t, r, bound)
     for ci in range(n_copies):
         base = [
             build_coarse_ann(
@@ -348,33 +389,15 @@ def _build_node(
             for bi in range(config.base_copies)
         ]
         ladder = []
-        c_base = plan.initial_approx
-        for j, c_plan in enumerate(plan.ladder, start=1):
-            cover_radius = 2.0 * c_base * r
-            cover = build_sparse_cover(
-                Dataset(vectors, t, ids=node.ids), cover_radius, bound.beta
-            )
-            beta_eff = cover.diameter_bound / cover_radius
-            c_new = refine_approx(t, t / 2.0, c_child_plan, beta_eff, c_base)
-            if not math.isclose(c_new, c_plan, rel_tol=1e-9):
-                raise AssertionError(
-                    f"ladder bound drifted from plan at t={t} j={j}: {c_new} vs {c_plan}"
-                )
+        for j, (radius, c_base, c_new) in enumerate(steps, start=1):
+            cover = build_sparse_cover(Dataset(vectors, t, ids=node.ids), radius, bound.beta)
             children = []
             for ki, cluster in enumerate(cover.clusters):
-                center_id = cluster.center_id
                 if len(cluster.member_ids) == 1:
                     children.append(ClusterChild(None, []))
                     continue
                 mazur = MazurMapSpec(p=t, q=t / 2.0, c0=cover.diameter_bound)
-                locs = np.searchsorted(node.ids, cluster.member_ids)
-                try:
-                    image = mazur_map_points(mazur, vectors[locs] - node.vector_of(center_id))
-                except NumericRangeError as exc:
-                    raise NumericRangeError(
-                        f"signed-power map overflow in cluster centered at id "
-                        f"{center_id} (t={t}, ladder level {j}): {exc}"
-                    ) from exc
+                image = cluster_image(node, cluster, mazur)
                 child_copies = [
                     _build_node(
                         t / 2.0, cluster.member_ids, image, r, bound, config,
@@ -389,7 +412,6 @@ def _build_node(
                     cover=cover, children=children,
                 )
             )
-            c_base = c_new
         node.copies.append(SchemeCopy(base=base, ladder=ladder))
     return node
 
@@ -403,22 +425,12 @@ def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
             f"dataset exponent {dataset.p} disagrees with config exponent {config.p}"
         )
     bound = approximation_bound(config, dataset.d)
-    r_eff = bound.holder_factor * config.r
-    ids, vectors, alias = _dedup(dataset)
-    root = _build_node(bound.p_effective, ids, vectors, r_eff, bound, config, path=())
-    return LpScheme(
-        config=config,
-        p=config.p,
-        d=dataset.d,
-        n=dataset.n,
-        p_effective=bound.p_effective,
-        holder_factor=bound.holder_factor,
-        r=config.r,
-        r_effective=r_eff,
-        bound=bound,
-        root=root,
-        id_alias=alias,
+    ids, vectors = _dedup(dataset)
+    scheme = LpScheme(config=config, d=dataset.d, bound=bound, root=None)
+    scheme.root = _build_node(
+        bound.p_effective, ids, vectors, scheme.r_effective, bound, config, path=()
     )
+    return scheme
 
 
 def _node_distance(node: SchemeNode, point_id: int, q: np.ndarray) -> float:

@@ -1,8 +1,11 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpann import Dataset, SchemeConfig, UsageError, load_index, preprocess, query, save_index
 from lpann.cli import main
@@ -40,15 +43,20 @@ def test_header_fields(built):
     assert raw[:8] == MAGIC
     (hlen,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16: 16 + hlen])
+    assert set(header) == {"format_version", "d", "config", "ids", "vectors", "scheme", "blocks"}
     assert header["format_version"] == FORMAT_VERSION
-    assert header["p"] == 4.0
     assert header["d"] == 32
-    assert header["n"] == 100
+    assert header["config"]["p"] == 4.0
     assert header["config"]["seed"] == 7
     assert set(header["blocks"])  # non-empty block table
     for meta in header["blocks"].values():
         assert meta["dtype"] in ("<f8", "<i8")
         assert meta["offset"] >= 0
+    # blocks are written back to back, once each
+    metas = sorted(header["blocks"].values(), key=lambda m: m["offset"])
+    ends = [m["offset"] + 8 * int(np.prod(m["shape"])) for m in metas]
+    assert [m["offset"] for m in metas] == [0] + ends[:-1]
+    assert 16 + hlen + ends[-1] + 4 == len(raw)
 
 
 def test_loaded_bound_matches(built):
@@ -59,14 +67,20 @@ def test_loaded_bound_matches(built):
     assert loaded.r_effective == scheme.r_effective
 
 
-def test_roundtrip_with_singleton_clusters(tmp_path):
+@pytest.fixture(scope="module")
+def singletons(tmp_path_factory):
     # far-apart points give singleton clusters (no signed-power map, no
     # child schemes); the container must carry that shape too
     vectors = np.zeros((2, 32))
     vectors[1, 0] = 1e6
     scheme = preprocess(Dataset(vectors, 4.0), SchemeConfig(p=4.0, r=1.0, seed=3))
-    path = tmp_path / "singletons.lpann"
+    path = tmp_path_factory.mktemp("idx") / "singletons.lpann"
     save_index(scheme, str(path))
+    return vectors, scheme, path
+
+
+def test_roundtrip_with_singleton_clusters(singletons):
+    vectors, scheme, path = singletons
     loaded = load_index(str(path))
     q = vectors[1] + 0.5
     a, b = query(scheme, q), query(loaded, q)
@@ -104,14 +118,21 @@ def test_unknown_version_rejected(built, tmp_path):
         load_index(str(p))
 
 
+def _seal(body: bytes) -> bytes:
+    """body followed by its CRC32 trailer, as save_index writes it."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def _rewrite_header(path, out, edit):
-    """Copy an index file to out with edit(header) applied to its JSON header."""
+    """Copy an index file to out with edit(header) applied to its JSON
+    header, and seal it again."""
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16: 16 + hlen])
     edit(header)
     new_header = json.dumps(header, separators=(",", ":")).encode()
-    out.write_bytes(raw[:8] + struct.pack("<Q", len(new_header)) + new_header + raw[16 + hlen:])
+    body = raw[:8] + struct.pack("<Q", len(new_header)) + new_header + raw[16 + hlen: -4]
+    out.write_bytes(_seal(body))
     return out
 
 
@@ -122,36 +143,50 @@ def _cli_query_exit(index, tmp_path):
 
 
 def _first_block(header):
-    return header["blocks"][header["scheme"]["ids"]]
+    return header["blocks"][header["ids"]]
+
+
+def _first_level(header):
+    return header["scheme"]["copies"][0]["ladder"][0]
+
+
+def _repeat_last_level(header):
+    ladder = header["scheme"]["copies"][0]["ladder"]
+    ladder.append(ladder[-1])
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "index,edit",
     [
-        lambda h: _first_block(h).update(shape=[1.5]),
-        lambda h: _first_block(h).update(shape=["100"]),
-        lambda h: _first_block(h).update(shape=[-1]),
-        lambda h: _first_block(h).update(dtype="<f4"),
-        lambda h: _first_block(h).update(offset=-8),
-        lambda h: _first_block(h).update(offset=10**12),
-        lambda h: h["blocks"].pop(h["scheme"]["ids"]),
-        lambda h: h["scheme"].pop("t"),
-        lambda h: h["scheme"].update(t="4"),
-        lambda h: h.update(d=32.5),
-        lambda h: h["config"].update(seed=None),
-        lambda h: h.update(blocks=[]),
-        lambda h: h.update(format_version=1),
-        lambda h: h.update(format_version=2),
+        ("built", lambda h: _first_block(h).update(shape=[1.5])),
+        ("built", lambda h: _first_block(h).update(shape=["100"])),
+        ("built", lambda h: _first_block(h).update(shape=[-1])),
+        ("built", lambda h: _first_block(h).update(dtype="<f4")),
+        ("built", lambda h: _first_block(h).update(offset=-8)),
+        ("built", lambda h: _first_block(h).update(offset=10**12)),
+        ("built", lambda h: h["blocks"].pop(h["ids"])),
+        ("built", lambda h: h.pop("d")),
+        ("built", lambda h: h["config"].update(r="1.0")),
+        ("built", lambda h: h.update(d=32.5)),
+        ("built", lambda h: h["config"].update(seed=None)),
+        ("built", lambda h: h.update(blocks=[])),
+        ("built", lambda h: h.update(format_version=1)),
+        ("built", lambda h: h.update(format_version=2)),
+        ("built", lambda h: h.update(format_version=3)),
+        ("built", _repeat_last_level),
+        ("singletons", lambda h: _first_level(h)["children"][0].append({"copies": []})),
+        ("built", lambda h: _first_level(h)["children"][0].clear()),
     ],
     ids=[
         "float-shape", "string-shape", "negative-shape", "unknown-dtype",
         "negative-offset", "offset-past-end", "missing-block", "missing-key",
         "string-number", "float-integer", "null-seed", "block-table-list", "version-1",
-        "version-2",
+        "version-2", "version-3", "ladder-past-plan", "singleton-with-children",
+        "cluster-without-children",
     ],
 )
-def test_malformed_header_is_usage_error(built, tmp_path, capsys, edit):
-    _, _, path = built
+def test_malformed_header_is_usage_error(request, tmp_path, capsys, index, edit):
+    path = request.getfixturevalue(index)[2]
     bad = _rewrite_header(path, tmp_path / "bad.lpann", edit)
     with pytest.raises(UsageError):
         load_index(str(bad))
@@ -161,41 +196,77 @@ def test_malformed_header_is_usage_error(built, tmp_path, capsys, edit):
 def test_truncated_blocks_are_usage_error(built, tmp_path, capsys):
     _, _, path = built
     bad = tmp_path / "short.lpann"
-    bad.write_bytes(path.read_bytes()[:-100])
+    bad.write_bytes(_seal(path.read_bytes()[:-4][:-100]))
     with pytest.raises(UsageError, match="outside the file"):
         load_index(str(bad))
     assert _cli_query_exit(bad, tmp_path) == 2
 
 
-def _rewrite_block(path, out, pick, value):
-    """Copy an index file to out with every entry of one block set to value;
-    pick(header) names the block."""
+def _rewrite_block(path, out, pick, change, seal=True):
+    """Copy an index file to out with the block pick(header) names replaced
+    by change(block), sealed again unless told otherwise."""
     raw = bytearray(path.read_bytes())
     (hlen,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16: 16 + hlen])
     meta = header["blocks"][pick(header)]
-    start = 16 + hlen + meta["offset"]
+    start, dtype = 16 + hlen + meta["offset"], np.dtype(meta["dtype"])
     count = int(np.prod(meta["shape"]))
-    raw[start: start + 8 * count] = np.full(count, value, dtype="<i8").tobytes()
-    out.write_bytes(bytes(raw))
+    block = np.frombuffer(bytes(raw[start: start + dtype.itemsize * count]), dtype=dtype)
+    raw[start: start + dtype.itemsize * count] = change(block).astype(dtype).tobytes()
+    out.write_bytes(_seal(bytes(raw[:-4])) if seal else bytes(raw))
     return out
 
 
-def _first_cover(header):
-    return header["scheme"]["copies"][0]["ladder"][0]["cover"]
-
-
 @pytest.mark.parametrize(
-    "pick,value",
+    "pick,change",
     [
-        (lambda h: _first_cover(h)["covering"], 99),
-        (lambda h: _first_cover(h)["centers"], 10**9),
+        (lambda h: _first_level(h)["covering"], lambda b: np.full_like(b, 99)),
+        (lambda h: _first_level(h)["centers"], lambda b: np.full_like(b, 10**9)),
+        (lambda h: _first_level(h)["members"], lambda b: b[::-1]),
     ],
-    ids=["cluster-index-past-end", "foreign-center-id"],
+    ids=["cluster-index-past-end", "foreign-center-id", "members-descend"],
 )
-def test_corrupt_block_contents_are_usage_error(built, tmp_path, capsys, pick, value):
+def test_corrupt_block_contents_are_usage_error(built, tmp_path, capsys, pick, change):
     _, _, path = built
-    bad = _rewrite_block(path, tmp_path / "bad.lpann", pick, value)
+    bad = _rewrite_block(path, tmp_path / "bad.lpann", pick, change)
     with pytest.raises(UsageError, match="corrupt index"):
         load_index(str(bad))
     assert _cli_query_exit(bad, tmp_path) == 2
+
+
+def _nudge_first_coordinate(block):
+    out = block.copy()
+    out[0] = np.nextafter(out[0], np.inf)
+    return out
+
+
+def test_unsealed_edit_fails_checksum(built, tmp_path, capsys):
+    # a vector one ulp off passes every content check; only the trailer catches it
+    _, _, path = built
+    sealed = _rewrite_block(path, tmp_path / "sealed.lpann", lambda h: h["vectors"],
+                            _nudge_first_coordinate)
+    assert load_index(str(sealed)).root.vectors[0, 0] != load_index(str(path)).root.vectors[0, 0]
+    bad = _rewrite_block(path, tmp_path / "bad.lpann", lambda h: h["vectors"],
+                         _nudge_first_coordinate, seal=False)
+    with pytest.raises(UsageError, match="checksum"):
+        load_index(str(bad))
+    assert _cli_query_exit(bad, tmp_path) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flipped_bit_or_truncation_is_usage_error(built, tmp_path_factory, data):
+    raw = built[2].read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        bad = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        bad = bytearray(raw)
+        bad[bit // 8] ^= 1 << (bit % 8)
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    path = work / "bad.lpann"
+    path.write_bytes(bytes(bad))
+    with pytest.raises(UsageError):
+        load_index(str(path))
+    assert _cli_query_exit(path, work) == 2

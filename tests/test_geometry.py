@@ -102,11 +102,6 @@ def test_mazur_map_distortion_plug():
     assert lower <= img <= 1.0
 
 
-def test_mazur_map_spec_rejects_bad_scale():
-    with pytest.raises(UsageError):
-        MazurMapSpec(p=4.0, q=2.0, c0=1.0, scale=3.0)
-
-
 def _sample_in_ball(rng, count, d, p, c0):
     g = rng.standard_normal((count, d))
     norms = (np.abs(g) ** p).sum(axis=1) ** (1.0 / p)

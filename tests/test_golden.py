@@ -8,6 +8,7 @@ single cluster, and a four-blob one, where every ladder level carves four
 clusters and cover routing does real work.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -106,3 +107,51 @@ def test_golden_answers(kind):
 @pytest.mark.parametrize("kind", ["gauss", "blobs"])
 def test_golden_answers_after_reload(kind, tmp_path):
     assert answers(kind, 5, tmp_path / "golden.lpann") == GOLDEN[kind]
+
+
+def _assert_same(a, b, where="scheme"):
+    """a and b hold equal values of equal types, field by field; arrays
+    compare by dtype, shape and bytes, scalars with ==, so a one-ulp drift
+    fails."""
+    assert type(a) is type(b), where
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{where}[{i}]")
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    else:
+        assert a == b, where
+
+
+@pytest.mark.parametrize("kind", ["gauss", "blobs"])
+def test_loaded_tree_equals_built_tree(kind, tmp_path):
+    # every value the loader derives (bound, ladder radii and approximations,
+    # maps, mapped points, widths, tables) must equal the built one exactly
+    scheme, _ = _instance(kind, 5)
+    save_index(scheme, str(tmp_path / "golden.lpann"))
+    _assert_same(scheme, load_index(str(tmp_path / "golden.lpann")))
+
+
+def _nodes(node):
+    yield node
+    for copy in node.copies:
+        for level in copy.ladder:
+            for child in level.children:
+                for sub in child.copies:
+                    yield from _nodes(sub)
+
+
+def test_loaded_children_share_arrays_as_built(tmp_path):
+    scheme, _ = _instance("blobs", 5)
+    save_index(scheme, str(tmp_path / "golden.lpann"))
+    loaded = load_index(str(tmp_path / "golden.lpann"))
+    counts = [len({id(n.vectors) for n in _nodes(s.root)}) for s in (scheme, loaded)]
+    assert counts[0] == counts[1] < sum(1 for _ in _nodes(scheme.root))
+    child = next(ch for ch in loaded.root.copies[0].ladder[0].children if ch.copies)
+    assert len(child.copies) > 1
+    assert len({id(sub.vectors) for sub in child.copies}) == 1
+    assert len({id(sub.ids) for sub in child.copies}) == 1
