@@ -17,6 +17,13 @@ re-verified and a bad candidate set yields ``None`` instead.
 Both keep their buckets or cells in one flat table, sorted (table, key) rows
 with CSR member groups, built by the constructor and never saved; a query
 finds its bucket in every table with one ``searchsorted``.
+
+Schemes over one point array are looked up together as a group
+(``l2_group``, ``coarse_group``): their draws are stacked, their tables are
+merged into one that each scheme then refers to, and one query hashes every
+stacked table at once, searches the merged table once, and measures the
+candidates with one distance call (one per round for l2 leaves). A lone
+scheme is queried as a group of one.
 """
 
 from __future__ import annotations
@@ -102,12 +109,68 @@ def _bucket_table(keys: np.ndarray) -> _BucketTable:
     return _BucketTable(np.concatenate(rows), np.concatenate(starts), np.concatenate(members))
 
 
-def _lookup(table: _BucketTable, keys: np.ndarray) -> np.ndarray:
-    """Groups matching keys[t] in table t, in table order, from one search
-    over all tables (a key past the last row is clipped and fails the compare)."""
-    tagged = _tagged_rows(np.arange(keys.shape[0]), keys)
+def _lookup(table: _BucketTable, first: int, keys: np.ndarray):
+    """(i, group) for every keys[i] found in table first + i, in order of i,
+    from one search over all tables (a key past the last row is clipped and
+    fails the compare)."""
+    tagged = _tagged_rows(first + np.arange(keys.shape[0]), keys)
     pos = table.rows.searchsorted(tagged)
-    return pos[table.rows.take(pos, mode="clip") == tagged]
+    # compared as int rows, about 3x faster than comparing the void rows
+    width = tagged.itemsize // 8
+    near = table.rows.take(pos, mode="clip").view(">i8").reshape(-1, width)
+    found = np.flatnonzero((near == tagged.view(">i8").reshape(-1, width)).all(axis=1))
+    return found, pos[found]
+
+
+def _stack(schemes: list, names: tuple) -> tuple[list, np.ndarray]:
+    """Stack the draws and merge the bucket tables of schemes not yet in a
+    group, in scheme order.
+
+    Each named draw array (tables along axis 0) is concatenated, and every
+    scheme's array becomes a view of its part. The schemes' own tables merge
+    into one that every scheme then refers to: its table t is table
+    ``first_table + t``. Returns the stacked arrays and the scheme of each
+    stacked table.
+    """
+    counts = [getattr(s, names[0]).shape[0] for s in schemes]
+    firsts = np.cumsum(counts) - counts
+    stacked = []
+    for name in names:
+        full = np.concatenate([getattr(s, name) for s in schemes])
+        for s, first, count in zip(schemes, firsts, counts):
+            setattr(s, name, full[first: first + count])
+        stacked.append(full)
+    rows, starts, members, base = [], [], [], 0
+    for s, first in zip(schemes, firsts):
+        own = s.table
+        as_int = own.rows.view(">i8").reshape(own.rows.size, own.rows.itemsize // 8)
+        rows.append(_tagged_rows(as_int[:, 0] + first, as_int[:, 1:]))
+        starts.append(own.starts[:-1] + base)
+        members.append(own.members)
+        base += own.members.size
+        s.first_table = int(first)
+    table = _BucketTable(
+        np.concatenate(rows), np.concatenate(starts + [[base]]), np.concatenate(members)
+    )
+    for s in schemes:
+        s.table = table
+    return stacked, np.repeat(np.arange(len(schemes)), counts)
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True where a run of equal values in the non-empty array a begins."""
+    out = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=out[1:])
+    return out
+
+
+def _query_point(q, d: int) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64).ravel()
+    if q.shape[0] != d:
+        raise UsageError(
+            f"query dimension {q.shape[0]} does not match scheme dimension {d}"
+        )
+    return q
 
 
 @dataclass
@@ -122,18 +185,22 @@ class L2Scheme:
     offsets: np.ndarray      # (L, k)
     w: float = field(init=False)
     max_probe: int = field(init=False)
+    # its table t is table first_table + t of ``table``, shared once grouped
     table: _BucketTable = field(init=False, repr=False)
+    first_table: int = field(init=False)
 
     def __post_init__(self):
         self.w = BUCKET_WIDTH_FACTOR * self.r
         self.max_probe = 3 * self.projections.shape[0]
-        self.table = _bucket_table(_l2_keys(self, self.vectors))
+        keys = _l2_keys(self.projections, self.offsets, self.w, self.vectors)
+        self.table = _bucket_table(keys)
+        self.first_table = 0
 
 
-def _l2_keys(scheme: L2Scheme, vecs: np.ndarray) -> np.ndarray:
+def _l2_keys(projections, offsets, w: float, vecs: np.ndarray) -> np.ndarray:
     """Bucket keys for each (table, vector): int array (L, m, k)."""
-    proj = np.einsum("lkd,md->lmk", scheme.projections, vecs)
-    return _to_cell_index((proj + scheme.offsets[:, None, :]) / scheme.w)
+    proj = np.einsum("lkd,md->lmk", projections, vecs)
+    return _to_cell_index((proj + offsets[:, None, :]) / w)
 
 
 def build_l2_ann(ids, vectors, r: float, delta_fail: float, seed) -> L2Scheme:
@@ -166,24 +233,80 @@ def build_l2_ann(ids, vectors, r: float, delta_fail: float, seed) -> L2Scheme:
     )
 
 
-def query_l2_ann(scheme: L2Scheme, q) -> int | None:
-    """First scanned candidate within 2r of q, probing at most max_probe
-    candidates per table; None if no candidate qualifies."""
-    q = np.asarray(q, dtype=np.float64).ravel()
-    if q.shape[0] != scheme.vectors.shape[1]:
-        raise UsageError(
-            f"query dimension {q.shape[0]} does not match scheme dimension "
-            f"{scheme.vectors.shape[1]}"
-        )
-    keys = _l2_keys(scheme, q.reshape(1, -1))[:, 0, :]
-    limit, table = 2.0 * scheme.r, scheme.table
-    for g in _lookup(table, keys):
-        cand = table.members[table.starts[g]: table.starts[g + 1]][: scheme.max_probe]
-        dists = _kernels.dists_to_point(scheme.vectors[cand], q, 2.0)
-        hits = np.flatnonzero(dists <= limit)
-        if hits.size:
-            return int(scheme.ids[cand[hits[0]]])
-    return None
+@dataclass
+class L2Group:
+    """l2 leaves over one point array and radius, looked up together.
+
+    Stacked table i (``projections[i]``, ``offsets[i]``) belongs to leaf
+    ``leaf_of[i]``, which probes at most ``max_probe[i]`` members of a
+    bucket, and is table ``first_table + i`` of ``table``.
+    """
+
+    leaves: list
+    projections: np.ndarray  # (T, k, d)
+    offsets: np.ndarray      # (T, k)
+    leaf_of: np.ndarray
+    max_probe: np.ndarray
+    first_table: int
+    table: _BucketTable = field(repr=False)
+
+
+def l2_group(leaves: list) -> L2Group:
+    """Group leaves built over one point array for one radius, in order."""
+    (projections, offsets), leaf_of = _stack(leaves, ("projections", "offsets"))
+    probes = np.array([leaf.max_probe for leaf in leaves])[leaf_of]
+    return L2Group(leaves, projections, offsets, leaf_of, probes, 0, leaves[0].table)
+
+
+def _alone_l2(scheme: L2Scheme) -> L2Group:
+    n_tables = scheme.projections.shape[0]
+    return L2Group([scheme], scheme.projections, scheme.offsets,
+                   np.zeros(n_tables, dtype=np.intp), np.full(n_tables, scheme.max_probe),
+                   scheme.first_table, scheme.table)
+
+
+def query_l2_ann(scheme: L2Scheme | L2Group, q):
+    """Given one L2Scheme: the first scanned candidate within 2r of q,
+    probing at most max_probe candidates per table, or None.
+
+    Given an L2Group: (id, l2 distance) of the first leaf, in group order,
+    whose such candidate is nearest to q, or None if no leaf has one.
+    Buckets are measured in rounds: round j measures the j-th matched bucket
+    of every leaf still without a candidate, with one distance call, so no
+    bucket past a leaf's first candidate is measured.
+    """
+    if isinstance(scheme, L2Scheme):
+        hit = query_l2_ann(_alone_l2(scheme), q)
+        return None if hit is None else hit[0]
+    group, lead = scheme, scheme.leaves[0]
+    q = _query_point(q, lead.vectors.shape[1])
+    keys = _l2_keys(group.projections, group.offsets, lead.w, q.reshape(1, -1))[:, 0, :]
+    found, buckets = _lookup(group.table, group.first_table, keys)
+    leaf = group.leaf_of[found]  # ascends: stacked tables are in leaf order
+    rank = np.arange(found.size) - leaf.searchsorted(leaf)
+    starts, members = group.table.starts, group.table.members
+    hit_row = np.zeros(len(group.leaves), dtype=np.intp)
+    hit_dist = np.full(len(group.leaves), np.inf)
+    pending = np.ones(len(group.leaves), dtype=bool)
+    for j in range(rank.max() + 1 if found.size else 0):
+        sel = np.flatnonzero((rank == j) & pending[leaf])
+        if not sel.size:
+            break
+        lo = starts[buckets[sel]]
+        size = np.minimum(starts[buckets[sel] + 1] - lo, group.max_probe[found[sel]])
+        cand = members[np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)]
+        dists = _kernels.dists_to_point(lead.vectors[cand], q, 2.0)
+        ok = np.flatnonzero(dists <= 2.0 * lead.r)
+        if not ok.size:
+            continue
+        owner = np.repeat(sel, size)
+        first = ok[_run_starts(owner[ok])]  # ok ascends
+        won = leaf[owner[first]]
+        hit_row[won], hit_dist[won], pending[won] = cand[first], dists[first], False
+    best = int(np.argmin(hit_dist))  # the first leaf at the least distance
+    if pending[best]:
+        return None
+    return int(lead.ids[hit_row[best]]), float(hit_dist[best])
 
 
 @dataclass
@@ -198,13 +321,16 @@ class CoarseScheme:
     shifts: np.ndarray  # (G, d)
     c0: float = field(init=False)
     cell_side: float = field(init=False)
+    # its grid g is table first_table + g of ``table``, shared once grouped
     table: _BucketTable = field(init=False, repr=False)
+    first_table: int = field(init=False)
 
     def __post_init__(self):
         d = self.vectors.shape[1]
         self.c0 = coarse_approximation(d, self.p)
         self.cell_side = grid_cell_side(d, self.r)
         self.table = _bucket_table(_grid_cells(self, self.vectors))
+        self.first_table = 0
 
 
 def coarse_approximation(d: int, p: float) -> float:
@@ -247,23 +373,67 @@ def build_coarse_ann(ids, vectors, p: float, r: float, seed) -> CoarseScheme:
     )
 
 
-def query_coarse_ann(scheme: CoarseScheme, q) -> int | None:
-    """lp-closest cell representative across grids, re-checked against c0*r."""
-    q = np.asarray(q, dtype=np.float64).ravel()
-    if q.shape[0] != scheme.vectors.shape[1]:
-        raise UsageError(
-            f"query dimension {q.shape[0]} does not match scheme dimension "
-            f"{scheme.vectors.shape[1]}"
-        )
-    cells = _grid_cells(scheme, q.reshape(1, -1))[:, 0, :]
-    groups = _lookup(scheme.table, cells)
-    if not groups.size:
+@dataclass
+class CoarseGroup:
+    """The grid schemes of a node's copies, looked up together. Stacked grid
+    i (``shifts[i]``) belongs to scheme ``scheme_of[i]`` of ``schemes`` and
+    is table ``first_table + i`` of ``table``; scheme s belongs to copy
+    ``copy_of[s]`` of ``copies``."""
+
+    schemes: list
+    copy_of: np.ndarray
+    copies: int
+    shifts: np.ndarray  # (T, d)
+    scheme_of: np.ndarray
+    first_table: int
+    table: _BucketTable = field(repr=False)
+
+
+def coarse_group(copies: list) -> CoarseGroup:
+    """Group the grid schemes of each copy (a list of lists of schemes built
+    over one point array for one norm and radius)."""
+    schemes = [s for base in copies for s in base]
+    (shifts,), scheme_of = _stack(schemes, ("shifts",))
+    copy_of = np.repeat(np.arange(len(copies)), [len(base) for base in copies])
+    return CoarseGroup(schemes, copy_of, len(copies), shifts, scheme_of, 0, schemes[0].table)
+
+
+def _alone_coarse(scheme: CoarseScheme) -> CoarseGroup:
+    return CoarseGroup([scheme], np.zeros(1, dtype=np.intp), 1, scheme.shifts,
+                       np.zeros(scheme.shifts.shape[0], dtype=np.intp),
+                       scheme.first_table, scheme.table)
+
+
+def query_coarse_ann(scheme: CoarseScheme | CoarseGroup, q):
+    """Given one CoarseScheme: the lp-closest cell representative across its
+    grids, re-checked against c0*r (ties to the lowest row), or None.
+
+    Given a CoarseGroup: each copy's start, (id, lp distance) of the first
+    scheme of the copy whose such representative is nearest to q, or None
+    for a copy without one; None if no copy has one. Every distinct
+    representative is measured with one distance call.
+    """
+    if isinstance(scheme, CoarseScheme):
+        starts = query_coarse_ann(_alone_coarse(scheme), q)
+        return None if starts is None else starts[0][0]
+    group, lead = scheme, scheme.schemes[0]
+    q = _query_point(q, lead.vectors.shape[1])
+    cells = _to_cell_index((q + group.shifts) / lead.cell_side)
+    found, cells = _lookup(group.table, group.first_table, cells)
+    if not found.size:
         return None
     # a cell's representative is its lowest local index, the group's first member
-    cand = np.unique(scheme.table.members[scheme.table.starts[groups]])
-    dists = _kernels.dists_to_point(scheme.vectors[cand], q, scheme.p)
-    ok = dists <= scheme.c0 * scheme.r
-    if not ok.any():
+    reps = group.table.members[group.table.starts[cells]]
+    cand, inv = np.unique(reps, return_inverse=True)
+    dists = _kernels.dists_to_point(lead.vectors[cand], q, lead.p)[inv]
+    ok = np.flatnonzero(dists <= lead.c0 * lead.r)
+    if not ok.size:
         return None
-    best = int(np.flatnonzero(ok)[np.argmin(dists[ok])])
-    return int(scheme.ids[cand[best]])
+    reps, dists, which = reps[ok], dists[ok], group.scheme_of[found[ok]]
+    copy = group.copy_of[which]
+    # per copy: least distance, then first scheme, then lowest row
+    order = np.lexsort((reps, which, dists, copy))
+    starts = [None] * group.copies
+    for i in order[_run_starts(copy[order])]:
+        starts[copy[i]] = (int(lead.ids[reps[i]]), float(dists[i]))
+    return starts

@@ -18,9 +18,10 @@ header.
 Everything else is a function of these, and the loader derives it with the
 build's own code: the bound (``approximation_bound``), each ladder level's
 cover radius and approximations (``ladder_steps``), each cluster's map and
-the points its child nodes index (``cluster_image``), and the base schemes'
-widths, probe limits and bucket tables (their constructors). A loaded index
-equals the saved one bit for bit.
+the points its child nodes index (``cluster_image``), the base schemes'
+widths, probe limits and bucket tables (their constructors), and the groups
+that merge those tables for queries (``link_groups``), all built before
+``load_index`` returns. A loaded index equals the saved one bit for bit.
 
 Only the current format version loads. A file that fails its checksum, is
 truncated, names an unknown block, lacks or mistypes a header key, or whose
@@ -53,6 +54,7 @@ from .recursive import (
     approximation_bound,
     cluster_image,
     ladder_steps,
+    link_groups,
 )
 
 MAGIC = b"LPANNIDX"
@@ -215,6 +217,8 @@ def _decode_node(meta: dict, r: _BlockReader, node: SchemeNode, scheme: LpScheme
     """Fill ``node`` with its stored copies, deriving the rest as the build does."""
     bound, r_eff = scheme.bound, scheme.r_effective
     steps = ladder_steps(node.t, r_eff, bound) if node.t > 2.0 else []
+    _require(meta["copies"] and all(c["base"] for c in meta["copies"]),
+             "a node without copies or a copy without base schemes")
     for cmeta in meta["copies"]:
         base = [
             L2Scheme(node.ids, node.vectors, r_eff, r.get(b["projections"]), r.get(b["offsets"]))
@@ -237,10 +241,12 @@ def _decode_node(meta: dict, r: _BlockReader, node: SchemeNode, scheme: LpScheme
                     continue
                 mazur = MazurMapSpec(p=node.t, q=node.t / 2.0, c0=cover.diameter_bound)
                 image = cluster_image(node, cl, mazur)
-                children.append(ClusterChild(mazur, [
+                subs = [
                     _decode_node(sub, r, SchemeNode(node.t / 2.0, cl.member_ids, image), scheme)
                     for sub in trees
-                ]))
+                ]
+                link_groups(subs)
+                children.append(ClusterChild(mazur, subs))
             ladder.append(LadderLevel(j, c_base, c_new, cover, children))
         node.copies.append(SchemeCopy(base=base, ladder=ladder))
     return node
@@ -262,6 +268,7 @@ def _decode_scheme(header: dict, reader: _BlockReader) -> LpScheme:
     scheme = LpScheme(config=config, d=d, bound=approximation_bound(config, d), root=None)
     root = SchemeNode(t=scheme.p_effective, ids=ids, vectors=vectors)
     scheme.root = _decode_node(header["scheme"], reader, root, scheme)
+    link_groups([scheme.root])
     return scheme
 
 

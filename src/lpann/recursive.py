@@ -22,7 +22,9 @@ Query time runs the same chain: coarse answer, then per level look up the
 covering cluster of the current iterate, query the cluster's child scheme
 with the mapped query, lift the answer back by id, and keep it only if it
 improves the true distance. All distances are re-verified in the node's own
-norm, so a failed stage can never make the answer worse.
+norm, so a failed stage can never make the answer worse. Base schemes are
+looked up a group at a time (``link_groups``): one lookup answers every
+copy's grids at a node, and one answers every l2 leaf under a cluster.
 
 Arbitrary exponents are first clamped to min(p, log2 d) and rounded down to
 a power of two; the constant-factor norm distortion this costs is computed
@@ -38,10 +40,14 @@ import numpy as np
 
 from . import _kernels
 from .base_schemes import (
+    CoarseGroup,
+    L2Group,
     L2Scheme,
     build_coarse_ann,
     build_l2_ann,
     coarse_approximation,
+    coarse_group,
+    l2_group,
     query_coarse_ann,
     query_l2_ann,
 )
@@ -266,12 +272,14 @@ class SchemeCopy:
 class SchemeNode:
     """One norm level over a point set: t == 2 nodes hold l2 leaves, larger
     t hold coarse grids plus a refinement ladder. ``ids`` ascend, so a point
-    id maps to its row by binary search."""
+    id maps to its row by binary search. ``group`` is the group of base
+    schemes a query looks up at once (see ``link_groups``)."""
 
     t: float
     ids: np.ndarray
     vectors: np.ndarray
     copies: list = field(default_factory=list)
+    group: L2Group | CoarseGroup | None = field(default=None, repr=False)
 
     def row_of(self, point_id: int) -> int:
         return int(self.ids.searchsorted(point_id))
@@ -358,6 +366,20 @@ def cluster_image(node: SchemeNode, cluster: Cluster, mazur: MazurMapSpec) -> np
         ) from exc
 
 
+def link_groups(nodes: list) -> None:
+    """Group the base schemes of sibling nodes: the copies of one cluster's
+    child, which index one point array, or the root alone. At t == 2 the
+    siblings share one group of every leaf of every copy, in sibling then
+    copy order; at larger t each node gets one group of its copies' grids."""
+    if nodes[0].t == 2.0:
+        group = l2_group([leaf for node in nodes for copy in node.copies for leaf in copy.base])
+        for node in nodes:
+            node.group = group
+    else:
+        for node in nodes:
+            node.group = coarse_group([copy.base for copy in node.copies])
+
+
 def _build_node(
     t: float,
     ids: np.ndarray,
@@ -405,6 +427,7 @@ def _build_node(
                     )
                     for cc in range(config.child_copies)
                 ]
+                link_groups(child_copies)
                 children.append(ClusterChild(mazur, child_copies))
             ladder.append(
                 LadderLevel(
@@ -430,6 +453,7 @@ def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
     scheme.root = _build_node(
         bound.p_effective, ids, vectors, scheme.r_effective, bound, config, path=()
     )
+    link_groups([scheme.root])
     return scheme
 
 
@@ -439,60 +463,41 @@ def _node_distance(node: SchemeNode, point_id: int, q: np.ndarray) -> float:
     )
 
 
-def _query_copy(node: SchemeNode, copy: SchemeCopy, q: np.ndarray):
-    if node.t == 2.0:
-        best = None
-        for leaf in copy.base:
-            cid = query_l2_ann(leaf, q)
-            if cid is None:
+def _query_nodes(nodes: list, q: np.ndarray):
+    """(id, node distance, trace) over sibling nodes, the first in (node,
+    copy) order at the least distance wins; None if no copy answers."""
+    if nodes[0].t == 2.0:
+        hit = query_l2_ann(nodes[0].group, q)
+        return None if hit is None else (hit[0], hit[1], [hit[0]])
+    best = None
+    for node in nodes:
+        starts = query_coarse_ann(node.group, q)
+        for copy, start in zip(node.copies, starts or ()):
+            if start is None:
                 continue
-            d = _node_distance(node, cid, q)
-            if best is None or d < best[1]:
-                best = (cid, d, [cid])
-        return best
+            res = _refine(node, copy, *start, q)
+            if best is None or res[1] < best[1]:
+                best = res
+    return best
 
-    x_id, x_dist = None, math.inf
-    for coarse in copy.base:
-        cid = query_coarse_ann(coarse, q)
-        if cid is None:
-            continue
-        d = _node_distance(node, cid, q)
-        if d < x_dist:
-            x_id, x_dist = cid, d
-    if x_id is None:
-        return None
 
+def _refine(node: SchemeNode, copy: SchemeCopy, x_id: int, x_dist: float, q: np.ndarray):
+    """Run a copy's ladder from its coarse start (x_id, x_dist)."""
     trace = [x_id]
     for lvl in copy.ladder:
         ci = lvl.cover.covering_ref[node.row_of(x_id)]
         child, center_id = lvl.children[ci], lvl.cover.clusters[ci].center_id
-        cand_id = None
+        cand_id = center_id
         if child.copies:
             img_q = mazur_map_apply(child.mazur, q - node.vector_of(center_id))
-            best_child = None
-            for sub in child.copies:
-                res = _query_node(sub, img_q)
-                if res is not None and (best_child is None or res[1] < best_child[1]):
-                    best_child = res
-            if best_child is not None:
-                cand_id = best_child[0]
-        else:
-            cand_id = center_id
+            res = _query_nodes(child.copies, img_q)
+            cand_id = None if res is None else res[0]
         if cand_id is not None:
             d_cand = _node_distance(node, cand_id, q)
             if d_cand < x_dist:
                 x_id, x_dist = cand_id, d_cand
         trace.append(x_id)
     return (x_id, x_dist, trace)
-
-
-def _query_node(node: SchemeNode, q: np.ndarray):
-    best = None
-    for copy in node.copies:
-        res = _query_copy(node, copy, q)
-        if res is not None and (best is None or res[1] < best[1]):
-            best = res
-    return best
 
 
 def _query_vector(q, d: int) -> np.ndarray:
@@ -507,7 +512,7 @@ def _query_vector(q, d: int) -> np.ndarray:
 def query(scheme: LpScheme, q) -> QueryAnswer | None:
     """Answer a near-neighbor query; distance is reported in the original lp."""
     q = _query_vector(q, scheme.d)
-    res = _query_node(scheme.root, q)
+    res = _query_nodes([scheme.root], q)
     if res is None:
         return None
     pid, _, trace = res

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,16 @@ from lpann import (
     query_coarse_ann,
     query_l2_ann,
 )
+from lpann import _kernels
 from lpann.base_schemes import (
+    CoarseScheme,
+    L2Scheme,
     _bucket_table,
     _lookup,
     _to_cell_index,
+    coarse_group,
     collision_probability,
+    l2_group,
     num_tables,
 )
 
@@ -204,6 +211,148 @@ def test_bucket_table_matches_dict_reference(case):
         ]
         found = [
             table.members[table.starts[g]: table.starts[g + 1]].tolist()
-            for g in _lookup(table, probe)
+            for g in _lookup(table, 0, probe)[1]
         ]
         assert found == expected
+
+
+# Grouped lookups against slow per-scheme loops. Points, queries, projections
+# and shifts are small integers and widths powers of two, so every bucket key
+# and cell is exact and the loops below see exactly the buckets the schemes
+# store; distances come from lp_distance, which measures one row as the
+# schemes' batched calls do.
+
+
+@st.composite
+def _points(draw, d: int, m: int, spread: int):
+    """(x, q): small integer points, or, in one case of three, signed unit
+    vectors around q = 0, all at distance 1, so answers tie across leaves
+    and schemes."""
+    if draw(st.integers(0, 2)) == 0:
+        units = np.vstack([np.eye(d), -np.eye(d)])
+        rows = draw(st.lists(st.integers(0, 2 * d - 1), min_size=m, max_size=m))
+        return units[rows], np.zeros(d)
+    coords = st.integers(-spread, spread)
+    x = draw(arrays(np.float64, (m, d), elements=coords))
+    return x, draw(arrays(np.float64, d, elements=coords))
+
+
+@st.composite
+def _l2_case(draw):
+    d, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 2))
+    x, q = draw(_points(d, m, 2))
+    leaves = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_tables = draw(st.integers(1, 2))  # max_probe = 3 n_tables: buckets often exceed it
+        proj = draw(arrays(np.float64, (n_tables, k, d), elements=st.integers(-2, 2)))
+        offsets = draw(arrays(np.float64, (n_tables, k), elements=st.integers(0, 3)))
+        leaves.append((proj, offsets))
+    return x, q, leaves
+
+
+def _l2_reference(leaves, x, q):
+    """Per leaf: the first candidate within 2r in table order, then member
+    order, among at most max_probe members of each bucket; then the first
+    leaf at the least distance. Also the rows measured."""
+    best, rows, per_leaf = None, 0, []
+    for leaf in leaves:
+        hit = None
+        for proj, offset in zip(leaf.projections, leaf.offsets):
+            key = np.floor((proj @ q + offset) / leaf.w)
+            bucket = [i for i in range(len(x))
+                      if (np.floor((proj @ x[i] + offset) / leaf.w) == key).all()]
+            cand = bucket[: leaf.max_probe]
+            rows += len(cand)
+            hits = [(i, lp_distance(x[i], q, 2.0)) for i in cand]
+            hits = [h for h in hits if h[1] <= 2.0 * leaf.r]
+            if hits:
+                hit = hits[0]
+                break
+        per_leaf.append(hit)
+        if hit is not None and (best is None or hit[1] < best[1]):
+            best = hit
+    return best, rows, per_leaf
+
+
+def _rows_measured(fn, *args):
+    """fn(*args) and the number of rows it passed to dists_to_point."""
+    rows = []
+    real = _kernels.dists_to_point
+
+    def counting(mat, v, p):
+        rows.append(len(mat))
+        return real(mat, v, p)
+
+    with mock.patch.object(_kernels, "dists_to_point", counting):
+        out = fn(*args)
+    return out, sum(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_l2_case())
+def test_l2_group_matches_per_leaf_loops(case):
+    x, q, draws = case
+    ids = 100 + np.arange(len(x))
+    leaves = [L2Scheme(ids, x, 1.0, proj, offsets) for proj, offsets in draws]
+    group = l2_group(leaves)
+    expected, expected_rows, per_leaf = _l2_reference(leaves, x, q)
+    answer, rows = _rows_measured(query_l2_ann, group, q)
+    assert answer == (None if expected is None else (int(ids[expected[0]]), expected[1]))
+    # buckets are measured in rounds, none past a leaf's first hit
+    assert rows == expected_rows
+    # each grouped leaf still answers alone, from the shared table
+    for leaf, hit in zip(leaves, per_leaf):
+        assert query_l2_ann(leaf, q) == (None if hit is None else int(ids[hit[0]]))
+
+
+@st.composite
+def _coarse_case(draw):
+    d, m = draw(st.integers(1, 2)), draw(st.integers(1, 10))
+    side = 2 * d  # grid_cell_side(d, r=0.5)
+    x, q = draw(_points(d, m, 4))
+    copies = [
+        [
+            draw(arrays(np.float64, (draw(st.integers(1, 3)), d),
+                        elements=st.integers(0, side - 1)))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return x, q, copies
+
+
+def _coarse_reference(scheme, x, q):
+    """Lowest-distance cell representative within c0*r, ties to the lowest row."""
+    reps = set()
+    for shift in scheme.shifts:
+        cell = np.floor((q + shift) / scheme.cell_side)
+        same = [i for i in range(len(x))
+                if (np.floor((x[i] + shift) / scheme.cell_side) == cell).all()]
+        reps.update(same[:1])
+    best = None
+    for i in sorted(reps):
+        dist = lp_distance(x[i], q, scheme.p)
+        if dist <= scheme.c0 * scheme.r and (best is None or dist < best[1]):
+            best = (i, dist)
+    return best
+
+
+@settings(max_examples=400, deadline=None)
+@given(_coarse_case())
+def test_coarse_group_matches_per_scheme_loops(case):
+    x, q, draws = case
+    ids = 100 + np.arange(len(x))
+    copies = [[CoarseScheme(ids, x, 4.0, 0.5, shifts) for shifts in base] for base in draws]
+    group = coarse_group(copies)
+    expected = []
+    for base in copies:
+        start = None
+        for scheme in base:
+            hit = _coarse_reference(scheme, x, q)
+            # each grouped scheme still answers alone, from the shared table
+            assert query_coarse_ann(scheme, q) == (None if hit is None else int(ids[hit[0]]))
+            if hit is not None and (start is None or hit[1] < start[1]):
+                start = hit
+        expected.append(None if start is None else (int(ids[start[0]]), start[1]))
+    answer = query_coarse_ann(group, q)
+    assert answer == (None if expected == [None] * len(copies) else expected)

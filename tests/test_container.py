@@ -1,5 +1,7 @@
 import json
 import struct
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -176,13 +178,15 @@ def _repeat_last_level(header):
         ("built", _repeat_last_level),
         ("singletons", lambda h: _first_level(h)["children"][0].append({"copies": []})),
         ("built", lambda h: _first_level(h)["children"][0].clear()),
+        ("built", lambda h: h["scheme"]["copies"].clear()),
+        ("built", lambda h: h["scheme"]["copies"][0]["base"].clear()),
     ],
     ids=[
         "float-shape", "string-shape", "negative-shape", "unknown-dtype",
         "negative-offset", "offset-past-end", "missing-block", "missing-key",
         "string-number", "float-integer", "null-seed", "block-table-list", "version-1",
         "version-2", "version-3", "ladder-past-plan", "singleton-with-children",
-        "cluster-without-children",
+        "cluster-without-children", "node-without-copies", "copy-without-base",
     ],
 )
 def test_malformed_header_is_usage_error(request, tmp_path, capsys, index, edit):
@@ -191,6 +195,42 @@ def test_malformed_header_is_usage_error(request, tmp_path, capsys, index, edit)
     with pytest.raises(UsageError):
         load_index(str(bad))
     assert _cli_query_exit(bad, tmp_path) == 2
+
+
+def _answer_key(ans):
+    return None if ans is None else (ans.id, float.hex(ans.distance), ans.trace)
+
+
+def test_concurrent_queries_on_a_fresh_load_match_sequential(built):
+    # the loader builds every lookup table before it returns, so threads
+    # querying a freshly loaded index at once only read finished state
+    dataset, _, path = built
+    rng = np.random.default_rng(3)
+    rows = rng.choice(dataset.n, size=40)
+    queries = dataset.vectors[rows] + 0.1 * rng.standard_normal((40, dataset.d))
+    loaded = load_index(str(path))
+    start = threading.Barrier(2)
+    answers = [None, None]
+
+    def work(k):
+        start.wait(timeout=30)
+        answers[k] = [_answer_key(query(loaded, q)) for q in queries]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    sequential = load_index(str(path))
+    expected = [_answer_key(query(sequential, q)) for q in queries]
+    assert any(a is not None for a in expected)
+    assert answers == [expected, expected]
 
 
 def test_truncated_blocks_are_usage_error(built, tmp_path, capsys):

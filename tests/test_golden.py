@@ -3,9 +3,11 @@ bits and ladder traces.
 
 The expected values were recorded once and are compared exactly, so any
 change to how the index is built, stored or queried that alters an answer
-shows up here. Two instances: a gaussian one, where every cover holds a
-single cluster, and a four-blob one, where every ladder level carves four
-clusters and cover routing does real work.
+shows up here. Three instances: a gaussian one, where every cover holds a
+single cluster, a four-blob one, where every ladder level carves four
+clusters and cover routing does real work, and a gaussian one at p = 3,
+d = 8, where the exponent normalizes to 2 and the root is itself an l2
+node whose copies form one leaf group.
 """
 
 import dataclasses
@@ -14,31 +16,46 @@ import math
 import numpy as np
 import pytest
 
-from lpann import Dataset, SchemeConfig, load_index, preprocess, query, save_index
+from lpann import (
+    Dataset,
+    SchemeConfig,
+    load_index,
+    nns_search,
+    preprocess,
+    query,
+    save_index,
+)
 
 N, D, P, QUERIES = 200, 32, 4.0, 20
+L2ROOT_D, L2ROOT_P = 8, 3.0  # normalize_exponent gives p_eff = 2
 BLOBS, BLOB_SPACING = 4, 100.0  # blobs sit 100 * sqrt(d) apart
 QUERY_DISTANCE = 0.9  # times r
 
 
-def _instance(kind: str, seed: int):
+def _points(kind: str, seed: int):
+    """(dataset, r, queries) of an instance."""
     rng = np.random.default_rng(seed)
-    if kind == "gauss":
-        data, r = rng.standard_normal((N, D)), 1.0
-    else:
-        centers = np.zeros((BLOBS, D))
-        centers[:, 0] = BLOB_SPACING * math.sqrt(D) * np.arange(BLOBS)
-        data = centers[rng.integers(0, BLOBS, size=N)] + rng.standard_normal((N, D))
+    d, p = (L2ROOT_D, L2ROOT_P) if kind == "l2root" else (D, P)
+    if kind == "blobs":
+        centers = np.zeros((BLOBS, d))
+        centers[:, 0] = BLOB_SPACING * math.sqrt(d) * np.arange(BLOBS)
+        data = centers[rng.integers(0, BLOBS, size=N)] + rng.standard_normal((N, d))
         r = 0.2
+    else:
+        data, r = rng.standard_normal((N, d)), 1.0
     sources = rng.choice(N, size=QUERIES, replace=False)
-    direction = rng.standard_normal((QUERIES, D))
-    norms = (np.abs(direction) ** P).sum(axis=1) ** (1.0 / P)
+    direction = rng.standard_normal((QUERIES, d))
+    norms = (np.abs(direction) ** p).sum(axis=1) ** (1.0 / p)
     near = data[sources] + (QUERY_DISTANCE * r / norms)[:, None] * direction
     # a full gaussian step breaks the r-near promise, so these answers
     # depend on what every stage of the index happens to find
     far = data[sources] + direction
-    queries = np.vstack([near[: QUERIES // 2], far[QUERIES // 2:]])
-    scheme = preprocess(Dataset(data, P), SchemeConfig(p=P, r=r, seed=seed))
+    return Dataset(data, p), r, np.vstack([near[: QUERIES // 2], far[QUERIES // 2:]])
+
+
+def _instance(kind: str, seed: int):
+    dataset, r, queries = _points(kind, seed)
+    scheme = preprocess(dataset, SchemeConfig(p=dataset.p, r=r, seed=seed))
     return scheme, queries
 
 
@@ -98,6 +115,31 @@ GOLDEN = {'blobs': [(179, '0x1.70a3d70a3d732p-3', [179, 179, 179, 179, 179]),
            (0, '0x1.ba4c1754fc6b7p+1', [0, 0, 0, 0, 0]),
            (104, '0x1.ff8e3bf4f7694p+1', [104, 104, 104, 104, 104])]}
 
+# the same at p = 3, d = 8, where the root is an l2 node (recorded apart
+# from GOLDEN, which stays as first recorded)
+GOLDEN_L2ROOT = [(17, '0x1.cbd99097b8277p+0', [17]),
+                 (32, '0x1.76c29df42acc0p+0', [32]),
+                 (194, '0x1.cccccccccccccp-1', [194]),
+                 (163, '0x1.ccccccccccccdp-1', [163]),
+                 (130, '0x1.73b9d9a73476ap+0', [130]),
+                 (46, '0x1.ccccccccccccdp-1', [46]),
+                 (111, '0x1.ccccccccccccep-1', [111]),
+                 (17, '0x1.a93d9fb7935fcp+0', [17]),
+                 (121, '0x1.d4879d969c765p+0', [121]),
+                 (80, '0x1.ccccccccccccbp-1', [80]),
+                 (115, '0x1.9041547a98baap+0', [115]),
+                 (149, '0x1.01ca894fc9d8dp+1', [149]),
+                 (58, '0x1.a59b6a1b3d7cbp-1', [58]),
+                 (20, '0x1.ce02c12467020p+0', [20]),
+                 (28, '0x1.966dc80431e0dp+0', [28]),
+                 None,
+                 None,
+                 (88, '0x1.1657810fa482cp+1', [88]),
+                 (55, '0x1.e9a2c03260ee1p+0', [55]),
+                 None]
+# nns_search(c_slack=0.5, seed=5) on every 4th query of that instance
+GOLDEN_L2ROOT_NNS = [129, 113, 17, 58, 8]
+
 
 @pytest.mark.parametrize("kind", ["gauss", "blobs"])
 def test_golden_answers(kind):
@@ -107,6 +149,29 @@ def test_golden_answers(kind):
 @pytest.mark.parametrize("kind", ["gauss", "blobs"])
 def test_golden_answers_after_reload(kind, tmp_path):
     assert answers(kind, 5, tmp_path / "golden.lpann") == GOLDEN[kind]
+
+
+def test_golden_l2_root(tmp_path):
+    scheme, _ = _instance("l2root", 5)
+    assert scheme.root.t == 2.0 and len(scheme.root.copies) > 1
+    assert answers("l2root", 5) == GOLDEN_L2ROOT
+    assert answers("l2root", 5, tmp_path / "golden.lpann") == GOLDEN_L2ROOT
+
+
+def test_golden_l2_root_nns_search(tmp_path):
+    dataset, _, queries = _points("l2root", 5)
+
+    def search(cache):
+        return [nns_search(dataset, dataset.p, 0.5, q, seed=5, cache=cache)
+                for q in queries[::4]]
+
+    built = {}
+    assert search(built) == GOLDEN_L2ROOT_NNS
+    loaded = {"radii": built["radii"], "schemes": {}}
+    for j, scheme in built["schemes"].items():
+        save_index(scheme, str(tmp_path / f"r{j}.lpann"))
+        loaded["schemes"][j] = load_index(str(tmp_path / f"r{j}.lpann"))
+    assert search(loaded) == GOLDEN_L2ROOT_NNS
 
 
 def _assert_same(a, b, where="scheme"):

@@ -5,6 +5,7 @@ the benchmark break."""
 
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -56,3 +57,29 @@ def test_probes_see_calls(tmp_path, monkeypatch):
     seen = _record_calls(monkeypatch, layers.LOAD_PROBES)
     lpann.load_index(str(path))
     assert seen == {attr for _, attr, _, _ in layers.LOAD_PROBES}
+
+
+def test_one_lookup_per_group(monkeypatch):
+    # a query looks up each t > 2 node's grids, over all its copies, with one
+    # query_coarse_ann call, and the l2 leaves under a ladder step's cluster,
+    # over all child and node copies, with one query_l2_ann call
+    rng = np.random.default_rng(0)
+    centers = np.zeros((4, 32))
+    centers[:, 0] = 100.0 * math.sqrt(32) * np.arange(4)
+    data = centers[np.arange(40) % 4] + rng.standard_normal((40, 32))
+    scheme = lpann.preprocess(lpann.Dataset(data, 4.0), lpann.SchemeConfig(p=4.0, r=0.2))
+    levels = [lvl for copy in scheme.root.copies for lvl in copy.ladder]
+    # every ladder step then reaches a cluster with child nodes at t = 2
+    assert levels and all(len(cl.member_ids) > 1 for lvl in levels for cl in lvl.cover.clusters)
+    assert {sub.t for lvl in levels for ch in lvl.children for sub in ch.copies} == {2.0}
+    calls = Counter()
+    for attr in ("query_l2_ann", "query_coarse_ann"):
+        def counting(*args, _fn=getattr(lpann.recursive, attr), _attr=attr):
+            calls[_attr] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(lpann.recursive, attr, counting)
+    for q in data[:8] + 0.01:
+        calls.clear()
+        assert lpann.query(scheme, q) is not None
+        assert calls == {"query_coarse_ann": 1, "query_l2_ann": len(levels)}
