@@ -15,6 +15,8 @@ from .base_schemes import (
     build_coarse_ann,
     build_l2_ann,
     coarse_approximation,
+    coarse_group,
+    l2_group,
     query_coarse_ann,
     query_l2_ann,
 )
@@ -86,9 +88,11 @@ __all__ = [
     "build_l2_ann",
     "build_sparse_cover",
     "coarse_approximation",
+    "coarse_group",
     "cover_lookup",
     "exact_nn",
     "fit_scaling",
+    "l2_group",
     "literal_closed_form",
     "load_index",
     "lp_distance",

@@ -14,14 +14,12 @@ Two schemes, both randomized, both with re-checked answers:
 Neither scheme ever returns a candidate violating its bound: distances are
 re-verified and a bad candidate set yields ``None`` instead.
 
-Both keep their buckets or cells in one flat table, sorted (table, key) rows
-with CSR member groups, built by the constructor and never saved; a query
-finds its bucket in every table with one ``searchsorted``.
-
-Schemes over one point array are looked up together as a group
-(``l2_group``, ``coarse_group``): their draws are stacked, their tables are
-merged into one that each scheme then refers to, and one query hashes every
-stacked table at once, searches the merged table once, and measures the
+A scheme holds only its draws and the scalars derived from them. Schemes
+over one point array are looked up together as a group (``l2_group``,
+``coarse_group``): their draws are stacked, and the group builds its buckets
+and cells from them into one flat table, sorted (table, key) rows with CSR
+member groups, never saved. One query hashes every stacked table at once,
+finds its bucket in every table with one ``searchsorted``, and measures the
 candidates with one distance call (one per round for l2 leaves). A lone
 scheme is queried as a group of one.
 """
@@ -92,28 +90,31 @@ def _tagged_rows(table, keys: np.ndarray) -> np.ndarray:
     return rows.view(f"V{rows.itemsize * rows.shape[1]}")[:, 0]
 
 
-def _bucket_table(keys: np.ndarray) -> _BucketTable:
-    """Group the points of each table of int keys (T, m, k) by key, with one
-    stable sort per table so every group lists its members in ascending order."""
-    n_tables, m, _ = keys.shape
-    rows, starts, members = [], [], []
-    for t in range(n_tables):
-        tagged = _tagged_rows(t, keys[t])
+def _bucket_table(tables) -> _BucketTable:
+    """Group the points of each table of int keys, an iterable of (m, k)
+    arrays numbered in order, by key, with one stable sort per table so every
+    group lists its members in ascending order."""
+    rows, starts, members, base = [], [], [], 0
+    for t, keys in enumerate(tables):
+        tagged = _tagged_rows(t, keys)
         order = np.argsort(tagged, kind="stable")
         tagged = tagged[order]
-        first = np.flatnonzero(np.r_[True, tagged[1:] != tagged[:-1]])
+        # compared as int rows, as in _lookup
+        as_int = tagged.view(">i8").reshape(order.size, keys.shape[1] + 1)
+        first = np.flatnonzero(np.r_[True, (as_int[1:] != as_int[:-1]).any(axis=1)])
         rows.append(tagged[first])
-        starts.append(first + t * m)
+        starts.append(first + base)
         members.append(order)
-    starts.append([n_tables * m])
+        base += order.size
+    starts.append([base])
     return _BucketTable(np.concatenate(rows), np.concatenate(starts), np.concatenate(members))
 
 
-def _lookup(table: _BucketTable, first: int, keys: np.ndarray):
-    """(i, group) for every keys[i] found in table first + i, in order of i,
-    from one search over all tables (a key past the last row is clipped and
-    fails the compare)."""
-    tagged = _tagged_rows(first + np.arange(keys.shape[0]), keys)
+def _lookup(table: _BucketTable, keys: np.ndarray):
+    """(i, group) for every keys[i] found in table i, in order of i, from one
+    search over all tables (a key past the last row is clipped and fails the
+    compare)."""
+    tagged = _tagged_rows(np.arange(keys.shape[0]), keys)
     pos = table.rows.searchsorted(tagged)
     # compared as int rows, about 3x faster than comparing the void rows
     width = tagged.itemsize // 8
@@ -123,14 +124,11 @@ def _lookup(table: _BucketTable, first: int, keys: np.ndarray):
 
 
 def _stack(schemes: list, names: tuple) -> tuple[list, np.ndarray]:
-    """Stack the draws and merge the bucket tables of schemes not yet in a
-    group, in scheme order.
+    """Stack the draws of schemes, in scheme order.
 
     Each named draw array (tables along axis 0) is concatenated, and every
-    scheme's array becomes a view of its part. The schemes' own tables merge
-    into one that every scheme then refers to: its table t is table
-    ``first_table + t``. Returns the stacked arrays and the scheme of each
-    stacked table.
+    scheme's array becomes a view of its part. Returns the stacked arrays
+    and the scheme of each stacked table.
     """
     counts = [getattr(s, names[0]).shape[0] for s in schemes]
     firsts = np.cumsum(counts) - counts
@@ -140,20 +138,6 @@ def _stack(schemes: list, names: tuple) -> tuple[list, np.ndarray]:
         for s, first, count in zip(schemes, firsts, counts):
             setattr(s, name, full[first: first + count])
         stacked.append(full)
-    rows, starts, members, base = [], [], [], 0
-    for s, first in zip(schemes, firsts):
-        own = s.table
-        as_int = own.rows.view(">i8").reshape(own.rows.size, own.rows.itemsize // 8)
-        rows.append(_tagged_rows(as_int[:, 0] + first, as_int[:, 1:]))
-        starts.append(own.starts[:-1] + base)
-        members.append(own.members)
-        base += own.members.size
-        s.first_table = int(first)
-    table = _BucketTable(
-        np.concatenate(rows), np.concatenate(starts + [[base]]), np.concatenate(members)
-    )
-    for s in schemes:
-        s.table = table
     return stacked, np.repeat(np.arange(len(schemes)), counts)
 
 
@@ -176,7 +160,8 @@ def _query_point(q, d: int) -> np.ndarray:
 @dataclass
 class L2Scheme:
     """The drawn projections and offsets fix everything else: bucket width
-    w = 4r, at most 3L candidates probed per table, and the buckets."""
+    w = 4r, at most 3L candidates probed per table, and the buckets, which
+    its group builds (``l2_group``)."""
 
     ids: np.ndarray
     vectors: np.ndarray
@@ -185,16 +170,10 @@ class L2Scheme:
     offsets: np.ndarray      # (L, k)
     w: float = field(init=False)
     max_probe: int = field(init=False)
-    # its table t is table first_table + t of ``table``, shared once grouped
-    table: _BucketTable = field(init=False, repr=False)
-    first_table: int = field(init=False)
 
     def __post_init__(self):
         self.w = BUCKET_WIDTH_FACTOR * self.r
         self.max_probe = 3 * self.projections.shape[0]
-        keys = _l2_keys(self.projections, self.offsets, self.w, self.vectors)
-        self.table = _bucket_table(keys)
-        self.first_table = 0
 
 
 def _l2_keys(projections, offsets, w: float, vecs: np.ndarray) -> np.ndarray:
@@ -239,7 +218,7 @@ class L2Group:
 
     Stacked table i (``projections[i]``, ``offsets[i]``) belongs to leaf
     ``leaf_of[i]``, which probes at most ``max_probe[i]`` members of a
-    bucket, and is table ``first_table + i`` of ``table``.
+    bucket, and is table i of ``table``.
     """
 
     leaves: list
@@ -247,41 +226,36 @@ class L2Group:
     offsets: np.ndarray      # (T, k)
     leaf_of: np.ndarray
     max_probe: np.ndarray
-    first_table: int
     table: _BucketTable = field(repr=False)
 
 
 def l2_group(leaves: list) -> L2Group:
-    """Group leaves built over one point array for one radius, in order."""
+    """Group leaves built over one point array for one radius, in order, and
+    build their one bucket table. A lone leaf is a group of one."""
+    # each leaf's keys from its own (L, k, d) projections, before stacking:
+    # an einsum of another shape may round differently at a bucket edge
+    table = _bucket_table(
+        keys for leaf in leaves
+        for keys in _l2_keys(leaf.projections, leaf.offsets, leaf.w, leaf.vectors)
+    )
     (projections, offsets), leaf_of = _stack(leaves, ("projections", "offsets"))
     probes = np.array([leaf.max_probe for leaf in leaves])[leaf_of]
-    return L2Group(leaves, projections, offsets, leaf_of, probes, 0, leaves[0].table)
+    return L2Group(leaves, projections, offsets, leaf_of, probes, table)
 
 
-def _alone_l2(scheme: L2Scheme) -> L2Group:
-    n_tables = scheme.projections.shape[0]
-    return L2Group([scheme], scheme.projections, scheme.offsets,
-                   np.zeros(n_tables, dtype=np.intp), np.full(n_tables, scheme.max_probe),
-                   scheme.first_table, scheme.table)
+def query_l2_ann(group: L2Group, q):
+    """(id, l2 distance) of the first leaf, in group order, whose first
+    scanned candidate within 2r of q, probing at most max_probe candidates
+    per table, is nearest to q, or None if no leaf has one.
 
-
-def query_l2_ann(scheme: L2Scheme | L2Group, q):
-    """Given one L2Scheme: the first scanned candidate within 2r of q,
-    probing at most max_probe candidates per table, or None.
-
-    Given an L2Group: (id, l2 distance) of the first leaf, in group order,
-    whose such candidate is nearest to q, or None if no leaf has one.
     Buckets are measured in rounds: round j measures the j-th matched bucket
     of every leaf still without a candidate, with one distance call, so no
     bucket past a leaf's first candidate is measured.
     """
-    if isinstance(scheme, L2Scheme):
-        hit = query_l2_ann(_alone_l2(scheme), q)
-        return None if hit is None else hit[0]
-    group, lead = scheme, scheme.leaves[0]
+    lead = group.leaves[0]
     q = _query_point(q, lead.vectors.shape[1])
     keys = _l2_keys(group.projections, group.offsets, lead.w, q.reshape(1, -1))[:, 0, :]
-    found, buckets = _lookup(group.table, group.first_table, keys)
+    found, buckets = _lookup(group.table, keys)
     leaf = group.leaf_of[found]  # ascends: stacked tables are in leaf order
     rank = np.arange(found.size) - leaf.searchsorted(leaf)
     starts, members = group.table.starts, group.table.members
@@ -312,7 +286,8 @@ def query_l2_ann(scheme: L2Scheme | L2Group, q):
 @dataclass
 class CoarseScheme:
     """The drawn shifts fix everything else: cell side 4 d r, approximation
-    c0 = 4 d^(1+1/p), and the occupied cells."""
+    c0 = 4 d^(1+1/p), and the occupied cells, which its group builds
+    (``coarse_group``)."""
 
     ids: np.ndarray
     vectors: np.ndarray
@@ -321,16 +296,11 @@ class CoarseScheme:
     shifts: np.ndarray  # (G, d)
     c0: float = field(init=False)
     cell_side: float = field(init=False)
-    # its grid g is table first_table + g of ``table``, shared once grouped
-    table: _BucketTable = field(init=False, repr=False)
-    first_table: int = field(init=False)
 
     def __post_init__(self):
         d = self.vectors.shape[1]
         self.c0 = coarse_approximation(d, self.p)
         self.cell_side = grid_cell_side(d, self.r)
-        self.table = _bucket_table(_grid_cells(self, self.vectors))
-        self.first_table = 0
 
 
 def coarse_approximation(d: int, p: float) -> float:
@@ -339,12 +309,6 @@ def coarse_approximation(d: int, p: float) -> float:
 
 def grid_cell_side(d: int, r: float) -> float:
     return 4.0 * d * r
-
-
-def _grid_cells(scheme: CoarseScheme, vecs: np.ndarray) -> np.ndarray:
-    return _to_cell_index(
-        (vecs[None, :, :] + scheme.shifts[:, None, :]) / scheme.cell_side
-    )
 
 
 def build_coarse_ann(ids, vectors, p: float, r: float, seed) -> CoarseScheme:
@@ -377,49 +341,41 @@ def build_coarse_ann(ids, vectors, p: float, r: float, seed) -> CoarseScheme:
 class CoarseGroup:
     """The grid schemes of a node's copies, looked up together. Stacked grid
     i (``shifts[i]``) belongs to scheme ``scheme_of[i]`` of ``schemes`` and
-    is table ``first_table + i`` of ``table``; scheme s belongs to copy
-    ``copy_of[s]`` of ``copies``."""
+    is table i of ``table``; scheme s belongs to copy ``copy_of[s]`` of
+    ``copies``."""
 
     schemes: list
     copy_of: np.ndarray
     copies: int
     shifts: np.ndarray  # (T, d)
     scheme_of: np.ndarray
-    first_table: int
     table: _BucketTable = field(repr=False)
 
 
 def coarse_group(copies: list) -> CoarseGroup:
     """Group the grid schemes of each copy (a list of lists of schemes built
-    over one point array for one norm and radius)."""
+    over one point array for one norm and radius) and build their one cell
+    table, a grid at a time. A lone scheme is the group ``[[scheme]]``."""
     schemes = [s for base in copies for s in base]
+    table = _bucket_table(
+        _to_cell_index((s.vectors + shift) / s.cell_side) for s in schemes for shift in s.shifts
+    )
     (shifts,), scheme_of = _stack(schemes, ("shifts",))
     copy_of = np.repeat(np.arange(len(copies)), [len(base) for base in copies])
-    return CoarseGroup(schemes, copy_of, len(copies), shifts, scheme_of, 0, schemes[0].table)
+    return CoarseGroup(schemes, copy_of, len(copies), shifts, scheme_of, table)
 
 
-def _alone_coarse(scheme: CoarseScheme) -> CoarseGroup:
-    return CoarseGroup([scheme], np.zeros(1, dtype=np.intp), 1, scheme.shifts,
-                       np.zeros(scheme.shifts.shape[0], dtype=np.intp),
-                       scheme.first_table, scheme.table)
-
-
-def query_coarse_ann(scheme: CoarseScheme | CoarseGroup, q):
-    """Given one CoarseScheme: the lp-closest cell representative across its
-    grids, re-checked against c0*r (ties to the lowest row), or None.
-
-    Given a CoarseGroup: each copy's start, (id, lp distance) of the first
-    scheme of the copy whose such representative is nearest to q, or None
-    for a copy without one; None if no copy has one. Every distinct
-    representative is measured with one distance call.
+def query_coarse_ann(group: CoarseGroup, q):
+    """Each copy's start: (id, lp distance) of the first scheme of the copy
+    whose lp-closest cell representative across its grids, re-checked
+    against c0*r (ties to the lowest row), is nearest to q, or None for a
+    copy without one; None if no copy has one. Every distinct representative
+    is measured with one distance call.
     """
-    if isinstance(scheme, CoarseScheme):
-        starts = query_coarse_ann(_alone_coarse(scheme), q)
-        return None if starts is None else starts[0][0]
-    group, lead = scheme, scheme.schemes[0]
+    lead = group.schemes[0]
     q = _query_point(q, lead.vectors.shape[1])
     cells = _to_cell_index((q + group.shifts) / lead.cell_side)
-    found, cells = _lookup(group.table, group.first_table, cells)
+    found, cells = _lookup(group.table, cells)
     if not found.size:
         return None
     # a cell's representative is its lowest local index, the group's first member

@@ -14,7 +14,6 @@ import importlib.resources
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
@@ -24,7 +23,7 @@ from .errors import NumericRangeError, UsageError
 from .geometry import Dataset
 from .oracle import TAG_GEN, TrialSpec, fit_scaling, run_trials, sample_background
 from .recursive import LpScheme, SchemeConfig, approximation_bound, preprocess, query, space_usage
-from .container import load_index, save_index
+from .container import atomic_write, load_index, save_index
 
 TAG_CAMPAIGN = 10
 
@@ -47,19 +46,6 @@ def _thread_count() -> int:
         return max(1, int(raw))
     except ValueError:
         raise UsageError(f"LPANN_THREADS must be an integer, got {raw!r}") from None
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lpann-tmp-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +111,7 @@ def cmd_gen(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(TAG_GEN,)))
     vectors = sample_background(spec, args.n, rng)
     dataset = Dataset(vectors, args.p)
-    _atomic_write(args.out, format_dataset_file(dataset).encode("utf-8"))
+    atomic_write(args.out, [format_dataset_file(dataset).encode("utf-8")])
     print(f"wrote {args.n} x {args.d} dataset (p={args.p}) to {args.out}")
     return 0
 
@@ -267,7 +253,7 @@ def cmd_bench(args) -> int:
     validate_bench_spec(spec_dict)
     report = run_bench_campaign(spec_dict)
     validate_report(report)
-    _atomic_write(args.out, json.dumps(report, indent=2).encode("utf-8"))
+    atomic_write(args.out, [json.dumps(report, indent=2).encode("utf-8")])
     print(f"success_rate={report['success_rate']:.4f} c_p={report['approximation_bound']['c_p']:.4f}")
     print(f"report written to {args.out}")
     return 0

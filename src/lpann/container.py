@@ -19,9 +19,10 @@ Everything else is a function of these, and the loader derives it with the
 build's own code: the bound (``approximation_bound``), each ladder level's
 cover radius and approximations (``ladder_steps``), each cluster's map and
 the points its child nodes index (``cluster_image``), the base schemes'
-widths, probe limits and bucket tables (their constructors), and the groups
-that merge those tables for queries (``link_groups``), all built before
-``load_index`` returns. A loaded index equals the saved one bit for bit.
+widths and probe limits (their constructors), and the groups that build one
+bucket table each from their schemes' draws (``link_groups``), all built
+before ``load_index`` returns. A loaded index equals the saved one bit for
+bit.
 
 Only the current format version loads. A file that fails its checksum, is
 truncated, names an unknown block, lacks or mistypes a header key, or whose
@@ -107,6 +108,31 @@ def _encode_node(node: SchemeNode, w: _BlockWriter) -> dict:
     }
 
 
+def atomic_write(path: str, chunks) -> None:
+    """Write the byte chunks, in order, to a temp file beside path and rename
+    it over path, so path holds either its old content or all of the new."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lpann-tmp-")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _with_crc(chunks):
+    """The chunks, then the CRC32 of all their bytes as a 4-byte trailer."""
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+        yield chunk
+    yield struct.pack("<I", crc)
+
+
 def save_index(scheme: LpScheme, path: str) -> None:
     """Serialize a built index; the write is atomic (temp file + rename)."""
     w = _BlockWriter()
@@ -120,20 +146,7 @@ def save_index(scheme: LpScheme, path: str) -> None:
         "blocks": w.table,
     }
     payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lpann-tmp-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            crc = 0
-            for chunk in [MAGIC, struct.pack("<Q", len(payload)), payload, *w.blocks]:
-                f.write(chunk)
-                crc = zlib.crc32(chunk, crc)
-            f.write(struct.pack("<I", crc))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, _with_crc([MAGIC, struct.pack("<Q", len(payload)), payload, *w.blocks]))
 
 
 def _typed(value, kind, key: str):

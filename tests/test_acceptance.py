@@ -19,9 +19,10 @@ from lpann import (
     build_l2_ann,
     build_coarse_ann,
     build_sparse_cover,
+    coarse_group,
     exact_nn,
     fit_scaling,
-    lp_distance,
+    l2_group,
     mazur_map_points,
     preprocess,
     query,
@@ -127,22 +128,23 @@ def test_criterion_2_sparse_cover_suite():
 
 class _L2Index:
     def __init__(self, dataset: Dataset, seed: int):
-        self.scheme = build_l2_ann(
+        self.group = l2_group([build_l2_ann(
             dataset.ids, dataset.vectors, r=1.0, delta_fail=0.05, seed=seed
-        )
+        )])
 
     def query(self, q):
-        return query_l2_ann(self.scheme, q)
+        return query_l2_ann(self.group, q)
 
 
 class _CoarseIndex:
     def __init__(self, dataset: Dataset, seed: int):
-        self.scheme = build_coarse_ann(
+        self.group = coarse_group([[build_coarse_ann(
             dataset.ids, dataset.vectors, p=dataset.p, r=1.0, seed=seed
-        )
+        )]])
 
     def query(self, q):
-        return query_coarse_ann(self.scheme, q)
+        starts = query_coarse_ann(self.group, q)
+        return None if starts is None else starts[0]
 
 
 def test_criterion_3_base_scheme_contracts():
@@ -205,16 +207,12 @@ def p4_run():
         success = ans is not None and ans.distance <= bound.c_p * 1.0
         ratio = (ans.distance / exact_dist) if (ans and exact_dist > 0) else None
 
-        x_base, x_dist = None, math.inf
-        for cs in copy0.base:
-            cid = query_coarse_ann(cs, q)
-            if cid is not None:
-                dd = lp_distance(scheme.root.vector_of(cid), q, 4.0)
-                if dd < x_dist:
-                    x_base, x_dist = cid, dd
+        # copy 0's coarse start, from the root's group of every copy's grids
+        starts = query_coarse_ann(scheme.root.group, q)
+        start = None if starts is None else starts[0]
         containment = None
-        if x_base is not None and x_dist <= base_bound:
-            ci = level1.cover.covering_ref[scheme.root.row_of(x_base)]
+        if start is not None and start[1] <= base_bound:
+            ci = level1.cover.covering_ref[scheme.root.row_of(start[0])]
             members = level1.cover.clusters[ci].member_ids
             containment = bool(np.isin(exact_id, members))
         records.append((success, ratio, containment))

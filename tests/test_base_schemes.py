@@ -11,6 +11,8 @@ from lpann import (
     build_coarse_ann,
     build_l2_ann,
     coarse_approximation,
+    coarse_group,
+    l2_group,
     lp_distance,
     query_coarse_ann,
     query_l2_ann,
@@ -22,11 +24,21 @@ from lpann.base_schemes import (
     _bucket_table,
     _lookup,
     _to_cell_index,
-    coarse_group,
     collision_probability,
-    l2_group,
     num_tables,
 )
+
+
+def _l2_id(scheme, q):
+    """The id a lone l2 scheme answers, queried as a group of one."""
+    hit = query_l2_ann(l2_group([scheme]), q)
+    return None if hit is None else hit[0]
+
+
+def _coarse_id(scheme, q):
+    """The id a lone grid scheme answers, queried as a group of one."""
+    starts = query_coarse_ann(coarse_group([[scheme]]), q)
+    return None if starts is None else starts[0][0]
 
 
 def test_collision_probability_design_point():
@@ -38,12 +50,12 @@ def test_collision_probability_design_point():
 def test_l2_singleton_hit():
     x = np.array([[1.0, 2.0, 3.0]])
     scheme = build_l2_ann([7], x, r=1.0, delta_fail=0.1, seed=0)
-    assert query_l2_ann(scheme, [1.1, 2.0, 3.0]) == 7
+    assert _l2_id(scheme, [1.1, 2.0, 3.0]) == 7
 
 
 def test_l2_empty_buckets_give_none():
     scheme = build_l2_ann([0], np.zeros((1, 8)), r=1.0, delta_fail=0.1, seed=3)
-    assert query_l2_ann(scheme, 1e6 * np.ones(8)) is None
+    assert _l2_id(scheme, 1e6 * np.ones(8)) is None
 
 
 def test_l2_never_exceeds_twice_r():
@@ -52,7 +64,7 @@ def test_l2_never_exceeds_twice_r():
     scheme = build_l2_ann(np.arange(300), pts, r=0.5, delta_fail=0.1, seed=9)
     for _ in range(80):
         q = rng.standard_normal(16)
-        rid = query_l2_ann(scheme, q)
+        rid = _l2_id(scheme, q)
         if rid is not None:
             assert lp_distance(pts[rid], q, 2.0) <= 2.0 * 0.5
 
@@ -67,7 +79,7 @@ def test_l2_planted_success_rate():
     for _ in range(trials):
         g = rng.standard_normal(d)
         q = pts[n - 1] + 0.9 * r * g / np.linalg.norm(g)
-        rid = query_l2_ann(scheme, q)
+        rid = _l2_id(scheme, q)
         if rid is not None and lp_distance(pts[rid], q, 2.0) <= 2.0 * r:
             hits += 1
     assert hits / trials >= 1.0 - 0.05 - 0.05
@@ -80,25 +92,25 @@ def test_l2_determinism():
     b = build_l2_ann(np.arange(60), pts, 1.0, 0.2, seed=12)
     assert np.array_equal(a.projections, b.projections)
     q = rng.standard_normal(8)
-    assert query_l2_ann(a, q) == query_l2_ann(b, q)
+    assert _l2_id(a, q) == _l2_id(b, q)
 
 
 def test_l2_dimension_mismatch():
     scheme = build_l2_ann([0], np.zeros((1, 4)), 1.0, 0.1, seed=1)
     with pytest.raises(UsageError):
-        query_l2_ann(scheme, np.zeros(5))
+        query_l2_ann(l2_group([scheme]), np.zeros(5))
 
 
 def test_coarse_singleton():
     x = np.array([[0.0, 0.0, 0.0, 0.0]])
     scheme = build_coarse_ann([3], x, p=4.0, r=1.0, seed=2)
-    assert query_coarse_ann(scheme, [0.5, 0.0, 0.0, 0.0]) == 3
+    assert _coarse_id(scheme, [0.5, 0.0, 0.0, 0.0]) == 3
 
 
 def test_coarse_all_empty_cells():
     scheme = build_coarse_ann([0], np.zeros((1, 4)), p=4.0, r=1.0, seed=2)
     # far beyond every occupied cell in every grid
-    assert query_coarse_ann(scheme, 1e9 * np.ones(4)) is None
+    assert _coarse_id(scheme, 1e9 * np.ones(4)) is None
 
 
 def test_coarse_two_far_points():
@@ -110,7 +122,7 @@ def test_coarse_two_far_points():
         scheme = build_coarse_ann([0, 1], pts, p=p, r=r, seed=seed)
         q = pts[0].copy()
         q[1] += 0.9 * r
-        assert query_coarse_ann(scheme, q) == 0
+        assert _coarse_id(scheme, q) == 0
 
 
 def test_coarse_never_exceeds_bound():
@@ -120,7 +132,7 @@ def test_coarse_never_exceeds_bound():
     limit = scheme.c0 * scheme.r
     for _ in range(60):
         q = rng.standard_normal(16)
-        rid = query_coarse_ann(scheme, q)
+        rid = _coarse_id(scheme, q)
         if rid is not None:
             assert lp_distance(pts[rid], q, 4.0) <= limit
 
@@ -137,7 +149,7 @@ def test_coarse_planted_success_rate():
         g = rng.standard_normal(d)
         norm = (np.abs(g) ** p).sum() ** (1.0 / p)
         q = pts[n - 1] + 0.9 * r * g / norm
-        rid = query_coarse_ann(scheme, q)
+        rid = _coarse_id(scheme, q)
         if rid is not None and lp_distance(pts[rid], q, p) <= limit:
             hits += 1
     assert hits / trials >= 2.0 / 3.0
@@ -166,7 +178,7 @@ def test_coarse_determinism():
 def test_coarse_dimension_mismatch():
     scheme = build_coarse_ann([0], np.zeros((1, 4)), 4.0, 1.0, seed=1)
     with pytest.raises(UsageError):
-        query_coarse_ann(scheme, np.zeros(3))
+        query_coarse_ann(coarse_group([[scheme]]), np.zeros(3))
 
 
 def test_build_precondition_errors():
@@ -178,6 +190,24 @@ def test_build_precondition_errors():
         build_l2_ann([0], np.zeros((1, 3)), 1.0, 1.5, seed=0)
     with pytest.raises(UsageError):
         build_coarse_ann([0], np.zeros((1, 3)), 1.5, 1.0, seed=0)
+
+
+def test_regrouping_gives_the_same_table_and_answers():
+    # a group builds its table from its schemes' draws, so grouping the same
+    # schemes again neither merges an earlier group's table nor changes answers
+    rng = np.random.default_rng(2)
+    pts = rng.standard_normal((200, 16))
+    queries = pts[:50] + 0.1 * rng.standard_normal((50, 16))
+    grids = [build_coarse_ann(np.arange(200), pts, 4.0, 0.3, seed=s) for s in range(3)]
+    leaves = [build_l2_ann(np.arange(200), pts, 0.5, 0.1, seed=s) for s in range(3)]
+    for regroup, query_fn in ((lambda: coarse_group([grids]), query_coarse_ann),
+                              (lambda: l2_group(leaves), query_l2_ann)):
+        first, second = regroup(), regroup()
+        for name in ("rows", "starts", "members"):
+            a, b = getattr(first.table, name), getattr(second.table, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for q in queries:
+            assert query_fn(first, q) == query_fn(second, q)
 
 
 # few distinct values, so rows repeat; the ends are the clipped extremes
@@ -201,7 +231,7 @@ def test_bucket_table_matches_dict_reference(case):
     for t in range(keys.shape[0]):
         for local, key in enumerate(map(tuple, keys[t])):
             reference.setdefault((t, key), []).append(local)
-    table = _bucket_table(keys)
+    table = _bucket_table(keys)  # an iterable of (m, k) key arrays, one per table
     # every stored key of every point, then arbitrary (often absent) keys
     for probe in [keys[:, i, :] for i in range(keys.shape[1])] + probes:
         expected = [
@@ -211,7 +241,7 @@ def test_bucket_table_matches_dict_reference(case):
         ]
         found = [
             table.members[table.starts[g]: table.starts[g + 1]].tolist()
-            for g in _lookup(table, 0, probe)[1]
+            for g in _lookup(table, probe)[1]
         ]
         assert found == expected
 
@@ -300,9 +330,10 @@ def test_l2_group_matches_per_leaf_loops(case):
     assert answer == (None if expected is None else (int(ids[expected[0]]), expected[1]))
     # buckets are measured in rounds, none past a leaf's first hit
     assert rows == expected_rows
-    # each grouped leaf still answers alone, from the shared table
+    # each leaf answers alone as a group of one
     for leaf, hit in zip(leaves, per_leaf):
-        assert query_l2_ann(leaf, q) == (None if hit is None else int(ids[hit[0]]))
+        assert query_l2_ann(l2_group([leaf]), q) == (
+            None if hit is None else (int(ids[hit[0]]), hit[1]))
 
 
 @st.composite
@@ -349,8 +380,9 @@ def test_coarse_group_matches_per_scheme_loops(case):
         start = None
         for scheme in base:
             hit = _coarse_reference(scheme, x, q)
-            # each grouped scheme still answers alone, from the shared table
-            assert query_coarse_ann(scheme, q) == (None if hit is None else int(ids[hit[0]]))
+            # each scheme answers alone as a group of one
+            assert query_coarse_ann(coarse_group([[scheme]]), q) == (
+                None if hit is None else [(int(ids[hit[0]]), hit[1])])
             if hit is not None and (start is None or hit[1] < start[1]):
                 start = hit
         expected.append(None if start is None else (int(ids[start[0]]), start[1]))

@@ -8,6 +8,7 @@ from lpann import (
     build_l2_ann,
     exact_nn,
     fit_scaling,
+    l2_group,
     lp_distance,
     make_planted_instance,
     query_l2_ann,
@@ -76,12 +77,12 @@ def test_run_trials_single_point():
 
 class _L2Index:
     def __init__(self, dataset, seed, delta_fail):
-        self.scheme = build_l2_ann(
+        self.group = l2_group([build_l2_ann(
             dataset.ids, dataset.vectors, r=1.0, delta_fail=delta_fail, seed=seed
-        )
+        )])
 
     def query(self, q):
-        return query_l2_ann(self.scheme, q)
+        return query_l2_ann(self.group, q)
 
 
 def test_run_trials_l2_path():

@@ -83,3 +83,35 @@ def test_one_lookup_per_group(monkeypatch):
         calls.clear()
         assert lpann.query(scheme, q) is not None
         assert calls == {"query_coarse_ann": 1, "query_l2_ann": len(levels)}
+
+
+def _nodes(node):
+    yield node
+    for copy in node.copies:
+        for lvl in copy.ladder:
+            for child in lvl.children:
+                for sub in child.copies:
+                    yield from _nodes(sub)
+
+
+def test_one_table_build_per_group(tmp_path, monkeypatch):
+    # each group builds its bucket table once, from its schemes' draws, at
+    # build and at load; no scheme builds a table of its own
+    rng = np.random.default_rng(0)
+    centers = np.zeros((4, 32))
+    centers[:, 0] = 100.0 * math.sqrt(32) * np.arange(4)
+    data = centers[np.arange(40) % 4] + rng.standard_normal((40, 32))
+    calls = []
+    real = lpann.base_schemes._bucket_table
+    monkeypatch.setattr(lpann.base_schemes, "_bucket_table",
+                        lambda tables: calls.append(tables) or real(tables))
+    scheme = lpann.preprocess(lpann.Dataset(data, 4.0), lpann.SchemeConfig(p=4.0, r=0.2))
+    built_calls = len(calls)
+    path = tmp_path / "x.lpann"
+    lpann.save_index(scheme, str(path))
+    calls.clear()
+    loaded = lpann.load_index(str(path))
+    for index, count in ((scheme, built_calls), (loaded, len(calls))):
+        groups = {id(node.group) for node in _nodes(index.root)}
+        assert len(groups) > 1
+        assert count == len(groups)
