@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import UsageError
+from .errors import NumericRangeError, UsageError
 
 BUCKET_WIDTH_FACTOR = 4.0  # w = 4r, design collision at distance exactly r
 
@@ -197,6 +197,9 @@ def build_l2_ann(ids, vectors, r: float, delta_fail: float, seed) -> L2Scheme:
     if not (0.0 < delta_fail < 1.0):
         raise UsageError(f"delta_fail must lie in (0,1), got {delta_fail}")
 
+    if not math.isfinite(BUCKET_WIDTH_FACTOR * r):
+        raise NumericRangeError(f"bucket width 4r overflows for radius {r}")
+
     n, d = vectors.shape
     k = num_hash_bits(n)
     big_l = num_tables(n, delta_fail)
@@ -326,6 +329,8 @@ def build_coarse_ann(ids, vectors, p: float, r: float, seed) -> CoarseScheme:
         raise UsageError(f"coarse scheme requires p >= 2, got {p}")
 
     n, d = vectors.shape
+    if not math.isfinite(grid_cell_side(d, r)):
+        raise NumericRangeError(f"grid cell side 4 d r overflows for d = {d}, radius {r}")
     grids = max(1, math.ceil(8.0 * math.log(max(n, 2))))
     shifts = _rng(seed).uniform(0.0, grid_cell_side(d, r), size=(grids, d))
     return CoarseScheme(

@@ -92,9 +92,16 @@ def parse_dataset_file(text: str, origin: str = "<dataset>") -> Dataset:
     return Dataset(vectors, p)
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_dataset_file(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_dataset_file(f.read(), origin=path)
+    return parse_dataset_file(_read_text(path), origin=path)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +252,10 @@ def validate_report(report: dict) -> None:
 
 
 def cmd_bench(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as f:
-        try:
-            spec_dict = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{args.spec}: invalid JSON: {exc}") from None
+    try:
+        spec_dict = json.loads(_read_text(args.spec))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{args.spec}: invalid JSON: {exc}") from None
     validate_bench_spec(spec_dict)
     report = run_bench_campaign(spec_dict)
     validate_report(report)

@@ -10,19 +10,20 @@ Layout (documented in docs/index_format.md):
 
 Only what the build drew or carved is stored: the root's ids and vectors,
 every base scheme's random projections and offsets or grid shifts, and
-every cover's clusters and point-to-cluster map. The header holds the build
-configuration, a scheme tree of block names, and a block table mapping
-names to (offset, dtype, shape); offsets are relative to the end of the
-header.
+every cover's clusters and point-to-cluster map, once per point set (the
+carving tree, which every node copy and child copy over a point set
+shares). The header holds the build configuration, the carving tree and a
+scheme tree of block names, and a block table mapping names to (offset,
+dtype, shape); offsets are relative to the end of the header.
 
 Everything else is a function of these, and the loader derives it with the
 build's own code: the bound (``approximation_bound``), each ladder level's
 cover radius and approximations (``ladder_steps``), each cluster's map and
-the points its child nodes index (``cluster_image``), the base schemes'
-widths and probe limits (their constructors), and the groups that build one
-bucket table each from their schemes' draws (``link_groups``), all built
-before ``load_index`` returns. A loaded index equals the saved one bit for
-bit.
+the points its child nodes index (``map_cluster``, once per cluster), the
+base schemes' widths and probe limits (their constructors), and the groups
+that build one bucket table each from their schemes' draws
+(``link_groups``), all built before ``load_index`` returns. A loaded index
+equals the saved one bit for bit, and shares covers and images as it does.
 
 Only the current format version loads. A file that fails its checksum, is
 truncated, names an unknown block, lacks or mistypes a header key, or whose
@@ -44,7 +45,6 @@ import numpy as np
 from .base_schemes import CoarseScheme, L2Scheme
 from .cover import Cluster, SparseCover, diameter_bound_for
 from .errors import UsageError
-from .geometry import MazurMapSpec
 from .recursive import (
     ClusterChild,
     LadderLevel,
@@ -53,13 +53,13 @@ from .recursive import (
     SchemeCopy,
     SchemeNode,
     approximation_bound,
-    cluster_image,
     ladder_steps,
     link_groups,
+    map_cluster,
 )
 
 MAGIC = b"LPANNIDX"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
@@ -81,15 +81,22 @@ class _BlockWriter:
         return name
 
 
-def _encode_level(lvl: LadderLevel, w: _BlockWriter) -> dict:
-    clusters = lvl.cover.clusters
-    return {
-        "centers": w.add([cl.center_id for cl in clusters]),
-        "member_offsets": w.add(np.cumsum([0] + [len(cl.member_ids) for cl in clusters])),
-        "members": w.add(np.concatenate([cl.member_ids for cl in clusters])),
-        "covering": w.add(lvl.cover.covering_ref),
-        "children": [[_encode_node(sub, w) for sub in ch.copies] for ch in lvl.children],
-    }
+def _encode_carving(node: SchemeNode, w: _BlockWriter) -> list:
+    """The covers of the node's point set, and under each cluster those of
+    its image, read off the first copy: every copy over a point set shares
+    them, as ``preprocess`` builds it."""
+    levels = []
+    for lvl in node.copies[0].ladder:
+        clusters = lvl.cover.clusters
+        levels.append({
+            "centers": w.add([cl.center_id for cl in clusters]),
+            "member_offsets": w.add(np.cumsum([0] + [len(cl.member_ids) for cl in clusters])),
+            "members": w.add(np.concatenate([cl.member_ids for cl in clusters])),
+            "covering": w.add(lvl.cover.covering_ref),
+            "images": [_encode_carving(ch.copies[0], w) if ch.copies else None
+                       for ch in lvl.children],
+        })
+    return levels
 
 
 def _encode_node(node: SchemeNode, w: _BlockWriter) -> dict:
@@ -101,7 +108,10 @@ def _encode_node(node: SchemeNode, w: _BlockWriter) -> dict:
                     if isinstance(b, L2Scheme) else {"shifts": w.add(b.shifts)}
                     for b in copy.base
                 ],
-                "ladder": [_encode_level(lvl, w) for lvl in copy.ladder],
+                "ladder": [
+                    [[_encode_node(sub, w) for sub in ch.copies] for ch in lvl.children]
+                    for lvl in copy.ladder
+                ],
             }
             for copy in node.copies
         ]
@@ -142,6 +152,7 @@ def save_index(scheme: LpScheme, path: str) -> None:
         "config": asdict(scheme.config),
         "ids": w.add(scheme.root.ids),
         "vectors": w.add(scheme.root.vectors),
+        "carving": _encode_carving(scheme.root, w),
         "scheme": _encode_node(scheme.root, w),
         "blocks": w.table,
     }
@@ -226,10 +237,32 @@ def _decode_cover(meta: dict, r: _BlockReader, ids: np.ndarray,
     )
 
 
-def _decode_node(meta: dict, r: _BlockReader, node: SchemeNode, scheme: LpScheme) -> SchemeNode:
-    """Fill ``node`` with its stored copies, deriving the rest as the build does."""
-    bound, r_eff = scheme.bound, scheme.r_effective
-    steps = ladder_steps(node.t, r_eff, bound) if node.t > 2.0 else []
+def _decode_carving(meta: list, r: _BlockReader, node: SchemeNode, scheme: LpScheme) -> list:
+    """The carving of the node's point set, as ``recursive.carve`` builds it,
+    from its stored covers: each cover is checked and each cluster mapped
+    once."""
+    steps = ladder_steps(node.t, scheme.r_effective, scheme.bound)
+    _require(len(meta) == len(steps), "ladder length differs from the plan")
+    levels = []
+    for lmeta, (radius, c_base, c_new) in zip(meta, steps):
+        cover = _decode_cover(lmeta, r, node.ids, radius, scheme.bound.beta)
+        _require(len(lmeta["images"]) == len(cover.clusters), "image count differs from clusters")
+        images = []
+        for cl, sub in zip(cover.clusters, lmeta["images"]):
+            mapped = map_cluster(node, cl, cover)
+            _require((mapped is None) == (sub is None),
+                     "a cluster has an image exactly when it is not a singleton")
+            images.append(None if mapped is None
+                          else (*mapped, _decode_carving(sub, r, mapped[1], scheme)))
+        levels.append((c_base, c_new, cover, images))
+    return levels
+
+
+def _decode_node(meta: dict, r: _BlockReader, node: SchemeNode, carving: list,
+                 scheme: LpScheme) -> SchemeNode:
+    """Fill ``node`` with its stored copies over the carving of its point
+    set, deriving the rest as the build does."""
+    r_eff = scheme.r_effective
     _require(meta["copies"] and all(c["base"] for c in meta["copies"]),
              "a node without copies or a copy without base schemes")
     for cmeta in meta["copies"]:
@@ -239,24 +272,21 @@ def _decode_node(meta: dict, r: _BlockReader, node: SchemeNode, scheme: LpScheme
             CoarseScheme(node.ids, node.vectors, node.t, r_eff, r.get(b["shifts"]))
             for b in cmeta["base"]
         ]
-        _require(len(cmeta["ladder"]) == len(steps), "ladder length differs from the plan")
+        _require(len(cmeta["ladder"]) == len(carving), "ladder length differs from the plan")
         ladder = []
-        for j, (lmeta, (radius, c_base, c_new)) in enumerate(zip(cmeta["ladder"], steps), 1):
-            cover = _decode_cover(lmeta, r, node.ids, radius, bound.beta)
-            _require(len(lmeta["children"]) == len(cover.clusters),
-                     "child count differs from clusters")
+        for j, (lmeta, (c_base, c_new, cover, images)) in enumerate(zip(cmeta["ladder"], carving), 1):
+            _require(len(lmeta) == len(images), "child count differs from clusters")
             children = []
-            for cl, trees in zip(cover.clusters, lmeta["children"]):
-                _require((len(cl.member_ids) == 1) == (not trees),
+            for image, trees in zip(images, lmeta):
+                _require((image is None) == (not trees),
                          "a cluster has child nodes exactly when it is not a singleton")
-                if not trees:
+                if image is None:
                     children.append(ClusterChild(None, []))
                     continue
-                mazur = MazurMapSpec(p=node.t, q=node.t / 2.0, c0=cover.diameter_bound)
-                image = cluster_image(node, cl, mazur)
+                mazur, sub, sub_carving = image
                 subs = [
-                    _decode_node(sub, r, SchemeNode(node.t / 2.0, cl.member_ids, image), scheme)
-                    for sub in trees
+                    _decode_node(m, r, SchemeNode(sub.t, sub.ids, sub.vectors), sub_carving, scheme)
+                    for m in trees
                 ]
                 link_groups(subs)
                 children.append(ClusterChild(mazur, subs))
@@ -280,7 +310,8 @@ def _decode_scheme(header: dict, reader: _BlockReader) -> LpScheme:
     )
     scheme = LpScheme(config=config, d=d, bound=approximation_bound(config, d), root=None)
     root = SchemeNode(t=scheme.p_effective, ids=ids, vectors=vectors)
-    scheme.root = _decode_node(header["scheme"], reader, root, scheme)
+    carving = _decode_carving(header["carving"], reader, root, scheme)
+    scheme.root = _decode_node(header["scheme"], reader, root, carving, scheme)
     link_groups([scheme.root])
     return scheme
 

@@ -6,7 +6,9 @@ a ladder of refinement levels shrinks it: level j carves a sparse cover at
 radius 2 * c_{j-1} * r, maps every cluster through a scaled signed-power map
 into l_{t/2}, and indexes the image points with a child scheme built by the
 same method one exponent level down. The recursion bottoms out at an l2 LSH
-scheme with approximation 2.
+scheme with approximation 2. Covers and cluster images draw no randomness,
+so they are carved once per point set (``carve``) and shared by every copy
+over it; only the base schemes are drawn per copy.
 
 A refinement step improves the bound to
 
@@ -332,16 +334,21 @@ def _dedup(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def ladder_steps(t: float, r: float, bound: ApproxBound) -> list:
     """(cover radius, base_approx, new_approx) of each ladder level of a
-    norm-t node built for radius r; the bound's plan fixes the count.
+    norm-t node built for radius r; the bound's plan fixes the count, and a
+    t == 2 node has none.
 
     Each step is refined with the effective beta of the cover it carves,
     diameter_bound / radius, and must reproduce the planned value.
     """
+    if t == 2.0:
+        return []
     plan = bound.level_for(t)
     c_child = bound.level_for(t / 2.0).final if t > 4.0 else L2_LEAF_APPROX
     steps, c_base = [], plan.initial_approx
     for j, c_plan in enumerate(plan.ladder, start=1):
         radius = 2.0 * c_base * r
+        if not math.isfinite(radius):
+            raise NumericRangeError(f"cover radius 2 c r overflows at t={t} for radius {r}")
         beta_eff = diameter_bound_for(radius, bound.beta) / radius
         c_new = refine_approx(t, t / 2.0, c_child, beta_eff, c_base)
         if not math.isclose(c_new, c_plan, rel_tol=1e-9):
@@ -353,17 +360,42 @@ def ladder_steps(t: float, r: float, bound: ApproxBound) -> list:
     return steps
 
 
-def cluster_image(node: SchemeNode, cluster: Cluster, mazur: MazurMapSpec) -> np.ndarray:
-    """The points a cluster's child nodes index: its members, centered on
-    its center and mapped into l_{t/2}."""
+def map_cluster(node: SchemeNode, cluster: Cluster, cover: SparseCover):
+    """(map, image) of a cover's cluster, None for a singleton. The image is
+    a node without copies over the points the cluster's child nodes index:
+    its members, centered on its center and mapped into l_{t/2}."""
+    if len(cluster.member_ids) == 1:
+        return None
+    mazur = MazurMapSpec(p=node.t, q=node.t / 2.0, c0=cover.diameter_bound)
     rows = node.ids.searchsorted(cluster.member_ids)
     try:
-        return mazur_map_points(mazur, node.vectors[rows] - node.vector_of(cluster.center_id))
+        image = mazur_map_points(mazur, node.vectors[rows] - node.vector_of(cluster.center_id))
     except NumericRangeError as exc:
         raise NumericRangeError(
             f"signed-power map overflow in cluster centered at id "
             f"{cluster.center_id} (t={node.t}): {exc}"
         ) from exc
+    return mazur, SchemeNode(t=node.t / 2.0, ids=cluster.member_ids, vectors=image)
+
+
+def carve(node: SchemeNode, r: float, bound: ApproxBound) -> list:
+    """The deterministic part of a node's point set: per ladder step,
+    (base_approx, new_approx, cover, images), where images holds, per
+    cluster, None for a singleton or its (map, image, carving of the image).
+
+    Carving draws nothing at random, so it runs once per point set, and
+    every node copy and child copy over the set shares its covers, maps and
+    images; only their base schemes and seed paths differ.
+    """
+    levels = []
+    for radius, c_base, c_new in ladder_steps(node.t, r, bound):
+        cover = build_sparse_cover(Dataset(node.vectors, node.t, ids=node.ids), radius, bound.beta)
+        images = []
+        for cluster in cover.clusters:
+            mapped = map_cluster(node, cluster, cover)
+            images.append(None if mapped is None else (*mapped, carve(mapped[1], r, bound)))
+        levels.append((c_base, c_new, cover, images))
+    return levels
 
 
 def link_groups(nodes: list) -> None:
@@ -381,60 +413,44 @@ def link_groups(nodes: list) -> None:
 
 
 def _build_node(
-    t: float,
-    ids: np.ndarray,
-    vectors: np.ndarray,
+    node: SchemeNode,
+    carving: list,
     r: float,
     bound: ApproxBound,
     config: SchemeConfig,
     path: tuple,
 ) -> SchemeNode:
-    node = SchemeNode(t=t, ids=np.ascontiguousarray(ids, dtype=np.int64), vectors=vectors)
-    n_copies = norm_level_copies(bound.p_effective)
-
-    if t == 2.0:
-        for ci in range(n_copies):
-            leaf = build_l2_ann(
-                node.ids, vectors, r, PRIMITIVE_FAILURE,
-                _seed(config.seed, path + (TAG_NODE_COPY, ci, TAG_BASE, 0)),
-            )
-            node.copies.append(SchemeCopy(base=[leaf], ladder=[]))
-        return node
-
-    steps = ladder_steps(t, r, bound)
-    for ci in range(n_copies):
+    """Fill the node's copies with fresh base schemes, and child nodes over
+    the carving of its point set, shared by every copy."""
+    for ci in range(norm_level_copies(bound.p_effective)):
+        seeds = [
+            _seed(config.seed, path + (TAG_NODE_COPY, ci, TAG_BASE, bi))
+            for bi in range(1 if node.t == 2.0 else config.base_copies)
+        ]
         base = [
-            build_coarse_ann(
-                node.ids, vectors, t, r,
-                _seed(config.seed, path + (TAG_NODE_COPY, ci, TAG_BASE, bi)),
-            )
-            for bi in range(config.base_copies)
+            build_l2_ann(node.ids, node.vectors, r, PRIMITIVE_FAILURE, seed) if node.t == 2.0
+            else build_coarse_ann(node.ids, node.vectors, node.t, r, seed)
+            for seed in seeds
         ]
         ladder = []
-        for j, (radius, c_base, c_new) in enumerate(steps, start=1):
-            cover = build_sparse_cover(Dataset(vectors, t, ids=node.ids), radius, bound.beta)
+        for j, (c_base, c_new, cover, images) in enumerate(carving, start=1):
             children = []
-            for ki, cluster in enumerate(cover.clusters):
-                if len(cluster.member_ids) == 1:
+            for ki, image in enumerate(images):
+                if image is None:
                     children.append(ClusterChild(None, []))
                     continue
-                mazur = MazurMapSpec(p=t, q=t / 2.0, c0=cover.diameter_bound)
-                image = cluster_image(node, cluster, mazur)
+                mazur, sub, sub_carving = image
                 child_copies = [
                     _build_node(
-                        t / 2.0, cluster.member_ids, image, r, bound, config,
+                        SchemeNode(t=sub.t, ids=sub.ids, vectors=sub.vectors), sub_carving,
+                        r, bound, config,
                         path + (TAG_NODE_COPY, ci, TAG_LADDER, j, TAG_CLUSTER, ki, TAG_CHILD, cc),
                     )
                     for cc in range(config.child_copies)
                 ]
                 link_groups(child_copies)
                 children.append(ClusterChild(mazur, child_copies))
-            ladder.append(
-                LadderLevel(
-                    index=j, base_approx=c_base, new_approx=c_new,
-                    cover=cover, children=children,
-                )
-            )
+            ladder.append(LadderLevel(j, c_base, c_new, cover, children))
         node.copies.append(SchemeCopy(base=base, ladder=ladder))
     return node
 
@@ -450,9 +466,9 @@ def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
     bound = approximation_bound(config, dataset.d)
     ids, vectors = _dedup(dataset)
     scheme = LpScheme(config=config, d=dataset.d, bound=bound, root=None)
-    scheme.root = _build_node(
-        bound.p_effective, ids, vectors, scheme.r_effective, bound, config, path=()
-    )
+    root = SchemeNode(t=bound.p_effective, ids=ids, vectors=vectors)
+    carving = carve(root, scheme.r_effective, bound)
+    scheme.root = _build_node(root, carving, scheme.r_effective, bound, config, path=())
     link_groups([scheme.root])
     return scheme
 

@@ -97,6 +97,56 @@ def test_missing_input_is_io_error(tmp_path, capsys):
     assert run_cli(["build", "--input", str(tmp_path / "nope.txt"), "--r", "1.0", "--out", str(idx)]) == 3
 
 
+def _not_utf8(tmp_path):
+    bad = tmp_path / "latin.txt"
+    bad.write_bytes(b"\xff\xfe\x00x\n")
+    return bad
+
+
+def _assert_names_file(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
+def test_build_input_not_utf8_is_usage_error(tmp_path, capsys):
+    bad = _not_utf8(tmp_path)
+    assert run_cli(["build", "--input", str(bad), "--r", "1", "--out", str(tmp_path / "x")]) == 2
+    _assert_names_file(capsys, bad)
+
+
+def test_query_file_not_utf8_is_usage_error(tmp_path, capsys):
+    data, idx = tmp_path / "data.txt", tmp_path / "x.lpann"
+    run_cli(["gen", "--n", "10", "--d", "6", "--p", "4", "--out", str(data)])
+    run_cli(["build", "--input", str(data), "--r", "1.0", "--out", str(idx)])
+    capsys.readouterr()
+    bad = _not_utf8(tmp_path)
+    assert run_cli(["query", "--index", str(idx), "--query-file", str(bad)]) == 2
+    _assert_names_file(capsys, bad)
+
+
+def test_bench_spec_not_utf8_is_usage_error(tmp_path, capsys):
+    bad = _not_utf8(tmp_path)
+    assert run_cli(["bench", "--spec", str(bad), "--out", str(tmp_path / "r.json")]) == 2
+    _assert_names_file(capsys, bad)
+
+
+@pytest.mark.parametrize(
+    "d,what",
+    [(3, "bucket width"), (16, "grid cell side"), (32, "cover radius")],
+    ids=["l2-root", "grid-root", "grid-root-ladder"],
+)
+def test_overflowing_radius_is_numeric_range_error(tmp_path, capsys, d, what):
+    # d = 3 normalizes to an l2 root, d = 16 to a grid root with an empty
+    # ladder, d = 32 to a grid root whose ladder radius overflows first
+    data = tmp_path / "data.txt"
+    data.write_text(f"2 {d} 4.0\n" + " ".join(["0"] * d) + "\n" + " ".join(["1"] * d) + "\n")
+    out = tmp_path / "x.lpann"
+    assert run_cli(["build", "--input", str(data), "--r", "1e308", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric-range error: ") and what in err
+    assert not out.exists()
+
+
 def test_bench_spec_schema_violations_enumerated():
     with pytest.raises(UsageError) as err:
         validate_bench_spec({"n_grid": [], "d": 0, "p": 1.0, "r": 1.0, "trials": 1, "seed": 0})

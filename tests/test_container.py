@@ -45,7 +45,9 @@ def test_header_fields(built):
     assert raw[:8] == MAGIC
     (hlen,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16: 16 + hlen])
-    assert set(header) == {"format_version", "d", "config", "ids", "vectors", "scheme", "blocks"}
+    assert set(header) == {
+        "format_version", "d", "config", "ids", "vectors", "carving", "scheme", "blocks",
+    }
     assert header["format_version"] == FORMAT_VERSION
     assert header["d"] == 32
     assert header["config"]["p"] == 4.0
@@ -148,12 +150,15 @@ def _first_block(header):
     return header["blocks"][header["ids"]]
 
 
-def _first_level(header):
+def _first_cover(header):
+    return header["carving"][0]
+
+
+def _first_children(header):
     return header["scheme"]["copies"][0]["ladder"][0]
 
 
-def _repeat_last_level(header):
-    ladder = header["scheme"]["copies"][0]["ladder"]
+def _repeat_last_level(ladder):
     ladder.append(ladder[-1])
 
 
@@ -175,9 +180,14 @@ def _repeat_last_level(header):
         ("built", lambda h: h.update(format_version=1)),
         ("built", lambda h: h.update(format_version=2)),
         ("built", lambda h: h.update(format_version=3)),
-        ("built", _repeat_last_level),
-        ("singletons", lambda h: _first_level(h)["children"][0].append({"copies": []})),
-        ("built", lambda h: _first_level(h)["children"][0].clear()),
+        ("built", lambda h: h.update(format_version=4)),
+        ("built", lambda h: _repeat_last_level(h["scheme"]["copies"][0]["ladder"])),
+        ("built", lambda h: _repeat_last_level(h["carving"])),
+        ("singletons", lambda h: _first_children(h)[0].append({"copies": []})),
+        ("built", lambda h: _first_children(h)[0].clear()),
+        ("singletons", lambda h: _first_cover(h)["images"].__setitem__(0, [])),
+        ("built", lambda h: _first_cover(h)["images"].__setitem__(0, None)),
+        ("built", lambda h: _first_cover(h)["images"].append(None)),
         ("built", lambda h: h["scheme"]["copies"].clear()),
         ("built", lambda h: h["scheme"]["copies"][0]["base"].clear()),
     ],
@@ -185,8 +195,10 @@ def _repeat_last_level(header):
         "float-shape", "string-shape", "negative-shape", "unknown-dtype",
         "negative-offset", "offset-past-end", "missing-block", "missing-key",
         "string-number", "float-integer", "null-seed", "block-table-list", "version-1",
-        "version-2", "version-3", "ladder-past-plan", "singleton-with-children",
-        "cluster-without-children", "node-without-copies", "copy-without-base",
+        "version-2", "version-3", "version-4", "ladder-past-plan", "carving-past-plan",
+        "singleton-with-children", "cluster-without-children", "singleton-with-image",
+        "cluster-without-image", "image-without-cluster", "node-without-copies",
+        "copy-without-base",
     ],
 )
 def test_malformed_header_is_usage_error(request, tmp_path, capsys, index, edit):
@@ -195,6 +207,14 @@ def test_malformed_header_is_usage_error(request, tmp_path, capsys, index, edit)
     with pytest.raises(UsageError):
         load_index(str(bad))
     assert _cli_query_exit(bad, tmp_path) == 2
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+def test_old_format_names_its_version(built, tmp_path, version):
+    bad = _rewrite_header(built[2], tmp_path / "old.lpann",
+                          lambda h: h.update(format_version=version))
+    with pytest.raises(UsageError, match=f"unsupported format version {version}$"):
+        load_index(str(bad))
 
 
 def _answer_key(ans):
@@ -260,9 +280,9 @@ def _rewrite_block(path, out, pick, change, seal=True):
 @pytest.mark.parametrize(
     "pick,change",
     [
-        (lambda h: _first_level(h)["covering"], lambda b: np.full_like(b, 99)),
-        (lambda h: _first_level(h)["centers"], lambda b: np.full_like(b, 10**9)),
-        (lambda h: _first_level(h)["members"], lambda b: b[::-1]),
+        (lambda h: _first_cover(h)["covering"], lambda b: np.full_like(b, 99)),
+        (lambda h: _first_cover(h)["centers"], lambda b: np.full_like(b, 10**9)),
+        (lambda h: _first_cover(h)["members"], lambda b: b[::-1]),
     ],
     ids=["cluster-index-past-end", "foreign-center-id", "members-descend"],
 )

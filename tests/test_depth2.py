@@ -1,0 +1,105 @@
+"""The depth-2 recursion: a t = 8 root whose ladder clusters hold t = 4
+children, whose own ladders bottom out in t = 2 l2 leaves.
+
+A non-empty t = 8 ladder first appears at d >= 4096 with p = 8, so this is
+the smallest instance that builds the whole double recursion. With one base
+and one child copy per level it builds in a few seconds and holds about
+0.6 GB, most of it the l2 leaves' random projections; the index is saved,
+the built copy dropped, and only then loaded, so the two never coexist.
+"""
+
+import gc
+
+import numpy as np
+
+from lpann import recursive
+from lpann import (
+    Dataset,
+    SchemeConfig,
+    load_index,
+    preprocess,
+    query,
+    save_index,
+    verify_cover,
+)
+
+N, D, P, R, SEED = 12, 4096, 8.0, 1.0, 5
+
+
+def _instance():
+    """(dataset, config, queries): three queries at 0.9 r from a point, and
+    three near the midpoint of two points, whose answer depends on what
+    every stage of the index happens to find."""
+    rng = np.random.default_rng(SEED)
+    data = rng.standard_normal((N, D))
+    direction = rng.standard_normal((6, D))
+    norms = (np.abs(direction) ** P).sum(axis=1) ** (1.0 / P)
+    step = (0.9 * R / norms)[:, None] * direction
+    near = data[:3] + step[:3]
+    between = 0.5 * (data[3:6] + data[6:9]) + step[3:]
+    config = SchemeConfig(p=P, r=R, seed=SEED, base_copies=1, child_copies=1)
+    return Dataset(data, P), config, np.vstack([near, between])
+
+
+def _nodes(node):
+    yield node
+    for copy in node.copies:
+        for level in copy.ladder:
+            for child in level.children:
+                for sub in child.copies:
+                    yield from _nodes(sub)
+
+
+def _answers(scheme, queries) -> list:
+    out = []
+    for q in queries:
+        a = query(scheme, q)
+        out.append(None if a is None else (a.id, float.hex(a.distance), list(a.trace)))
+    return out
+
+
+# (id, float.hex(distance), trace) of every query
+GOLDEN_DEPTH2 = [(0, '0x1.ccccccccccccdp-1', [0, 0, 0, 0, 0]),
+                 (1, '0x1.ccccccccccccdp-1', [1, 1, 1, 1, 1]),
+                 (2, '0x1.ccccccccccccep-1', [2, 2, 2, 2, 2]),
+                 (3, '0x1.bc689ae621ca2p+1', [3, 3, 3, 3, 3]),
+                 (7, '0x1.df4d6566d3513p+1', [7, 7, 7, 7, 7]),
+                 (8, '0x1.d22a291aa477dp+1', [8, 8, 8, 8, 8])]
+
+
+def test_depth2_shape_covers_answers_and_reload(tmp_path, monkeypatch):
+    dataset, config, queries = _instance()
+    carves = []
+    real = recursive.build_sparse_cover
+    monkeypatch.setattr(recursive, "build_sparse_cover",
+                        lambda *args: carves.append(args) or real(*args))
+    scheme = preprocess(dataset, config)
+
+    # the planned shape: t = 8 -> 4 -> 2, with a non-empty ladder at t = 8
+    # and at t = 4
+    plan = {lv.t: len(lv.ladder) for lv in scheme.bound.levels}
+    assert scheme.p_effective == 8.0 and plan[8.0] > 0 and plan[4.0] > 0
+    ladders = {(node.t, len(copy.ladder)) for node in _nodes(scheme.root) for copy in node.copies}
+    assert ladders == {(8.0, plan[8.0]), (4.0, plan[4.0]), (2.0, 0)}
+
+    # one cover per point set and ladder step, shared by every copy over it
+    covers = {(node.t, node.vectors.tobytes(), level.index): (node, level.cover)
+              for node in _nodes(scheme.root) for copy in node.copies for level in copy.ladder}
+    assert len(carves) == len(covers) == 24
+
+    # each cover, at both norm levels, holds every point's r-ball in the
+    # cluster the point references
+    assert {t for t, _, _ in covers} == {8.0, 4.0}
+    for node, cover in covers.values():
+        assert verify_cover(cover, Dataset(node.vectors, node.t, ids=node.ids)).cover_ok
+
+    # the r-near queries succeed within c_p r
+    built = _answers(scheme, queries)
+    assert all(float.fromhex(a[1]) <= scheme.bound.c_p * R for a in built[:3])
+    assert built == GOLDEN_DEPTH2
+
+    path = tmp_path / "depth2.lpann"
+    save_index(scheme, str(path))
+    del scheme
+    gc.collect()
+    assert _answers(load_index(str(path)), queries) == built

@@ -12,6 +12,8 @@ node whose copies form one leaf group.
 
 import dataclasses
 import math
+import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from lpann import (
     query,
     save_index,
 )
+from lpann import recursive
+from lpann.oracle import exact_nn
 
 N, D, P, QUERIES = 200, 32, 4.0, 20
 L2ROOT_D, L2ROOT_P = 8, 3.0  # normalize_exponent gives p_eff = 2
@@ -151,6 +155,20 @@ def test_golden_answers_after_reload(kind, tmp_path):
     assert answers(kind, 5, tmp_path / "golden.lpann") == GOLDEN[kind]
 
 
+def test_blobs_quality_against_exact_nn():
+    # absolute quality on the four-blob instance, as measured when recorded:
+    # every query, r-near or not, returns its exact nearest neighbour
+    dataset, _, queries = _points("blobs", 5)
+    scheme, _ = _instance("blobs", 5)
+    hits, ratios = [], []
+    for q in queries:
+        a, (nn_id, nn_dist) = query(scheme, q), exact_nn(dataset, q)
+        hits.append(a.id == nn_id)
+        ratios.append(a.distance / nn_dist)
+    assert sum(hits) / len(hits) == 1.0
+    assert statistics.median(ratios) == 1.0
+
+
 def test_golden_l2_root(tmp_path):
     scheme, _ = _instance("l2root", 5)
     assert scheme.root.t == 2.0 and len(scheme.root.copies) > 1
@@ -220,3 +238,56 @@ def test_loaded_children_share_arrays_as_built(tmp_path):
     assert len(child.copies) > 1
     assert len({id(sub.vectors) for sub in child.copies}) == 1
     assert len({id(sub.ids) for sub in child.copies}) == 1
+
+
+def _carved(scheme) -> dict:
+    """{(t, points, ladder step): non-singleton clusters of its cover} over
+    the tree, with point sets compared by content."""
+    return {
+        (node.t, node.vectors.tobytes(), level.index):
+            sum(len(cl.member_ids) > 1 for cl in level.cover.clusters)
+        for node in _nodes(scheme.root) for copy in node.copies for level in copy.ladder
+    }
+
+
+@pytest.mark.parametrize("kind", ["gauss", "blobs"])
+def test_one_cover_per_point_set_and_one_map_per_cluster(kind, monkeypatch):
+    # carving draws no randomness: the node copies and the child copies over
+    # one point set share its covers, and each cluster is mapped once
+    calls = Counter()
+    for attr in ("build_sparse_cover", "mazur_map_points"):
+        def counting(*args, _fn=getattr(recursive, attr), _attr=attr):
+            calls[_attr] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(recursive, attr, counting)
+    scheme, _ = _instance(kind, 5)
+    carved = _carved(scheme)
+    assert calls["build_sparse_cover"] == len(carved) == 4
+    assert calls["mazur_map_points"] == sum(carved.values()) > 0
+
+
+def _sharing(scheme) -> list:
+    """Every node's points and its copies' covers and maps, in walk order,
+    each named by the order in which it was first met: two trees share
+    objects alike exactly when these lists are equal."""
+    first: dict = {}
+    out = []
+    for node in _nodes(scheme.root):
+        objs = [node.vectors] + [
+            obj for copy in node.copies for level in copy.ladder
+            for obj in (level.cover, *(ch.mazur for ch in level.children if ch.copies))
+        ]
+        out.append([first.setdefault(id(obj), len(first)) for obj in objs])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["gauss", "blobs"])
+def test_loaded_tree_shares_covers_and_images_as_built(kind, tmp_path):
+    scheme, _ = _instance(kind, 5)
+    save_index(scheme, str(tmp_path / "golden.lpann"))
+    loaded = load_index(str(tmp_path / "golden.lpann"))
+    assert _sharing(loaded) == _sharing(scheme)
+    for index in (scheme, loaded):
+        levels = [lvl for node in _nodes(index.root) for copy in node.copies for lvl in copy.ladder]
+        assert len({id(lvl.cover) for lvl in levels}) == len(_carved(index)) < len(levels)
