@@ -20,8 +20,11 @@ over one point array are looked up together as a group (``l2_group``,
 and cells from them into one flat table, sorted (table, key) rows with CSR
 member groups, never saved. One query hashes every stacked table at once,
 finds its bucket in every table with one ``searchsorted``, and measures the
-candidates with one distance call (one per round for l2 leaves). A lone
-scheme is queried as a group of one.
+candidates with one distance call (one per round for l2 leaves). A group's
+schemes come in contiguous blocks, and a query answers per block: per owner
+for l2 leaves, per copy for grids. A mask leaves blocks out, and their
+buckets and cells are never measured. A lone scheme is queried as a group
+of one.
 """
 
 from __future__ import annotations
@@ -221,10 +224,13 @@ class L2Group:
 
     Stacked table i (``projections[i]``, ``offsets[i]``) belongs to leaf
     ``leaf_of[i]``, which probes at most ``max_probe[i]`` members of a
-    bucket, and is table i of ``table``.
+    bucket, and is table i of ``table``; leaf l belongs to owner
+    ``owner_of[l]`` of ``owners``.
     """
 
     leaves: list
+    owner_of: np.ndarray
+    owners: int
     projections: np.ndarray  # (T, k, d)
     offsets: np.ndarray      # (T, k)
     leaf_of: np.ndarray
@@ -232,9 +238,11 @@ class L2Group:
     table: _BucketTable = field(repr=False)
 
 
-def l2_group(leaves: list) -> L2Group:
-    """Group leaves built over one point array for one radius, in order, and
-    build their one bucket table. A lone leaf is a group of one."""
+def l2_group(owners: list) -> L2Group:
+    """Group the leaves of each owner (a list of lists of leaves built over
+    one point array for one radius), in order, and build their one bucket
+    table. A lone leaf is the group ``[[leaf]]``."""
+    leaves = [leaf for block in owners for leaf in block]
     # each leaf's keys from its own (L, k, d) projections, before stacking:
     # an einsum of another shape may round differently at a bucket edge
     table = _bucket_table(
@@ -243,17 +251,21 @@ def l2_group(leaves: list) -> L2Group:
     )
     (projections, offsets), leaf_of = _stack(leaves, ("projections", "offsets"))
     probes = np.array([leaf.max_probe for leaf in leaves])[leaf_of]
-    return L2Group(leaves, projections, offsets, leaf_of, probes, table)
+    owner_of = np.repeat(np.arange(len(owners)), [len(block) for block in owners])
+    return L2Group(leaves, owner_of, len(owners), projections, offsets, leaf_of, probes, table)
 
 
-def query_l2_ann(group: L2Group, q):
-    """(id, l2 distance) of the first leaf, in group order, whose first
-    scanned candidate within 2r of q, probing at most max_probe candidates
-    per table, is nearest to q, or None if no leaf has one.
+def query_l2_ann(group: L2Group, q, live=None):
+    """Each owner's answer: (id, l2 distance) of the first of its leaves, in
+    group order, whose first scanned candidate within 2r of q, probing at
+    most max_probe candidates per table, is nearest to q, or None for an
+    owner without one or left out by ``live``, a boolean mask over owners
+    (all by default); None if no owner has one.
 
-    Buckets are measured in rounds: round j measures the j-th matched bucket
-    of every leaf still without a candidate, with one distance call, so no
-    bucket past a leaf's first candidate is measured.
+    Buckets are measured in rounds: round j measures the distinct members of
+    the j-th matched bucket of every leaf of a live owner still without a
+    candidate, with one distance call, so no bucket past a leaf's first
+    candidate, and none of a left-out owner, is measured.
     """
     lead = group.leaves[0]
     q = _query_point(q, lead.vectors.shape[1])
@@ -265,6 +277,8 @@ def query_l2_ann(group: L2Group, q):
     hit_row = np.zeros(len(group.leaves), dtype=np.intp)
     hit_dist = np.full(len(group.leaves), np.inf)
     pending = np.ones(len(group.leaves), dtype=bool)
+    if live is not None:
+        pending = np.asarray(live, dtype=bool)[group.owner_of]
     for j in range(rank.max() + 1 if found.size else 0):
         sel = np.flatnonzero((rank == j) & pending[leaf])
         if not sel.size:
@@ -272,7 +286,8 @@ def query_l2_ann(group: L2Group, q):
         lo = starts[buckets[sel]]
         size = np.minimum(starts[buckets[sel] + 1] - lo, group.max_probe[found[sel]])
         cand = members[np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)]
-        dists = _kernels.dists_to_point(lead.vectors[cand], q, 2.0)
+        rows, inv = np.unique(cand, return_inverse=True)  # leaves share candidates
+        dists = _kernels.dists_to_point(lead.vectors[rows], q, 2.0)[inv]
         ok = np.flatnonzero(dists <= 2.0 * lead.r)
         if not ok.size:
             continue
@@ -280,10 +295,16 @@ def query_l2_ann(group: L2Group, q):
         first = ok[_run_starts(owner[ok])]  # ok ascends
         won = leaf[owner[first]]
         hit_row[won], hit_dist[won], pending[won] = cand[first], dists[first], False
-    best = int(np.argmin(hit_dist))  # the first leaf at the least distance
-    if pending[best]:
+    hit = np.flatnonzero(hit_dist < np.inf)
+    if not hit.size:
         return None
-    return int(lead.ids[hit_row[best]]), float(hit_dist[best])
+    owner = group.owner_of[hit]
+    # per owner: least distance, then first leaf
+    order = np.lexsort((hit, hit_dist[hit], owner))
+    answers = [None] * group.owners
+    for i in order[_run_starts(owner[order])]:
+        answers[owner[i]] = (int(lead.ids[hit_row[hit[i]]]), float(hit_dist[hit[i]]))
+    return answers
 
 
 @dataclass
@@ -344,10 +365,10 @@ def build_coarse_ann(ids, vectors, p: float, r: float, seed) -> CoarseScheme:
 
 @dataclass
 class CoarseGroup:
-    """The grid schemes of a node's copies, looked up together. Stacked grid
-    i (``shifts[i]``) belongs to scheme ``scheme_of[i]`` of ``schemes`` and
-    is table i of ``table``; scheme s belongs to copy ``copy_of[s]`` of
-    ``copies``."""
+    """The grid schemes of node copies over one point array, looked up
+    together. Stacked grid i (``shifts[i]``) belongs to scheme
+    ``scheme_of[i]`` of ``schemes`` and is table i of ``table``; scheme s
+    belongs to copy ``copy_of[s]`` of ``copies``."""
 
     schemes: list
     copy_of: np.ndarray
@@ -370,17 +391,21 @@ def coarse_group(copies: list) -> CoarseGroup:
     return CoarseGroup(schemes, copy_of, len(copies), shifts, scheme_of, table)
 
 
-def query_coarse_ann(group: CoarseGroup, q):
+def query_coarse_ann(group: CoarseGroup, q, live=None):
     """Each copy's start: (id, lp distance) of the first scheme of the copy
     whose lp-closest cell representative across its grids, re-checked
     against c0*r (ties to the lowest row), is nearest to q, or None for a
-    copy without one; None if no copy has one. Every distinct representative
-    is measured with one distance call.
+    copy without one or left out by ``live``, a boolean mask over copies
+    (all by default); None if no copy has one. Every distinct representative
+    of a live copy's cells is measured with one distance call.
     """
     lead = group.schemes[0]
     q = _query_point(q, lead.vectors.shape[1])
     cells = _to_cell_index((q + group.shifts) / lead.cell_side)
     found, cells = _lookup(group.table, cells)
+    if live is not None:
+        keep = np.asarray(live, dtype=bool)[group.copy_of[group.scheme_of[found]]]
+        found, cells = found[keep], cells[keep]
     if not found.size:
         return None
     # a cell's representative is its lowest local index, the group's first member

@@ -60,6 +60,11 @@ def format_dataset_file(dataset: Dataset) -> str:
 
 
 def parse_dataset_file(text: str, origin: str = "<dataset>") -> Dataset:
+    return Dataset(*_parse_rows(text, origin))
+
+
+def _parse_rows(text: str, origin: str) -> tuple[np.ndarray, float]:
+    """(vectors, p) of a dataset file; p is any number, checked by the caller."""
     lines = text.splitlines()
     if not lines:
         raise UsageError(f"{origin}:1: empty dataset file")
@@ -89,7 +94,7 @@ def parse_dataset_file(text: str, origin: str = "<dataset>") -> Dataset:
     if not np.isfinite(vectors).all():
         bad = int(np.flatnonzero(~np.isfinite(vectors).all(axis=1))[0])
         raise UsageError(f"{origin}:{bad + 2}: non-finite coordinate")
-    return Dataset(vectors, p)
+    return vectors, p
 
 
 def _read_text(path: str) -> str:
@@ -158,12 +163,12 @@ def cmd_build(args) -> int:
 
 def cmd_query(args) -> int:
     scheme = load_index(args.index)
-    queries = read_dataset_file(args.query_file)  # p field ignored
-    if queries.d != scheme.d:
+    queries, _ = _parse_rows(_read_text(args.query_file), args.query_file)  # p ignored
+    if queries.shape[1] != scheme.d:
         raise UsageError(
-            f"query dimension {queries.d} does not match index dimension {scheme.d}"
+            f"query dimension {queries.shape[1]} does not match index dimension {scheme.d}"
         )
-    for row in queries.vectors:
+    for row in queries:
         ans = query(scheme, row)
         if ans is None:
             print("-1 nan")

@@ -20,9 +20,9 @@ Everything else is a function of these, and the loader derives it with the
 build's own code: the bound (``approximation_bound``), each ladder level's
 cover radius and approximations (``ladder_steps``), each cluster's map and
 the points its child nodes index (``map_cluster``, once per cluster), the
-base schemes' widths and probe limits (their constructors), and the groups
-that build one bucket table each from their schemes' draws
-(``link_groups``), all built before ``load_index`` returns. A loaded index
+base schemes' widths and probe limits (their constructors), and the groups,
+one per point set, that build one bucket table each from their schemes'
+draws (``link_group``), all built before ``load_index`` returns. A loaded index
 equals the saved one bit for bit, and shares covers and images as it does.
 
 Only the current format version loads. A file that fails its checksum, is
@@ -46,16 +46,15 @@ from .base_schemes import CoarseScheme, L2Scheme
 from .cover import Cluster, SparseCover, diameter_bound_for
 from .errors import UsageError
 from .recursive import (
-    ClusterChild,
-    LadderLevel,
     LpScheme,
     SchemeConfig,
     SchemeCopy,
     SchemeNode,
     approximation_bound,
     ladder_steps,
-    link_groups,
+    link_group,
     map_cluster,
+    new_ladder,
 )
 
 MAGIC = b"LPANNIDX"
@@ -258,41 +257,44 @@ def _decode_carving(meta: list, r: _BlockReader, node: SchemeNode, scheme: LpSch
     return levels
 
 
-def _decode_node(meta: dict, r: _BlockReader, node: SchemeNode, carving: list,
-                 scheme: LpScheme) -> SchemeNode:
-    """Fill ``node`` with its stored copies over the carving of its point
-    set, deriving the rest as the build does."""
+def _decode_set(owners: list, carving: list, r: _BlockReader, scheme: LpScheme) -> None:
+    """Fill every node over one point set, given per owner as (node, stored
+    tree) pairs, with its stored copies over the set's carving, deriving the
+    rest as the build does; then, for every copy at once, the nodes over
+    each point set carved from it; then group the set, as ``_build_set``
+    does."""
     r_eff = scheme.r_effective
-    _require(meta["copies"] and all(c["base"] for c in meta["copies"]),
-             "a node without copies or a copy without base schemes")
-    for cmeta in meta["copies"]:
-        base = [
-            L2Scheme(node.ids, node.vectors, r_eff, r.get(b["projections"]), r.get(b["offsets"]))
-            if node.t == 2.0 else
-            CoarseScheme(node.ids, node.vectors, node.t, r_eff, r.get(b["shifts"]))
-            for b in cmeta["base"]
-        ]
-        _require(len(cmeta["ladder"]) == len(carving), "ladder length differs from the plan")
-        ladder = []
-        for j, (lmeta, (c_base, c_new, cover, images)) in enumerate(zip(cmeta["ladder"], carving), 1):
-            _require(len(lmeta) == len(images), "child count differs from clusters")
-            children = []
-            for image, trees in zip(images, lmeta):
-                _require((image is None) == (not trees),
-                         "a cluster has child nodes exactly when it is not a singleton")
-                if image is None:
-                    children.append(ClusterChild(None, []))
-                    continue
-                mazur, sub, sub_carving = image
-                subs = [
-                    _decode_node(m, r, SchemeNode(sub.t, sub.ids, sub.vectors), sub_carving, scheme)
-                    for m in trees
+    copies = []
+    for block in owners:
+        for node, meta in block:
+            _require(meta["copies"] and all(c["base"] for c in meta["copies"]),
+                     "a node without copies or a copy without base schemes")
+            for cmeta in meta["copies"]:
+                base = [
+                    L2Scheme(node.ids, node.vectors, r_eff, r.get(b["projections"]),
+                             r.get(b["offsets"]))
+                    if node.t == 2.0 else
+                    CoarseScheme(node.ids, node.vectors, node.t, r_eff, r.get(b["shifts"]))
+                    for b in cmeta["base"]
                 ]
-                link_groups(subs)
-                children.append(ClusterChild(mazur, subs))
-            ladder.append(LadderLevel(j, c_base, c_new, cover, children))
-        node.copies.append(SchemeCopy(base=base, ladder=ladder))
-    return node
+                _require(len(cmeta["ladder"]) == len(carving), "ladder length differs from the plan")
+                for lmeta, (_, _, _, images) in zip(cmeta["ladder"], carving):
+                    _require(len(lmeta) == len(images), "child count differs from clusters")
+                    _require(all((image is None) == (not trees) for image, trees in zip(images, lmeta)),
+                             "a cluster has child nodes exactly when it is not a singleton")
+                node.copies.append(SchemeCopy(base=base, ladder=new_ladder(carving)))
+                copies.append((node.copies[-1], cmeta))
+    for j, (_, _, _, images) in enumerate(carving):
+        for k, image in enumerate(images):
+            if image is None:
+                continue
+            sub, kids = image[1], []
+            for copy, cmeta in copies:
+                block = [(SchemeNode(sub.t, sub.ids, sub.vectors), m) for m in cmeta["ladder"][j][k]]
+                copy.ladder[j].children[k].copies = [node for node, _ in block]
+                kids.append(block)
+            _decode_set(kids, image[2], r, scheme)
+    link_group([[node for node, _ in block] for block in owners])
 
 
 def _decode_scheme(header: dict, reader: _BlockReader) -> LpScheme:
@@ -311,8 +313,8 @@ def _decode_scheme(header: dict, reader: _BlockReader) -> LpScheme:
     scheme = LpScheme(config=config, d=d, bound=approximation_bound(config, d), root=None)
     root = SchemeNode(t=scheme.p_effective, ids=ids, vectors=vectors)
     carving = _decode_carving(header["carving"], reader, root, scheme)
-    scheme.root = _decode_node(header["scheme"], reader, root, carving, scheme)
-    link_groups([scheme.root])
+    _decode_set([[(root, header["scheme"])]], carving, reader, scheme)
+    scheme.root = root
     return scheme
 
 

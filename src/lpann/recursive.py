@@ -24,9 +24,11 @@ Query time runs the same chain: coarse answer, then per level look up the
 covering cluster of the current iterate, query the cluster's child scheme
 with the mapped query, lift the answer back by id, and keep it only if it
 improves the true distance. All distances are re-verified in the node's own
-norm, so a failed stage can never make the answer worse. Base schemes are
-looked up a group at a time (``link_groups``): one lookup answers every
-copy's grids at a node, and one answers every l2 leaf under a cluster.
+norm, so a failed stage can never make the answer worse. The base schemes
+of every node over one point set form one group (``link_group``), and a
+query visits each point set once: every copy over it with a coarse start
+walks the shared ladder in lock-step with the others (``_walk``), one lookup
+answers every copy's grids, and one answers every l2 leaf, per walker above.
 
 Arbitrary exponents are first clamped to min(p, log2 d) and rounded down to
 a power of two; the constant-factor norm distortion this costs is computed
@@ -275,7 +277,8 @@ class SchemeNode:
     """One norm level over a point set: t == 2 nodes hold l2 leaves, larger
     t hold coarse grids plus a refinement ladder. ``ids`` ascend, so a point
     id maps to its row by binary search. ``group`` is the group of base
-    schemes a query looks up at once (see ``link_groups``)."""
+    schemes of every node over the same point set, which a query looks up
+    at once (see ``link_group``)."""
 
     t: float
     ids: np.ndarray
@@ -398,61 +401,80 @@ def carve(node: SchemeNode, r: float, bound: ApproxBound) -> list:
     return levels
 
 
-def link_groups(nodes: list) -> None:
-    """Group the base schemes of sibling nodes: the copies of one cluster's
-    child, which index one point array, or the root alone. At t == 2 the
-    siblings share one group of every leaf of every copy, in sibling then
-    copy order; at larger t each node gets one group of its copies' grids."""
+def link_group(owners: list) -> None:
+    """Give the nodes over one point set their one group. ``owners`` lists,
+    per copy over the parent point set, its child nodes over this one
+    (``[[root]]`` at the root). The group holds the base schemes of every
+    node over the set in order: at t == 2 one block of leaves per owner, at
+    larger t one block of grids per node copy."""
+    nodes = [node for block in owners for node in block]
     if nodes[0].t == 2.0:
-        group = l2_group([leaf for node in nodes for copy in node.copies for leaf in copy.base])
-        for node in nodes:
-            node.group = group
+        group = l2_group([
+            [leaf for node in block for copy in node.copies for leaf in copy.base]
+            for block in owners
+        ])
     else:
-        for node in nodes:
-            node.group = coarse_group([copy.base for copy in node.copies])
+        group = coarse_group([copy.base for node in nodes for copy in node.copies])
+    for node in nodes:
+        node.group = group
 
 
-def _build_node(
-    node: SchemeNode,
+def new_ladder(carving: list) -> list:
+    """A copy's ladder over a point set's carving, its clusters' child node
+    lists still empty."""
+    return [
+        LadderLevel(j, c_base, c_new, cover,
+                    [ClusterChild(None if image is None else image[0], []) for image in images])
+        for j, (c_base, c_new, cover, images) in enumerate(carving, start=1)
+    ]
+
+
+def _build_set(
+    owners: list,
     carving: list,
     r: float,
     bound: ApproxBound,
     config: SchemeConfig,
-    path: tuple,
-) -> SchemeNode:
-    """Fill the node's copies with fresh base schemes, and child nodes over
-    the carving of its point set, shared by every copy."""
-    for ci in range(norm_level_copies(bound.p_effective)):
-        seeds = [
-            _seed(config.seed, path + (TAG_NODE_COPY, ci, TAG_BASE, bi))
-            for bi in range(1 if node.t == 2.0 else config.base_copies)
-        ]
-        base = [
-            build_l2_ann(node.ids, node.vectors, r, PRIMITIVE_FAILURE, seed) if node.t == 2.0
-            else build_coarse_ann(node.ids, node.vectors, node.t, r, seed)
-            for seed in seeds
-        ]
-        ladder = []
-        for j, (c_base, c_new, cover, images) in enumerate(carving, start=1):
-            children = []
-            for ki, image in enumerate(images):
-                if image is None:
-                    children.append(ClusterChild(None, []))
-                    continue
-                mazur, sub, sub_carving = image
-                child_copies = [
-                    _build_node(
-                        SchemeNode(t=sub.t, ids=sub.ids, vectors=sub.vectors), sub_carving,
-                        r, bound, config,
-                        path + (TAG_NODE_COPY, ci, TAG_LADDER, j, TAG_CLUSTER, ki, TAG_CHILD, cc),
-                    )
+) -> None:
+    """Fill every node over one point set, given per owner as (node, seed
+    path) pairs as ``link_group`` lists them, with fresh base schemes over
+    the set's carving; then, for every copy at once, the nodes over each
+    point set carved from it; then group the set.
+
+    A point set's schemes are drawn together and stacked into their group
+    right away, carved sets first, so the draws' own arrays are freed for
+    the next set's draws to reuse.
+    """
+    copies = []
+    for block in owners:
+        for node, path in block:
+            for ci in range(norm_level_copies(bound.p_effective)):
+                seeds = [
+                    _seed(config.seed, path + (TAG_NODE_COPY, ci, TAG_BASE, bi))
+                    for bi in range(1 if node.t == 2.0 else config.base_copies)
+                ]
+                base = [
+                    build_l2_ann(node.ids, node.vectors, r, PRIMITIVE_FAILURE, seed)
+                    if node.t == 2.0 else build_coarse_ann(node.ids, node.vectors, node.t, r, seed)
+                    for seed in seeds
+                ]
+                node.copies.append(SchemeCopy(base=base, ladder=new_ladder(carving)))
+                copies.append((node.copies[-1], path + (TAG_NODE_COPY, ci)))
+    for j, (_, _, _, images) in enumerate(carving, start=1):
+        for ki, image in enumerate(images):
+            if image is None:
+                continue
+            sub, kids = image[1], []
+            for copy, path in copies:
+                block = [
+                    (SchemeNode(t=sub.t, ids=sub.ids, vectors=sub.vectors),
+                     path + (TAG_LADDER, j, TAG_CLUSTER, ki, TAG_CHILD, cc))
                     for cc in range(config.child_copies)
                 ]
-                link_groups(child_copies)
-                children.append(ClusterChild(mazur, child_copies))
-            ladder.append(LadderLevel(j, c_base, c_new, cover, children))
-        node.copies.append(SchemeCopy(base=base, ladder=ladder))
-    return node
+                copy.ladder[j - 1].children[ki].copies = [node for node, _ in block]
+                kids.append(block)
+            _build_set(kids, image[2], r, bound, config)
+    link_group([[node for node, _ in block] for block in owners])
 
 
 def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
@@ -467,53 +489,67 @@ def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
     ids, vectors = _dedup(dataset)
     scheme = LpScheme(config=config, d=dataset.d, bound=bound, root=None)
     root = SchemeNode(t=bound.p_effective, ids=ids, vectors=vectors)
-    carving = carve(root, scheme.r_effective, bound)
-    scheme.root = _build_node(root, carving, scheme.r_effective, bound, config, path=())
-    link_groups([scheme.root])
+    _build_set([[(root, ())]], carve(root, scheme.r_effective, bound),
+               scheme.r_effective, bound, config)
+    scheme.root = root
     return scheme
 
 
-def _node_distance(node: SchemeNode, point_id: int, q: np.ndarray) -> float:
-    return float(
-        _kernels.dists_to_point(node.vector_of(point_id).reshape(1, -1), q, node.t)[0]
-    )
+def _walk(owners: list, live: np.ndarray, q: np.ndarray) -> list:
+    """Per owner, (id, node distance, trace) of the first of its node copies,
+    in order, at the least distance, or None: ``owners`` lists per owner its
+    nodes over one point set, as ``link_group`` does, and ``live`` marks the
+    owners to answer.
 
-
-def _query_nodes(nodes: list, q: np.ndarray):
-    """(id, node distance, trace) over sibling nodes, the first in (node,
-    copy) order at the least distance wins; None if no copy answers."""
-    if nodes[0].t == 2.0:
-        hit = query_l2_ann(nodes[0].group, q)
-        return None if hit is None else (hit[0], hit[1], [hit[0]])
-    best = None
-    for node in nodes:
-        starts = query_coarse_ann(node.group, q)
-        for copy, start in zip(node.copies, starts or ()):
-            if start is None:
+    Every node copy of a live owner with a coarse start is a walker, and the
+    walkers climb the point set's shared ladder in lock-step. Per level, one
+    gather routes them all, each routed cluster's map is applied once and
+    its child nodes are walked once for every walker routed there, and one
+    distance call re-verifies every candidate.
+    """
+    nodes = [node for block in owners for node in block]
+    node = nodes[0]
+    if node.t == 2.0:
+        hits = query_l2_ann(node.group, q, live) or [None] * len(owners)
+        return [None if hit is None else (hit[0], hit[1], [hit[0]]) for hit in hits]
+    copies = [copy for n in nodes for copy in n.copies]
+    owner = np.repeat(np.arange(len(owners)), [sum(len(n.copies) for n in block) for block in owners])
+    starts = query_coarse_ann(node.group, q, live[owner]) or [None] * len(copies)
+    walkers = np.array([i for i, s in enumerate(starts) if s is not None], dtype=np.intp)
+    x_id = np.array([starts[i][0] for i in walkers], dtype=np.int64)
+    x_dist = np.array([starts[i][1] for i in walkers], dtype=np.float64)
+    traces = [[int(x)] for x in x_id]
+    for j, level in enumerate(copies[0].ladder):
+        routes = level.cover.covering_ref[node.ids.searchsorted(x_id)]
+        cand = np.zeros(walkers.size, dtype=np.int64)
+        has = np.zeros(walkers.size, dtype=bool)
+        for k in np.unique(routes):
+            routed = np.flatnonzero(routes == k)
+            child, center_id = level.children[k], level.cover.clusters[k].center_id
+            if not child.copies:
+                cand[routed], has[routed] = center_id, True
                 continue
-            res = _refine(node, copy, *start, q)
-            if best is None or res[1] < best[1]:
-                best = res
-    return best
-
-
-def _refine(node: SchemeNode, copy: SchemeCopy, x_id: int, x_dist: float, q: np.ndarray):
-    """Run a copy's ladder from its coarse start (x_id, x_dist)."""
-    trace = [x_id]
-    for lvl in copy.ladder:
-        ci = lvl.cover.covering_ref[node.row_of(x_id)]
-        child, center_id = lvl.children[ci], lvl.cover.clusters[ci].center_id
-        cand_id = center_id
-        if child.copies:
             img_q = mazur_map_apply(child.mazur, q - node.vector_of(center_id))
-            res = _query_nodes(child.copies, img_q)
-            cand_id = None if res is None else res[0]
-        if cand_id is not None:
-            d_cand = _node_distance(node, cand_id, q)
-            if d_cand < x_dist:
-                x_id, x_dist = cand_id, d_cand
-        trace.append(x_id)
-    return (x_id, x_dist, trace)
+            sub_live = np.zeros(len(copies), dtype=bool)
+            sub_live[walkers[routed]] = True
+            res = _walk([copy.ladder[j].children[k].copies for copy in copies], sub_live, img_q)
+            for w in routed:
+                if res[walkers[w]] is not None:
+                    cand[w], has[w] = res[walkers[w]][0], True
+        w = np.flatnonzero(has)
+        if w.size:
+            d_cand = _kernels.dists_to_point(node.vectors[node.ids.searchsorted(cand[w])], q, node.t)
+            better = d_cand < x_dist[w]
+            w = w[better]
+            x_id[w], x_dist[w] = cand[w], d_cand[better]
+        for trace, x in zip(traces, x_id):
+            trace.append(int(x))
+    best = [None] * len(owners)
+    for w, i in enumerate(walkers):
+        o = owner[i]
+        if best[o] is None or x_dist[w] < best[o][1]:
+            best[o] = (int(x_id[w]), float(x_dist[w]), traces[w])
+    return best
 
 
 def _query_vector(q, d: int) -> np.ndarray:
@@ -528,7 +564,7 @@ def _query_vector(q, d: int) -> np.ndarray:
 def query(scheme: LpScheme, q) -> QueryAnswer | None:
     """Answer a near-neighbor query; distance is reported in the original lp."""
     q = _query_vector(q, scheme.d)
-    res = _query_nodes([scheme.root], q)
+    res = _walk([[scheme.root]], np.ones(1, dtype=bool), q)[0]
     if res is None:
         return None
     pid, _, trace = res

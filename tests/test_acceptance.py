@@ -128,12 +128,13 @@ def test_criterion_2_sparse_cover_suite():
 
 class _L2Index:
     def __init__(self, dataset: Dataset, seed: int):
-        self.group = l2_group([build_l2_ann(
+        self.group = l2_group([[build_l2_ann(
             dataset.ids, dataset.vectors, r=1.0, delta_fail=0.05, seed=seed
-        )])
+        )]])
 
     def query(self, q):
-        return query_l2_ann(self.group, q)
+        hits = query_l2_ann(self.group, q)
+        return None if hits is None else hits[0]
 
 
 class _CoarseIndex:

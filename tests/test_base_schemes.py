@@ -31,8 +31,8 @@ from lpann.base_schemes import (
 
 def _l2_id(scheme, q):
     """The id a lone l2 scheme answers, queried as a group of one."""
-    hit = query_l2_ann(l2_group([scheme]), q)
-    return None if hit is None else hit[0]
+    hits = query_l2_ann(l2_group([[scheme]]), q)
+    return None if hits is None else hits[0][0]
 
 
 def _coarse_id(scheme, q):
@@ -98,7 +98,7 @@ def test_l2_determinism():
 def test_l2_dimension_mismatch():
     scheme = build_l2_ann([0], np.zeros((1, 4)), 1.0, 0.1, seed=1)
     with pytest.raises(UsageError):
-        query_l2_ann(l2_group([scheme]), np.zeros(5))
+        query_l2_ann(l2_group([[scheme]]), np.zeros(5))
 
 
 def test_coarse_singleton():
@@ -201,7 +201,7 @@ def test_regrouping_gives_the_same_table_and_answers():
     grids = [build_coarse_ann(np.arange(200), pts, 4.0, 0.3, seed=s) for s in range(3)]
     leaves = [build_l2_ann(np.arange(200), pts, 0.5, 0.1, seed=s) for s in range(3)]
     for regroup, query_fn in ((lambda: coarse_group([grids]), query_coarse_ann),
-                              (lambda: l2_group(leaves), query_l2_ann)):
+                              (lambda: l2_group([leaves]), query_l2_ann)):
         first, second = regroup(), regroup()
         for name in ("rows", "starts", "members"):
             a, b = getattr(first.table, name), getattr(second.table, name)
@@ -277,31 +277,49 @@ def _l2_case(draw):
         proj = draw(arrays(np.float64, (n_tables, k, d), elements=st.integers(-2, 2)))
         offsets = draw(arrays(np.float64, (n_tables, k), elements=st.integers(0, 3)))
         leaves.append((proj, offsets))
-    return x, q, leaves
+    # contiguous owner blocks: a new owner starts at leaf 0 and wherever drawn
+    starts = [True] + draw(st.lists(st.booleans(), min_size=len(leaves) - 1,
+                                    max_size=len(leaves) - 1))
+    owner_of = np.cumsum(starts) - 1
+    owners = int(owner_of[-1]) + 1
+    live = draw(st.lists(st.booleans(), min_size=owners, max_size=owners))
+    return x, q, leaves, owner_of, live
 
 
 def _l2_reference(leaves, x, q):
     """Per leaf: the first candidate within 2r in table order, then member
     order, among at most max_probe members of each bucket; then the first
-    leaf at the least distance. Also the rows measured."""
-    best, rows, per_leaf = None, 0, []
+    leaf at the least distance. Also each leaf's own candidate and the
+    candidates of each bucket it searched, in order."""
+    best, per_leaf, searched = None, [], []
     for leaf in leaves:
-        hit = None
+        hit, buckets = None, []
         for proj, offset in zip(leaf.projections, leaf.offsets):
             key = np.floor((proj @ q + offset) / leaf.w)
             bucket = [i for i in range(len(x))
                       if (np.floor((proj @ x[i] + offset) / leaf.w) == key).all()]
+            if not bucket:
+                continue
             cand = bucket[: leaf.max_probe]
-            rows += len(cand)
+            buckets.append(cand)
             hits = [(i, lp_distance(x[i], q, 2.0)) for i in cand]
             hits = [h for h in hits if h[1] <= 2.0 * leaf.r]
             if hits:
                 hit = hits[0]
                 break
         per_leaf.append(hit)
+        searched.append(buckets)
         if hit is not None and (best is None or hit[1] < best[1]):
             best = hit
-    return best, rows, per_leaf
+    return best, per_leaf, searched
+
+
+def _rows_in_rounds(searched) -> int:
+    """Rows measured when round j measures the distinct candidates of the
+    j-th searched bucket of every leaf."""
+    rounds = max((len(buckets) for buckets in searched), default=0)
+    return sum(len({i for buckets in searched if j < len(buckets) for i in buckets[j]})
+               for j in range(rounds))
 
 
 def _rows_measured(fn, *args):
@@ -321,19 +339,29 @@ def _rows_measured(fn, *args):
 @settings(max_examples=400, deadline=None)
 @given(_l2_case())
 def test_l2_group_matches_per_leaf_loops(case):
-    x, q, draws = case
+    x, q, draws, owner_of, live = case
     ids = 100 + np.arange(len(x))
     leaves = [L2Scheme(ids, x, 1.0, proj, offsets) for proj, offsets in draws]
-    group = l2_group(leaves)
-    expected, expected_rows, per_leaf = _l2_reference(leaves, x, q)
-    answer, rows = _rows_measured(query_l2_ann, group, q)
-    assert answer == (None if expected is None else (int(ids[expected[0]]), expected[1]))
-    # buckets are measured in rounds, none past a leaf's first hit
-    assert rows == expected_rows
+    owners = [[leaf for leaf, o in zip(leaves, owner_of) if o == i] for i in range(len(live))]
+    group = l2_group(owners)
+    expected, searched = [], []
+    for block, alive in zip(owners, live):
+        best, _, block_searched = _l2_reference(block, x, q)
+        expected.append(None if best is None or not alive else (int(ids[best[0]]), best[1]))
+        searched += block_searched if alive else []
+    answer, rows = _rows_measured(query_l2_ann, group, q, live)
+    assert answer == (None if expected == [None] * len(owners) else expected)
+    # buckets are measured in rounds, each distinct candidate once a round,
+    # none past a leaf's first hit and none of a left-out owner
+    assert rows == _rows_in_rounds(searched)
+    # without a mask every owner answers
+    best = [_l2_reference(block, x, q)[0] for block in owners]
+    assert query_l2_ann(group, q) == (None if best == [None] * len(owners) else [
+        None if hit is None else (int(ids[hit[0]]), hit[1]) for hit in best])
     # each leaf answers alone as a group of one
-    for leaf, hit in zip(leaves, per_leaf):
-        assert query_l2_ann(l2_group([leaf]), q) == (
-            None if hit is None else (int(ids[hit[0]]), hit[1]))
+    for leaf, hit in zip(leaves, _l2_reference(leaves, x, q)[1]):
+        assert query_l2_ann(l2_group([[leaf]]), q) == (
+            None if hit is None else [(int(ids[hit[0]]), hit[1])])
 
 
 @st.composite
@@ -349,19 +377,24 @@ def _coarse_case(draw):
         ]
         for _ in range(draw(st.integers(1, 3)))
     ]
-    return x, q, copies
+    return x, q, copies, draw(st.lists(st.booleans(), min_size=len(copies), max_size=len(copies)))
 
 
-def _coarse_reference(scheme, x, q):
-    """Lowest-distance cell representative within c0*r, ties to the lowest row."""
+def _coarse_reps(scheme, x, q) -> set:
+    """The rows representing q's cell in each grid of the scheme."""
     reps = set()
     for shift in scheme.shifts:
         cell = np.floor((q + shift) / scheme.cell_side)
         same = [i for i in range(len(x))
                 if (np.floor((x[i] + shift) / scheme.cell_side) == cell).all()]
         reps.update(same[:1])
+    return reps
+
+
+def _coarse_reference(scheme, x, q):
+    """Lowest-distance cell representative within c0*r, ties to the lowest row."""
     best = None
-    for i in sorted(reps):
+    for i in sorted(_coarse_reps(scheme, x, q)):
         dist = lp_distance(x[i], q, scheme.p)
         if dist <= scheme.c0 * scheme.r and (best is None or dist < best[1]):
             best = (i, dist)
@@ -371,7 +404,7 @@ def _coarse_reference(scheme, x, q):
 @settings(max_examples=400, deadline=None)
 @given(_coarse_case())
 def test_coarse_group_matches_per_scheme_loops(case):
-    x, q, draws = case
+    x, q, draws, live = case
     ids = 100 + np.arange(len(x))
     copies = [[CoarseScheme(ids, x, 4.0, 0.5, shifts) for shifts in base] for base in draws]
     group = coarse_group(copies)
@@ -388,3 +421,10 @@ def test_coarse_group_matches_per_scheme_loops(case):
         expected.append(None if start is None else (int(ids[start[0]]), start[1]))
     answer = query_coarse_ann(group, q)
     assert answer == (None if expected == [None] * len(copies) else expected)
+    # a left-out copy answers None, and only the live copies' distinct
+    # representatives are measured
+    expected = [start if alive else None for start, alive in zip(expected, live)]
+    answer, rows = _rows_measured(query_coarse_ann, group, q, live)
+    assert answer == (None if expected == [None] * len(copies) else expected)
+    assert rows == len(set().union(*(
+        _coarse_reps(scheme, x, q) for base, alive in zip(copies, live) if alive for scheme in base)))

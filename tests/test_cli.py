@@ -73,6 +73,23 @@ def test_build_and_query_roundtrip(tmp_path, capsys):
         assert float(dist) == 0.0
 
 
+@pytest.mark.parametrize("p", ["0", "0.5", "nan"])
+def test_query_file_p_field_is_ignored(tmp_path, capsys, p):
+    data = tmp_path / "data.txt"
+    idx = tmp_path / "scheme.lpann"
+    run_cli(["gen", "--n", "10", "--d", "6", "--p", "4", "--out", str(data)])
+    run_cli(["build", "--input", str(data), "--r", "1.0", "--out", str(idx)])
+    body = data.read_text().splitlines()[1:4]
+    answers = []
+    for header in (f"3 6 {p}", "3 6 4"):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("\n".join([header] + body) + "\n")
+        capsys.readouterr()
+        assert run_cli(["query", "--index", str(idx), "--query-file", str(queries)]) == 0
+        answers.append(capsys.readouterr().out)
+    assert answers[0] == answers[1] and len(answers[0].splitlines()) == 3
+
+
 def test_query_dimension_mismatch_names_both(tmp_path, capsys):
     data = tmp_path / "data.txt"
     idx = tmp_path / "scheme.lpann"

@@ -9,6 +9,7 @@ the built copy dropped, and only then loaded, so the two never coexist.
 """
 
 import gc
+from collections import Counter
 
 import numpy as np
 
@@ -93,8 +94,25 @@ def test_depth2_shape_covers_answers_and_reload(tmp_path, monkeypatch):
     for node, cover in covers.values():
         assert verify_cover(cover, Dataset(node.vectors, node.t, ids=node.ids)).cover_ok
 
+    # a query looks up each point set it visits once: the root's grids, at
+    # each t = 8 step the grids of the t = 4 set its copies route to, and
+    # at each t = 4 step under it the leaves of one t = 2 set
+    calls = Counter()
+    for attr in ("query_l2_ann", "query_coarse_ann"):
+        def counting(*args, _fn=getattr(recursive, attr), _attr=attr):
+            calls[_attr] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(recursive, attr, counting)
+    built = []
+    for q in queries:
+        calls.clear()
+        built += _answers(scheme, [q])
+        assert calls == {"query_coarse_ann": 1 + plan[8.0],
+                         "query_l2_ann": plan[8.0] * plan[4.0]} == {
+                             "query_coarse_ann": 5, "query_l2_ann": 20}
+
     # the r-near queries succeed within c_p r
-    built = _answers(scheme, queries)
     assert all(float.fromhex(a[1]) <= scheme.bound.c_p * R for a in built[:3])
     assert built == GOLDEN_DEPTH2
 

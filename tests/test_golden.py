@@ -291,3 +291,21 @@ def test_loaded_tree_shares_covers_and_images_as_built(kind, tmp_path):
     for index in (scheme, loaded):
         levels = [lvl for node in _nodes(index.root) for copy in node.copies for lvl in copy.ladder]
         assert len({id(lvl.cover) for lvl in levels}) == len(_carved(index)) < len(levels)
+
+
+@pytest.mark.parametrize("kind", ["gauss", "blobs"])
+def test_one_group_per_point_set_built_and_loaded(kind, tmp_path):
+    # the base schemes of every node over one point set, across all parent
+    # copies, form one group, and a loaded tree groups them as the build did
+    scheme, _ = _instance(kind, 5)
+    save_index(scheme, str(tmp_path / "golden.lpann"))
+    loaded = load_index(str(tmp_path / "golden.lpann"))
+    patterns = []
+    for index in (scheme, loaded):
+        nodes = list(_nodes(index.root))
+        point_sets = len({id(n.vectors) for n in nodes})
+        assert len({id(n.group) for n in nodes}) == point_sets < len(nodes)
+        assert len({(id(n.group), id(n.vectors)) for n in nodes}) == point_sets
+        first: dict = {}
+        patterns.append([first.setdefault(id(n.group), len(first)) for n in nodes])
+    assert patterns[0] == patterns[1]

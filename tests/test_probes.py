@@ -60,9 +60,10 @@ def test_probes_see_calls(tmp_path, monkeypatch):
 
 
 def test_one_lookup_per_group(monkeypatch):
-    # a query looks up each t > 2 node's grids, over all its copies, with one
-    # query_coarse_ann call, and the l2 leaves under a ladder step's cluster,
-    # over all child and node copies, with one query_l2_ann call
+    # a query looks up each point set once: the root's grids, over all its
+    # copies, with one query_coarse_ann call, and at each ladder step the l2
+    # leaves of every child and node copy over the cluster the root copies
+    # route to, under all of them, with one query_l2_ann call
     rng = np.random.default_rng(0)
     centers = np.zeros((4, 32))
     centers[:, 0] = 100.0 * math.sqrt(32) * np.arange(4)
@@ -79,10 +80,12 @@ def test_one_lookup_per_group(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(lpann.recursive, attr, counting)
+    steps = len(scheme.root.copies[0].ladder)
+    assert steps == 4 and len(levels) == 12
     for q in data[:8] + 0.01:
         calls.clear()
         assert lpann.query(scheme, q) is not None
-        assert calls == {"query_coarse_ann": 1, "query_l2_ann": len(levels)}
+        assert calls == {"query_coarse_ann": 1, "query_l2_ann": steps}
 
 
 def _nodes(node):

@@ -1,0 +1,162 @@
+"""The lock-step query walk against the per-copy recursion it replaced.
+
+``_Reference`` below is that recursion, kept as a test oracle: it walks
+every node copy's ladder on its own, looks up each sibling set of l2 leaves
+and each node's grids as a group of one owner, and keeps the first node and
+copy at the least distance. ``recursive._walk`` must give the same
+id, distance bits and trace, and it must also do so when the copies over
+one point set route to different clusters at one ladder level, so that a
+group is looked up for some of its owners only.
+"""
+
+import numpy as np
+import pytest
+
+from lpann import Dataset, SchemeConfig, base_schemes, preprocess, query, recursive
+from lpann import _kernels
+
+
+class _Reference:
+    """The per-copy recursion. It records, per query, the clusters that the
+    copies over each point set route to at each ladder step."""
+
+    def __init__(self):
+        self.groups = {}  # one group per sibling set or node, built on first use
+        self.routes = {}
+
+    def _group(self, key, build):
+        if key not in self.groups:
+            self.groups[key] = build()
+        return self.groups[key]
+
+    def query_nodes(self, nodes: list, q: np.ndarray):
+        if nodes[0].t == 2.0:
+            group = self._group(id(nodes), lambda: base_schemes.l2_group(
+                [[leaf for node in nodes for copy in node.copies for leaf in copy.base]]))
+            hits = base_schemes.query_l2_ann(group, q)
+            return None if hits is None else (hits[0][0], hits[0][1], [hits[0][0]])
+        best = None
+        for node in nodes:
+            group = self._group(id(node), lambda: base_schemes.coarse_group(
+                [copy.base for copy in node.copies]))
+            starts = base_schemes.query_coarse_ann(group, q)
+            for copy, start in zip(node.copies, starts or ()):
+                if start is None:
+                    continue
+                res = self.refine(node, copy, *start, q)
+                if best is None or res[1] < best[1]:
+                    best = res
+        return best
+
+    def refine(self, node, copy, x_id: int, x_dist: float, q: np.ndarray):
+        trace = [x_id]
+        for lvl in copy.ladder:
+            ci = lvl.cover.covering_ref[node.row_of(x_id)]
+            self.routes.setdefault((id(node.vectors), lvl.index), set()).add(int(ci))
+            child, center_id = lvl.children[ci], lvl.cover.clusters[ci].center_id
+            cand_id = center_id
+            if child.copies:
+                img_q = recursive.mazur_map_apply(child.mazur, q - node.vector_of(center_id))
+                res = self.query_nodes(child.copies, img_q)
+                cand_id = None if res is None else res[0]
+            if cand_id is not None:
+                d_cand = float(_kernels.dists_to_point(
+                    node.vector_of(cand_id).reshape(1, -1), q, node.t)[0])
+                if d_cand < x_dist:
+                    x_id, x_dist = cand_id, d_cand
+            trace.append(x_id)
+        return (x_id, x_dist, trace)
+
+    def query(self, scheme, q):
+        """(id, distance bits, trace) as ``lpann.query`` reports them, and
+        the number of splits met: (point set, ladder step) pairs at which
+        the copies route to more than one cluster."""
+        self.routes.clear()
+        res = self.query_nodes([scheme.root], q)
+        splits = sum(len(clusters) > 1 for clusters in self.routes.values())
+        if res is None:
+            return None, splits
+        dist = float(_kernels.dists_to_point(
+            scheme.root.vector_of(res[0]).reshape(1, -1), q, scheme.p)[0])
+        return (int(res[0]), float.hex(dist), [int(x) for x in res[2]]), splits
+
+
+def _answer(scheme, q):
+    a = query(scheme, q)
+    return None if a is None else (a.id, float.hex(a.distance), list(a.trace))
+
+
+def _blobs(seed: int):
+    """Six blobs whose centers spread over two coordinates, so covers carve
+    several clusters, and queries: between two blobs, and near points."""
+    n, blobs, d = 60, 6, 32
+    rng = np.random.default_rng(seed)
+    centers = np.zeros((blobs, d))
+    centers[:, :2] = 200.0 * rng.standard_normal((blobs, 2))
+    data = centers[np.arange(n) % blobs] + rng.standard_normal((n, d))
+    a, b = rng.integers(0, n, 30), rng.integers(0, n, 30)
+    between = 0.5 * (data[a] + data[b]) + rng.standard_normal((30, d))
+    near = data[:10] + 0.1 * rng.standard_normal((10, d))
+    return Dataset(data, 4.0), np.vstack([between, near])
+
+
+def _split(seed: int):
+    """Points on a line whose first cover puts two near points, z (id 1)
+    and y (id 2), in different covering clusters, and queries just beside
+    y. Every grid cell holding y almost always holds z too, whose lower id
+    makes it the cell's representative, so a copy starts at y, the nearer,
+    only if one of its grids separates the two: some copies start at z and
+    route to the first cluster, the others at y and route to the second.
+
+    With rho the first cover radius: o (id 3) lies within rho of y but not
+    of z, so z's ball fits in the cluster around v (id 0) and y's does not;
+    y is covered by o's cluster. Twelve far points make n large enough that
+    v's cluster has radius 2 rho.
+    """
+    d, r = 32, 0.2
+    bound = recursive.approximation_bound(SchemeConfig(p=4.0, r=r), d)
+    rho = recursive.ladder_steps(4.0, r, bound)[0][0]
+    line = [0.3 + rho + 10.0, 0.3, 0.1, 0.2 - rho] + [1e4 * (k + 1) for k in range(12)]
+    data = np.zeros((len(line), d))
+    data[:, 0] = line
+    queries = np.zeros((3, d))
+    queries[:, 0] = [0.0, -0.02, 0.04]
+    return Dataset(data, 4.0), queries, r
+
+
+def _check(scheme, queries, monkeypatch) -> tuple:
+    """Assert every answer equals the reference's; return the splits met and
+    whether a leaf group was looked up for some of its owners only."""
+    masked = []
+    real = recursive.query_l2_ann
+
+    def recording(group, q, live=None):
+        masked.append(live is not None and not np.all(live))
+        return real(group, q, live)
+
+    monkeypatch.setattr(recursive, "query_l2_ann", recording)
+    reference = _Reference()
+    splits = 0
+    for q in queries:
+        expected, split = reference.query(scheme, q)
+        splits += split
+        assert _answer(scheme, q) == expected
+    return splits, any(masked)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_walk_matches_per_copy_recursion(seed, monkeypatch):
+    dataset, queries = _blobs(seed)
+    _check(preprocess(dataset, SchemeConfig(p=4.0, r=0.2, seed=seed)), queries, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_walk_matches_per_copy_recursion_when_copies_split(seed, monkeypatch):
+    dataset, queries, r = _split(seed)
+    scheme = preprocess(dataset, SchemeConfig(p=4.0, r=r, seed=seed))
+    cover = scheme.root.copies[0].ladder[0].cover
+    assert cover.covering_ref[1] != cover.covering_ref[2]
+    splits, masked = _check(scheme, queries, monkeypatch)
+    # copies of the root routed to different clusters at one ladder step,
+    # and a leaf group was looked up for some of its owners only
+    assert splits > 0 and masked
