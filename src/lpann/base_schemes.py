@@ -17,14 +17,17 @@ re-verified and a bad candidate set yields ``None`` instead.
 A scheme holds only its draws and the scalars derived from them. Schemes
 over one point array are looked up together as a group (``l2_group``,
 ``coarse_group``): their draws are stacked, and the group builds its buckets
-and cells from them into one flat table, sorted (table, key) rows with CSR
-member groups, never saved. One query hashes every stacked table at once,
-finds its bucket in every table with one ``searchsorted``, and measures the
-candidates with one distance call (one per round for l2 leaves). A group's
-schemes come in contiguous blocks, and a query answers per block: per owner
-for l2 leaves, per copy for grids. A mask leaves blocks out, and their
-buckets and cells are never measured. A lone scheme is queried as a group
-of one.
+and cells from them into one flat table, never saved: each bucket's table
+number and full int64 key, CSR members, and a sorted column of 64-bit
+fingerprints of (table, key), the E2LSH layout of Datar, Immorlica, Indyk
+and Mirrokni (SoCG 2004). One query hashes every stacked table at once,
+finds its bucket in every table with one ``searchsorted`` over the
+fingerprints, confirms each match on the full key, and measures the
+distinct candidates, found by a scatter over the group's points, with one
+distance call (one per round for l2 leaves). A group's schemes come in
+contiguous blocks, and a query answers per block: per owner for l2 leaves,
+per copy for grids. A mask leaves blocks out, and their buckets and cells
+are never measured. A lone scheme is queried as a group of one.
 """
 
 from __future__ import annotations
@@ -45,12 +48,23 @@ def _rng(seed) -> np.random.Generator:
 
 
 def _to_cell_index(values: np.ndarray) -> np.ndarray:
-    """Floor to int64, clipping astronomically scaled inputs into range.
+    """Floor to int64, clipping astronomically scaled inputs into range; the
+    float array values is overwritten on the way.
 
     Clipping can only merge cells of points that distance re-checking would
     reject anyway, so answers stay within their bounds.
     """
-    return np.clip(np.floor(values), -9.2e18, 9.2e18).astype(np.int64)
+    np.floor(values, out=values)
+    np.clip(values, -9.2e18, 9.2e18, out=values)
+    return values.astype(np.int64)
+
+
+def _cells(points: np.ndarray, shifts: np.ndarray, side: float) -> np.ndarray:
+    """Grid cells of points + shifts (broadcast) for cells of the given side,
+    through one float buffer."""
+    buf = points + shifts
+    buf /= side
+    return _to_cell_index(buf)
 
 
 def collision_probability(dist_over_width: float) -> float:
@@ -74,56 +88,114 @@ def num_tables(n: int, delta_fail: float) -> int:
 
 @dataclass
 class _BucketTable:
-    """Points grouped by (table, key). ``rows[g]`` is group g's tagged key
-    (see ``_tagged_rows``), in sorted order; its local indices, ascending,
-    are ``members[starts[g]:starts[g + 1]]``."""
+    """Points grouped by (table, key) into buckets, never saved.
 
-    rows: np.ndarray
+    Bucket b holds the points of table ``tables[b]`` whose int key is
+    ``keys[b]``; its local indices, ascending, are
+    ``members[starts[b]:starts[b + 1]]``, and buckets run table by table.
+    ``fingerprints`` holds every bucket's fingerprint under ``multipliers``
+    (see ``_fingerprints``), all distinct and ascending, and
+    ``by_fingerprint`` the bucket of each. Table numbers and members are
+    int32.
+    """
+
+    fingerprints: np.ndarray  # (B,) uint64
+    by_fingerprint: np.ndarray
+    tables: np.ndarray
+    keys: np.ndarray          # (B, k) int64
     starts: np.ndarray
     members: np.ndarray
+    multipliers: np.ndarray   # (k + 1,) uint64
 
 
-def _tagged_rows(table, keys: np.ndarray) -> np.ndarray:
-    """One opaque row per (table, key) pair, equal iff table and key are. The
-    leading big-endian table number makes the bytewise order sort by table
-    first, so per-table sorted runs concatenate into one sorted array."""
-    rows = np.empty((keys.shape[0], keys.shape[1] + 1), dtype=">i8")
-    rows[:, 0] = table
-    rows[:, 1:] = keys
-    return rows.view(f"V{rows.itemsize * rows.shape[1]}")[:, 0]
+def _multipliers(salt: int, width: int) -> np.ndarray:
+    """Fingerprint salt ``salt``'s uniform 64-bit multipliers for keys of
+    ``width`` ints, then for the table number."""
+    return _rng(salt).integers(0, 2**64, size=width + 1, dtype=np.uint64)
+
+
+def _fingerprints(multipliers, tables, keys: np.ndarray) -> np.ndarray:
+    """The uint64 fingerprint of each (tables[i], keys[i]): a linear form in
+    the key's ints and the table number, wrapping mod 2**64. Under uniform
+    multipliers two distinct pairs share a fingerprint with probability at
+    most 2**(v - 64), where bit v is the lowest bit in which they differ."""
+    out = keys.view(np.uint64) @ multipliers[:-1]
+    out += np.asarray(tables, dtype=np.uint64) * multipliers[-1]
+    return out
+
+
+def _split(multipliers, t: int, keys: np.ndarray):
+    """(order, first) grouping the rows of table t's keys by fingerprint:
+    order sorts them stably, and run j of equal fingerprints begins at
+    order[first[j]]; None if a run holds two different keys."""
+    fp = _fingerprints(multipliers, np.full(keys.shape[0], t), keys)
+    order = fp.argsort(kind="stable")
+    new = _run_starts(fp[order])
+    within = np.flatnonzero(~new)
+    if (keys[order[within]] != keys[order[within - 1]]).any():
+        return None
+    return order, np.flatnonzero(new)
 
 
 def _bucket_table(tables) -> _BucketTable:
     """Group the points of each table of int keys, an iterable of (m, k)
-    arrays numbered in order, by key, with one stable sort per table so every
-    group lists its members in ascending order."""
-    rows, starts, members, base = [], [], [], 0
-    for t, keys in enumerate(tables):
-        tagged = _tagged_rows(t, keys)
-        order = np.argsort(tagged, kind="stable")
-        tagged = tagged[order]
-        # compared as int rows, as in _lookup
-        as_int = tagged.view(">i8").reshape(order.size, keys.shape[1] + 1)
-        first = np.flatnonzero(np.r_[True, (as_int[1:] != as_int[:-1]).any(axis=1)])
-        rows.append(tagged[first])
+    arrays numbered in order, into buckets by key, a table at a time.
+
+    Fingerprints start from salt 0's multipliers. A fingerprint run holding
+    two keys, or two buckets sharing a fingerprint, moves every fingerprint
+    on to the next salt; the salts follow a fixed sequence, so a rebuild
+    gives the same table. Each salt separates two given distinct (table,
+    key) pairs with probability at least 1/2, so the sequence ends.
+    """
+    salt, multipliers = 0, None
+    table_of, keys, starts, members, base = [], [], [], [], 0
+    for t, table_keys in enumerate(tables):
+        if multipliers is None:
+            multipliers = _multipliers(salt, table_keys.shape[1])
+        while (split := _split(multipliers, t, table_keys)) is None:
+            salt += 1
+            multipliers = _multipliers(salt, table_keys.shape[1])
+        order, first = split
+        table_of.append(np.full(first.size, t, dtype=np.int32))
+        keys.append(table_keys[order[first]])
         starts.append(first + base)
-        members.append(order)
+        members.append(order.astype(np.int32))
         base += order.size
     starts.append([base])
-    return _BucketTable(np.concatenate(rows), np.concatenate(starts), np.concatenate(members))
+    table_of, keys = np.concatenate(table_of), np.concatenate(keys)
+    while True:
+        fp = _fingerprints(multipliers, table_of, keys)
+        by_fingerprint = fp.argsort()
+        fp = fp[by_fingerprint]
+        if not (fp[1:] == fp[:-1]).any():
+            break
+        salt += 1
+        multipliers = _multipliers(salt, keys.shape[1])
+    return _BucketTable(fp, by_fingerprint, table_of, keys, np.concatenate(starts),
+                        np.concatenate(members), multipliers)
 
 
 def _lookup(table: _BucketTable, keys: np.ndarray):
-    """(i, group) for every keys[i] found in table i, in order of i, from one
-    search over all tables (a key past the last row is clipped and fails the
-    compare)."""
-    tagged = _tagged_rows(np.arange(keys.shape[0]), keys)
-    pos = table.rows.searchsorted(tagged)
-    # compared as int rows, about 3x faster than comparing the void rows
-    width = tagged.itemsize // 8
-    near = table.rows.take(pos, mode="clip").view(">i8").reshape(-1, width)
-    found = np.flatnonzero((near == tagged.view(">i8").reshape(-1, width)).all(axis=1))
-    return found, pos[found]
+    """(i, bucket) for every keys[i] found in table i, in order of i, from
+    one search over the fingerprint column. A match counts only if its
+    bucket's table number and full key are the query's (and then so is its
+    fingerprint); a fingerprint past the last is clipped and fails."""
+    tables = np.arange(keys.shape[0])
+    pos = table.fingerprints.searchsorted(_fingerprints(table.multipliers, tables, keys))
+    bucket = table.by_fingerprint.take(pos, mode="clip")
+    found = np.flatnonzero((table.tables[bucket] == tables) & (table.keys[bucket] == keys).all(axis=1))
+    return found, bucket[found]
+
+
+def _distinct(rows: np.ndarray, m: int):
+    """``np.unique(rows, return_inverse=True)`` for indices below m, by a
+    scatter over the m rows instead of a sort."""
+    mark = np.zeros(m, dtype=bool)
+    mark[rows] = True
+    distinct = np.flatnonzero(mark)
+    position = np.empty(m, dtype=np.intp)
+    position[distinct] = np.arange(distinct.size)
+    return distinct, position[rows]
 
 
 def _stack(schemes: list, names: tuple) -> tuple[list, np.ndarray]:
@@ -182,7 +254,9 @@ class L2Scheme:
 def _l2_keys(projections, offsets, w: float, vecs: np.ndarray) -> np.ndarray:
     """Bucket keys for each (table, vector): int array (L, m, k)."""
     proj = np.einsum("lkd,md->lmk", projections, vecs)
-    return _to_cell_index((proj + offsets[:, None, :]) / w)
+    proj += offsets[:, None, :]
+    proj /= w
+    return _to_cell_index(proj)
 
 
 def build_l2_ann(ids, vectors, r: float, delta_fail: float, seed) -> L2Scheme:
@@ -273,7 +347,7 @@ def query_l2_ann(group: L2Group, q, live=None):
     found, buckets = _lookup(group.table, keys)
     leaf = group.leaf_of[found]  # ascends: stacked tables are in leaf order
     rank = np.arange(found.size) - leaf.searchsorted(leaf)
-    starts, members = group.table.starts, group.table.members
+    starts, members, m = group.table.starts, group.table.members, len(lead.vectors)
     hit_row = np.zeros(len(group.leaves), dtype=np.intp)
     hit_dist = np.full(len(group.leaves), np.inf)
     pending = np.ones(len(group.leaves), dtype=bool)
@@ -286,7 +360,7 @@ def query_l2_ann(group: L2Group, q, live=None):
         lo = starts[buckets[sel]]
         size = np.minimum(starts[buckets[sel] + 1] - lo, group.max_probe[found[sel]])
         cand = members[np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)]
-        rows, inv = np.unique(cand, return_inverse=True)  # leaves share candidates
+        rows, inv = _distinct(cand, m)  # leaves share candidates
         dists = _kernels.dists_to_point(lead.vectors[rows], q, 2.0)[inv]
         ok = np.flatnonzero(dists <= 2.0 * lead.r)
         if not ok.size:
@@ -384,7 +458,7 @@ def coarse_group(copies: list) -> CoarseGroup:
     table, a grid at a time. A lone scheme is the group ``[[scheme]]``."""
     schemes = [s for base in copies for s in base]
     table = _bucket_table(
-        _to_cell_index((s.vectors + shift) / s.cell_side) for s in schemes for shift in s.shifts
+        _cells(s.vectors, shift, s.cell_side) for s in schemes for shift in s.shifts
     )
     (shifts,), scheme_of = _stack(schemes, ("shifts",))
     copy_of = np.repeat(np.arange(len(copies)), [len(base) for base in copies])
@@ -401,7 +475,7 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
     """
     lead = group.schemes[0]
     q = _query_point(q, lead.vectors.shape[1])
-    cells = _to_cell_index((q + group.shifts) / lead.cell_side)
+    cells = _cells(q, group.shifts, lead.cell_side)
     found, cells = _lookup(group.table, cells)
     if live is not None:
         keep = np.asarray(live, dtype=bool)[group.copy_of[group.scheme_of[found]]]
@@ -410,7 +484,7 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
         return None
     # a cell's representative is its lowest local index, the group's first member
     reps = group.table.members[group.table.starts[cells]]
-    cand, inv = np.unique(reps, return_inverse=True)
+    cand, inv = _distinct(reps, len(lead.vectors))
     dists = _kernels.dists_to_point(lead.vectors[cand], q, lead.p)[inv]
     ok = np.flatnonzero(dists <= lead.c0 * lead.r)
     if not ok.size:

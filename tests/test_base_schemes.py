@@ -22,7 +22,9 @@ from lpann.base_schemes import (
     CoarseScheme,
     L2Scheme,
     _bucket_table,
+    _distinct,
     _lookup,
+    _multipliers,
     _to_cell_index,
     collision_probability,
     num_tables,
@@ -203,7 +205,8 @@ def test_regrouping_gives_the_same_table_and_answers():
     for regroup, query_fn in ((lambda: coarse_group([grids]), query_coarse_ann),
                               (lambda: l2_group([leaves]), query_l2_ann)):
         first, second = regroup(), regroup()
-        for name in ("rows", "starts", "members"):
+        for name in ("fingerprints", "by_fingerprint", "tables", "keys", "starts", "members",
+                     "multipliers"):
             a, b = getattr(first.table, name), getattr(second.table, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         for q in queries:
@@ -216,17 +219,30 @@ KEY_VALUES = [*_to_cell_index(np.array([-1e300, 1e300])).tolist(), -2, -1, 0, 1,
 
 @st.composite
 def _keys_and_probes(draw):
-    t, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    """(keys, probes): t tables of m keys each, and probe keys, one per
+    table. Narrow keys are drawn freely; wide ones (past 64 ints) are rows
+    of a small palette of one base row with a few entries changed, so
+    distinct keys often differ in a single entry, anywhere in the row."""
+    t, m = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    k = draw(st.one_of(st.integers(1, 3), st.integers(65, 80)))
     elements = st.sampled_from(KEY_VALUES)
-    keys = draw(arrays(np.int64, (t, m, k), elements=elements))
-    probes = draw(st.lists(arrays(np.int64, (t, k), elements=elements), max_size=4))
+    if k <= 3:
+        keys = draw(arrays(np.int64, (t, m, k), elements=elements))
+        probes = draw(st.lists(arrays(np.int64, (t, k), elements=elements), max_size=4))
+        return keys, probes
+    palette = np.tile(draw(arrays(np.int64, k, elements=elements)), (6, 1))
+    for row in palette[1:]:
+        for j in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2)):
+            row[j] = draw(elements)
+    rows = st.integers(0, len(palette) - 1)
+    keys = palette[draw(arrays(np.intp, (t, m), elements=rows))]
+    probes = [palette[draw(arrays(np.intp, t, elements=rows))] for _ in range(draw(st.integers(0, 4)))]
     return keys, probes
 
 
-@settings(max_examples=200, deadline=None)
-@given(_keys_and_probes())
-def test_bucket_table_matches_dict_reference(case):
-    keys, probes = case
+def _dict_reference_check(keys, probes):
+    """The table of keys finds the members of every stored key of every
+    point, then of every probe key, as a dict of (table, key) tuples does."""
     reference = {}
     for t in range(keys.shape[0]):
         for local, key in enumerate(map(tuple, keys[t])):
@@ -244,6 +260,68 @@ def test_bucket_table_matches_dict_reference(case):
             for g in _lookup(table, probe)[1]
         ]
         assert found == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_keys_and_probes())
+def test_bucket_table_matches_dict_reference(case):
+    _dict_reference_check(*case)
+
+
+def _degenerate(multipliers):
+    """_multipliers with salt 0 replaced by the given degenerate
+    multipliers (key entries, then table number), and the salts asked for."""
+    salts = []
+
+    def patched(salt, width):
+        salts.append(salt)
+        if salt == 0:
+            return np.array([multipliers[0]] * width + [multipliers[1]], dtype=np.uint64)
+        return _multipliers(salt, width)
+
+    return mock.patch("lpann.base_schemes._multipliers", patched), salts
+
+
+# the fingerprint is the table number (buckets of one table collide) or the
+# key's sum (one key in every table collides across tables)
+@pytest.mark.parametrize("multipliers", [(0, 1), (1, 0)])
+def test_fingerprint_collision_moves_to_a_later_salt(multipliers):
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((200, 16))
+    queries = pts[:30] + 0.1 * rng.standard_normal((30, 16))
+    grids = [build_coarse_ann(np.arange(200), pts, 4.0, 0.3, seed=s) for s in range(3)]
+    leaves = [build_l2_ann(np.arange(200), pts, 0.5, 0.1, seed=s) for s in range(3)]
+    keys = np.tile(rng.integers(-2, 3, size=(1, 1, 70)), (3, 5, 1))  # one key per table
+    keys[0, 1:3, 67] += 1  # two in table 0, differing past the 64th entry
+    for regroup, query_fn in ((lambda: coarse_group([grids]), query_coarse_ann),
+                              (lambda: l2_group([leaves]), query_l2_ann)):
+        unforced = regroup()
+        patch, salts = _degenerate(multipliers)
+        with patch:
+            forced = regroup()
+        assert max(salts) > 0 and salts == sorted(salts)
+        width = unforced.table.keys.shape[1]
+        assert forced.table.multipliers.tobytes() == _multipliers(max(salts), width).tobytes()
+        for q in queries:
+            assert query_fn(forced, q) == query_fn(unforced, q)
+    patch, salts = _degenerate(multipliers)
+    with patch:
+        _dict_reference_check(keys, [keys[:, 0], keys[:, 1] + 1])
+    assert max(salts) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.one_of(st.lists(st.integers(0, m - 1), max_size=60),
+              st.integers(0, m - 1).flatmap(lambda i: st.lists(st.just(i), max_size=60))))))
+def test_distinct_matches_np_unique(case):
+    m, rows = case
+    rows = np.array(rows, dtype=np.intp)
+    distinct, inverse = _distinct(rows, m)
+    expected, expected_inverse = np.unique(rows, return_inverse=True)
+    assert distinct.tolist() == expected.tolist()
+    assert inverse.tolist() == expected_inverse.tolist()
 
 
 # Grouped lookups against slow per-scheme loops. Points, queries, projections
