@@ -17,14 +17,18 @@ re-verified and a bad candidate set yields ``None`` instead.
 A scheme holds only its draws and the scalars derived from them. Schemes
 over one point array are looked up together as a group (``l2_group``,
 ``coarse_group``): their draws are stacked, and the group builds its buckets
-and cells from them into one flat table, never saved: each bucket's table
-number and full int64 key, CSR members, and a sorted column of 64-bit
-fingerprints of (table, key), the E2LSH layout of Datar, Immorlica, Indyk
-and Mirrokni (SoCG 2004). One query hashes every stacked table at once,
-finds its bucket in every table with one ``searchsorted`` over the
-fingerprints, confirms each match on the full key, and measures the
-distinct candidates, found by a scatter over the group's points, with one
-distance call (one per round for l2 leaves). A group's schemes come in
+and cells from them, a table at a time, into one flat table, never saved,
+that keeps only what a query reads: a sorted column of 64-bit fingerprints
+of (table, key), the E2LSH layout of Datar, Immorlica, Indyk and Mirrokni
+(SoCG 2004), each bucket's table number, and CSR members. An l2 bucket
+keeps its full int64 key and its first ``max_probe`` members; a grid cell
+keeps one member, its representative, and no key, for the cell is
+recomputed from the representative. One query hashes every stacked table
+at once, finds its bucket in every table with one ``searchsorted`` over the
+fingerprints, confirms each match on the full key (for grids, only the
+matches it answers with), and measures the distinct candidates, found by a
+scatter over the group's points, with one distance call (one per round for
+l2 leaves). A group's schemes come in
 contiguous blocks, and a query answers per block: per owner for l2 leaves,
 per copy for grids. A mask leaves blocks out, and their buckets and cells
 are never measured. A lone scheme is queried as a group of one.
@@ -33,6 +37,7 @@ are never measured. A lone scheme is queried as a group of one.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,24 +93,30 @@ def num_tables(n: int, delta_fail: float) -> int:
 
 @dataclass
 class _BucketTable:
-    """Points grouped by (table, key) into buckets, never saved.
+    """Points grouped by (table, key) into buckets, never saved, keeping only
+    what a lookup reads.
 
-    Bucket b holds the points of table ``tables[b]`` whose int key is
-    ``keys[b]``; its local indices, ascending, are
-    ``members[starts[b]:starts[b + 1]]``, and buckets run table by table.
-    ``fingerprints`` holds every bucket's fingerprint under ``multipliers``
-    (see ``_fingerprints``), all distinct and ascending, and
-    ``by_fingerprint`` the bucket of each. Table numbers and members are
-    int32.
+    Bucket b belongs to table ``tables[b]``, and buckets run table by table.
+    It keeps the lowest local indices of its points, ascending, at most its
+    table's cap: ``members[starts[b]:starts[b + 1]]``. Its int key is
+    ``keys[b]``, or, where ``keys`` is None, recomputed from its first
+    member by the ``rekey`` the table was built with. ``fingerprints``
+    holds every bucket's fingerprint under ``multipliers`` (see
+    ``_fingerprints``), all distinct and ascending, and ``by_fingerprint``
+    the bucket of each. Table numbers and members are int32.
     """
 
     fingerprints: np.ndarray  # (B,) uint64
     by_fingerprint: np.ndarray
     tables: np.ndarray
-    keys: np.ndarray          # (B, k) int64
     starts: np.ndarray
     members: np.ndarray
     multipliers: np.ndarray   # (k + 1,) uint64
+    keys: np.ndarray | None   # (B, k) int64
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in vars(self).values() if a is not None)
 
 
 def _multipliers(salt: int, width: int) -> np.ndarray:
@@ -125,21 +136,29 @@ def _fingerprints(multipliers, tables, keys: np.ndarray) -> np.ndarray:
 
 
 def _split(multipliers, t: int, keys: np.ndarray):
-    """(order, first) grouping the rows of table t's keys by fingerprint:
-    order sorts them stably, and run j of equal fingerprints begins at
-    order[first[j]]; None if a run holds two different keys."""
+    """(order, first, fingerprints) grouping the rows of table t's keys by
+    fingerprint: order sorts them stably, and run j of equal fingerprints
+    begins at order[first[j]] and has fingerprints[j]; None if a run holds
+    two different keys."""
     fp = _fingerprints(multipliers, np.full(keys.shape[0], t), keys)
     order = fp.argsort(kind="stable")
-    new = _run_starts(fp[order])
+    fp = fp[order]
+    new = _run_starts(fp)
     within = np.flatnonzero(~new)
     if (keys[order[within]] != keys[order[within - 1]]).any():
         return None
-    return order, np.flatnonzero(new)
+    first = np.flatnonzero(new)
+    return order, first, fp[first]
 
 
-def _bucket_table(tables) -> _BucketTable:
-    """Group the points of each table of int keys, an iterable of (m, k)
-    arrays numbered in order, into buckets by key, a table at a time.
+def _bucket_table(tables, rekey=None) -> _BucketTable:
+    """Group the points of each table into buckets by key, a table at a time.
+
+    ``tables`` iterates over one (keys, cap) pair per table, numbered in
+    order: the points' int keys, an (m, k) array, and the most members a
+    bucket of the table keeps. A table's keys are dropped once it is
+    grouped, and every bucket's key is kept, unless ``rekey(t, rows)``
+    recomputes the keys of table t's local rows bit for bit; then none is.
 
     Fingerprints start from salt 0's multipliers. A fingerprint run holding
     two keys, or two buckets sharing a fingerprint, moves every fingerprint
@@ -147,43 +166,68 @@ def _bucket_table(tables) -> _BucketTable:
     gives the same table. Each salt separates two given distinct (table,
     key) pairs with probability at least 1/2, so the sequence ends.
     """
-    salt, multipliers = 0, None
-    table_of, keys, starts, members, base = [], [], [], [], 0
-    for t, table_keys in enumerate(tables):
+    salt, multipliers, base = 0, None, 0
+    keys, runs, members, caps, fps, salts = [], [], [], [], [], []
+    for table_keys, cap in tables:
         if multipliers is None:
             multipliers = _multipliers(salt, table_keys.shape[1])
-        while (split := _split(multipliers, t, table_keys)) is None:
+        while (split := _split(multipliers, len(fps), table_keys)) is None:
             salt += 1
             multipliers = _multipliers(salt, table_keys.shape[1])
-        order, first = split
-        table_of.append(np.full(first.size, t, dtype=np.int32))
-        keys.append(table_keys[order[first]])
-        starts.append(first + base)
+        order, first, fp = split
+        runs.append(first + base)
         members.append(order.astype(np.int32))
         base += order.size
-    starts.append([base])
-    table_of, keys = np.concatenate(table_of), np.concatenate(keys)
+        caps.append(cap)
+        fps.append(fp)
+        salts.append(salt)
+        if rekey is None:
+            keys.append(table_keys[order[first]])
+        del table_keys  # before the next table's keys are made
+    # keep each bucket's first members, at most its table's cap
+    counts = [fp.size for fp in fps]
+    first = np.concatenate(runs)
+    kept = np.minimum(np.diff(first, append=base), np.repeat(caps, counts))
+    ends = np.cumsum(kept)
+    members = np.concatenate(members)[np.arange(ends[-1]) + np.repeat(first - (ends - kept), kept)]
+    starts = np.concatenate([[0], ends])
+    keys = np.concatenate(keys) if rekey is None else None
+    bounds = np.cumsum([0] + counts)
     while True:
-        fp = _fingerprints(multipliers, table_of, keys)
+        # fingerprint again every table split under an earlier salt
+        for stale in np.flatnonzero(np.array(salts) != salt):
+            buckets = np.arange(bounds[stale], bounds[stale + 1])
+            stored = keys[buckets] if rekey is None else rekey(stale, members[starts[buckets]])
+            fps[stale], salts[stale] = _fingerprints(multipliers, stale, stored), salt
+        fp = np.concatenate(fps)
         by_fingerprint = fp.argsort()
         fp = fp[by_fingerprint]
         if not (fp[1:] == fp[:-1]).any():
             break
         salt += 1
-        multipliers = _multipliers(salt, keys.shape[1])
-    return _BucketTable(fp, by_fingerprint, table_of, keys, np.concatenate(starts),
-                        np.concatenate(members), multipliers)
+        multipliers = _multipliers(salt, multipliers.size - 1)
+    tables = np.repeat(np.arange(len(fps), dtype=np.int32), counts)
+    return _BucketTable(fp, by_fingerprint, tables, starts, members, multipliers, keys)
 
 
 def _lookup(table: _BucketTable, keys: np.ndarray):
     """(i, bucket) for every keys[i] found in table i, in order of i, from
     one search over the fingerprint column. A match counts only if its
-    bucket's table number and full key are the query's (and then so is its
-    fingerprint); a fingerprint past the last is clipped and fails."""
+    bucket's table number is i and its key is keys[i] (and then so is its
+    fingerprint); a fingerprint past the last is clipped and fails. A table
+    without keys matches on the fingerprint and leaves the key to the
+    caller (``query_coarse_ann`` recomputes it for the matches it would
+    answer with)."""
     tables = np.arange(keys.shape[0])
-    pos = table.fingerprints.searchsorted(_fingerprints(table.multipliers, tables, keys))
+    fp = _fingerprints(table.multipliers, tables, keys)
+    pos = table.fingerprints.searchsorted(fp)
     bucket = table.by_fingerprint.take(pos, mode="clip")
-    found = np.flatnonzero((table.tables[bucket] == tables) & (table.keys[bucket] == keys).all(axis=1))
+    found = table.tables[bucket] == tables
+    if table.keys is None:
+        found &= table.fingerprints.take(pos, mode="clip") == fp
+    else:
+        found &= (table.keys[bucket] == keys).all(axis=1)
+    found = np.flatnonzero(found)
     return found, bucket[found]
 
 
@@ -297,9 +341,9 @@ class L2Group:
     """l2 leaves over one point array and radius, looked up together.
 
     Stacked table i (``projections[i]``, ``offsets[i]``) belongs to leaf
-    ``leaf_of[i]``, which probes at most ``max_probe[i]`` members of a
-    bucket, and is table i of ``table``; leaf l belongs to owner
-    ``owner_of[l]`` of ``owners``.
+    ``leaf_of[i]`` and is table i of ``table``, whose buckets keep the
+    leaf's first ``max_probe`` members, all a query probes; leaf l belongs
+    to owner ``owner_of[l]`` of ``owners``.
     """
 
     leaves: list
@@ -308,7 +352,6 @@ class L2Group:
     projections: np.ndarray  # (T, k, d)
     offsets: np.ndarray      # (T, k)
     leaf_of: np.ndarray
-    max_probe: np.ndarray
     table: _BucketTable = field(repr=False)
 
 
@@ -320,13 +363,12 @@ def l2_group(owners: list) -> L2Group:
     # each leaf's keys from its own (L, k, d) projections, before stacking:
     # an einsum of another shape may round differently at a bucket edge
     table = _bucket_table(
-        keys for leaf in leaves
+        (keys, leaf.max_probe) for leaf in leaves
         for keys in _l2_keys(leaf.projections, leaf.offsets, leaf.w, leaf.vectors)
     )
     (projections, offsets), leaf_of = _stack(leaves, ("projections", "offsets"))
-    probes = np.array([leaf.max_probe for leaf in leaves])[leaf_of]
     owner_of = np.repeat(np.arange(len(owners)), [len(block) for block in owners])
-    return L2Group(leaves, owner_of, len(owners), projections, offsets, leaf_of, probes, table)
+    return L2Group(leaves, owner_of, len(owners), projections, offsets, leaf_of, table)
 
 
 def query_l2_ann(group: L2Group, q, live=None):
@@ -358,7 +400,7 @@ def query_l2_ann(group: L2Group, q, live=None):
         if not sel.size:
             break
         lo = starts[buckets[sel]]
-        size = np.minimum(starts[buckets[sel] + 1] - lo, group.max_probe[found[sel]])
+        size = starts[buckets[sel] + 1] - lo
         cand = members[np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)]
         rows, inv = _distinct(cand, m)  # leaves share candidates
         dists = _kernels.dists_to_point(lead.vectors[rows], q, 2.0)[inv]
@@ -441,8 +483,10 @@ def build_coarse_ann(ids, vectors, p: float, r: float, seed) -> CoarseScheme:
 class CoarseGroup:
     """The grid schemes of node copies over one point array, looked up
     together. Stacked grid i (``shifts[i]``) belongs to scheme
-    ``scheme_of[i]`` of ``schemes`` and is table i of ``table``; scheme s
-    belongs to copy ``copy_of[s]`` of ``copies``."""
+    ``scheme_of[i]`` of ``schemes`` and is table i of ``table``, which keeps
+    one member per occupied cell, its lowest local index, and no cell:
+    ``_cell_rekey`` recomputes it. Scheme s belongs to copy ``copy_of[s]``
+    of ``copies``."""
 
     schemes: list
     copy_of: np.ndarray
@@ -452,15 +496,21 @@ class CoarseGroup:
     table: _BucketTable = field(repr=False)
 
 
+def _cell_rekey(vectors: np.ndarray, shifts: np.ndarray, side: float) -> Callable:
+    """The cells of local rows in stacked grids t. ``_cells`` is elementwise,
+    so a row's cell is the same bit for bit whatever it is computed with."""
+    return lambda t, rows: _cells(vectors[rows], shifts[t], side)
+
+
 def coarse_group(copies: list) -> CoarseGroup:
     """Group the grid schemes of each copy (a list of lists of schemes built
     over one point array for one norm and radius) and build their one cell
     table, a grid at a time. A lone scheme is the group ``[[scheme]]``."""
     schemes = [s for base in copies for s in base]
-    table = _bucket_table(
-        _cells(s.vectors, shift, s.cell_side) for s in schemes for shift in s.shifts
-    )
     (shifts,), scheme_of = _stack(schemes, ("shifts",))
+    vectors, side = schemes[0].vectors, schemes[0].cell_side
+    table = _bucket_table(((_cells(vectors, shift, side), 1) for shift in shifts),
+                          _cell_rekey(vectors, shifts, side))
     copy_of = np.repeat(np.arange(len(copies)), [len(base) for base in copies])
     return CoarseGroup(schemes, copy_of, len(copies), shifts, scheme_of, table)
 
@@ -476,24 +526,32 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
     lead = group.schemes[0]
     q = _query_point(q, lead.vectors.shape[1])
     cells = _cells(q, group.shifts, lead.cell_side)
-    found, cells = _lookup(group.table, cells)
+    found, buckets = _lookup(group.table, cells)  # fingerprint matches, cells unconfirmed
     if live is not None:
         keep = np.asarray(live, dtype=bool)[group.copy_of[group.scheme_of[found]]]
-        found, cells = found[keep], cells[keep]
+        found, buckets = found[keep], buckets[keep]
     if not found.size:
         return None
-    # a cell's representative is its lowest local index, the group's first member
-    reps = group.table.members[group.table.starts[cells]]
+    # a cell's representative is its lowest local index, its one member
+    reps = group.table.members[group.table.starts[buckets]]
     cand, inv = _distinct(reps, len(lead.vectors))
     dists = _kernels.dists_to_point(lead.vectors[cand], q, lead.p)[inv]
     ok = np.flatnonzero(dists <= lead.c0 * lead.r)
-    if not ok.size:
-        return None
-    reps, dists, which = reps[ok], dists[ok], group.scheme_of[found[ok]]
+    grids, reps, dists = found[ok], reps[ok], dists[ok]
+    which = group.scheme_of[grids]
     copy = group.copy_of[which]
-    # per copy: least distance, then first scheme, then lowest row
+    # per copy: least distance, then first scheme, then lowest row; a match
+    # counts once its representative's recomputed cell is the query's, so
+    # only each copy's best match still untried is recomputed
     order = np.lexsort((reps, which, dists, copy))
+    rekey = _cell_rekey(lead.vectors, group.shifts, lead.cell_side)
     starts = [None] * group.copies
-    for i in order[_run_starts(copy[order])]:
-        starts[copy[i]] = (int(lead.ids[reps[i]]), float(dists[i]))
-    return starts
+    answered, tried = np.zeros(group.copies, dtype=bool), np.zeros(reps.size, dtype=bool)
+    while order.size:
+        best = order[_run_starts(copy[order])]
+        sure = best[(rekey(grids[best], reps[best]) == cells[grids[best]]).all(axis=1)]
+        for i in sure:
+            starts[copy[i]] = (int(lead.ids[reps[i]]), float(dists[i]))
+        answered[copy[sure]], tried[best] = True, True
+        order = order[~(answered[copy[order]] | tried[order])]
+    return starts if answered.any() else None

@@ -25,9 +25,11 @@ one per point set, that build one bucket table each from their schemes'
 draws (``link_group``), all built before ``load_index`` returns. A loaded index
 equals the saved one bit for bit, and shares covers and images as it does.
 
-Only the current format version loads. A file that fails its checksum, is
-truncated, names an unknown block, lacks or mistypes a header key, or whose
-blocks break the index's invariants raises ``UsageError``.
+Only the current format version loads. The loader reads the file once, in
+order, each block straight into an array of its own, and decodes it only
+after the checksum matches. A file that fails its checksum, is truncated,
+names an unknown block, lacks or mistypes a header key, or whose blocks
+overlap or break the index's invariants raises ``UsageError``.
 """
 
 from __future__ import annotations
@@ -70,13 +72,15 @@ class _BlockWriter:
         self.offset = 0
 
     def add(self, array) -> str:
+        """Name the array's block; its bytes are written from the array
+        itself, which is copied only if its dtype or layout differs."""
         arr = np.asarray(array)
         code = "<i8" if arr.dtype.kind in "iu" else "<f8"
-        raw = np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes()
+        raw = np.ascontiguousarray(arr, dtype=_DTYPES[code]).reshape(-1).view(np.uint8)
         name = f"b{len(self.blocks)}"
         self.table[name] = {"offset": self.offset, "dtype": code, "shape": list(arr.shape)}
         self.blocks.append(raw)
-        self.offset += len(raw)
+        self.offset += raw.size
         return name
 
 
@@ -175,27 +179,17 @@ def _int(meta: dict, key: str) -> int:
 
 
 class _BlockReader:
-    def __init__(self, buf, table: dict, data_start: int):
-        self.buf = buf
-        self.table = table
-        self.data_start = data_start
+    """Hands each block out once, and forgets it: a group stacks its
+    schemes' draws, and a block no scheme holds any more is freed."""
+
+    def __init__(self, blocks: dict):
+        self.blocks = blocks
 
     def get(self, name: str) -> np.ndarray:
-        meta = self.table.get(name)
-        if not isinstance(meta, dict):
-            raise UsageError(f"block {name!r} is missing from the block table")
-        dtype = _DTYPES.get(meta.get("dtype"))
-        if dtype is None:
-            raise UsageError(f"block {name!r} has unknown dtype {meta.get('dtype')!r}")
-        shape = meta.get("shape")
-        if not isinstance(shape, list) or not all(_typed(x, int, "shape") >= 0 for x in shape):
-            raise UsageError(f"block {name!r} has malformed shape {shape!r}")
-        start = self.data_start + _int(meta, "offset")
-        count = math.prod(shape)
-        if start < self.data_start or start + count * dtype.itemsize > len(self.buf):
-            raise UsageError(f"block {name!r} lies outside the file")
-        arr = np.frombuffer(self.buf, dtype=dtype, count=count, offset=start)
-        return arr.reshape(shape).copy()
+        arr = self.blocks.pop(name, None)
+        if arr is None:
+            raise UsageError(f"block {name!r} is missing from the block table or named twice")
+        return arr
 
 
 def _require(ok, what: str) -> None:
@@ -318,27 +312,81 @@ def _decode_scheme(header: dict, reader: _BlockReader) -> LpScheme:
     return scheme
 
 
-def load_index(path: str) -> LpScheme:
-    """Load an index written by :func:`save_index`."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    if len(buf) < 16 or buf[:8] != MAGIC:
-        raise UsageError(f"{path}: not an lpann index file")
-    (header_len,) = struct.unpack("<Q", buf[8:16])
-    if 16 + header_len > len(buf):
-        raise UsageError(f"{path}: truncated header")
+def _crc_through(f, count: int, crc: int) -> int:
+    """crc carried over the next count bytes of f, read a MiB at a time."""
+    while count > 0:
+        chunk = f.read(min(count, 1 << 20))
+        if not chunk:
+            raise UsageError("truncated file")
+        crc = zlib.crc32(chunk, crc)
+        count -= len(chunk)
+    return crc
+
+
+def _read_blocks(f, table: dict, body: int, crc: int) -> tuple[dict, int]:
+    """Every block of the block table, read from f, which stands at the
+    start of the body of ``body`` bytes, once and in offset order, straight
+    into an array of its own; and crc carried over the whole body."""
+    plan = []
+    for name, meta in table.items():
+        dtype = _DTYPES.get(meta.get("dtype"))
+        if dtype is None:
+            raise UsageError(f"block {name!r} has unknown dtype {meta.get('dtype')!r}")
+        shape = meta.get("shape")
+        if not isinstance(shape, list) or not all(_typed(x, int, "shape") >= 0 for x in shape):
+            raise UsageError(f"block {name!r} has malformed shape {shape!r}")
+        offset, size = _int(meta, "offset"), math.prod(shape) * dtype.itemsize
+        if offset < 0 or offset + size > body:
+            raise UsageError(f"block {name!r} lies outside the file")
+        plan.append((offset, size, name, dtype, shape))
+    blocks, pos = {}, 0
+    for offset, size, name, dtype, shape in sorted(plan, key=lambda block: block[:2]):
+        if offset < pos and size:
+            raise UsageError(f"block {name!r} overlaps another block")
+        crc = _crc_through(f, offset - pos, crc)
+        arr = np.empty(shape, dtype=dtype)
+        raw = arr.reshape(-1).view(np.uint8)
+        if f.readinto(raw) != size:
+            raise UsageError("truncated file")
+        blocks[name], crc, pos = arr, zlib.crc32(raw, crc), max(pos, offset + size)
+    return blocks, _crc_through(f, body - pos, crc)
+
+
+def _read(f) -> tuple[dict, dict]:
+    """The header and the blocks of the index file open as f, read once;
+    raises UsageError unless the trailer is the CRC32 of every byte before
+    it."""
+    size = os.fstat(f.fileno()).st_size
+    lead = f.read(16)
+    if len(lead) < 16 or lead[:8] != MAGIC:
+        raise UsageError("not an lpann index file")
+    (header_len,) = struct.unpack("<Q", lead[8:])
+    if 16 + header_len > size:
+        raise UsageError("truncated header")
+    payload = f.read(header_len)
     try:
-        header = json.loads(buf[16: 16 + header_len].decode("utf-8"))
+        header = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise UsageError(f"{path}: corrupt header: {exc}") from exc
+        raise UsageError(f"corrupt header: {exc}") from exc
     version = header.get("format_version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
-        raise UsageError(f"{path}: unsupported format version {version}")
-    body = memoryview(buf)[:-4]
-    if len(body) < 16 + header_len or zlib.crc32(body) != struct.unpack("<I", buf[-4:])[0]:
-        raise UsageError(f"{path}: checksum mismatch: the file is corrupt or truncated")
+        raise UsageError(f"unsupported format version {version}")
+    body = size - 4 - 16 - header_len
+    if body >= 0:
+        blocks, crc = _read_blocks(f, header["blocks"], body, zlib.crc32(payload, zlib.crc32(lead)))
+        if crc == struct.unpack("<I", f.read(4))[0]:
+            return header, blocks
+    raise UsageError("checksum mismatch: the file is corrupt or truncated")
+
+
+def load_index(path: str) -> LpScheme:
+    """Load an index written by :func:`save_index`. The file is read once,
+    each block straight into its own array, and decoded only after its
+    checksum matches."""
     try:
-        return _decode_scheme(header, _BlockReader(body, header["blocks"], 16 + header_len))
+        with open(path, "rb") as f:
+            header, blocks = _read(f)
+        return _decode_scheme(header, _BlockReader(blocks))
     except UsageError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:

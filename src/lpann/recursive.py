@@ -593,16 +593,19 @@ class SpaceReport:
     total: int
     per_level: dict
     copy_counts: dict
+    table_bytes: dict  # "l2" and "coarse": bytes of the groups' derived tables
 
     def as_dict(self) -> dict:
         return {
             "total": self.total,
             "per_level": dict(self.per_level),
             "copy_counts": dict(self.copy_counts),
+            "table_bytes": dict(self.table_bytes),
         }
 
 
-def _walk_space(node: SchemeNode, out: list):
+def _walk_space(node: SchemeNode, out: list, groups: dict):
+    groups[id(node.group)] = node.group
     for copy in node.copies:
         for b in copy.base:
             kind = "l2" if isinstance(b, L2Scheme) else "coarse"
@@ -614,13 +617,18 @@ def _walk_space(node: SchemeNode, out: list):
             )
             for child in lvl.children:
                 for sub in child.copies:
-                    _walk_space(sub, out)
+                    _walk_space(sub, out, groups)
 
 
 def space_usage(scheme: LpScheme) -> SpaceReport:
-    """Exact recursive count of points stored across all substructures."""
+    """Exact recursive count of points stored across all substructures, and
+    the bytes of the bucket tables its groups derive, each group once."""
     entries: list = []
-    _walk_space(scheme.root, entries)
+    groups: dict = {}
+    _walk_space(scheme.root, entries, groups)
+    table_bytes = {"l2": 0, "coarse": 0}
+    for group in groups.values():
+        table_bytes["l2" if isinstance(group, L2Group) else "coarse"] += group.table.nbytes
     per_level: dict = {}
     for e in entries:
         key = f"t={int(e.norm_exponent)}/" + ("base" if e.ladder_index == 0 else f"ladder{e.ladder_index}")
@@ -634,6 +642,7 @@ def space_usage(scheme: LpScheme) -> SpaceReport:
             "base_copies": scheme.config.base_copies,
             "cluster_child_copies": scheme.config.child_copies,
         },
+        table_bytes=table_bytes,
     )
 
 

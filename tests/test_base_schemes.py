@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,10 +20,13 @@ from lpann import (
 )
 from lpann import _kernels
 from lpann.base_schemes import (
+    CoarseGroup,
     CoarseScheme,
     L2Scheme,
     _bucket_table,
+    _cell_rekey,
     _distinct,
+    _fingerprints,
     _lookup,
     _multipliers,
     _to_cell_index,
@@ -208,6 +212,9 @@ def test_regrouping_gives_the_same_table_and_answers():
         for name in ("fingerprints", "by_fingerprint", "tables", "keys", "starts", "members",
                      "multipliers"):
             a, b = getattr(first.table, name), getattr(second.table, name)
+            if a is None:  # a grid table recomputes its keys
+                assert b is None and name == "keys" and isinstance(first, CoarseGroup)
+                continue
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         for q in queries:
             assert query_fn(first, q) == query_fn(second, q)
@@ -240,18 +247,20 @@ def _keys_and_probes(draw):
     return keys, probes
 
 
-def _dict_reference_check(keys, probes):
-    """The table of keys finds the members of every stored key of every
-    point, then of every probe key, as a dict of (table, key) tuples does."""
+def _dict_reference_check(keys, probes, cap=2**31 - 1):
+    """The table of keys, keeping at most cap members a bucket, finds the
+    first cap members of every stored key of every point, then of every
+    probe key, as a dict of (table, key) tuples does, and keeps no others."""
     reference = {}
     for t in range(keys.shape[0]):
         for local, key in enumerate(map(tuple, keys[t])):
             reference.setdefault((t, key), []).append(local)
-    table = _bucket_table(keys)  # an iterable of (m, k) key arrays, one per table
+    table = _bucket_table((table_keys, cap) for table_keys in keys)
+    assert table.members.size == sum(min(len(v), cap) for v in reference.values())
     # every stored key of every point, then arbitrary (often absent) keys
     for probe in [keys[:, i, :] for i in range(keys.shape[1])] + probes:
         expected = [
-            reference[t, tuple(key)]
+            reference[t, tuple(key)][:cap]
             for t, key in enumerate(probe)
             if (t, tuple(key)) in reference
         ]
@@ -263,28 +272,74 @@ def _dict_reference_check(keys, probes):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_keys_and_probes())
-def test_bucket_table_matches_dict_reference(case):
-    _dict_reference_check(*case)
+@given(_keys_and_probes(), st.one_of(st.integers(1, 3), st.just(2**31 - 1)))
+def test_bucket_table_matches_dict_reference(case, cap):
+    _dict_reference_check(*case, cap)
+
+
+@st.composite
+def _grid_points(draw):
+    """(vectors, shifts) of one scheme: few distinct coordinates, so cells
+    repeat, and ones that scale past the int64 range, so cells clip."""
+    d, m, grids = draw(st.integers(1, 3)), draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    coords = st.sampled_from([-1e300, 1e300, -2.5, -1.0, 0.0, 0.75, 1.0, 2.0])
+    vectors = draw(arrays(np.float64, (m, d), elements=coords))
+    shifts = draw(arrays(np.float64, (grids, d), elements=st.sampled_from([0.0, 0.25, 0.5])))
+    return vectors, shifts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_points())
+def test_grid_table_keeps_the_lowest_point_of_every_cell(case):
+    # one member per occupied cell, its lowest local index, whose recomputed
+    # cell is the cell, clipped extremes included; every point finds it
+    vectors, shifts = case
+    m, d = vectors.shape
+    group = coarse_group([[CoarseScheme(np.arange(m), vectors, 4.0, 1.0 / (4 * d), shifts)]])
+    side, table = group.schemes[0].cell_side, group.table
+    rekey = _cell_rekey(vectors, group.shifts, side)
+    cells = [np.clip(np.floor((vectors + shift) / side), -9.2e18, 9.2e18).astype(np.int64)
+             for shift in shifts]
+    reference = {}
+    for t, grid in enumerate(cells):
+        for local, cell in enumerate(map(tuple, grid)):
+            reference.setdefault((t, cell), local)
+    assert table.keys is None and table.members.size == table.fingerprints.size
+    buckets = np.arange(table.fingerprints.size)
+    reps = table.members[table.starts[buckets]]
+    stored = zip(table.tables.tolist(), map(tuple, rekey(table.tables, reps)), reps.tolist())
+    assert {(t, cell): rep for t, cell, rep in stored} == reference
+    for i in range(m):
+        probe = np.array([grid[i] for grid in cells])
+        found, hit = _lookup(table, probe)
+        assert found.tolist() == list(range(len(shifts)))
+        assert table.members[table.starts[hit]].tolist() == [
+            reference[t, tuple(cell)] for t, cell in enumerate(probe)]
 
 
 def _degenerate(multipliers):
-    """_multipliers with salt 0 replaced by the given degenerate
-    multipliers (key entries, then table number), and the salts asked for."""
+    """_multipliers with salt 0's made degenerate, the key entries' set to
+    multipliers[0] (None keeps them) and the table number's to
+    multipliers[1], and the salts asked for."""
     salts = []
 
     def patched(salt, width):
         salts.append(salt)
+        out = _multipliers(salt, width)
         if salt == 0:
-            return np.array([multipliers[0]] * width + [multipliers[1]], dtype=np.uint64)
-        return _multipliers(salt, width)
+            out[:-1] = out[:-1] if multipliers[0] is None else multipliers[0]
+            out[-1] = multipliers[1]
+        return out
 
     return mock.patch("lpann.base_schemes._multipliers", patched), salts
 
 
-# the fingerprint is the table number (buckets of one table collide) or the
-# key's sum (one key in every table collides across tables)
-@pytest.mark.parametrize("multipliers", [(0, 1), (1, 0)])
+# the fingerprint is the table number (buckets of one table collide), the
+# key's sum (keys of one table with equal sums collide), or blind to the
+# table (one key in two tables collides, found only once every table is
+# split, so every fingerprint is recomputed from kept keys or, in a grid
+# table, from representatives)
+@pytest.mark.parametrize("multipliers", [(0, 1), (1, 0), (None, 0)])
 def test_fingerprint_collision_moves_to_a_later_salt(multipliers):
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((200, 16))
@@ -300,14 +355,67 @@ def test_fingerprint_collision_moves_to_a_later_salt(multipliers):
         with patch:
             forced = regroup()
         assert max(salts) > 0 and salts == sorted(salts)
-        width = unforced.table.keys.shape[1]
-        assert forced.table.multipliers.tobytes() == _multipliers(max(salts), width).tobytes()
+        table = forced.table
+        width = table.multipliers.size - 1
+        assert table.multipliers.tobytes() == _multipliers(max(salts), width).tobytes()
+        # every fingerprint is its bucket's, from its key, kept or recomputed
+        # from its first member, under the final salt
+        buckets = table.by_fingerprint
+        if isinstance(forced, CoarseGroup):
+            rekey = _cell_rekey(pts, forced.shifts, grids[0].cell_side)
+            stored = rekey(table.tables[buckets], table.members[table.starts[buckets]])
+        else:
+            stored = table.keys[buckets]
+        fp = _fingerprints(table.multipliers, table.tables[buckets], stored)
+        assert fp.tobytes() == table.fingerprints.tobytes()
         for q in queries:
             assert query_fn(forced, q) == query_fn(unforced, q)
     patch, salts = _degenerate(multipliers)
     with patch:
         _dict_reference_check(keys, [keys[:, 0], keys[:, 1] + 1])
     assert max(salts) > 0
+
+
+def test_grid_group_holds_one_grid_of_cells_at_a_time():
+    # every point has a cell of its own in every grid, so all the grids'
+    # cells would take 86 grids' worth, 8.8 MB; the build holds one
+    # grid's at a time, and its peak stays within a few grids' cells plus
+    # twice a table that keeps no cells (the table and the parts it joins)
+    rng = np.random.default_rng(4)
+    m, d = 200, 64
+    pts = 1000.0 * rng.standard_normal((m, d))
+    grids = [build_coarse_ann(np.arange(m), pts, 4.0, 0.01, seed=s) for s in range(2)]
+    tracemalloc.start()
+    try:
+        group = coarse_group([grids])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buckets = group.table.fingerprints.size
+    assert buckets == m * len(group.shifts)
+    per_bucket = 8 + 8 + 4 + 8 + 4  # fingerprint, its bucket, table number, start, member
+    assert peak < 2 * per_bucket * buckets + 8 * pts.nbytes
+
+
+def test_grid_match_counts_only_where_the_cell_is_confirmed():
+    # fingerprints that are the table number alone survive a build whose
+    # grids hold one cell each, and then every query cell matches every
+    # grid; a match counts only where the representative's recomputed cell
+    # is the query's: for near, in grid 1 after grid 0 fails, for far, two
+    # cells away though within c0 r, in neither
+    x = np.zeros((1, 2))
+    scheme = CoarseScheme(np.array([7]), x, 4.0, 0.5, np.array([[3.75, 0.0], [1.0, 1.0]]))
+    assert scheme.cell_side == 4.0
+    near, far = np.array([0.5, 0.0]), np.array([4.5, 0.0])
+    assert lp_distance(far, x[0], 4.0) <= scheme.c0 * scheme.r
+    patch, salts = _degenerate((0, 1))
+    with patch:
+        forced = coarse_group([[scheme]])
+    assert salts == [0]
+    unforced = coarse_group([[scheme]])
+    for group in (forced, unforced):
+        assert query_coarse_ann(group, near) == [(7, 0.5)]
+        assert query_coarse_ann(group, far) is None
 
 
 @settings(max_examples=200, deadline=None)

@@ -58,6 +58,8 @@ def test_build_and_query_roundtrip(tmp_path, capsys):
     assert run_cli(["build", "--input", str(data), "--r", "0.001", "--seed", "1", "--out", str(idx)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert "approximation_bound" in summary and "space" in summary
+    table_bytes = summary["space"]["table_bytes"]
+    assert table_bytes.keys() == {"l2", "coarse"} and sum(table_bytes.values()) > 0
     assert summary["approximation_bound"]["c_p"] > 0
 
     # self-queries at a tiny radius return each point at distance zero

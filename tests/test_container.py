@@ -171,6 +171,9 @@ def _repeat_last_level(ladder):
         ("built", lambda h: _first_block(h).update(dtype="<f4")),
         ("built", lambda h: _first_block(h).update(offset=-8)),
         ("built", lambda h: _first_block(h).update(offset=10**12)),
+        ("built", lambda h: _first_block(h).update(offset=h["blocks"][h["vectors"]]["offset"])),
+        ("built", lambda h: h["scheme"]["copies"][1]["base"][0].update(
+            h["scheme"]["copies"][0]["base"][0])),
         ("built", lambda h: h["blocks"].pop(h["ids"])),
         ("built", lambda h: h.pop("d")),
         ("built", lambda h: h["config"].update(r="1.0")),
@@ -193,7 +196,8 @@ def _repeat_last_level(ladder):
     ],
     ids=[
         "float-shape", "string-shape", "negative-shape", "unknown-dtype",
-        "negative-offset", "offset-past-end", "missing-block", "missing-key",
+        "negative-offset", "offset-past-end", "overlapping-blocks", "block-named-twice",
+        "missing-block", "missing-key",
         "string-number", "float-integer", "null-seed", "block-table-list", "version-1",
         "version-2", "version-3", "version-4", "ladder-past-plan", "carving-past-plan",
         "singleton-with-children", "cluster-without-children", "singleton-with-image",

@@ -27,7 +27,7 @@ from lpann import (
     query,
     save_index,
 )
-from lpann import recursive
+from lpann import base_schemes, recursive
 from lpann.oracle import exact_nn
 
 N, D, P, QUERIES = 200, 32, 4.0, 20
@@ -309,3 +309,32 @@ def test_one_group_per_point_set_built_and_loaded(kind, tmp_path):
         first: dict = {}
         patterns.append([first.setdefault(id(n.group), len(first)) for n in nodes])
     assert patterns[0] == patterns[1]
+
+
+def test_tables_keep_only_what_a_query_reads(tmp_path):
+    # a grid table keeps one member per cell and no key, an l2 bucket at
+    # most the max_probe members its leaf probes, and space_usage counts
+    # every group's table once, built and loaded
+    scheme, _ = _instance("blobs", 5)
+    save_index(scheme, str(tmp_path / "golden.lpann"))
+    loaded = load_index(str(tmp_path / "golden.lpann"))
+    for index in (scheme, loaded):
+        groups = {id(n.group): n.group for n in _nodes(index.root)}.values()
+        expected, capped = {"l2": 0, "coarse": 0}, 0
+        for group in groups:
+            table = group.table
+            sizes = np.diff(table.starts)
+            if isinstance(group, base_schemes.CoarseGroup):
+                assert table.keys is None and table.members.size == table.fingerprints.size
+                assert (sizes == 1).all()
+                kind = "coarse"
+            else:
+                probes = np.array([leaf.max_probe for leaf in group.leaves])[group.leaf_of]
+                assert table.keys.shape[0] == table.fingerprints.size
+                assert (sizes >= 1).all() and (sizes <= probes[table.tables]).all()
+                capped += (sizes == probes[table.tables]).sum()
+                kind = "l2"
+            expected[kind] += sum(a.nbytes for a in vars(table).values()
+                                  if isinstance(a, np.ndarray))
+        assert capped and expected["coarse"]
+        assert recursive.space_usage(index).table_bytes == expected

@@ -107,7 +107,7 @@ def test_one_table_build_per_group(tmp_path, monkeypatch):
     calls = []
     real = lpann.base_schemes._bucket_table
     monkeypatch.setattr(lpann.base_schemes, "_bucket_table",
-                        lambda tables: calls.append(tables) or real(tables))
+                        lambda *args: calls.append(args) or real(*args))
     scheme = lpann.preprocess(lpann.Dataset(data, 4.0), lpann.SchemeConfig(p=4.0, r=0.2))
     built_calls = len(calls)
     path = tmp_path / "x.lpann"
