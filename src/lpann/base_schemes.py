@@ -17,21 +17,22 @@ re-verified and a bad candidate set yields ``None`` instead.
 A scheme holds only its draws and the scalars derived from them. Schemes
 over one point array are looked up together as a group (``l2_group``,
 ``coarse_group``): their draws are stacked, and the group builds its buckets
-and cells from them, a table at a time, into one flat table, never saved,
-that keeps only what a query reads: a sorted column of 64-bit fingerprints
-of (table, key), the E2LSH layout of Datar, Immorlica, Indyk and Mirrokni
-(SoCG 2004), each bucket's table number, and CSR members. An l2 bucket
-keeps its full int64 key and its first ``max_probe`` members; a grid cell
-keeps one member, its representative, and no key, for the cell is
-recomputed from the representative. One query hashes every stacked table
-at once, finds its bucket in every table with one ``searchsorted`` over the
-fingerprints, confirms each match on the full key (for grids, only the
-matches it answers with), and measures the distinct candidates, found by a
-scatter over the group's points, with one distance call (one per round for
-l2 leaves). A group's schemes come in
-contiguous blocks, and a query answers per block: per owner for l2 leaves,
-per copy for grids. A mask leaves blocks out, and their buckets and cells
-are never measured. A lone scheme is queried as a group of one.
+and cells from them, a table at a time (an l2 leaf's points hashed with one
+matrix product), into one flat table, never saved, that keeps only what a
+query reads: a sorted column of 64-bit fingerprints of (table, key), the
+E2LSH layout of Datar, Immorlica, Indyk and Mirrokni (SoCG 2004), each
+bucket's table number, and CSR members. An l2 bucket keeps its full int64
+key and its first ``max_probe`` members; a grid cell keeps one member, its
+representative, and no key, for the cell is recomputed from the
+representative. One query hashes every stacked table at once (an l2 group
+with one matrix product), finds its bucket in every table with one
+``searchsorted`` over the fingerprints, confirms each match on the full key
+(for grids, only the matches it answers with), and measures the distinct
+candidates, found by a scatter over the group's points, with one distance
+call (one per round for l2 leaves). A group's schemes come in contiguous
+blocks, and a query answers per block: per owner for l2 leaves, per copy
+for grids. A mask leaves blocks out, and their buckets and cells are never
+measured. A lone scheme is queried as a group of one.
 """
 
 from __future__ import annotations
@@ -98,25 +99,35 @@ class _BucketTable:
 
     Bucket b belongs to table ``tables[b]``, and buckets run table by table.
     It keeps the lowest local indices of its points, ascending, at most its
-    table's cap: ``members[starts[b]:starts[b + 1]]``. Its int key is
-    ``keys[b]``, or, where ``keys`` is None, recomputed from its first
-    member by the ``rekey`` the table was built with. ``fingerprints``
-    holds every bucket's fingerprint under ``multipliers`` (see
-    ``_fingerprints``), all distinct and ascending, and ``by_fingerprint``
-    the bucket of each. Table numbers and members are int32.
+    table's cap: ``members[starts[b]:starts[b + 1]]``, or ``members[b]``
+    alone where ``starts`` is None, as it is when every bucket keeps one
+    member (every grid table). Its int key is ``keys[b]``, or, where
+    ``keys`` is None, recomputed from its first member by the ``rekey`` the
+    table was built with. ``fingerprints`` holds every bucket's fingerprint
+    under ``multipliers`` (see ``_fingerprints``), all distinct and
+    ascending, and ``by_fingerprint`` the bucket of each. Bucket numbers,
+    table numbers and members are int32.
     """
 
     fingerprints: np.ndarray  # (B,) uint64
     by_fingerprint: np.ndarray
     tables: np.ndarray
-    starts: np.ndarray
+    starts: np.ndarray | None  # (B + 1,) int64
     members: np.ndarray
-    multipliers: np.ndarray   # (k + 1,) uint64
-    keys: np.ndarray | None   # (B, k) int64
+    multipliers: np.ndarray    # (k + 1,) uint64
+    keys: np.ndarray | None    # (B, k) int64
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in vars(self).values() if a is not None)
+
+    def spans(self, buckets: np.ndarray):
+        """(first, size): where each bucket's members begin in ``members``,
+        and how many it keeps."""
+        if self.starts is None:
+            return buckets, np.ones(buckets.size, dtype=np.int64)
+        first = self.starts[buckets]
+        return first, self.starts[buckets + 1] - first
 
 
 def _multipliers(salt: int, width: int) -> np.ndarray:
@@ -200,13 +211,15 @@ def _bucket_table(tables, rekey=None) -> _BucketTable:
             stored = keys[buckets] if rekey is None else rekey(stale, members[starts[buckets]])
             fps[stale], salts[stale] = _fingerprints(multipliers, stale, stored), salt
         fp = np.concatenate(fps)
-        by_fingerprint = fp.argsort()
+        by_fingerprint = fp.argsort().astype(np.int32)
         fp = fp[by_fingerprint]
         if not (fp[1:] == fp[:-1]).any():
             break
         salt += 1
         multipliers = _multipliers(salt, multipliers.size - 1)
     tables = np.repeat(np.arange(len(fps), dtype=np.int32), counts)
+    if members.size == starts.size - 1:  # every bucket keeps one member
+        starts = None
     return _BucketTable(fp, by_fingerprint, tables, starts, members, multipliers, keys)
 
 
@@ -296,8 +309,11 @@ class L2Scheme:
 
 
 def _l2_keys(projections, offsets, w: float, vecs: np.ndarray) -> np.ndarray:
-    """Bucket keys for each (table, vector): int array (L, m, k)."""
-    proj = np.einsum("lkd,md->lmk", projections, vecs)
+    """Bucket keys for each (table, vector): int array (L, m, k), from one
+    matrix product of the vectors with all L k projections. Build, load and
+    query all hash through it, so a point and a query at the point agree."""
+    big_l, k, d = projections.shape
+    proj = (vecs @ projections.reshape(big_l * k, d).T).reshape(-1, big_l, k).transpose(1, 0, 2)
     proj += offsets[:, None, :]
     proj /= w
     return _to_cell_index(proj)
@@ -360,8 +376,6 @@ def l2_group(owners: list) -> L2Group:
     one point array for one radius), in order, and build their one bucket
     table. A lone leaf is the group ``[[leaf]]``."""
     leaves = [leaf for block in owners for leaf in block]
-    # each leaf's keys from its own (L, k, d) projections, before stacking:
-    # an einsum of another shape may round differently at a bucket edge
     table = _bucket_table(
         (keys, leaf.max_probe) for leaf in leaves
         for keys in _l2_keys(leaf.projections, leaf.offsets, leaf.w, leaf.vectors)
@@ -389,7 +403,7 @@ def query_l2_ann(group: L2Group, q, live=None):
     found, buckets = _lookup(group.table, keys)
     leaf = group.leaf_of[found]  # ascends: stacked tables are in leaf order
     rank = np.arange(found.size) - leaf.searchsorted(leaf)
-    starts, members, m = group.table.starts, group.table.members, len(lead.vectors)
+    members, m = group.table.members, len(lead.vectors)
     hit_row = np.zeros(len(group.leaves), dtype=np.intp)
     hit_dist = np.full(len(group.leaves), np.inf)
     pending = np.ones(len(group.leaves), dtype=bool)
@@ -399,8 +413,7 @@ def query_l2_ann(group: L2Group, q, live=None):
         sel = np.flatnonzero((rank == j) & pending[leaf])
         if not sel.size:
             break
-        lo = starts[buckets[sel]]
-        size = starts[buckets[sel] + 1] - lo
+        lo, size = group.table.spans(buckets[sel])
         cand = members[np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)]
         rows, inv = _distinct(cand, m)  # leaves share candidates
         dists = _kernels.dists_to_point(lead.vectors[rows], q, 2.0)[inv]
@@ -533,7 +546,7 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
     if not found.size:
         return None
     # a cell's representative is its lowest local index, its one member
-    reps = group.table.members[group.table.starts[buckets]]
+    reps = group.table.members[buckets]
     cand, inv = _distinct(reps, len(lead.vectors))
     dists = _kernels.dists_to_point(lead.vectors[cand], q, lead.p)[inv]
     ok = np.flatnonzero(dists <= lead.c0 * lead.r)

@@ -20,6 +20,17 @@ Rounds that grow an identical member set reuse the existing cluster instead
 of storing a duplicate (the cover is a collection of distinct subsets).
 Ball counts use all dataset points, so clusters may overlap; the recorded
 sparsity is the total membership count.
+
+The containment test measures a candidate only against the outside points
+within D + 2r of the center v, where D is the largest distance from v to a
+candidate (at most the cluster's radius 2r(j+1)). This leaves every result
+unchanged: a candidate x has d(v, x) <= D, so by the triangle inequality
+(which holds in lp for every p >= 1) an outside point y within r of x has
+d(v, y) <= D + r. The second r of slack dwarfs the relative rounding of the
+computed distances (about d * 1e-16), and a d(v, y) that overflowed to inf
+keeps y. The distances to v are the ones the ball counts already
+computed, so pruning costs no distance work, and points in other far-off
+blobs are never measured.
 """
 
 from __future__ import annotations
@@ -61,20 +72,14 @@ def diameter_bound_for(radius: float, beta: float) -> float:
     return 4.0 * radius * (beta + 1.0)
 
 
-def _coverable(vectors: np.ndarray, p: float, radius: float,
-               inside: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Candidates whose whole radius-ball lies inside the emitted cluster.
-
-    A candidate is blocked iff some point outside the cluster sits within
-    ``radius`` of it.
-    """
-    outside = vectors[~inside]
-    if outside.shape[0] == 0 or candidates.size == 0:
-        return candidates
-    keep = np.ones(candidates.size, dtype=bool)
-    for i, _, block in _kernels.pairwise_blocks(vectors[candidates], outside, p):
+def _coverable(points: np.ndarray, p: float, radius: float, blockers: np.ndarray) -> np.ndarray:
+    """Mask of the points with no blocker within ``radius``: those whose
+    radius-ball holds no point outside the cluster, when the blockers
+    include every outside point that could be that near."""
+    keep = np.ones(points.shape[0], dtype=bool)
+    for i, _, block in _kernels.pairwise_blocks(points, blockers, p):
         keep[i:i + block.shape[0]] &= ~(block <= radius).any(axis=1)
-    return candidates[keep]
+    return keep
 
 
 def build_sparse_cover(dataset: Dataset, radius: float, beta: float) -> SparseCover:
@@ -124,9 +129,12 @@ def build_sparse_cover(dataset: Dataset, radius: float, beta: float) -> SparseCo
             sparsity += members.size
 
         candidates = np.flatnonzero(inside & ~covered)
-        newly = _coverable(vectors, dataset.p, radius, inside, candidates)
-        covering_local[newly] = cluster_index
-        covered[newly] = True
+        if candidates.size:
+            # only outside points near v can block a candidate (module docstring)
+            near = ~inside & ((dist <= dist[candidates].max() + 2.0 * radius) | np.isinf(dist))
+            newly = candidates[_coverable(vectors[candidates], dataset.p, radius, vectors[near])]
+            covering_local[newly] = cluster_index
+            covered[newly] = True
 
     return SparseCover(
         clusters=clusters,

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -27,6 +28,7 @@ from lpann.base_schemes import (
     _cell_rekey,
     _distinct,
     _fingerprints,
+    _l2_keys,
     _lookup,
     _multipliers,
     _to_cell_index,
@@ -198,6 +200,29 @@ def test_build_precondition_errors():
         build_coarse_ann([0], np.zeros((1, 3)), 1.5, 1.0, seed=0)
 
 
+# (tables, bits, d, vectors): one tiny product, a leaf's build, and the
+# query of a 27-leaf group of gauss-d32 leaves
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 10, 32, 200), (108, 10, 32, 1)])
+def test_l2_keys_match_an_exact_sum_away_from_bucket_edges(shape):
+    # every key whose exact value lies more than 1e-9 of a bucket from an
+    # edge is the floor of it, whatever the scale of the vectors
+    big_l, k, d, m = shape
+    rng = np.random.default_rng(6)
+    projections = rng.standard_normal((big_l, k, d))
+    w = 4.0
+    offsets = rng.uniform(0.0, w, size=(big_l, k))
+    vectors = rng.standard_normal((m, d)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1))
+    keys = _l2_keys(projections, offsets, w, vectors)
+    assert keys.shape == (big_l, m, k) and keys.dtype == np.int64
+    checked = 0
+    for t, i, j in np.ndindex(keys.shape):
+        exact = (math.fsum(projections[t, j] * vectors[i]) + offsets[t, j]) / w
+        if abs(exact - round(exact)) > 1e-9:
+            assert keys[t, i, j] == math.floor(exact)
+            checked += 1
+    assert checked > 0.99 * keys.size
+
+
 def test_regrouping_gives_the_same_table_and_answers():
     # a group builds its table from its schemes' draws, so grouping the same
     # schemes again neither merges an earlier group's table nor changes answers
@@ -212,8 +237,9 @@ def test_regrouping_gives_the_same_table_and_answers():
         for name in ("fingerprints", "by_fingerprint", "tables", "keys", "starts", "members",
                      "multipliers"):
             a, b = getattr(first.table, name), getattr(second.table, name)
-            if a is None:  # a grid table recomputes its keys
-                assert b is None and name == "keys" and isinstance(first, CoarseGroup)
+            if a is None:  # a grid table recomputes its keys; one-member buckets need no starts
+                assert b is None and (name == "starts" or name == "keys"
+                                      and isinstance(first, CoarseGroup))
                 continue
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         for q in queries:
@@ -265,8 +291,8 @@ def _dict_reference_check(keys, probes, cap=2**31 - 1):
             if (t, tuple(key)) in reference
         ]
         found = [
-            table.members[table.starts[g]: table.starts[g + 1]].tolist()
-            for g in _lookup(table, probe)[1]
+            table.members[first: first + size].tolist()
+            for first, size in zip(*table.spans(_lookup(table, probe)[1]))
         ]
         assert found == expected
 
@@ -304,16 +330,16 @@ def test_grid_table_keeps_the_lowest_point_of_every_cell(case):
     for t, grid in enumerate(cells):
         for local, cell in enumerate(map(tuple, grid)):
             reference.setdefault((t, cell), local)
-    assert table.keys is None and table.members.size == table.fingerprints.size
-    buckets = np.arange(table.fingerprints.size)
-    reps = table.members[table.starts[buckets]]
+    assert table.keys is None and table.starts is None
+    assert table.members.size == table.fingerprints.size
+    reps = table.members
     stored = zip(table.tables.tolist(), map(tuple, rekey(table.tables, reps)), reps.tolist())
     assert {(t, cell): rep for t, cell, rep in stored} == reference
     for i in range(m):
         probe = np.array([grid[i] for grid in cells])
         found, hit = _lookup(table, probe)
         assert found.tolist() == list(range(len(shifts)))
-        assert table.members[table.starts[hit]].tolist() == [
+        assert table.members[hit].tolist() == [
             reference[t, tuple(cell)] for t, cell in enumerate(probe)]
 
 
@@ -363,7 +389,7 @@ def test_fingerprint_collision_moves_to_a_later_salt(multipliers):
         buckets = table.by_fingerprint
         if isinstance(forced, CoarseGroup):
             rekey = _cell_rekey(pts, forced.shifts, grids[0].cell_side)
-            stored = rekey(table.tables[buckets], table.members[table.starts[buckets]])
+            stored = rekey(table.tables[buckets], table.members[buckets])
         else:
             stored = table.keys[buckets]
         fp = _fingerprints(table.multipliers, table.tables[buckets], stored)

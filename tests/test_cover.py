@@ -2,6 +2,9 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lpann import (
     Dataset,
@@ -11,6 +14,7 @@ from lpann import (
     lp_distance,
     verify_cover,
 )
+from lpann import _kernels
 from lpann.cover import diameter_bound_for
 
 
@@ -129,3 +133,89 @@ def test_usage_errors():
     cover = build_sparse_cover(good, 1.0, 2.0)
     with pytest.raises(UsageError):
         cover_lookup(cover, 17)
+
+
+def _carve_reference(ds, radius, beta):
+    """(clusters as (member ids, center id), covering_ref, sparsity) of the
+    carving with every candidate measured against every point outside its
+    cluster, one candidate at a time."""
+    vectors, ids, n = ds.vectors, ds.ids, ds.n
+    growth, j_cap = n ** (1.0 / beta), int(np.ceil(beta)) + 2
+    covered, ref = np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int64)
+    clusters, index_of, sparsity = [], {}, 0
+    while not covered.all():
+        v = int(np.flatnonzero(~covered)[0])
+        dist = _kernels.dists_to_point(vectors, vectors[v], ds.p)
+
+        def count(rad):
+            return int((dist <= rad).sum())
+
+        j = 0
+        while j < j_cap and count(2.0 * radius * (j + 1)) > growth * count(2.0 * radius * j):
+            j += 1
+        inside = dist <= 2.0 * radius * (j + 1)
+        members = np.flatnonzero(inside)
+        index = index_of.setdefault(members.tobytes(), len(clusters))
+        if index == len(clusters):
+            clusters.append((sorted(ids[members].tolist()), int(ids[v])))
+            sparsity += members.size
+        for x in np.flatnonzero(inside & ~covered):
+            if not (_kernels.dists_to_point(vectors[~inside], vectors[x], ds.p) <= radius).any():
+                ref[x], covered[x] = index, True
+    return clusters, ref, sparsity
+
+
+@st.composite
+def _blob_instances(draw):
+    """(dataset, radius, beta): one to four blobs of points on a half-radius
+    lattice, optionally jittered, spaced from overlapping to far apart, plus
+    points exactly R, R + radius and R + 2 radius from row 0, the first
+    carve center, along one axis, for cluster radii R = 2 radius (j + 1)."""
+    p = draw(st.sampled_from([3.0, 4.0, 8.0]))
+    d = draw(st.integers(1, 4))
+    radius = draw(st.sampled_from([0.25, 0.5, 1.0, 0.3]))
+    beta = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    spacing = draw(st.sampled_from([1.0, 4.0, 12.0, 1000.0])) * radius
+    blobs = []
+    for b in range(draw(st.integers(1, 4))):
+        lattice = draw(arrays(np.int64, (draw(st.integers(1, 8)), d), elements=st.integers(-6, 6)))
+        blob = lattice * (radius / 2.0)
+        blob[:, 0] += b * spacing
+        blobs.append(blob)
+    data = np.vstack(blobs)
+    if draw(st.booleans()):
+        jitter = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        data = data + 0.1 * radius * jitter.standard_normal(data.shape)
+    axis, sign = draw(st.integers(0, d - 1)), draw(st.sampled_from([-1.0, 1.0]))
+    planted = []
+    for j in draw(st.lists(st.integers(0, 4), max_size=3, unique=True)):
+        for extra in (0.0, radius, 2.0 * radius):
+            point = data[0].copy()
+            point[axis] += sign * (2.0 * radius * (j + 1) + extra)
+            planted.append(point)
+    return Dataset(np.vstack([data, *planted]), p), radius, beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blob_instances())
+def test_carving_matches_measuring_every_outside_point(case):
+    # pruning the blockers to those near the center changes no cluster,
+    # center, covering cluster or sparsity
+    ds, radius, beta = case
+    cover = build_sparse_cover(ds, radius, beta)
+    clusters, ref, sparsity = _carve_reference(ds, radius, beta)
+    assert [(cl.member_ids.tolist(), cl.center_id) for cl in cover.clusters] == clusters
+    assert cover.covering_ref.tolist() == ref.tolist()
+    assert cover.sparsity == sparsity
+
+
+def test_a_point_whose_distance_to_the_center_overflows_still_blocks():
+    # d(v, y)**4 overflows to inf, yet y lies within radius of x, so y
+    # must still keep x from being covered by v's cluster
+    ds = Dataset(np.array([[0.0], [1.1e77], [1.16e77]]), 4.0)
+    assert np.isinf(_kernels.dists_to_point(ds.vectors, ds.vectors[0], 4.0)[2])
+    cover = build_sparse_cover(ds, 6e76, 2.0)
+    clusters, ref, sparsity = _carve_reference(ds, 6e76, 2.0)
+    assert cover.clusters[0].member_ids.tolist() == [0, 1] and ref[1] != 0
+    assert cover.covering_ref.tolist() == ref.tolist()
+    assert [(cl.member_ids.tolist(), cl.center_id) for cl in cover.clusters] == clusters

@@ -13,7 +13,9 @@ node whose copies form one leaf group.
 import dataclasses
 import math
 import statistics
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +29,13 @@ from lpann import (
     query,
     save_index,
 )
-from lpann import base_schemes, recursive
+from lpann import _kernels, base_schemes, recursive
+from lpann.cover import build_sparse_cover
 from lpann.oracle import exact_nn
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 N, D, P, QUERIES = 200, 32, 4.0, 20
 L2ROOT_D, L2ROOT_P = 8, 3.0  # normalize_exponent gives p_eff = 2
@@ -312,7 +319,7 @@ def test_one_group_per_point_set_built_and_loaded(kind, tmp_path):
 
 
 def test_tables_keep_only_what_a_query_reads(tmp_path):
-    # a grid table keeps one member per cell and no key, an l2 bucket at
+    # a grid table keeps one member per cell, no key and no starts, an l2 bucket at
     # most the max_probe members its leaf probes, and space_usage counts
     # every group's table once, built and loaded
     scheme, _ = _instance("blobs", 5)
@@ -323,10 +330,11 @@ def test_tables_keep_only_what_a_query_reads(tmp_path):
         expected, capped = {"l2": 0, "coarse": 0}, 0
         for group in groups:
             table = group.table
-            sizes = np.diff(table.starts)
+            sizes = table.spans(np.arange(table.fingerprints.size))[1]
+            assert table.by_fingerprint.dtype == np.int32
             if isinstance(group, base_schemes.CoarseGroup):
-                assert table.keys is None and table.members.size == table.fingerprints.size
-                assert (sizes == 1).all()
+                assert table.keys is None and table.starts is None
+                assert table.members.size == table.fingerprints.size
                 kind = "coarse"
             else:
                 probes = np.array([leaf.max_probe for leaf in group.leaves])[group.leaf_of]
@@ -338,3 +346,75 @@ def test_tables_keep_only_what_a_query_reads(tmp_path):
                                   if isinstance(a, np.ndarray))
         assert capped and expected["coarse"]
         assert recursive.space_usage(index).table_bytes == expected
+
+
+def test_carving_measures_no_pair_across_blobs(monkeypatch):
+    # at every radius of the root ladder, a candidate is measured only
+    # against outside points near its carve center, so no point of another
+    # blob, 100 sqrt(d) away, is ever measured
+    scheme, _ = _instance("blobs", 5)
+    dataset, _, _ = _points("blobs", 5)
+    spacing = BLOB_SPACING * math.sqrt(D)
+    across = []
+    real = _kernels.pairwise_blocks
+
+    def counting(a, b, p):
+        blob_a, blob_b = np.rint(a[:, 0] / spacing), np.rint(b[:, 0] / spacing)
+        across.append(int((blob_a[:, None] != blob_b).sum()))
+        return real(a, b, p)
+
+    monkeypatch.setattr(_kernels, "pairwise_blocks", counting)
+    levels = scheme.root.copies[0].ladder
+    assert levels and all(len(level.cover.clusters) == BLOBS for level in levels)
+    for level in levels:
+        cover = build_sparse_cover(dataset, level.cover.radius, level.cover.beta)
+        assert cover.covering_ref.tolist() == level.cover.covering_ref.tolist()
+    assert sum(across) == 0
+
+
+def _l2_groups(instance: str) -> list:
+    """The first l2 group of the gauss-d32 benchmark index at seed 1, or
+    every l2 group of the four-blob instance."""
+    if instance == "gauss-d32":
+        w = workloads.WORKLOADS["gauss-d32"]
+        scheme = preprocess(Dataset(workloads.make_data(w, 1), w.p),
+                            SchemeConfig(p=w.p, r=w.r, seed=1))
+    else:
+        scheme, _ = _instance("blobs", 5)
+    groups = {id(n.group): n.group for n in _nodes(scheme.root)
+              if isinstance(n.group, base_schemes.L2Group)}
+    return list(groups.values())[:1 if instance == "gauss-d32" else None]
+
+
+@pytest.mark.parametrize("instance", ["gauss-d32", "blobs"])
+def test_every_point_finds_its_own_bucket_in_every_table(instance, monkeypatch):
+    # a point queried exactly hashes as it was hashed at the build: in every
+    # table of its group it finds the bucket of its build key, which keeps it
+    # unless the bucket is full of lower points
+    groups = _l2_groups(instance)
+    assert all(len(group.leaves) == 27 for group in groups)
+    lookups = []
+    real = base_schemes._lookup
+
+    def recording(table, keys):
+        lookups.append(real(table, keys))
+        return lookups[-1]
+
+    monkeypatch.setattr(base_schemes, "_lookup", recording)
+    for group in groups:
+        table, vectors = group.table, group.leaves[0].vectors
+        tables, m = group.projections.shape[0], vectors.shape[0]
+        built = np.concatenate([base_schemes._l2_keys(leaf.projections, leaf.offsets, leaf.w,
+                                                      vectors) for leaf in group.leaves])
+        first, size = table.spans(np.arange(table.fingerprints.size))
+        kept = np.zeros((tables, m), dtype=bool)
+        kept[np.repeat(table.tables, size), table.members] = True
+        last = table.members[first + size - 1]
+        cap = np.array([leaf.max_probe for leaf in group.leaves])[group.leaf_of]
+        for row, x in enumerate(vectors):
+            lookups.clear()
+            base_schemes.query_l2_ann(group, x)
+            (found, buckets), = lookups
+            assert found.tolist() == list(range(tables))
+            assert (table.keys[buckets] == built[:, row]).all()
+            assert (kept[found, row] | ((size[buckets] == cap) & (last[buckets] < row))).all()
