@@ -8,32 +8,32 @@ Layout (documented in docs/index_format.md):
     then            raw data blocks, little-endian float64 / int64
     last 4 bytes    CRC32 of every preceding byte, little-endian uint32
 
-Only what the build drew or carved is stored: the root's ids and vectors,
-every base scheme's random projections and offsets or grid shifts, and
-every cover's clusters and point-to-cluster map, once per point set (the
-carving tree, which every node copy and child copy over a point set
-shares). The header holds the build configuration, the carving tree and a
-scheme tree of block names, and a block table mapping names to (offset,
-dtype, shape); offsets are relative to the end of the header.
+An index is a function of its points, its configuration and numpy's random
+streams, so a file stores only the build's inputs: two blocks, the root's
+deduplicated ids and vectors, and in the header the dimension, the build
+configuration and a block table mapping names to (offset, dtype, shape);
+offsets are relative to the end of the header. The header also records the
+numpy version that saved the file and ``digest``, a blake2b over every
+array the built index holds (``index_digest``).
 
-Everything else is a function of these, and the loader derives it with the
-build's own code: the bound (``approximation_bound``), each ladder level's
-cover radius and approximations (``ladder_steps``), each cluster's map and
-the points its child nodes index (``map_cluster``, once per cluster), the
-base schemes' widths and probe limits (their constructors), and the groups,
-one per point set, that build one bucket table each from their schemes'
-draws (``link_group``), all built before ``load_index`` returns. A loaded index
-equals the saved one bit for bit, and shares covers and images as it does.
+``load_index`` rebuilds the index with ``preprocess``, so a loaded index is
+a built index by construction, and then recomputes the digest. NumPy does
+not promise that its random streams stay the same across versions
+(NEP 19), so a rebuild that differs from the saved index raises
+``UsageError`` naming both numpy versions instead of answering with other
+draws. Loading costs a build of the stored configuration.
 
 Only the current format version loads. The loader reads the file once, in
-order, each block straight into an array of its own, and decodes it only
+order, each block straight into an array of its own, and rebuilds only
 after the checksum matches. A file that fails its checksum, is truncated,
 names an unknown block, lacks or mistypes a header key, or whose blocks
-overlap or break the index's invariants raises ``UsageError``.
+overlap, hold points that do not ascend by id, or rebuild another index
+raises ``UsageError``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -44,81 +44,52 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .base_schemes import CoarseScheme, L2Scheme
-from .cover import Cluster, SparseCover, diameter_bound_for
+# perfbench/layers.py patches these two names here while an index loads
+from .base_schemes import CoarseScheme, L2Group, L2Scheme  # noqa: F401
 from .errors import UsageError
-from .recursive import (
-    LpScheme,
-    SchemeConfig,
-    SchemeCopy,
-    SchemeNode,
-    approximation_bound,
-    ladder_steps,
-    link_group,
-    map_cluster,
-    new_ladder,
-)
+from .geometry import Dataset
+from .recursive import LpScheme, SchemeConfig, preprocess
 
 MAGIC = b"LPANNIDX"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
 
-class _BlockWriter:
-    def __init__(self):
-        self.blocks = []
-        self.table = {}
-        self.offset = 0
+def index_digest(scheme: LpScheme) -> str:
+    """blake2b, in hex, over the dtype, shape and bytes of every array the
+    index holds. It walks each point set once, in build order: its ids and
+    vectors, its group's draws and bucket table, then per ladder step its
+    cover's clusters and ``covering_ref``, then the point sets carved from
+    that cover. Every node copy over a point set shares these, so the walk
+    follows each set's first node."""
+    h = hashlib.blake2b(digest_size=32)
 
-    def add(self, array) -> str:
-        """Name the array's block; its bytes are written from the array
-        itself, which is copied only if its dtype or layout differs."""
-        arr = np.asarray(array)
-        code = "<i8" if arr.dtype.kind in "iu" else "<f8"
-        raw = np.ascontiguousarray(arr, dtype=_DTYPES[code]).reshape(-1).view(np.uint8)
-        name = f"b{len(self.blocks)}"
-        self.table[name] = {"offset": self.offset, "dtype": code, "shape": list(arr.shape)}
-        self.blocks.append(raw)
-        self.offset += raw.size
-        return name
+    def feed(arr) -> None:
+        if arr is None:
+            h.update(b"None;")
+            return
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape};".encode())
+        h.update(arr.reshape(-1).view(np.uint8))
 
+    def walk(node) -> None:
+        group = node.group
+        draws = (group.projections, group.offsets) if isinstance(group, L2Group) else (group.shifts,)
+        for arr in (node.ids, node.vectors, *draws, *vars(group.table).values()):
+            feed(arr)
+        for level in node.copies[0].ladder:
+            clusters = level.cover.clusters
+            feed(np.array([cl.center_id for cl in clusters], dtype=np.int64))
+            for cl in clusters:
+                feed(cl.member_ids)
+            feed(level.cover.covering_ref)
+            for child in level.children:
+                if child.copies:
+                    walk(child.copies[0])
 
-def _encode_carving(node: SchemeNode, w: _BlockWriter) -> list:
-    """The covers of the node's point set, and under each cluster those of
-    its image, read off the first copy: every copy over a point set shares
-    them, as ``preprocess`` builds it."""
-    levels = []
-    for lvl in node.copies[0].ladder:
-        clusters = lvl.cover.clusters
-        levels.append({
-            "centers": w.add([cl.center_id for cl in clusters]),
-            "member_offsets": w.add(np.cumsum([0] + [len(cl.member_ids) for cl in clusters])),
-            "members": w.add(np.concatenate([cl.member_ids for cl in clusters])),
-            "covering": w.add(lvl.cover.covering_ref),
-            "images": [_encode_carving(ch.copies[0], w) if ch.copies else None
-                       for ch in lvl.children],
-        })
-    return levels
-
-
-def _encode_node(node: SchemeNode, w: _BlockWriter) -> dict:
-    return {
-        "copies": [
-            {
-                "base": [
-                    {"projections": w.add(b.projections), "offsets": w.add(b.offsets)}
-                    if isinstance(b, L2Scheme) else {"shifts": w.add(b.shifts)}
-                    for b in copy.base
-                ],
-                "ladder": [
-                    [[_encode_node(sub, w) for sub in ch.copies] for ch in lvl.children]
-                    for lvl in copy.ladder
-                ],
-            }
-            for copy in node.copies
-        ]
-    }
+    walk(scheme.root)
+    return h.hexdigest()
 
 
 def atomic_write(path: str, chunks) -> None:
@@ -147,24 +118,31 @@ def _with_crc(chunks):
 
 
 def save_index(scheme: LpScheme, path: str) -> None:
-    """Serialize a built index; the write is atomic (temp file + rename)."""
-    w = _BlockWriter()
+    """Serialize a built index: its points, its configuration and its
+    digest. The write is atomic (temp file + rename)."""
+    blocks = {"ids": np.ascontiguousarray(scheme.root.ids, dtype="<i8"),
+              "vectors": np.ascontiguousarray(scheme.root.vectors, dtype="<f8")}
+    table, offset = {}, 0
+    for name, arr in blocks.items():
+        table[name] = {"offset": offset, "dtype": arr.dtype.str, "shape": list(arr.shape)}
+        offset += arr.nbytes
     header = {
         "format_version": FORMAT_VERSION,
         "d": scheme.d,
         "config": asdict(scheme.config),
-        "ids": w.add(scheme.root.ids),
-        "vectors": w.add(scheme.root.vectors),
-        "carving": _encode_carving(scheme.root, w),
-        "scheme": _encode_node(scheme.root, w),
-        "blocks": w.table,
+        "numpy": np.__version__,
+        "digest": index_digest(scheme),
+        "ids": "ids",
+        "vectors": "vectors",
+        "blocks": table,
     }
     payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    atomic_write(path, _with_crc([MAGIC, struct.pack("<Q", len(payload)), payload, *w.blocks]))
+    raw = [arr.reshape(-1).view(np.uint8) for arr in blocks.values()]
+    atomic_write(path, _with_crc([MAGIC, struct.pack("<Q", len(payload)), payload, *raw]))
 
 
 def _typed(value, kind, key: str):
-    """value itself if it is a JSON number of the given kind (bools excluded)."""
+    """value itself if it is a JSON value of the given kind (bools excluded)."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise UsageError(f"header key {key!r} has the wrong type: {value!r}")
     return value
@@ -178,138 +156,31 @@ def _int(meta: dict, key: str) -> int:
     return _typed(meta[key], int, key)
 
 
-class _BlockReader:
-    """Hands each block out once, and forgets it: a group stacks its
-    schemes' draws, and a block no scheme holds any more is freed."""
-
-    def __init__(self, blocks: dict):
-        self.blocks = blocks
-
-    def get(self, name: str) -> np.ndarray:
-        arr = self.blocks.pop(name, None)
-        if arr is None:
-            raise UsageError(f"block {name!r} is missing from the block table or named twice")
-        return arr
+def _str(meta: dict, key: str) -> str:
+    return _typed(meta[key], str, key)
 
 
-def _require(ok, what: str) -> None:
-    if not ok:
-        raise UsageError(f"corrupt index: {what}")
+def _take(blocks: dict, name: str) -> np.ndarray:
+    arr = blocks.pop(name, None)
+    if arr is None:
+        raise UsageError(f"block {name!r} is missing from the block table or named twice")
+    return arr
 
 
-def _decode_cover(meta: dict, r: _BlockReader, ids: np.ndarray,
-                  radius: float, beta: float) -> SparseCover:
-    centers = r.get(meta["centers"])
-    offsets = r.get(meta["member_offsets"])
-    members = r.get(meta["members"])
-    covering = r.get(meta["covering"])
-    _require(
-        centers.ndim == 1 and offsets.shape == (centers.size + 1,) and offsets[0] >= 0
-        and (np.diff(offsets) >= 0).all() and offsets[-1] <= members.size,
-        "cluster member offsets decrease or run past the member list",
-    )
-    _require(
-        covering.shape == ids.shape and ((covering >= 0) & (covering < centers.size)).all(),
-        "covering cluster index out of range",
-    )
-    _require(np.isin(centers, ids).all() and np.isin(members, ids).all(),
-             "cluster names an id its node does not hold")
-    clusters = [
-        Cluster(member_ids=members[a:b], center_id=int(c))
-        for c, a, b in zip(centers, offsets[:-1], offsets[1:])
-    ]
-    _require(all((np.diff(cl.member_ids) > 0).all() for cl in clusters),
-             "cluster members do not ascend")
-    return SparseCover(
-        clusters=clusters,
-        covering_ref=covering,
-        beta=beta,
-        radius=radius,
-        diameter_bound=diameter_bound_for(radius, beta),
-        sparsity=sum(len(cl.member_ids) for cl in clusters),
-    )
-
-
-def _decode_carving(meta: list, r: _BlockReader, node: SchemeNode, scheme: LpScheme) -> list:
-    """The carving of the node's point set, as ``recursive.carve`` builds it,
-    from its stored covers: each cover is checked and each cluster mapped
-    once."""
-    steps = ladder_steps(node.t, scheme.r_effective, scheme.bound)
-    _require(len(meta) == len(steps), "ladder length differs from the plan")
-    levels = []
-    for lmeta, (radius, c_base, c_new) in zip(meta, steps):
-        cover = _decode_cover(lmeta, r, node.ids, radius, scheme.bound.beta)
-        _require(len(lmeta["images"]) == len(cover.clusters), "image count differs from clusters")
-        images = []
-        for cl, sub in zip(cover.clusters, lmeta["images"]):
-            mapped = map_cluster(node, cl, cover)
-            _require((mapped is None) == (sub is None),
-                     "a cluster has an image exactly when it is not a singleton")
-            images.append(None if mapped is None
-                          else (*mapped, _decode_carving(sub, r, mapped[1], scheme)))
-        levels.append((c_base, c_new, cover, images))
-    return levels
-
-
-def _decode_set(owners: list, carving: list, r: _BlockReader, scheme: LpScheme) -> None:
-    """Fill every node over one point set, given per owner as (node, stored
-    tree) pairs, with its stored copies over the set's carving, deriving the
-    rest as the build does; then, for every copy at once, the nodes over
-    each point set carved from it; then group the set, as ``_build_set``
-    does."""
-    r_eff = scheme.r_effective
-    copies = []
-    for block in owners:
-        for node, meta in block:
-            _require(meta["copies"] and all(c["base"] for c in meta["copies"]),
-                     "a node without copies or a copy without base schemes")
-            for cmeta in meta["copies"]:
-                base = [
-                    L2Scheme(node.ids, node.vectors, r_eff, r.get(b["projections"]),
-                             r.get(b["offsets"]))
-                    if node.t == 2.0 else
-                    CoarseScheme(node.ids, node.vectors, node.t, r_eff, r.get(b["shifts"]))
-                    for b in cmeta["base"]
-                ]
-                _require(len(cmeta["ladder"]) == len(carving), "ladder length differs from the plan")
-                for lmeta, (_, _, _, images) in zip(cmeta["ladder"], carving):
-                    _require(len(lmeta) == len(images), "child count differs from clusters")
-                    _require(all((image is None) == (not trees) for image, trees in zip(images, lmeta)),
-                             "a cluster has child nodes exactly when it is not a singleton")
-                node.copies.append(SchemeCopy(base=base, ladder=new_ladder(carving)))
-                copies.append((node.copies[-1], cmeta))
-    for j, (_, _, _, images) in enumerate(carving):
-        for k, image in enumerate(images):
-            if image is None:
-                continue
-            sub, kids = image[1], []
-            for copy, cmeta in copies:
-                block = [(SchemeNode(sub.t, sub.ids, sub.vectors), m) for m in cmeta["ladder"][j][k]]
-                copy.ladder[j].children[k].copies = [node for node, _ in block]
-                kids.append(block)
-            _decode_set(kids, image[2], r, scheme)
-    link_group([[node for node, _ in block] for block in owners])
-
-
-def _decode_scheme(header: dict, reader: _BlockReader) -> LpScheme:
+def _inputs(header: dict, blocks: dict) -> tuple[Dataset, SchemeConfig, str, str]:
+    """(points, config, numpy version, digest) the header and blocks hold."""
     cmeta = header["config"]
     config = SchemeConfig(**{
         f.name: (_int if f.type in (int, "int") else _num)(cmeta, f.name)
         for f in fields(SchemeConfig)
     })
     d = _int(header, "d")
-    ids, vectors = reader.get(header["ids"]), reader.get(header["vectors"])
-    _require(
-        ids.ndim == 1 and ids.size and (np.diff(ids) > 0).all()
-        and vectors.shape == (ids.size, d),
-        "root ids do not ascend or do not match its vectors",
-    )
-    scheme = LpScheme(config=config, d=d, bound=approximation_bound(config, d), root=None)
-    root = SchemeNode(t=scheme.p_effective, ids=ids, vectors=vectors)
-    carving = _decode_carving(header["carving"], reader, root, scheme)
-    _decode_set([[(root, header["scheme"])]], carving, reader, scheme)
-    scheme.root = root
-    return scheme
+    saved_with, saved = _str(header, "numpy"), _str(header, "digest")
+    ids, vectors = _take(blocks, header["ids"]), _take(blocks, header["vectors"])
+    if not (ids.ndim == 1 and ids.size and (np.diff(ids) > 0).all()
+            and vectors.shape == (ids.size, d)):
+        raise UsageError("corrupt index: root ids do not ascend or do not match its vectors")
+    return Dataset(vectors, config.p, ids=ids), config, saved_with, saved
 
 
 def _crc_through(f, count: int, crc: int) -> int:
@@ -380,14 +251,22 @@ def _read(f) -> tuple[dict, dict]:
 
 
 def load_index(path: str) -> LpScheme:
-    """Load an index written by :func:`save_index`. The file is read once,
-    each block straight into its own array, and decoded only after its
-    checksum matches."""
+    """Load an index written by :func:`save_index`: read the file once,
+    check its checksum, rebuild the index from its points and configuration
+    with ``preprocess``, and check the rebuild against the saved digest."""
     try:
         with open(path, "rb") as f:
             header, blocks = _read(f)
-        return _decode_scheme(header, _BlockReader(blocks))
+        points, config, saved_with, saved = _inputs(header, blocks)
     except UsageError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise UsageError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
+    scheme = preprocess(points, config)
+    if index_digest(scheme) != saved:
+        raise UsageError(
+            f"{path}: digest mismatch: the rebuilt index differs from the saved one (saved "
+            f"with numpy {saved_with}, rebuilt with numpy {np.__version__}); the file is "
+            f"corrupt or this numpy draws other random streams"
+        )
+    return scheme

@@ -8,7 +8,10 @@ into l_{t/2}, and indexes the image points with a child scheme built by the
 same method one exponent level down. The recursion bottoms out at an l2 LSH
 scheme with approximation 2. Covers and cluster images draw no randomness,
 so they are carved once per point set (``carve``) and shared by every copy
-over it; only the base schemes are drawn per copy.
+over it; only the base schemes are drawn per copy, each from its seed path
+under ``config.seed``. The whole index is thus a function of the points and
+the config: an index file stores only those, and loading it runs
+``preprocess`` again (see ``container``).
 
 A refinement step improves the bound to
 
@@ -419,16 +422,6 @@ def link_group(owners: list) -> None:
         node.group = group
 
 
-def new_ladder(carving: list) -> list:
-    """A copy's ladder over a point set's carving, its clusters' child node
-    lists still empty."""
-    return [
-        LadderLevel(j, c_base, c_new, cover,
-                    [ClusterChild(None if image is None else image[0], []) for image in images])
-        for j, (c_base, c_new, cover, images) in enumerate(carving, start=1)
-    ]
-
-
 def _build_set(
     owners: list,
     carving: list,
@@ -458,7 +451,12 @@ def _build_set(
                     if node.t == 2.0 else build_coarse_ann(node.ids, node.vectors, node.t, r, seed)
                     for seed in seeds
                 ]
-                node.copies.append(SchemeCopy(base=base, ladder=new_ladder(carving)))
+                ladder = [
+                    LadderLevel(j, c_base, c_new, cover,
+                                [ClusterChild(None if im is None else im[0], []) for im in images])
+                    for j, (c_base, c_new, cover, images) in enumerate(carving, start=1)
+                ]
+                node.copies.append(SchemeCopy(base=base, ladder=ladder))
                 copies.append((node.copies[-1], path + (TAG_NODE_COPY, ci)))
     for j, (_, _, _, images) in enumerate(carving, start=1):
         for ki, image in enumerate(images):

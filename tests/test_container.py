@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from lpann import Dataset, SchemeConfig, UsageError, load_index, preprocess, query, save_index
 from lpann.cli import main
-from lpann.container import FORMAT_VERSION, MAGIC
+from lpann import recursive
+from lpann.container import FORMAT_VERSION, MAGIC, index_digest
 from lpann.oracle import TrialSpec, make_planted_instance
 
 
@@ -46,13 +47,18 @@ def test_header_fields(built):
     (hlen,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16: 16 + hlen])
     assert set(header) == {
-        "format_version", "d", "config", "ids", "vectors", "carving", "scheme", "blocks",
+        "format_version", "d", "config", "numpy", "digest", "ids", "vectors", "blocks",
     }
     assert header["format_version"] == FORMAT_VERSION
     assert header["d"] == 32
     assert header["config"]["p"] == 4.0
     assert header["config"]["seed"] == 7
-    assert set(header["blocks"])  # non-empty block table
+    assert header["numpy"] == np.__version__
+    assert header["digest"] == index_digest(scheme)
+    # only the root's points are stored
+    assert set(header["blocks"]) == {header["ids"], header["vectors"]}
+    assert header["blocks"][header["ids"]]["shape"] == list(scheme.root.ids.shape)
+    assert header["blocks"][header["vectors"]]["shape"] == list(scheme.root.vectors.shape)
     for meta in header["blocks"].values():
         assert meta["dtype"] in ("<f8", "<i8")
         assert meta["offset"] >= 0
@@ -150,70 +156,50 @@ def _first_block(header):
     return header["blocks"][header["ids"]]
 
 
-def _first_cover(header):
-    return header["carving"][0]
-
-
-def _first_children(header):
-    return header["scheme"]["copies"][0]["ladder"][0]
-
-
-def _repeat_last_level(ladder):
-    ladder.append(ladder[-1])
-
-
 @pytest.mark.parametrize(
-    "index,edit",
+    "edit",
     [
-        ("built", lambda h: _first_block(h).update(shape=[1.5])),
-        ("built", lambda h: _first_block(h).update(shape=["100"])),
-        ("built", lambda h: _first_block(h).update(shape=[-1])),
-        ("built", lambda h: _first_block(h).update(dtype="<f4")),
-        ("built", lambda h: _first_block(h).update(offset=-8)),
-        ("built", lambda h: _first_block(h).update(offset=10**12)),
-        ("built", lambda h: _first_block(h).update(offset=h["blocks"][h["vectors"]]["offset"])),
-        ("built", lambda h: h["scheme"]["copies"][1]["base"][0].update(
-            h["scheme"]["copies"][0]["base"][0])),
-        ("built", lambda h: h["blocks"].pop(h["ids"])),
-        ("built", lambda h: h.pop("d")),
-        ("built", lambda h: h["config"].update(r="1.0")),
-        ("built", lambda h: h.update(d=32.5)),
-        ("built", lambda h: h["config"].update(seed=None)),
-        ("built", lambda h: h.update(blocks=[])),
-        ("built", lambda h: h.update(format_version=1)),
-        ("built", lambda h: h.update(format_version=2)),
-        ("built", lambda h: h.update(format_version=3)),
-        ("built", lambda h: h.update(format_version=4)),
-        ("built", lambda h: _repeat_last_level(h["scheme"]["copies"][0]["ladder"])),
-        ("built", lambda h: _repeat_last_level(h["carving"])),
-        ("singletons", lambda h: _first_children(h)[0].append({"copies": []})),
-        ("built", lambda h: _first_children(h)[0].clear()),
-        ("singletons", lambda h: _first_cover(h)["images"].__setitem__(0, [])),
-        ("built", lambda h: _first_cover(h)["images"].__setitem__(0, None)),
-        ("built", lambda h: _first_cover(h)["images"].append(None)),
-        ("built", lambda h: h["scheme"]["copies"].clear()),
-        ("built", lambda h: h["scheme"]["copies"][0]["base"].clear()),
+        lambda h: _first_block(h).update(shape=[1.5]),
+        lambda h: _first_block(h).update(shape=["100"]),
+        lambda h: _first_block(h).update(shape=[-1]),
+        lambda h: _first_block(h).update(dtype="<f4"),
+        lambda h: _first_block(h).update(offset=-8),
+        lambda h: _first_block(h).update(offset=10**12),
+        lambda h: _first_block(h).update(offset=h["blocks"][h["vectors"]]["offset"]),
+        lambda h: h.update(vectors=h["ids"]),
+        lambda h: h["blocks"].pop(h["ids"]),
+        lambda h: h.pop("d"),
+        lambda h: h["config"].update(r="1.0"),
+        lambda h: h.update(d=32.5),
+        lambda h: h["config"].update(seed=None),
+        lambda h: h.update(blocks=[]),
+        lambda h: h.update(format_version=1),
+        lambda h: h.update(format_version=2),
+        lambda h: h.update(format_version=3),
+        lambda h: h.update(format_version=4),
+        lambda h: h.update(format_version=5),
+        lambda h: h.pop("digest"),
+        lambda h: h.update(digest=int(h["digest"], 16)),
+        lambda h: h.pop("numpy"),
+        lambda h: h.update(numpy=[2, 4]),
     ],
     ids=[
         "float-shape", "string-shape", "negative-shape", "unknown-dtype",
         "negative-offset", "offset-past-end", "overlapping-blocks", "block-named-twice",
         "missing-block", "missing-key",
         "string-number", "float-integer", "null-seed", "block-table-list", "version-1",
-        "version-2", "version-3", "version-4", "ladder-past-plan", "carving-past-plan",
-        "singleton-with-children", "cluster-without-children", "singleton-with-image",
-        "cluster-without-image", "image-without-cluster", "node-without-copies",
-        "copy-without-base",
+        "version-2", "version-3", "version-4", "version-5", "missing-digest",
+        "number-digest", "missing-numpy", "list-numpy",
     ],
 )
-def test_malformed_header_is_usage_error(request, tmp_path, capsys, index, edit):
-    path = request.getfixturevalue(index)[2]
-    bad = _rewrite_header(path, tmp_path / "bad.lpann", edit)
+def test_malformed_header_is_usage_error(built, tmp_path, capsys, edit):
+    bad = _rewrite_header(built[2], tmp_path / "bad.lpann", edit)
     with pytest.raises(UsageError):
         load_index(str(bad))
     assert _cli_query_exit(bad, tmp_path) == 2
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_old_format_names_its_version(built, tmp_path, version):
     bad = _rewrite_header(built[2], tmp_path / "old.lpann",
                           lambda h: h.update(format_version=version))
@@ -283,12 +269,8 @@ def _rewrite_block(path, out, pick, change, seal=True):
 
 @pytest.mark.parametrize(
     "pick,change",
-    [
-        (lambda h: _first_cover(h)["covering"], lambda b: np.full_like(b, 99)),
-        (lambda h: _first_cover(h)["centers"], lambda b: np.full_like(b, 10**9)),
-        (lambda h: _first_cover(h)["members"], lambda b: b[::-1]),
-    ],
-    ids=["cluster-index-past-end", "foreign-center-id", "members-descend"],
+    [(lambda h: h["ids"], lambda b: b[::-1])],
+    ids=["ids-descend"],
 )
 def test_corrupt_block_contents_are_usage_error(built, tmp_path, capsys, pick, change):
     _, _, path = built
@@ -305,11 +287,14 @@ def _nudge_first_coordinate(block):
 
 
 def test_unsealed_edit_fails_checksum(built, tmp_path, capsys):
-    # a vector one ulp off passes every content check; only the trailer catches it
+    # a vector one ulp off passes every header and block check: resealed, the
+    # digest of the index it rebuilds catches it; unsealed, the trailer does
     _, _, path = built
     sealed = _rewrite_block(path, tmp_path / "sealed.lpann", lambda h: h["vectors"],
                             _nudge_first_coordinate)
-    assert load_index(str(sealed)).root.vectors[0, 0] != load_index(str(path)).root.vectors[0, 0]
+    with pytest.raises(UsageError, match="digest mismatch"):
+        load_index(str(sealed))
+    assert _cli_query_exit(sealed, tmp_path) == 2
     bad = _rewrite_block(path, tmp_path / "bad.lpann", lambda h: h["vectors"],
                          _nudge_first_coordinate, seal=False)
     with pytest.raises(UsageError, match="checksum"):
@@ -334,3 +319,28 @@ def test_flipped_bit_or_truncation_is_usage_error(built, tmp_path_factory, data)
     with pytest.raises(UsageError):
         load_index(str(path))
     assert _cli_query_exit(path, work) == 2
+
+
+def test_rebuild_that_differs_names_both_numpy_versions(built, tmp_path, capsys, monkeypatch):
+    # a numpy whose random streams changed rebuilds other draws: moving one
+    # l2 offset by one ulp at load stands in for it
+    _, _, path = built
+    old = _rewrite_header(path, tmp_path / "old.lpann", lambda h: h.update(numpy="0.0.1"))
+    load_index(str(old))  # the version alone rejects nothing
+    real, calls = recursive.build_l2_ann, []
+
+    def nudged(*args):
+        leaf = real(*args)
+        if not calls:
+            leaf.offsets[0, 0] = np.nextafter(leaf.offsets[0, 0], np.inf)
+        calls.append(leaf)
+        return leaf
+
+    monkeypatch.setattr(recursive, "build_l2_ann", nudged)
+    with pytest.raises(UsageError, match="digest mismatch") as err:
+        load_index(str(old))
+    assert calls
+    assert "numpy 0.0.1" in str(err.value)
+    assert f"numpy {np.__version__}" in str(err.value)
+    calls.clear()
+    assert _cli_query_exit(old, tmp_path) == 2

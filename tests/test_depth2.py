@@ -4,8 +4,9 @@ children, whose own ladders bottom out in t = 2 l2 leaves.
 A non-empty t = 8 ladder first appears at d >= 4096 with p = 8, so this is
 the smallest instance that builds the whole double recursion. With one base
 and one child copy per level it builds in a few seconds and holds about
-0.6 GB, most of it the l2 leaves' random projections; the index is saved,
-the built copy dropped, and only then loaded, so the two never coexist.
+0.6 GB, most of it the l2 leaves' random projections; the index is saved
+(its points and config, under 1 MB), the built copy dropped, and only then
+loaded, which rebuilds it, so the two never coexist.
 """
 
 import gc
@@ -118,6 +119,7 @@ def test_depth2_shape_covers_answers_and_reload(tmp_path, monkeypatch):
 
     path = tmp_path / "depth2.lpann"
     save_index(scheme, str(path))
+    assert path.stat().st_size < 1 << 20  # the points and config, not the draws
     del scheme
     gc.collect()
     assert _answers(load_index(str(path)), queries) == built

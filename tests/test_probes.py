@@ -51,12 +51,13 @@ def test_probes_see_calls(tmp_path, monkeypatch):
     lpann.query(scheme, data[5] + 0.01)
     assert seen == {attr for _, attr, _, _ in probes}
 
-    monkeypatch.undo()  # saving tests isinstance against the scheme classes
+    monkeypatch.undo()
     path = tmp_path / "x.lpann"
     lpann.save_index(scheme, str(path))
-    seen = _record_calls(monkeypatch, layers.LOAD_PROBES)
+    # loading rebuilds the index with preprocess, so the build probes fire
+    seen = _record_calls(monkeypatch, layers.BUILD_PROBES)
     lpann.load_index(str(path))
-    assert seen == {attr for _, attr, _, _ in layers.LOAD_PROBES}
+    assert seen == {attr for _, attr, _, _ in layers.BUILD_PROBES}
 
 
 def test_one_lookup_per_group(monkeypatch):
