@@ -32,7 +32,8 @@ candidates, found by a scatter over the group's points, with one distance
 call (one per round for l2 leaves). A group's schemes come in contiguous
 blocks, and a query answers per block: per owner for l2 leaves, per copy
 for grids. A mask leaves blocks out, and their buckets and cells are never
-measured. A lone scheme is queried as a group of one.
+measured (nor, for l2 leaves, hashed). A lone scheme is queried as a group
+of one.
 """
 
 from __future__ import annotations
@@ -54,14 +55,17 @@ def _rng(seed) -> np.random.Generator:
 
 
 def _to_cell_index(values: np.ndarray) -> np.ndarray:
-    """Floor to int64, clipping astronomically scaled inputs into range; the
-    float array values is overwritten on the way.
+    """Floor to int64, clipping astronomically scaled inputs into +-9.2e18;
+    the float array values is overwritten on the way. The clip runs only
+    when the floored values' minimum or maximum lies outside that range (or
+    is NaN, or values is empty), for it leaves in-range values as they are.
 
     Clipping can only merge cells of points that distance re-checking would
     reject anyway, so answers stay within their bounds.
     """
     np.floor(values, out=values)
-    np.clip(values, -9.2e18, 9.2e18, out=values)
+    if not (values.size and -9.2e18 <= values.min() and values.max() <= 9.2e18):
+        np.clip(values, -9.2e18, 9.2e18, out=values)
     return values.astype(np.int64)
 
 
@@ -150,15 +154,23 @@ def _split(multipliers, t: int, keys: np.ndarray):
     """(order, first, fingerprints) grouping the rows of table t's keys by
     fingerprint: order sorts them stably, and run j of equal fingerprints
     begins at order[first[j]] and has fingerprints[j]; None if a run holds
-    two different keys."""
-    fp = _fingerprints(multipliers, np.full(keys.shape[0], t), keys)
+    two different keys.
+
+    The table number enters the fingerprints as one scalar term. The run
+    check gathers the keys once in sorted order and compares each row with
+    the one before it wherever no run begins; when every run is a single
+    row there is nothing to check, and when one run spans the table, order
+    is the identity and the keys are already in sorted order.
+    """
+    fp = _fingerprints(multipliers, t, keys)
     order = fp.argsort(kind="stable")
     fp = fp[order]
     new = _run_starts(fp)
-    within = np.flatnonzero(~new)
-    if (keys[order[within]] != keys[order[within - 1]]).any():
-        return None
-    first = np.flatnonzero(new)
+    first = new.nonzero()[0]
+    if first.size < fp.size:
+        ranked = keys if first.size == 1 else keys.take(order, axis=0)
+        if ((ranked[1:] != ranked[:-1]) & ~new[1:, None]).any():
+            return None
     return order, first, fp[first]
 
 
@@ -167,9 +179,12 @@ def _bucket_table(tables, rekey=None) -> _BucketTable:
 
     ``tables`` iterates over one (keys, cap) pair per table, numbered in
     order: the points' int keys, an (m, k) array, and the most members a
-    bucket of the table keeps. A table's keys are dropped once it is
-    grouped, and every bucket's key is kept, unless ``rekey(t, rows)``
-    recomputes the keys of table t's local rows bit for bit; then none is.
+    bucket of the table keeps. Each table is split on its own by
+    ``_split`` and leaves only its runs, members and fingerprints (and its
+    bucket keys); capping the members and sorting all fingerprints run once
+    at the end. A table's keys are dropped once it is grouped, and every
+    bucket's key is kept, unless ``rekey(t, rows)`` recomputes the keys of
+    table t's local rows bit for bit; then none is.
 
     Fingerprints start from salt 0's multipliers. A fingerprint run holding
     two keys, or two buckets sharing a fingerprint, moves every fingerprint
@@ -223,15 +238,16 @@ def _bucket_table(tables, rekey=None) -> _BucketTable:
     return _BucketTable(fp, by_fingerprint, tables, starts, members, multipliers, keys)
 
 
-def _lookup(table: _BucketTable, keys: np.ndarray):
-    """(i, bucket) for every keys[i] found in table i, in order of i, from
-    one search over the fingerprint column. A match counts only if its
-    bucket's table number is i and its key is keys[i] (and then so is its
-    fingerprint); a fingerprint past the last is clipped and fails. A table
-    without keys matches on the fingerprint and leaves the key to the
-    caller (``query_coarse_ann`` recomputes it for the matches it would
-    answer with)."""
-    tables = np.arange(keys.shape[0])
+def _lookup(table: _BucketTable, keys: np.ndarray, tables=None):
+    """(i, bucket) for every keys[i] found in table ``tables[i]`` (table i
+    by default), in order of i, from one search over the fingerprint
+    column. A match counts only if its bucket's table number is tables[i]
+    and its key is keys[i] (and then so is its fingerprint); a fingerprint
+    past the last is clipped and fails. A table without keys matches on the
+    fingerprint and leaves the key to the caller (``query_coarse_ann``
+    recomputes it for the matches it would answer with)."""
+    if tables is None:
+        tables = np.arange(keys.shape[0])
     fp = _fingerprints(table.multipliers, tables, keys)
     pos = table.fingerprints.searchsorted(fp)
     bucket = table.by_fingerprint.take(pos, mode="clip")
@@ -275,7 +291,8 @@ def _stack(schemes: list, names: tuple) -> tuple[list, np.ndarray]:
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """True where a run of equal values in the non-empty array a begins."""
-    out = np.ones(a.size, dtype=bool)
+    out = np.empty(a.size, dtype=bool)
+    out[0] = True
     np.not_equal(a[1:], a[:-1], out=out[1:])
     return out
 
@@ -310,13 +327,16 @@ class L2Scheme:
 
 def _l2_keys(projections, offsets, w: float, vecs: np.ndarray) -> np.ndarray:
     """Bucket keys for each (table, vector): int array (L, m, k), from one
-    matrix product of the vectors with all L k projections. Build, load and
-    query all hash through it, so a point and a query at the point agree."""
+    matrix product of the vectors with all L k projections. The offsets,
+    the division by w, the floor and the cast run on the contiguous (m, L k)
+    product, and only the result is viewed as (L, m, k): every step is
+    elementwise, so the order changes no bit. Build, load and query all
+    hash through it, so a point and a query at the point agree."""
     big_l, k, d = projections.shape
-    proj = (vecs @ projections.reshape(big_l * k, d).T).reshape(-1, big_l, k).transpose(1, 0, 2)
-    proj += offsets[:, None, :]
+    proj = vecs @ projections.reshape(big_l * k, d).T
+    proj += offsets.reshape(-1)
     proj /= w
-    return _to_cell_index(proj)
+    return _to_cell_index(proj).reshape(len(vecs), big_l, k).transpose(1, 0, 2)
 
 
 def build_l2_ann(ids, vectors, r: float, delta_fail: float, seed) -> L2Scheme:
@@ -395,20 +415,27 @@ def query_l2_ann(group: L2Group, q, live=None):
     Buckets are measured in rounds: round j measures the distinct members of
     the j-th matched bucket of every leaf of a live owner still without a
     candidate, with one distance call, so no bucket past a leaf's first
-    candidate, and none of a left-out owner, is measured.
+    candidate, and none of a left-out owner, is measured. Only the live
+    owners' tables are hashed and looked up.
     """
     lead = group.leaves[0]
     q = _query_point(q, lead.vectors.shape[1])
-    keys = _l2_keys(group.projections, group.offsets, lead.w, q.reshape(1, -1))[:, 0, :]
-    found, buckets = _lookup(group.table, keys)
+    pending = np.ones(len(group.leaves), dtype=bool)
+    tables, projections, offsets = None, group.projections, group.offsets
+    if live is not None:
+        pending = np.asarray(live, dtype=bool)[group.owner_of]
+        if not pending.all():
+            tables = np.flatnonzero(pending[group.leaf_of])
+            projections, offsets = projections[tables], offsets[tables]
+    keys = _l2_keys(projections, offsets, lead.w, q.reshape(1, -1))[:, 0, :]
+    found, buckets = _lookup(group.table, keys, tables)
+    if tables is not None:
+        found = tables[found]
     leaf = group.leaf_of[found]  # ascends: stacked tables are in leaf order
     rank = np.arange(found.size) - leaf.searchsorted(leaf)
     members, m = group.table.members, len(lead.vectors)
     hit_row = np.zeros(len(group.leaves), dtype=np.intp)
     hit_dist = np.full(len(group.leaves), np.inf)
-    pending = np.ones(len(group.leaves), dtype=bool)
-    if live is not None:
-        pending = np.asarray(live, dtype=bool)[group.owner_of]
     for j in range(rank.max() + 1 if found.size else 0):
         sel = np.flatnonzero((rank == j) & pending[leaf])
         if not sel.size:

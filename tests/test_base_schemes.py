@@ -19,7 +19,7 @@ from lpann import (
     query_coarse_ann,
     query_l2_ann,
 )
-from lpann import _kernels
+from lpann import _kernels, base_schemes
 from lpann.base_schemes import (
     CoarseGroup,
     CoarseScheme,
@@ -31,6 +31,7 @@ from lpann.base_schemes import (
     _l2_keys,
     _lookup,
     _multipliers,
+    _split,
     _to_cell_index,
     collision_probability,
     num_tables,
@@ -400,6 +401,78 @@ def test_fingerprint_collision_moves_to_a_later_salt(multipliers):
     with patch:
         _dict_reference_check(keys, [keys[:, 0], keys[:, 1] + 1])
     assert max(salts) > 0
+
+
+def _reference_split(multipliers, t, keys):
+    """``_split`` as first written, kept as its oracle: the table number
+    enters as a full column, and the run check gathers both rows of every
+    pair inside a run."""
+    fp = _fingerprints(multipliers, np.full(keys.shape[0], t), keys)
+    order = fp.argsort(kind="stable")
+    fp = fp[order]
+    new = np.ones(fp.size, dtype=bool)
+    new[1:] = fp[1:] != fp[:-1]
+    within = np.flatnonzero(~new)
+    if (keys[order[within]] != keys[order[within - 1]]).any():
+        return None
+    first = np.flatnonzero(new)
+    return order, first, fp[first]
+
+
+@st.composite
+def _split_case(draw, shape):
+    """(multipliers, t, keys) of one table whose keys are all distinct, all
+    equal, few and repeating, or, under the key-sum multipliers of
+    ``_degenerate``, hold two distinct keys with one fingerprint among
+    freely drawn ones."""
+    m, k = draw(st.integers(1, 40)), draw(st.integers(2, 5))
+    t = draw(st.integers(0, 2**31 - 1))
+    multipliers = _multipliers(draw(st.integers(0, 7)), k)
+    if shape == "single":
+        keys = draw(arrays(np.int64, (m, k), elements=st.integers(-2**62, 2**62), unique=True))
+    elif shape == "one":
+        keys = np.tile(draw(arrays(np.int64, (1, k), elements=st.sampled_from(KEY_VALUES))), (m, 1))
+    elif shape == "runs":
+        keys = draw(arrays(np.int64, (m, k), elements=st.integers(-1, 1)))
+    else:
+        patch, _ = _degenerate((1, 0))
+        with patch:
+            multipliers = base_schemes._multipliers(0, k)
+        keys = draw(arrays(np.int64, (m, k), elements=st.integers(-2, 2)))
+        twin = keys[draw(st.integers(0, m - 1))].copy()
+        twin[:2] += (1, -1)  # another key with the same sum
+        keys = np.insert(keys, draw(st.integers(0, m)), twin, axis=0)
+    # tables come to _split as (m, k) views of a leaf's (L, m, k) keys
+    strided = np.empty((keys.shape[0], 3, k), dtype=np.int64)
+    strided[:, 1] = keys
+    return multipliers, t, strided[:, 1]
+
+
+@pytest.mark.parametrize("shape", ["single", "one", "runs", "collision"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_split_matches_reference(shape, data):
+    multipliers, t, keys = data.draw(_split_case(shape))
+    got, expected = _split(multipliers, t, keys), _reference_split(multipliers, t, keys)
+    assert (got is None) == (expected is None) == (shape == "collision")
+    for a, b in zip(got or (), expected or ()):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    runs = {"single": keys.shape[0], "one": 1}
+    if shape in runs:
+        assert got[1].size == runs[shape]
+
+
+CELL_EDGES = [np.nextafter(9.2e18, np.inf), np.nextafter(9.2e18, -np.inf), 9.2e18, 9.3e18,
+              1e300, np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 5)), elements=st.one_of(
+    st.floats(-1e18, 1e18), st.sampled_from(CELL_EDGES + [-x for x in CELL_EDGES]))))
+def test_to_cell_index_matches_a_full_clip(values):
+    expected = np.clip(np.floor(values), -9.2e18, 9.2e18).astype(np.int64)
+    got = _to_cell_index(values.copy())
+    assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
 
 
 def test_grid_group_holds_one_grid_of_cells_at_a_time():

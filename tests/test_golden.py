@@ -30,6 +30,7 @@ from lpann import (
     save_index,
 )
 from lpann import _kernels, base_schemes, recursive
+from lpann.container import index_digest
 from lpann.cover import build_sparse_cover
 from lpann.oracle import exact_nn
 
@@ -151,6 +152,15 @@ GOLDEN_L2ROOT = [(17, '0x1.cbd99097b8277p+0', [17]),
 # nns_search(c_slack=0.5, seed=5) on every 4th query of that instance
 GOLDEN_L2ROOT_NNS = [129, 113, 17, 58, 8]
 
+# container.index_digest of each instance's built index at seed 5, so a
+# change to any table, draw or cover byte fails here even when the answers
+# happen to survive it
+GOLDEN_DIGEST = {
+    "gauss": "22d415fce59ff9897ab2bcebc345903e3af2f757d3df266b9639670b65e6059d",
+    "blobs": "384157451c7ab0c435e669f61a716bbabcdfdd05a7b8e45432576cd677fb35e3",
+    "l2root": "e4141c35f255dfaa08b66a4971d8d213a10a6b16fe0a714df36106269dc6e698",
+}
+
 
 @pytest.mark.parametrize("kind", ["gauss", "blobs"])
 def test_golden_answers(kind):
@@ -160,6 +170,14 @@ def test_golden_answers(kind):
 @pytest.mark.parametrize("kind", ["gauss", "blobs"])
 def test_golden_answers_after_reload(kind, tmp_path):
     assert answers(kind, 5, tmp_path / "golden.lpann") == GOLDEN[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DIGEST))
+def test_golden_index_digest(kind, tmp_path):
+    scheme, _ = _instance(kind, 5)
+    assert index_digest(scheme) == GOLDEN_DIGEST[kind]
+    save_index(scheme, str(tmp_path / "golden.lpann"))
+    assert index_digest(load_index(str(tmp_path / "golden.lpann"))) == GOLDEN_DIGEST[kind]
 
 
 def test_blobs_quality_against_exact_nn():
@@ -396,8 +414,8 @@ def test_every_point_finds_its_own_bucket_in_every_table(instance, monkeypatch):
     lookups = []
     real = base_schemes._lookup
 
-    def recording(table, keys):
-        lookups.append(real(table, keys))
+    def recording(table, keys, tables=None):
+        lookups.append(real(table, keys, tables))
         return lookups[-1]
 
     monkeypatch.setattr(base_schemes, "_lookup", recording)
