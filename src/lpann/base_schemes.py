@@ -32,8 +32,7 @@ candidates, found by a scatter over the group's points, with one distance
 call (one per round for l2 leaves). A group's schemes come in contiguous
 blocks, and a query answers per block: per owner for l2 leaves, per copy
 for grids. A mask leaves blocks out, and their buckets and cells are never
-measured (nor, for l2 leaves, hashed). A lone scheme is queried as a group
-of one.
+measured. A lone scheme is queried as a group of one.
 """
 
 from __future__ import annotations
@@ -158,19 +157,18 @@ def _split(multipliers, t: int, keys: np.ndarray):
 
     The table number enters the fingerprints as one scalar term. The run
     check gathers the keys once in sorted order and compares each row with
-    the one before it wherever no run begins; when every run is a single
-    row there is nothing to check, and when one run spans the table, order
-    is the identity and the keys are already in sorted order.
+    the one before it wherever no run begins; when one run spans the table
+    (most tables of an l2 leaf), order is the identity and the keys are
+    already in sorted order.
     """
     fp = _fingerprints(multipliers, t, keys)
     order = fp.argsort(kind="stable")
     fp = fp[order]
     new = _run_starts(fp)
     first = new.nonzero()[0]
-    if first.size < fp.size:
-        ranked = keys if first.size == 1 else keys.take(order, axis=0)
-        if ((ranked[1:] != ranked[:-1]) & ~new[1:, None]).any():
-            return None
+    ranked = keys if first.size == 1 else keys.take(order, axis=0)
+    if ((ranked[1:] != ranked[:-1]) & ~new[1:, None]).any():
+        return None
     return order, first, fp[first]
 
 
@@ -238,16 +236,15 @@ def _bucket_table(tables, rekey=None) -> _BucketTable:
     return _BucketTable(fp, by_fingerprint, tables, starts, members, multipliers, keys)
 
 
-def _lookup(table: _BucketTable, keys: np.ndarray, tables=None):
-    """(i, bucket) for every keys[i] found in table ``tables[i]`` (table i
-    by default), in order of i, from one search over the fingerprint
-    column. A match counts only if its bucket's table number is tables[i]
-    and its key is keys[i] (and then so is its fingerprint); a fingerprint
-    past the last is clipped and fails. A table without keys matches on the
-    fingerprint and leaves the key to the caller (``query_coarse_ann``
-    recomputes it for the matches it would answer with)."""
-    if tables is None:
-        tables = np.arange(keys.shape[0])
+def _lookup(table: _BucketTable, keys: np.ndarray):
+    """(i, bucket) for every keys[i] found in table i, in order of i, from
+    one search over the fingerprint column. A match counts only if its
+    bucket's table number is i and its key is keys[i] (and then so is its
+    fingerprint); a fingerprint past the last is clipped and fails. A table
+    without keys matches on the fingerprint and leaves the key to the
+    caller (``query_coarse_ann`` recomputes it for the matches it would
+    answer with)."""
+    tables = np.arange(keys.shape[0])
     fp = _fingerprints(table.multipliers, tables, keys)
     pos = table.fingerprints.searchsorted(fp)
     bucket = table.by_fingerprint.take(pos, mode="clip")
@@ -415,27 +412,20 @@ def query_l2_ann(group: L2Group, q, live=None):
     Buckets are measured in rounds: round j measures the distinct members of
     the j-th matched bucket of every leaf of a live owner still without a
     candidate, with one distance call, so no bucket past a leaf's first
-    candidate, and none of a left-out owner, is measured. Only the live
-    owners' tables are hashed and looked up.
+    candidate, and none of a left-out owner, is measured.
     """
     lead = group.leaves[0]
     q = _query_point(q, lead.vectors.shape[1])
-    pending = np.ones(len(group.leaves), dtype=bool)
-    tables, projections, offsets = None, group.projections, group.offsets
-    if live is not None:
-        pending = np.asarray(live, dtype=bool)[group.owner_of]
-        if not pending.all():
-            tables = np.flatnonzero(pending[group.leaf_of])
-            projections, offsets = projections[tables], offsets[tables]
-    keys = _l2_keys(projections, offsets, lead.w, q.reshape(1, -1))[:, 0, :]
-    found, buckets = _lookup(group.table, keys, tables)
-    if tables is not None:
-        found = tables[found]
+    keys = _l2_keys(group.projections, group.offsets, lead.w, q.reshape(1, -1))[:, 0, :]
+    found, buckets = _lookup(group.table, keys)
     leaf = group.leaf_of[found]  # ascends: stacked tables are in leaf order
     rank = np.arange(found.size) - leaf.searchsorted(leaf)
     members, m = group.table.members, len(lead.vectors)
     hit_row = np.zeros(len(group.leaves), dtype=np.intp)
     hit_dist = np.full(len(group.leaves), np.inf)
+    pending = np.ones(len(group.leaves), dtype=bool)
+    if live is not None:
+        pending = np.asarray(live, dtype=bool)[group.owner_of]
     for j in range(rank.max() + 1 if found.size else 0):
         sel = np.flatnonzero((rank == j) & pending[leaf])
         if not sel.size:

@@ -414,8 +414,8 @@ def test_every_point_finds_its_own_bucket_in_every_table(instance, monkeypatch):
     lookups = []
     real = base_schemes._lookup
 
-    def recording(table, keys, tables=None):
-        lookups.append(real(table, keys, tables))
+    def recording(table, keys):
+        lookups.append(real(table, keys))
         return lookups[-1]
 
     monkeypatch.setattr(base_schemes, "_lookup", recording)

@@ -160,41 +160,3 @@ def test_walk_matches_per_copy_recursion_when_copies_split(seed, monkeypatch):
     # copies of the root routed to different clusters at one ladder step,
     # and a leaf group was looked up for some of its owners only
     assert splits > 0 and masked
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_masked_leaf_group_hashes_only_live_owners_tables(seed, monkeypatch):
-    # a leaf group looked up for some of its owners hashes and looks up only
-    # their tables, and answers each of them bit for bit as a lookup of the
-    # whole group does; a lookup for every owner passes no table numbers
-    dataset, queries, r = _split(seed)
-    scheme = preprocess(dataset, SchemeConfig(p=4.0, r=r, seed=seed))
-    lookups, masked = [], []
-    real_lookup, real_query = base_schemes._lookup, base_schemes.query_l2_ann
-
-    def recording(table, keys, tables=None):
-        lookups.append((keys.shape[0], tables))
-        return real_lookup(table, keys, tables)
-
-    def bits(answers, owners):
-        return [None if a is None else (a[0], float.hex(a[1])) for a in answers or [None] * owners]
-
-    def checking(group, q, live):
-        lookups.clear()
-        answers = real_query(group, q, live)
-        (count, tables), = lookups
-        if np.all(live):
-            assert tables is None and count == group.projections.shape[0]
-            return answers
-        live_tables = np.flatnonzero(live[group.owner_of][group.leaf_of])
-        assert tables.tolist() == live_tables.tolist() and count == tables.size
-        whole = bits(real_query(group, q), group.owners)
-        assert bits(answers, group.owners) == [a if on else None for a, on in zip(whole, live)]
-        masked.append(live)
-        return answers
-
-    monkeypatch.setattr(base_schemes, "_lookup", recording)
-    monkeypatch.setattr(recursive, "query_l2_ann", checking)
-    for q in queries:
-        query(scheme, q)
-    assert masked
