@@ -116,6 +116,8 @@ def read_dataset_file(path: str) -> Dataset:
 def cmd_gen(args) -> int:
     if args.n < 1 or args.d < 1:
         raise UsageError("--n and --d must be >= 1")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     spec = TrialSpec(
         n=args.n, d=args.d, p=args.p, r=1.0,
         distribution=args.dist, rho=0.0, seed=args.seed,

@@ -58,11 +58,11 @@ _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
 def index_digest(scheme: LpScheme) -> str:
     """blake2b, in hex, over the dtype, shape and bytes of every array the
-    index holds. It walks each point set once, in build order: its ids and
-    vectors, its group's draws and bucket table, then per ladder step its
-    cover's clusters and ``covering_ref``, then the point sets carved from
-    that cover. Every node copy over a point set shares these, so the walk
-    follows each set's first node."""
+    index holds. It walks each ``PointSet`` once, in build order: its ids
+    and vectors, its group's draws and bucket table, then per ladder step
+    its cover's clusters and ``covering_ref``, then the point sets carved
+    from that cover, in cluster order. Every copy over a set shares these,
+    and its group holds every copy's draws in copy order."""
     h = hashlib.blake2b(digest_size=32)
 
     def feed(arr) -> None:
@@ -73,20 +73,20 @@ def index_digest(scheme: LpScheme) -> str:
         h.update(f"{arr.dtype.str}{arr.shape};".encode())
         h.update(arr.reshape(-1).view(np.uint8))
 
-    def walk(node) -> None:
-        group = node.group
+    def walk(pset) -> None:
+        group = pset.group
         draws = (group.projections, group.offsets) if isinstance(group, L2Group) else (group.shifts,)
-        for arr in (node.ids, node.vectors, *draws, *vars(group.table).values()):
+        for arr in (pset.ids, pset.vectors, *draws, *vars(group.table).values()):
             feed(arr)
-        for level in node.copies[0].ladder:
+        for level in pset.ladder:
             clusters = level.cover.clusters
             feed(np.array([cl.center_id for cl in clusters], dtype=np.int64))
             for cl in clusters:
                 feed(cl.member_ids)
             feed(level.cover.covering_ref)
-            for child in level.children:
-                if child.copies:
-                    walk(child.copies[0])
+            for reduction in level.children:
+                if reduction.child is not None:
+                    walk(reduction.child)
 
     walk(scheme.root)
     return h.hexdigest()

@@ -7,10 +7,11 @@ radius 2 * c_{j-1} * r, maps every cluster through a scaled signed-power map
 into l_{t/2}, and indexes the image points with a child scheme built by the
 same method one exponent level down. The recursion bottoms out at an l2 LSH
 scheme with approximation 2. Covers and cluster images draw no randomness,
-so they are carved once per point set (``carve``) and shared by every copy
-over it; only the base schemes are drawn per copy, each from its seed path
-under ``config.seed``. The whole index is thus a function of the points and
-the config: an index file stores only those, and loading it runs
+so each carved point set is one ``PointSet``, carved once (``carve``), and
+every copy over it shares its ladder; only the base schemes are drawn per
+copy, each from its seed path under ``config.seed``, and stacked in the
+set's one group. The whole index is thus a function of the points and the
+config: an index file stores only those, and loading it runs
 ``preprocess`` again (see ``container``).
 
 A refinement step improves the bound to
@@ -27,11 +28,12 @@ Query time runs the same chain: coarse answer, then per level look up the
 covering cluster of the current iterate, query the cluster's child scheme
 with the mapped query, lift the answer back by id, and keep it only if it
 improves the true distance. All distances are re-verified in the node's own
-norm, so a failed stage can never make the answer worse. The base schemes
-of every node over one point set form one group (``link_group``), and a
-query visits each point set once: every copy over it with a coarse start
-walks the shared ladder in lock-step with the others (``_walk``), one lookup
-answers every copy's grids, and one answers every l2 leaf, per walker above.
+norm, so a failed stage can never make the answer worse. A set's copies
+are numbered parent copy, then child copy, then node copy (see
+``PointSet``), and a query visits each point set once: every copy over it
+with a coarse start walks the set's ladder in lock-step with the others
+(``_walk``), one lookup answers every copy's grids, and one answers every
+l2 leaf, per walker above.
 
 Arbitrary exponents are first clamped to min(p, log2 d) and rounded down to
 a power of two; the constant-factor norm distortion this costs is computed
@@ -49,7 +51,6 @@ from . import _kernels
 from .base_schemes import (
     CoarseGroup,
     L2Group,
-    L2Scheme,
     build_coarse_ann,
     build_l2_ann,
     coarse_approximation,
@@ -105,8 +106,16 @@ class SchemeConfig:
             raise UsageError(f"radius must be positive and finite, got {self.r}")
         if not (0.0 < self.delta <= 1.0):
             raise UsageError(f"delta must lie in (0, 1], got {self.delta}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not (_is_int(self.base_copies) and _is_int(self.child_copies)):
+            raise UsageError("copy counts must be integers")
         if self.base_copies < 1 or self.child_copies < 1:
             raise UsageError("copy counts must be >= 1")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def normalize_exponent(p: float, d: int) -> tuple[float, float]:
@@ -251,42 +260,25 @@ def approximation_bound(config: SchemeConfig, d: int) -> ApproxBound:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ClusterChild:
-    """Per-cluster reduction: scaled map and child scheme copies of the
-    cover's cluster at the same index. Singleton clusters have neither; a
-    lookup returns the lone member, the cluster's center."""
+class PointSet:
+    """One point set (the root's points, or a cover cluster's members mapped
+    one norm level down) and every node copy over it. ``ids`` ascend, so a
+    point id maps to its row by binary search.
 
-    mazur: MazurMapSpec | None
-    copies: list
-
-
-@dataclass
-class LadderLevel:
-    index: int
-    base_approx: float
-    new_approx: float
-    cover: SparseCover
-    children: list
-
-
-@dataclass
-class SchemeCopy:
-    base: list  # CoarseScheme (level > 1) or L2Scheme (level 1) instances
-    ladder: list
-
-
-@dataclass
-class SchemeNode:
-    """One norm level over a point set: t == 2 nodes hold l2 leaves, larger
-    t hold coarse grids plus a refinement ladder. ``ids`` ascend, so a point
-    id maps to its row by binary search. ``group`` is the group of base
-    schemes of every node over the same point set, which a query looks up
-    at once (see ``link_group``)."""
+    Each owner of the set, a copy of its parent set (one owner at the root),
+    holds ``nodes`` nodes over it, each with ``node_copies`` copies; copy i
+    belongs to owner i // (nodes * node_copies). ``group`` stacks every
+    copy's base schemes in copy order: one l2 leaf per copy at t == 2,
+    ``base_copies`` grids per copy at larger t. ``ladder`` holds the set's
+    refinement steps, which every copy walks.
+    """
 
     t: float
     ids: np.ndarray
     vectors: np.ndarray
-    copies: list = field(default_factory=list)
+    nodes: int
+    node_copies: int
+    ladder: list = field(default_factory=list)
     group: L2Group | CoarseGroup | None = field(default=None, repr=False)
 
     def row_of(self, point_id: int) -> int:
@@ -295,16 +287,50 @@ class SchemeNode:
     def vector_of(self, point_id: int) -> np.ndarray:
         return self.vectors[self.row_of(point_id)]
 
+    @property
+    def copies(self) -> tuple:
+        """The set once per copy of one node: the read surface of the
+        benchmark's shape gate (perfbench/workloads.py), nothing else."""
+        return (self,) * self.node_copies
+
+
+@dataclass
+class Reduction:
+    """A cover cluster's scaled map and the child set of its mapped members.
+    A singleton has neither: a lookup returns its lone member, the
+    cluster's center."""
+
+    mazur: MazurMapSpec | None = None
+    child: PointSet | None = None
+
+    @property
+    def copies(self) -> tuple:
+        """The child set once per child copy, none for a singleton: the read
+        surface of the benchmark's shape gate, nothing else."""
+        return () if self.child is None else (self.child,) * self.child.nodes
+
+
+@dataclass
+class LadderLevel:
+    """One refinement step of a point set: its cover and, per cover
+    cluster, the cluster's reduction."""
+
+    index: int
+    base_approx: float
+    new_approx: float
+    cover: SparseCover
+    children: list
+
 
 @dataclass
 class LpScheme:
-    """Top-level index: the root node, built by ``config`` over points of
-    dimension ``d``, and its bound ``approximation_bound(config, d)``."""
+    """Top-level index: the root point set, built by ``config`` over points
+    of dimension ``d``, and its bound ``approximation_bound(config, d)``."""
 
     config: SchemeConfig
     d: int
     bound: ApproxBound
-    root: SchemeNode
+    root: PointSet
 
     @property
     def p(self) -> float:
@@ -366,113 +392,72 @@ def ladder_steps(t: float, r: float, bound: ApproxBound) -> list:
     return steps
 
 
-def map_cluster(node: SchemeNode, cluster: Cluster, cover: SparseCover):
-    """(map, image) of a cover's cluster, None for a singleton. The image is
-    a node without copies over the points the cluster's child nodes index:
-    its members, centered on its center and mapped into l_{t/2}."""
+def map_cluster(pset: PointSet, cluster: Cluster, cover: SparseCover, nodes: int) -> Reduction:
+    """The reduction of a cover's cluster: its map, and as the child set,
+    with ``nodes`` nodes per owner, its members centered on its center and
+    mapped into l_{t/2}."""
     if len(cluster.member_ids) == 1:
-        return None
-    mazur = MazurMapSpec(p=node.t, q=node.t / 2.0, c0=cover.diameter_bound)
-    rows = node.ids.searchsorted(cluster.member_ids)
+        return Reduction()
+    mazur = MazurMapSpec(p=pset.t, q=pset.t / 2.0, c0=cover.diameter_bound)
+    rows = pset.ids.searchsorted(cluster.member_ids)
     try:
-        image = mazur_map_points(mazur, node.vectors[rows] - node.vector_of(cluster.center_id))
+        image = mazur_map_points(mazur, pset.vectors[rows] - pset.vector_of(cluster.center_id))
     except NumericRangeError as exc:
         raise NumericRangeError(
             f"signed-power map overflow in cluster centered at id "
-            f"{cluster.center_id} (t={node.t}): {exc}"
+            f"{cluster.center_id} (t={pset.t}): {exc}"
         ) from exc
-    return mazur, SchemeNode(t=node.t / 2.0, ids=cluster.member_ids, vectors=image)
+    return Reduction(mazur, PointSet(pset.t / 2.0, cluster.member_ids, image, nodes,
+                                     pset.node_copies))
 
 
-def carve(node: SchemeNode, r: float, bound: ApproxBound) -> list:
-    """The deterministic part of a node's point set: per ladder step,
-    (base_approx, new_approx, cover, images), where images holds, per
-    cluster, None for a singleton or its (map, image, carving of the image).
+def carve(pset: PointSet, r: float, bound: ApproxBound, child_copies: int) -> None:
+    """Fill the ladder of a point set, and of every set carved from it:
+    per ladder step its cover and each cluster's reduction.
 
     Carving draws nothing at random, so it runs once per point set, and
-    every node copy and child copy over the set shares its covers, maps and
-    images; only their base schemes and seed paths differ.
+    every copy over the set shares its covers, maps and child sets; only
+    their base schemes and seed paths differ.
     """
-    levels = []
-    for radius, c_base, c_new in ladder_steps(node.t, r, bound):
-        cover = build_sparse_cover(Dataset(node.vectors, node.t, ids=node.ids), radius, bound.beta)
-        images = []
-        for cluster in cover.clusters:
-            mapped = map_cluster(node, cluster, cover)
-            images.append(None if mapped is None else (*mapped, carve(mapped[1], r, bound)))
-        levels.append((c_base, c_new, cover, images))
-    return levels
+    for j, (radius, c_base, c_new) in enumerate(ladder_steps(pset.t, r, bound), start=1):
+        cover = build_sparse_cover(Dataset(pset.vectors, pset.t, ids=pset.ids), radius, bound.beta)
+        children = [map_cluster(pset, cluster, cover, child_copies) for cluster in cover.clusters]
+        for reduction in children:
+            if reduction.child is not None:
+                carve(reduction.child, r, bound, child_copies)
+        pset.ladder.append(LadderLevel(j, c_base, c_new, cover, children))
 
 
-def link_group(owners: list) -> None:
-    """Give the nodes over one point set their one group. ``owners`` lists,
-    per copy over the parent point set, its child nodes over this one
-    (``[[root]]`` at the root). The group holds the base schemes of every
-    node over the set in order: at t == 2 one block of leaves per owner, at
-    larger t one block of grids per node copy."""
-    nodes = [node for block in owners for node in block]
-    if nodes[0].t == 2.0:
-        group = l2_group([
-            [leaf for node in block for copy in node.copies for leaf in copy.base]
-            for block in owners
-        ])
-    else:
-        group = coarse_group([copy.base for node in nodes for copy in node.copies])
-    for node in nodes:
-        node.group = group
-
-
-def _build_set(
-    owners: list,
-    carving: list,
-    r: float,
-    bound: ApproxBound,
-    config: SchemeConfig,
-) -> None:
-    """Fill every node over one point set, given per owner as (node, seed
-    path) pairs as ``link_group`` lists them, with fresh base schemes over
-    the set's carving; then, for every copy at once, the nodes over each
-    point set carved from it; then group the set.
+def _build_set(pset: PointSet, paths: list, r: float, config: SchemeConfig) -> None:
+    """Draw the base schemes of every copy over a carved point set, given
+    the seed path of each of its nodes in order; then those of every set
+    carved from it; then stack the set's schemes into its group.
 
     A point set's schemes are drawn together and stacked into their group
     right away, carved sets first, so the draws' own arrays are freed for
     the next set's draws to reuse.
     """
-    copies = []
-    for block in owners:
-        for node, path in block:
-            for ci in range(norm_level_copies(bound.p_effective)):
-                seeds = [
-                    _seed(config.seed, path + (TAG_NODE_COPY, ci, TAG_BASE, bi))
-                    for bi in range(1 if node.t == 2.0 else config.base_copies)
-                ]
-                base = [
-                    build_l2_ann(node.ids, node.vectors, r, PRIMITIVE_FAILURE, seed)
-                    if node.t == 2.0 else build_coarse_ann(node.ids, node.vectors, node.t, r, seed)
-                    for seed in seeds
-                ]
-                ladder = [
-                    LadderLevel(j, c_base, c_new, cover,
-                                [ClusterChild(None if im is None else im[0], []) for im in images])
-                    for j, (c_base, c_new, cover, images) in enumerate(carving, start=1)
-                ]
-                node.copies.append(SchemeCopy(base=base, ladder=ladder))
-                copies.append((node.copies[-1], path + (TAG_NODE_COPY, ci)))
-    for j, (_, _, _, images) in enumerate(carving, start=1):
-        for ki, image in enumerate(images):
-            if image is None:
-                continue
-            sub, kids = image[1], []
-            for copy, path in copies:
-                block = [
-                    (SchemeNode(t=sub.t, ids=sub.ids, vectors=sub.vectors),
-                     path + (TAG_LADDER, j, TAG_CLUSTER, ki, TAG_CHILD, cc))
-                    for cc in range(config.child_copies)
-                ]
-                copy.ladder[j - 1].children[ki].copies = [node for node, _ in block]
-                kids.append(block)
-            _build_set(kids, image[2], r, bound, config)
-    link_group([[node for node, _ in block] for block in owners])
+    copies = [path + (TAG_NODE_COPY, ci) for path in paths for ci in range(pset.node_copies)]
+    if pset.t == 2.0:
+        leaves = [build_l2_ann(pset.ids, pset.vectors, r, PRIMITIVE_FAILURE,
+                               _seed(config.seed, path + (TAG_BASE, 0))) for path in copies]
+        per = pset.nodes * pset.node_copies
+        pset.group = l2_group([leaves[i:i + per] for i in range(0, len(leaves), per)])
+        return
+    grids = [
+        [build_coarse_ann(pset.ids, pset.vectors, pset.t, r,
+                          _seed(config.seed, path + (TAG_BASE, bi)))
+         for bi in range(config.base_copies)]
+        for path in copies
+    ]
+    for level in pset.ladder:
+        for ki, reduction in enumerate(level.children):
+            if reduction.child is not None:
+                tail = (TAG_LADDER, level.index, TAG_CLUSTER, ki, TAG_CHILD)
+                _build_set(reduction.child,
+                           [path + tail + (cc,) for path in copies
+                            for cc in range(reduction.child.nodes)], r, config)
+    pset.group = coarse_group(grids)
 
 
 def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
@@ -486,65 +471,62 @@ def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
     bound = approximation_bound(config, dataset.d)
     ids, vectors = _dedup(dataset)
     scheme = LpScheme(config=config, d=dataset.d, bound=bound, root=None)
-    root = SchemeNode(t=bound.p_effective, ids=ids, vectors=vectors)
-    _build_set([[(root, ())]], carve(root, scheme.r_effective, bound),
-               scheme.r_effective, bound, config)
+    root = PointSet(bound.p_effective, ids, vectors, 1, norm_level_copies(bound.p_effective))
+    carve(root, scheme.r_effective, bound, config.child_copies)
+    _build_set(root, [()], scheme.r_effective, config)
     scheme.root = root
     return scheme
 
 
-def _walk(owners: list, live: np.ndarray, q: np.ndarray) -> list:
-    """Per owner, (id, node distance, trace) of the first of its node copies,
-    in order, at the least distance, or None: ``owners`` lists per owner its
-    nodes over one point set, as ``link_group`` does, and ``live`` marks the
-    owners to answer.
+def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
+    """Per owner of a point set, (id, distance in the set's norm, trace) of
+    the first of its copies, in copy order, at the least distance, or None;
+    ``live`` marks the owners to answer.
 
-    Every node copy of a live owner with a coarse start is a walker, and the
-    walkers climb the point set's shared ladder in lock-step. Per level, one
-    gather routes them all, each routed cluster's map is applied once and
-    its child nodes are walked once for every walker routed there, and one
-    distance call re-verifies every candidate.
+    Every copy of a live owner with a coarse start is a walker, and the
+    walkers climb the set's ladder in lock-step. Per level, one gather
+    routes them all, each routed cluster's map is applied once and its
+    child set is walked once for every walker routed there (there, the
+    set's copies are the owners), and one distance call re-verifies every
+    candidate.
     """
-    nodes = [node for block in owners for node in block]
-    node = nodes[0]
-    if node.t == 2.0:
-        hits = query_l2_ann(node.group, q, live) or [None] * len(owners)
+    if pset.t == 2.0:
+        hits = query_l2_ann(pset.group, q, live) or [None] * live.size
         return [None if hit is None else (hit[0], hit[1], [hit[0]]) for hit in hits]
-    copies = [copy for n in nodes for copy in n.copies]
-    owner = np.repeat(np.arange(len(owners)), [sum(len(n.copies) for n in block) for block in owners])
-    starts = query_coarse_ann(node.group, q, live[owner]) or [None] * len(copies)
+    per = pset.nodes * pset.node_copies
+    starts = query_coarse_ann(pset.group, q, np.repeat(live, per)) or [None] * (live.size * per)
     walkers = np.array([i for i, s in enumerate(starts) if s is not None], dtype=np.intp)
     x_id = np.array([starts[i][0] for i in walkers], dtype=np.int64)
     x_dist = np.array([starts[i][1] for i in walkers], dtype=np.float64)
     traces = [[int(x)] for x in x_id]
-    for j, level in enumerate(copies[0].ladder):
-        routes = level.cover.covering_ref[node.ids.searchsorted(x_id)]
+    for level in pset.ladder:
+        routes = level.cover.covering_ref[pset.ids.searchsorted(x_id)]
         cand = np.zeros(walkers.size, dtype=np.int64)
         has = np.zeros(walkers.size, dtype=bool)
         for k in np.unique(routes):
             routed = np.flatnonzero(routes == k)
-            child, center_id = level.children[k], level.cover.clusters[k].center_id
-            if not child.copies:
+            reduction, center_id = level.children[k], level.cover.clusters[k].center_id
+            if reduction.child is None:
                 cand[routed], has[routed] = center_id, True
                 continue
-            img_q = mazur_map_apply(child.mazur, q - node.vector_of(center_id))
-            sub_live = np.zeros(len(copies), dtype=bool)
+            img_q = mazur_map_apply(reduction.mazur, q - pset.vector_of(center_id))
+            sub_live = np.zeros(len(starts), dtype=bool)
             sub_live[walkers[routed]] = True
-            res = _walk([copy.ladder[j].children[k].copies for copy in copies], sub_live, img_q)
+            res = _walk(reduction.child, sub_live, img_q)
             for w in routed:
                 if res[walkers[w]] is not None:
                     cand[w], has[w] = res[walkers[w]][0], True
         w = np.flatnonzero(has)
         if w.size:
-            d_cand = _kernels.dists_to_point(node.vectors[node.ids.searchsorted(cand[w])], q, node.t)
+            d_cand = _kernels.dists_to_point(pset.vectors[pset.ids.searchsorted(cand[w])], q, pset.t)
             better = d_cand < x_dist[w]
             w = w[better]
             x_id[w], x_dist[w] = cand[w], d_cand[better]
         for trace, x in zip(traces, x_id):
             trace.append(int(x))
-    best = [None] * len(owners)
+    best = [None] * live.size
     for w, i in enumerate(walkers):
-        o = owner[i]
+        o = i // per
         if best[o] is None or x_dist[w] < best[o][1]:
             best[o] = (int(x_id[w]), float(x_dist[w]), traces[w])
     return best
@@ -562,7 +544,7 @@ def _query_vector(q, d: int) -> np.ndarray:
 def query(scheme: LpScheme, q) -> QueryAnswer | None:
     """Answer a near-neighbor query; distance is reported in the original lp."""
     q = _query_vector(q, scheme.d)
-    res = _walk([[scheme.root]], np.ones(1, dtype=bool), q)[0]
+    res = _walk(scheme.root, np.ones(1, dtype=bool), q)[0]
     if res is None:
         return None
     pid, _, trace = res
@@ -576,7 +558,7 @@ def query(scheme: LpScheme, q) -> QueryAnswer | None:
 # space accounting
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SpaceEntry:
     norm_exponent: float
     ladder_index: int  # 0 marks a base/point store
@@ -602,31 +584,30 @@ class SpaceReport:
         }
 
 
-def _walk_space(node: SchemeNode, out: list, groups: dict):
-    groups[id(node.group)] = node.group
-    for copy in node.copies:
-        for b in copy.base:
-            kind = "l2" if isinstance(b, L2Scheme) else "coarse"
-            out.append(SpaceEntry(node.t, 0, kind, int(b.ids.shape[0])))
-        for lvl in copy.ladder:
-            members = sum(len(cl.member_ids) for cl in lvl.cover.clusters)
-            out.append(
-                SpaceEntry(node.t, lvl.index, "cover", members, lvl.cover.sparsity)
-            )
-            for child in lvl.children:
-                for sub in child.copies:
-                    _walk_space(sub, out, groups)
-
-
 def space_usage(scheme: LpScheme) -> SpaceReport:
-    """Exact recursive count of points stored across all substructures, and
-    the bytes of the bucket tables its groups derive, each group once."""
+    """Exact recursive count of points stored across all substructures, one
+    entry per base scheme and per copy's ladder step, and the bytes of the
+    bucket tables its groups derive. Each point set is visited once and its
+    counts are multiplied by its copy count."""
     entries: list = []
-    groups: dict = {}
-    _walk_space(scheme.root, entries, groups)
     table_bytes = {"l2": 0, "coarse": 0}
-    for group in groups.values():
-        table_bytes["l2" if isinstance(group, L2Group) else "coarse"] += group.table.nbytes
+
+    def visit(pset: PointSet, owners: int) -> None:
+        copies = owners * pset.nodes * pset.node_copies
+        group = pset.group
+        kind = "l2" if isinstance(group, L2Group) else "coarse"
+        schemes = len(group.leaves) if kind == "l2" else len(group.schemes)
+        entries.extend([SpaceEntry(pset.t, 0, kind, int(pset.ids.size))] * schemes)
+        table_bytes[kind] += group.table.nbytes
+        for level in pset.ladder:
+            members = sum(len(cl.member_ids) for cl in level.cover.clusters)
+            entry = SpaceEntry(pset.t, level.index, "cover", members, level.cover.sparsity)
+            entries.extend([entry] * copies)
+            for reduction in level.children:
+                if reduction.child is not None:
+                    visit(reduction.child, copies)
+
+    visit(scheme.root, 1)
     per_level: dict = {}
     for e in entries:
         key = f"t={int(e.norm_exponent)}/" + ("base" if e.ladder_index == 0 else f"ladder{e.ladder_index}")

@@ -197,8 +197,7 @@ def p4_run():
         g = rng.standard_normal(D_MAIN)
         queries.append(planted_vec + 0.9 * g / _lp_norms(g.reshape(1, -1), 4.0)[0])
 
-    copy0 = scheme.root.copies[0]
-    level1 = copy0.ladder[0]
+    level1 = scheme.root.ladder[0]
     base_bound = level1.base_approx * scheme.r_effective
 
     records = []

@@ -11,6 +11,7 @@ from lpann.cli import (
     validate_report,
 )
 from lpann.errors import UsageError
+from test_container import _rewrite_header
 
 
 def run_cli(args):
@@ -90,6 +91,29 @@ def test_query_file_p_field_is_ignored(tmp_path, capsys, p):
         assert run_cli(["query", "--index", str(idx), "--query-file", str(queries)]) == 0
         answers.append(capsys.readouterr().out)
     assert answers[0] == answers[1] and len(answers[0].splitlines()) == 3
+
+
+@pytest.mark.parametrize("where", ["gen", "build", "load"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, where):
+    data = tmp_path / "data.txt"
+    idx = tmp_path / "scheme.lpann"
+    gen = ["gen", "--n", "10", "--d", "6", "--p", "4", "--out", str(data)]
+    if where == "gen":
+        assert run_cli(gen + ["--seed", "-1"]) == 2
+        assert not data.exists()
+        return
+    assert run_cli(gen) == 0
+    build = ["build", "--input", str(data), "--r", "1.0", "--out", str(idx)]
+    if where == "build":
+        assert run_cli(build + ["--seed=-1"]) == 2
+        assert not idx.exists()
+        return
+    assert run_cli(build) == 0
+    bad = _rewrite_header(idx, tmp_path / "bad.lpann", lambda h: h["config"].update(seed=-1))
+    queries = tmp_path / "queries.txt"
+    queries.write_text("\n".join(["1 6 4"] + data.read_text().splitlines()[1:2]) + "\n")
+    assert run_cli(["query", "--index", str(bad), "--query-file", str(queries)]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_query_dimension_mismatch_names_both(tmp_path, capsys):

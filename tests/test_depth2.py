@@ -43,13 +43,13 @@ def _instance():
     return Dataset(data, P), config, np.vstack([near, between])
 
 
-def _nodes(node):
-    yield node
-    for copy in node.copies:
-        for level in copy.ladder:
-            for child in level.children:
-                for sub in child.copies:
-                    yield from _nodes(sub)
+def _sets(pset):
+    """Every point set of the index below pset, pset first, each once."""
+    yield pset
+    for level in pset.ladder:
+        for reduction in level.children:
+            if reduction.child is not None:
+                yield from _sets(reduction.child)
 
 
 def _answers(scheme, queries) -> list:
@@ -81,19 +81,19 @@ def test_depth2_shape_covers_answers_and_reload(tmp_path, monkeypatch):
     # and at t = 4
     plan = {lv.t: len(lv.ladder) for lv in scheme.bound.levels}
     assert scheme.p_effective == 8.0 and plan[8.0] > 0 and plan[4.0] > 0
-    ladders = {(node.t, len(copy.ladder)) for node in _nodes(scheme.root) for copy in node.copies}
+    ladders = {(pset.t, len(pset.ladder)) for pset in _sets(scheme.root)}
     assert ladders == {(8.0, plan[8.0]), (4.0, plan[4.0]), (2.0, 0)}
 
     # one cover per point set and ladder step, shared by every copy over it
-    covers = {(node.t, node.vectors.tobytes(), level.index): (node, level.cover)
-              for node in _nodes(scheme.root) for copy in node.copies for level in copy.ladder}
+    covers = {(pset.t, pset.vectors.tobytes(), level.index): (pset, level.cover)
+              for pset in _sets(scheme.root) for level in pset.ladder}
     assert len(carves) == len(covers) == 24
 
     # each cover, at both norm levels, holds every point's r-ball in the
     # cluster the point references
     assert {t for t, _, _ in covers} == {8.0, 4.0}
-    for node, cover in covers.values():
-        assert verify_cover(cover, Dataset(node.vectors, node.t, ids=node.ids)).cover_ok
+    for pset, cover in covers.values():
+        assert verify_cover(cover, Dataset(pset.vectors, pset.t, ids=pset.ids)).cover_ok
 
     # a query looks up each point set it visits once: the root's grids, at
     # each t = 8 step the grids of the t = 4 set its copies route to, and

@@ -7,7 +7,9 @@ shows up here. Three instances: a gaussian one, where every cover holds a
 single cluster, a four-blob one, where every ladder level carves four
 clusters and cover routing does real work, and a gaussian one at p = 3,
 d = 8, where the exponent normalizes to 2 and the root is itself an l2
-node whose copies form one leaf group.
+node whose copies form one leaf group. A fourth, points spread along one
+axis, is the instance where the ladder decides answers: its refinement
+steps change about half of them from the coarse start.
 """
 
 import dataclasses
@@ -65,8 +67,21 @@ def _points(kind: str, seed: int):
     return Dataset(data, p), r, np.vstack([near[: QUERIES // 2], far[QUERIES // 2:]])
 
 
+def line_points(seed: int, queries: int = 20):
+    """(dataset, r, queries) of the line instance: every coordinate
+    N(0, 0.2^2), plus U(0, 600) on coordinate 0, and queries at lp distance
+    0.9 r from distinct points, as the benchmark makes them."""
+    rng = np.random.default_rng(seed)
+    data = 0.2 * rng.standard_normal((N, D))
+    data[:, 0] += rng.uniform(0.0, 600.0, size=N)
+    sources = rng.choice(N, size=queries, replace=False)
+    direction = rng.standard_normal((queries, D))
+    norms = (np.abs(direction) ** P).sum(axis=1) ** (1.0 / P)
+    return Dataset(data, P), 1.0, data[sources] + (QUERY_DISTANCE / norms)[:, None] * direction
+
+
 def _instance(kind: str, seed: int):
-    dataset, r, queries = _points(kind, seed)
+    dataset, r, queries = line_points(seed) if kind == "line" else _points(kind, seed)
     scheme = preprocess(dataset, SchemeConfig(p=dataset.p, r=r, seed=seed))
     return scheme, queries
 
@@ -162,6 +177,52 @@ GOLDEN_DIGEST = {
 }
 
 
+# the line instance at seed 1, recorded apart from GOLDEN: the ladder
+# changes 9 of these 20 answers from their coarse start
+GOLDEN_LINE = [(58, '0x1.cccccccccccccp-1', [12, 12, 58, 58, 58]),
+               (9, '0x1.cccccccccccc8p-1', [9, 9, 9, 9, 9]),
+               (9, '0x1.9b01d1ba440f5p+3', [9, 9, 9, 9, 9]),
+               (119, '0x1.41a6d3fce908ep+0', [1, 38, 40, 40, 119]),
+               (17, '0x1.ccccccccccccbp-1', [17, 17, 17, 17, 17]),
+               (196, '0x1.cccccccccccc5p-1', [7, 87, 87, 196, 196]),
+               (117, '0x1.12a654970a6fcp+0', [8, 8, 117, 117, 117]),
+               (37, '0x1.22dddc4e6ffa1p+0', [156, 37, 37, 37, 37]),
+               (66, '0x1.3027107d919f4p+0', [11, 21, 21, 21, 66]),
+               (25, '0x1.75e4067dd979ap+0', [25, 25, 25, 25, 25]),
+               (28, '0x1.ccccccccccccfp-1', [28, 28, 28, 28, 28]),
+               (146, '0x1.6823d7d714dd8p+0', [8, 50, 112, 146, 146]),
+               (35, '0x1.cccccccccccccp-1', [18, 35, 35, 35, 35]),
+               (92, '0x1.cccccccccccd0p-1', [17, 78, 78, 92, 92]),
+               (41, '0x1.cccccccccccccp-1', [41, 41, 41, 41, 41]),
+               (33, '0x1.ccccccccccce0p-1', [33, 33, 33, 33, 33]),
+               (10, '0x1.cccccccccccd0p-1', [10, 10, 10, 10, 10]),
+               (5, '0x1.ccccccccccccdp-1', [5, 5, 5, 5, 5]),
+               (53, '0x1.7a9fb2d37ffabp+1', [53, 53, 53, 53, 53]),
+               (81, '0x1.ccccccccccccdp-1', [81, 81, 81, 81, 81])]
+
+# space_usage(...).as_dict() of each GOLDEN_DIGEST instance at seed 5;
+# its total is the benchmark's stored_points
+GOLDEN_SPACE = {
+    "gauss": {"total": 25800,
+              "per_level": {"t=4/base": 1800, "t=4/ladder1": 600, "t=2/base": 21600,
+                            "t=4/ladder2": 600, "t=4/ladder3": 600, "t=4/ladder4": 600},
+              "copy_counts": {"norm_level_copies": 3, "base_copies": 3,
+                              "cluster_child_copies": 3},
+              "table_bytes": {"l2": 105820, "coarse": 22224}},
+    "blobs": {"total": 25800,
+              "per_level": {"t=4/base": 1800, "t=4/ladder1": 600, "t=2/base": 21600,
+                            "t=4/ladder2": 600, "t=4/ladder3": 600, "t=4/ladder4": 600},
+              "copy_counts": {"norm_level_copies": 3, "base_copies": 3,
+                              "cluster_child_copies": 3},
+              "table_bytes": {"l2": 242112, "coarse": 415144}},
+    "l2root": {"total": 400,
+               "per_level": {"t=2/base": 400},
+               "copy_counts": {"norm_level_copies": 2, "base_copies": 3,
+                               "cluster_child_copies": 3},
+               "table_bytes": {"l2": 129244, "coarse": 0}},
+}
+
+
 @pytest.mark.parametrize("kind", ["gauss", "blobs"])
 def test_golden_answers(kind):
     assert answers(kind, 5) == GOLDEN[kind]
@@ -180,6 +241,31 @@ def test_golden_index_digest(kind, tmp_path):
     assert index_digest(load_index(str(tmp_path / "golden.lpann"))) == GOLDEN_DIGEST[kind]
 
 
+def test_golden_line_answers(tmp_path):
+    assert answers("line", 1) == GOLDEN_LINE
+    assert answers("line", 1, tmp_path / "golden.lpann") == GOLDEN_LINE
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ladder_decides_line_answers(seed):
+    # on the line instance the refinement steps, not the coarse start,
+    # give at least 0.3 of the answers (0.60 / 0.47 / 0.51 when recorded)
+    dataset, r, queries = line_points(seed, queries=100)
+    scheme = preprocess(dataset, SchemeConfig(p=P, r=r, seed=seed))
+    found = [query(scheme, q) for q in queries]
+    assert all(a is not None for a in found)
+    assert sum(a.trace[0] != a.id for a in found) >= 0.3 * len(found)
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SPACE))
+def test_golden_space_usage(kind, tmp_path):
+    scheme, _ = _instance(kind, 5)
+    assert recursive.space_usage(scheme).as_dict() == GOLDEN_SPACE[kind]
+    save_index(scheme, str(tmp_path / "golden.lpann"))
+    loaded = load_index(str(tmp_path / "golden.lpann"))
+    assert recursive.space_usage(loaded).as_dict() == GOLDEN_SPACE[kind]
+
+
 def test_blobs_quality_against_exact_nn():
     # absolute quality on the four-blob instance, as measured when recorded:
     # every query, r-near or not, returns its exact nearest neighbour
@@ -196,7 +282,7 @@ def test_blobs_quality_against_exact_nn():
 
 def test_golden_l2_root(tmp_path):
     scheme, _ = _instance("l2root", 5)
-    assert scheme.root.t == 2.0 and len(scheme.root.copies) > 1
+    assert scheme.root.t == 2.0 and len(scheme.root.group.leaves) > 1
     assert answers("l2root", 5) == GOLDEN_L2ROOT
     assert answers("l2root", 5, tmp_path / "golden.lpann") == GOLDEN_L2ROOT
 
@@ -244,34 +330,37 @@ def test_loaded_tree_equals_built_tree(kind, tmp_path):
     _assert_same(scheme, load_index(str(tmp_path / "golden.lpann")))
 
 
-def _nodes(node):
-    yield node
-    for copy in node.copies:
-        for level in copy.ladder:
-            for child in level.children:
-                for sub in child.copies:
-                    yield from _nodes(sub)
+def _sets(pset):
+    """Every point set of the index below pset, pset first, each once."""
+    yield pset
+    for level in pset.ladder:
+        for reduction in level.children:
+            if reduction.child is not None:
+                yield from _sets(reduction.child)
 
 
 def test_loaded_children_share_arrays_as_built(tmp_path):
+    # every copy over a carved set reads the set's one point array, and a
+    # loaded index holds the same sets, with the same copy counts, as built
     scheme, _ = _instance("blobs", 5)
     save_index(scheme, str(tmp_path / "golden.lpann"))
     loaded = load_index(str(tmp_path / "golden.lpann"))
-    counts = [len({id(n.vectors) for n in _nodes(s.root)}) for s in (scheme, loaded)]
-    assert counts[0] == counts[1] < sum(1 for _ in _nodes(scheme.root))
-    child = next(ch for ch in loaded.root.copies[0].ladder[0].children if ch.copies)
-    assert len(child.copies) > 1
-    assert len({id(sub.vectors) for sub in child.copies}) == 1
-    assert len({id(sub.ids) for sub in child.copies}) == 1
+    shapes = []
+    for index in (scheme, loaded):
+        sets = list(_sets(index.root))
+        assert len({id(s.vectors) for s in sets}) == len(sets) > 1
+        shapes.append([(s.t, s.ids.size, s.nodes, s.node_copies) for s in sets])
+    assert shapes[0] == shapes[1]
+    assert [nodes for _, _, nodes, _ in shapes[0]] == [1] + [3] * (len(shapes[0]) - 1)
 
 
 def _carved(scheme) -> dict:
     """{(t, points, ladder step): non-singleton clusters of its cover} over
-    the tree, with point sets compared by content."""
+    the index, with point sets compared by content."""
     return {
-        (node.t, node.vectors.tobytes(), level.index):
+        (pset.t, pset.vectors.tobytes(), level.index):
             sum(len(cl.member_ids) > 1 for cl in level.cover.clusters)
-        for node in _nodes(scheme.root) for copy in node.copies for level in copy.ladder
+        for pset in _sets(scheme.root) for level in pset.ladder
     }
 
 
@@ -293,15 +382,15 @@ def test_one_cover_per_point_set_and_one_map_per_cluster(kind, monkeypatch):
 
 
 def _sharing(scheme) -> list:
-    """Every node's points and its copies' covers and maps, in walk order,
-    each named by the order in which it was first met: two trees share
-    objects alike exactly when these lists are equal."""
+    """Every point set's points, covers and maps, in walk order, each named
+    by the order in which it was first met: two indexes share objects alike
+    exactly when these lists are equal."""
     first: dict = {}
     out = []
-    for node in _nodes(scheme.root):
-        objs = [node.vectors] + [
-            obj for copy in node.copies for level in copy.ladder
-            for obj in (level.cover, *(ch.mazur for ch in level.children if ch.copies))
+    for pset in _sets(scheme.root):
+        objs = [pset.vectors] + [
+            obj for level in pset.ladder
+            for obj in (level.cover, *(ch.mazur for ch in level.children if ch.child is not None))
         ]
         out.append([first.setdefault(id(obj), len(first)) for obj in objs])
     return out
@@ -314,25 +403,37 @@ def test_loaded_tree_shares_covers_and_images_as_built(kind, tmp_path):
     loaded = load_index(str(tmp_path / "golden.lpann"))
     assert _sharing(loaded) == _sharing(scheme)
     for index in (scheme, loaded):
-        levels = [lvl for node in _nodes(index.root) for copy in node.copies for lvl in copy.ladder]
-        assert len({id(lvl.cover) for lvl in levels}) == len(_carved(index)) < len(levels)
+        levels = [lvl for pset in _sets(index.root) for lvl in pset.ladder]
+        assert len({id(lvl.cover) for lvl in levels}) == len(_carved(index)) == len(levels)
 
 
 @pytest.mark.parametrize("kind", ["gauss", "blobs"])
 def test_one_group_per_point_set_built_and_loaded(kind, tmp_path):
-    # the base schemes of every node over one point set, across all parent
-    # copies, form one group, and a loaded tree groups them as the build did
+    # the base schemes of every copy over one point set, across all parent
+    # copies, form one group in copy order, and a loaded index groups them
+    # as the build did
     scheme, _ = _instance(kind, 5)
     save_index(scheme, str(tmp_path / "golden.lpann"))
     loaded = load_index(str(tmp_path / "golden.lpann"))
     patterns = []
     for index in (scheme, loaded):
-        nodes = list(_nodes(index.root))
-        point_sets = len({id(n.vectors) for n in nodes})
-        assert len({id(n.group) for n in nodes}) == point_sets < len(nodes)
-        assert len({(id(n.group), id(n.vectors)) for n in nodes}) == point_sets
-        first: dict = {}
-        patterns.append([first.setdefault(id(n.group), len(first)) for n in nodes])
+        sets = list(_sets(index.root))
+        assert len({id(s.group) for s in sets}) == len(sets) > 1
+        owners, pattern = {id(index.root): 1}, []
+        for pset in sets:
+            copies = owners[id(pset)] * pset.nodes * pset.node_copies
+            for level in pset.ladder:
+                owners.update({id(ch.child): copies for ch in level.children if ch.child})
+            group = pset.group
+            if isinstance(group, base_schemes.L2Group):
+                assert group.owners == owners[id(pset)] and len(group.leaves) == copies
+                per = pset.nodes * pset.node_copies
+                assert (group.owner_of == np.arange(copies) // per).all()
+            else:
+                assert group.copies == copies
+                assert (group.copy_of == np.arange(copies).repeat(index.config.base_copies)).all()
+            pattern.append((pset.t, type(group).__name__, copies))
+        patterns.append(pattern)
     assert patterns[0] == patterns[1]
 
 
@@ -344,7 +445,7 @@ def test_tables_keep_only_what_a_query_reads(tmp_path):
     save_index(scheme, str(tmp_path / "golden.lpann"))
     loaded = load_index(str(tmp_path / "golden.lpann"))
     for index in (scheme, loaded):
-        groups = {id(n.group): n.group for n in _nodes(index.root)}.values()
+        groups = [pset.group for pset in _sets(index.root)]
         expected, capped = {"l2": 0, "coarse": 0}, 0
         for group in groups:
             table = group.table
@@ -382,7 +483,7 @@ def test_carving_measures_no_pair_across_blobs(monkeypatch):
         return real(a, b, p)
 
     monkeypatch.setattr(_kernels, "pairwise_blocks", counting)
-    levels = scheme.root.copies[0].ladder
+    levels = scheme.root.ladder
     assert levels and all(len(level.cover.clusters) == BLOBS for level in levels)
     for level in levels:
         cover = build_sparse_cover(dataset, level.cover.radius, level.cover.beta)
@@ -399,9 +500,9 @@ def _l2_groups(instance: str) -> list:
                             SchemeConfig(p=w.p, r=w.r, seed=1))
     else:
         scheme, _ = _instance("blobs", 5)
-    groups = {id(n.group): n.group for n in _nodes(scheme.root)
-              if isinstance(n.group, base_schemes.L2Group)}
-    return list(groups.values())[:1 if instance == "gauss-d32" else None]
+    groups = [pset.group for pset in _sets(scheme.root)
+              if isinstance(pset.group, base_schemes.L2Group)]
+    return groups[:1 if instance == "gauss-d32" else None]
 
 
 @pytest.mark.parametrize("instance", ["gauss-d32", "blobs"])

@@ -206,7 +206,7 @@ def test_planted_success_rate_small():
 
 def test_mazur_image_and_liftback_contracts(small_scheme):
     dataset, _, planted, scheme = small_scheme
-    level = scheme.root.copies[0].ladder[0]
+    level = scheme.root.ladder[0]
     child = next(ch for ch in level.children if ch.mazur is not None)
     cluster = level.cover.clusters[
         next(i for i, ch in enumerate(level.children) if ch is child)
@@ -242,7 +242,7 @@ def test_clustered_routing_uses_multiple_clusters():
     vectors = np.vstack([centers[i] + rng.standard_normal((blob, d)) for i in range(4)])
     ds = Dataset(vectors, 4.0)
     scheme = preprocess(ds, cfg(r=r, seed=6))
-    level1 = scheme.root.copies[0].ladder[0]
+    level1 = scheme.root.ladder[0]
     assert len(level1.cover.clusters) >= 2
 
     g = rng.standard_normal(d)
@@ -292,6 +292,15 @@ def test_preprocess_usage_errors():
         SchemeConfig(p=2.0, r=1.0)
     with pytest.raises(UsageError):
         SchemeConfig(p=4.0, r=1.0, delta=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", True), ("seed", 1.0), ("base_copies", 2.5),
+    ("base_copies", True), ("child_copies", 2.0), ("child_copies", False),
+])
+def test_config_needs_integer_copies_and_a_non_negative_seed(field, value):
+    with pytest.raises(UsageError):
+        SchemeConfig(p=4.0, r=1.0, **{field: value})
 
 
 def test_query_dimension_mismatch(small_scheme):

@@ -1,12 +1,14 @@
 """The lock-step query walk against the per-copy recursion it replaced.
 
 ``_Reference`` below is that recursion, kept as a test oracle: it walks
-every node copy's ladder on its own, looks up each sibling set of l2 leaves
-and each node's grids as a group of one owner, and keeps the first node and
-copy at the least distance. ``recursive._walk`` must give the same
-id, distance bits and trace, and it must also do so when the copies over
-one point set route to different clusters at one ladder level, so that a
-group is looked up for some of its owners only.
+every copy's ladder on its own, looks up each sibling set of l2 leaves and
+each node's grids as a group of one owner, and keeps the first node and
+copy at the least distance. It takes each copy's base schemes from its
+point set's group by copy index (``owner_of`` and ``copy_of``).
+``recursive._walk`` must give the same id, distance bits and trace, and it
+must also do so when the copies over one point set route to different
+clusters at one ladder step, so that a group is looked up for some of its
+owners only.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 
 from lpann import Dataset, SchemeConfig, base_schemes, preprocess, query, recursive
 from lpann import _kernels
+from test_golden import line_points
 
 
 class _Reference:
@@ -29,39 +32,43 @@ class _Reference:
             self.groups[key] = build()
         return self.groups[key]
 
-    def query_nodes(self, nodes: list, q: np.ndarray):
-        if nodes[0].t == 2.0:
-            group = self._group(id(nodes), lambda: base_schemes.l2_group(
-                [[leaf for node in nodes for copy in node.copies for leaf in copy.base]]))
-            hits = base_schemes.query_l2_ann(group, q)
+    def query_nodes(self, pset, owner: int, q: np.ndarray):
+        """Best answer of the nodes that parent copy ``owner`` holds over pset."""
+        group = pset.group
+        if pset.t == 2.0:
+            sibling = self._group((id(pset), owner), lambda: base_schemes.l2_group(
+                [[leaf for leaf, o in zip(group.leaves, group.owner_of) if o == owner]]))
+            hits = base_schemes.query_l2_ann(sibling, q)
             return None if hits is None else (hits[0][0], hits[0][1], [hits[0][0]])
         best = None
-        for node in nodes:
-            group = self._group(id(node), lambda: base_schemes.coarse_group(
-                [copy.base for copy in node.copies]))
-            starts = base_schemes.query_coarse_ann(group, q)
-            for copy, start in zip(node.copies, starts or ()):
+        for node in range(owner * pset.nodes, (owner + 1) * pset.nodes):
+            copies = range(node * pset.node_copies, (node + 1) * pset.node_copies)
+            alone = self._group((id(pset), node), lambda: base_schemes.coarse_group(
+                [[group.schemes[s] for s in np.flatnonzero(group.copy_of == i)]
+                 for i in copies]))
+            starts = base_schemes.query_coarse_ann(alone, q)
+            for copy, start in zip(copies, starts or ()):
                 if start is None:
                     continue
-                res = self.refine(node, copy, *start, q)
+                res = self.refine(pset, copy, *start, q)
                 if best is None or res[1] < best[1]:
                     best = res
         return best
 
-    def refine(self, node, copy, x_id: int, x_dist: float, q: np.ndarray):
+    def refine(self, pset, copy: int, x_id: int, x_dist: float, q: np.ndarray):
         trace = [x_id]
-        for lvl in copy.ladder:
-            ci = lvl.cover.covering_ref[node.row_of(x_id)]
-            self.routes.setdefault((id(node.vectors), lvl.index), set()).add(int(ci))
-            child, center_id = lvl.children[ci], lvl.cover.clusters[ci].center_id
+        for lvl in pset.ladder:
+            ci = lvl.cover.covering_ref[pset.row_of(x_id)]
+            self.routes.setdefault((id(pset), lvl.index), set()).add(int(ci))
+            reduction, center_id = lvl.children[ci], lvl.cover.clusters[ci].center_id
             cand_id = center_id
-            if child.copies:
-                img_q = recursive.mazur_map_apply(child.mazur, q - node.vector_of(center_id))
-                res = self.query_nodes(child.copies, img_q)
+            if reduction.child is not None:
+                img_q = recursive.mazur_map_apply(reduction.mazur, q - pset.vector_of(center_id))
+                res = self.query_nodes(reduction.child, copy, img_q)
                 cand_id = None if res is None else res[0]
             if cand_id is not None:
                 d_cand = float(_kernels.dists_to_point(
-                    node.vector_of(cand_id).reshape(1, -1), q, node.t)[0])
+                    pset.vector_of(cand_id).reshape(1, -1), q, pset.t)[0])
                 if d_cand < x_dist:
                     x_id, x_dist = cand_id, d_cand
             trace.append(x_id)
@@ -72,7 +79,7 @@ class _Reference:
         the number of splits met: (point set, ladder step) pairs at which
         the copies route to more than one cluster."""
         self.routes.clear()
-        res = self.query_nodes([scheme.root], q)
+        res = self.query_nodes(scheme.root, 0, q)
         splits = sum(len(clusters) > 1 for clusters in self.routes.values())
         if res is None:
             return None, splits
@@ -151,12 +158,45 @@ def test_walk_matches_per_copy_recursion(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
+def test_walk_matches_per_copy_recursion_on_the_line(seed, monkeypatch):
+    # the instance whose answers the ladder decides
+    dataset, r, queries = line_points(seed)
+    _check(preprocess(dataset, SchemeConfig(p=4.0, r=r, seed=seed)), queries, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
 def test_walk_matches_per_copy_recursion_when_copies_split(seed, monkeypatch):
     dataset, queries, r = _split(seed)
     scheme = preprocess(dataset, SchemeConfig(p=4.0, r=r, seed=seed))
-    cover = scheme.root.copies[0].ladder[0].cover
+    cover = scheme.root.ladder[0].cover
     assert cover.covering_ref[1] != cover.covering_ref[2]
     splits, masked = _check(scheme, queries, monkeypatch)
     # copies of the root routed to different clusters at one ladder step,
     # and a leaf group was looked up for some of its owners only
     assert splits > 0 and masked
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_walk_answers_each_owner_of_a_shared_set(seed):
+    # below a t = 8 root, each copy of the root owns the t = 4 sets carved
+    # from it; a t = 8 ladder needs d >= 4096, so one such set is built
+    # directly, with two owners, and walked for each owner alone and for
+    # all of them at once
+    dataset, queries = _blobs(seed)
+    config = SchemeConfig(p=4.0, r=0.2, seed=seed)
+    bound = recursive.approximation_bound(config, dataset.d)
+    pset = recursive.PointSet(4.0, dataset.ids, dataset.vectors, config.child_copies,
+                              recursive.norm_level_copies(bound.p_effective))
+    recursive.carve(pset, config.r, bound, config.child_copies)
+    owners = 2
+    recursive._build_set(pset, [(o, cc) for o in range(owners) for cc in range(pset.nodes)],
+                         config.r, config)
+    assert pset.group.copies == owners * pset.nodes * pset.node_copies
+    reference, answered = _Reference(), 0
+    for q in queries:
+        expected = [reference.query_nodes(pset, o, q) for o in range(owners)]
+        answered += sum(e is not None for e in expected)
+        for live in (np.ones(owners, dtype=bool), *np.eye(owners, dtype=bool)):
+            assert recursive._walk(pset, live, q) == [e if on else None
+                                                      for e, on in zip(expected, live)]
+    assert answered
