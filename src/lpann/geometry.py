@@ -8,6 +8,7 @@ through ``x ** p``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,13 +66,22 @@ def lp_distance(x, y, p: float) -> float:
     """(sum_i |x_i - y_i|^p)^(1/p).
 
     Raises UsageError on dimension mismatch and NumericRangeError if the
-    result overflows float64.
+    result overflows float64. When the largest |x_i - y_i|**p would fall
+    below the normal float64 range, the differences are first scaled by a
+    power of two (exact both ways) so the powers keep their digits.
     """
     p = check_norm_param(p)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise UsageError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    diff = np.abs(x - y).ravel()
+    m = float(diff.max()) if diff.size else 0.0
+    if 0.0 < m < sys.float_info.min ** (1.0 / p):
+        e = math.frexp(m)[1] - 1  # m / 2**e lies in [1, 2)
+        scaled = np.ldexp(diff, -e).reshape(1, -1)
+        d = float(_kernels.dists_to_point(scaled, np.zeros_like(diff), p)[0])
+        return math.ldexp(d, e)
     d = float(_kernels.dists_to_point(x.reshape(1, -1), y.ravel(), p)[0])
     if not math.isfinite(d):
         raise NumericRangeError(f"lp distance overflowed for p={p}")
