@@ -75,7 +75,8 @@ def lp_distance(x, y, p: float) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise UsageError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    diff = np.abs(x - y).ravel()
+    with np.errstate(over="ignore"):  # reported below as NumericRangeError
+        diff = np.abs(x - y).ravel()
     m = float(diff.max()) if diff.size else 0.0
     if 0.0 < m < sys.float_info.min ** (1.0 / p):
         e = math.frexp(m)[1] - 1  # m / 2**e lies in [1, 2)

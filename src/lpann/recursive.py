@@ -43,6 +43,7 @@ exactly and folded into the reported bound.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,7 +116,8 @@ class SchemeConfig:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    # numpy integers count; bools (Python's and numpy's) do not
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def normalize_exponent(p: float, d: int) -> tuple[float, float]:

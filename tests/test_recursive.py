@@ -297,10 +297,20 @@ def test_preprocess_usage_errors():
 @pytest.mark.parametrize("field, value", [
     ("seed", -1), ("seed", True), ("seed", 1.0), ("base_copies", 2.5),
     ("base_copies", True), ("child_copies", 2.0), ("child_copies", False),
+    ("seed", np.int64(-1)), ("base_copies", np.bool_(True)),
 ])
 def test_config_needs_integer_copies_and_a_non_negative_seed(field, value):
     with pytest.raises(UsageError):
         SchemeConfig(p=4.0, r=1.0, **{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    config = SchemeConfig(p=4.0, r=1.0, seed=np.int64(3), base_copies=np.int64(2),
+                          child_copies=np.uint8(2))
+    points = Dataset(np.random.default_rng(0).normal(size=(20, 8)), 4.0)
+    q = points.vectors[0] + 0.01
+    assert query(preprocess(points, config), q) == query(preprocess(points, cfg(
+        seed=3, base_copies=2, child_copies=2)), q)
 
 
 def test_query_dimension_mismatch(small_scheme):
