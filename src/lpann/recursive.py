@@ -113,6 +113,9 @@ class SchemeConfig:
             raise UsageError("copy counts must be integers")
         if self.base_copies < 1 or self.child_copies < 1:
             raise UsageError("copy counts must be >= 1")
+        # keep plain ints (numpy integers pass the checks) so a save can write them
+        for name in ("seed", "base_copies", "child_copies"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 def _is_int(value) -> bool:

@@ -10,12 +10,14 @@ from lpann import (
     approximation_bound,
     exact_nn,
     literal_closed_form,
+    load_index,
     lp_distance,
     nns_search,
     preprocess,
     query,
     refine_approx,
     run_trials,
+    save_index,
     space_usage,
 )
 from lpann.cli import make_scheme_builder
@@ -304,13 +306,13 @@ def test_config_needs_integer_copies_and_a_non_negative_seed(field, value):
         SchemeConfig(p=4.0, r=1.0, **{field: value})
 
 
-def test_config_accepts_numpy_integers():
+def test_config_accepts_numpy_integers(tmp_path):
     config = SchemeConfig(p=4.0, r=1.0, seed=np.int64(3), base_copies=np.int64(2),
                           child_copies=np.uint8(2))
+    assert config == cfg(seed=3, base_copies=2, child_copies=2)
     points = Dataset(np.random.default_rng(0).normal(size=(20, 8)), 4.0)
-    q = points.vectors[0] + 0.01
-    assert query(preprocess(points, config), q) == query(preprocess(points, cfg(
-        seed=3, base_copies=2, child_copies=2)), q)
+    save_index(preprocess(points, config), tmp_path / "index.lpann")
+    assert load_index(tmp_path / "index.lpann").config == config
 
 
 def test_query_dimension_mismatch(small_scheme):
