@@ -24,15 +24,21 @@ E2LSH layout of Datar, Immorlica, Indyk and Mirrokni (SoCG 2004), each
 bucket's table number, and CSR members. An l2 bucket keeps its full int64
 key and its first ``max_probe`` members; a grid cell keeps one member, its
 representative, and no key, for the cell is recomputed from the
-representative. One query hashes every stacked table at once (an l2 group
-with one matrix product), finds its bucket in every table with one
-``searchsorted`` over the fingerprints, confirms each match on the full key
-(for grids, only the matches it answers with), and measures the distinct
-candidates, found by a scatter over the group's points, with one distance
-call (one per round for l2 leaves). A group's schemes come in contiguous
-blocks, and a query answers per block: per owner for l2 leaves, per copy
-for grids. A mask leaves blocks out, and their buckets and cells are never
-measured. A lone scheme is queried as a group of one.
+representative. A grid query hashes every stacked grid at once, finds its
+cell in every grid with one ``searchsorted`` over the fingerprints,
+confirms only the matches it answers with on the full cell, and measures
+the distinct representatives, found by a scatter over the group's points,
+with one distance call. An l2 query walks the tables in order and stops
+early, as E2LSH's does, in two passes: it hashes the first table of every
+leaf with one matrix product and looks those keys up with one search, and
+then, with one more product and search, all remaining tables of the
+leaves still without a candidate within 2r. Each pass confirms its
+matches on the full key and measures its buckets in rounds, one distance
+call a round. A group's schemes come in contiguous blocks, and a query
+answers per block: per owner for l2 leaves, per copy for grids. A mask
+leaves blocks out: their cells are never measured, and their l2 tables
+are neither hashed nor measured. A lone scheme is queried as a group of
+one.
 """
 
 from __future__ import annotations
@@ -236,15 +242,14 @@ def _bucket_table(tables, rekey=None) -> _BucketTable:
     return _BucketTable(fp, by_fingerprint, tables, starts, members, multipliers, keys)
 
 
-def _lookup(table: _BucketTable, keys: np.ndarray):
-    """(i, bucket) for every keys[i] found in table i, in order of i, from
-    one search over the fingerprint column. A match counts only if its
-    bucket's table number is i and its key is keys[i] (and then so is its
-    fingerprint); a fingerprint past the last is clipped and fails. A table
-    without keys matches on the fingerprint and leaves the key to the
-    caller (``query_coarse_ann`` recomputes it for the matches it would
-    answer with)."""
-    tables = np.arange(keys.shape[0])
+def _lookup(table: _BucketTable, tables: np.ndarray, keys: np.ndarray):
+    """(i, bucket) for every keys[i] found in stacked table tables[i], in
+    order of i, from one search over the fingerprint column. A match counts
+    only if its bucket's table number is tables[i] and its key is keys[i]
+    (and then so is its fingerprint); a fingerprint past the last is
+    clipped and fails. A table without keys matches on the fingerprint and
+    leaves the key to the caller (``query_coarse_ann`` recomputes it for the
+    matches it would answer with)."""
     fp = _fingerprints(table.multipliers, tables, keys)
     pos = table.fingerprints.searchsorted(fp)
     bucket = table.by_fingerprint.take(pos, mode="clip")
@@ -374,9 +379,10 @@ class L2Group:
     """l2 leaves over one point array and radius, looked up together.
 
     Stacked table i (``projections[i]``, ``offsets[i]``) belongs to leaf
-    ``leaf_of[i]`` and is table i of ``table``, whose buckets keep the
-    leaf's first ``max_probe`` members, all a query probes; leaf l belongs
-    to owner ``owner_of[l]`` of ``owners``.
+    ``leaf_of[i]``, is that leaf's first table where ``first[i]``, and is
+    table i of ``table``, whose buckets keep the leaf's first ``max_probe``
+    members, all a query probes; leaf l belongs to owner ``owner_of[l]`` of
+    ``owners``.
     """
 
     leaves: list
@@ -385,6 +391,7 @@ class L2Group:
     projections: np.ndarray  # (T, k, d)
     offsets: np.ndarray      # (T, k)
     leaf_of: np.ndarray
+    first: np.ndarray        # (T,) bool
     table: _BucketTable = field(repr=False)
 
 
@@ -399,7 +406,16 @@ def l2_group(owners: list) -> L2Group:
     )
     (projections, offsets), leaf_of = _stack(leaves, ("projections", "offsets"))
     owner_of = np.repeat(np.arange(len(owners)), [len(block) for block in owners])
-    return L2Group(leaves, owner_of, len(owners), projections, offsets, leaf_of, table)
+    return L2Group(leaves, owner_of, len(owners), projections, offsets, leaf_of,
+                   _run_starts(leaf_of), table)
+
+
+def _query_keys(group: L2Group, tables: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The query's key in each of the stacked tables, an (len(tables), k)
+    array, from one matrix product with their projections only."""
+    lead = group.leaves[0]
+    return _l2_keys(group.projections[tables], group.offsets[tables], lead.w,
+                    q.reshape(1, -1))[:, 0, :]
 
 
 def query_l2_ann(group: L2Group, q, live=None):
@@ -409,38 +425,47 @@ def query_l2_ann(group: L2Group, q, live=None):
     owner without one or left out by ``live``, a boolean mask over owners
     (all by default); None if no owner has one.
 
-    Buckets are measured in rounds: round j measures the distinct members of
-    the j-th matched bucket of every leaf of a live owner still without a
-    candidate, with one distance call, so no bucket past a leaf's first
-    candidate, and none of a left-out owner, is measured.
+    The tables are hashed and looked up in two passes: first the first
+    table of every leaf of a live owner, then all remaining tables of the
+    leaves still without a candidate, each pass with one matrix product
+    (``_query_keys``) and one ``_lookup``. A pass measures its matched
+    buckets in rounds: round j measures the distinct members of the j-th
+    matched bucket of every leaf still without a candidate, with one
+    distance call. So each leaf tries its matched buckets in table order
+    and keeps its first member within 2r, and no table of a left-out owner
+    is hashed, and no bucket of one, or past a leaf's first candidate, is
+    measured.
     """
     lead = group.leaves[0]
     q = _query_point(q, lead.vectors.shape[1])
-    keys = _l2_keys(group.projections, group.offsets, lead.w, q.reshape(1, -1))[:, 0, :]
-    found, buckets = _lookup(group.table, keys)
-    leaf = group.leaf_of[found]  # ascends: stacked tables are in leaf order
-    rank = np.arange(found.size) - leaf.searchsorted(leaf)
     members, m = group.table.members, len(lead.vectors)
     hit_row = np.zeros(len(group.leaves), dtype=np.intp)
     hit_dist = np.full(len(group.leaves), np.inf)
     pending = np.ones(len(group.leaves), dtype=bool)
     if live is not None:
         pending = np.asarray(live, dtype=bool)[group.owner_of]
-    for j in range(rank.max() + 1 if found.size else 0):
-        sel = np.flatnonzero((rank == j) & pending[leaf])
-        if not sel.size:
+    for first_pass in (True, False):
+        tables = np.flatnonzero((group.first == first_pass) & pending[group.leaf_of])
+        if not tables.size:
             break
-        lo, size = group.table.spans(buckets[sel])
-        cand = members[np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)]
-        rows, inv = _distinct(cand, m)  # leaves share candidates
-        dists = _kernels.dists_to_point(lead.vectors[rows], q, 2.0)[inv]
-        ok = np.flatnonzero(dists <= 2.0 * lead.r)
-        if not ok.size:
-            continue
-        owner = np.repeat(sel, size)
-        first = ok[_run_starts(owner[ok])]  # ok ascends
-        won = leaf[owner[first]]
-        hit_row[won], hit_dist[won], pending[won] = cand[first], dists[first], False
+        found, buckets = _lookup(group.table, tables, _query_keys(group, tables, q))
+        leaf = group.leaf_of[tables[found]]  # ascends: stacked tables are in leaf order
+        rank = np.arange(found.size) - leaf.searchsorted(leaf)
+        for j in range(rank.max() + 1 if found.size else 0):
+            sel = np.flatnonzero((rank == j) & pending[leaf])
+            if not sel.size:
+                break
+            lo, size = group.table.spans(buckets[sel])
+            cand = members[np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)]
+            rows, inv = _distinct(cand, m)  # leaves share candidates
+            dists = _kernels.dists_to_point(lead.vectors[rows], q, 2.0)[inv]
+            ok = np.flatnonzero(dists <= 2.0 * lead.r)
+            if not ok.size:
+                continue
+            owner = np.repeat(sel, size)
+            first = ok[_run_starts(owner[ok])]  # ok ascends
+            won = leaf[owner[first]]
+            hit_row[won], hit_dist[won], pending[won] = cand[first], dists[first], False
     hit = np.flatnonzero(hit_dist < np.inf)
     if not hit.size:
         return None
@@ -556,7 +581,8 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
     lead = group.schemes[0]
     q = _query_point(q, lead.vectors.shape[1])
     cells = _cells(q, group.shifts, lead.cell_side)
-    found, buckets = _lookup(group.table, cells)  # fingerprint matches, cells unconfirmed
+    # fingerprint matches, cells unconfirmed
+    found, buckets = _lookup(group.table, np.arange(len(cells)), cells)
     if live is not None:
         keep = np.asarray(live, dtype=bool)[group.copy_of[group.scheme_of[found]]]
         found, buckets = found[keep], buckets[keep]

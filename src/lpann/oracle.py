@@ -19,6 +19,7 @@ import numpy as np
 from . import _kernels
 from .errors import UsageError
 from .geometry import Dataset
+from .recursive import _is_int
 
 DISTRIBUTIONS = ("gaussian", "uniform-cube", "clustered")
 CLUSTERED_BLOBS = 4
@@ -58,6 +59,9 @@ class TrialSpec:
             raise UsageError(f"planted distance {self.rho} must lie in [0, r={self.r}]")
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # a report writes it as JSON
 
 
 def exact_nn(dataset: Dataset, q, p: float = None) -> tuple[int, float]:

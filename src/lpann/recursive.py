@@ -669,6 +669,8 @@ def nns_search(
         raise UsageError(f"dataset exponent {dataset.p} disagrees with p={p}")
     if not (c_slack > 0.0):
         raise UsageError(f"c_slack must be positive, got {c_slack}")
+    if not _is_int(seed) or seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
     q = _query_vector(q, dataset.d)
     if dataset.n == 1:
         return int(dataset.ids[0])

@@ -293,7 +293,7 @@ def _dict_reference_check(keys, probes, cap=2**31 - 1):
         ]
         found = [
             table.members[first: first + size].tolist()
-            for first, size in zip(*table.spans(_lookup(table, probe)[1]))
+            for first, size in zip(*table.spans(_lookup(table, np.arange(len(probe)), probe)[1]))
         ]
         assert found == expected
 
@@ -338,7 +338,7 @@ def test_grid_table_keeps_the_lowest_point_of_every_cell(case):
     assert {(t, cell): rep for t, cell, rep in stored} == reference
     for i in range(m):
         probe = np.array([grid[i] for grid in cells])
-        found, hit = _lookup(table, probe)
+        found, hit = _lookup(table, np.arange(len(probe)), probe)
         assert found.tolist() == list(range(len(shifts)))
         assert table.members[hit].tolist() == [
             reference[t, tuple(cell)] for t, cell in enumerate(probe)]
@@ -575,18 +575,18 @@ def _l2_reference(leaves, x, q):
     """Per leaf: the first candidate within 2r in table order, then member
     order, among at most max_probe members of each bucket; then the first
     leaf at the least distance. Also each leaf's own candidate and the
-    candidates of each bucket it searched, in order."""
+    (table, candidates) of each bucket it searched, in order."""
     best, per_leaf, searched = None, [], []
     for leaf in leaves:
         hit, buckets = None, []
-        for proj, offset in zip(leaf.projections, leaf.offsets):
+        for t, (proj, offset) in enumerate(zip(leaf.projections, leaf.offsets)):
             key = np.floor((proj @ q + offset) / leaf.w)
             bucket = [i for i in range(len(x))
                       if (np.floor((proj @ x[i] + offset) / leaf.w) == key).all()]
             if not bucket:
                 continue
             cand = bucket[: leaf.max_probe]
-            buckets.append(cand)
+            buckets.append((t, cand))
             hits = [(i, lp_distance(x[i], q, 2.0)) for i in cand]
             hits = [h for h in hits if h[1] <= 2.0 * leaf.r]
             if hits:
@@ -599,26 +599,51 @@ def _l2_reference(leaves, x, q):
     return best, per_leaf, searched
 
 
-def _rows_in_rounds(searched) -> int:
+def _rounds(passes) -> int:
     """Rows measured when round j measures the distinct candidates of the
-    j-th searched bucket of every leaf."""
-    rounds = max((len(buckets) for buckets in searched), default=0)
-    return sum(len({i for buckets in searched if j < len(buckets) for i in buckets[j]})
+    j-th bucket of every leaf's list of a pass."""
+    rounds = max((len(buckets) for buckets in passes), default=0)
+    return sum(len({i for buckets in passes if j < len(buckets) for i in buckets[j]})
                for j in range(rounds))
 
 
+def _rows_in_two_passes(searched) -> int:
+    """Rows measured when the first tables of all leaves are measured in one
+    pass, then the other tables of the leaves still without a hit in a
+    second, each in rounds. A leaf that hits in its first table searched
+    nothing after it, so its second-pass list is empty."""
+    first = [[cand for t, cand in buckets if t == 0] for buckets in searched]
+    rest = [[cand for t, cand in buckets if t > 0] for buckets in searched]
+    return _rounds(first) + _rounds(rest)
+
+
+def _tables_in_two_passes(leaves, per_leaf, searched) -> int:
+    """Tables hashed when every leaf hashes its first table, and a leaf
+    without a hit there all its others: it hit there only if it searched
+    table 0 and found its candidate in it."""
+    return sum(1 if hit is not None and buckets[-1][0] == 0 else len(leaf.projections)
+               for leaf, hit, buckets in zip(leaves, per_leaf, searched))
+
+
 def _rows_measured(fn, *args):
-    """fn(*args) and the number of rows it passed to dists_to_point."""
-    rows = []
-    real = _kernels.dists_to_point
+    """fn(*args), the number of rows it passed to dists_to_point and the
+    number of projection rows it hashed with _l2_keys."""
+    rows, hashed = [], []
+    real, real_keys = _kernels.dists_to_point, base_schemes._l2_keys
 
     def counting(mat, v, p):
         rows.append(len(mat))
         return real(mat, v, p)
 
-    with mock.patch.object(_kernels, "dists_to_point", counting):
+    def hashing(projections, offsets, w, vecs):
+        hashed.append(projections.shape[0] * projections.shape[1])
+        return real_keys(projections, offsets, w, vecs)
+
+    with mock.patch.object(_kernels, "dists_to_point", counting), \
+            mock.patch.object(base_schemes, "_l2_keys", hashing):
         out = fn(*args)
-    return out, sum(rows)
+    assert len(hashed) <= 2  # at most two hash products a call
+    return out, sum(rows), sum(hashed)
 
 
 @settings(max_examples=400, deadline=None)
@@ -629,16 +654,20 @@ def test_l2_group_matches_per_leaf_loops(case):
     leaves = [L2Scheme(ids, x, 1.0, proj, offsets) for proj, offsets in draws]
     owners = [[leaf for leaf, o in zip(leaves, owner_of) if o == i] for i in range(len(live))]
     group = l2_group(owners)
-    expected, searched = [], []
+    expected, searched, tables = [], [], 0
     for block, alive in zip(owners, live):
-        best, _, block_searched = _l2_reference(block, x, q)
+        best, per_leaf, block_searched = _l2_reference(block, x, q)
         expected.append(None if best is None or not alive else (int(ids[best[0]]), best[1]))
         searched += block_searched if alive else []
-    answer, rows = _rows_measured(query_l2_ann, group, q, live)
+        tables += _tables_in_two_passes(block, per_leaf, block_searched) if alive else 0
+    answer, rows, hashed = _rows_measured(query_l2_ann, group, q, live)
     assert answer == (None if expected == [None] * len(owners) else expected)
-    # buckets are measured in rounds, each distinct candidate once a round,
-    # none past a leaf's first hit and none of a left-out owner
-    assert rows == _rows_in_rounds(searched)
+    # the first tables of every leaf, then the other tables of the leaves
+    # without a hit, are hashed and measured, each pass in rounds, each
+    # distinct candidate once a round, none past a leaf's first hit and
+    # none of a left-out owner
+    assert rows == _rows_in_two_passes(searched)
+    assert hashed == tables * group.projections.shape[1]
     # without a mask every owner answers
     best = [_l2_reference(block, x, q)[0] for block in owners]
     assert query_l2_ann(group, q) == (None if best == [None] * len(owners) else [
@@ -709,7 +738,7 @@ def test_coarse_group_matches_per_scheme_loops(case):
     # a left-out copy answers None, and only the live copies' distinct
     # representatives are measured
     expected = [start if alive else None for start, alive in zip(expected, live)]
-    answer, rows = _rows_measured(query_coarse_ann, group, q, live)
+    answer, rows, _ = _rows_measured(query_coarse_ann, group, q, live)
     assert answer == (None if expected == [None] * len(copies) else expected)
     assert rows == len(set().union(*(
         _coarse_reps(scheme, x, q) for base, alive in zip(copies, live) if alive for scheme in base)))

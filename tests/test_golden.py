@@ -491,13 +491,19 @@ def test_carving_measures_no_pair_across_blobs(monkeypatch):
     assert sum(across) == 0
 
 
+def _gauss_d32():
+    """(index, queries) of the gauss-d32 benchmark at seed 1."""
+    w = workloads.WORKLOADS["gauss-d32"]
+    data = workloads.make_data(w, 1)
+    scheme = preprocess(Dataset(data, w.p), SchemeConfig(p=w.p, r=w.r, seed=1))
+    return scheme, workloads.make_queries(w, data, 1)[0]
+
+
 def _l2_groups(instance: str) -> list:
     """The first l2 group of the gauss-d32 benchmark index at seed 1, or
     every l2 group of the four-blob instance."""
     if instance == "gauss-d32":
-        w = workloads.WORKLOADS["gauss-d32"]
-        scheme = preprocess(Dataset(workloads.make_data(w, 1), w.p),
-                            SchemeConfig(p=w.p, r=w.r, seed=1))
+        scheme, _ = _gauss_d32()
     else:
         scheme, _ = _instance("blobs", 5)
     groups = [pset.group for pset in _sets(scheme.root)
@@ -507,22 +513,26 @@ def _l2_groups(instance: str) -> list:
 
 @pytest.mark.parametrize("instance", ["gauss-d32", "blobs"])
 def test_every_point_finds_its_own_bucket_in_every_table(instance, monkeypatch):
-    # a point queried exactly hashes as it was hashed at the build: in every
-    # table of its group it finds the bucket of its build key, which keeps it
-    # unless the bucket is full of lower points
+    # a point queried exactly hashes as it was hashed at the build: the keys
+    # that the query's hashing step gives it, for the first tables (as the
+    # query hashes them) and for the others (as a second pass would), are
+    # its build keys, and in every table of its group they find the bucket
+    # of that key, which keeps it unless the bucket is full of lower points
     groups = _l2_groups(instance)
     assert all(len(group.leaves) == 27 for group in groups)
-    lookups = []
-    real = base_schemes._lookup
+    hashed = []
+    real = base_schemes._query_keys
 
-    def recording(table, keys):
-        lookups.append(real(table, keys))
-        return lookups[-1]
+    def recording(group, tables, q):
+        hashed.append((tables, real(group, tables, q)))
+        return hashed[-1][1]
 
-    monkeypatch.setattr(base_schemes, "_lookup", recording)
+    monkeypatch.setattr(base_schemes, "_query_keys", recording)
     for group in groups:
         table, vectors = group.table, group.leaves[0].vectors
         tables, m = group.projections.shape[0], vectors.shape[0]
+        firsts, rest = np.flatnonzero(group.first), np.flatnonzero(~group.first)
+        assert firsts.size == 27 and rest.size == tables - 27
         built = np.concatenate([base_schemes._l2_keys(leaf.projections, leaf.offsets, leaf.w,
                                                       vectors) for leaf in group.leaves])
         first, size = table.spans(np.arange(table.fingerprints.size))
@@ -530,10 +540,55 @@ def test_every_point_finds_its_own_bucket_in_every_table(instance, monkeypatch):
         kept[np.repeat(table.tables, size), table.members] = True
         last = table.members[first + size - 1]
         cap = np.array([leaf.max_probe for leaf in group.leaves])[group.leaf_of]
+        keys = np.empty_like(built[:, 0])
         for row, x in enumerate(vectors):
-            lookups.clear()
+            hashed.clear()
             base_schemes.query_l2_ann(group, x)
-            (found, buckets), = lookups
+            asked, keys[firsts] = hashed[0]
+            assert asked.tolist() == firsts.tolist()
+            keys[rest] = real(group, rest, x)
+            assert (keys == built[:, row]).all()
+            found, buckets = base_schemes._lookup(table, np.arange(tables), keys)
             assert found.tolist() == list(range(tables))
             assert (table.keys[buckets] == built[:, row]).all()
             assert (kept[found, row] | ((size[buckets] == cap) & (last[buckets] < row))).all()
+
+
+def _hits_in_first_table(leaf, q) -> bool:
+    """Whether the leaf's first table holds a candidate within 2r of q
+    among the members its bucket keeps, computed from the build's keys."""
+    key = base_schemes._l2_keys(leaf.projections[:1], leaf.offsets[:1], leaf.w, q[None])[0, 0]
+    built = base_schemes._l2_keys(leaf.projections[:1], leaf.offsets[:1], leaf.w, leaf.vectors)[0]
+    bucket = np.flatnonzero((built == key).all(axis=1))[: leaf.max_probe]
+    return bool((np.linalg.norm(leaf.vectors[bucket] - q, axis=1) <= 2.0 * leaf.r).any())
+
+
+def test_l2_lookups_hash_only_the_tables_they_read(monkeypatch):
+    # a leaf-group lookup hashes the first table of every live leaf, and the
+    # other tables only of the leaves without a candidate there: on the
+    # gauss-d32 benchmark queries every leaf hits in its first table, so a
+    # lookup hashes k rows per live leaf
+    scheme, queries = _gauss_d32()
+    calls, hashed = [], []
+    real_query, real_keys = recursive.query_l2_ann, base_schemes._l2_keys
+
+    def recording(group, q, live=None):
+        hashed.clear()
+        out = real_query(group, q, live)
+        calls.append((group, q, live, sum(hashed)))
+        return out
+
+    def hashing(projections, offsets, w, vecs):
+        hashed.append(projections.shape[0] * projections.shape[1])
+        return real_keys(projections, offsets, w, vecs)
+
+    monkeypatch.setattr(recursive, "query_l2_ann", recording)
+    monkeypatch.setattr(base_schemes, "_l2_keys", hashing)
+    for q in queries[:25]:
+        query(scheme, q)
+    assert len(calls) == 4 * 25
+    for group, q, live, rows in calls:
+        live_leaves = [leaf for leaf, owner in zip(group.leaves, group.owner_of) if live[owner]]
+        assert len(live_leaves) == 27
+        assert all(_hits_in_first_table(leaf, q) for leaf in live_leaves)
+        assert rows == len(live_leaves) * group.projections.shape[1]

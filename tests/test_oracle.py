@@ -68,6 +68,22 @@ def test_planted_instance_rejects_bad_rho():
         TrialSpec(n=10, d=4, p=4.0, r=1.0, rho=2.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(-1)])
+def test_trial_spec_needs_a_non_negative_integer_seed(seed):
+    with pytest.raises(UsageError):
+        make_planted_instance(TrialSpec(n=10, d=4, p=4.0, r=1.0, seed=seed))
+
+
+def test_trial_spec_keeps_a_numpy_integer_seed_as_an_int():
+    spec = TrialSpec(n=10, d=4, p=4.0, r=1.0, seed=np.int64(3))
+    assert type(spec.seed) is int
+    dataset, q, planted = make_planted_instance(spec)
+    ref_dataset, ref_q, ref_planted = make_planted_instance(
+        TrialSpec(n=10, d=4, p=4.0, r=1.0, seed=3))
+    assert planted == ref_planted
+    assert (dataset.vectors == ref_dataset.vectors).all() and (q == ref_q).all()
+
+
 def test_run_trials_single_point():
     spec = TrialSpec(n=1, d=8, p=4.0, r=1.0, trials=5, seed=2)
     report = run_trials(make_scheme_builder(4.0, 1.0, 1.0), spec, c_target=10.0)

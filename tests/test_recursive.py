@@ -377,6 +377,19 @@ def test_nns_single_point():
     assert nns_search(ds, 4.0, 0.5, np.zeros(8)) == 0
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(-1)])
+def test_nns_needs_a_non_negative_integer_seed(seed):
+    ds = Dataset(np.random.default_rng(12).standard_normal((20, 8)), 4.0)
+    with pytest.raises(UsageError):
+        nns_search(ds, 4.0, 0.5, np.zeros(8), seed=seed)
+
+
+def test_nns_accepts_a_numpy_integer_seed():
+    ds = Dataset(np.random.default_rng(12).standard_normal((20, 8)), 4.0)
+    q = np.full(8, 0.1)
+    assert nns_search(ds, 4.0, 0.5, q, seed=np.int64(3)) == nns_search(ds, 4.0, 0.5, q, seed=3)
+
+
 def test_nns_coincident_query_returns_it():
     rng = np.random.default_rng(12)
     ds = Dataset(rng.standard_normal((40, 16)), 4.0)

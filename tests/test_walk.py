@@ -200,3 +200,38 @@ def test_walk_answers_each_owner_of_a_shared_set(seed):
             assert recursive._walk(pset, live, q) == [e if on else None
                                                       for e, on in zip(expected, live)]
     assert answered
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_masked_owners_hash_no_tables_when_copies_split(seed, monkeypatch):
+    # a leaf group looked up for some of its owners only hashes no table of
+    # the others: every projection block hashed during a lookup is a table
+    # of a live owner's leaf
+    dataset, queries, r = _split(seed)
+    scheme = preprocess(dataset, SchemeConfig(p=4.0, r=r, seed=seed))
+    calls, hashed = [], []
+    real_query, real_keys = recursive.query_l2_ann, base_schemes._l2_keys
+
+    def recording(group, q, live=None):
+        hashed.clear()
+        out = real_query(group, q, live)
+        calls.append((group, live, list(hashed)))
+        return out
+
+    def hashing(projections, offsets, w, vecs):
+        hashed.append(projections.copy())
+        return real_keys(projections, offsets, w, vecs)
+
+    monkeypatch.setattr(recursive, "query_l2_ann", recording)
+    monkeypatch.setattr(base_schemes, "_l2_keys", hashing)
+    for q in queries:
+        query(scheme, q)
+    masked = 0
+    for group, live, blocks in calls:
+        tables = [np.flatnonzero((group.projections == block).all(axis=(1, 2)))
+                  for projections in blocks for block in projections]
+        assert all(t.size == 1 for t in tables)
+        owners = group.owner_of[group.leaf_of[np.concatenate(tables)]]
+        assert live[owners].all()
+        masked += not live.all()
+    assert masked
