@@ -3,8 +3,7 @@
 Exit codes are a stable contract: 0 success, 2 usage error, 3 I/O error,
 4 numeric-range error. All randomness flows from --seed through the
 documented per-component derivation, so campaigns reproduce in CI. Output
-files are written atomically (temp file + rename). LPANN_THREADS caps the
-number of worker threads used to run bench trial queries (default 1).
+files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import numpy as np
@@ -38,14 +35,6 @@ SPEC_DEFAULTS = {
 def _load_schema(name: str) -> dict:
     ref = importlib.resources.files("lpann").joinpath("schemas", name)
     return json.loads(ref.read_text(encoding="utf-8"))
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("LPANN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"LPANN_THREADS must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -189,34 +178,28 @@ def run_bench_campaign(spec_dict: dict) -> dict:
     bound = approximation_bound(SchemeConfig(p=p, r=r, delta=delta, seed=0), d)
     c_target = spec_dict["c_target"] if spec_dict["c_target"] else bound.c_p
 
-    threads = _thread_count()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     per_n = {}
     reports = {}
-    try:
-        for n in n_grid:
-            n_seed = int(
-                np.random.SeedSequence(
-                    spec_dict["seed"], spawn_key=(TAG_CAMPAIGN, n)
-                ).generate_state(1, dtype=np.uint64)[0]
-            )
-            trial_spec = TrialSpec(
-                n=n, d=d, p=p, r=r,
-                distribution=spec_dict["distribution"],
-                rho=spec_dict["rho_fraction"] * r,
-                trials=int(spec_dict["trials"]),
-                seed=n_seed,
-            )
-            rep = run_trials(make_scheme_builder(p, r, delta), trial_spec, c_target, thread_pool=pool)
-            reports[n] = rep
-            per_n[str(n)] = {
-                "success_rate": rep.success_rate,
-                "total_points": rep.space.total if rep.space else 0,
-                "ratio_quantiles": dict(rep.ratio_quantiles),
-            }
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for n in n_grid:
+        n_seed = int(
+            np.random.SeedSequence(
+                spec_dict["seed"], spawn_key=(TAG_CAMPAIGN, n)
+            ).generate_state(1, dtype=np.uint64)[0]
+        )
+        trial_spec = TrialSpec(
+            n=n, d=d, p=p, r=r,
+            distribution=spec_dict["distribution"],
+            rho=spec_dict["rho_fraction"] * r,
+            trials=int(spec_dict["trials"]),
+            seed=n_seed,
+        )
+        rep = run_trials(make_scheme_builder(p, r, delta), trial_spec, c_target)
+        reports[n] = rep
+        per_n[str(n)] = {
+            "success_rate": rep.success_rate,
+            "total_points": rep.space.total if rep.space else 0,
+            "ratio_quantiles": dict(rep.ratio_quantiles),
+        }
 
     top = reports[n_grid[-1]]
     slope = None

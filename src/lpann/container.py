@@ -5,16 +5,17 @@ Layout (documented in docs/index_format.md):
     bytes 0..8      magic  b"LPANNIDX"
     bytes 8..16     header length H, little-endian uint64
     bytes 16..16+H  JSON header, UTF-8
-    then            raw data blocks, little-endian float64 / int64
+    then            the root's ids, n little-endian int64
+    then            the root's vectors, n x d little-endian float64
     last 4 bytes    CRC32 of every preceding byte, little-endian uint32
 
 An index is a function of its points, its configuration and numpy's random
-streams, so a file stores only the build's inputs: two blocks, the root's
-deduplicated ids and vectors, and in the header the dimension, the build
-configuration and a block table mapping names to (offset, dtype, shape);
-offsets are relative to the end of the header. The header also records the
-numpy version that saved the file and ``digest``, a blake2b over every
-array the built index holds (``index_digest``).
+streams, so a file stores only the build's inputs: the root's deduplicated
+ids and vectors, and in the header the dimension and the build
+configuration. n is not stored: it is the length of the body divided by
+the row size, 8 (1 + d) bytes. The header also records the numpy version
+that saved the file and ``digest``, a blake2b over every array the built
+index holds (``index_digest``).
 
 ``load_index`` rebuilds the index with ``preprocess``, so a loaded index is
 a built index by construction, and then recomputes the digest. NumPy does
@@ -24,18 +25,16 @@ not promise that its random streams stay the same across versions
 draws. Loading costs a build of the stored configuration.
 
 Only the current format version loads. The loader reads the file once, in
-order, each block straight into an array of its own, and rebuilds only
-after the checksum matches. A file that fails its checksum, is truncated,
-names an unknown block, lacks or mistypes a header key, or whose blocks
-overlap, hold points that do not ascend by id, or rebuild another index
-raises ``UsageError``.
+order, the two arrays straight into arrays of their own, and rebuilds only
+after the checksum matches. A file that fails its checksum, lacks or
+mistypes a header key, holds no whole number of rows, or whose points do
+not ascend by id or rebuild another index raises ``UsageError``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import struct
 import tempfile
@@ -51,9 +50,7 @@ from .geometry import Dataset
 from .recursive import LpScheme, SchemeConfig, preprocess
 
 MAGIC = b"LPANNIDX"
-FORMAT_VERSION = 6
-
-_DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
+FORMAT_VERSION = 7
 
 
 def index_digest(scheme: LpScheme) -> str:
@@ -120,24 +117,16 @@ def _with_crc(chunks):
 def save_index(scheme: LpScheme, path: str) -> None:
     """Serialize a built index: its points, its configuration and its
     digest. The write is atomic (temp file + rename)."""
-    blocks = {"ids": np.ascontiguousarray(scheme.root.ids, dtype="<i8"),
-              "vectors": np.ascontiguousarray(scheme.root.vectors, dtype="<f8")}
-    table, offset = {}, 0
-    for name, arr in blocks.items():
-        table[name] = {"offset": offset, "dtype": arr.dtype.str, "shape": list(arr.shape)}
-        offset += arr.nbytes
     header = {
         "format_version": FORMAT_VERSION,
         "d": scheme.d,
         "config": asdict(scheme.config),
         "numpy": np.__version__,
         "digest": index_digest(scheme),
-        "ids": "ids",
-        "vectors": "vectors",
-        "blocks": table,
     }
     payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    raw = [arr.reshape(-1).view(np.uint8) for arr in blocks.values()]
+    raw = [np.ascontiguousarray(arr, dtype=dtype).reshape(-1).view(np.uint8)
+           for arr, dtype in ((scheme.root.ids, "<i8"), (scheme.root.vectors, "<f8"))]
     atomic_write(path, _with_crc([MAGIC, struct.pack("<Q", len(payload)), payload, *raw]))
 
 
@@ -160,73 +149,10 @@ def _str(meta: dict, key: str) -> str:
     return _typed(meta[key], str, key)
 
 
-def _take(blocks: dict, name: str) -> np.ndarray:
-    arr = blocks.pop(name, None)
-    if arr is None:
-        raise UsageError(f"block {name!r} is missing from the block table or named twice")
-    return arr
-
-
-def _inputs(header: dict, blocks: dict) -> tuple[Dataset, SchemeConfig, str, str]:
-    """(points, config, numpy version, digest) the header and blocks hold."""
-    cmeta = header["config"]
-    config = SchemeConfig(**{
-        f.name: (_int if f.type in (int, "int") else _num)(cmeta, f.name)
-        for f in fields(SchemeConfig)
-    })
-    d = _int(header, "d")
-    saved_with, saved = _str(header, "numpy"), _str(header, "digest")
-    ids, vectors = _take(blocks, header["ids"]), _take(blocks, header["vectors"])
-    if not (ids.ndim == 1 and ids.size and (np.diff(ids) > 0).all()
-            and vectors.shape == (ids.size, d)):
-        raise UsageError("corrupt index: root ids do not ascend or do not match its vectors")
-    return Dataset(vectors, config.p, ids=ids), config, saved_with, saved
-
-
-def _crc_through(f, count: int, crc: int) -> int:
-    """crc carried over the next count bytes of f, read a MiB at a time."""
-    while count > 0:
-        chunk = f.read(min(count, 1 << 20))
-        if not chunk:
-            raise UsageError("truncated file")
-        crc = zlib.crc32(chunk, crc)
-        count -= len(chunk)
-    return crc
-
-
-def _read_blocks(f, table: dict, body: int, crc: int) -> tuple[dict, int]:
-    """Every block of the block table, read from f, which stands at the
-    start of the body of ``body`` bytes, once and in offset order, straight
-    into an array of its own; and crc carried over the whole body."""
-    plan = []
-    for name, meta in table.items():
-        dtype = _DTYPES.get(meta.get("dtype"))
-        if dtype is None:
-            raise UsageError(f"block {name!r} has unknown dtype {meta.get('dtype')!r}")
-        shape = meta.get("shape")
-        if not isinstance(shape, list) or not all(_typed(x, int, "shape") >= 0 for x in shape):
-            raise UsageError(f"block {name!r} has malformed shape {shape!r}")
-        offset, size = _int(meta, "offset"), math.prod(shape) * dtype.itemsize
-        if offset < 0 or offset + size > body:
-            raise UsageError(f"block {name!r} lies outside the file")
-        plan.append((offset, size, name, dtype, shape))
-    blocks, pos = {}, 0
-    for offset, size, name, dtype, shape in sorted(plan, key=lambda block: block[:2]):
-        if offset < pos and size:
-            raise UsageError(f"block {name!r} overlaps another block")
-        crc = _crc_through(f, offset - pos, crc)
-        arr = np.empty(shape, dtype=dtype)
-        raw = arr.reshape(-1).view(np.uint8)
-        if f.readinto(raw) != size:
-            raise UsageError("truncated file")
-        blocks[name], crc, pos = arr, zlib.crc32(raw, crc), max(pos, offset + size)
-    return blocks, _crc_through(f, body - pos, crc)
-
-
-def _read(f) -> tuple[dict, dict]:
-    """The header and the blocks of the index file open as f, read once;
-    raises UsageError unless the trailer is the CRC32 of every byte before
-    it."""
+def _read(f) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The header, ids and vectors of the index file open as f, read once;
+    raises UsageError unless the body holds whole rows and the trailer is
+    the CRC32 of every byte before it."""
     size = os.fstat(f.fileno()).st_size
     lead = f.read(16)
     if len(lead) < 16 or lead[:8] != MAGIC:
@@ -242,12 +168,33 @@ def _read(f) -> tuple[dict, dict]:
     version = header.get("format_version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         raise UsageError(f"unsupported format version {version}")
-    body = size - 4 - 16 - header_len
-    if body >= 0:
-        blocks, crc = _read_blocks(f, header["blocks"], body, zlib.crc32(payload, zlib.crc32(lead)))
-        if crc == struct.unpack("<I", f.read(4))[0]:
-            return header, blocks
-    raise UsageError("checksum mismatch: the file is corrupt or truncated")
+    d = _int(header, "d")
+    n, rest = divmod(size - 20 - header_len, 8 * (1 + d)) if d >= 1 else (0, 0)
+    if n < 1 or rest:
+        raise UsageError(f"the body does not hold a whole number (>= 1) of rows of d = {d}")
+    ids, vectors = np.empty(n, dtype="<i8"), np.empty((n, d), dtype="<f8")
+    crc = zlib.crc32(payload, zlib.crc32(lead))
+    for arr in (ids, vectors):
+        raw = arr.reshape(-1).view(np.uint8)
+        if f.readinto(raw) != raw.size:
+            raise UsageError("truncated file")
+        crc = zlib.crc32(raw, crc)
+    if f.read(4) != struct.pack("<I", crc):
+        raise UsageError("checksum mismatch: the file is corrupt or truncated")
+    return header, ids, vectors
+
+
+def _inputs(header: dict, ids, vectors) -> tuple[Dataset, SchemeConfig, str, str]:
+    """(points, config, numpy version, digest) the file holds."""
+    cmeta = header["config"]
+    config = SchemeConfig(**{
+        f.name: (_int if f.type in (int, "int") else _num)(cmeta, f.name)
+        for f in fields(SchemeConfig)
+    })
+    saved_with, saved = _str(header, "numpy"), _str(header, "digest")
+    if not (np.diff(ids) > 0).all():
+        raise UsageError("corrupt index: root ids do not ascend")
+    return Dataset(vectors, config.p, ids=ids), config, saved_with, saved
 
 
 def load_index(path: str) -> LpScheme:
@@ -256,8 +203,7 @@ def load_index(path: str) -> LpScheme:
     with ``preprocess``, and check the rebuild against the saved digest."""
     try:
         with open(path, "rb") as f:
-            header, blocks = _read(f)
-        points, config, saved_with, saved = _inputs(header, blocks)
+            points, config, saved_with, saved = _inputs(*_read(f))
     except UsageError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,10 @@ class TrialSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(_is_int(v) for v in (self.n, self.d, self.trials)):
+            raise UsageError(
+                f"n, d and trials must be integers, got {self.n!r}, {self.d!r}, {self.trials!r}"
+            )
         if self.n < 1 or self.d < 1:
             raise UsageError("n and d must be >= 1")
         if self.distribution not in DISTRIBUTIONS:
@@ -61,7 +65,8 @@ class TrialSpec:
             raise UsageError("trials must be >= 1")
         if not _is_int(self.seed) or self.seed < 0:
             raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))  # a report writes it as JSON
+        for name in ("n", "d", "trials", "seed"):  # plain ints: a report writes them as JSON
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 def exact_nn(dataset: Dataset, q, p: float = None) -> tuple[int, float]:
@@ -149,7 +154,6 @@ class TrialReport:
     build_time_s: float
     build_error: str | None = None
     space: object = None  # SpaceReport when the index provides one
-    extras: dict = field(default_factory=dict)
 
     def as_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -187,7 +191,7 @@ def _normalize_result(res):
     return int(res)
 
 
-def run_trials(builder, spec: TrialSpec, c_target: float, thread_pool=None) -> TrialReport:
+def run_trials(builder, spec: TrialSpec, c_target: float) -> TrialReport:
     """Build once on a planted dataset, run ``spec.trials`` fresh planted
     queries against it, and aggregate.
 
@@ -249,10 +253,7 @@ def run_trials(builder, spec: TrialSpec, c_target: float, thread_pool=None) -> T
             query_time_s=elapsed,
         )
 
-    if thread_pool is not None:
-        outcomes = sorted(thread_pool.map(one_trial, range(spec.trials)), key=lambda o: o.trial)
-    else:
-        outcomes = [one_trial(t) for t in range(spec.trials)]
+    outcomes = [one_trial(t) for t in range(spec.trials)]
 
     ratios = np.asarray([o.ratio for o in outcomes], dtype=np.float64)
     finite = ratios[np.isfinite(ratios)]
@@ -280,8 +281,8 @@ def fit_scaling(points) -> float:
     if len({n for n, _ in pts}) < 3:
         raise UsageError("fit_scaling needs at least 3 distinct n values")
     for n, m in pts:
-        if m <= 0:
-            raise UsageError(f"measurement for n={n} must be positive, got {m}")
+        if not (0 < n < math.inf and 0 < m < math.inf):
+            raise UsageError(f"n and its measurement must be positive and finite, got ({n}, {m})")
     xs = np.log([float(n) for n, _ in pts])
     ys = np.log([float(m) for _, m in pts])
     return float(np.polyfit(xs, ys, 1)[0])

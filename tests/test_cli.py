@@ -268,19 +268,3 @@ def test_huge_coordinates_build_without_numeric_error(tmp_path, capsys):
     idx = tmp_path / "x.lpann"
     assert run_cli(["build", "--input", str(data), "--r", "1.0", "--out", str(idx)]) == 0
 
-
-def test_bench_thread_cap_preserves_results(monkeypatch):
-    spec = {
-        "n_grid": [40, 80],
-        "d": 32,
-        "p": 4.0,
-        "r": 1.0,
-        "trials": 8,
-        "seed": 12,
-    }
-    serial = run_bench_campaign(dict(spec))
-    monkeypatch.setenv("LPANN_THREADS", "3")
-    threaded = run_bench_campaign(dict(spec))
-    serial.pop("timing")
-    threaded.pop("timing")
-    assert serial == threaded

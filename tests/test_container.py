@@ -1,8 +1,10 @@
 import json
+import os
 import struct
 import sys
 import threading
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,33 +42,33 @@ def test_roundtrip_answers_identical(built):
             assert a.trace == b.trace
 
 
+def _layout(raw: bytes) -> tuple[int, dict, int, int]:
+    """(H, header, n, d) of a format-7 file: n rows of 8 (1 + d) bytes
+    follow the header, then the 4-byte trailer."""
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16: 16 + hlen])
+    d = header["d"]
+    return hlen, header, (len(raw) - 20 - hlen) // (8 * (1 + d)), d
+
+
 def test_header_fields(built):
     _, scheme, path = built
     raw = path.read_bytes()
     assert raw[:8] == MAGIC
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16: 16 + hlen])
-    assert set(header) == {
-        "format_version", "d", "config", "numpy", "digest", "ids", "vectors", "blocks",
-    }
+    hlen, header, _, d = _layout(raw)
+    assert set(header) == {"format_version", "d", "config", "numpy", "digest"}
     assert header["format_version"] == FORMAT_VERSION
     assert header["d"] == 32
     assert header["config"]["p"] == 4.0
     assert header["config"]["seed"] == 7
     assert header["numpy"] == np.__version__
     assert header["digest"] == index_digest(scheme)
-    # only the root's points are stored
-    assert set(header["blocks"]) == {header["ids"], header["vectors"]}
-    assert header["blocks"][header["ids"]]["shape"] == list(scheme.root.ids.shape)
-    assert header["blocks"][header["vectors"]]["shape"] == list(scheme.root.vectors.shape)
-    for meta in header["blocks"].values():
-        assert meta["dtype"] in ("<f8", "<i8")
-        assert meta["offset"] >= 0
-    # blocks are written back to back, once each
-    metas = sorted(header["blocks"].values(), key=lambda m: m["offset"])
-    ends = [m["offset"] + 8 * int(np.prod(m["shape"])) for m in metas]
-    assert [m["offset"] for m in metas] == [0] + ends[:-1]
-    assert 16 + hlen + ends[-1] + 4 == len(raw)
+    # only the root's points are stored: ids, then vectors, back to back
+    n = scheme.root.ids.size
+    assert len(raw) == 16 + hlen + 8 * n * (1 + d) + 4
+    body = 16 + hlen
+    assert (np.frombuffer(raw, "<i8", n, body) == scheme.root.ids).all()
+    assert (np.frombuffer(raw, "<f8", n * d, body + 8 * n) == scheme.root.vectors.ravel()).all()
 
 
 def test_loaded_bound_matches(built):
@@ -152,43 +154,39 @@ def _cli_query_exit(index, tmp_path):
     return main(["query", "--index", str(index), "--query-file", str(queries)])
 
 
-def _first_block(header):
-    return header["blocks"][header["ids"]]
-
-
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda h: _first_block(h).update(shape=[1.5]),
-        lambda h: _first_block(h).update(shape=["100"]),
-        lambda h: _first_block(h).update(shape=[-1]),
-        lambda h: _first_block(h).update(dtype="<f4"),
-        lambda h: _first_block(h).update(offset=-8),
-        lambda h: _first_block(h).update(offset=10**12),
-        lambda h: _first_block(h).update(offset=h["blocks"][h["vectors"]]["offset"]),
-        lambda h: h.update(vectors=h["ids"]),
-        lambda h: h["blocks"].pop(h["ids"]),
+        lambda h: h.update(d=0),
+        lambda h: h.update(d=-32),
+        lambda h: h.update(d=32.0),
+        lambda h: h.update(d="32"),
+        lambda h: h.update(d=[32]),
+        lambda h: h.update(d=None),
+        lambda h: h.update(d=True),
+        lambda h: h.update(d=10**30),
+        lambda h: h.update(d=31),
+        lambda h: h.update(d=10),
         lambda h: h.pop("d"),
         lambda h: h["config"].update(r="1.0"),
         lambda h: h.update(d=32.5),
         lambda h: h["config"].update(seed=None),
-        lambda h: h.update(blocks=[]),
         lambda h: h.update(format_version=1),
         lambda h: h.update(format_version=2),
         lambda h: h.update(format_version=3),
         lambda h: h.update(format_version=4),
         lambda h: h.update(format_version=5),
+        lambda h: h.update(format_version=6),
         lambda h: h.pop("digest"),
         lambda h: h.update(digest=int(h["digest"], 16)),
         lambda h: h.pop("numpy"),
         lambda h: h.update(numpy=[2, 4]),
     ],
     ids=[
-        "float-shape", "string-shape", "negative-shape", "unknown-dtype",
-        "negative-offset", "offset-past-end", "overlapping-blocks", "block-named-twice",
-        "missing-block", "missing-key",
-        "string-number", "float-integer", "null-seed", "block-table-list", "version-1",
-        "version-2", "version-3", "version-4", "version-5", "missing-digest",
+        "zero-d", "negative-d", "integral-float-d", "string-d", "list-d", "null-d",
+        "bool-d", "huge-d", "partial-rows-d", "other-rows-d", "missing-key",
+        "string-number", "float-integer", "null-seed", "version-1",
+        "version-2", "version-3", "version-4", "version-5", "version-6", "missing-digest",
         "number-digest", "missing-numpy", "list-numpy",
     ],
 )
@@ -199,7 +197,7 @@ def test_malformed_header_is_usage_error(built, tmp_path, capsys, edit):
     assert _cli_query_exit(bad, tmp_path) == 2
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_old_format_names_its_version(built, tmp_path, version):
     bad = _rewrite_header(built[2], tmp_path / "old.lpann",
                           lambda h: h.update(format_version=version))
@@ -244,62 +242,94 @@ def test_concurrent_queries_on_a_fresh_load_match_sequential(built):
 
 
 def test_truncated_blocks_are_usage_error(built, tmp_path, capsys):
+    # resealed after losing 100 bytes, less than a row of 8 (1 + 32)
     _, _, path = built
     bad = tmp_path / "short.lpann"
     bad.write_bytes(_seal(path.read_bytes()[:-4][:-100]))
-    with pytest.raises(UsageError, match="outside the file"):
+    with pytest.raises(UsageError, match="whole number"):
         load_index(str(bad))
     assert _cli_query_exit(bad, tmp_path) == 2
 
 
-def _rewrite_block(path, out, pick, change, seal=True):
-    """Copy an index file to out with the block pick(header) names replaced
-    by change(block), sealed again unless told otherwise."""
+def _rewrite_points(path, out, name, change, seal=True):
+    """Copy an index file to out with its ids or vectors (name) replaced by
+    change(array), sealed again unless told otherwise."""
     raw = bytearray(path.read_bytes())
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16: 16 + hlen])
-    meta = header["blocks"][pick(header)]
-    start, dtype = 16 + hlen + meta["offset"], np.dtype(meta["dtype"])
-    count = int(np.prod(meta["shape"]))
-    block = np.frombuffer(bytes(raw[start: start + dtype.itemsize * count]), dtype=dtype)
-    raw[start: start + dtype.itemsize * count] = change(block).astype(dtype).tobytes()
+    hlen, _, n, d = _layout(raw)
+    start, count, dtype = {"ids": (16 + hlen, n, "<i8"),
+                           "vectors": (16 + hlen + 8 * n, n * d, "<f8")}[name]
+    array = np.frombuffer(bytes(raw), dtype, count, start)
+    raw[start: start + 8 * count] = change(array).astype(dtype).tobytes()
     out.write_bytes(_seal(bytes(raw[:-4])) if seal else bytes(raw))
     return out
 
 
 @pytest.mark.parametrize(
     "pick,change",
-    [(lambda h: h["ids"], lambda b: b[::-1])],
+    [("ids", lambda b: b[::-1])],
     ids=["ids-descend"],
 )
 def test_corrupt_block_contents_are_usage_error(built, tmp_path, capsys, pick, change):
     _, _, path = built
-    bad = _rewrite_block(path, tmp_path / "bad.lpann", pick, change)
+    bad = _rewrite_points(path, tmp_path / "bad.lpann", pick, change)
     with pytest.raises(UsageError, match="corrupt index"):
         load_index(str(bad))
     assert _cli_query_exit(bad, tmp_path) == 2
 
 
-def _nudge_first_coordinate(block):
-    out = block.copy()
+def _nudge_first_coordinate(array):
+    out = array.copy()
     out[0] = np.nextafter(out[0], np.inf)
     return out
 
 
 def test_unsealed_edit_fails_checksum(built, tmp_path, capsys):
-    # a vector one ulp off passes every header and block check: resealed, the
-    # digest of the index it rebuilds catches it; unsealed, the trailer does
+    # a vector one ulp off passes every header and length check: resealed,
+    # the digest of the index it rebuilds catches it; unsealed, the trailer does
     _, _, path = built
-    sealed = _rewrite_block(path, tmp_path / "sealed.lpann", lambda h: h["vectors"],
-                            _nudge_first_coordinate)
+    sealed = _rewrite_points(path, tmp_path / "sealed.lpann", "vectors",
+                             _nudge_first_coordinate)
     with pytest.raises(UsageError, match="digest mismatch"):
         load_index(str(sealed))
     assert _cli_query_exit(sealed, tmp_path) == 2
-    bad = _rewrite_block(path, tmp_path / "bad.lpann", lambda h: h["vectors"],
-                         _nudge_first_coordinate, seal=False)
+    bad = _rewrite_points(path, tmp_path / "bad.lpann", "vectors",
+                          _nudge_first_coordinate, seal=False)
     with pytest.raises(UsageError, match="checksum"):
         load_index(str(bad))
     assert _cli_query_exit(bad, tmp_path) == 2
+
+
+def test_dropped_row_fails_digest(built, tmp_path, capsys):
+    # dropping the last id and the last vector leaves n - 1 whole rows of
+    # ascending ids, which rebuild another index
+    _, scheme, path = built
+    raw = path.read_bytes()
+    hlen, _, n, d = _layout(raw)
+    assert n == scheme.root.ids.size
+    ids_end, vectors_end = 16 + hlen + 8 * n, len(raw) - 4
+    body = raw[: ids_end - 8] + raw[ids_end: vectors_end - 8 * d]
+    bad = tmp_path / "dropped.lpann"
+    bad.write_bytes(_seal(body))
+    assert _layout(bad.read_bytes())[2] == n - 1
+    with pytest.raises(UsageError, match="digest mismatch"):
+        load_index(str(bad))
+    assert _cli_query_exit(bad, tmp_path) == 2
+
+
+def test_file_that_shrinks_while_read_is_usage_error(built, tmp_path, monkeypatch):
+    # the file's length, as fstat gave it, promises one row more than the
+    # file still holds when the arrays are read: the short read is caught
+    _, _, path = built
+    real_size = path.stat().st_size
+    stat = os.fstat
+
+    def longer(fd):
+        size = stat(fd).st_size
+        return SimpleNamespace(st_size=size + 8 * 33 if size == real_size else size)
+
+    monkeypatch.setattr(os, "fstat", longer)
+    with pytest.raises(UsageError, match="truncated file"):
+        load_index(str(path))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,21 @@ def test_trial_spec_keeps_a_numpy_integer_seed_as_an_int():
     assert (dataset.vectors == ref_dataset.vectors).all() and (q == ref_q).all()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n", 10.5), ("d", 3.5), ("trials", 2.5), ("n", True), ("d", False), ("trials", "3"),
+])
+def test_trial_spec_needs_integer_sizes(field, value):
+    with pytest.raises(UsageError, match="must be integers"):
+        TrialSpec(**{"n": 10, "d": 4, "p": 4.0, "r": 1.0, "trials": 1, field: value})
+
+
+def test_trial_spec_keeps_numpy_integer_sizes_as_ints():
+    spec = TrialSpec(n=np.int64(10), d=np.int64(4), p=4.0, r=1.0, trials=np.int64(3), seed=2)
+    assert all(type(v) is int for v in (spec.n, spec.d, spec.trials))
+    report = run_trials(make_scheme_builder(4.0, 1.0, 1.0), spec, c_target=10.0)
+    json.dumps(report.as_dict())
+
+
 def test_run_trials_single_point():
     spec = TrialSpec(n=1, d=8, p=4.0, r=1.0, trials=5, seed=2)
     report = run_trials(make_scheme_builder(4.0, 1.0, 1.0), spec, c_target=10.0)
@@ -146,3 +164,15 @@ def test_fit_scaling_errors():
         fit_scaling([(10, 1.0), (20, 2.0)])
     with pytest.raises(UsageError):
         fit_scaling([(10, 1.0), (20, 0.0), (30, 2.0)])
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 1.0), (1, 2.0), (2, 3.0)],
+    [(-10, 1.0), (20, 2.0), (30, 3.0)],
+    [(10, 1.0), (20, math.inf), (30, 3.0)],
+    [(10, 1.0), (20, math.nan), (30, 3.0)],
+    [(10, 1.0), (math.inf, 2.0), (30, 3.0)],
+])
+def test_fit_scaling_rejects_non_positive_n_and_non_finite_measurements(points):
+    with pytest.raises(UsageError, match="positive and finite"):
+        fit_scaling(points)
