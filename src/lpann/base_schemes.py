@@ -34,11 +34,12 @@ leaf with one matrix product and looks those keys up with one search, and
 then, with one more product and search, all remaining tables of the
 leaves still without a candidate within 2r. Each pass confirms its
 matches on the full key and measures its buckets in rounds, one distance
-call a round. A group's schemes come in contiguous blocks, and a query
-answers per block: per owner for l2 leaves, per copy for grids. A mask
-leaves blocks out: their cells are never measured, and their l2 tables
-are neither hashed nor measured. A lone scheme is queried as a group of
-one.
+call a round. A query answers per copy of the group: an l2 copy is one
+leaf, a grid copy a contiguous block of schemes. Its answer is three
+arrays over the copies, a found mask, ids and distances, or None if no
+copy answers. A mask leaves copies out: their cells are never measured,
+and their l2 tables are neither hashed nor measured. A lone scheme is
+queried as a group of one.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericRangeError, UsageError
+from .geometry import check_query
 
 BUCKET_WIDTH_FACTOR = 4.0  # w = 4r, design collision at distance exactly r
 
@@ -299,15 +301,6 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _query_point(q, d: int) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64).ravel()
-    if q.shape[0] != d:
-        raise UsageError(
-            f"query dimension {q.shape[0]} does not match scheme dimension {d}"
-        )
-    return q
-
-
 @dataclass
 class L2Scheme:
     """The drawn projections and offsets fix everything else: bucket width
@@ -381,13 +374,10 @@ class L2Group:
     Stacked table i (``projections[i]``, ``offsets[i]``) belongs to leaf
     ``leaf_of[i]``, is that leaf's first table where ``first[i]``, and is
     table i of ``table``, whose buckets keep the leaf's first ``max_probe``
-    members, all a query probes; leaf l belongs to owner ``owner_of[l]`` of
-    ``owners``.
+    members, all a query probes.
     """
 
     leaves: list
-    owner_of: np.ndarray
-    owners: int
     projections: np.ndarray  # (T, k, d)
     offsets: np.ndarray      # (T, k)
     leaf_of: np.ndarray
@@ -395,19 +385,15 @@ class L2Group:
     table: _BucketTable = field(repr=False)
 
 
-def l2_group(owners: list) -> L2Group:
-    """Group the leaves of each owner (a list of lists of leaves built over
-    one point array for one radius), in order, and build their one bucket
-    table. A lone leaf is the group ``[[leaf]]``."""
-    leaves = [leaf for block in owners for leaf in block]
+def l2_group(leaves: list) -> L2Group:
+    """Group leaves built over one point array for one radius, in order,
+    and build their one bucket table. A lone leaf is the group ``[leaf]``."""
     table = _bucket_table(
         (keys, leaf.max_probe) for leaf in leaves
         for keys in _l2_keys(leaf.projections, leaf.offsets, leaf.w, leaf.vectors)
     )
     (projections, offsets), leaf_of = _stack(leaves, ("projections", "offsets"))
-    owner_of = np.repeat(np.arange(len(owners)), [len(block) for block in owners])
-    return L2Group(leaves, owner_of, len(owners), projections, offsets, leaf_of,
-                   _run_starts(leaf_of), table)
+    return L2Group(leaves, projections, offsets, leaf_of, _run_starts(leaf_of), table)
 
 
 def _query_keys(group: L2Group, tables: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -419,31 +405,32 @@ def _query_keys(group: L2Group, tables: np.ndarray, q: np.ndarray) -> np.ndarray
 
 
 def query_l2_ann(group: L2Group, q, live=None):
-    """Each owner's answer: (id, l2 distance) of the first of its leaves, in
-    group order, whose first scanned candidate within 2r of q, probing at
-    most max_probe candidates per table, is nearest to q, or None for an
-    owner without one or left out by ``live``, a boolean mask over owners
-    (all by default); None if no owner has one.
+    """Each leaf's answer, as (found, ids, dists) arrays over the leaves:
+    the id and l2 distance of its first scanned candidate within 2r of q,
+    probing at most max_probe candidates per table, where found; not found
+    for a leaf without one or left out by ``live``, a boolean mask over
+    leaves (all by default). None if no leaf has one.
 
     The tables are hashed and looked up in two passes: first the first
-    table of every leaf of a live owner, then all remaining tables of the
-    leaves still without a candidate, each pass with one matrix product
+    table of every live leaf, then all remaining tables of the leaves
+    still without a candidate, each pass with one matrix product
     (``_query_keys``) and one ``_lookup``. A pass measures its matched
     buckets in rounds: round j measures the distinct members of the j-th
     matched bucket of every leaf still without a candidate, with one
     distance call. So each leaf tries its matched buckets in table order
-    and keeps its first member within 2r, and no table of a left-out owner
+    and keeps its first member within 2r, and no table of a left-out leaf
     is hashed, and no bucket of one, or past a leaf's first candidate, is
     measured.
     """
     lead = group.leaves[0]
-    q = _query_point(q, lead.vectors.shape[1])
+    q = check_query(q, lead.vectors.shape[1])
     members, m = group.table.members, len(lead.vectors)
     hit_row = np.zeros(len(group.leaves), dtype=np.intp)
     hit_dist = np.full(len(group.leaves), np.inf)
     pending = np.ones(len(group.leaves), dtype=bool)
     if live is not None:
-        pending = np.asarray(live, dtype=bool)[group.owner_of]
+        pending = np.array(live, dtype=bool)  # a copy: leaves that hit leave it
+    hit = False
     for first_pass in (True, False):
         tables = np.flatnonzero((group.first == first_pass) & pending[group.leaf_of])
         if not tables.size:
@@ -462,20 +449,12 @@ def query_l2_ann(group: L2Group, q, live=None):
             ok = np.flatnonzero(dists <= 2.0 * lead.r)
             if not ok.size:
                 continue
+            hit = True
             owner = np.repeat(sel, size)
             first = ok[_run_starts(owner[ok])]  # ok ascends
             won = leaf[owner[first]]
             hit_row[won], hit_dist[won], pending[won] = cand[first], dists[first], False
-    hit = np.flatnonzero(hit_dist < np.inf)
-    if not hit.size:
-        return None
-    owner = group.owner_of[hit]
-    # per owner: least distance, then first leaf
-    order = np.lexsort((hit, hit_dist[hit], owner))
-    answers = [None] * group.owners
-    for i in order[_run_starts(owner[order])]:
-        answers[owner[i]] = (int(lead.ids[hit_row[hit[i]]]), float(hit_dist[hit[i]]))
-    return answers
+    return (hit_dist < np.inf, lead.ids[hit_row], hit_dist) if hit else None
 
 
 @dataclass
@@ -571,15 +550,16 @@ def coarse_group(copies: list) -> CoarseGroup:
 
 
 def query_coarse_ann(group: CoarseGroup, q, live=None):
-    """Each copy's start: (id, lp distance) of the first scheme of the copy
-    whose lp-closest cell representative across its grids, re-checked
-    against c0*r (ties to the lowest row), is nearest to q, or None for a
-    copy without one or left out by ``live``, a boolean mask over copies
-    (all by default); None if no copy has one. Every distinct representative
-    of a live copy's cells is measured with one distance call.
+    """Each copy's start, as (found, ids, dists) arrays over the copies:
+    the id and lp distance of the first scheme of the copy whose lp-closest
+    cell representative across its grids, re-checked against c0*r (ties to
+    the lowest row), is nearest to q, where found; not found for a copy
+    without one or left out by ``live``, a boolean mask over copies (all by
+    default). None if no copy has one. Every distinct representative of a
+    live copy's cells is measured with one distance call.
     """
     lead = group.schemes[0]
-    q = _query_point(q, lead.vectors.shape[1])
+    q = check_query(q, lead.vectors.shape[1])
     cells = _cells(q, group.shifts, lead.cell_side)
     # fingerprint matches, cells unconfirmed
     found, buckets = _lookup(group.table, np.arange(len(cells)), cells)
@@ -601,13 +581,12 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
     # only each copy's best match still untried is recomputed
     order = np.lexsort((reps, which, dists, copy))
     rekey = _cell_rekey(lead.vectors, group.shifts, lead.cell_side)
-    starts = [None] * group.copies
     answered, tried = np.zeros(group.copies, dtype=bool), np.zeros(reps.size, dtype=bool)
+    ids, start_dists = np.zeros(group.copies, dtype=np.int64), np.zeros(group.copies)
     while order.size:
         best = order[_run_starts(copy[order])]
         sure = best[(rekey(grids[best], reps[best]) == cells[grids[best]]).all(axis=1)]
-        for i in sure:
-            starts[copy[i]] = (int(lead.ids[reps[i]]), float(dists[i]))
+        ids[copy[sure]], start_dists[copy[sure]] = lead.ids[reps[sure]], dists[sure]
         answered[copy[sure]], tried[best] = True, True
         order = order[~(answered[copy[order]] | tried[order])]
-    return starts if answered.any() else None
+    return (answered, ids, start_dists) if answered.any() else None

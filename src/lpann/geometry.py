@@ -25,6 +25,16 @@ def check_norm_param(p: float) -> float:
     return p
 
 
+def check_query(q, d: int) -> np.ndarray:
+    """A query point as a float64 vector: d finite coordinates."""
+    q = np.asarray(q, dtype=np.float64).ravel()
+    if q.shape[0] != d:
+        raise UsageError(f"query dimension {q.shape[0]} does not match dimension {d}")
+    if not np.isfinite(q).all():
+        raise UsageError("query contains non-finite coordinates")
+    return q
+
+
 @dataclass(eq=False)
 class Dataset:
     """An indexed collection of d-dimensional vectors under an lp norm.

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import UsageError
-from .geometry import Dataset
+from .geometry import Dataset, check_query
 from .recursive import _is_int
 
 DISTRIBUTIONS = ("gaussian", "uniform-cube", "clustered")
@@ -74,7 +74,7 @@ def exact_nn(dataset: Dataset, q, p: float = None) -> tuple[int, float]:
     if dataset.n == 0:
         raise UsageError("exact_nn needs a non-empty dataset")
     p = dataset.p if p is None else p
-    q = np.asarray(q, dtype=np.float64).ravel()
+    q = check_query(q, dataset.d)
     dist = _kernels.dists_to_point(dataset.vectors, q, p)
     best = dist.min()
     winners = dataset.ids[np.flatnonzero(dist == best)]

@@ -30,10 +30,11 @@ with the mapped query, lift the answer back by id, and keep it only if it
 improves the true distance. All distances are re-verified in the node's own
 norm, so a failed stage can never make the answer worse. A set's copies
 are numbered parent copy, then child copy, then node copy (see
-``PointSet``), and a query visits each point set once: every copy over it
-with a coarse start walks the set's ladder in lock-step with the others
-(``_walk``), one lookup answers every copy's grids, and one answers every
-l2 leaf, per walker above.
+``PointSet``), and a query visits each point set once (``_walk``): one
+lookup of the set's group answers per copy, every copy's grids or every
+l2 leaf, each copy that it answers walks the set's ladder in lock-step
+with the others, and the walk alone picks each owner's answer, the first
+of its copies at the least distance.
 
 Arbitrary exponents are first clamped to min(p, log2 d) and rounded down to
 a power of two; the constant-factor norm distortion this costs is computed
@@ -62,7 +63,7 @@ from .base_schemes import (
 )
 from .cover import Cluster, SparseCover, build_sparse_cover, diameter_bound_for
 from .errors import NumericRangeError, UsageError
-from .geometry import Dataset, MazurMapSpec, mazur_map_apply, mazur_map_points
+from .geometry import Dataset, MazurMapSpec, check_query, mazur_map_apply, mazur_map_points
 
 L2_LEAF_APPROX = 2.0
 PRIMITIVE_FAILURE = 1.0 / 3.0  # each unamplified randomized structure
@@ -196,7 +197,8 @@ class ApproxBound:
             "beta_eff": self.beta_eff if math.isfinite(self.beta_eff) else None,
             "c_l2": self.c_l2,
             "c_p": self.c_p,
-            "closed_form_literal": self.closed_form_literal,
+            "closed_form_literal": (self.closed_form_literal
+                                    if math.isfinite(self.closed_form_literal) else None),
             "levels": [
                 {
                     "t": lv.t,
@@ -210,9 +212,13 @@ class ApproxBound:
 
 
 def literal_closed_form(p: float) -> float:
-    """(16 * log2 p)^(log2 p), the bound under un-clamped textbook constants."""
+    """(16 * log2 p)^(log2 p), the bound under un-clamped textbook constants;
+    inf where it overflows float64."""
     lg = math.log2(p)
-    return (16.0 * lg) ** lg
+    try:
+        return (16.0 * lg) ** lg
+    except OverflowError:
+        return math.inf
 
 
 def approximation_bound(config: SchemeConfig, d: int) -> ApproxBound:
@@ -446,8 +452,7 @@ def _build_set(pset: PointSet, paths: list, r: float, config: SchemeConfig) -> N
     if pset.t == 2.0:
         leaves = [build_l2_ann(pset.ids, pset.vectors, r, PRIMITIVE_FAILURE,
                                _seed(config.seed, path + (TAG_BASE, 0))) for path in copies]
-        per = pset.nodes * pset.node_copies
-        pset.group = l2_group([leaves[i:i + per] for i in range(0, len(leaves), per)])
+        pset.group = l2_group(leaves)
         return
     grids = [
         [build_coarse_ann(pset.ids, pset.vectors, pset.t, r,
@@ -488,22 +493,22 @@ def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
     the first of its copies, in copy order, at the least distance, or None;
     ``live`` marks the owners to answer.
 
-    Every copy of a live owner with a coarse start is a walker, and the
-    walkers climb the set's ladder in lock-step. Per level, one gather
-    routes them all, each routed cluster's map is applied once and its
-    child set is walked once for every walker routed there (there, the
-    set's copies are the owners), and one distance call re-verifies every
-    candidate.
+    Every copy of a live owner that its base schemes answer (an l2 leaf at
+    t == 2, grids above) is a walker, and the walkers climb the set's
+    ladder, empty at t == 2, in lock-step. Per level, one gather routes
+    them all, each routed cluster's map is applied once and its child set
+    is walked once for every walker routed there (there, the set's copies
+    are the owners), and one distance call re-verifies every candidate.
     """
-    if pset.t == 2.0:
-        hits = query_l2_ann(pset.group, q, live) or [None] * live.size
-        return [None if hit is None else (hit[0], hit[1], [hit[0]]) for hit in hits]
     per = pset.nodes * pset.node_copies
-    starts = query_coarse_ann(pset.group, q, np.repeat(live, per)) or [None] * (live.size * per)
-    walkers = np.array([i for i, s in enumerate(starts) if s is not None], dtype=np.intp)
-    x_id = np.array([starts[i][0] for i in walkers], dtype=np.int64)
-    x_dist = np.array([starts[i][1] for i in walkers], dtype=np.float64)
-    traces = [[int(x)] for x in x_id]
+    lookup = query_l2_ann if pset.t == 2.0 else query_coarse_ann
+    starts = lookup(pset.group, q, np.repeat(live, per))
+    if starts is None:
+        return [None] * live.size
+    found, x_id, x_dist = starts
+    walkers = np.flatnonzero(found)
+    x_id, x_dist = x_id[walkers], x_dist[walkers]
+    traces = [[x] for x in x_id.tolist()]
     for level in pset.ladder:
         routes = level.cover.covering_ref[pset.ids.searchsorted(x_id)]
         cand = np.zeros(walkers.size, dtype=np.int64)
@@ -515,7 +520,7 @@ def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
                 cand[routed], has[routed] = center_id, True
                 continue
             img_q = mazur_map_apply(reduction.mazur, q - pset.vector_of(center_id))
-            sub_live = np.zeros(len(starts), dtype=bool)
+            sub_live = np.zeros(found.size, dtype=bool)
             sub_live[walkers[routed]] = True
             res = _walk(reduction.child, sub_live, img_q)
             for w in routed:
@@ -537,18 +542,9 @@ def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
     return best
 
 
-def _query_vector(q, d: int) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64).ravel()
-    if q.shape[0] != d:
-        raise UsageError(f"query dimension {q.shape[0]} does not match index dimension {d}")
-    if not np.isfinite(q).all():
-        raise UsageError("query contains non-finite coordinates")
-    return q
-
-
 def query(scheme: LpScheme, q) -> QueryAnswer | None:
     """Answer a near-neighbor query; distance is reported in the original lp."""
-    q = _query_vector(q, scheme.d)
+    q = check_query(q, scheme.d)
     res = _walk(scheme.root, np.ones(1, dtype=bool), q)[0]
     if res is None:
         return None
@@ -671,7 +667,7 @@ def nns_search(
         raise UsageError(f"c_slack must be positive, got {c_slack}")
     if not _is_int(seed) or seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
-    q = _query_vector(q, dataset.d)
+    q = check_query(q, dataset.d)
     if dataset.n == 1:
         return int(dataset.ids[0])
 

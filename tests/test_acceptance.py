@@ -128,13 +128,13 @@ def test_criterion_2_sparse_cover_suite():
 
 class _L2Index:
     def __init__(self, dataset: Dataset, seed: int):
-        self.group = l2_group([[build_l2_ann(
+        self.group = l2_group([build_l2_ann(
             dataset.ids, dataset.vectors, r=1.0, delta_fail=0.05, seed=seed
-        )]])
+        )])
 
     def query(self, q):
         hits = query_l2_ann(self.group, q)
-        return None if hits is None else hits[0]
+        return None if hits is None else (int(hits[1][0]), float(hits[2][0]))
 
 
 class _CoarseIndex:
@@ -145,7 +145,7 @@ class _CoarseIndex:
 
     def query(self, q):
         starts = query_coarse_ann(self.group, q)
-        return None if starts is None else starts[0]
+        return None if starts is None else (int(starts[1][0]), float(starts[2][0]))
 
 
 def test_criterion_3_base_scheme_contracts():
@@ -209,7 +209,9 @@ def p4_run():
 
         # copy 0's coarse start, from the root's group of every copy's grids
         starts = query_coarse_ann(scheme.root.group, q)
-        start = None if starts is None else starts[0]
+        start = None
+        if starts is not None and starts[0][0]:
+            start = (int(starts[1][0]), float(starts[2][0]))
         containment = None
         if start is not None and start[1] <= base_bound:
             ci = level1.cover.covering_ref[scheme.root.row_of(start[0])]

@@ -38,15 +38,27 @@ from lpann.base_schemes import (
 )
 
 
+def per_copy(answer, copies: int):
+    """A group's answer as (id, distance), or None, per copy, or None if no
+    copy answers, after checking its (found, ids, dists) arrays: one entry
+    per copy, at least one found."""
+    if answer is None:
+        return None
+    found, ids, dists = answer
+    assert (found.dtype, ids.dtype, dists.dtype) == (bool, np.int64, np.float64)
+    assert found.shape == ids.shape == dists.shape == (copies,) and found.any()
+    return [(int(i), float(dist)) if f else None for f, i, dist in zip(found, ids, dists)]
+
+
 def _l2_id(scheme, q):
     """The id a lone l2 scheme answers, queried as a group of one."""
-    hits = query_l2_ann(l2_group([[scheme]]), q)
+    hits = per_copy(query_l2_ann(l2_group([scheme]), q), 1)
     return None if hits is None else hits[0][0]
 
 
 def _coarse_id(scheme, q):
     """The id a lone grid scheme answers, queried as a group of one."""
-    starts = query_coarse_ann(coarse_group([[scheme]]), q)
+    starts = per_copy(query_coarse_ann(coarse_group([[scheme]]), q), 1)
     return None if starts is None else starts[0][0]
 
 
@@ -107,7 +119,7 @@ def test_l2_determinism():
 def test_l2_dimension_mismatch():
     scheme = build_l2_ann([0], np.zeros((1, 4)), 1.0, 0.1, seed=1)
     with pytest.raises(UsageError):
-        query_l2_ann(l2_group([[scheme]]), np.zeros(5))
+        query_l2_ann(l2_group([scheme]), np.zeros(5))
 
 
 def test_coarse_singleton():
@@ -232,8 +244,8 @@ def test_regrouping_gives_the_same_table_and_answers():
     queries = pts[:50] + 0.1 * rng.standard_normal((50, 16))
     grids = [build_coarse_ann(np.arange(200), pts, 4.0, 0.3, seed=s) for s in range(3)]
     leaves = [build_l2_ann(np.arange(200), pts, 0.5, 0.1, seed=s) for s in range(3)]
-    for regroup, query_fn in ((lambda: coarse_group([grids]), query_coarse_ann),
-                              (lambda: l2_group([leaves]), query_l2_ann)):
+    for regroup, query_fn, copies in ((lambda: coarse_group([grids]), query_coarse_ann, 1),
+                                      (lambda: l2_group(leaves), query_l2_ann, len(leaves))):
         first, second = regroup(), regroup()
         for name in ("fingerprints", "by_fingerprint", "tables", "keys", "starts", "members",
                      "multipliers"):
@@ -244,7 +256,7 @@ def test_regrouping_gives_the_same_table_and_answers():
                 continue
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         for q in queries:
-            assert query_fn(first, q) == query_fn(second, q)
+            assert per_copy(query_fn(first, q), copies) == per_copy(query_fn(second, q), copies)
 
 
 # few distinct values, so rows repeat; the ends are the clipped extremes
@@ -375,8 +387,8 @@ def test_fingerprint_collision_moves_to_a_later_salt(multipliers):
     leaves = [build_l2_ann(np.arange(200), pts, 0.5, 0.1, seed=s) for s in range(3)]
     keys = np.tile(rng.integers(-2, 3, size=(1, 1, 70)), (3, 5, 1))  # one key per table
     keys[0, 1:3, 67] += 1  # two in table 0, differing past the 64th entry
-    for regroup, query_fn in ((lambda: coarse_group([grids]), query_coarse_ann),
-                              (lambda: l2_group([leaves]), query_l2_ann)):
+    for regroup, query_fn, copies in ((lambda: coarse_group([grids]), query_coarse_ann, 1),
+                                      (lambda: l2_group(leaves), query_l2_ann, len(leaves))):
         unforced = regroup()
         patch, salts = _degenerate(multipliers)
         with patch:
@@ -396,7 +408,7 @@ def test_fingerprint_collision_moves_to_a_later_salt(multipliers):
         fp = _fingerprints(table.multipliers, table.tables[buckets], stored)
         assert fp.tobytes() == table.fingerprints.tobytes()
         for q in queries:
-            assert query_fn(forced, q) == query_fn(unforced, q)
+            assert per_copy(query_fn(forced, q), copies) == per_copy(query_fn(unforced, q), copies)
     patch, salts = _degenerate(multipliers)
     with patch:
         _dict_reference_check(keys, [keys[:, 0], keys[:, 1] + 1])
@@ -513,7 +525,7 @@ def test_grid_match_counts_only_where_the_cell_is_confirmed():
     assert salts == [0]
     unforced = coarse_group([[scheme]])
     for group in (forced, unforced):
-        assert query_coarse_ann(group, near) == [(7, 0.5)]
+        assert per_copy(query_coarse_ann(group, near), 1) == [(7, 0.5)]
         assert query_coarse_ann(group, far) is None
 
 
@@ -562,21 +574,15 @@ def _l2_case(draw):
         proj = draw(arrays(np.float64, (n_tables, k, d), elements=st.integers(-2, 2)))
         offsets = draw(arrays(np.float64, (n_tables, k), elements=st.integers(0, 3)))
         leaves.append((proj, offsets))
-    # contiguous owner blocks: a new owner starts at leaf 0 and wherever drawn
-    starts = [True] + draw(st.lists(st.booleans(), min_size=len(leaves) - 1,
-                                    max_size=len(leaves) - 1))
-    owner_of = np.cumsum(starts) - 1
-    owners = int(owner_of[-1]) + 1
-    live = draw(st.lists(st.booleans(), min_size=owners, max_size=owners))
-    return x, q, leaves, owner_of, live
+    live = draw(st.lists(st.booleans(), min_size=len(leaves), max_size=len(leaves)))
+    return x, q, leaves, live
 
 
 def _l2_reference(leaves, x, q):
     """Per leaf: the first candidate within 2r in table order, then member
-    order, among at most max_probe members of each bucket; then the first
-    leaf at the least distance. Also each leaf's own candidate and the
-    (table, candidates) of each bucket it searched, in order."""
-    best, per_leaf, searched = None, [], []
+    order, among at most max_probe members of each bucket, and the (table,
+    candidates) of each bucket it searched, in order."""
+    per_leaf, searched = [], []
     for leaf in leaves:
         hit, buckets = None, []
         for t, (proj, offset) in enumerate(zip(leaf.projections, leaf.offsets)):
@@ -594,9 +600,7 @@ def _l2_reference(leaves, x, q):
                 break
         per_leaf.append(hit)
         searched.append(buckets)
-        if hit is not None and (best is None or hit[1] < best[1]):
-            best = hit
-    return best, per_leaf, searched
+    return per_leaf, searched
 
 
 def _rounds(passes) -> int:
@@ -649,33 +653,30 @@ def _rows_measured(fn, *args):
 @settings(max_examples=400, deadline=None)
 @given(_l2_case())
 def test_l2_group_matches_per_leaf_loops(case):
-    x, q, draws, owner_of, live = case
+    x, q, draws, live = case
     ids = 100 + np.arange(len(x))
     leaves = [L2Scheme(ids, x, 1.0, proj, offsets) for proj, offsets in draws]
-    owners = [[leaf for leaf, o in zip(leaves, owner_of) if o == i] for i in range(len(live))]
-    group = l2_group(owners)
-    expected, searched, tables = [], [], 0
-    for block, alive in zip(owners, live):
-        best, per_leaf, block_searched = _l2_reference(block, x, q)
-        expected.append(None if best is None or not alive else (int(ids[best[0]]), best[1]))
-        searched += block_searched if alive else []
-        tables += _tables_in_two_passes(block, per_leaf, block_searched) if alive else 0
+    group = l2_group(leaves)
+    per_leaf, searched = _l2_reference(leaves, x, q)
+    hits = [None if hit is None else (int(ids[hit[0]]), hit[1]) for hit in per_leaf]
+    expected = [hit if alive else None for hit, alive in zip(hits, live)]
     answer, rows, hashed = _rows_measured(query_l2_ann, group, q, live)
-    assert answer == (None if expected == [None] * len(owners) else expected)
-    # the first tables of every leaf, then the other tables of the leaves
-    # without a hit, are hashed and measured, each pass in rounds, each
-    # distinct candidate once a round, none past a leaf's first hit and
-    # none of a left-out owner
-    assert rows == _rows_in_two_passes(searched)
+    assert per_copy(answer, len(leaves)) == (None if expected == [None] * len(leaves) else expected)
+    # the first tables of every live leaf, then the other tables of the live
+    # leaves without a hit, are hashed and measured, each pass in rounds,
+    # each distinct candidate once a round, none past a leaf's first hit
+    # and none of a left-out leaf
+    alive = np.flatnonzero(live)
+    assert rows == _rows_in_two_passes([searched[i] for i in alive])
+    tables = _tables_in_two_passes([leaves[i] for i in alive], [per_leaf[i] for i in alive],
+                                   [searched[i] for i in alive])
     assert hashed == tables * group.projections.shape[1]
-    # without a mask every owner answers
-    best = [_l2_reference(block, x, q)[0] for block in owners]
-    assert query_l2_ann(group, q) == (None if best == [None] * len(owners) else [
-        None if hit is None else (int(ids[hit[0]]), hit[1]) for hit in best])
+    # without a mask every leaf answers
+    assert per_copy(query_l2_ann(group, q), len(leaves)) == (
+        None if hits == [None] * len(leaves) else hits)
     # each leaf answers alone as a group of one
-    for leaf, hit in zip(leaves, _l2_reference(leaves, x, q)[1]):
-        assert query_l2_ann(l2_group([[leaf]]), q) == (
-            None if hit is None else [(int(ids[hit[0]]), hit[1])])
+    for leaf, hit in zip(leaves, hits):
+        assert per_copy(query_l2_ann(l2_group([leaf]), q), 1) == (None if hit is None else [hit])
 
 
 @st.composite
@@ -728,17 +729,17 @@ def test_coarse_group_matches_per_scheme_loops(case):
         for scheme in base:
             hit = _coarse_reference(scheme, x, q)
             # each scheme answers alone as a group of one
-            assert query_coarse_ann(coarse_group([[scheme]]), q) == (
+            assert per_copy(query_coarse_ann(coarse_group([[scheme]]), q), 1) == (
                 None if hit is None else [(int(ids[hit[0]]), hit[1])])
             if hit is not None and (start is None or hit[1] < start[1]):
                 start = hit
         expected.append(None if start is None else (int(ids[start[0]]), start[1]))
-    answer = query_coarse_ann(group, q)
+    answer = per_copy(query_coarse_ann(group, q), len(copies))
     assert answer == (None if expected == [None] * len(copies) else expected)
     # a left-out copy answers None, and only the live copies' distinct
     # representatives are measured
     expected = [start if alive else None for start, alive in zip(expected, live)]
     answer, rows, _ = _rows_measured(query_coarse_ann, group, q, live)
-    assert answer == (None if expected == [None] * len(copies) else expected)
+    assert per_copy(answer, len(copies)) == (None if expected == [None] * len(copies) else expected)
     assert rows == len(set().union(*(
         _coarse_reps(scheme, x, q) for base, alive in zip(copies, live) if alive for scheme in base)))

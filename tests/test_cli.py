@@ -190,6 +190,18 @@ def test_overflowing_radius_is_numeric_range_error(tmp_path, capsys, d, what):
     assert not out.exists()
 
 
+def test_exponent_whose_closed_form_overflows_builds(tmp_path, capsys):
+    # (16 log2 p)^(log2 p) overflows float64 at p = 1e308: the build
+    # reports the literal closed form as null and succeeds
+    data = tmp_path / "data.txt"
+    data.write_text("2 2 1e308\n0 0\n1 1\n")
+    out = tmp_path / "x.lpann"
+    assert run_cli(["build", "--input", str(data), "--r", "1", "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert '"closed_form_literal": null' in summary
+    assert json.loads(summary)["approximation_bound"]["p"] == 1e308
+
+
 def test_bench_spec_schema_violations_enumerated():
     with pytest.raises(UsageError) as err:
         validate_bench_spec({"n_grid": [], "d": 0, "p": 1.0, "r": 1.0, "trials": 1, "seed": 0})

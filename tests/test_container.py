@@ -197,6 +197,15 @@ def test_malformed_header_is_usage_error(built, tmp_path, capsys, edit):
     assert _cli_query_exit(bad, tmp_path) == 2
 
 
+def test_exponent_whose_closed_form_overflows_is_usage_error(built, tmp_path):
+    # (16 log2 p)^(log2 p) overflows float64 at p = 1e308; the loader
+    # rebuilds for that exponent, and the rebuild differs from the digest
+    bad = _rewrite_header(built[2], tmp_path / "bad.lpann", lambda h: h["config"].update(p=1e308))
+    with pytest.raises(UsageError, match="digest mismatch"):
+        load_index(str(bad))
+    assert _cli_query_exit(bad, tmp_path) == 2
+
+
 @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_old_format_names_its_version(built, tmp_path, version):
     bad = _rewrite_header(built[2], tmp_path / "old.lpann",

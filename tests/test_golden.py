@@ -426,9 +426,7 @@ def test_one_group_per_point_set_built_and_loaded(kind, tmp_path):
                 owners.update({id(ch.child): copies for ch in level.children if ch.child})
             group = pset.group
             if isinstance(group, base_schemes.L2Group):
-                assert group.owners == owners[id(pset)] and len(group.leaves) == copies
-                per = pset.nodes * pset.node_copies
-                assert (group.owner_of == np.arange(copies) // per).all()
+                assert len(group.leaves) == copies
             else:
                 assert group.copies == copies
                 assert (group.copy_of == np.arange(copies).repeat(index.config.base_copies)).all()
@@ -588,7 +586,7 @@ def test_l2_lookups_hash_only_the_tables_they_read(monkeypatch):
         query(scheme, q)
     assert len(calls) == 4 * 25
     for group, q, live, rows in calls:
-        live_leaves = [leaf for leaf, owner in zip(group.leaves, group.owner_of) if live[owner]]
+        live_leaves = [leaf for leaf, on in zip(group.leaves, live) if on]
         assert len(live_leaves) == 27
         assert all(_hits_in_first_table(leaf, q) for leaf in live_leaves)
         assert rows == len(live_leaves) * group.projections.shape[1]

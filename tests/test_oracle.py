@@ -111,13 +111,13 @@ def test_run_trials_single_point():
 
 class _L2Index:
     def __init__(self, dataset, seed, delta_fail):
-        self.group = l2_group([[build_l2_ann(
+        self.group = l2_group([build_l2_ann(
             dataset.ids, dataset.vectors, r=1.0, delta_fail=delta_fail, seed=seed
-        )]])
+        )])
 
     def query(self, q):
         hits = query_l2_ann(self.group, q)
-        return None if hits is None else hits[0]
+        return None if hits is None else (int(hits[1][0]), float(hits[2][0]))
 
 
 def test_run_trials_l2_path():

@@ -20,6 +20,14 @@ from lpann import (
     save_index,
     space_usage,
 )
+from lpann import (
+    build_coarse_ann,
+    build_l2_ann,
+    coarse_group,
+    l2_group,
+    query_coarse_ann,
+    query_l2_ann,
+)
 from lpann.cli import make_scheme_builder
 from lpann.geometry import mazur_map_apply
 from lpann.oracle import TrialSpec, make_planted_instance
@@ -79,6 +87,7 @@ def test_literal_closed_form_values():
     assert literal_closed_form(4.0) == 1024.0
     assert literal_closed_form(8.0) == 110592.0
     assert literal_closed_form(16.0) == 16777216.0
+    assert literal_closed_form(1e308) == math.inf  # (16 log2 p)^(log2 p) overflows
 
 
 def test_normalize_exponent():
@@ -332,6 +341,35 @@ def test_non_finite_query_rejected(small_scheme, bad):
     ds = Dataset(np.eye(4), 4.0)
     with np.errstate(all="raise"), pytest.raises(UsageError, match="non-finite"):
         nns_search(ds, 4.0, 0.5, np.full(4, bad))
+
+
+@pytest.fixture(scope="module")
+def entry_points():
+    """Each function that takes a query point, over the unit vectors of
+    dimension 4, as a function of the query."""
+    x = np.eye(4)
+    ds = Dataset(x, 4.0)
+    scheme = preprocess(ds, cfg())
+    leaf = l2_group([build_l2_ann(ds.ids, x, 1.0, 0.1, seed=1)])
+    grid = coarse_group([[build_coarse_ann(ds.ids, x, 4.0, 1.0, seed=1)]])
+    return {
+        "query": lambda q: query(scheme, q),
+        "nns_search": lambda q: nns_search(ds, 4.0, 0.5, q),
+        "query_l2_ann": lambda q: query_l2_ann(leaf, q),
+        "query_coarse_ann": lambda q: query_coarse_ann(grid, q),
+        "exact_nn": lambda q: exact_nn(ds, q),
+    }
+
+
+@pytest.mark.parametrize("entry", ["query", "nns_search", "query_l2_ann", "query_coarse_ann",
+                                   "exact_nn"])
+@pytest.mark.parametrize("bad", ["length", "nan", "inf"])
+def test_every_entry_point_checks_its_query(entry_points, entry, bad):
+    q = {"length": np.zeros(3), "nan": np.array([0.0, math.nan, 0.0, 0.0]),
+         "inf": np.array([0.0, 0.0, -math.inf, 0.0])}[bad]
+    message = "query dimension 3 does not match dimension 4" if bad == "length" else "non-finite"
+    with np.errstate(all="raise"), pytest.raises(UsageError, match=message):
+        entry_points[entry](q)
 
 
 def test_determinism_same_seed(small_scheme):

@@ -1,14 +1,14 @@
 """The lock-step query walk against the per-copy recursion it replaced.
 
 ``_Reference`` below is that recursion, kept as a test oracle: it walks
-every copy's ladder on its own, looks up each sibling set of l2 leaves and
-each node's grids as a group of one owner, and keeps the first node and
+every copy's ladder on its own, looks up each l2 leaf as a group of one and
+each node's grids as a group of its copies, and keeps the first node and
 copy at the least distance. It takes each copy's base schemes from its
-point set's group by copy index (``owner_of`` and ``copy_of``).
+point set's group by copy index (a leaf's index, or ``copy_of``).
 ``recursive._walk`` must give the same id, distance bits and trace, and it
 must also do so when the copies over one point set route to different
 clusters at one ladder step, so that a group is looked up for some of its
-owners only.
+copies only, and when copies tie.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ import pytest
 
 from lpann import Dataset, SchemeConfig, base_schemes, preprocess, query, recursive
 from lpann import _kernels
+from test_base_schemes import per_copy
 from test_golden import line_points
 
 
@@ -34,19 +35,21 @@ class _Reference:
 
     def query_nodes(self, pset, owner: int, q: np.ndarray):
         """Best answer of the nodes that parent copy ``owner`` holds over pset."""
-        group = pset.group
+        group, best = pset.group, None
         if pset.t == 2.0:
-            sibling = self._group((id(pset), owner), lambda: base_schemes.l2_group(
-                [[leaf for leaf, o in zip(group.leaves, group.owner_of) if o == owner]]))
-            hits = base_schemes.query_l2_ann(sibling, q)
-            return None if hits is None else (hits[0][0], hits[0][1], [hits[0][0]])
-        best = None
+            per = pset.nodes * pset.node_copies
+            for leaf in group.leaves[owner * per:(owner + 1) * per]:
+                alone = self._group(id(leaf), lambda: base_schemes.l2_group([leaf]))
+                hits = per_copy(base_schemes.query_l2_ann(alone, q), 1)
+                if hits is not None and (best is None or hits[0][1] < best[1]):
+                    best = (hits[0][0], hits[0][1], [hits[0][0]])
+            return best
         for node in range(owner * pset.nodes, (owner + 1) * pset.nodes):
             copies = range(node * pset.node_copies, (node + 1) * pset.node_copies)
             alone = self._group((id(pset), node), lambda: base_schemes.coarse_group(
                 [[group.schemes[s] for s in np.flatnonzero(group.copy_of == i)]
                  for i in copies]))
-            starts = base_schemes.query_coarse_ann(alone, q)
+            starts = per_copy(base_schemes.query_coarse_ann(alone, q), len(copies))
             for copy, start in zip(copies, starts or ()):
                 if start is None:
                     continue
@@ -133,7 +136,7 @@ def _split(seed: int):
 
 def _check(scheme, queries, monkeypatch) -> tuple:
     """Assert every answer equals the reference's; return the splits met and
-    whether a leaf group was looked up for some of its owners only."""
+    whether a leaf group was looked up for some of its leaves only."""
     masked = []
     real = recursive.query_l2_ann
 
@@ -172,7 +175,7 @@ def test_walk_matches_per_copy_recursion_when_copies_split(seed, monkeypatch):
     assert cover.covering_ref[1] != cover.covering_ref[2]
     splits, masked = _check(scheme, queries, monkeypatch)
     # copies of the root routed to different clusters at one ladder step,
-    # and a leaf group was looked up for some of its owners only
+    # and a leaf group was looked up for some of its leaves only
     assert splits > 0 and masked
 
 
@@ -204,9 +207,9 @@ def test_walk_answers_each_owner_of_a_shared_set(seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_masked_owners_hash_no_tables_when_copies_split(seed, monkeypatch):
-    # a leaf group looked up for some of its owners only hashes no table of
+    # a leaf group looked up for some of its leaves only hashes no table of
     # the others: every projection block hashed during a lookup is a table
-    # of a live owner's leaf
+    # of a live leaf
     dataset, queries, r = _split(seed)
     scheme = preprocess(dataset, SchemeConfig(p=4.0, r=r, seed=seed))
     calls, hashed = [], []
@@ -231,7 +234,34 @@ def test_masked_owners_hash_no_tables_when_copies_split(seed, monkeypatch):
         tables = [np.flatnonzero((group.projections == block).all(axis=(1, 2)))
                   for projections in blocks for block in projections]
         assert all(t.size == 1 for t in tables)
-        owners = group.owner_of[group.leaf_of[np.concatenate(tables)]]
-        assert live[owners].all()
+        assert live[group.leaf_of[np.concatenate(tables)]].all()
         masked += not live.all()
     assert masked
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_walk_keeps_the_first_of_tied_copies(seed, monkeypatch):
+    # the 64 signed unit vectors +-e_i all lie at distance 1 from the
+    # origin, so every copy that answers there ties and each owner keeps
+    # its first: through the whole recursion, and over an l2 point set
+    # walked directly for two owners, whose tied leaves answer different
+    # points, so that keeping another tied leaf changes the answer
+    d = 32
+    dataset, origin = Dataset(np.vstack([np.eye(d), -np.eye(d)]), 4.0), np.zeros(d)
+    config = SchemeConfig(p=4.0, r=1.0, seed=seed)
+    _check(preprocess(dataset, config), [origin], monkeypatch)
+    pset = recursive.PointSet(2.0, dataset.ids, dataset.vectors, config.child_copies,
+                              recursive.norm_level_copies(4.0))
+    owners = 2
+    recursive._build_set(pset, [(o, cc) for o in range(owners) for cc in range(pset.nodes)],
+                         config.r, config)
+    found, ids, dists = base_schemes.query_l2_ann(pset.group, origin)
+    per = pset.nodes * pset.node_copies
+    assert found.all() and (dists == 1.0).all()
+    assert all(ids[o * per] != ids[(o + 1) * per - 1] for o in range(owners))
+    reference = _Reference()
+    expected = [reference.query_nodes(pset, o, origin) for o in range(owners)]
+    assert expected == [(int(ids[o * per]), 1.0, [int(ids[o * per])]) for o in range(owners)]
+    for live in (np.ones(owners, dtype=bool), *np.eye(owners, dtype=bool)):
+        assert recursive._walk(pset, live, origin) == [e if on else None
+                                                      for e, on in zip(expected, live)]
