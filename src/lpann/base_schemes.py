@@ -19,16 +19,17 @@ over one point array are looked up together as a group (``l2_group``,
 ``coarse_group``): their draws are stacked, and the group builds its buckets
 and cells from them, a table at a time (an l2 leaf's points hashed with one
 matrix product), into one flat table, never saved, that keeps only what a
-query reads: a sorted column of 64-bit fingerprints of (table, key), the
-E2LSH layout of Datar, Immorlica, Indyk and Mirrokni (SoCG 2004), each
-bucket's table number, and CSR members. An l2 bucket keeps its full int64
+query reads: a sorted column of 64-bit fingerprints of (table, key), all
+under one salt's multipliers, the E2LSH layout of Datar, Immorlica, Indyk
+and Mirrokni (SoCG 2004), and per bucket, numbered in fingerprint order,
+its table number and CSR members. An l2 bucket keeps its full int64
 key and its first ``max_probe`` members; a grid cell keeps one member, its
 representative, and no key, for the cell is recomputed from the
 representative. A grid query hashes every stacked grid at once, finds its
-cell in every grid with one ``searchsorted`` over the fingerprints,
-confirms only the matches it answers with on the full cell, and measures
-the distinct representatives, found by a scatter over the group's points,
-with one distance call. An l2 query walks the tables in order and stops
+cell in every grid with one ``searchsorted`` over the fingerprints, whose
+positions are the buckets, confirms only the matches it answers with on
+the full cell, and measures the distinct representatives, found by a
+scatter over the group's points, with one distance call. An l2 query walks the tables in order and stops
 early, as E2LSH's does, in two passes: it hashes the first table of every
 leaf with one matrix product and looks those keys up with one search, and
 then, with one more product and search, all remaining tables of the
@@ -44,6 +45,7 @@ queried as a group of one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -78,9 +80,11 @@ def _to_cell_index(values: np.ndarray) -> np.ndarray:
 
 def _cells(points: np.ndarray, shifts: np.ndarray, side: float) -> np.ndarray:
     """Grid cells of points + shifts (broadcast) for cells of the given side,
-    through one float buffer."""
-    buf = points + shifts
-    buf /= side
+    through one float buffer. Cells past the float range overflow to inf,
+    which ``_to_cell_index`` clips like any far cell."""
+    with np.errstate(over="ignore"):
+        buf = points + shifts
+        buf /= side
     return _to_cell_index(buf)
 
 
@@ -108,20 +112,26 @@ class _BucketTable:
     """Points grouped by (table, key) into buckets, never saved, keeping only
     what a lookup reads.
 
-    Bucket b belongs to table ``tables[b]``, and buckets run table by table.
-    It keeps the lowest local indices of its points, ascending, at most its
-    table's cap: ``members[starts[b]:starts[b + 1]]``, or ``members[b]``
-    alone where ``starts`` is None, as it is when every bucket keeps one
-    member (every grid table). Its int key is ``keys[b]``, or, where
-    ``keys`` is None, recomputed from its first member by the ``rekey`` the
-    table was built with. ``fingerprints`` holds every bucket's fingerprint
-    under ``multipliers`` (see ``_fingerprints``), all distinct and
-    ascending, and ``by_fingerprint`` the bucket of each. Bucket numbers,
-    table numbers and members are int32.
+    Buckets are numbered in fingerprint order: ``fingerprints[b]`` is bucket
+    b's fingerprint under ``multipliers`` (see ``_fingerprints``), all
+    distinct and ascending, so the position a search finds is the bucket.
+    Bucket b belongs to table ``tables[b]`` and keeps the lowest local
+    indices of its points, ascending, at most its table's cap:
+    ``members[starts[b]:starts[b + 1]]``, or ``members[b]`` alone where
+    ``starts`` is None, as it is when every bucket keeps one member (every
+    grid table). Its int key is ``keys[b]``, or, where ``keys`` is None,
+    recomputed by the caller from its first member. Table numbers and
+    members are int32.
+
+    l2 tables keep their keys and grid tables do not, each for a measured
+    reason. Confirming an l2 match by rehashing its bucket's first member
+    instead took a benchmark query from 1192 to 1268 Python-level calls and
+    made queries 10-13 % slower on gauss-d32 and clustered-d32. Keys of
+    clustered-d32's root grids would take about 13.7 MB (53,571 cells x 32
+    x 8 B), more than a tenth of the benchmark's peak RSS.
     """
 
     fingerprints: np.ndarray  # (B,) uint64
-    by_fingerprint: np.ndarray
     tables: np.ndarray
     starts: np.ndarray | None  # (B + 1,) int64
     members: np.ndarray
@@ -180,84 +190,79 @@ def _split(multipliers, t: int, keys: np.ndarray):
     return order, first, fp[first]
 
 
-def _bucket_table(tables, rekey=None) -> _BucketTable:
+def _bucket_table(tables: Callable, keep_keys: bool = True) -> _BucketTable:
     """Group the points of each table into buckets by key, a table at a time.
 
-    ``tables`` iterates over one (keys, cap) pair per table, numbered in
-    order: the points' int keys, an (m, k) array, and the most members a
-    bucket of the table keeps. Each table is split on its own by
-    ``_split`` and leaves only its runs, members and fingerprints (and its
-    bucket keys); capping the members and sorting all fingerprints run once
-    at the end. A table's keys are dropped once it is grouped, and every
-    bucket's key is kept, unless ``rekey(t, rows)`` recomputes the keys of
-    table t's local rows bit for bit; then none is.
+    ``tables()`` yields one (keys, cap) pair per table, numbered in order:
+    the points' int keys, an (m, k) array, and the most members a bucket of
+    the table keeps. Each table is split on its own by ``_split`` and leaves
+    only its runs, members and fingerprints, and its buckets' keys if
+    ``keep_keys``; a table's keys are dropped before the next table's are
+    made. Sorting all fingerprints and capping the members run once at the
+    end.
 
-    Fingerprints start from salt 0's multipliers. A fingerprint run holding
-    two keys, or two buckets sharing a fingerprint, moves every fingerprint
-    on to the next salt; the salts follow a fixed sequence, so a rebuild
-    gives the same table. Each salt separates two given distinct (table,
-    key) pairs with probability at least 1/2, so the sequence ends.
+    A pass fingerprints every table under one salt's multipliers, from salt
+    0 on. A fingerprint run holding two keys, or two buckets sharing a
+    fingerprint, makes the salt bad for the whole table: the next salt
+    starts a new pass over ``tables()``. So the table is the one under the
+    smallest salt that gives every (table, key) its own fingerprint, and a
+    rebuild gives the same table. Each salt separates two given distinct
+    (table, key) pairs with probability at least 1/2, so the passes end.
     """
-    salt, multipliers, base = 0, None, 0
-    keys, runs, members, caps, fps, salts = [], [], [], [], [], []
-    for table_keys, cap in tables:
-        if multipliers is None:
-            multipliers = _multipliers(salt, table_keys.shape[1])
-        while (split := _split(multipliers, len(fps), table_keys)) is None:
-            salt += 1
-            multipliers = _multipliers(salt, table_keys.shape[1])
-        order, first, fp = split
-        runs.append(first + base)
-        members.append(order.astype(np.int32))
-        base += order.size
-        caps.append(cap)
-        fps.append(fp)
-        salts.append(salt)
-        if rekey is None:
-            keys.append(table_keys[order[first]])
-        del table_keys  # before the next table's keys are made
-    # keep each bucket's first members, at most its table's cap
-    counts = [fp.size for fp in fps]
-    first = np.concatenate(runs)
-    kept = np.minimum(np.diff(first, append=base), np.repeat(caps, counts))
+    for salt in itertools.count():
+        multipliers, base = None, 0
+        keys, runs, members, caps, fps = [], [], [], [], []
+        for table_keys, cap in tables():
+            if multipliers is None:
+                multipliers = _multipliers(salt, table_keys.shape[1])
+            split = _split(multipliers, len(fps), table_keys)
+            if split is None:
+                del table_keys  # before the next pass makes any
+                break
+            order, first, fp = split
+            if keep_keys:
+                keys.append(table_keys[order[first]])
+            del table_keys  # before the next table's keys are made
+            runs.append(first + base)
+            members.append(order.astype(np.int32))
+            base += order.size
+            caps.append(cap)
+            fps.append(fp)
+        else:
+            fp = np.concatenate(fps)
+            order = fp.argsort()
+            fp = fp[order]
+            if not (fp[1:] == fp[:-1]).any():
+                break
+    # number the buckets in fingerprint order, each keeping its first
+    # members, at most its table's cap; the per-table parts are joined or
+    # dropped before the members are gathered (the build's peak memory)
+    counts = [f.size for f in fps]
+    first, members = np.concatenate(runs), np.concatenate(members)
+    del fps, runs
+    kept = np.minimum(np.diff(first, append=base), np.repeat(caps, counts))[order]
+    first = first[order]
     ends = np.cumsum(kept)
-    members = np.concatenate(members)[np.arange(ends[-1]) + np.repeat(first - (ends - kept), kept)]
-    starts = np.concatenate([[0], ends])
-    keys = np.concatenate(keys) if rekey is None else None
-    bounds = np.cumsum([0] + counts)
-    while True:
-        # fingerprint again every table split under an earlier salt
-        for stale in np.flatnonzero(np.array(salts) != salt):
-            buckets = np.arange(bounds[stale], bounds[stale + 1])
-            stored = keys[buckets] if rekey is None else rekey(stale, members[starts[buckets]])
-            fps[stale], salts[stale] = _fingerprints(multipliers, stale, stored), salt
-        fp = np.concatenate(fps)
-        by_fingerprint = fp.argsort().astype(np.int32)
-        fp = fp[by_fingerprint]
-        if not (fp[1:] == fp[:-1]).any():
-            break
-        salt += 1
-        multipliers = _multipliers(salt, multipliers.size - 1)
-    tables = np.repeat(np.arange(len(fps), dtype=np.int32), counts)
-    if members.size == starts.size - 1:  # every bucket keeps one member
-        starts = None
-    return _BucketTable(fp, by_fingerprint, tables, starts, members, multipliers, keys)
+    members = members[np.arange(ends[-1]) + np.repeat(first - (ends - kept), kept)]
+    starts = None if ends[-1] == ends.size else np.concatenate([[0], ends])
+    table_of = np.repeat(np.arange(len(counts), dtype=np.int32), counts)[order]
+    keys = np.concatenate(keys)[order] if keep_keys else None
+    return _BucketTable(fp, table_of, starts, members, multipliers, keys)
 
 
 def _lookup(table: _BucketTable, tables: np.ndarray, keys: np.ndarray):
     """(i, bucket) for every keys[i] found in stacked table tables[i], in
-    order of i, from one search over the fingerprint column. A match counts
+    order of i, from one search over the fingerprint column: the position
+    it finds, clipped to the last bucket, is the bucket. A match counts
     only if its bucket's table number is tables[i] and its key is keys[i]
-    (and then so is its fingerprint); a fingerprint past the last is
-    clipped and fails. A table without keys matches on the fingerprint and
-    leaves the key to the caller (``query_coarse_ann`` recomputes it for the
-    matches it would answer with)."""
+    (and then so is its fingerprint). A table without keys matches on the
+    fingerprint and leaves the key to the caller (``query_coarse_ann``
+    recomputes it for the matches it would answer with)."""
     fp = _fingerprints(table.multipliers, tables, keys)
-    pos = table.fingerprints.searchsorted(fp)
-    bucket = table.by_fingerprint.take(pos, mode="clip")
+    bucket = np.minimum(table.fingerprints.searchsorted(fp), table.fingerprints.size - 1)
     found = table.tables[bucket] == tables
     if table.keys is None:
-        found &= table.fingerprints.take(pos, mode="clip") == fp
+        found &= table.fingerprints[bucket] == fp
     else:
         found &= (table.keys[bucket] == keys).all(axis=1)
     found = np.flatnonzero(found)
@@ -326,11 +331,14 @@ def _l2_keys(projections, offsets, w: float, vecs: np.ndarray) -> np.ndarray:
     the division by w, the floor and the cast run on the contiguous (m, L k)
     product, and only the result is viewed as (L, m, k): every step is
     elementwise, so the order changes no bit. Build, load and query all
-    hash through it, so a point and a query at the point agree."""
+    hash through it, so a point and a query at the point agree. Keys past
+    the float range (a tiny w) overflow to inf and are clipped like any far
+    key by ``_to_cell_index``."""
     big_l, k, d = projections.shape
     proj = vecs @ projections.reshape(big_l * k, d).T
-    proj += offsets.reshape(-1)
-    proj /= w
+    with np.errstate(over="ignore"):
+        proj += offsets.reshape(-1)
+        proj /= w
     return _to_cell_index(proj).reshape(len(vecs), big_l, k).transpose(1, 0, 2)
 
 
@@ -388,10 +396,10 @@ class L2Group:
 def l2_group(leaves: list) -> L2Group:
     """Group leaves built over one point array for one radius, in order,
     and build their one bucket table. A lone leaf is the group ``[leaf]``."""
-    table = _bucket_table(
+    table = _bucket_table(lambda: (
         (keys, leaf.max_probe) for leaf in leaves
         for keys in _l2_keys(leaf.projections, leaf.offsets, leaf.w, leaf.vectors)
-    )
+    ))
     (projections, offsets), leaf_of = _stack(leaves, ("projections", "offsets"))
     return L2Group(leaves, projections, offsets, leaf_of, _run_starts(leaf_of), table)
 
@@ -519,8 +527,8 @@ class CoarseGroup:
     together. Stacked grid i (``shifts[i]``) belongs to scheme
     ``scheme_of[i]`` of ``schemes`` and is table i of ``table``, which keeps
     one member per occupied cell, its lowest local index, and no cell:
-    ``_cell_rekey`` recomputes it. Scheme s belongs to copy ``copy_of[s]``
-    of ``copies``."""
+    ``query_coarse_ann`` recomputes it with ``_cells``. Scheme s belongs to
+    copy ``copy_of[s]`` of ``copies``."""
 
     schemes: list
     copy_of: np.ndarray
@@ -530,12 +538,6 @@ class CoarseGroup:
     table: _BucketTable = field(repr=False)
 
 
-def _cell_rekey(vectors: np.ndarray, shifts: np.ndarray, side: float) -> Callable:
-    """The cells of local rows in stacked grids t. ``_cells`` is elementwise,
-    so a row's cell is the same bit for bit whatever it is computed with."""
-    return lambda t, rows: _cells(vectors[rows], shifts[t], side)
-
-
 def coarse_group(copies: list) -> CoarseGroup:
     """Group the grid schemes of each copy (a list of lists of schemes built
     over one point array for one norm and radius) and build their one cell
@@ -543,8 +545,8 @@ def coarse_group(copies: list) -> CoarseGroup:
     schemes = [s for base in copies for s in base]
     (shifts,), scheme_of = _stack(schemes, ("shifts",))
     vectors, side = schemes[0].vectors, schemes[0].cell_side
-    table = _bucket_table(((_cells(vectors, shift, side), 1) for shift in shifts),
-                          _cell_rekey(vectors, shifts, side))
+    table = _bucket_table(lambda: ((_cells(vectors, shift, side), 1) for shift in shifts),
+                          keep_keys=False)
     copy_of = np.repeat(np.arange(len(copies)), [len(base) for base in copies])
     return CoarseGroup(schemes, copy_of, len(copies), shifts, scheme_of, table)
 
@@ -578,14 +580,15 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
     copy = group.copy_of[which]
     # per copy: least distance, then first scheme, then lowest row; a match
     # counts once its representative's recomputed cell is the query's, so
-    # only each copy's best match still untried is recomputed
+    # only each copy's best match still untried is recomputed (``_cells`` is
+    # elementwise, so a point's cell is the same bit for bit in any batch)
     order = np.lexsort((reps, which, dists, copy))
-    rekey = _cell_rekey(lead.vectors, group.shifts, lead.cell_side)
     answered, tried = np.zeros(group.copies, dtype=bool), np.zeros(reps.size, dtype=bool)
     ids, start_dists = np.zeros(group.copies, dtype=np.int64), np.zeros(group.copies)
     while order.size:
         best = order[_run_starts(copy[order])]
-        sure = best[(rekey(grids[best], reps[best]) == cells[grids[best]]).all(axis=1)]
+        rep_cells = _cells(lead.vectors[reps[best]], group.shifts[grids[best]], lead.cell_side)
+        sure = best[(rep_cells == cells[grids[best]]).all(axis=1)]
         ids[copy[sure]], start_dists[copy[sure]] = lead.ids[reps[sure]], dists[sure]
         answered[copy[sure]], tried[best] = True, True
         order = order[~(answered[copy[order]] | tried[order])]

@@ -50,7 +50,7 @@ from .geometry import Dataset
 from .recursive import LpScheme, SchemeConfig, preprocess
 
 MAGIC = b"LPANNIDX"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 
 def index_digest(scheme: LpScheme) -> str:
@@ -206,7 +206,7 @@ def load_index(path: str) -> LpScheme:
             points, config, saved_with, saved = _inputs(*_read(f))
     except UsageError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise UsageError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
     scheme = preprocess(points, config)
     if index_digest(scheme) != saved:

@@ -69,13 +69,13 @@ class TrialSpec:
             object.__setattr__(self, name, int(getattr(self, name)))
 
 
-def exact_nn(dataset: Dataset, q, p: float = None) -> tuple[int, float]:
-    """Exhaustive nearest neighbor; ties broken by lowest id."""
+def exact_nn(dataset: Dataset, q) -> tuple[int, float]:
+    """Exhaustive nearest neighbor in the dataset's norm; ties broken by
+    lowest id."""
     if dataset.n == 0:
         raise UsageError("exact_nn needs a non-empty dataset")
-    p = dataset.p if p is None else p
     q = check_query(q, dataset.d)
-    dist = _kernels.dists_to_point(dataset.vectors, q, p)
+    dist = _kernels.dists_to_point(dataset.vectors, q, dataset.p)
     best = dist.min()
     winners = dataset.ids[np.flatnonzero(dist == best)]
     return int(winners.min()), float(best)

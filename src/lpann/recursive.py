@@ -83,6 +83,12 @@ def _seed(root_seed: int, path: tuple) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=root_seed, spawn_key=path)
 
 
+# Most copies of a 1/3-failure primitive a config may ask for: 16 copies
+# already fail together with probability 3**-16 < 1e-7, and the bound keeps
+# a build (and so the load of an edited file) from asking for unbounded work.
+MAX_COPIES = 16
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Build parameters: exponent, radius, cover tradeoff knob, seeds, copies.
@@ -91,7 +97,7 @@ class SchemeConfig:
     approximation for sparsity. Copy counts realize the amplification
     policy: ``base_copies``/``child_copies`` lift the 1/3-failure primitives
     at each ladder level, and every norm level is repeated
-    ceil(log2(3 * log2 p)) times.
+    ceil(log2(3 * log2 p)) times. Each copy count lies in [1, MAX_COPIES].
     """
 
     p: float
@@ -112,8 +118,8 @@ class SchemeConfig:
             raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (_is_int(self.base_copies) and _is_int(self.child_copies)):
             raise UsageError("copy counts must be integers")
-        if self.base_copies < 1 or self.child_copies < 1:
-            raise UsageError("copy counts must be >= 1")
+        if not (1 <= self.base_copies <= MAX_COPIES and 1 <= self.child_copies <= MAX_COPIES):
+            raise UsageError(f"copy counts must lie in [1, {MAX_COPIES}]")
         # keep plain ints (numpy integers pass the checks) so a save can write them
         for name in ("seed", "base_copies", "child_copies"):
             object.__setattr__(self, name, int(getattr(self, name)))
@@ -559,20 +565,10 @@ def query(scheme: LpScheme, q) -> QueryAnswer | None:
 # space accounting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpaceEntry:
-    norm_exponent: float
-    ladder_index: int  # 0 marks a base/point store
-    kind: str
-    points: int
-    declared_sparsity: int | None = None
-
-
 @dataclass
 class SpaceReport:
-    entries: list
     total: int
-    per_level: dict
+    per_level: dict  # "t=<t>/base" or "t=<t>/ladder<i>": points stored there
     copy_counts: dict
     table_bytes: dict  # "l2" and "coarse": bytes of the groups' derived tables
 
@@ -586,36 +582,35 @@ class SpaceReport:
 
 
 def space_usage(scheme: LpScheme) -> SpaceReport:
-    """Exact recursive count of points stored across all substructures, one
-    entry per base scheme and per copy's ladder step, and the bytes of the
+    """Exact recursive count of points stored across all substructures, per
+    norm level and ladder step: every base scheme stores its point set, and
+    every copy's ladder step its cover's members. Also the bytes of the
     bucket tables its groups derive. Each point set is visited once and its
     counts are multiplied by its copy count."""
-    entries: list = []
+    per_level: dict = {}
     table_bytes = {"l2": 0, "coarse": 0}
+
+    def add(pset: PointSet, step: str, points: int) -> None:
+        key = f"t={int(pset.t)}/{step}"
+        per_level[key] = per_level.get(key, 0) + points
 
     def visit(pset: PointSet, owners: int) -> None:
         copies = owners * pset.nodes * pset.node_copies
         group = pset.group
         kind = "l2" if isinstance(group, L2Group) else "coarse"
         schemes = len(group.leaves) if kind == "l2" else len(group.schemes)
-        entries.extend([SpaceEntry(pset.t, 0, kind, int(pset.ids.size))] * schemes)
+        add(pset, "base", schemes * int(pset.ids.size))
         table_bytes[kind] += group.table.nbytes
         for level in pset.ladder:
             members = sum(len(cl.member_ids) for cl in level.cover.clusters)
-            entry = SpaceEntry(pset.t, level.index, "cover", members, level.cover.sparsity)
-            entries.extend([entry] * copies)
+            add(pset, f"ladder{level.index}", copies * members)
             for reduction in level.children:
                 if reduction.child is not None:
                     visit(reduction.child, copies)
 
     visit(scheme.root, 1)
-    per_level: dict = {}
-    for e in entries:
-        key = f"t={int(e.norm_exponent)}/" + ("base" if e.ladder_index == 0 else f"ladder{e.ladder_index}")
-        per_level[key] = per_level.get(key, 0) + e.points
     return SpaceReport(
-        entries=entries,
-        total=sum(e.points for e in entries),
+        total=sum(per_level.values()),
         per_level=per_level,
         copy_counts={
             "norm_level_copies": norm_level_copies(scheme.p_effective),

@@ -263,6 +263,15 @@ def test_criterion_5_cluster_containment(p4_run):
 # criterion 6: space growth
 # ---------------------------------------------------------------------------
 
+def _covers(pset):
+    """Every cover of pset's ladder and of the point sets carved below it."""
+    for level in pset.ladder:
+        yield level.cover
+        for reduction in level.children:
+            if reduction.child is not None:
+                yield from _covers(reduction.child)
+
+
 def test_criterion_6_space_growth():
     t0 = time.perf_counter()
     totals = []
@@ -272,8 +281,8 @@ def test_criterion_6_space_growth():
         dataset, _, _ = make_planted_instance(spec)
         scheme = preprocess(dataset, SchemeConfig(p=4.0, r=1.0, seed=n))
         report = space_usage(scheme)
-        for e in report.entries:
-            if e.kind == "cover" and e.points != e.declared_sparsity:
+        for cover in _covers(scheme.root):
+            if sum(len(cl.member_ids) for cl in cover.clusters) != cover.sparsity:
                 counts_ok = False
         totals.append((n, report.total))
     slope = fit_scaling(totals)

@@ -25,7 +25,7 @@ from lpann.base_schemes import (
     CoarseScheme,
     L2Scheme,
     _bucket_table,
-    _cell_rekey,
+    _cells,
     _distinct,
     _fingerprints,
     _l2_keys,
@@ -247,8 +247,7 @@ def test_regrouping_gives_the_same_table_and_answers():
     for regroup, query_fn, copies in ((lambda: coarse_group([grids]), query_coarse_ann, 1),
                                       (lambda: l2_group(leaves), query_l2_ann, len(leaves))):
         first, second = regroup(), regroup()
-        for name in ("fingerprints", "by_fingerprint", "tables", "keys", "starts", "members",
-                     "multipliers"):
+        for name in ("fingerprints", "tables", "keys", "starts", "members", "multipliers"):
             a, b = getattr(first.table, name), getattr(second.table, name)
             if a is None:  # a grid table recomputes its keys; one-member buckets need no starts
                 assert b is None and (name == "starts" or name == "keys"
@@ -294,7 +293,7 @@ def _dict_reference_check(keys, probes, cap=2**31 - 1):
     for t in range(keys.shape[0]):
         for local, key in enumerate(map(tuple, keys[t])):
             reference.setdefault((t, key), []).append(local)
-    table = _bucket_table((table_keys, cap) for table_keys in keys)
+    table = _bucket_table(lambda: ((table_keys, cap) for table_keys in keys))
     assert table.members.size == sum(min(len(v), cap) for v in reference.values())
     # every stored key of every point, then arbitrary (often absent) keys
     for probe in [keys[:, i, :] for i in range(keys.shape[1])] + probes:
@@ -336,7 +335,6 @@ def test_grid_table_keeps_the_lowest_point_of_every_cell(case):
     m, d = vectors.shape
     group = coarse_group([[CoarseScheme(np.arange(m), vectors, 4.0, 1.0 / (4 * d), shifts)]])
     side, table = group.schemes[0].cell_side, group.table
-    rekey = _cell_rekey(vectors, group.shifts, side)
     cells = [np.clip(np.floor((vectors + shift) / side), -9.2e18, 9.2e18).astype(np.int64)
              for shift in shifts]
     reference = {}
@@ -346,7 +344,8 @@ def test_grid_table_keeps_the_lowest_point_of_every_cell(case):
     assert table.keys is None and table.starts is None
     assert table.members.size == table.fingerprints.size
     reps = table.members
-    stored = zip(table.tables.tolist(), map(tuple, rekey(table.tables, reps)), reps.tolist())
+    recomputed = _cells(vectors[reps], group.shifts[table.tables], side)
+    stored = zip(table.tables.tolist(), map(tuple, recomputed), reps.tolist())
     assert {(t, cell): rep for t, cell, rep in stored} == reference
     for i in range(m):
         probe = np.array([grid[i] for grid in cells])
@@ -376,9 +375,11 @@ def _degenerate(multipliers):
 # the fingerprint is the table number (buckets of one table collide), the
 # key's sum (keys of one table with equal sums collide), or blind to the
 # table (one key in two tables collides, found only once every table is
-# split, so every fingerprint is recomputed from kept keys or, in a grid
-# table, from representatives)
-@pytest.mark.parametrize("multipliers", [(0, 1), (1, 0), (None, 0)])
+# split, so the whole pass is made again under the next salt)
+DEGENERATE = [(0, 1), (1, 0), (None, 0)]
+
+
+@pytest.mark.parametrize("multipliers", DEGENERATE)
 def test_fingerprint_collision_moves_to_a_later_salt(multipliers):
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((200, 16))
@@ -399,13 +400,11 @@ def test_fingerprint_collision_moves_to_a_later_salt(multipliers):
         assert table.multipliers.tobytes() == _multipliers(max(salts), width).tobytes()
         # every fingerprint is its bucket's, from its key, kept or recomputed
         # from its first member, under the final salt
-        buckets = table.by_fingerprint
         if isinstance(forced, CoarseGroup):
-            rekey = _cell_rekey(pts, forced.shifts, grids[0].cell_side)
-            stored = rekey(table.tables[buckets], table.members[buckets])
+            stored = _cells(pts[table.members], forced.shifts[table.tables], grids[0].cell_side)
         else:
-            stored = table.keys[buckets]
-        fp = _fingerprints(table.multipliers, table.tables[buckets], stored)
+            stored = table.keys
+        fp = _fingerprints(table.multipliers, table.tables, stored)
         assert fp.tobytes() == table.fingerprints.tobytes()
         for q in queries:
             assert per_copy(query_fn(forced, q), copies) == per_copy(query_fn(unforced, q), copies)
@@ -413,6 +412,42 @@ def test_fingerprint_collision_moves_to_a_later_salt(multipliers):
     with patch:
         _dict_reference_check(keys, [keys[:, 0], keys[:, 1] + 1])
     assert max(salts) > 0
+
+
+@pytest.mark.parametrize("multipliers", DEGENERATE)
+def test_degenerate_salt_gives_the_table_of_the_salt_it_ends_at(multipliers):
+    # a table is a function of its key classes and the salt it ends at: a
+    # build whose salt 0 is degenerate gives, array for array, the table of
+    # a build handed that salt's multipliers as its salt 0
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((200, 16))
+    grids = [build_coarse_ann(np.arange(200), pts, 4.0, 0.3, seed=s) for s in range(3)]
+    leaves = [build_l2_ann(np.arange(200), pts, 0.5, 0.1, seed=s) for s in range(3)]
+    keys = np.tile(rng.integers(-2, 3, size=(1, 6, 70)), (3, 5, 1))  # repeats in every table
+    keys[0, 1:3, 67] += 1
+    for build in (lambda: coarse_group([grids]).table, lambda: l2_group(leaves).table,
+                  lambda: _bucket_table(lambda: ((table_keys, 2) for table_keys in keys))):
+        patch, salts = _degenerate(multipliers)
+        with patch:
+            forced = build()
+        final = max(salts)
+        assert final > 0 and salts == list(range(final + 1))
+        handed_salts = []
+
+        def handed(salt, width):
+            handed_salts.append(salt)
+            return _multipliers(salt + final, width)
+
+        with mock.patch("lpann.base_schemes._multipliers", handed):
+            table = build()
+        assert handed_salts == [0]
+        assert vars(forced).keys() == vars(table).keys()
+        for name, a in vars(forced).items():
+            b = getattr(table, name)
+            if a is None:
+                assert b is None
+                continue
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def _reference_split(multipliers, t, keys):
@@ -504,7 +539,7 @@ def test_grid_group_holds_one_grid_of_cells_at_a_time():
         tracemalloc.stop()
     buckets = group.table.fingerprints.size
     assert buckets == m * len(group.shifts)
-    per_bucket = 8 + 8 + 4 + 8 + 4  # fingerprint, its bucket, table number, start, member
+    per_bucket = 8 + 8 + 4 + 8 + 4  # fingerprint, its sort order, table number, start, member
     assert peak < 2 * per_bucket * buckets + 8 * pts.nbytes
 
 

@@ -190,6 +190,23 @@ def test_overflowing_radius_is_numeric_range_error(tmp_path, capsys, d, what):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("d", [8, 32], ids=["l2-root", "grid-root"])
+def test_subnormal_radius_builds_and_finds_each_point(tmp_path, capsys, d):
+    # at r = 5e-324 the division by the bucket width or cell side overflows
+    # to inf, which the cast to int64 clips like any far key or cell: the
+    # build neither warns nor fails, and a self-query finds its point
+    data, idx = tmp_path / "data.txt", tmp_path / "x.lpann"
+    assert run_cli(["gen", "--n", "50", "--d", str(d), "--p", "4", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert run_cli(["build", "--input", str(data), "--r", "5e-324", "--out", str(idx)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["approximation_bound"]["p_effective"] == (2.0 if d == 8 else 4.0)
+    queries = tmp_path / "queries.txt"
+    queries.write_text("\n".join([f"3 {d} 4.0"] + data.read_text().splitlines()[1:4]) + "\n")
+    assert run_cli(["query", "--index", str(idx), "--query-file", str(queries)]) == 0
+    assert capsys.readouterr().out.split() == ["0", "0.0", "1", "0.0", "2", "0.0"]
+
+
 def test_exponent_whose_closed_form_overflows_builds(tmp_path, capsys):
     # (16 log2 p)^(log2 p) overflows float64 at p = 1e308: the build
     # reports the literal closed form as null and succeeds

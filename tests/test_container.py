@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpann import Dataset, SchemeConfig, UsageError, load_index, preprocess, query, save_index
+from lpann import (
+    Dataset,
+    NumericRangeError,
+    SchemeConfig,
+    UsageError,
+    load_index,
+    preprocess,
+    query,
+    save_index,
+)
 from lpann.cli import main
 from lpann import recursive
 from lpann.container import FORMAT_VERSION, MAGIC, index_digest
@@ -43,7 +52,7 @@ def test_roundtrip_answers_identical(built):
 
 
 def _layout(raw: bytes) -> tuple[int, dict, int, int]:
-    """(H, header, n, d) of a format-7 file: n rows of 8 (1 + d) bytes
+    """(H, header, n, d) of a format-8 file: n rows of 8 (1 + d) bytes
     follow the header, then the 4-byte trailer."""
     (hlen,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16: 16 + hlen])
@@ -171,12 +180,16 @@ def _cli_query_exit(index, tmp_path):
         lambda h: h["config"].update(r="1.0"),
         lambda h: h.update(d=32.5),
         lambda h: h["config"].update(seed=None),
+        lambda h: h["config"].update(p=10**400),
+        lambda h: h["config"].update(base_copies=10**9),
+        lambda h: h["config"].update(child_copies=10**9),
         lambda h: h.update(format_version=1),
         lambda h: h.update(format_version=2),
         lambda h: h.update(format_version=3),
         lambda h: h.update(format_version=4),
         lambda h: h.update(format_version=5),
         lambda h: h.update(format_version=6),
+        lambda h: h.update(format_version=7),
         lambda h: h.pop("digest"),
         lambda h: h.update(digest=int(h["digest"], 16)),
         lambda h: h.pop("numpy"),
@@ -185,9 +198,10 @@ def _cli_query_exit(index, tmp_path):
     ids=[
         "zero-d", "negative-d", "integral-float-d", "string-d", "list-d", "null-d",
         "bool-d", "huge-d", "partial-rows-d", "other-rows-d", "missing-key",
-        "string-number", "float-integer", "null-seed", "version-1",
-        "version-2", "version-3", "version-4", "version-5", "version-6", "missing-digest",
-        "number-digest", "missing-numpy", "list-numpy",
+        "string-number", "float-integer", "null-seed", "int-past-float-p", "huge-base-copies",
+        "huge-child-copies", "version-1",
+        "version-2", "version-3", "version-4", "version-5", "version-6", "version-7",
+        "missing-digest", "number-digest", "missing-numpy", "list-numpy",
     ],
 )
 def test_malformed_header_is_usage_error(built, tmp_path, capsys, edit):
@@ -206,12 +220,67 @@ def test_exponent_whose_closed_form_overflows_is_usage_error(built, tmp_path):
     assert _cli_query_exit(bad, tmp_path) == 2
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
 def test_old_format_names_its_version(built, tmp_path, version):
     bad = _rewrite_header(built[2], tmp_path / "old.lpann",
                           lambda h: h.update(format_version=version))
     with pytest.raises(UsageError, match=f"unsupported format version {version}$"):
         load_index(str(bad))
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    # eight points, a grid root whose ladder carves child sets: a rebuild
+    # at any config is quick
+    points = Dataset(np.random.default_rng(0).standard_normal((8, 32)), 4.0)
+    scheme = preprocess(points, SchemeConfig(p=4.0, r=1.0, seed=1))
+    path = tmp_path_factory.mktemp("idx") / "tiny.lpann"
+    save_index(scheme, str(path))
+    return path, index_digest(scheme)
+
+
+_SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400)
+           | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3))
+_JSON = _SCALAR | st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=3,
+)
+_DROP = object()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_resealed_config_loads_or_is_usage_error(tiny, tmp_path_factory, data):
+    # any JSON value, or none, for one or two config keys of a resealed
+    # file, the others kept valid: the load either gives the saved index or
+    # raises UsageError (exit 2), or NumericRangeError (exit 4) for a radius
+    # whose grid cells overflow, as a build at that radius does
+    path, digest = tiny
+    names = data.draw(st.sets(st.sampled_from(
+        ["p", "r", "delta", "seed", "base_copies", "child_copies"]), min_size=1, max_size=2))
+    edits = {name: data.draw(st.just(_DROP) | _JSON, label=name) for name in sorted(names)}
+
+    def edit(header):
+        for name, value in edits.items():
+            if value is _DROP:
+                del header["config"][name]
+            else:
+                header["config"][name] = value
+
+    work = tmp_path_factory.getbasetemp() / "resealed"
+    work.mkdir(exist_ok=True)
+    bad = _rewrite_header(path, work / "bad.lpann", edit)
+    try:
+        loaded = load_index(str(bad))
+    except UsageError:
+        expected = 2
+    except NumericRangeError:
+        expected = 4
+    else:
+        assert index_digest(loaded) == digest
+        expected = 0
+    assert _cli_query_exit(bad, work) == expected
 
 
 def _answer_key(ans):

@@ -109,7 +109,7 @@ def test_one_table_build_per_group(tmp_path, monkeypatch):
     calls = []
     real = lpann.base_schemes._bucket_table
     monkeypatch.setattr(lpann.base_schemes, "_bucket_table",
-                        lambda *args: calls.append(args) or real(*args))
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     scheme = lpann.preprocess(lpann.Dataset(data, 4.0), lpann.SchemeConfig(p=4.0, r=0.2))
     built_calls = len(calls)
     path = tmp_path / "x.lpann"

@@ -31,7 +31,7 @@ from lpann import (
 from lpann.cli import make_scheme_builder
 from lpann.geometry import mazur_map_apply
 from lpann.oracle import TrialSpec, make_planted_instance
-from lpann.recursive import normalize_exponent, norm_level_copies
+from lpann.recursive import MAX_COPIES, normalize_exponent, norm_level_copies
 
 
 def cfg(p=4.0, r=1.0, **kw):
@@ -309,6 +309,7 @@ def test_preprocess_usage_errors():
     ("seed", -1), ("seed", True), ("seed", 1.0), ("base_copies", 2.5),
     ("base_copies", True), ("child_copies", 2.0), ("child_copies", False),
     ("seed", np.int64(-1)), ("base_copies", np.bool_(True)),
+    ("base_copies", MAX_COPIES + 1), ("child_copies", 10**9), ("child_copies", 0),
 ])
 def test_config_needs_integer_copies_and_a_non_negative_seed(field, value):
     with pytest.raises(UsageError):
@@ -389,21 +390,46 @@ def test_determinism_same_seed(small_scheme):
 # space accounting
 # ---------------------------------------------------------------------------
 
+def _copies_over(pset, owners=1):
+    """(point set, copies over it) for pset and every point set carved
+    below it."""
+    copies = owners * pset.nodes * pset.node_copies
+    yield pset, copies
+    for level in pset.ladder:
+        for reduction in level.children:
+            if reduction.child is not None:
+                yield from _copies_over(reduction.child, copies)
+
+
 def test_space_single_point():
+    # every cover of one point is one cluster of it that carves no child
+    # set, and every base scheme and every copy's ladder step stores it once
     ds = Dataset(np.zeros((1, 32)), 4.0)
     scheme = preprocess(ds, cfg(seed=1))
+    root = scheme.root
+    assert root.ladder
+    for level in root.ladder:
+        assert [cl.member_ids.tolist() for cl in level.cover.clusters] == [[0]]
+        assert all(reduction.child is None for reduction in level.children)
     report = space_usage(scheme)
-    assert all(e.points == 1 for e in report.entries)
-    assert report.total == len(report.entries)
+    copies = root.nodes * root.node_copies
+    assert report.total == len(root.group.schemes) + copies * len(root.ladder)
+    assert report.total == sum(report.per_level.values())
 
 
 def test_space_cover_entries_match_sparsity(small_scheme):
+    # every cover holds as many members as its declared sparsity, and the
+    # report's ladder steps count that sparsity once per copy
     *_, scheme = small_scheme
-    report = space_usage(scheme)
-    cover_entries = [e for e in report.entries if e.kind == "cover"]
-    assert cover_entries
-    for e in cover_entries:
-        assert e.declared_sparsity == e.points
+    expected = {}
+    for pset, copies in _copies_over(scheme.root):
+        for level in pset.ladder:
+            members = sum(len(cl.member_ids) for cl in level.cover.clusters)
+            assert members == level.cover.sparsity
+            key = f"t={int(pset.t)}/ladder{level.index}"
+            expected[key] = expected.get(key, 0) + copies * level.cover.sparsity
+    ladders = {k: v for k, v in space_usage(scheme).per_level.items() if "ladder" in k}
+    assert expected and ladders == expected
 
 
 # ---------------------------------------------------------------------------
