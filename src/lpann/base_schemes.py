@@ -1,6 +1,6 @@
 """Leaf near-neighbor structures the recursion bottoms out on.
 
-Two schemes, both randomized, both with re-checked answers:
+Two randomized schemes and one exact one, all with re-checked answers:
 
 * ``L2Scheme`` -- Gaussian-projection (p-stable) LSH for l2 with target
   approximation 2. Table count is sized from the planted-pair collision
@@ -10,8 +10,13 @@ Two schemes, both randomized, both with re-checked answers:
   approximation c0 = 4 d^(1+1/p). A query and its r-near neighbor land in
   the same cell of one grid with probability >= 3/4, and any co-located
   representative is within the cell's lp diameter, which equals c0 * r.
+* ``L2Scan`` -- the l2 leaves over a point set small enough that one exact
+  scan is the cheaper lookup and measures no more rows than they could
+  probe (``scan_fits``). The scan finds the nearest point, so it meets
+  every leaf's contract with probability 1 and answers them all; it draws
+  nothing and holds no table.
 
-Neither scheme ever returns a candidate violating its bound: distances are
+No scheme ever returns a candidate violating its bound: distances are
 re-verified and a bad candidate set yields ``None`` instead.
 
 A scheme holds only its draws and the scalars derived from them. Schemes
@@ -40,7 +45,8 @@ leaf, a grid copy a contiguous block of schemes. Its answer is three
 arrays over the copies, a found mask, ids and distances, or None if no
 copy answers. A mask leaves copies out: their cells are never measured,
 and their l2 tables are neither hashed nor measured. A lone scheme is
-queried as a group of one.
+queried as a group of one, and a scanned l2 set (``L2Scan``) through the
+same ``query_l2_ann``.
 """
 
 from __future__ import annotations
@@ -57,6 +63,10 @@ from .errors import NumericRangeError, UsageError
 from .geometry import check_query
 
 BUCKET_WIDTH_FACTOR = 4.0  # w = 4r, design collision at distance exactly r
+# m * d entries an exact scan reads at most: past 1 MiB of float64 rows its
+# cost per entry doubles, and at d = 32 it costs more than the l2 lookup
+# through LSH leaves that it replaces (measured at m = 4000 and 8000)
+SCAN_MAX_ENTRIES = 1 << 17
 
 
 def _rng(seed) -> np.random.Generator:
@@ -105,6 +115,16 @@ def num_tables(n: int, delta_fail: float) -> int:
     """Smallest L with (1 - p1^k)^L <= delta_fail at the design distance."""
     p_hit = collision_probability(1.0 / BUCKET_WIDTH_FACTOR) ** num_hash_bits(n)
     return max(1, math.ceil(math.log(delta_fail) / math.log(1.0 - p_hit)))
+
+
+def scan_fits(m: int, d: int, leaves: int, delta_fail: float) -> bool:
+    """Whether ``leaves`` LSH leaves over m points of dimension d are
+    answered by one exact scan: it reads at most ``SCAN_MAX_ENTRIES``
+    coordinates, where it is the cheaper lookup, and measures no more rows
+    than the most candidates the leaves probe in one query (L tables a
+    leaf, at most 3L candidates a table), so the query bound stands."""
+    big_l = num_tables(m, delta_fail)
+    return m * d <= SCAN_MAX_ENTRIES and m <= leaves * big_l * 3 * big_l
 
 
 @dataclass
@@ -404,6 +424,50 @@ def l2_group(leaves: list) -> L2Group:
     return L2Group(leaves, projections, offsets, leaf_of, _run_starts(leaf_of), table)
 
 
+@dataclass
+class L2Scan:
+    """The ``copies`` l2 leaves over a point set small enough to scan
+    (``scan_fits``), answered by one exact scan: no draws and no table,
+    only data derived from the points: their mean and each point's squared
+    distance to it. Scoring against the mean keeps the pick as fine as the
+    set's spread when the set lies far from the origin."""
+
+    ids: np.ndarray
+    vectors: np.ndarray
+    r: float
+    copies: int
+    center: np.ndarray = field(init=False, repr=False)
+    sq_norms: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not math.isfinite(2.0 * self.r):
+            raise NumericRangeError(f"l2 leaf radius 2r overflows for radius {self.r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.center = self.vectors.mean(axis=0)
+            centered = self.vectors - self.center
+            self.sq_norms = np.einsum("ij,ij->i", centered, centered)
+
+
+def _scan_l2(scan: L2Scan, q: np.ndarray, live):
+    """``query_l2_ann`` of a scanned set: the row least in
+    |x - c|^2 - 2 x.(q - c), c the set's mean, which is |x - q|^2 less a
+    constant, from one matrix-vector product (ties to the lowest row; an
+    exact l2 scan picks where that overflows), re-measured, answers every
+    live copy if it lies within 2r."""
+    live = np.ones(scan.copies, dtype=bool) if live is None else np.array(live, dtype=bool)
+    if not live.any():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = scan.sq_norms - 2.0 * (scan.vectors @ (q - scan.center))
+    if not np.isfinite(score).all():
+        score = _kernels.dists_to_point(scan.vectors, q, 2.0)
+    row = int(score.argmin())
+    dist = _kernels.dists_to_point(scan.vectors[row:row + 1], q, 2.0)[0]
+    if not dist <= 2.0 * scan.r:
+        return None
+    return live, np.full(scan.copies, scan.ids[row], dtype=np.int64), np.where(live, dist, np.inf)
+
+
 def _query_keys(group: L2Group, tables: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The query's key in each of the stacked tables, an (len(tables), k)
     array, from one matrix product with their projections only."""
@@ -412,12 +476,13 @@ def _query_keys(group: L2Group, tables: np.ndarray, q: np.ndarray) -> np.ndarray
                     q.reshape(1, -1))[:, 0, :]
 
 
-def query_l2_ann(group: L2Group, q, live=None):
+def query_l2_ann(group: L2Group | L2Scan, q, live=None):
     """Each leaf's answer, as (found, ids, dists) arrays over the leaves:
     the id and l2 distance of its first scanned candidate within 2r of q,
     probing at most max_probe candidates per table, where found; not found
     for a leaf without one or left out by ``live``, a boolean mask over
-    leaves (all by default). None if no leaf has one.
+    leaves (all by default). None if no leaf has one. Every leaf of an
+    ``L2Scan`` answers with the set's nearest point (``_scan_l2``).
 
     The tables are hashed and looked up in two passes: first the first
     table of every live leaf, then all remaining tables of the leaves
@@ -430,6 +495,8 @@ def query_l2_ann(group: L2Group, q, live=None):
     is hashed, and no bucket of one, or past a leaf's first candidate, is
     measured.
     """
+    if isinstance(group, L2Scan):
+        return _scan_l2(group, check_query(q, group.vectors.shape[1]), live)
     lead = group.leaves[0]
     q = check_query(q, lead.vectors.shape[1])
     members, m = group.table.members, len(lead.vectors)

@@ -217,6 +217,7 @@ def run_bench_campaign(spec_dict: dict) -> dict:
             "per_level": dict(top.space.per_level) if top.space else {},
             "total": top.space.total if top.space else 0,
             "fit_slope": slope,
+            **({"l2_sets": dict(top.space.l2_sets)} if top.space else {}),
         },
         "timing": {
             "build_ms": top.build_time_s * 1e3,

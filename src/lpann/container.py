@@ -44,19 +44,20 @@ from dataclasses import asdict, fields
 import numpy as np
 
 # perfbench/layers.py patches these two names here while an index loads
-from .base_schemes import CoarseScheme, L2Group, L2Scheme  # noqa: F401
+from .base_schemes import CoarseScheme, L2Group, L2Scan, L2Scheme  # noqa: F401
 from .errors import UsageError
 from .geometry import Dataset
 from .recursive import LpScheme, SchemeConfig, preprocess
 
 MAGIC = b"LPANNIDX"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 
 def index_digest(scheme: LpScheme) -> str:
     """blake2b, in hex, over the dtype, shape and bytes of every array the
     index holds. It walks each ``PointSet`` once, in build order: its ids
-    and vectors, its group's draws and bucket table, then per ladder step
+    and vectors, its group's draws and bucket table (a scanned l2 set,
+    ``L2Scan``, has neither), then per ladder step
     its cover's clusters and ``covering_ref``, then the point sets carved
     from that cover, in cluster order. Every copy over a set shares these,
     and its group holds every copy's draws in copy order."""
@@ -72,9 +73,12 @@ def index_digest(scheme: LpScheme) -> str:
 
     def walk(pset) -> None:
         group = pset.group
-        draws = (group.projections, group.offsets) if isinstance(group, L2Group) else (group.shifts,)
-        for arr in (pset.ids, pset.vectors, *draws, *vars(group.table).values()):
-            feed(arr)
+        feed(pset.ids)
+        feed(pset.vectors)
+        if not isinstance(group, L2Scan):
+            draws = (group.projections, group.offsets) if isinstance(group, L2Group) else (group.shifts,)
+            for arr in (*draws, *vars(group.table).values()):
+                feed(arr)
         for level in pset.ladder:
             clusters = level.cover.clusters
             feed(np.array([cl.center_id for cl in clusters], dtype=np.int64))

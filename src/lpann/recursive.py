@@ -5,14 +5,17 @@ shifted-grid scheme supplies an initial approximation c0 = 4 d^(1+1/t), and
 a ladder of refinement levels shrinks it: level j carves a sparse cover at
 radius 2 * c_{j-1} * r, maps every cluster through a scaled signed-power map
 into l_{t/2}, and indexes the image points with a child scheme built by the
-same method one exponent level down. The recursion bottoms out at an l2 LSH
-scheme with approximation 2. Covers and cluster images draw no randomness,
-so each carved point set is one ``PointSet``, carved once (``carve``), and
-every copy over it shares its ladder; only the base schemes are drawn per
-copy, each from its seed path under ``config.seed``, and stacked in the
-set's one group. The whole index is thus a function of the points and the
-config: an index file stores only those, and loading it runs
-``preprocess`` again (see ``container``).
+same method one exponent level down. The recursion bottoms out at l2
+leaves with approximation 2: LSH leaves, or, over a point set small enough
+that one exact scan is the cheaper lookup and measures no more rows than
+its leaves could probe (``scan_fits``), one scan answering every leaf.
+Covers and cluster images draw no randomness, so each carved point set is
+one ``PointSet``, carved once (``carve``), and every copy over it shares
+its ladder; only the base schemes are drawn per copy, each from its seed
+path under ``config.seed``, and stacked in the set's one group. The whole
+index is thus a function of the points and the config: an index file
+stores only those, and loading it runs ``preprocess`` again (see
+``container``).
 
 A refinement step improves the bound to
 
@@ -53,6 +56,7 @@ from . import _kernels
 from .base_schemes import (
     CoarseGroup,
     L2Group,
+    L2Scan,
     build_coarse_ann,
     build_l2_ann,
     coarse_approximation,
@@ -60,6 +64,7 @@ from .base_schemes import (
     l2_group,
     query_coarse_ann,
     query_l2_ann,
+    scan_fits,
 )
 from .cover import Cluster, SparseCover, build_sparse_cover, diameter_bound_for
 from .errors import NumericRangeError, UsageError
@@ -285,7 +290,8 @@ class PointSet:
     Each owner of the set, a copy of its parent set (one owner at the root),
     holds ``nodes`` nodes over it, each with ``node_copies`` copies; copy i
     belongs to owner i // (nodes * node_copies). ``group`` stacks every
-    copy's base schemes in copy order: one l2 leaf per copy at t == 2,
+    copy's base schemes in copy order: one l2 leaf per copy at t == 2 (an
+    ``L2Scan`` answers them all when the set is small enough to scan),
     ``base_copies`` grids per copy at larger t. ``ladder`` holds the set's
     refinement steps, which every copy walks.
     """
@@ -296,7 +302,7 @@ class PointSet:
     nodes: int
     node_copies: int
     ladder: list = field(default_factory=list)
-    group: L2Group | CoarseGroup | None = field(default=None, repr=False)
+    group: L2Group | L2Scan | CoarseGroup | None = field(default=None, repr=False)
 
     def row_of(self, point_id: int) -> int:
         return int(self.ids.searchsorted(point_id))
@@ -448,13 +454,17 @@ def carve(pset: PointSet, r: float, bound: ApproxBound, child_copies: int) -> No
 def _build_set(pset: PointSet, paths: list, r: float, config: SchemeConfig) -> None:
     """Draw the base schemes of every copy over a carved point set, given
     the seed path of each of its nodes in order; then those of every set
-    carved from it; then stack the set's schemes into its group.
+    carved from it; then stack the set's schemes into its group. An l2 set
+    that ``scan_fits`` its copies draws nothing: its group is an ``L2Scan``.
 
     A point set's schemes are drawn together and stacked into their group
     right away, carved sets first, so the draws' own arrays are freed for
     the next set's draws to reuse.
     """
     copies = [path + (TAG_NODE_COPY, ci) for path in paths for ci in range(pset.node_copies)]
+    if pset.t == 2.0 and scan_fits(*pset.vectors.shape, len(copies), PRIMITIVE_FAILURE):
+        pset.group = L2Scan(pset.ids, pset.vectors, r, len(copies))
+        return
     if pset.t == 2.0:
         leaves = [build_l2_ann(pset.ids, pset.vectors, r, PRIMITIVE_FAILURE,
                                _seed(config.seed, path + (TAG_BASE, 0))) for path in copies]
@@ -571,6 +581,7 @@ class SpaceReport:
     per_level: dict  # "t=<t>/base" or "t=<t>/ladder<i>": points stored there
     copy_counts: dict
     table_bytes: dict  # "l2" and "coarse": bytes of the groups' derived tables
+    l2_sets: dict  # "scan" and "lsh": l2 point sets scanned, and holding tables
 
     def as_dict(self) -> dict:
         return {
@@ -578,17 +589,20 @@ class SpaceReport:
             "per_level": dict(self.per_level),
             "copy_counts": dict(self.copy_counts),
             "table_bytes": dict(self.table_bytes),
+            "l2_sets": dict(self.l2_sets),
         }
 
 
 def space_usage(scheme: LpScheme) -> SpaceReport:
     """Exact recursive count of points stored across all substructures, per
-    norm level and ladder step: every base scheme stores its point set, and
-    every copy's ladder step its cover's members. Also the bytes of the
-    bucket tables its groups derive. Each point set is visited once and its
-    counts are multiplied by its copy count."""
+    norm level and ladder step: every base scheme (every l2 leaf, scanned or
+    not) stores its point set, and every copy's ladder step its cover's
+    members. Also the bytes of the bucket tables its groups derive, and how
+    many l2 point sets scan and how many hold tables. Each point set is
+    visited once and its counts are multiplied by its copy count."""
     per_level: dict = {}
     table_bytes = {"l2": 0, "coarse": 0}
+    l2_sets = {"scan": 0, "lsh": 0}
 
     def add(pset: PointSet, step: str, points: int) -> None:
         key = f"t={int(pset.t)}/{step}"
@@ -597,10 +611,13 @@ def space_usage(scheme: LpScheme) -> SpaceReport:
     def visit(pset: PointSet, owners: int) -> None:
         copies = owners * pset.nodes * pset.node_copies
         group = pset.group
-        kind = "l2" if isinstance(group, L2Group) else "coarse"
-        schemes = len(group.leaves) if kind == "l2" else len(group.schemes)
-        add(pset, "base", schemes * int(pset.ids.size))
-        table_bytes[kind] += group.table.nbytes
+        coarse = isinstance(group, CoarseGroup)
+        add(pset, "base", (len(group.schemes) if coarse else copies) * int(pset.ids.size))
+        if isinstance(group, L2Scan):
+            l2_sets["scan"] += 1
+        else:
+            table_bytes["coarse" if coarse else "l2"] += group.table.nbytes
+            l2_sets["lsh"] += not coarse
         for level in pset.ladder:
             members = sum(len(cl.member_ids) for cl in level.cover.clusters)
             add(pset, f"ladder{level.index}", copies * members)
@@ -618,6 +635,7 @@ def space_usage(scheme: LpScheme) -> SpaceReport:
             "cluster_child_copies": scheme.config.child_copies,
         },
         table_bytes=table_bytes,
+        l2_sets=l2_sets,
     )
 
 

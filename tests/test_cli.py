@@ -59,8 +59,9 @@ def test_build_and_query_roundtrip(tmp_path, capsys):
     assert run_cli(["build", "--input", str(data), "--r", "0.001", "--seed", "1", "--out", str(idx)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert "approximation_bound" in summary and "space" in summary
-    table_bytes = summary["space"]["table_bytes"]
-    assert table_bytes.keys() == {"l2", "coarse"} and sum(table_bytes.values()) > 0
+    # d = 8 normalizes to an l2 root, whose 40 points are scanned, not hashed
+    assert summary["space"]["l2_sets"] == {"scan": 1, "lsh": 0}
+    assert summary["space"]["table_bytes"] == {"l2": 0, "coarse": 0}
     assert summary["approximation_bound"]["c_p"] > 0
 
     # self-queries at a tiny radius return each point at distance zero
@@ -174,15 +175,18 @@ def test_bench_spec_not_utf8_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "d,what",
-    [(3, "bucket width"), (16, "grid cell side"), (32, "cover radius")],
-    ids=["l2-root", "grid-root", "grid-root-ladder"],
+    "d,n,what",
+    [(3, 2, "leaf radius 2r"), (8, 601, "bucket width"), (16, 2, "grid cell side"),
+     (32, 2, "cover radius")],
+    ids=["l2-root", "l2-root-lsh", "grid-root", "grid-root-ladder"],
 )
-def test_overflowing_radius_is_numeric_range_error(tmp_path, capsys, d, what):
-    # d = 3 normalizes to an l2 root, d = 16 to a grid root with an empty
-    # ladder, d = 32 to a grid root whose ladder radius overflows first
+def test_overflowing_radius_is_numeric_range_error(tmp_path, capsys, d, n, what):
+    # d = 3 normalizes to an l2 root whose 2 points scan, d = 8 to one whose
+    # 601 points are past the scan cutoff and hash, d = 16 to a grid root
+    # with an empty ladder, d = 32 to a grid root whose ladder radius
+    # overflows first
     data = tmp_path / "data.txt"
-    data.write_text(f"2 {d} 4.0\n" + " ".join(["0"] * d) + "\n" + " ".join(["1"] * d) + "\n")
+    data.write_text(f"{n} {d} 4.0\n" + "".join(" ".join([str(i)] * d) + "\n" for i in range(n)))
     out = tmp_path / "x.lpann"
     assert run_cli(["build", "--input", str(data), "--r", "1e308", "--out", str(out)]) == 4
     err = capsys.readouterr().err
@@ -190,17 +194,23 @@ def test_overflowing_radius_is_numeric_range_error(tmp_path, capsys, d, what):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("d", [8, 32], ids=["l2-root", "grid-root"])
-def test_subnormal_radius_builds_and_finds_each_point(tmp_path, capsys, d):
+@pytest.mark.parametrize("d,n", [(8, 50), (8, 601), (32, 50)],
+                         ids=["l2-root", "l2-root-lsh", "grid-root"])
+def test_subnormal_radius_builds_and_finds_each_point(tmp_path, capsys, d, n):
     # at r = 5e-324 the division by the bucket width or cell side overflows
     # to inf, which the cast to int64 clips like any far key or cell: the
-    # build neither warns nor fails, and a self-query finds its point
+    # build neither warns nor fails, and a self-query finds its point. The
+    # 50-point l2 root scans, which divides by nothing; the 601-point one
+    # is past the scan cutoff, so its leaves hash
     data, idx = tmp_path / "data.txt", tmp_path / "x.lpann"
-    assert run_cli(["gen", "--n", "50", "--d", str(d), "--p", "4", "--out", str(data)]) == 0
+    assert run_cli(["gen", "--n", str(n), "--d", str(d), "--p", "4", "--out", str(data)]) == 0
     capsys.readouterr()
     assert run_cli(["build", "--input", str(data), "--r", "5e-324", "--out", str(idx)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["approximation_bound"]["p_effective"] == (2.0 if d == 8 else 4.0)
+    if d == 8:
+        assert summary["space"]["l2_sets"] == ({"scan": 1, "lsh": 0} if n == 50 else
+                                               {"scan": 0, "lsh": 1})
     queries = tmp_path / "queries.txt"
     queries.write_text("\n".join([f"3 {d} 4.0"] + data.read_text().splitlines()[1:4]) + "\n")
     assert run_cli(["query", "--index", str(idx), "--query-file", str(queries)]) == 0
@@ -243,6 +253,8 @@ def test_bench_small_campaign(tmp_path, capsys):
     validate_report(report)
     assert report["success_rate"] >= 0.0
     assert report["per_n"].keys() == {"40", "80"}
+    # the 80-point trials' l2 sets all scan
+    assert report["space"]["l2_sets"]["scan"] > 0 == report["space"]["l2_sets"]["lsh"]
 
 
 def test_bench_campaign_determinism():

@@ -190,6 +190,7 @@ def _cli_query_exit(index, tmp_path):
         lambda h: h.update(format_version=5),
         lambda h: h.update(format_version=6),
         lambda h: h.update(format_version=7),
+        lambda h: h.update(format_version=8),
         lambda h: h.pop("digest"),
         lambda h: h.update(digest=int(h["digest"], 16)),
         lambda h: h.pop("numpy"),
@@ -201,7 +202,7 @@ def _cli_query_exit(index, tmp_path):
         "string-number", "float-integer", "null-seed", "int-past-float-p", "huge-base-copies",
         "huge-child-copies", "version-1",
         "version-2", "version-3", "version-4", "version-5", "version-6", "version-7",
-        "missing-digest", "number-digest", "missing-numpy", "list-numpy",
+        "version-8", "missing-digest", "number-digest", "missing-numpy", "list-numpy",
     ],
 )
 def test_malformed_header_is_usage_error(built, tmp_path, capsys, edit):
@@ -220,7 +221,7 @@ def test_exponent_whose_closed_form_overflows_is_usage_error(built, tmp_path):
     assert _cli_query_exit(bad, tmp_path) == 2
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_old_format_names_its_version(built, tmp_path, version):
     bad = _rewrite_header(built[2], tmp_path / "old.lpann",
                           lambda h: h.update(format_version=version))
@@ -431,20 +432,21 @@ def test_flipped_bit_or_truncation_is_usage_error(built, tmp_path_factory, data)
 
 def test_rebuild_that_differs_names_both_numpy_versions(built, tmp_path, capsys, monkeypatch):
     # a numpy whose random streams changed rebuilds other draws: moving one
-    # l2 offset by one ulp at load stands in for it
+    # grid shift by one ulp at load stands in for it (this index's l2 sets
+    # all scan, so it draws no l2 projections)
     _, _, path = built
     old = _rewrite_header(path, tmp_path / "old.lpann", lambda h: h.update(numpy="0.0.1"))
     load_index(str(old))  # the version alone rejects nothing
-    real, calls = recursive.build_l2_ann, []
+    real, calls = recursive.build_coarse_ann, []
 
     def nudged(*args):
-        leaf = real(*args)
+        scheme = real(*args)
         if not calls:
-            leaf.offsets[0, 0] = np.nextafter(leaf.offsets[0, 0], np.inf)
-        calls.append(leaf)
-        return leaf
+            scheme.shifts[0, 0] = np.nextafter(scheme.shifts[0, 0], np.inf)
+        calls.append(scheme)
+        return scheme
 
-    monkeypatch.setattr(recursive, "build_l2_ann", nudged)
+    monkeypatch.setattr(recursive, "build_coarse_ann", nudged)
     with pytest.raises(UsageError, match="digest mismatch") as err:
         load_index(str(old))
     assert calls

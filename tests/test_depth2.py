@@ -3,10 +3,11 @@ children, whose own ladders bottom out in t = 2 l2 leaves.
 
 A non-empty t = 8 ladder first appears at d >= 4096 with p = 8, so this is
 the smallest instance that builds the whole double recursion. With one base
-and one child copy per level it builds in a few seconds and holds about
-0.6 GB, most of it the l2 leaves' random projections; the index is saved
-(its points and config, under 1 MB), the built copy dropped, and only then
-loaded, which rebuilds it, so the two never coexist.
+and one child copy per level it builds in under a second and peaks near
+0.1 GB: its l2 sets are small enough to scan, so they draw no projections
+(as LSH leaves they held about 0.5 GB). The index is saved (its points and
+config, under 1 MB), the built copy dropped, and only then loaded, which
+rebuilds it, so the two never coexist.
 """
 
 import gc

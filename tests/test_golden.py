@@ -7,9 +7,11 @@ shows up here. Three instances: a gaussian one, where every cover holds a
 single cluster, a four-blob one, where every ladder level carves four
 clusters and cover routing does real work, and a gaussian one at p = 3,
 d = 8, where the exponent normalizes to 2 and the root is itself an l2
-node whose copies form one leaf group. A fourth, points spread along one
-axis, is the instance where the ladder decides answers: its refinement
-steps change about half of them from the coarse start.
+node whose copies form one scanned l2 set. A fourth, points spread along
+one axis, is the instance where the ladder decides answers: its
+refinement steps change about half of them from the coarse start. A fifth
+is the l2 root at n = 1000, too many points to scan, so its copies are LSH
+leaves with bucket tables.
 """
 
 import dataclasses
@@ -42,6 +44,7 @@ import workloads  # noqa: E402
 
 N, D, P, QUERIES = 200, 32, 4.0, 20
 L2ROOT_D, L2ROOT_P = 8, 3.0  # normalize_exponent gives p_eff = 2
+LSHROOT_N = 1000  # 2 copies x 10 tables x 30 probes < 1000: no scan
 BLOBS, BLOB_SPACING = 4, 100.0  # blobs sit 100 * sqrt(d) apart
 QUERY_DISTANCE = 0.9  # times r
 
@@ -49,15 +52,16 @@ QUERY_DISTANCE = 0.9  # times r
 def _points(kind: str, seed: int):
     """(dataset, r, queries) of an instance."""
     rng = np.random.default_rng(seed)
-    d, p = (L2ROOT_D, L2ROOT_P) if kind == "l2root" else (D, P)
+    d, p = (L2ROOT_D, L2ROOT_P) if kind in ("l2root", "lshroot") else (D, P)
+    n = LSHROOT_N if kind == "lshroot" else N
     if kind == "blobs":
         centers = np.zeros((BLOBS, d))
         centers[:, 0] = BLOB_SPACING * math.sqrt(d) * np.arange(BLOBS)
-        data = centers[rng.integers(0, BLOBS, size=N)] + rng.standard_normal((N, d))
+        data = centers[rng.integers(0, BLOBS, size=n)] + rng.standard_normal((n, d))
         r = 0.2
     else:
-        data, r = rng.standard_normal((N, d)), 1.0
-    sources = rng.choice(N, size=QUERIES, replace=False)
+        data, r = rng.standard_normal((n, d)), 1.0
+    sources = rng.choice(n, size=QUERIES, replace=False)
     direction = rng.standard_normal((QUERIES, d))
     norms = (np.abs(direction) ** p).sum(axis=1) ** (1.0 / p)
     near = data[sources] + (QUERY_DISTANCE * r / norms)[:, None] * direction
@@ -122,82 +126,106 @@ GOLDEN = {'blobs': [(179, '0x1.70a3d70a3d732p-3', [179, 179, 179, 179, 179]),
            (79, '0x1.67e4b497ec289p+1', [79, 79, 79, 79, 79]),
            (120, '0x1.41f2531d4b8fbp+1', [120, 120, 120, 120, 120])],
  'gauss': [(11, '0x1.ccccccccccccdp-1', [11, 11, 11, 11, 11]),
-           (32, '0x1.ccccccccccccfp-1', [32, 32, 32, 32, 32]),
-           (89, '0x1.95495dfb5817fp+1', [89, 89, 89, 89, 89]),
-           (18, '0x1.b8265fe7bff6dp+1', [18, 18, 18, 18, 18]),
-           (14, '0x1.cccccccccccccp-1', [14, 14, 14, 14, 14]),
-           (42, '0x1.ccccccccccccdp-1', [42, 42, 42, 42, 42]),
+           (32, '0x1.ccccccccccccfp-1', [8, 32, 32, 32, 32]),
+           (196, '0x1.ccccccccccccdp-1', [89, 196, 196, 196, 196]),
+           (123, '0x1.ccccccccccccdp-1', [12, 123, 123, 123, 123]),
+           (14, '0x1.cccccccccccccp-1', [8, 14, 14, 14, 14]),
+           (42, '0x1.ccccccccccccdp-1', [8, 42, 42, 42, 42]),
            (171, '0x1.cccccccccccccp-1', [171, 171, 171, 171, 171]),
            (28, '0x1.ccccccccccccep-1', [28, 28, 28, 28, 28]),
-           (0, '0x1.a903a58c51858p+1', [0, 0, 0, 0, 0]),
-           (70, '0x1.cccccccccccccp-1', [70, 70, 70, 70, 70]),
-           (32, '0x1.f28176c1a006dp+1', [32, 32, 32, 32, 32]),
-           (13, '0x1.08b2f7d0e6448p+2', [13, 13, 13, 13, 13]),
+           (126, '0x1.ccccccccccccdp-1', [0, 126, 126, 126, 126]),
+           (70, '0x1.cccccccccccccp-1', [11, 70, 70, 70, 70]),
+           (146, '0x1.712a627568532p+1', [7, 146, 146, 146, 146]),
+           (153, '0x1.46c099d8834c8p+1', [18, 153, 153, 153, 153]),
            (33, '0x1.3aa9790280249p+2', [33, 33, 33, 33, 33]),
-           (79, '0x1.efa28c7c15dfdp+1', [79, 79, 79, 79, 79]),
-           (54, '0x1.1a2606e8b763ep+2', [54, 54, 54, 54, 54]),
-           (73, '0x1.a4bc1fa833c18p+1', [73, 73, 73, 73, 73]),
+           (198, '0x1.85305bbec11fap+1', [109, 198, 198, 198, 198]),
+           (128, '0x1.ec542c7b895e1p+1', [54, 128, 128, 128, 128]),
+           (73, '0x1.a4bc1fa833c18p+1', [45, 73, 73, 73, 73]),
            (2, '0x1.eb3128f58e178p+1', [2, 2, 2, 2, 2]),
            (59, '0x1.d61b1ee38db61p+1', [59, 59, 59, 59, 59]),
-           (0, '0x1.ba4c1754fc6b7p+1', [0, 0, 0, 0, 0]),
-           (104, '0x1.ff8e3bf4f7694p+1', [104, 104, 104, 104, 104])]}
+           (167, '0x1.9af8327a15917p+1', [0, 167, 167, 167, 167]),
+           (172, '0x1.4beeb9fd75afap+1', [104, 172, 172, 172, 172])]}
 
-# the same at p = 3, d = 8, where the root is an l2 node (recorded apart
-# from GOLDEN, which stays as first recorded)
-GOLDEN_L2ROOT = [(17, '0x1.cbd99097b8277p+0', [17]),
-                 (32, '0x1.76c29df42acc0p+0', [32]),
+# the same at p = 3, d = 8, where the root is an l2 node whose 200 points
+# are scanned (recorded apart from GOLDEN)
+GOLDEN_L2ROOT = [(117, '0x1.ccccccccccccep-1', [117]),
+                 (59, '0x1.ccccccccccccdp-1', [59]),
                  (194, '0x1.cccccccccccccp-1', [194]),
                  (163, '0x1.ccccccccccccdp-1', [163]),
-                 (130, '0x1.73b9d9a73476ap+0', [130]),
+                 (113, '0x1.ccccccccccccep-1', [113]),
                  (46, '0x1.ccccccccccccdp-1', [46]),
                  (111, '0x1.ccccccccccccep-1', [111]),
-                 (17, '0x1.a93d9fb7935fcp+0', [17]),
-                 (121, '0x1.d4879d969c765p+0', [121]),
+                 (135, '0x1.cccccccccccd0p-1', [135]),
+                 (71, '0x1.cccccccccccccp-1', [71]),
                  (80, '0x1.ccccccccccccbp-1', [80]),
                  (115, '0x1.9041547a98baap+0', [115]),
-                 (149, '0x1.01ca894fc9d8dp+1', [149]),
+                 (55, '0x1.863c602e795b7p+0', [55]),
                  (58, '0x1.a59b6a1b3d7cbp-1', [58]),
-                 (20, '0x1.ce02c12467020p+0', [20]),
+                 (99, '0x1.1e56c3a8bb286p+0', [99]),
                  (28, '0x1.966dc80431e0dp+0', [28]),
-                 None,
-                 None,
-                 (88, '0x1.1657810fa482cp+1', [88]),
-                 (55, '0x1.e9a2c03260ee1p+0', [55]),
-                 None]
+                 (67, '0x1.192627ee3e621p+1', [67]),
+                 (40, '0x1.d30de3f9e6cd1p+0', [40]),
+                 (169, '0x1.b703a9b6ed44ap+0', [169]),
+                 (11, '0x1.0eccf631fdf10p+0', [11]),
+                 (40, '0x1.ff0367ee7cba0p+0', [40])]
 # nns_search(c_slack=0.5, seed=5) on every 4th query of that instance
-GOLDEN_L2ROOT_NNS = [129, 113, 17, 58, 8]
+GOLDEN_L2ROOT_NNS = [117, 113, 71, 58, 40]
+
+# the l2 root at n = 1000 and seed 5, whose copies are LSH leaves: the
+# instance that keeps the l2 tables' answers pinned
+GOLDEN_LSHROOT = [(203, '0x1.2983a5cf8c3b7p+0', [203]),
+                  (397, '0x1.23be3fe48789bp+0', [397]),
+                  (991, '0x1.907a778dc70e4p+0', [991]),
+                  (682, '0x1.0606844518309p+0', [682]),
+                  (32, '0x1.addc542d2a8efp+0', [32]),
+                  (140, '0x1.df1cb4d5b6a79p+0', [140]),
+                  (83, '0x1.ccccccccccccep-1', [83]),
+                  (756, '0x1.ccccccccccccdp-1', [756]),
+                  (331, '0x1.ccccccccccccdp-1', [331]),
+                  (162, '0x1.c543be0dcaa7fp+0', [162]),
+                  (810, '0x1.75df08f8e00fcp+0', [810]),
+                  None,
+                  None,
+                  (812, '0x1.b00959e72ec6dp+0', [812]),
+                  (285, '0x1.3cf02b006b853p+0', [285]),
+                  (895, '0x1.5259231b885bdp+0', [895]),
+                  (322, '0x1.8225640967149p+0', [322]),
+                  (37, '0x1.96524475b5cf6p+0', [37]),
+                  (400, '0x1.16b25b17cb718p+1', [400]),
+                  None]
 
 # container.index_digest of each instance's built index at seed 5, so a
 # change to any table, draw or cover byte fails here even when the answers
 # happen to survive it
 GOLDEN_DIGEST = {
-    "gauss": "076a7adb7e82be4470e339cf7ac24fe842c3988e27eb17dbf9dbb51fb58a9a4f",
-    "blobs": "a9a56406212b3644a553a445d921a3fe8ffe697fb7c917444aea87883c1f223d",
-    "l2root": "37c7e326b5f6cb8172a0567e6b44963058310bbd5b618d432a23e8540b1552f6",
+    "gauss": "61d43df9159305304edc79c0481a9f0f81264443ee870d66c69cc10cc5886356",
+    "blobs": "53e335918d970885939c6434059d0e56eccfc891930f232b761e5879bffa27df",
+    "l2root": "4c88cc913af306a46f4a148c40449a43993ffdba1f8af52640666d09a72ebfc5",
+    "lshroot": "a6fcc1fc9484c37322f83a23eb8dff4e3034760ae5cc81412220df816dc9123e",
 }
 
 
 # the line instance at seed 1, recorded apart from GOLDEN: the ladder
-# changes 9 of these 20 answers from their coarse start
-GOLDEN_LINE = [(58, '0x1.cccccccccccccp-1', [12, 12, 58, 58, 58]),
+# changes 12 of these 20 answers from their coarse start
+GOLDEN_LINE = [(58, '0x1.cccccccccccccp-1', [12, 58, 58, 58, 58]),
                (9, '0x1.cccccccccccc8p-1', [9, 9, 9, 9, 9]),
-               (9, '0x1.9b01d1ba440f5p+3', [9, 9, 9, 9, 9]),
-               (119, '0x1.41a6d3fce908ep+0', [1, 38, 40, 40, 119]),
+               (188, '0x1.cccccccccccccp-1', [9, 188, 188, 188, 188]),
+               (189, '0x1.cccccccccccccp-1', [1, 189, 189, 189, 189]),
                (17, '0x1.ccccccccccccbp-1', [17, 17, 17, 17, 17]),
-               (196, '0x1.cccccccccccc5p-1', [7, 87, 87, 196, 196]),
-               (117, '0x1.12a654970a6fcp+0', [8, 8, 117, 117, 117]),
+               (196, '0x1.cccccccccccc5p-1', [7, 196, 196, 196, 196]),
+               (158, '0x1.ccccccccccccdp-1', [8, 158, 158, 158, 158]),
                (37, '0x1.22dddc4e6ffa1p+0', [156, 37, 37, 37, 37]),
-               (66, '0x1.3027107d919f4p+0', [11, 21, 21, 21, 66]),
-               (25, '0x1.75e4067dd979ap+0', [25, 25, 25, 25, 25]),
+               (98, '0x1.cccccccccccd1p-1', [11, 98, 98, 98, 98]),
+               (167, '0x1.cccccccccccc4p-1', [25, 167, 167, 167, 167]),
                (28, '0x1.ccccccccccccfp-1', [28, 28, 28, 28, 28]),
-               (146, '0x1.6823d7d714dd8p+0', [8, 50, 112, 146, 146]),
+               (168, '0x1.ccccccccccccep-1', [8, 168, 168, 168, 168]),
                (35, '0x1.cccccccccccccp-1', [18, 35, 35, 35, 35]),
-               (92, '0x1.cccccccccccd0p-1', [17, 78, 78, 92, 92]),
+               (92, '0x1.cccccccccccd0p-1', [18, 92, 92, 92, 92]),
                (41, '0x1.cccccccccccccp-1', [41, 41, 41, 41, 41]),
                (33, '0x1.ccccccccccce0p-1', [33, 33, 33, 33, 33]),
                (10, '0x1.cccccccccccd0p-1', [10, 10, 10, 10, 10]),
                (5, '0x1.ccccccccccccdp-1', [5, 5, 5, 5, 5]),
-               (53, '0x1.7a9fb2d37ffabp+1', [53, 53, 53, 53, 53]),
+               (65, '0x1.ccccccccccccdp-1', [53, 65, 65, 65, 65]),
                (81, '0x1.ccccccccccccdp-1', [81, 81, 81, 81, 81])]
 
 # space_usage(...).as_dict() of each GOLDEN_DIGEST instance at seed 5;
@@ -208,18 +236,27 @@ GOLDEN_SPACE = {
                             "t=4/ladder2": 600, "t=4/ladder3": 600, "t=4/ladder4": 600},
               "copy_counts": {"norm_level_copies": 3, "base_copies": 3,
                               "cluster_child_copies": 3},
-              "table_bytes": {"l2": 103176, "coarse": 17832}},
+              "table_bytes": {"l2": 0, "coarse": 17832},
+              "l2_sets": {"scan": 4, "lsh": 0}},
     "blobs": {"total": 25800,
               "per_level": {"t=4/base": 1800, "t=4/ladder1": 600, "t=2/base": 21600,
                             "t=4/ladder2": 600, "t=4/ladder3": 600, "t=4/ladder4": 600},
               "copy_counts": {"norm_level_copies": 3, "base_copies": 3,
                               "cluster_child_copies": 3},
-              "table_bytes": {"l2": 233792, "coarse": 332168}},
+              "table_bytes": {"l2": 0, "coarse": 332168},
+              "l2_sets": {"scan": 16, "lsh": 0}},
     "l2root": {"total": 400,
                "per_level": {"t=2/base": 400},
                "copy_counts": {"norm_level_copies": 2, "base_copies": 3,
                                "cluster_child_copies": 3},
-               "table_bytes": {"l2": 123808, "coarse": 0}},
+               "table_bytes": {"l2": 0, "coarse": 0},
+               "l2_sets": {"scan": 1, "lsh": 0}},
+    "lshroot": {"total": 2000,
+                "per_level": {"t=2/base": 2000},
+                "copy_counts": {"norm_level_copies": 2, "base_copies": 3,
+                                "cluster_child_copies": 3},
+                "table_bytes": {"l2": 1123908, "coarse": 0},
+                "l2_sets": {"scan": 0, "lsh": 1}},
 }
 
 
@@ -249,7 +286,8 @@ def test_golden_line_answers(tmp_path):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_ladder_decides_line_answers(seed):
     # on the line instance the refinement steps, not the coarse start,
-    # give at least 0.3 of the answers (0.60 / 0.47 / 0.51 when recorded)
+    # give at least 0.3 of the answers (0.60 / 0.47 / 0.51 when recorded
+    # with LSH leaves, 0.79 / 0.62 / 0.59 with scanned l2 sets)
     dataset, r, queries = line_points(seed, queries=100)
     scheme = preprocess(dataset, SchemeConfig(p=P, r=r, seed=seed))
     found = [query(scheme, q) for q in queries]
@@ -282,9 +320,19 @@ def test_blobs_quality_against_exact_nn():
 
 def test_golden_l2_root(tmp_path):
     scheme, _ = _instance("l2root", 5)
-    assert scheme.root.t == 2.0 and len(scheme.root.group.leaves) > 1
+    assert scheme.root.t == 2.0 and isinstance(scheme.root.group, base_schemes.L2Scan)
+    assert scheme.root.group.copies > 1
     assert answers("l2root", 5) == GOLDEN_L2ROOT
     assert answers("l2root", 5, tmp_path / "golden.lpann") == GOLDEN_L2ROOT
+
+
+def test_golden_lsh_root(tmp_path):
+    scheme, _ = _instance("lshroot", 5)
+    group = scheme.root.group
+    assert scheme.root.t == 2.0 and isinstance(group, base_schemes.L2Group)
+    assert len(group.leaves) > 1
+    assert answers("lshroot", 5) == GOLDEN_LSHROOT
+    assert answers("lshroot", 5, tmp_path / "golden.lpann") == GOLDEN_LSHROOT
 
 
 def test_golden_l2_root_nns_search(tmp_path):
@@ -425,10 +473,8 @@ def test_one_group_per_point_set_built_and_loaded(kind, tmp_path):
             for level in pset.ladder:
                 owners.update({id(ch.child): copies for ch in level.children if ch.child})
             group = pset.group
-            if isinstance(group, base_schemes.L2Group):
-                assert len(group.leaves) == copies
-            else:
-                assert group.copies == copies
+            assert group.copies == copies
+            if isinstance(group, base_schemes.CoarseGroup):
                 assert (group.copy_of == np.arange(copies).repeat(index.config.base_copies)).all()
             pattern.append((pset.t, type(group).__name__, copies))
         patterns.append(pattern)
@@ -438,31 +484,39 @@ def test_one_group_per_point_set_built_and_loaded(kind, tmp_path):
 def test_tables_keep_only_what_a_query_reads(tmp_path):
     # buckets are numbered in fingerprint order; a grid table keeps one member per
     # cell, no key and no starts, an l2 bucket at most the max_probe members its
-    # leaf probes, and space_usage counts every group's table once, built and loaded
-    scheme, _ = _instance("blobs", 5)
-    save_index(scheme, str(tmp_path / "golden.lpann"))
-    loaded = load_index(str(tmp_path / "golden.lpann"))
-    for index in (scheme, loaded):
-        groups = [pset.group for pset in _sets(index.root)]
-        expected, capped = {"l2": 0, "coarse": 0}, 0
-        for group in groups:
-            table = group.table
-            sizes = table.spans(np.arange(table.fingerprints.size))[1]
-            assert (table.fingerprints[1:] > table.fingerprints[:-1]).all()
-            if isinstance(group, base_schemes.CoarseGroup):
-                assert table.keys is None and table.starts is None
-                assert table.members.size == table.fingerprints.size
-                kind = "coarse"
-            else:
-                probes = np.array([leaf.max_probe for leaf in group.leaves])[group.leaf_of]
-                assert table.keys.shape[0] == table.fingerprints.size
-                assert (sizes >= 1).all() and (sizes <= probes[table.tables]).all()
-                capped += (sizes == probes[table.tables]).sum()
-                kind = "l2"
-            expected[kind] += sum(a.nbytes for a in vars(table).values()
-                                  if isinstance(a, np.ndarray))
-        assert capped and expected["coarse"]
-        assert recursive.space_usage(index).table_bytes == expected
+    # leaf probes, a scanned l2 set holds no draws and no table, and space_usage
+    # counts every group's table once, built and loaded: on the four-blob
+    # instance, whose l2 sets all scan, and on the l2 root too large to scan
+    capped = coarse = 0
+    for kind in ("blobs", "lshroot"):
+        scheme, _ = _instance(kind, 5)
+        save_index(scheme, str(tmp_path / f"{kind}.lpann"))
+        loaded = load_index(str(tmp_path / f"{kind}.lpann"))
+        for index in (scheme, loaded):
+            expected = {"l2": 0, "coarse": 0}
+            for group in (pset.group for pset in _sets(index.root)):
+                if isinstance(group, base_schemes.L2Scan):
+                    assert vars(group).keys() == {"ids", "vectors", "r", "copies",
+                                                  "center", "sq_norms"}
+                    continue
+                table = group.table
+                sizes = table.spans(np.arange(table.fingerprints.size))[1]
+                assert (table.fingerprints[1:] > table.fingerprints[:-1]).all()
+                if isinstance(group, base_schemes.CoarseGroup):
+                    assert table.keys is None and table.starts is None
+                    assert table.members.size == table.fingerprints.size
+                    kind = "coarse"
+                else:
+                    probes = np.array([leaf.max_probe for leaf in group.leaves])[group.leaf_of]
+                    assert table.keys.shape[0] == table.fingerprints.size
+                    assert (sizes >= 1).all() and (sizes <= probes[table.tables]).all()
+                    capped += (sizes == probes[table.tables]).sum()
+                    kind = "l2"
+                expected[kind] += sum(a.nbytes for a in vars(table).values()
+                                      if isinstance(a, np.ndarray))
+            coarse += expected["coarse"]
+            assert recursive.space_usage(index).table_bytes == expected
+    assert capped and coarse
 
 
 def test_carving_measures_no_pair_across_blobs(monkeypatch):
@@ -497,16 +551,34 @@ def _gauss_d32():
     return scheme, workloads.make_queries(w, data, 1)[0]
 
 
+def lsh_group(scan, seed: int = 0):
+    """LSH leaves over a scanned l2 set's points, one per copy, in one
+    group: what the build holds for a set too large to scan."""
+    return base_schemes.l2_group([
+        base_schemes.build_l2_ann(scan.ids, scan.vectors, scan.r, recursive.PRIMITIVE_FAILURE,
+                                  np.random.SeedSequence(seed, spawn_key=(i,)))
+        for i in range(scan.copies)])
+
+
+def with_lsh_leaves(root) -> None:
+    """Replace the group of every scanned l2 set below the point set root,
+    root included, by LSH leaves over the set (``lsh_group``)."""
+    for pset in _sets(root):
+        if isinstance(pset.group, base_schemes.L2Scan):
+            pset.group = lsh_group(pset.group)
+
+
 def _l2_groups(instance: str) -> list:
-    """The first l2 group of the gauss-d32 benchmark index at seed 1, or
-    every l2 group of the four-blob instance."""
+    """LSH leaves over the first l2 set of the gauss-d32 benchmark index at
+    seed 1, or over every l2 set of the four-blob instance: those sets
+    scan, so the leaves are built here, one per copy."""
     if instance == "gauss-d32":
         scheme, _ = _gauss_d32()
     else:
         scheme, _ = _instance("blobs", 5)
-    groups = [pset.group for pset in _sets(scheme.root)
-              if isinstance(pset.group, base_schemes.L2Group)]
-    return groups[:1 if instance == "gauss-d32" else None]
+    scans = [pset.group for pset in _sets(scheme.root)
+             if isinstance(pset.group, base_schemes.L2Scan)]
+    return [lsh_group(scan) for scan in scans[:1 if instance == "gauss-d32" else None]]
 
 
 @pytest.mark.parametrize("instance", ["gauss-d32", "blobs"])
@@ -517,7 +589,7 @@ def test_every_point_finds_its_own_bucket_in_every_table(instance, monkeypatch):
     # its build keys, and in every table of its group they find the bucket
     # of that key, which keeps it unless the bucket is full of lower points
     groups = _l2_groups(instance)
-    assert all(len(group.leaves) == 27 for group in groups)
+    assert groups and all(len(group.leaves) == 27 for group in groups)
     hashed = []
     real = base_schemes._query_keys
 
@@ -564,9 +636,11 @@ def _hits_in_first_table(leaf, q) -> bool:
 def test_l2_lookups_hash_only_the_tables_they_read(monkeypatch):
     # a leaf-group lookup hashes the first table of every live leaf, and the
     # other tables only of the leaves without a candidate there: on the
-    # gauss-d32 benchmark queries every leaf hits in its first table, so a
-    # lookup hashes k rows per live leaf
+    # gauss-d32 benchmark queries, with LSH leaves in place of its scanned
+    # sets, every leaf hits in its first table, so a lookup hashes k rows
+    # per live leaf
     scheme, queries = _gauss_d32()
+    with_lsh_leaves(scheme.root)
     calls, hashed = [], []
     real_query, real_keys = recursive.query_l2_ann, base_schemes._l2_keys
 

@@ -41,8 +41,16 @@ def _record_calls(monkeypatch, probes) -> set:
     return seen
 
 
+def _lsh_root():
+    """An l2 root (d = 8 normalizes p = 4 to 2) of 1000 points, too many for
+    its 2 copies to scan, so they are LSH leaves built by build_l2_ann."""
+    data = np.random.default_rng(0).standard_normal((1000, 8))
+    return lpann.preprocess(lpann.Dataset(data, 4.0), lpann.SchemeConfig(p=4.0, r=1.0))
+
+
 def test_probes_see_calls(tmp_path, monkeypatch):
-    # four far-apart blobs, so the ladder carves several clusters and maps them
+    # four far-apart blobs, so the ladder carves several clusters and maps
+    # them (their l2 sets scan), and an l2 root whose leaves hash
     rng = np.random.default_rng(0)
     centers = np.zeros((4, 32))
     centers[:, 0] = 100.0 * math.sqrt(32) * np.arange(4)
@@ -51,14 +59,18 @@ def test_probes_see_calls(tmp_path, monkeypatch):
     seen = _record_calls(monkeypatch, probes)
     scheme = lpann.preprocess(lpann.Dataset(data, 4.0), lpann.SchemeConfig(p=4.0, r=0.2))
     lpann.query(scheme, data[5] + 0.01)
+    lsh_root = _lsh_root()
+    lpann.query(lsh_root, lsh_root.root.vectors[0])
     assert seen == {attr for _, attr, _, _ in probes}
 
     monkeypatch.undo()
-    path = tmp_path / "x.lpann"
-    lpann.save_index(scheme, str(path))
+    paths = [tmp_path / "x.lpann", tmp_path / "lsh.lpann"]
+    for index, path in zip((scheme, lsh_root), paths):
+        lpann.save_index(index, str(path))
     # loading rebuilds the index with preprocess, so the build probes fire
     seen = _record_calls(monkeypatch, layers.BUILD_PROBES)
-    lpann.load_index(str(path))
+    for path in paths:
+        lpann.load_index(str(path))
     assert seen == {attr for _, attr, _, _ in layers.BUILD_PROBES}
 
 
@@ -101,7 +113,9 @@ def _sets(pset):
 
 def test_one_table_build_per_group(tmp_path, monkeypatch):
     # each group builds its bucket table once, from its schemes' draws, at
-    # build and at load; no scheme builds a table of its own
+    # build and at load; no scheme builds a table of its own, and a scanned
+    # l2 set builds none: on four blobs, whose l2 sets scan, and on an l2
+    # root whose leaves hash
     rng = np.random.default_rng(0)
     centers = np.zeros((4, 32))
     centers[:, 0] = 100.0 * math.sqrt(32) * np.arange(4)
@@ -110,16 +124,19 @@ def test_one_table_build_per_group(tmp_path, monkeypatch):
     real = lpann.base_schemes._bucket_table
     monkeypatch.setattr(lpann.base_schemes, "_bucket_table",
                         lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
-    scheme = lpann.preprocess(lpann.Dataset(data, 4.0), lpann.SchemeConfig(p=4.0, r=0.2))
-    built_calls = len(calls)
-    path = tmp_path / "x.lpann"
-    lpann.save_index(scheme, str(path))
-    calls.clear()
-    loaded = lpann.load_index(str(path))
-    for index, count in ((scheme, built_calls), (loaded, len(calls))):
-        groups = {id(pset.group) for pset in _sets(index.root)}
-        assert len(groups) > 1
-        assert count == len(groups)
+    for build in (lambda: lpann.preprocess(lpann.Dataset(data, 4.0),
+                                           lpann.SchemeConfig(p=4.0, r=0.2)), _lsh_root):
+        calls.clear()
+        scheme = build()
+        built_calls = len(calls)
+        path = tmp_path / "x.lpann"
+        lpann.save_index(scheme, str(path))
+        calls.clear()
+        loaded = lpann.load_index(str(path))
+        for index, count in ((scheme, built_calls), (loaded, len(calls))):
+            groups = [pset.group for pset in _sets(index.root)]
+            tabled = {id(g) for g in groups if not isinstance(g, lpann.base_schemes.L2Scan)}
+            assert tabled and count == len(tabled)
 
 
 def _shape_reads(node) -> tuple:

@@ -1,14 +1,16 @@
 """The lock-step query walk against the per-copy recursion it replaced.
 
 ``_Reference`` below is that recursion, kept as a test oracle: it walks
-every copy's ladder on its own, looks up each l2 leaf as a group of one and
-each node's grids as a group of its copies, and keeps the first node and
-copy at the least distance. It takes each copy's base schemes from its
-point set's group by copy index (a leaf's index, or ``copy_of``).
-``recursive._walk`` must give the same id, distance bits and trace, and it
-must also do so when the copies over one point set route to different
-clusters at one ladder step, so that a group is looked up for some of its
-copies only, and when copies tie.
+every copy's ladder on its own, looks up each l2 leaf as a group of one,
+answers each copy of a scanned l2 set with the set's nearest point by an
+exact scan, looks up each node's grids as a group of its copies, and keeps
+the first node and copy at the least distance. It takes each copy's base
+schemes from its point set's group by copy index (a leaf's index, or
+``copy_of``). ``recursive._walk`` must give the same id, distance bits and
+trace, with the l2 sets scanned as built and with LSH leaves in their place
+(``with_lsh_leaves``), and it must also do so when the copies over one
+point set route to different clusters at one ladder step, so that a group
+is looked up for some of its copies only, and when copies tie.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from lpann import Dataset, SchemeConfig, base_schemes, preprocess, query, recursive
 from lpann import _kernels
 from test_base_schemes import per_copy
-from test_golden import line_points
+from test_golden import line_points, with_lsh_leaves
 
 
 class _Reference:
@@ -36,6 +38,13 @@ class _Reference:
     def query_nodes(self, pset, owner: int, q: np.ndarray):
         """Best answer of the nodes that parent copy ``owner`` holds over pset."""
         group, best = pset.group, None
+        if isinstance(group, base_schemes.L2Scan):
+            dists = _kernels.dists_to_point(group.vectors, q, 2.0)
+            row = int(dists.argmin())
+            if not dists[row] <= 2.0 * group.r:
+                return None
+            x_id = int(group.ids[row])
+            return (x_id, float(_kernels.dists_to_point(group.vectors[row], q, 2.0)[0]), [x_id])
         if pset.t == 2.0:
             per = pset.nodes * pset.node_copies
             for leaf in group.leaves[owner * per:(owner + 1) * per]:
@@ -154,17 +163,25 @@ def _check(scheme, queries, monkeypatch) -> tuple:
     return splits, any(masked)
 
 
+def _check_both(scheme, queries, monkeypatch) -> list:
+    """``_check`` of the index as built, whose l2 sets scan, and then with
+    LSH leaves in their place; the two results."""
+    out = [_check(scheme, queries, monkeypatch)]
+    with_lsh_leaves(scheme.root)
+    return out + [_check(scheme, queries, monkeypatch)]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_walk_matches_per_copy_recursion(seed, monkeypatch):
     dataset, queries = _blobs(seed)
-    _check(preprocess(dataset, SchemeConfig(p=4.0, r=0.2, seed=seed)), queries, monkeypatch)
+    _check_both(preprocess(dataset, SchemeConfig(p=4.0, r=0.2, seed=seed)), queries, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_walk_matches_per_copy_recursion_on_the_line(seed, monkeypatch):
     # the instance whose answers the ladder decides
     dataset, r, queries = line_points(seed)
-    _check(preprocess(dataset, SchemeConfig(p=4.0, r=r, seed=seed)), queries, monkeypatch)
+    _check_both(preprocess(dataset, SchemeConfig(p=4.0, r=r, seed=seed)), queries, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -173,10 +190,10 @@ def test_walk_matches_per_copy_recursion_when_copies_split(seed, monkeypatch):
     scheme = preprocess(dataset, SchemeConfig(p=4.0, r=r, seed=seed))
     cover = scheme.root.ladder[0].cover
     assert cover.covering_ref[1] != cover.covering_ref[2]
-    splits, masked = _check(scheme, queries, monkeypatch)
     # copies of the root routed to different clusters at one ladder step,
-    # and a leaf group was looked up for some of its leaves only
-    assert splits > 0 and masked
+    # and an l2 group was looked up for some of its copies only
+    for splits, masked in _check_both(scheme, queries, monkeypatch):
+        assert splits > 0 and masked
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -184,7 +201,7 @@ def test_walk_answers_each_owner_of_a_shared_set(seed):
     # below a t = 8 root, each copy of the root owns the t = 4 sets carved
     # from it; a t = 8 ladder needs d >= 4096, so one such set is built
     # directly, with two owners, and walked for each owner alone and for
-    # all of them at once
+    # all of them at once, with its l2 sets scanned and then hashed
     dataset, queries = _blobs(seed)
     config = SchemeConfig(p=4.0, r=0.2, seed=seed)
     bound = recursive.approximation_bound(config, dataset.d)
@@ -195,23 +212,27 @@ def test_walk_answers_each_owner_of_a_shared_set(seed):
     recursive._build_set(pset, [(o, cc) for o in range(owners) for cc in range(pset.nodes)],
                          config.r, config)
     assert pset.group.copies == owners * pset.nodes * pset.node_copies
-    reference, answered = _Reference(), 0
-    for q in queries:
-        expected = [reference.query_nodes(pset, o, q) for o in range(owners)]
-        answered += sum(e is not None for e in expected)
-        for live in (np.ones(owners, dtype=bool), *np.eye(owners, dtype=bool)):
-            assert recursive._walk(pset, live, q) == [e if on else None
-                                                      for e, on in zip(expected, live)]
-    assert answered
+    for _ in range(2):
+        reference, answered = _Reference(), 0
+        for q in queries:
+            expected = [reference.query_nodes(pset, o, q) for o in range(owners)]
+            answered += sum(e is not None for e in expected)
+            for live in (np.ones(owners, dtype=bool), *np.eye(owners, dtype=bool)):
+                assert recursive._walk(pset, live, q) == [e if on else None
+                                                          for e, on in zip(expected, live)]
+        assert answered
+        with_lsh_leaves(pset)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_masked_owners_hash_no_tables_when_copies_split(seed, monkeypatch):
     # a leaf group looked up for some of its leaves only hashes no table of
     # the others: every projection block hashed during a lookup is a table
-    # of a live leaf
+    # of a live leaf (the instance's l2 sets scan, so LSH leaves over them
+    # stand in)
     dataset, queries, r = _split(seed)
     scheme = preprocess(dataset, SchemeConfig(p=4.0, r=r, seed=seed))
+    with_lsh_leaves(scheme.root)
     calls, hashed = [], []
     real_query, real_keys = recursive.query_l2_ann, base_schemes._l2_keys
 
@@ -244,24 +265,30 @@ def test_walk_keeps_the_first_of_tied_copies(seed, monkeypatch):
     # the 64 signed unit vectors +-e_i all lie at distance 1 from the
     # origin, so every copy that answers there ties and each owner keeps
     # its first: through the whole recursion, and over an l2 point set
-    # walked directly for two owners, whose tied leaves answer different
+    # walked directly for two owners. Scanned, every copy answers the
+    # lowest row; as LSH leaves, an owner's tied leaves answer different
     # points, so that keeping another tied leaf changes the answer
     d = 32
     dataset, origin = Dataset(np.vstack([np.eye(d), -np.eye(d)]), 4.0), np.zeros(d)
     config = SchemeConfig(p=4.0, r=1.0, seed=seed)
-    _check(preprocess(dataset, config), [origin], monkeypatch)
+    _check_both(preprocess(dataset, config), [origin], monkeypatch)
     pset = recursive.PointSet(2.0, dataset.ids, dataset.vectors, config.child_copies,
                               recursive.norm_level_copies(4.0))
     owners = 2
     recursive._build_set(pset, [(o, cc) for o in range(owners) for cc in range(pset.nodes)],
                          config.r, config)
-    found, ids, dists = base_schemes.query_l2_ann(pset.group, origin)
     per = pset.nodes * pset.node_copies
-    assert found.all() and (dists == 1.0).all()
-    assert all(ids[o * per] != ids[(o + 1) * per - 1] for o in range(owners))
-    reference = _Reference()
-    expected = [reference.query_nodes(pset, o, origin) for o in range(owners)]
-    assert expected == [(int(ids[o * per]), 1.0, [int(ids[o * per])]) for o in range(owners)]
-    for live in (np.ones(owners, dtype=bool), *np.eye(owners, dtype=bool)):
-        assert recursive._walk(pset, live, origin) == [e if on else None
-                                                      for e, on in zip(expected, live)]
+    for scanned in (True, False):
+        found, ids, dists = base_schemes.query_l2_ann(pset.group, origin)
+        assert found.all() and (dists == 1.0).all()
+        if scanned:
+            assert (ids == dataset.ids[0]).all()
+        else:
+            assert all(ids[o * per] != ids[(o + 1) * per - 1] for o in range(owners))
+        reference = _Reference()
+        expected = [reference.query_nodes(pset, o, origin) for o in range(owners)]
+        assert expected == [(int(ids[o * per]), 1.0, [int(ids[o * per])]) for o in range(owners)]
+        for live in (np.ones(owners, dtype=bool), *np.eye(owners, dtype=bool)):
+            assert recursive._walk(pset, live, origin) == [e if on else None
+                                                          for e, on in zip(expected, live)]
+        with_lsh_leaves(pset)
