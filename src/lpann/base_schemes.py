@@ -13,8 +13,8 @@ Two randomized schemes and one exact one, all with re-checked answers:
 * ``L2Scan`` -- the l2 leaves over a point set small enough that one exact
   scan is the cheaper lookup and measures no more rows than they could
   probe (``scan_fits``). The scan finds the nearest point, so it meets
-  every leaf's contract with probability 1 and answers them all; it draws
-  nothing and holds no table.
+  every leaf's contract with probability 1 and answers them all at once
+  (``query_l2_scan``); it draws nothing and holds no table.
 
 No scheme ever returns a candidate violating its bound: distances are
 re-verified and a bad candidate set yields ``None`` instead.
@@ -45,8 +45,8 @@ leaf, a grid copy a contiguous block of schemes. Its answer is three
 arrays over the copies, a found mask, ids and distances, or None if no
 copy answers. A mask leaves copies out: their cells are never measured,
 and their l2 tables are neither hashed nor measured. A lone scheme is
-queried as a group of one, and a scanned l2 set (``L2Scan``) through the
-same ``query_l2_ann``.
+queried as a group of one. A scanned l2 set answers once per query, not
+per copy.
 """
 
 from __future__ import annotations
@@ -426,16 +426,15 @@ def l2_group(leaves: list) -> L2Group:
 
 @dataclass
 class L2Scan:
-    """The ``copies`` l2 leaves over a point set small enough to scan
-    (``scan_fits``), answered by one exact scan: no draws and no table,
-    only data derived from the points: their mean and each point's squared
-    distance to it. Scoring against the mean keeps the pick as fine as the
+    """The l2 leaves over a point set small enough to scan (``scan_fits``,
+    which alone reads their count), answered by one exact scan
+    (``query_l2_scan``): no draws and no table, only the points' mean and
+    each point's squared distance to it, which keep the pick as fine as the
     set's spread when the set lies far from the origin."""
 
     ids: np.ndarray
     vectors: np.ndarray
     r: float
-    copies: int
     center: np.ndarray = field(init=False, repr=False)
     sq_norms: np.ndarray = field(init=False, repr=False)
 
@@ -448,24 +447,20 @@ class L2Scan:
             self.sq_norms = np.einsum("ij,ij->i", centered, centered)
 
 
-def _scan_l2(scan: L2Scan, q: np.ndarray, live):
-    """``query_l2_ann`` of a scanned set: the row least in
-    |x - c|^2 - 2 x.(q - c), c the set's mean, which is |x - q|^2 less a
-    constant, from one matrix-vector product (ties to the lowest row; an
-    exact l2 scan picks where that overflows), re-measured, answers every
-    live copy if it lies within 2r."""
-    live = np.ones(scan.copies, dtype=bool) if live is None else np.array(live, dtype=bool)
-    if not live.any():
-        return None
+def query_l2_scan(scan: L2Scan, q):
+    """(id, l2 distance) of the set's nearest row to q, the answer of every
+    leaf it stands for, if it lies within 2r; else None. The row is the one
+    least in |x - c|^2 - 2 x.(q - c), c the set's mean, which is |x - q|^2
+    less a constant, from one matrix-vector product (ties to the lowest
+    row; an exact l2 scan picks where that overflows), and re-measured."""
+    q = check_query(q, scan.vectors.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         score = scan.sq_norms - 2.0 * (scan.vectors @ (q - scan.center))
     if not np.isfinite(score).all():
         score = _kernels.dists_to_point(scan.vectors, q, 2.0)
     row = int(score.argmin())
-    dist = _kernels.dists_to_point(scan.vectors[row:row + 1], q, 2.0)[0]
-    if not dist <= 2.0 * scan.r:
-        return None
-    return live, np.full(scan.copies, scan.ids[row], dtype=np.int64), np.where(live, dist, np.inf)
+    dist = float(_kernels.dists_to_point(scan.vectors[row:row + 1], q, 2.0)[0])
+    return (int(scan.ids[row]), dist) if dist <= 2.0 * scan.r else None
 
 
 def _query_keys(group: L2Group, tables: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -476,13 +471,12 @@ def _query_keys(group: L2Group, tables: np.ndarray, q: np.ndarray) -> np.ndarray
                     q.reshape(1, -1))[:, 0, :]
 
 
-def query_l2_ann(group: L2Group | L2Scan, q, live=None):
+def query_l2_ann(group: L2Group, q, live=None):
     """Each leaf's answer, as (found, ids, dists) arrays over the leaves:
     the id and l2 distance of its first scanned candidate within 2r of q,
     probing at most max_probe candidates per table, where found; not found
     for a leaf without one or left out by ``live``, a boolean mask over
-    leaves (all by default). None if no leaf has one. Every leaf of an
-    ``L2Scan`` answers with the set's nearest point (``_scan_l2``).
+    leaves (all by default). None if no leaf has one.
 
     The tables are hashed and looked up in two passes: first the first
     table of every live leaf, then all remaining tables of the leaves
@@ -495,8 +489,6 @@ def query_l2_ann(group: L2Group | L2Scan, q, live=None):
     is hashed, and no bucket of one, or past a leaf's first candidate, is
     measured.
     """
-    if isinstance(group, L2Scan):
-        return _scan_l2(group, check_query(q, group.vectors.shape[1]), live)
     lead = group.leaves[0]
     q = check_query(q, lead.vectors.shape[1])
     members, m = group.table.members, len(lead.vectors)

@@ -242,15 +242,24 @@ def validate_report(report: dict) -> None:
     jsonschema.Draft202012Validator(_load_schema("report.schema.json")).validate(report)
 
 
+def _finite_number(token: str) -> float:
+    """A JSON number, which must be finite: ``json`` reads Infinity, NaN and
+    1e999 as non-finite floats, which the schema's "number" admits."""
+    if not np.isfinite(value := float(token)):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def cmd_bench(args) -> int:
+    text = _read_text(args.spec)
     try:
-        spec_dict = json.loads(_read_text(args.spec))
-    except json.JSONDecodeError as exc:
+        spec_dict = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+    except ValueError as exc:  # a JSONDecodeError, or a non-finite number
         raise UsageError(f"{args.spec}: invalid JSON: {exc}") from None
     validate_bench_spec(spec_dict)
     report = run_bench_campaign(spec_dict)
     validate_report(report)
-    atomic_write(args.out, [json.dumps(report, indent=2).encode("utf-8")])
+    atomic_write(args.out, [json.dumps(report, indent=2, allow_nan=False).encode("utf-8")])
     print(f"success_rate={report['success_rate']:.4f} c_p={report['approximation_bound']['c_p']:.4f}")
     print(f"report written to {args.out}")
     return 0

@@ -37,7 +37,8 @@ are numbered parent copy, then child copy, then node copy (see
 lookup of the set's group answers per copy, every copy's grids or every
 l2 leaf, each copy that it answers walks the set's ladder in lock-step
 with the others, and the walk alone picks each owner's answer, the first
-of its copies at the least distance.
+of its copies at the least distance. A scanned l2 set answers once, for
+all its owners; its copies only set its scan cutoff.
 
 Arbitrary exponents are first clamped to min(p, log2 d) and rounded down to
 a power of two; the constant-factor norm distortion this costs is computed
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from .base_schemes import (
     l2_group,
     query_coarse_ann,
     query_l2_ann,
+    query_l2_scan,
     scan_fits,
 )
 from .cover import Cluster, SparseCover, build_sparse_cover, diameter_bound_for
@@ -290,9 +292,9 @@ class PointSet:
     Each owner of the set, a copy of its parent set (one owner at the root),
     holds ``nodes`` nodes over it, each with ``node_copies`` copies; copy i
     belongs to owner i // (nodes * node_copies). ``group`` stacks every
-    copy's base schemes in copy order: one l2 leaf per copy at t == 2 (an
-    ``L2Scan`` answers them all when the set is small enough to scan),
-    ``base_copies`` grids per copy at larger t. ``ladder`` holds the set's
+    copy's base schemes in copy order: one l2 leaf per copy at t == 2,
+    ``base_copies`` grids per copy at larger t; a set that scans has an
+    ``L2Scan``, one answer for all its owners. ``ladder`` holds the set's
     refinement steps, which every copy walks.
     """
 
@@ -463,7 +465,7 @@ def _build_set(pset: PointSet, paths: list, r: float, config: SchemeConfig) -> N
     """
     copies = [path + (TAG_NODE_COPY, ci) for path in paths for ci in range(pset.node_copies)]
     if pset.t == 2.0 and scan_fits(*pset.vectors.shape, len(copies), PRIMITIVE_FAILURE):
-        pset.group = L2Scan(pset.ids, pset.vectors, r, len(copies))
+        pset.group = L2Scan(pset.ids, pset.vectors, r)
         return
     if pset.t == 2.0:
         leaves = [build_l2_ann(pset.ids, pset.vectors, r, PRIMITIVE_FAILURE,
@@ -509,13 +511,17 @@ def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
     the first of its copies, in copy order, at the least distance, or None;
     ``live`` marks the owners to answer.
 
-    Every copy of a live owner that its base schemes answer (an l2 leaf at
+    A scanned l2 set's one answer is every live owner's. Otherwise every
+    copy of a live owner that its base schemes answer (an l2 leaf at
     t == 2, grids above) is a walker, and the walkers climb the set's
     ladder, empty at t == 2, in lock-step. Per level, one gather routes
     them all, each routed cluster's map is applied once and its child set
     is walked once for every walker routed there (there, the set's copies
     are the owners), and one distance call re-verifies every candidate.
     """
+    if isinstance(pset.group, L2Scan):
+        hit = query_l2_scan(pset.group, q)
+        return [(*hit, [hit[0]]) if on and hit else None for on in live.tolist()]
     per = pset.nodes * pset.node_copies
     lookup = query_l2_ann if pset.t == 2.0 else query_coarse_ann
     starts = lookup(pset.group, q, np.repeat(live, per))
@@ -529,7 +535,7 @@ def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
         routes = level.cover.covering_ref[pset.ids.searchsorted(x_id)]
         cand = np.zeros(walkers.size, dtype=np.int64)
         has = np.zeros(walkers.size, dtype=bool)
-        for k in np.unique(routes):
+        for k in sorted(set(routes.tolist())):
             routed = np.flatnonzero(routes == k)
             reduction, center_id = level.children[k], level.cover.clusters[k].center_id
             if reduction.child is None:
@@ -565,9 +571,7 @@ def query(scheme: LpScheme, q) -> QueryAnswer | None:
     if res is None:
         return None
     pid, _, trace = res
-    true_dist = float(
-        _kernels.dists_to_point(scheme.root.vector_of(pid).reshape(1, -1), q, scheme.p)[0]
-    )
+    true_dist = float(_kernels.dists_to_point(scheme.root.vector_of(pid), q, scheme.p)[0])
     return QueryAnswer(id=int(pid), distance=true_dist, trace=trace)
 
 
@@ -584,13 +588,7 @@ class SpaceReport:
     l2_sets: dict  # "scan" and "lsh": l2 point sets scanned, and holding tables
 
     def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "per_level": dict(self.per_level),
-            "copy_counts": dict(self.copy_counts),
-            "table_bytes": dict(self.table_bytes),
-            "l2_sets": dict(self.l2_sets),
-        }
+        return asdict(self)
 
 
 def space_usage(scheme: LpScheme) -> SpaceReport:

@@ -257,6 +257,20 @@ def test_bench_small_campaign(tmp_path, capsys):
     assert report["space"]["l2_sets"]["scan"] > 0 == report["space"]["l2_sets"]["lsh"]
 
 
+@pytest.mark.parametrize("value", ["Infinity", "NaN", "1e999"])
+def test_bench_spec_non_finite_number_is_usage_error(tmp_path, capsys, value):
+    # json reads each as a non-finite float, which the schema's "number"
+    # admits: an infinite c_target would count every query a success and
+    # write Infinity, which is not JSON, into the report
+    spec_path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec_path.write_text('{"n_grid": [40], "d": 8, "p": 4.0, "r": 1.0, "trials": 2, '
+                         f'"seed": 3, "c_target": {value}}}')
+    assert run_cli(["bench", "--spec", str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"non-finite number {value}" in err
+    assert not out.exists() and list(tmp_path.iterdir()) == [spec_path]
+
+
 def test_bench_campaign_determinism():
     spec = {
         "n_grid": [40, 80],

@@ -98,9 +98,10 @@ def test_depth2_shape_covers_answers_and_reload(tmp_path, monkeypatch):
 
     # a query looks up each point set it visits once: the root's grids, at
     # each t = 8 step the grids of the t = 4 set its copies route to, and
-    # at each t = 4 step under it the leaves of one t = 2 set
+    # at each t = 4 step under it one scan of a t = 2 set, which makes no
+    # leaf-group lookup
     calls = Counter()
-    for attr in ("query_l2_ann", "query_coarse_ann"):
+    for attr in ("query_l2_ann", "query_l2_scan", "query_coarse_ann"):
         def counting(*args, _fn=getattr(recursive, attr), _attr=attr):
             calls[_attr] += 1
             return _fn(*args)
@@ -111,8 +112,8 @@ def test_depth2_shape_covers_answers_and_reload(tmp_path, monkeypatch):
         calls.clear()
         built += _answers(scheme, [q])
         assert calls == {"query_coarse_ann": 1 + plan[8.0],
-                         "query_l2_ann": plan[8.0] * plan[4.0]} == {
-                             "query_coarse_ann": 5, "query_l2_ann": 20}
+                         "query_l2_scan": plan[8.0] * plan[4.0]} == {
+                             "query_coarse_ann": 5, "query_l2_scan": 20}
 
     # the r-near queries succeed within c_p r
     assert all(float.fromhex(a[1]) <= scheme.bound.c_p * R for a in built[:3])

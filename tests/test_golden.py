@@ -321,7 +321,7 @@ def test_blobs_quality_against_exact_nn():
 def test_golden_l2_root(tmp_path):
     scheme, _ = _instance("l2root", 5)
     assert scheme.root.t == 2.0 and isinstance(scheme.root.group, base_schemes.L2Scan)
-    assert scheme.root.group.copies > 1
+    assert scheme.root.nodes * scheme.root.node_copies > 1
     assert answers("l2root", 5) == GOLDEN_L2ROOT
     assert answers("l2root", 5, tmp_path / "golden.lpann") == GOLDEN_L2ROOT
 
@@ -385,6 +385,17 @@ def _sets(pset):
         for reduction in level.children:
             if reduction.child is not None:
                 yield from _sets(reduction.child)
+
+
+def _copies(pset, owners: int = 1):
+    """(point set, copies over it) of every point set below pset, which has
+    ``owners`` owners, pset first, each once."""
+    copies = owners * pset.nodes * pset.node_copies
+    yield pset, copies
+    for level in pset.ladder:
+        for reduction in level.children:
+            if reduction.child is not None:
+                yield from _copies(reduction.child, copies)
 
 
 def test_loaded_children_share_arrays_as_built(tmp_path):
@@ -465,17 +476,17 @@ def test_one_group_per_point_set_built_and_loaded(kind, tmp_path):
     loaded = load_index(str(tmp_path / "golden.lpann"))
     patterns = []
     for index in (scheme, loaded):
-        sets = list(_sets(index.root))
-        assert len({id(s.group) for s in sets}) == len(sets) > 1
-        owners, pattern = {id(index.root): 1}, []
-        for pset in sets:
-            copies = owners[id(pset)] * pset.nodes * pset.node_copies
-            for level in pset.ladder:
-                owners.update({id(ch.child): copies for ch in level.children if ch.child})
+        sets, pattern = list(_copies(index.root)), []
+        assert len({id(s.group) for s, _ in sets}) == len(sets) > 1
+        for pset, copies in sets:
             group = pset.group
-            assert group.copies == copies
             if isinstance(group, base_schemes.CoarseGroup):
+                assert group.copies == copies
                 assert (group.copy_of == np.arange(copies).repeat(index.config.base_copies)).all()
+            else:  # every l2 set scans, and its copies set its cutoff only
+                assert isinstance(group, base_schemes.L2Scan)
+                assert base_schemes.scan_fits(*pset.vectors.shape, copies,
+                                              recursive.PRIMITIVE_FAILURE)
             pattern.append((pset.t, type(group).__name__, copies))
         patterns.append(pattern)
     assert patterns[0] == patterns[1]
@@ -496,8 +507,7 @@ def test_tables_keep_only_what_a_query_reads(tmp_path):
             expected = {"l2": 0, "coarse": 0}
             for group in (pset.group for pset in _sets(index.root)):
                 if isinstance(group, base_schemes.L2Scan):
-                    assert vars(group).keys() == {"ids", "vectors", "r", "copies",
-                                                  "center", "sq_norms"}
+                    assert vars(group).keys() == {"ids", "vectors", "r", "center", "sq_norms"}
                     continue
                 table = group.table
                 sizes = table.spans(np.arange(table.fingerprints.size))[1]
@@ -551,21 +561,22 @@ def _gauss_d32():
     return scheme, workloads.make_queries(w, data, 1)[0]
 
 
-def lsh_group(scan, seed: int = 0):
+def lsh_group(scan, copies: int, seed: int = 0):
     """LSH leaves over a scanned l2 set's points, one per copy, in one
     group: what the build holds for a set too large to scan."""
     return base_schemes.l2_group([
         base_schemes.build_l2_ann(scan.ids, scan.vectors, scan.r, recursive.PRIMITIVE_FAILURE,
                                   np.random.SeedSequence(seed, spawn_key=(i,)))
-        for i in range(scan.copies)])
+        for i in range(copies)])
 
 
-def with_lsh_leaves(root) -> None:
+def with_lsh_leaves(root, owners: int = 1) -> None:
     """Replace the group of every scanned l2 set below the point set root,
-    root included, by LSH leaves over the set (``lsh_group``)."""
-    for pset in _sets(root):
+    root included, by LSH leaves over the set (``lsh_group``); root has
+    ``owners`` owners."""
+    for pset, copies in _copies(root, owners):
         if isinstance(pset.group, base_schemes.L2Scan):
-            pset.group = lsh_group(pset.group)
+            pset.group = lsh_group(pset.group, copies)
 
 
 def _l2_groups(instance: str) -> list:
@@ -576,9 +587,9 @@ def _l2_groups(instance: str) -> list:
         scheme, _ = _gauss_d32()
     else:
         scheme, _ = _instance("blobs", 5)
-    scans = [pset.group for pset in _sets(scheme.root)
+    scans = [(pset.group, copies) for pset, copies in _copies(scheme.root)
              if isinstance(pset.group, base_schemes.L2Scan)]
-    return [lsh_group(scan) for scan in scans[:1 if instance == "gauss-d32" else None]]
+    return [lsh_group(*scan) for scan in scans[:1 if instance == "gauss-d32" else None]]
 
 
 @pytest.mark.parametrize("instance", ["gauss-d32", "blobs"])

@@ -76,9 +76,10 @@ def test_probes_see_calls(tmp_path, monkeypatch):
 
 def test_one_lookup_per_group(monkeypatch):
     # a query looks up each point set once: the root's grids, over all its
-    # copies, with one query_coarse_ann call, and at each ladder step the l2
-    # leaves of every child and node copy over the cluster the root copies
-    # route to, under all of them, with one query_l2_ann call
+    # copies, with one query_coarse_ann call, and at each ladder step the
+    # scanned l2 set of the cluster the root copies route to, for all of
+    # its child and node copies, with one query_l2_scan call and no
+    # query_l2_ann call
     rng = np.random.default_rng(0)
     centers = np.zeros((4, 32))
     centers[:, 0] = 100.0 * math.sqrt(32) * np.arange(4)
@@ -89,7 +90,7 @@ def test_one_lookup_per_group(monkeypatch):
     assert levels and all(len(cl.member_ids) > 1 for lvl in levels for cl in lvl.cover.clusters)
     assert {ch.child.t for lvl in levels for ch in lvl.children} == {2.0}
     calls = Counter()
-    for attr in ("query_l2_ann", "query_coarse_ann"):
+    for attr in ("query_l2_ann", "query_l2_scan", "query_coarse_ann"):
         def counting(*args, _fn=getattr(lpann.recursive, attr), _attr=attr):
             calls[_attr] += 1
             return _fn(*args)
@@ -100,7 +101,7 @@ def test_one_lookup_per_group(monkeypatch):
     for q in data[:8] + 0.01:
         calls.clear()
         assert lpann.query(scheme, q) is not None
-        assert calls == {"query_coarse_ann": 1, "query_l2_ann": steps}
+        assert calls == {"query_coarse_ann": 1, "query_l2_scan": steps}
 
 
 def _sets(pset):

@@ -28,6 +28,7 @@ from lpann import (
     query_coarse_ann,
     query_l2_ann,
 )
+from lpann.base_schemes import L2Scan, query_l2_scan
 from lpann.cli import make_scheme_builder
 from lpann.geometry import mazur_map_apply
 from lpann.oracle import TrialSpec, make_planted_instance
@@ -357,13 +358,14 @@ def entry_points():
         "query": lambda q: query(scheme, q),
         "nns_search": lambda q: nns_search(ds, 4.0, 0.5, q),
         "query_l2_ann": lambda q: query_l2_ann(leaf, q),
+        "query_l2_scan": lambda q: query_l2_scan(L2Scan(ds.ids, x, 1.0), q),
         "query_coarse_ann": lambda q: query_coarse_ann(grid, q),
         "exact_nn": lambda q: exact_nn(ds, q),
     }
 
 
-@pytest.mark.parametrize("entry", ["query", "nns_search", "query_l2_ann", "query_coarse_ann",
-                                   "exact_nn"])
+@pytest.mark.parametrize("entry", ["query", "nns_search", "query_l2_ann", "query_l2_scan",
+                                   "query_coarse_ann", "exact_nn"])
 @pytest.mark.parametrize("bad", ["length", "nan", "inf"])
 def test_every_entry_point_checks_its_query(entry_points, entry, bad):
     q = {"length": np.zeros(3), "nan": np.array([0.0, math.nan, 0.0, 0.0]),

@@ -1,9 +1,9 @@
 """Exact leaves: an l2 point set small enough to scan (``scan_fits``) is
 answered by one exact scan, ``L2Scan``, instead of LSH leaves.
 
-Its answer, for every live copy, is the set's nearest row to the query,
-ties to the lowest row, when that row lies within 2r, and no answer
-otherwise. These tests hold it to a brute-force l2 scan on the sets the
+Its one answer, ``query_l2_scan``, which the walk hands to every live
+owner, is the set's nearest row to the query, ties to the lowest row,
+when that row lies within 2r, and no answer otherwise. These tests hold it to a brute-force l2 scan on the sets the
 benchmark's workloads and the line instance carve, with the queries their
 walks send there.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from lpann import Dataset, SchemeConfig, load_index, preprocess, query, recursive, save_index
 from lpann import _kernels, base_schemes
-from lpann.base_schemes import L2Group, L2Scan, query_l2_ann, scan_fits
+from lpann.base_schemes import L2Group, L2Scan, query_l2_scan, scan_fits
 from test_golden import _sets, line_points
 
 import workloads  # test_golden puts perfbench on the path
@@ -29,34 +29,31 @@ def _brute(scan: L2Scan, q: np.ndarray):
     return row, dists[row]
 
 
-def _check_scan(scan: L2Scan, q: np.ndarray, live=None) -> bool:
+def _check_scan(scan: L2Scan, q: np.ndarray) -> bool:
     """Assert the scan's answer against ``_brute``; whether it answers."""
-    answer = query_l2_ann(scan, q, live)
+    answer = query_l2_scan(scan, q)
     row, dist = _brute(scan, q)
-    live = np.ones(scan.copies, dtype=bool) if live is None else np.asarray(live)
-    if not (dist <= 2.0 * scan.r and live.any()):
+    if not dist <= 2.0 * scan.r:
         assert answer is None
         return False
-    found, ids, dists = answer
-    assert (found == live).all() and (ids[live] == scan.ids[row]).all()
     exact = _kernels.dists_to_point(scan.vectors[row], q, 2.0)[0]
-    assert (dists[live] == exact).all() and np.isclose(exact, dist, rtol=1e-12)
+    assert answer == (scan.ids[row], exact) and np.isclose(exact, dist, rtol=1e-12)
     return True
 
 
 def _walked(scheme, queries, monkeypatch) -> list:
-    """(group, mapped query, live mask) of every l2 lookup the queries'
-    walks make."""
-    calls, real = [], recursive.query_l2_ann
+    """(scan, mapped query) of every scan the queries' walks make."""
+    calls, real = [], recursive.query_l2_scan
 
-    def recording(group, q, live=None):
-        calls.append((group, q, live))
-        return real(group, q, live)
+    def recording(scan, q):
+        calls.append((scan, q))
+        return real(scan, q)
 
-    monkeypatch.setattr(recursive, "query_l2_ann", recording)
+    monkeypatch.setattr(recursive, "query_l2_scan", recording)
     for q in queries:
         query(scheme, q)
     monkeypatch.undo()
+    assert calls
     return calls
 
 
@@ -81,10 +78,10 @@ def test_scan_answers_the_nearest_row_within_2r(name, monkeypatch):
     groups = [pset.group for pset in _sets(scheme.root) if pset.t == 2.0]
     assert groups and all(isinstance(g, L2Scan) for g in groups)
     answered = []
-    for group, q, live in _walked(scheme, queries, monkeypatch):
+    for group, q in _walked(scheme, queries, monkeypatch):
         moved = q.copy()
         moved[0] += 3.0 * group.r
-        answered += [_check_scan(group, q, live), _check_scan(group, moved, live)]
+        answered += [_check_scan(group, q), _check_scan(group, moved)]
     assert any(answered) and not all(answered)
 
 
@@ -93,13 +90,9 @@ def test_scan_ties_go_to_the_lowest_row():
     # from the origin and scores exactly 1, so the first, e_0 (id 11), answers
     d = 8
     vectors = np.vstack([2.0 * np.eye(d)[:1], np.eye(d), -np.eye(d)])
-    scan = L2Scan(np.arange(len(vectors), dtype=np.int64) + 10, vectors, 1.0, 3)
-    found, ids, dists = query_l2_ann(scan, np.zeros(d))
-    assert found.all() and (ids == 11).all() and (dists == 1.0).all()
-    found, ids, _ = query_l2_ann(scan, np.zeros(d), [False, True, False])
-    assert found.tolist() == [False, True, False] and ids[1] == 11
-    assert query_l2_ann(scan, np.zeros(d), [False] * 3) is None
-    assert query_l2_ann(scan, np.full(d, 5.0)) is None
+    scan = L2Scan(np.arange(len(vectors), dtype=np.int64) + 10, vectors, 1.0)
+    assert query_l2_scan(scan, np.zeros(d)) == (11, 1.0)
+    assert query_l2_scan(scan, np.full(d, 5.0)) is None
 
 
 @pytest.mark.parametrize("offset", [1e6, 1e9, 1e12])
@@ -113,11 +106,11 @@ def test_scan_far_from_the_origin_finds_the_point_within_2r(offset):
     step = rng.standard_normal((50, 32))
     step *= 0.9 / np.linalg.norm(step, axis=1, keepdims=True)
     sources = rng.choice(1000, size=50, replace=False)
-    scan = L2Scan(np.arange(1000, dtype=np.int64), data + offset, 1.0, 4)
+    scan = L2Scan(np.arange(1000, dtype=np.int64), data + offset, 1.0)
     for q in data[sources] + step:
-        found, ids, dists = query_l2_ann(scan, q + offset)
-        assert found.all() and (dists <= 2.0).all()
-        assert (ids == _brute(L2Scan(scan.ids, data, 1.0, 1), q)[0]).all()
+        hit = query_l2_scan(scan, q + offset)
+        assert hit is not None and hit[1] <= 2.0
+        assert hit[0] == _brute(L2Scan(scan.ids, data, 1.0), q)[0]
 
 
 def test_scan_past_the_float_range_of_squared_norms():
@@ -127,10 +120,9 @@ def test_scan_past_the_float_range_of_squared_norms():
     big = np.zeros((3, 4))
     big[:, 0] = [-1e200, 1e200, 1e200]
     big[2, 1] = 3.0
-    scan = L2Scan(np.array([4, 5, 7]), big, 1.0, 2)
+    scan = L2Scan(np.array([4, 5, 7]), big, 1.0)
     assert not np.isfinite(scan.sq_norms).any()
-    found, ids, dists = query_l2_ann(scan, big[2])
-    assert found.all() and (ids == 7).all() and (dists == 0.0).all()
+    assert query_l2_scan(scan, big[2]) == (7, 0.0)
 
 
 def test_scan_cutoff_on_both_sides():
@@ -175,10 +167,10 @@ def test_scan_answers_built_and_loaded_agree_bit_for_bit(name, tmp_path, monkeyp
     loaded = load_index(str(tmp_path / "x.lpann"))
     built, reloaded = (_walked(index, queries, monkeypatch) for index in (scheme, loaded))
     assert len(built) == len(reloaded) > 0
-    for (g1, q1, live1), (g2, q2, live2) in zip(built, reloaded):
+    for (g1, q1), (g2, q2) in zip(built, reloaded):
         assert g1.sq_norms.tobytes() == g2.sq_norms.tobytes()
-        assert q1.tobytes() == q2.tobytes() and np.array_equal(live1, live2)
-        a1, a2 = query_l2_ann(g1, q1, live1), query_l2_ann(g2, q2, live2)
+        assert q1.tobytes() == q2.tobytes()
+        a1, a2 = query_l2_scan(g1, q1), query_l2_scan(g2, q2)
         assert (a1 is None) == (a2 is None)
         if a1 is not None:
-            assert all(x.tobytes() == y.tobytes() for x, y in zip(a1, a2))
+            assert a1[0] == a2[0] and float.hex(a1[1]) == float.hex(a2[1])

@@ -10,7 +10,8 @@ schemes from its point set's group by copy index (a leaf's index, or
 trace, with the l2 sets scanned as built and with LSH leaves in their place
 (``with_lsh_leaves``), and it must also do so when the copies over one
 point set route to different clusters at one ladder step, so that a group
-is looked up for some of its copies only, and when copies tie.
+is looked up for some of its copies only, and when copies tie. A scanned
+set is scanned once per query that reaches it, whatever its copies.
 """
 
 import numpy as np
@@ -24,11 +25,13 @@ from test_golden import line_points, with_lsh_leaves
 
 class _Reference:
     """The per-copy recursion. It records, per query, the clusters that the
-    copies over each point set route to at each ladder step."""
+    copies over each point set route to at each ladder step, and the
+    scanned l2 sets they reach."""
 
     def __init__(self):
         self.groups = {}  # one group per sibling set or node, built on first use
         self.routes = {}
+        self.scanned = set()
 
     def _group(self, key, build):
         if key not in self.groups:
@@ -39,6 +42,7 @@ class _Reference:
         """Best answer of the nodes that parent copy ``owner`` holds over pset."""
         group, best = pset.group, None
         if isinstance(group, base_schemes.L2Scan):
+            self.scanned.add(id(group))
             dists = _kernels.dists_to_point(group.vectors, q, 2.0)
             row = int(dists.argmin())
             if not dists[row] <= 2.0 * group.r:
@@ -91,6 +95,7 @@ class _Reference:
         the number of splits met: (point set, ladder step) pairs at which
         the copies route to more than one cluster."""
         self.routes.clear()
+        self.scanned.clear()
         res = self.query_nodes(scheme.root, 0, q)
         splits = sum(len(clusters) > 1 for clusters in self.routes.values())
         if res is None:
@@ -144,31 +149,45 @@ def _split(seed: int):
 
 
 def _check(scheme, queries, monkeypatch) -> tuple:
-    """Assert every answer equals the reference's; return the splits met and
-    whether a leaf group was looked up for some of its leaves only."""
-    masked = []
-    real = recursive.query_l2_ann
+    """Assert every answer equals the reference's, and that each query scans
+    every scanned l2 set the reference reaches exactly once; return the
+    splits met, per leaf-group lookup whether it was for some of its leaves
+    only, and the number of scans."""
+    masked, scans = [], []
+    real_lookup, real_scan = recursive.query_l2_ann, recursive.query_l2_scan
 
-    def recording(group, q, live=None):
+    def looking_up(group, q, live=None):
         masked.append(live is not None and not np.all(live))
-        return real(group, q, live)
+        return real_lookup(group, q, live)
 
-    monkeypatch.setattr(recursive, "query_l2_ann", recording)
+    def scanning(scan, q):
+        scans.append(id(scan))
+        return real_scan(scan, q)
+
+    monkeypatch.setattr(recursive, "query_l2_ann", looking_up)
+    monkeypatch.setattr(recursive, "query_l2_scan", scanning)
     reference = _Reference()
-    splits = 0
+    splits, scanned = 0, 0
     for q in queries:
         expected, split = reference.query(scheme, q)
         splits += split
+        scans.clear()
         assert _answer(scheme, q) == expected
-    return splits, any(masked)
+        assert sorted(scans) == sorted(reference.scanned)
+        scanned += len(scans)
+    return splits, masked, scanned
 
 
 def _check_both(scheme, queries, monkeypatch) -> list:
-    """``_check`` of the index as built, whose l2 sets scan, and then with
-    LSH leaves in their place; the two results."""
-    out = [_check(scheme, queries, monkeypatch)]
+    """``_check`` of the index as built, whose l2 sets scan and make no
+    leaf-group lookup, and then with LSH leaves in their place, which are
+    looked up and scan nothing; the two results."""
+    scanned = _check(scheme, queries, monkeypatch)
+    assert scanned[2] > 0 and not scanned[1]
     with_lsh_leaves(scheme.root)
-    return out + [_check(scheme, queries, monkeypatch)]
+    hashed = _check(scheme, queries, monkeypatch)
+    assert hashed[1] and not hashed[2]
+    return [scanned, hashed]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -190,10 +209,11 @@ def test_walk_matches_per_copy_recursion_when_copies_split(seed, monkeypatch):
     scheme = preprocess(dataset, SchemeConfig(p=4.0, r=r, seed=seed))
     cover = scheme.root.ladder[0].cover
     assert cover.covering_ref[1] != cover.covering_ref[2]
-    # copies of the root routed to different clusters at one ladder step,
-    # and an l2 group was looked up for some of its copies only
-    for splits, masked in _check_both(scheme, queries, monkeypatch):
-        assert splits > 0 and masked
+    # copies of the root routed to different clusters at one ladder step;
+    # scanned, each routed l2 set was scanned once per query (``_check``),
+    # and as LSH leaves, an l2 group was looked up for some of its copies only
+    (splits, _, _), (lsh_splits, masked, _) = _check_both(scheme, queries, monkeypatch)
+    assert splits > 0 and lsh_splits > 0 and any(masked)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -221,7 +241,7 @@ def test_walk_answers_each_owner_of_a_shared_set(seed):
                 assert recursive._walk(pset, live, q) == [e if on else None
                                                           for e, on in zip(expected, live)]
         assert answered
-        with_lsh_leaves(pset)
+        with_lsh_leaves(pset, owners)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -279,16 +299,18 @@ def test_walk_keeps_the_first_of_tied_copies(seed, monkeypatch):
                          config.r, config)
     per = pset.nodes * pset.node_copies
     for scanned in (True, False):
-        found, ids, dists = base_schemes.query_l2_ann(pset.group, origin)
-        assert found.all() and (dists == 1.0).all()
         if scanned:
-            assert (ids == dataset.ids[0]).all()
+            firsts = [int(dataset.ids[0])] * owners
+            assert base_schemes.query_l2_scan(pset.group, origin) == (firsts[0], 1.0)
         else:
+            found, ids, dists = base_schemes.query_l2_ann(pset.group, origin)
+            assert found.all() and (dists == 1.0).all()
             assert all(ids[o * per] != ids[(o + 1) * per - 1] for o in range(owners))
+            firsts = [int(ids[o * per]) for o in range(owners)]
         reference = _Reference()
         expected = [reference.query_nodes(pset, o, origin) for o in range(owners)]
-        assert expected == [(int(ids[o * per]), 1.0, [int(ids[o * per])]) for o in range(owners)]
+        assert expected == [(x, 1.0, [x]) for x in firsts]
         for live in (np.ones(owners, dtype=bool), *np.eye(owners, dtype=bool)):
             assert recursive._walk(pset, live, origin) == [e if on else None
                                                           for e, on in zip(expected, live)]
-        with_lsh_leaves(pset)
+        with_lsh_leaves(pset, owners)
