@@ -23,29 +23,30 @@ A scheme holds only its draws and the scalars derived from them. Schemes
 over one point array are looked up together as a group (``l2_group``,
 ``coarse_group``): their draws are stacked, and the group builds its buckets
 and cells from them, a table at a time (an l2 leaf's points hashed with one
-matrix product), into one flat table, never saved, that keeps only what a
-query reads: a sorted column of 64-bit fingerprints of (table, key), all
-under one salt's multipliers, the E2LSH layout of Datar, Immorlica, Indyk
-and Mirrokni (SoCG 2004), and per bucket, numbered in fingerprint order,
-its table number and CSR members. An l2 bucket keeps its full int64
-key and its first ``max_probe`` members; a grid cell keeps one member, its
-representative, and no key, for the cell is recomputed from the
-representative. A grid query hashes every stacked grid at once, finds its
-cell in every grid with one ``searchsorted`` over the fingerprints, whose
-positions are the buckets, confirms only the matches it answers with on
-the full cell, and measures the distinct representatives, found by a
-scatter over the group's points, with one distance call. An l2 query walks the tables in order and stops
-early, as E2LSH's does, in two passes: it hashes the first table of every
-leaf with one matrix product and looks those keys up with one search, and
-then, with one more product and search, all remaining tables of the
-leaves still without a candidate within 2r. Each pass confirms its
-matches on the full key and measures its buckets in rounds, one distance
-call a round. A query answers per copy of the group: an l2 copy is one
-leaf, a grid copy a contiguous block of schemes. Its answer is three
-arrays over the copies, a found mask, ids and distances, or None if no
-copy answers. A mask leaves copies out: their cells are never measured,
-and their l2 tables are neither hashed nor measured. A lone scheme is
-queried as a group of one. A scanned l2 set answers once per query, not
+matrix product, a grid's cells computed per point only in the coordinates
+where a cell boundary cuts the points' bounding box), into one flat table,
+never saved, that keeps only what a query reads: a sorted column of 64-bit
+fingerprints of (table, key), all under one salt's multipliers, the E2LSH
+layout of Datar, Immorlica, Indyk and Mirrokni (SoCG 2004), and per bucket,
+numbered in fingerprint order, its table number and CSR members. An l2
+bucket keeps its full int64 key and its first ``max_probe`` members; a grid
+cell keeps one member, its representative, and no key, for the cell is
+recomputed from the representative. A grid query hashes every stacked grid
+at once, finds its cell in every grid with one ``searchsorted`` over the
+fingerprints, whose positions are the buckets, confirms only the matches it
+answers with on the full cell, and measures the distinct representatives,
+found by a scatter over the group's points, with one distance call. An l2
+query walks the tables in order and stops early, as E2LSH's does, in two
+passes: it hashes the first table of every leaf with one matrix product and
+looks those keys up with one search, and then, with one more product and
+search, all remaining tables of the leaves still without a candidate within
+2r. Each pass confirms its matches on the full key and measures its buckets
+in rounds, one distance call a round. A query answers per copy of the group:
+an l2 copy is one leaf, a grid copy a contiguous block of schemes. Its
+answer is three arrays over the copies, a found mask, ids and distances, or
+None if no copy answers. A mask leaves copies out: their cells are never
+measured, and their l2 tables are neither hashed nor measured. A lone scheme
+is queried as a group of one. A scanned l2 set answers once per query, not
 per copy.
 """
 
@@ -177,29 +178,40 @@ def _multipliers(salt: int, width: int) -> np.ndarray:
     return _rng(salt).integers(0, 2**64, size=width + 1, dtype=np.uint64)
 
 
-def _fingerprints(multipliers, tables, keys: np.ndarray) -> np.ndarray:
+def _fingerprints(multipliers, tables, keys: np.ndarray, box=None) -> np.ndarray:
     """The uint64 fingerprint of each (tables[i], keys[i]): a linear form in
     the key's ints and the table number, wrapping mod 2**64. Under uniform
     multipliers two distinct pairs share a fingerprint with probability at
-    most 2**(v - 64), where bit v is the lowest bit in which they differ."""
-    out = keys.view(np.uint64) @ multipliers[:-1]
+    most 2**(v - 64), where bit v is the lowest bit in which they differ.
+
+    With ``box = (cols, row)``, keys holds only columns cols of the keys,
+    and every key's other columns are row's (row is zero at cols): their
+    term, one scalar, is added like the table number's. The form is linear
+    mod 2**64, so the fingerprints are the full keys' bit for bit."""
+    if box is None:
+        out = keys.view(np.uint64) @ multipliers[:-1]
+    else:
+        cols, row = box
+        out = keys.view(np.uint64) @ multipliers[cols]
+        out += row.view(np.uint64) @ multipliers[:-1]
     out += np.asarray(tables, dtype=np.uint64) * multipliers[-1]
     return out
 
 
-def _split(multipliers, t: int, keys: np.ndarray):
+def _split(multipliers, t: int, keys: np.ndarray, box=None):
     """(order, first, fingerprints) grouping the rows of table t's keys by
     fingerprint: order sorts them stably, and run j of equal fingerprints
     begins at order[first[j]] and has fingerprints[j]; None if a run holds
-    two different keys.
+    two different keys. keys and box are as in ``_fingerprints``.
 
     The table number enters the fingerprints as one scalar term. The run
     check gathers the keys once in sorted order and compares each row with
-    the one before it wherever no run begins; when one run spans the table
+    the one before it wherever no run begins, in keys' columns only (under
+    a box every key agrees in the others); when one run spans the table
     (most tables of an l2 leaf), order is the identity and the keys are
     already in sorted order.
     """
-    fp = _fingerprints(multipliers, t, keys)
+    fp = _fingerprints(multipliers, t, keys, box)
     order = fp.argsort(kind="stable")
     fp = fp[order]
     new = _run_starts(fp)
@@ -213,13 +225,15 @@ def _split(multipliers, t: int, keys: np.ndarray):
 def _bucket_table(tables: Callable, keep_keys: bool = True) -> _BucketTable:
     """Group the points of each table into buckets by key, a table at a time.
 
-    ``tables()`` yields one (keys, cap) pair per table, numbered in order:
-    the points' int keys, an (m, k) array, and the most members a bucket of
-    the table keeps. Each table is split on its own by ``_split`` and leaves
-    only its runs, members and fingerprints, and its buckets' keys if
-    ``keep_keys``; a table's keys are dropped before the next table's are
-    made. Sorting all fingerprints and capping the members run once at the
-    end.
+    ``tables()`` yields one (keys, cap, box) triple per table, numbered in
+    order: the points' int keys, an (m, k) array, the most members a bucket
+    of the table keeps, and None, or, where keys holds only some columns of
+    width-k keys, the box that gives the others (see ``_fingerprints``).
+    Each table is split on its own by ``_split`` and leaves only its runs,
+    members and fingerprints, and its buckets' keys if ``keep_keys`` (which
+    takes whole keys); a table's keys are dropped before the next table's
+    are made. Sorting all fingerprints and capping the members run once at
+    the end.
 
     A pass fingerprints every table under one salt's multipliers, from salt
     0 on. A fingerprint run holding two keys, or two buckets sharing a
@@ -232,10 +246,10 @@ def _bucket_table(tables: Callable, keep_keys: bool = True) -> _BucketTable:
     for salt in itertools.count():
         multipliers, base = None, 0
         keys, runs, members, caps, fps = [], [], [], [], []
-        for table_keys, cap in tables():
+        for table_keys, cap, box in tables():
             if multipliers is None:
-                multipliers = _multipliers(salt, table_keys.shape[1])
-            split = _split(multipliers, len(fps), table_keys)
+                multipliers = _multipliers(salt, (table_keys if box is None else box[1]).shape[-1])
+            split = _split(multipliers, len(fps), table_keys, box)
             if split is None:
                 del table_keys  # before the next pass makes any
                 break
@@ -285,7 +299,7 @@ def _lookup(table: _BucketTable, tables: np.ndarray, keys: np.ndarray):
         found &= table.fingerprints[bucket] == fp
     else:
         found &= (table.keys[bucket] == keys).all(axis=1)
-    found = np.flatnonzero(found)
+    found = found.nonzero()[0]
     return found, bucket[found]
 
 
@@ -294,7 +308,7 @@ def _distinct(rows: np.ndarray, m: int):
     scatter over the m rows instead of a sort."""
     mark = np.zeros(m, dtype=bool)
     mark[rows] = True
-    distinct = np.flatnonzero(mark)
+    distinct = mark.nonzero()[0]
     position = np.empty(m, dtype=np.intp)
     position[distinct] = np.arange(distinct.size)
     return distinct, position[rows]
@@ -417,7 +431,7 @@ def l2_group(leaves: list) -> L2Group:
     """Group leaves built over one point array for one radius, in order,
     and build their one bucket table. A lone leaf is the group ``[leaf]``."""
     table = _bucket_table(lambda: (
-        (keys, leaf.max_probe) for leaf in leaves
+        (keys, leaf.max_probe, None) for leaf in leaves
         for keys in _l2_keys(leaf.projections, leaf.offsets, leaf.w, leaf.vectors)
     ))
     (projections, offsets), leaf_of = _stack(leaves, ("projections", "offsets"))
@@ -499,21 +513,21 @@ def query_l2_ann(group: L2Group, q, live=None):
         pending = np.array(live, dtype=bool)  # a copy: leaves that hit leave it
     hit = False
     for first_pass in (True, False):
-        tables = np.flatnonzero((group.first == first_pass) & pending[group.leaf_of])
+        tables = ((group.first == first_pass) & pending[group.leaf_of]).nonzero()[0]
         if not tables.size:
             break
         found, buckets = _lookup(group.table, tables, _query_keys(group, tables, q))
         leaf = group.leaf_of[tables[found]]  # ascends: stacked tables are in leaf order
         rank = np.arange(found.size) - leaf.searchsorted(leaf)
         for j in range(rank.max() + 1 if found.size else 0):
-            sel = np.flatnonzero((rank == j) & pending[leaf])
+            sel = ((rank == j) & pending[leaf]).nonzero()[0]
             if not sel.size:
                 break
             lo, size = group.table.spans(buckets[sel])
             cand = members[np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)]
             rows, inv = _distinct(cand, m)  # leaves share candidates
             dists = _kernels.dists_to_point(lead.vectors[rows], q, 2.0)[inv]
-            ok = np.flatnonzero(dists <= 2.0 * lead.r)
+            ok = (dists <= 2.0 * lead.r).nonzero()[0]
             if not ok.size:
                 continue
             hit = True
@@ -586,7 +600,9 @@ class CoarseGroup:
     together. Stacked grid i (``shifts[i]``) belongs to scheme
     ``scheme_of[i]`` of ``schemes`` and is table i of ``table``, which keeps
     one member per occupied cell, its lowest local index, and no cell:
-    ``query_coarse_ann`` recomputes it with ``_cells``. Scheme s belongs to
+    ``query_coarse_ann`` recomputes it with ``_cells``. It is built from
+    the cells of each grid's varying coordinates only (``_grid_tables``),
+    and is the table of the full cells, bit for bit. Scheme s belongs to
     copy ``copy_of[s]`` of ``copies``."""
 
     schemes: list
@@ -597,15 +613,31 @@ class CoarseGroup:
     table: _BucketTable = field(repr=False)
 
 
+def _grid_tables(vectors: np.ndarray, shifts: np.ndarray, side: float):
+    """Each grid's cells for ``_bucket_table``, a grid at a time, computed
+    only in the coordinates where a cell boundary cuts the points' bounding
+    box. ``_cells`` is monotone in each coordinate, so where the box's two
+    corners share a cell every point has it too: that coordinate's cell
+    enters the key as the box's fixed row, and only the other ("varying")
+    coordinates are computed per point."""
+    box = np.stack([vectors.min(axis=0), vectors.max(axis=0)])
+    for shift in shifts:
+        low, high = _cells(box, shift, side)
+        cols = (low != high).nonzero()[0]
+        low[cols] = 0
+        yield _cells(vectors[:, cols], shift[cols], side), 1, (cols, low)
+
+
 def coarse_group(copies: list) -> CoarseGroup:
     """Group the grid schemes of each copy (a list of lists of schemes built
     over one point array for one norm and radius) and build their one cell
-    table, a grid at a time. A lone scheme is the group ``[[scheme]]``."""
+    table, a grid at a time, with each grid's cells computed per point only
+    in its varying coordinates (``_grid_tables``); the table is the one the
+    full cells give, bit for bit. A lone scheme is the group ``[[scheme]]``."""
     schemes = [s for base in copies for s in base]
     (shifts,), scheme_of = _stack(schemes, ("shifts",))
     vectors, side = schemes[0].vectors, schemes[0].cell_side
-    table = _bucket_table(lambda: ((_cells(vectors, shift, side), 1) for shift in shifts),
-                          keep_keys=False)
+    table = _bucket_table(lambda: _grid_tables(vectors, shifts, side), keep_keys=False)
     copy_of = np.repeat(np.arange(len(copies)), [len(base) for base in copies])
     return CoarseGroup(schemes, copy_of, len(copies), shifts, scheme_of, table)
 
@@ -633,7 +665,7 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
     reps = group.table.members[buckets]
     cand, inv = _distinct(reps, len(lead.vectors))
     dists = _kernels.dists_to_point(lead.vectors[cand], q, lead.p)[inv]
-    ok = np.flatnonzero(dists <= lead.c0 * lead.r)
+    ok = (dists <= lead.c0 * lead.r).nonzero()[0]
     grids, reps, dists = found[ok], reps[ok], dists[ok]
     which = group.scheme_of[grids]
     copy = group.copy_of[which]

@@ -528,7 +528,7 @@ def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
     if starts is None:
         return [None] * live.size
     found, x_id, x_dist = starts
-    walkers = np.flatnonzero(found)
+    walkers = found.nonzero()[0]
     x_id, x_dist = x_id[walkers], x_dist[walkers]
     traces = [[x] for x in x_id.tolist()]
     for level in pset.ladder:
@@ -536,7 +536,7 @@ def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
         cand = np.zeros(walkers.size, dtype=np.int64)
         has = np.zeros(walkers.size, dtype=bool)
         for k in sorted(set(routes.tolist())):
-            routed = np.flatnonzero(routes == k)
+            routed = (routes == k).nonzero()[0]
             reduction, center_id = level.children[k], level.cover.clusters[k].center_id
             if reduction.child is None:
                 cand[routed], has[routed] = center_id, True
@@ -548,7 +548,7 @@ def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
             for w in routed:
                 if res[walkers[w]] is not None:
                     cand[w], has[w] = res[walkers[w]][0], True
-        w = np.flatnonzero(has)
+        w = has.nonzero()[0]
         if w.size:
             d_cand = _kernels.dists_to_point(pset.vectors[pset.ids.searchsorted(cand[w])], q, pset.t)
             better = d_cand < x_dist[w]

@@ -34,6 +34,7 @@ from lpann.base_schemes import (
     _split,
     _to_cell_index,
     collision_probability,
+    grid_cell_side,
     num_tables,
 )
 
@@ -293,7 +294,7 @@ def _dict_reference_check(keys, probes, cap=2**31 - 1):
     for t in range(keys.shape[0]):
         for local, key in enumerate(map(tuple, keys[t])):
             reference.setdefault((t, key), []).append(local)
-    table = _bucket_table(lambda: ((table_keys, cap) for table_keys in keys))
+    table = _bucket_table(lambda: ((table_keys, cap, None) for table_keys in keys))
     assert table.members.size == sum(min(len(v), cap) for v in reference.values())
     # every stored key of every point, then arbitrary (often absent) keys
     for probe in [keys[:, i, :] for i in range(keys.shape[1])] + probes:
@@ -426,7 +427,7 @@ def test_degenerate_salt_gives_the_table_of_the_salt_it_ends_at(multipliers):
     keys = np.tile(rng.integers(-2, 3, size=(1, 6, 70)), (3, 5, 1))  # repeats in every table
     keys[0, 1:3, 67] += 1
     for build in (lambda: coarse_group([grids]).table, lambda: l2_group(leaves).table,
-                  lambda: _bucket_table(lambda: ((table_keys, 2) for table_keys in keys))):
+                  lambda: _bucket_table(lambda: ((table_keys, 2, None) for table_keys in keys))):
         patch, salts = _degenerate(multipliers)
         with patch:
             forced = build()
@@ -541,6 +542,116 @@ def test_grid_group_holds_one_grid_of_cells_at_a_time():
     assert buckets == m * len(group.shifts)
     per_bucket = 8 + 8 + 4 + 8 + 4  # fingerprint, its sort order, table number, start, member
     assert peak < 2 * per_bucket * buckets + 8 * pts.nbytes
+
+
+def _dense_grid_table(vectors, shifts, side):
+    """The grid table as built before the box: every point's cell in every
+    coordinate of every grid, through the same splitter."""
+    return _bucket_table(lambda: ((_cells(vectors, shift, side), 1, None) for shift in shifts),
+                         keep_keys=False)
+
+
+def _varying(vectors, shifts, side) -> np.ndarray:
+    """(grids, d) mask of the coordinates where a cell boundary cuts the
+    points' extent, from the cells of every coordinate's extremes."""
+    low, high = vectors.min(axis=0), vectors.max(axis=0)
+    return _cells(low, shifts, side) != _cells(high, shifts, side)
+
+
+BOX_CASES = ["single", "duplicates", "huge", "subnormal", "every", "none", "offset"]
+
+
+@st.composite
+def _box_case(draw):
+    """(kind, vectors, r, shifts, degenerate) of one grid scheme: one point,
+    a few points repeated, coordinates of +-1e300 (clipped cells), radius
+    5e-324 (overflowing cells), points spanning several cells in every
+    coordinate or inside one cell in all, points offset by 1e6; built under
+    ordinary multipliers or a ``_degenerate`` salt 0."""
+    kind = draw(st.sampled_from(BOX_CASES))
+    d, grids = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    m = 1 if kind == "single" else draw(st.integers(2, 30))
+    r = 5e-324 if kind == "subnormal" else 0.25
+    side = grid_cell_side(d, r)
+    coords = {"huge": st.sampled_from([-1e300, 1e300, -1.5, 0.0, 2.5]),
+              "subnormal": st.sampled_from([0.0, 5e-324, -1e-300, 1.0]),
+              "none": st.floats(0.0, 0.2 * side)}.get(kind, st.floats(-2.0 * side, 2.0 * side))
+    vectors = draw(arrays(np.float64, (m, d), elements=coords))
+    if kind == "duplicates":
+        vectors = vectors[draw(arrays(np.intp, m, elements=st.integers(0, 1)))]
+    elif kind == "every":
+        vectors[:2] = [[-2.0 * side], [2.0 * side]]
+    elif kind == "offset":
+        vectors += 1e6
+    unit = st.floats(0.0, 0.5 if kind == "none" else 1.0, exclude_max=True)
+    shifts = side * draw(arrays(np.float64, (grids, d), elements=unit))
+    return kind, vectors, r, shifts, draw(st.sampled_from([None, *DEGENERATE]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_box_case())
+def test_box_build_gives_the_dense_table(case):
+    # cells computed only where a cell boundary cuts the points' box give
+    # the table of every point's full cells, array for array, byte for byte
+    kind, vectors, r, shifts, degenerate = case
+    m, d = vectors.shape
+    scheme = CoarseScheme(np.arange(m), vectors, 4.0, r, shifts)
+    side = scheme.cell_side
+    varying = _varying(vectors, shifts, side)
+    if kind == "every":
+        assert varying.all()
+    elif kind in ("single", "none"):
+        assert not varying.any()
+
+    def build(fn):
+        if degenerate is None:
+            return fn()
+        patch, _ = _degenerate(degenerate)
+        with patch:
+            return fn()
+
+    box = build(lambda: coarse_group([[scheme]]).table)
+    dense = build(lambda: _dense_grid_table(vectors, shifts, side))
+    assert vars(box).keys() == vars(dense).keys()
+    for name, a in vars(box).items():
+        b = getattr(dense, name)
+        if a is None:
+            assert b is None, name
+            continue
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def test_grid_build_computes_cells_only_where_a_boundary_cuts_the_points():
+    # on a gauss-d32-shaped set the cell side, 128, is far wider than the
+    # points' spread in most coordinates: cells are computed per point only
+    # in the (grid, coordinate) pairs a cell boundary cuts, plus the two
+    # corners of the points' box per grid, and the build peaks no higher
+    # than the dense one
+    rng = np.random.default_rng(1)
+    m, d = 1000, 32
+    pts = rng.standard_normal((m, d))
+    scheme = build_coarse_ann(np.arange(m), pts, 4.0, 1.0, seed=1)
+    shifts, side = scheme.shifts.copy(), scheme.cell_side
+    grids, varying = len(shifts), int(_varying(pts, shifts, side).sum())
+    entries, real = [], _cells
+
+    def recording(points, shifts, side):
+        entries.append(np.broadcast(points, shifts).size)
+        return real(points, shifts, side)
+
+    with mock.patch.object(base_schemes, "_cells", recording):
+        coarse_group([[scheme]])
+    assert sum(entries) <= m * varying + 2 * grids * d
+    assert sum(entries) < m * grids * d / 8
+    peaks = []
+    for build in (lambda: coarse_group([[scheme]]), lambda: _dense_grid_table(pts, shifts, side)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_grid_match_counts_only_where_the_cell_is_confirmed():
