@@ -10,13 +10,9 @@ levels) drives the approximation down to roughly (16 beta)^(log2 p).
 
 from ._kernels import BACKEND
 from .base_schemes import (
-    CoarseScheme,
-    L2Scheme,
     build_coarse_ann,
     build_l2_ann,
     coarse_approximation,
-    coarse_group,
-    l2_group,
     query_coarse_ann,
     query_l2_ann,
 )
@@ -69,10 +65,8 @@ __all__ = [
     "BACKEND",
     "ApproxBound",
     "Cluster",
-    "CoarseScheme",
     "CoverCheck",
     "Dataset",
-    "L2Scheme",
     "LpScheme",
     "MazurMapSpec",
     "NumericRangeError",
@@ -88,11 +82,9 @@ __all__ = [
     "build_l2_ann",
     "build_sparse_cover",
     "coarse_approximation",
-    "coarse_group",
     "cover_lookup",
     "exact_nn",
     "fit_scaling",
-    "l2_group",
     "literal_closed_form",
     "load_index",
     "lp_distance",

@@ -2,14 +2,15 @@
 
 Two randomized schemes and one exact one, all with re-checked answers:
 
-* ``L2Scheme`` -- Gaussian-projection (p-stable) LSH for l2 with target
-  approximation 2. Table count is sized from the planted-pair collision
-  probability at the design distance r so that the miss probability is at
-  most ``delta_fail``.
-* ``CoarseScheme`` -- randomly shifted uniform grids for lp giving
-  approximation c0 = 4 d^(1+1/p). A query and its r-near neighbor land in
-  the same cell of one grid with probability >= 3/4, and any co-located
-  representative is within the cell's lp diameter, which equals c0 * r.
+* l2 LSH leaves (``build_l2_ann``) -- Gaussian-projection (p-stable) LSH
+  for l2 with target approximation 2. Table count is sized from the
+  planted-pair collision probability at the design distance r so that the
+  miss probability is at most ``delta_fail``.
+* shifted grids (``build_coarse_ann``) -- randomly shifted uniform grids for
+  lp giving approximation c0 = 4 d^(1+1/p). A query and its r-near neighbor
+  land in the same cell of one grid with probability >= 3/4, and any
+  co-located representative is within the cell's lp diameter, which equals
+  c0 * r.
 * ``L2Scan`` -- the l2 leaves over a point set small enough that one exact
   scan is the cheaper lookup and measures no more rows than they could
   probe (``scan_fits``). The scan finds the nearest point, so it meets
@@ -19,35 +20,36 @@ Two randomized schemes and one exact one, all with re-checked answers:
 No scheme ever returns a candidate violating its bound: distances are
 re-verified and a bad candidate set yields ``None`` instead.
 
-A scheme holds only its draws and the scalars derived from them. Schemes
-over one point array are looked up together as a group (``l2_group``,
-``coarse_group``): their draws are stacked, and the group builds its buckets
-and cells from them, a table at a time (an l2 leaf's points hashed with one
-matrix product, a grid's cells computed per point only in the coordinates
-where a cell boundary cuts the points' bounding box), into one flat table,
-never saved, that keeps only what a query reads: a sorted column of 64-bit
-fingerprints of (table, key), all under one salt's multipliers, the E2LSH
-layout of Datar, Immorlica, Indyk and Mirrokni (SoCG 2004), and per bucket,
-numbered in fingerprint order, its table number and CSR members. An l2
-bucket keeps its full int64 key and its first ``max_probe`` members; a grid
-cell keeps one member, its representative, and no key, for the cell is
-recomputed from the representative. A grid query hashes every stacked grid
-at once, finds its cell in every grid with one ``searchsorted`` over the
-fingerprints, whose positions are the buckets, confirms only the matches it
-answers with on the full cell, and measures the distinct representatives,
-found by a scatter over the group's points, with one distance call. An l2
-query walks the tables in order and stops early, as E2LSH's does, in two
-passes: it hashes the first table of every leaf with one matrix product and
-looks those keys up with one search, and then, with one more product and
-search, all remaining tables of the leaves still without a candidate within
-2r. Each pass confirms its matches on the full key and measures its buckets
-in rounds, one distance call a round. A query answers per copy of the group:
-an l2 copy is one leaf, a grid copy a contiguous block of schemes. Its
-answer is three arrays over the copies, a found mask, ids and distances, or
-None if no copy answers. A mask leaves copies out: their cells are never
-measured, and their l2 tables are neither hashed nor measured. A lone scheme
-is queried as a group of one. A scanned l2 set answers once per query, not
-per copy.
+Every copy of a scheme over one point array is looked up with the others
+as one group (``L2Group``, ``CoarseGroup``), which holds all their draws,
+one seed's after another, and the scalars derived from them. A builder
+draws each seed's arrays straight into the group's, and the group builds
+its buckets and cells from them, a table at a time (an l2 leaf's points
+hashed with one matrix product, a grid's cells computed per point only in
+the coordinates where a cell boundary cuts the points' bounding box), into
+one flat table, never saved, that keeps only what a query reads: a sorted
+column of 64-bit fingerprints of (table, key), all under one salt's
+multipliers, the E2LSH layout of Datar, Immorlica, Indyk and Mirrokni
+(SoCG 2004), and per bucket, numbered in fingerprint order, its table
+number and CSR members. An l2 bucket keeps its full int64 key and its first
+``max_probe`` members; a grid cell keeps one member, its representative,
+and no key, for the cell is recomputed from the representative. A grid
+query hashes every grid of the group at once, finds its cell in every grid
+with one ``searchsorted`` over the fingerprints, whose positions are the
+buckets, confirms only the matches it answers with on the full cell, and
+measures the distinct representatives, found by a scatter over the group's
+points, with one distance call. An l2 query walks the tables in order and
+stops early, as E2LSH's does, in two passes: it hashes the first table of
+every leaf with one matrix product and looks those keys up with one
+search, and then, with one more product and search, all remaining tables
+of the leaves still without a candidate within 2r. Each pass confirms its
+matches on the full key and measures its buckets in rounds, one distance
+call a round. A query answers per copy of the group: an l2 copy is one
+leaf, a grid copy a contiguous block of grid schemes. Its answer is three
+arrays over the copies, a found mask, ids and distances, or None if no copy
+answers. A mask leaves copies out: their cells are never measured, and
+their l2 tables are neither hashed nor measured. A lone scheme is a group
+of one copy. A scanned l2 set answers once per query, not per copy.
 """
 
 from __future__ import annotations
@@ -314,24 +316,6 @@ def _distinct(rows: np.ndarray, m: int):
     return distinct, position[rows]
 
 
-def _stack(schemes: list, names: tuple) -> tuple[list, np.ndarray]:
-    """Stack the draws of schemes, in scheme order.
-
-    Each named draw array (tables along axis 0) is concatenated, and every
-    scheme's array becomes a view of its part. Returns the stacked arrays
-    and the scheme of each stacked table.
-    """
-    counts = [getattr(s, names[0]).shape[0] for s in schemes]
-    firsts = np.cumsum(counts) - counts
-    stacked = []
-    for name in names:
-        full = np.concatenate([getattr(s, name) for s in schemes])
-        for s, first, count in zip(schemes, firsts, counts):
-            setattr(s, name, full[first: first + count])
-        stacked.append(full)
-    return stacked, np.repeat(np.arange(len(schemes)), counts)
-
-
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """True where a run of equal values in the non-empty array a begins."""
     out = np.empty(a.size, dtype=bool)
@@ -340,23 +324,25 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class L2Scheme:
-    """The drawn projections and offsets fix everything else: bucket width
-    w = 4r, at most 3L candidates probed per table, and the buckets, which
-    its group builds (``l2_group``)."""
+def _check_inputs(name: str, ids, vectors, r: float):
+    """(ids, vectors) as contiguous int64 and float64 arrays: one id per
+    point, and a non-empty (n, d) array of finite coordinates; and r > 0."""
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[0] == 0:
+        raise UsageError(f"{name} needs a non-empty (n, d) point array")
+    if not np.isfinite(vectors).all():
+        raise UsageError(f"{name}: points contain non-finite coordinates")
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.shape != vectors.shape[:1]:
+        raise UsageError(f"{name} needs one id per point: ids of shape {ids.shape} "
+                         f"for {vectors.shape[0]} points")
+    if not (r > 0.0):
+        raise UsageError(f"radius must be positive, got {r}")
+    return np.ascontiguousarray(ids), vectors
 
-    ids: np.ndarray
-    vectors: np.ndarray
-    r: float
-    projections: np.ndarray  # (L, k, d)
-    offsets: np.ndarray      # (L, k)
-    w: float = field(init=False)
-    max_probe: int = field(init=False)
 
-    def __post_init__(self):
-        self.w = BUCKET_WIDTH_FACTOR * self.r
-        self.max_probe = 3 * self.projections.shape[0]
+def _is_seed_list(seeds) -> bool:
+    return isinstance(seeds, (list, tuple)) and len(seeds) > 0
 
 
 def _l2_keys(projections, offsets, w: float, vecs: np.ndarray) -> np.ndarray:
@@ -376,66 +362,70 @@ def _l2_keys(projections, offsets, w: float, vecs: np.ndarray) -> np.ndarray:
     return _to_cell_index(proj).reshape(len(vecs), big_l, k).transpose(1, 0, 2)
 
 
-def build_l2_ann(ids, vectors, r: float, delta_fail: float, seed) -> L2Scheme:
-    """Build the l2 LSH scheme over (id, vector) pairs.
+def build_l2_ann(ids, vectors, r: float, delta_fail: float, seeds) -> L2Group:
+    """Build l2 LSH leaves over (id, vector) pairs, one per seed, in one
+    group.
 
-    For any query with an l2 r-near neighbor among the points, the query
-    returns some point within 2r with probability >= 1 - delta_fail over the
-    build randomness.
+    For any query with an l2 r-near neighbor among the points, each leaf
+    returns some point within 2r with probability >= 1 - delta_fail over
+    its seed's draws.
     """
-    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise UsageError("build_l2_ann needs a non-empty (n, d) point array")
-    if not (r > 0.0):
-        raise UsageError(f"radius must be positive, got {r}")
+    ids, vectors = _check_inputs("build_l2_ann", ids, vectors, r)
     if not (0.0 < delta_fail < 1.0):
         raise UsageError(f"delta_fail must lie in (0,1), got {delta_fail}")
-
+    if not _is_seed_list(seeds):
+        raise UsageError("build_l2_ann needs a non-empty list of seeds, one per leaf")
     if not math.isfinite(BUCKET_WIDTH_FACTOR * r):
         raise NumericRangeError(f"bucket width 4r overflows for radius {r}")
 
     n, d = vectors.shape
     k = num_hash_bits(n)
     big_l = num_tables(n, delta_fail)
-    rng = _rng(seed)
-    projections = rng.standard_normal((big_l, k, d))
-    offsets = rng.uniform(0.0, BUCKET_WIDTH_FACTOR * r, size=(big_l, k))
-    return L2Scheme(
-        ids=np.ascontiguousarray(ids, dtype=np.int64),
-        vectors=vectors,
-        r=float(r),
-        projections=projections,
-        offsets=offsets,
-    )
+    projections = np.empty((len(seeds) * big_l, k, d))
+    offsets = np.empty((len(seeds) * big_l, k))
+    for i, seed in enumerate(seeds):
+        rng, part = _rng(seed), slice(i * big_l, (i + 1) * big_l)
+        projections[part] = rng.standard_normal((big_l, k, d))
+        offsets[part] = rng.uniform(0.0, BUCKET_WIDTH_FACTOR * r, size=(big_l, k))
+    return L2Group(ids, vectors, float(r), projections, offsets,
+                   np.repeat(np.arange(len(seeds)), big_l))
 
 
 @dataclass
 class L2Group:
     """l2 leaves over one point array and radius, looked up together.
 
-    Stacked table i (``projections[i]``, ``offsets[i]``) belongs to leaf
-    ``leaf_of[i]``, is that leaf's first table where ``first[i]``, and is
-    table i of ``table``, whose buckets keep the leaf's first ``max_probe``
-    members, all a query probes.
+    Table i (``projections[i]``, ``offsets[i]``) belongs to leaf
+    ``leaf_of[i]``, ascending, is that leaf's first table where
+    ``first[i]``, and is table i of ``table``, whose buckets keep the first
+    ``max_probe[i]`` members, 3L for a leaf of L tables, all a query probes.
+    The draws fix everything else: bucket width w = 4r, the leaf count and
+    the table, which the constructor builds.
     """
 
-    leaves: list
+    ids: np.ndarray
+    vectors: np.ndarray
+    r: float
     projections: np.ndarray  # (T, k, d)
     offsets: np.ndarray      # (T, k)
-    leaf_of: np.ndarray
-    first: np.ndarray        # (T,) bool
-    table: _BucketTable = field(repr=False)
+    leaf_of: np.ndarray      # (T,)
+    w: float = field(init=False)
+    first: np.ndarray = field(init=False)      # (T,) bool
+    max_probe: np.ndarray = field(init=False)  # (T,)
+    leaves: int = field(init=False)
+    table: _BucketTable = field(init=False, repr=False)
 
-
-def l2_group(leaves: list) -> L2Group:
-    """Group leaves built over one point array for one radius, in order,
-    and build their one bucket table. A lone leaf is the group ``[leaf]``."""
-    table = _bucket_table(lambda: (
-        (keys, leaf.max_probe, None) for leaf in leaves
-        for keys in _l2_keys(leaf.projections, leaf.offsets, leaf.w, leaf.vectors)
-    ))
-    (projections, offsets), leaf_of = _stack(leaves, ("projections", "offsets"))
-    return L2Group(leaves, projections, offsets, leaf_of, _run_starts(leaf_of), table)
+    def __post_init__(self):
+        self.w = BUCKET_WIDTH_FACTOR * self.r
+        self.first = _run_starts(self.leaf_of)
+        counts = np.bincount(self.leaf_of)
+        self.leaves = counts.size
+        self.max_probe = 3 * counts[self.leaf_of]
+        bounds = [*self.first.nonzero()[0].tolist(), self.leaf_of.size]
+        self.table = _bucket_table(lambda: (
+            (keys, int(self.max_probe[a]), None) for a, b in zip(bounds, bounds[1:])
+            for keys in _l2_keys(self.projections[a:b], self.offsets[a:b], self.w, self.vectors)
+        ))
 
 
 @dataclass
@@ -480,8 +470,7 @@ def query_l2_scan(scan: L2Scan, q):
 def _query_keys(group: L2Group, tables: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The query's key in each of the stacked tables, an (len(tables), k)
     array, from one matrix product with their projections only."""
-    lead = group.leaves[0]
-    return _l2_keys(group.projections[tables], group.offsets[tables], lead.w,
+    return _l2_keys(group.projections[tables], group.offsets[tables], group.w,
                     q.reshape(1, -1))[:, 0, :]
 
 
@@ -503,12 +492,11 @@ def query_l2_ann(group: L2Group, q, live=None):
     is hashed, and no bucket of one, or past a leaf's first candidate, is
     measured.
     """
-    lead = group.leaves[0]
-    q = check_query(q, lead.vectors.shape[1])
-    members, m = group.table.members, len(lead.vectors)
-    hit_row = np.zeros(len(group.leaves), dtype=np.intp)
-    hit_dist = np.full(len(group.leaves), np.inf)
-    pending = np.ones(len(group.leaves), dtype=bool)
+    q = check_query(q, group.vectors.shape[1])
+    members, m = group.table.members, len(group.vectors)
+    hit_row = np.zeros(group.leaves, dtype=np.intp)
+    hit_dist = np.full(group.leaves, np.inf)
+    pending = np.ones(group.leaves, dtype=bool)
     if live is not None:
         pending = np.array(live, dtype=bool)  # a copy: leaves that hit leave it
     hit = False
@@ -526,8 +514,8 @@ def query_l2_ann(group: L2Group, q, live=None):
             lo, size = group.table.spans(buckets[sel])
             cand = members[np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)]
             rows, inv = _distinct(cand, m)  # leaves share candidates
-            dists = _kernels.dists_to_point(lead.vectors[rows], q, 2.0)[inv]
-            ok = (dists <= 2.0 * lead.r).nonzero()[0]
+            dists = _kernels.dists_to_point(group.vectors[rows], q, 2.0)[inv]
+            ok = (dists <= 2.0 * group.r).nonzero()[0]
             if not ok.size:
                 continue
             hit = True
@@ -535,27 +523,7 @@ def query_l2_ann(group: L2Group, q, live=None):
             first = ok[_run_starts(owner[ok])]  # ok ascends
             won = leaf[owner[first]]
             hit_row[won], hit_dist[won], pending[won] = cand[first], dists[first], False
-    return (hit_dist < np.inf, lead.ids[hit_row], hit_dist) if hit else None
-
-
-@dataclass
-class CoarseScheme:
-    """The drawn shifts fix everything else: cell side 4 d r, approximation
-    c0 = 4 d^(1+1/p), and the occupied cells, which its group builds
-    (``coarse_group``)."""
-
-    ids: np.ndarray
-    vectors: np.ndarray
-    p: float
-    r: float
-    shifts: np.ndarray  # (G, d)
-    c0: float = field(init=False)
-    cell_side: float = field(init=False)
-
-    def __post_init__(self):
-        d = self.vectors.shape[1]
-        self.c0 = coarse_approximation(d, self.p)
-        self.cell_side = grid_cell_side(d, self.r)
+    return (hit_dist < np.inf, group.ids[hit_row], hit_dist) if hit else None
 
 
 def coarse_approximation(d: int, p: float) -> float:
@@ -566,51 +534,32 @@ def grid_cell_side(d: int, r: float) -> float:
     return 4.0 * d * r
 
 
-def build_coarse_ann(ids, vectors, p: float, r: float, seed) -> CoarseScheme:
-    """Shifted-grid scheme with approximation c0 = 4 d^(1+1/p).
+def build_coarse_ann(ids, vectors, p: float, r: float, seeds) -> CoarseGroup:
+    """Shifted-grid schemes with approximation c0 = 4 d^(1+1/p), in one
+    group: ``seeds`` holds one list per copy, one seed per grid scheme.
 
-    G = ceil(8 ln n) grids of cell side 4 d r; each occupied cell stores its
-    lowest-id point as representative.
+    Each scheme is G = ceil(8 ln n) grids of cell side 4 d r; each occupied
+    cell stores its lowest-id point as representative.
     """
-    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise UsageError("build_coarse_ann needs a non-empty (n, d) point array")
-    if not (r > 0.0):
-        raise UsageError(f"radius must be positive, got {r}")
+    ids, vectors = _check_inputs("build_coarse_ann", ids, vectors, r)
     if p < 2.0:
         raise UsageError(f"coarse scheme requires p >= 2, got {p}")
+    if not (_is_seed_list(seeds) and all(map(_is_seed_list, seeds))):
+        raise UsageError("build_coarse_ann needs a non-empty list of copies, each a "
+                         "non-empty list of seeds, one per grid scheme")
 
     n, d = vectors.shape
-    if not math.isfinite(grid_cell_side(d, r)):
+    side = grid_cell_side(d, r)
+    if not math.isfinite(side):
         raise NumericRangeError(f"grid cell side 4 d r overflows for d = {d}, radius {r}")
     grids = max(1, math.ceil(8.0 * math.log(max(n, 2))))
-    shifts = _rng(seed).uniform(0.0, grid_cell_side(d, r), size=(grids, d))
-    return CoarseScheme(
-        ids=np.ascontiguousarray(ids, dtype=np.int64),
-        vectors=vectors,
-        p=float(p),
-        r=float(r),
-        shifts=shifts,
-    )
-
-
-@dataclass
-class CoarseGroup:
-    """The grid schemes of node copies over one point array, looked up
-    together. Stacked grid i (``shifts[i]``) belongs to scheme
-    ``scheme_of[i]`` of ``schemes`` and is table i of ``table``, which keeps
-    one member per occupied cell, its lowest local index, and no cell:
-    ``query_coarse_ann`` recomputes it with ``_cells``. It is built from
-    the cells of each grid's varying coordinates only (``_grid_tables``),
-    and is the table of the full cells, bit for bit. Scheme s belongs to
-    copy ``copy_of[s]`` of ``copies``."""
-
-    schemes: list
-    copy_of: np.ndarray
-    copies: int
-    shifts: np.ndarray  # (T, d)
-    scheme_of: np.ndarray
-    table: _BucketTable = field(repr=False)
+    schemes = [seed for copy in seeds for seed in copy]
+    shifts = np.empty((len(schemes) * grids, d))
+    for i, seed in enumerate(schemes):
+        shifts[i * grids:(i + 1) * grids] = _rng(seed).uniform(0.0, side, size=(grids, d))
+    return CoarseGroup(ids, vectors, float(p), float(r), shifts,
+                       np.repeat(np.arange(len(schemes)), grids),
+                       np.repeat(np.arange(len(seeds)), [len(copy) for copy in seeds]))
 
 
 def _grid_tables(vectors: np.ndarray, shifts: np.ndarray, side: float):
@@ -628,18 +577,38 @@ def _grid_tables(vectors: np.ndarray, shifts: np.ndarray, side: float):
         yield _cells(vectors[:, cols], shift[cols], side), 1, (cols, low)
 
 
-def coarse_group(copies: list) -> CoarseGroup:
-    """Group the grid schemes of each copy (a list of lists of schemes built
-    over one point array for one norm and radius) and build their one cell
-    table, a grid at a time, with each grid's cells computed per point only
-    in its varying coordinates (``_grid_tables``); the table is the one the
-    full cells give, bit for bit. A lone scheme is the group ``[[scheme]]``."""
-    schemes = [s for base in copies for s in base]
-    (shifts,), scheme_of = _stack(schemes, ("shifts",))
-    vectors, side = schemes[0].vectors, schemes[0].cell_side
-    table = _bucket_table(lambda: _grid_tables(vectors, shifts, side), keep_keys=False)
-    copy_of = np.repeat(np.arange(len(copies)), [len(base) for base in copies])
-    return CoarseGroup(schemes, copy_of, len(copies), shifts, scheme_of, table)
+@dataclass
+class CoarseGroup:
+    """The grid schemes of node copies over one point array, for one norm
+    and radius, looked up together. Grid i (``shifts[i]``) belongs to
+    scheme ``scheme_of[i]``, which belongs to copy ``copy_of[scheme]``, both
+    ascending, and is table i of ``table``, which keeps one member per
+    occupied cell, its lowest local index, and no cell: ``query_coarse_ann``
+    recomputes it with ``_cells``. The draws fix everything else: cell side
+    4 d r, approximation c0 = 4 d^(1+1/p), the copy count and the table,
+    which the constructor builds from the cells of each grid's varying
+    coordinates only (``_grid_tables``), the table of the full cells, bit
+    for bit."""
+
+    ids: np.ndarray
+    vectors: np.ndarray
+    p: float
+    r: float
+    shifts: np.ndarray     # (T, d)
+    scheme_of: np.ndarray  # (T,)
+    copy_of: np.ndarray    # (S,)
+    c0: float = field(init=False)
+    cell_side: float = field(init=False)
+    copies: int = field(init=False)
+    table: _BucketTable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d = self.vectors.shape[1]
+        self.c0 = coarse_approximation(d, self.p)
+        self.cell_side = grid_cell_side(d, self.r)
+        self.copies = int(self.copy_of.max()) + 1
+        self.table = _bucket_table(lambda: _grid_tables(self.vectors, self.shifts, self.cell_side),
+                                   keep_keys=False)
 
 
 def query_coarse_ann(group: CoarseGroup, q, live=None):
@@ -651,9 +620,8 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
     default). None if no copy has one. Every distinct representative of a
     live copy's cells is measured with one distance call.
     """
-    lead = group.schemes[0]
-    q = check_query(q, lead.vectors.shape[1])
-    cells = _cells(q, group.shifts, lead.cell_side)
+    q = check_query(q, group.vectors.shape[1])
+    cells = _cells(q, group.shifts, group.cell_side)
     # fingerprint matches, cells unconfirmed
     found, buckets = _lookup(group.table, np.arange(len(cells)), cells)
     if live is not None:
@@ -663,9 +631,9 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
         return None
     # a cell's representative is its lowest local index, its one member
     reps = group.table.members[buckets]
-    cand, inv = _distinct(reps, len(lead.vectors))
-    dists = _kernels.dists_to_point(lead.vectors[cand], q, lead.p)[inv]
-    ok = (dists <= lead.c0 * lead.r).nonzero()[0]
+    cand, inv = _distinct(reps, len(group.vectors))
+    dists = _kernels.dists_to_point(group.vectors[cand], q, group.p)[inv]
+    ok = (dists <= group.c0 * group.r).nonzero()[0]
     grids, reps, dists = found[ok], reps[ok], dists[ok]
     which = group.scheme_of[grids]
     copy = group.copy_of[which]
@@ -678,9 +646,9 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
     ids, start_dists = np.zeros(group.copies, dtype=np.int64), np.zeros(group.copies)
     while order.size:
         best = order[_run_starts(copy[order])]
-        rep_cells = _cells(lead.vectors[reps[best]], group.shifts[grids[best]], lead.cell_side)
+        rep_cells = _cells(group.vectors[reps[best]], group.shifts[grids[best]], group.cell_side)
         sure = best[(rep_cells == cells[grids[best]]).all(axis=1)]
-        ids[copy[sure]], start_dists[copy[sure]] = lead.ids[reps[sure]], dists[sure]
+        ids[copy[sure]], start_dists[copy[sure]] = group.ids[reps[sure]], dists[sure]
         answered[copy[sure]], tried[best] = True, True
         order = order[~(answered[copy[order]] | tried[order])]
     return (answered, ids, start_dists) if answered.any() else None

@@ -11,8 +11,8 @@ that one exact scan is the cheaper lookup and measures no more rows than
 its leaves could probe (``scan_fits``), one scan answering every leaf.
 Covers and cluster images draw no randomness, so each carved point set is
 one ``PointSet``, carved once (``carve``), and every copy over it shares
-its ladder; only the base schemes are drawn per copy, each from its seed
-path under ``config.seed``, and stacked in the set's one group. The whole
+its ladder; only the base schemes' draws differ per copy, each from its
+seed path under ``config.seed``, drawn into the set's one group. The whole
 index is thus a function of the points and the config: an index file
 stores only those, and loading it runs ``preprocess`` again (see
 ``container``).
@@ -61,8 +61,6 @@ from .base_schemes import (
     build_coarse_ann,
     build_l2_ann,
     coarse_approximation,
-    coarse_group,
-    l2_group,
     query_coarse_ann,
     query_l2_ann,
     query_l2_scan,
@@ -291,9 +289,9 @@ class PointSet:
 
     Each owner of the set, a copy of its parent set (one owner at the root),
     holds ``nodes`` nodes over it, each with ``node_copies`` copies; copy i
-    belongs to owner i // (nodes * node_copies). ``group`` stacks every
-    copy's base schemes in copy order: one l2 leaf per copy at t == 2,
-    ``base_copies`` grids per copy at larger t; a set that scans has an
+    belongs to owner i // (nodes * node_copies). ``group`` holds every
+    copy's base draws in copy order: one l2 leaf per copy at t == 2,
+    ``base_copies`` grid schemes per copy at larger t; a set that scans has an
     ``L2Scan``, one answer for all its owners. ``ladder`` holds the set's
     refinement steps, which every copy walks.
     """
@@ -454,30 +452,20 @@ def carve(pset: PointSet, r: float, bound: ApproxBound, child_copies: int) -> No
 
 
 def _build_set(pset: PointSet, paths: list, r: float, config: SchemeConfig) -> None:
-    """Draw the base schemes of every copy over a carved point set, given
-    the seed path of each of its nodes in order; then those of every set
-    carved from it; then stack the set's schemes into its group. An l2 set
-    that ``scan_fits`` its copies draws nothing: its group is an ``L2Scan``.
-
-    A point set's schemes are drawn together and stacked into their group
-    right away, carved sets first, so the draws' own arrays are freed for
-    the next set's draws to reuse.
+    """Build the group of a carved point set, given the seed path of each of
+    its nodes in order, after those of every set carved from it: one
+    ``build_l2_ann`` or ``build_coarse_ann`` call draws every copy's base
+    schemes, each from its seed path, into the group. An l2 set that
+    ``scan_fits`` its copies draws nothing: its group is an ``L2Scan``.
     """
     copies = [path + (TAG_NODE_COPY, ci) for path in paths for ci in range(pset.node_copies)]
     if pset.t == 2.0 and scan_fits(*pset.vectors.shape, len(copies), PRIMITIVE_FAILURE):
         pset.group = L2Scan(pset.ids, pset.vectors, r)
         return
     if pset.t == 2.0:
-        leaves = [build_l2_ann(pset.ids, pset.vectors, r, PRIMITIVE_FAILURE,
-                               _seed(config.seed, path + (TAG_BASE, 0))) for path in copies]
-        pset.group = l2_group(leaves)
+        pset.group = build_l2_ann(pset.ids, pset.vectors, r, PRIMITIVE_FAILURE,
+                                  [_seed(config.seed, path + (TAG_BASE, 0)) for path in copies])
         return
-    grids = [
-        [build_coarse_ann(pset.ids, pset.vectors, pset.t, r,
-                          _seed(config.seed, path + (TAG_BASE, bi)))
-         for bi in range(config.base_copies)]
-        for path in copies
-    ]
     for level in pset.ladder:
         for ki, reduction in enumerate(level.children):
             if reduction.child is not None:
@@ -485,7 +473,9 @@ def _build_set(pset: PointSet, paths: list, r: float, config: SchemeConfig) -> N
                 _build_set(reduction.child,
                            [path + tail + (cc,) for path in copies
                             for cc in range(reduction.child.nodes)], r, config)
-    pset.group = coarse_group(grids)
+    pset.group = build_coarse_ann(pset.ids, pset.vectors, pset.t, r, [
+        [_seed(config.seed, path + (TAG_BASE, bi)) for bi in range(config.base_copies)]
+        for path in copies])
 
 
 def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
@@ -610,7 +600,7 @@ def space_usage(scheme: LpScheme) -> SpaceReport:
         copies = owners * pset.nodes * pset.node_copies
         group = pset.group
         coarse = isinstance(group, CoarseGroup)
-        add(pset, "base", (len(group.schemes) if coarse else copies) * int(pset.ids.size))
+        add(pset, "base", (group.copy_of.size if coarse else copies) * int(pset.ids.size))
         if isinstance(group, L2Scan):
             l2_sets["scan"] += 1
         else:

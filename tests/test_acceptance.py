@@ -19,10 +19,8 @@ from lpann import (
     build_l2_ann,
     build_coarse_ann,
     build_sparse_cover,
-    coarse_group,
     exact_nn,
     fit_scaling,
-    l2_group,
     mazur_map_points,
     preprocess,
     query,
@@ -128,9 +126,9 @@ def test_criterion_2_sparse_cover_suite():
 
 class _L2Index:
     def __init__(self, dataset: Dataset, seed: int):
-        self.group = l2_group([build_l2_ann(
-            dataset.ids, dataset.vectors, r=1.0, delta_fail=0.05, seed=seed
-        )])
+        self.group = build_l2_ann(
+            dataset.ids, dataset.vectors, r=1.0, delta_fail=0.05, seeds=[seed]
+        )
 
     def query(self, q):
         hits = query_l2_ann(self.group, q)
@@ -139,9 +137,9 @@ class _L2Index:
 
 class _CoarseIndex:
     def __init__(self, dataset: Dataset, seed: int):
-        self.group = coarse_group([[build_coarse_ann(
-            dataset.ids, dataset.vectors, p=dataset.p, r=1.0, seed=seed
-        )]])
+        self.group = build_coarse_ann(
+            dataset.ids, dataset.vectors, p=dataset.p, r=1.0, seeds=[[seed]]
+        )
 
     def query(self, q):
         starts = query_coarse_ann(self.group, q)

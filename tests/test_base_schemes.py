@@ -13,8 +13,6 @@ from lpann import (
     build_coarse_ann,
     build_l2_ann,
     coarse_approximation,
-    coarse_group,
-    l2_group,
     lp_distance,
     query_coarse_ann,
     query_l2_ann,
@@ -22,8 +20,7 @@ from lpann import (
 from lpann import _kernels, base_schemes
 from lpann.base_schemes import (
     CoarseGroup,
-    CoarseScheme,
-    L2Scheme,
+    L2Group,
     _bucket_table,
     _cells,
     _distinct,
@@ -51,16 +48,48 @@ def per_copy(answer, copies: int):
     return [(int(i), float(dist)) if f else None for f, i, dist in zip(found, ids, dists)]
 
 
-def _l2_id(scheme, q):
-    """The id a lone l2 scheme answers, queried as a group of one."""
-    hits = per_copy(query_l2_ann(l2_group([scheme]), q), 1)
+def _l2_id(leaf, q):
+    """The id a group of one l2 leaf answers."""
+    hits = per_copy(query_l2_ann(leaf, q), 1)
     return None if hits is None else hits[0][0]
 
 
 def _coarse_id(scheme, q):
-    """The id a lone grid scheme answers, queried as a group of one."""
-    starts = per_copy(query_coarse_ann(coarse_group([[scheme]]), q), 1)
+    """The id a group of one grid scheme answers."""
+    starts = per_copy(query_coarse_ann(scheme, q), 1)
     return None if starts is None else starts[0][0]
+
+
+def l2_part(group: L2Group, leaves: range) -> L2Group:
+    """Leaves ``leaves`` of an l2 group as a group of their own, constructed
+    from a slice of its draws."""
+    a, b = group.leaf_of.searchsorted([leaves.start, leaves.stop])
+    return L2Group(group.ids, group.vectors, group.r, group.projections[a:b],
+                   group.offsets[a:b], group.leaf_of[a:b] - leaves.start)
+
+
+def coarse_part(group: CoarseGroup, schemes: range) -> CoarseGroup:
+    """Grid schemes ``schemes`` of a coarse group, with their copies, as a
+    group of their own, constructed from a slice of its shifts."""
+    a, b = group.scheme_of.searchsorted([schemes.start, schemes.stop])
+    copy_of = group.copy_of[schemes.start:schemes.stop]
+    return CoarseGroup(group.ids, group.vectors, group.p, group.r, group.shifts[a:b],
+                       group.scheme_of[a:b] - schemes.start, copy_of - copy_of[0])
+
+
+def _one_scheme(ids, vectors, p, r, shifts) -> CoarseGroup:
+    """A group of one copy of one grid scheme with the given shifts."""
+    return CoarseGroup(ids, vectors, p, r, shifts, np.zeros(len(shifts), dtype=np.int64),
+                       np.zeros(1, dtype=np.int64))
+
+
+def _regroup(group):
+    """A new group constructed from the draws of group."""
+    if isinstance(group, CoarseGroup):
+        return CoarseGroup(group.ids, group.vectors, group.p, group.r, group.shifts,
+                           group.scheme_of, group.copy_of)
+    return L2Group(group.ids, group.vectors, group.r, group.projections, group.offsets,
+                   group.leaf_of)
 
 
 def test_collision_probability_design_point():
@@ -71,19 +100,19 @@ def test_collision_probability_design_point():
 
 def test_l2_singleton_hit():
     x = np.array([[1.0, 2.0, 3.0]])
-    scheme = build_l2_ann([7], x, r=1.0, delta_fail=0.1, seed=0)
+    scheme = build_l2_ann([7], x, r=1.0, delta_fail=0.1, seeds=[0])
     assert _l2_id(scheme, [1.1, 2.0, 3.0]) == 7
 
 
 def test_l2_empty_buckets_give_none():
-    scheme = build_l2_ann([0], np.zeros((1, 8)), r=1.0, delta_fail=0.1, seed=3)
+    scheme = build_l2_ann([0], np.zeros((1, 8)), r=1.0, delta_fail=0.1, seeds=[3])
     assert _l2_id(scheme, 1e6 * np.ones(8)) is None
 
 
 def test_l2_never_exceeds_twice_r():
     rng = np.random.default_rng(4)
     pts = rng.standard_normal((300, 16))
-    scheme = build_l2_ann(np.arange(300), pts, r=0.5, delta_fail=0.1, seed=9)
+    scheme = build_l2_ann(np.arange(300), pts, r=0.5, delta_fail=0.1, seeds=[9])
     for _ in range(80):
         q = rng.standard_normal(16)
         rid = _l2_id(scheme, q)
@@ -95,7 +124,7 @@ def test_l2_planted_success_rate():
     rng = np.random.default_rng(17)
     n, d, r = 200, 32, 1.0
     pts = rng.standard_normal((n, d))
-    scheme = build_l2_ann(np.arange(n), pts, r=r, delta_fail=0.05, seed=5)
+    scheme = build_l2_ann(np.arange(n), pts, r=r, delta_fail=0.05, seeds=[5])
     hits = 0
     trials = 100
     for _ in range(trials):
@@ -110,27 +139,27 @@ def test_l2_planted_success_rate():
 def test_l2_determinism():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((60, 8))
-    a = build_l2_ann(np.arange(60), pts, 1.0, 0.2, seed=12)
-    b = build_l2_ann(np.arange(60), pts, 1.0, 0.2, seed=12)
+    a = build_l2_ann(np.arange(60), pts, 1.0, 0.2, seeds=[12])
+    b = build_l2_ann(np.arange(60), pts, 1.0, 0.2, seeds=[12])
     assert np.array_equal(a.projections, b.projections)
     q = rng.standard_normal(8)
     assert _l2_id(a, q) == _l2_id(b, q)
 
 
 def test_l2_dimension_mismatch():
-    scheme = build_l2_ann([0], np.zeros((1, 4)), 1.0, 0.1, seed=1)
+    scheme = build_l2_ann([0], np.zeros((1, 4)), 1.0, 0.1, seeds=[1])
     with pytest.raises(UsageError):
-        query_l2_ann(l2_group([scheme]), np.zeros(5))
+        query_l2_ann(scheme, np.zeros(5))
 
 
 def test_coarse_singleton():
     x = np.array([[0.0, 0.0, 0.0, 0.0]])
-    scheme = build_coarse_ann([3], x, p=4.0, r=1.0, seed=2)
+    scheme = build_coarse_ann([3], x, p=4.0, r=1.0, seeds=[[2]])
     assert _coarse_id(scheme, [0.5, 0.0, 0.0, 0.0]) == 3
 
 
 def test_coarse_all_empty_cells():
-    scheme = build_coarse_ann([0], np.zeros((1, 4)), p=4.0, r=1.0, seed=2)
+    scheme = build_coarse_ann([0], np.zeros((1, 4)), p=4.0, r=1.0, seeds=[[2]])
     # far beyond every occupied cell in every grid
     assert _coarse_id(scheme, 1e9 * np.ones(4)) is None
 
@@ -141,7 +170,7 @@ def test_coarse_two_far_points():
     pts = np.zeros((2, d))
     pts[1, 0] = 3.0 * c0 * r  # farther than 2 c0 r, can never share a cell
     for seed in range(5):
-        scheme = build_coarse_ann([0, 1], pts, p=p, r=r, seed=seed)
+        scheme = build_coarse_ann([0, 1], pts, p=p, r=r, seeds=[[seed]])
         q = pts[0].copy()
         q[1] += 0.9 * r
         assert _coarse_id(scheme, q) == 0
@@ -150,7 +179,7 @@ def test_coarse_two_far_points():
 def test_coarse_never_exceeds_bound():
     rng = np.random.default_rng(6)
     pts = rng.standard_normal((200, 16))
-    scheme = build_coarse_ann(np.arange(200), pts, p=4.0, r=0.3, seed=8)
+    scheme = build_coarse_ann(np.arange(200), pts, p=4.0, r=0.3, seeds=[[8]])
     limit = scheme.c0 * scheme.r
     for _ in range(60):
         q = rng.standard_normal(16)
@@ -163,7 +192,7 @@ def test_coarse_planted_success_rate():
     rng = np.random.default_rng(23)
     n, d, p, r = 200, 16, 4.0, 1.0
     pts = rng.standard_normal((n, d))
-    scheme = build_coarse_ann(np.arange(n), pts, p=p, r=r, seed=31)
+    scheme = build_coarse_ann(np.arange(n), pts, p=p, r=r, seeds=[[31]])
     limit = scheme.c0 * r
     hits = 0
     trials = 100
@@ -184,7 +213,7 @@ def test_coarse_colocation_rate():
     x = rng.standard_normal(d)
     g = rng.standard_normal(d)
     y = x + r * g / (np.abs(g) ** p).sum() ** (1.0 / p)
-    scheme = build_coarse_ann([0, 1], np.vstack([x, y]), p=p, r=r, seed=77)
+    scheme = build_coarse_ann([0, 1], np.vstack([x, y]), p=p, r=r, seeds=[[77]])
     cx, cy = (np.floor((v + scheme.shifts) / scheme.cell_side) for v in (x, y))
     assert (cx == cy).all(axis=1).mean() >= 0.7
 
@@ -192,26 +221,46 @@ def test_coarse_colocation_rate():
 def test_coarse_determinism():
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((50, 8))
-    a = build_coarse_ann(np.arange(50), pts, 4.0, 1.0, seed=5)
-    b = build_coarse_ann(np.arange(50), pts, 4.0, 1.0, seed=5)
+    a = build_coarse_ann(np.arange(50), pts, 4.0, 1.0, seeds=[[5]])
+    b = build_coarse_ann(np.arange(50), pts, 4.0, 1.0, seeds=[[5]])
     assert np.array_equal(a.shifts, b.shifts)
 
 
 def test_coarse_dimension_mismatch():
-    scheme = build_coarse_ann([0], np.zeros((1, 4)), 4.0, 1.0, seed=1)
+    scheme = build_coarse_ann([0], np.zeros((1, 4)), 4.0, 1.0, seeds=[[1]])
     with pytest.raises(UsageError):
-        query_coarse_ann(coarse_group([[scheme]]), np.zeros(3))
+        query_coarse_ann(scheme, np.zeros(3))
 
 
 def test_build_precondition_errors():
+    three = np.arange(12.0).reshape(3, 4)
+    nan, inf = three.copy(), three.copy()
+    nan[1, 2], inf[2, 0] = np.nan, -np.inf
+    # (ids, vectors, r) that neither builder takes
+    for ids, vectors, r in [
+        ([], np.zeros((0, 3)), 1.0),
+        ([0], np.zeros((1, 3)), -1.0),
+        ([0], three, 1.0),  # one id for three rows
+        ([[0], [1], [2]], three, 1.0),  # ids that are not 1-d
+        (0, three[:1], 1.0),
+        ([0, 1, 2], nan, 1.0),
+        ([0, 1, 2], inf, 1.0),
+    ]:
+        with np.errstate(all="raise"), pytest.raises(UsageError):
+            build_l2_ann(ids, vectors, r, 0.1, [0])
+        with np.errstate(all="raise"), pytest.raises(UsageError):
+            build_coarse_ann(ids, vectors, 4.0, r, [[0]])
     with pytest.raises(UsageError):
-        build_l2_ann([], np.zeros((0, 3)), 1.0, 0.1, seed=0)
+        build_l2_ann([0], np.zeros((1, 3)), 1.0, 1.5, [0])
     with pytest.raises(UsageError):
-        build_l2_ann([0], np.zeros((1, 3)), -1.0, 0.1, seed=0)
-    with pytest.raises(UsageError):
-        build_l2_ann([0], np.zeros((1, 3)), 1.0, 1.5, seed=0)
-    with pytest.raises(UsageError):
-        build_coarse_ann([0], np.zeros((1, 3)), 1.5, 1.0, seed=0)
+        build_coarse_ann([0], np.zeros((1, 3)), 1.5, 1.0, [[0]])
+    # no seeds, a bare seed, an empty copy, or a seed where a copy belongs
+    for seeds in ([], 7):
+        with pytest.raises(UsageError):
+            build_l2_ann([0, 1, 2], three, 1.0, 0.1, seeds)
+    for seeds in ([], 7, [[0], []], [[]], [0]):
+        with pytest.raises(UsageError):
+            build_coarse_ann([0, 1, 2], three, 4.0, 1.0, seeds)
 
 
 # (tables, bits, d, vectors): one tiny product, a leaf's build, and the
@@ -238,16 +287,17 @@ def test_l2_keys_match_an_exact_sum_away_from_bucket_edges(shape):
 
 
 def test_regrouping_gives_the_same_table_and_answers():
-    # a group builds its table from its schemes' draws, so grouping the same
-    # schemes again neither merges an earlier group's table nor changes answers
+    # a group builds its table from its draws alone, so a second group
+    # constructed from a built group's draws has the same table, byte for
+    # byte, and gives the same answers
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((200, 16))
     queries = pts[:50] + 0.1 * rng.standard_normal((50, 16))
-    grids = [build_coarse_ann(np.arange(200), pts, 4.0, 0.3, seed=s) for s in range(3)]
-    leaves = [build_l2_ann(np.arange(200), pts, 0.5, 0.1, seed=s) for s in range(3)]
-    for regroup, query_fn, copies in ((lambda: coarse_group([grids]), query_coarse_ann, 1),
-                                      (lambda: l2_group(leaves), query_l2_ann, len(leaves))):
-        first, second = regroup(), regroup()
+    grids = build_coarse_ann(np.arange(200), pts, 4.0, 0.3, seeds=[[0, 1, 2]])
+    leaves = build_l2_ann(np.arange(200), pts, 0.5, 0.1, seeds=[0, 1, 2])
+    for first, query_fn, copies in ((grids, query_coarse_ann, 1), (leaves, query_l2_ann, 3)):
+        second = _regroup(first)
+        assert second.table is not first.table
         for name in ("fingerprints", "tables", "keys", "starts", "members", "multipliers"):
             a, b = getattr(first.table, name), getattr(second.table, name)
             if a is None:  # a grid table recomputes its keys; one-member buckets need no starts
@@ -334,8 +384,8 @@ def test_grid_table_keeps_the_lowest_point_of_every_cell(case):
     # cell is the cell, clipped extremes included; every point finds it
     vectors, shifts = case
     m, d = vectors.shape
-    group = coarse_group([[CoarseScheme(np.arange(m), vectors, 4.0, 1.0 / (4 * d), shifts)]])
-    side, table = group.schemes[0].cell_side, group.table
+    group = _one_scheme(np.arange(m), vectors, 4.0, 1.0 / (4 * d), shifts)
+    side, table = group.cell_side, group.table
     cells = [np.clip(np.floor((vectors + shift) / side), -9.2e18, 9.2e18).astype(np.int64)
              for shift in shifts]
     reference = {}
@@ -385,16 +435,14 @@ def test_fingerprint_collision_moves_to_a_later_salt(multipliers):
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((200, 16))
     queries = pts[:30] + 0.1 * rng.standard_normal((30, 16))
-    grids = [build_coarse_ann(np.arange(200), pts, 4.0, 0.3, seed=s) for s in range(3)]
-    leaves = [build_l2_ann(np.arange(200), pts, 0.5, 0.1, seed=s) for s in range(3)]
+    grids = build_coarse_ann(np.arange(200), pts, 4.0, 0.3, seeds=[[0, 1, 2]])
+    leaves = build_l2_ann(np.arange(200), pts, 0.5, 0.1, seeds=[0, 1, 2])
     keys = np.tile(rng.integers(-2, 3, size=(1, 1, 70)), (3, 5, 1))  # one key per table
     keys[0, 1:3, 67] += 1  # two in table 0, differing past the 64th entry
-    for regroup, query_fn, copies in ((lambda: coarse_group([grids]), query_coarse_ann, 1),
-                                      (lambda: l2_group(leaves), query_l2_ann, len(leaves))):
-        unforced = regroup()
+    for unforced, query_fn, copies in ((grids, query_coarse_ann, 1), (leaves, query_l2_ann, 3)):
         patch, salts = _degenerate(multipliers)
         with patch:
-            forced = regroup()
+            forced = _regroup(unforced)
         assert max(salts) > 0 and salts == sorted(salts)
         table = forced.table
         width = table.multipliers.size - 1
@@ -402,7 +450,7 @@ def test_fingerprint_collision_moves_to_a_later_salt(multipliers):
         # every fingerprint is its bucket's, from its key, kept or recomputed
         # from its first member, under the final salt
         if isinstance(forced, CoarseGroup):
-            stored = _cells(pts[table.members], forced.shifts[table.tables], grids[0].cell_side)
+            stored = _cells(pts[table.members], forced.shifts[table.tables], grids.cell_side)
         else:
             stored = table.keys
         fp = _fingerprints(table.multipliers, table.tables, stored)
@@ -422,11 +470,11 @@ def test_degenerate_salt_gives_the_table_of_the_salt_it_ends_at(multipliers):
     # a build handed that salt's multipliers as its salt 0
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((200, 16))
-    grids = [build_coarse_ann(np.arange(200), pts, 4.0, 0.3, seed=s) for s in range(3)]
-    leaves = [build_l2_ann(np.arange(200), pts, 0.5, 0.1, seed=s) for s in range(3)]
+    grids = build_coarse_ann(np.arange(200), pts, 4.0, 0.3, seeds=[[0, 1, 2]])
+    leaves = build_l2_ann(np.arange(200), pts, 0.5, 0.1, seeds=[0, 1, 2])
     keys = np.tile(rng.integers(-2, 3, size=(1, 6, 70)), (3, 5, 1))  # repeats in every table
     keys[0, 1:3, 67] += 1
-    for build in (lambda: coarse_group([grids]).table, lambda: l2_group(leaves).table,
+    for build in (lambda: _regroup(grids).table, lambda: _regroup(leaves).table,
                   lambda: _bucket_table(lambda: ((table_keys, 2, None) for table_keys in keys))):
         patch, salts = _degenerate(multipliers)
         with patch:
@@ -531,10 +579,9 @@ def test_grid_group_holds_one_grid_of_cells_at_a_time():
     rng = np.random.default_rng(4)
     m, d = 200, 64
     pts = 1000.0 * rng.standard_normal((m, d))
-    grids = [build_coarse_ann(np.arange(m), pts, 4.0, 0.01, seed=s) for s in range(2)]
     tracemalloc.start()
     try:
-        group = coarse_group([grids])
+        group = build_coarse_ann(np.arange(m), pts, 4.0, 0.01, seeds=[[0, 1]])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -542,6 +589,35 @@ def test_grid_group_holds_one_grid_of_cells_at_a_time():
     assert buckets == m * len(group.shifts)
     per_bucket = 8 + 8 + 4 + 8 + 4  # fingerprint, its sort order, table number, start, member
     assert peak < 2 * per_bucket * buckets + 8 * pts.nbytes
+
+
+def _build_peak(build):
+    """build() and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coarse_build_draws_its_shifts_once():
+    # each seed's shifts are drawn straight into the group's array, so a
+    # build never holds a second copy of them: over 20 points at d = 2048,
+    # with 2 copies of 4 schemes, it peaks below 1.5 times the shifts
+    pts = np.random.default_rng(5).standard_normal((20, 2048))
+    seeds = [[4 * copy + s for s in range(4)] for copy in range(2)]
+    group, peak = _build_peak(lambda: build_coarse_ann(np.arange(20), pts, 4.0, 1.0, seeds))
+    assert group.shifts.shape == (8 * 24, 2048)
+    assert peak < 1.5 * group.shifts.nbytes
+
+
+def test_l2_build_draws_its_projections_once():
+    # the same for 8 l2 leaves' projections
+    pts = np.random.default_rng(5).standard_normal((20, 2048))
+    group, peak = _build_peak(lambda: build_l2_ann(np.arange(20), pts, 1.0, 1.0 / 3.0,
+                                                   list(range(8))))
+    assert group.leaves == 8
+    assert peak < 1.5 * group.projections.nbytes
 
 
 def _dense_grid_table(vectors, shifts, side):
@@ -595,8 +671,7 @@ def test_box_build_gives_the_dense_table(case):
     # the table of every point's full cells, array for array, byte for byte
     kind, vectors, r, shifts, degenerate = case
     m, d = vectors.shape
-    scheme = CoarseScheme(np.arange(m), vectors, 4.0, r, shifts)
-    side = scheme.cell_side
+    side = grid_cell_side(d, r)
     varying = _varying(vectors, shifts, side)
     if kind == "every":
         assert varying.all()
@@ -610,7 +685,7 @@ def test_box_build_gives_the_dense_table(case):
         with patch:
             return fn()
 
-    box = build(lambda: coarse_group([[scheme]]).table)
+    box = build(lambda: _one_scheme(np.arange(m), vectors, 4.0, r, shifts).table)
     dense = build(lambda: _dense_grid_table(vectors, shifts, side))
     assert vars(box).keys() == vars(dense).keys()
     for name, a in vars(box).items():
@@ -630,7 +705,7 @@ def test_grid_build_computes_cells_only_where_a_boundary_cuts_the_points():
     rng = np.random.default_rng(1)
     m, d = 1000, 32
     pts = rng.standard_normal((m, d))
-    scheme = build_coarse_ann(np.arange(m), pts, 4.0, 1.0, seed=1)
+    scheme = build_coarse_ann(np.arange(m), pts, 4.0, 1.0, seeds=[[1]])
     shifts, side = scheme.shifts.copy(), scheme.cell_side
     grids, varying = len(shifts), int(_varying(pts, shifts, side).sum())
     entries, real = [], _cells
@@ -640,11 +715,11 @@ def test_grid_build_computes_cells_only_where_a_boundary_cuts_the_points():
         return real(points, shifts, side)
 
     with mock.patch.object(base_schemes, "_cells", recording):
-        coarse_group([[scheme]])
+        _regroup(scheme)
     assert sum(entries) <= m * varying + 2 * grids * d
     assert sum(entries) < m * grids * d / 8
     peaks = []
-    for build in (lambda: coarse_group([[scheme]]), lambda: _dense_grid_table(pts, shifts, side)):
+    for build in (lambda: _regroup(scheme), lambda: _dense_grid_table(pts, shifts, side)):
         tracemalloc.start()
         try:
             build()
@@ -661,15 +736,14 @@ def test_grid_match_counts_only_where_the_cell_is_confirmed():
     # is the query's: for near, in grid 1 after grid 0 fails, for far, two
     # cells away though within c0 r, in neither
     x = np.zeros((1, 2))
-    scheme = CoarseScheme(np.array([7]), x, 4.0, 0.5, np.array([[3.75, 0.0], [1.0, 1.0]]))
-    assert scheme.cell_side == 4.0
+    unforced = _one_scheme(np.array([7]), x, 4.0, 0.5, np.array([[3.75, 0.0], [1.0, 1.0]]))
+    assert unforced.cell_side == 4.0
     near, far = np.array([0.5, 0.0]), np.array([4.5, 0.0])
-    assert lp_distance(far, x[0], 4.0) <= scheme.c0 * scheme.r
+    assert lp_distance(far, x[0], 4.0) <= unforced.c0 * unforced.r
     patch, salts = _degenerate((0, 1))
     with patch:
-        forced = coarse_group([[scheme]])
+        forced = _regroup(unforced)
     assert salts == [0]
-    unforced = coarse_group([[scheme]])
     for group in (forced, unforced):
         assert per_copy(query_coarse_ann(group, near), 1) == [(7, 0.5)]
         assert query_coarse_ann(group, far) is None
@@ -725,19 +799,21 @@ def _l2_case(draw):
 
 
 def _l2_reference(leaves, x, q):
-    """Per leaf: the first candidate within 2r in table order, then member
-    order, among at most max_probe members of each bucket, and the (table,
-    candidates) of each bucket it searched, in order."""
+    """Per leaf (a group of one leaf): the first candidate within 2r in
+    table order, then member order, among at most 3L members of each bucket
+    of its L tables, and the (table, candidates) of each bucket it
+    searched, in order."""
     per_leaf, searched = [], []
     for leaf in leaves:
         hit, buckets = None, []
+        assert leaf.leaves == 1 and leaf.w == 4.0 * leaf.r
         for t, (proj, offset) in enumerate(zip(leaf.projections, leaf.offsets)):
             key = np.floor((proj @ q + offset) / leaf.w)
             bucket = [i for i in range(len(x))
                       if (np.floor((proj @ x[i] + offset) / leaf.w) == key).all()]
             if not bucket:
                 continue
-            cand = bucket[: leaf.max_probe]
+            cand = bucket[: 3 * len(leaf.projections)]
             buckets.append((t, cand))
             hits = [(i, lp_distance(x[i], q, 2.0)) for i in cand]
             hits = [h for h in hits if h[1] <= 2.0 * leaf.r]
@@ -801,8 +877,14 @@ def _rows_measured(fn, *args):
 def test_l2_group_matches_per_leaf_loops(case):
     x, q, draws, live = case
     ids = 100 + np.arange(len(x))
-    leaves = [L2Scheme(ids, x, 1.0, proj, offsets) for proj, offsets in draws]
-    group = l2_group(leaves)
+    group = L2Group(ids, x, 1.0, np.concatenate([proj for proj, _ in draws]),
+                    np.concatenate([offsets for _, offsets in draws]),
+                    np.repeat(np.arange(len(draws)), [len(proj) for proj, _ in draws]))
+    # each leaf alone, from its slice of the group's draws
+    leaves = [l2_part(group, range(i, i + 1)) for i in range(len(draws))]
+    for leaf, (proj, offsets) in zip(leaves, draws):
+        assert leaf.projections.tobytes() == proj.tobytes()
+        assert leaf.offsets.tobytes() == offsets.tobytes()
     per_leaf, searched = _l2_reference(leaves, x, q)
     hits = [None if hit is None else (int(ids[hit[0]]), hit[1]) for hit in per_leaf]
     expected = [hit if alive else None for hit, alive in zip(hits, live)]
@@ -822,7 +904,7 @@ def test_l2_group_matches_per_leaf_loops(case):
         None if hits == [None] * len(leaves) else hits)
     # each leaf answers alone as a group of one
     for leaf, hit in zip(leaves, hits):
-        assert per_copy(query_l2_ann(l2_group([leaf]), q), 1) == (None if hit is None else [hit])
+        assert per_copy(query_l2_ann(leaf, q), 1) == (None if hit is None else [hit])
 
 
 @st.composite
@@ -867,15 +949,23 @@ def _coarse_reference(scheme, x, q):
 def test_coarse_group_matches_per_scheme_loops(case):
     x, q, draws, live = case
     ids = 100 + np.arange(len(x))
-    copies = [[CoarseScheme(ids, x, 4.0, 0.5, shifts) for shifts in base] for base in draws]
-    group = coarse_group(copies)
+    schemes = [shifts for base in draws for shifts in base]
+    group = CoarseGroup(ids, x, 4.0, 0.5, np.concatenate(schemes),
+                        np.repeat(np.arange(len(schemes)), [len(shifts) for shifts in schemes]),
+                        np.repeat(np.arange(len(draws)), [len(base) for base in draws]))
+    # each scheme alone, from its slice of the group's shifts
+    first = np.cumsum([0] + [len(base) for base in draws])
+    copies = [[coarse_part(group, range(s, s + 1)) for s in range(a, b)]
+              for a, b in zip(first, first[1:])]
+    for scheme, shifts in zip((s for base in copies for s in base), schemes):
+        assert scheme.copies == 1 and scheme.shifts.tobytes() == shifts.tobytes()
     expected = []
     for base in copies:
         start = None
         for scheme in base:
             hit = _coarse_reference(scheme, x, q)
             # each scheme answers alone as a group of one
-            assert per_copy(query_coarse_ann(coarse_group([[scheme]]), q), 1) == (
+            assert per_copy(query_coarse_ann(scheme, q), 1) == (
                 None if hit is None else [(int(ids[hit[0]]), hit[1])])
             if hit is not None and (start is None or hit[1] < start[1]):
                 start = hit

@@ -440,11 +440,11 @@ def test_rebuild_that_differs_names_both_numpy_versions(built, tmp_path, capsys,
     real, calls = recursive.build_coarse_ann, []
 
     def nudged(*args):
-        scheme = real(*args)
+        group = real(*args)
         if not calls:
-            scheme.shifts[0, 0] = np.nextafter(scheme.shifts[0, 0], np.inf)
-        calls.append(scheme)
-        return scheme
+            group.shifts[0, 0] = np.nextafter(group.shifts[0, 0], np.inf)
+        calls.append(group)
+        return group
 
     monkeypatch.setattr(recursive, "build_coarse_ann", nudged)
     with pytest.raises(UsageError, match="digest mismatch") as err:

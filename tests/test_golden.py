@@ -330,7 +330,7 @@ def test_golden_lsh_root(tmp_path):
     scheme, _ = _instance("lshroot", 5)
     group = scheme.root.group
     assert scheme.root.t == 2.0 and isinstance(group, base_schemes.L2Group)
-    assert len(group.leaves) > 1
+    assert group.leaves > 1
     assert answers("lshroot", 5) == GOLDEN_LSHROOT
     assert answers("lshroot", 5, tmp_path / "golden.lpann") == GOLDEN_LSHROOT
 
@@ -517,7 +517,8 @@ def test_tables_keep_only_what_a_query_reads(tmp_path):
                     assert table.members.size == table.fingerprints.size
                     kind = "coarse"
                 else:
-                    probes = np.array([leaf.max_probe for leaf in group.leaves])[group.leaf_of]
+                    probes = group.max_probe
+                    assert (probes == 3 * np.bincount(group.leaf_of)[group.leaf_of]).all()
                     assert table.keys.shape[0] == table.fingerprints.size
                     assert (sizes >= 1).all() and (sizes <= probes[table.tables]).all()
                     capped += (sizes == probes[table.tables]).sum()
@@ -564,10 +565,9 @@ def _gauss_d32():
 def lsh_group(scan, copies: int, seed: int = 0):
     """LSH leaves over a scanned l2 set's points, one per copy, in one
     group: what the build holds for a set too large to scan."""
-    return base_schemes.l2_group([
-        base_schemes.build_l2_ann(scan.ids, scan.vectors, scan.r, recursive.PRIMITIVE_FAILURE,
-                                  np.random.SeedSequence(seed, spawn_key=(i,)))
-        for i in range(copies)])
+    return base_schemes.build_l2_ann(
+        scan.ids, scan.vectors, scan.r, recursive.PRIMITIVE_FAILURE,
+        [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(copies)])
 
 
 def with_lsh_leaves(root, owners: int = 1) -> None:
@@ -600,7 +600,7 @@ def test_every_point_finds_its_own_bucket_in_every_table(instance, monkeypatch):
     # its build keys, and in every table of its group they find the bucket
     # of that key, which keeps it unless the bucket is full of lower points
     groups = _l2_groups(instance)
-    assert groups and all(len(group.leaves) == 27 for group in groups)
+    assert groups and all(group.leaves == 27 for group in groups)
     hashed = []
     real = base_schemes._query_keys
 
@@ -610,17 +610,19 @@ def test_every_point_finds_its_own_bucket_in_every_table(instance, monkeypatch):
 
     monkeypatch.setattr(base_schemes, "_query_keys", recording)
     for group in groups:
-        table, vectors = group.table, group.leaves[0].vectors
+        table, vectors = group.table, group.vectors
         tables, m = group.projections.shape[0], vectors.shape[0]
         firsts, rest = np.flatnonzero(group.first), np.flatnonzero(~group.first)
         assert firsts.size == 27 and rest.size == tables - 27
-        built = np.concatenate([base_schemes._l2_keys(leaf.projections, leaf.offsets, leaf.w,
-                                                      vectors) for leaf in group.leaves])
+        built = np.concatenate([
+            base_schemes._l2_keys(group.projections[group.leaf_of == leaf],
+                                  group.offsets[group.leaf_of == leaf], group.w, vectors)
+            for leaf in range(group.leaves)])
         first, size = table.spans(np.arange(table.fingerprints.size))
         kept = np.zeros((tables, m), dtype=bool)
         kept[np.repeat(table.tables, size), table.members] = True
         last = table.members[first + size - 1]
-        cap = np.array([leaf.max_probe for leaf in group.leaves])[group.leaf_of]
+        cap = 3 * np.bincount(group.leaf_of)[group.leaf_of]
         keys = np.empty_like(built[:, 0])
         for row, x in enumerate(vectors):
             hashed.clear()
@@ -635,13 +637,18 @@ def test_every_point_finds_its_own_bucket_in_every_table(instance, monkeypatch):
             assert (kept[found, row] | ((size[buckets] == cap) & (last[buckets] < row))).all()
 
 
-def _hits_in_first_table(leaf, q) -> bool:
-    """Whether the leaf's first table holds a candidate within 2r of q
-    among the members its bucket keeps, computed from the build's keys."""
-    key = base_schemes._l2_keys(leaf.projections[:1], leaf.offsets[:1], leaf.w, q[None])[0, 0]
-    built = base_schemes._l2_keys(leaf.projections[:1], leaf.offsets[:1], leaf.w, leaf.vectors)[0]
-    bucket = np.flatnonzero((built == key).all(axis=1))[: leaf.max_probe]
-    return bool((np.linalg.norm(leaf.vectors[bucket] - q, axis=1) <= 2.0 * leaf.r).any())
+def _hits_in_first_table(group, leaf: int, q) -> bool:
+    """Whether the first table of the group's leaf holds a candidate within
+    2r of q among the members its bucket keeps (3L for a leaf of L tables),
+    computed from the build's keys."""
+    tables = np.flatnonzero(group.leaf_of == leaf)
+    first = tables[:1]
+    key = base_schemes._l2_keys(group.projections[first], group.offsets[first], group.w,
+                                q[None])[0, 0]
+    built = base_schemes._l2_keys(group.projections[first], group.offsets[first], group.w,
+                                  group.vectors)[0]
+    bucket = np.flatnonzero((built == key).all(axis=1))[: 3 * tables.size]
+    return bool((np.linalg.norm(group.vectors[bucket] - q, axis=1) <= 2.0 * group.r).any())
 
 
 def test_l2_lookups_hash_only_the_tables_they_read(monkeypatch):
@@ -671,7 +678,7 @@ def test_l2_lookups_hash_only_the_tables_they_read(monkeypatch):
         query(scheme, q)
     assert len(calls) == 4 * 25
     for group, q, live, rows in calls:
-        live_leaves = [leaf for leaf, on in zip(group.leaves, live) if on]
-        assert len(live_leaves) == 27
-        assert all(_hits_in_first_table(leaf, q) for leaf in live_leaves)
+        live_leaves = np.flatnonzero(live)
+        assert live.size == group.leaves and len(live_leaves) == 27
+        assert all(_hits_in_first_table(group, leaf, q) for leaf in live_leaves)
         assert rows == len(live_leaves) * group.projections.shape[1]

@@ -11,7 +11,6 @@ from lpann import (
     build_l2_ann,
     exact_nn,
     fit_scaling,
-    l2_group,
     lp_distance,
     make_planted_instance,
     query_l2_ann,
@@ -111,9 +110,9 @@ def test_run_trials_single_point():
 
 class _L2Index:
     def __init__(self, dataset, seed, delta_fail):
-        self.group = l2_group([build_l2_ann(
-            dataset.ids, dataset.vectors, r=1.0, delta_fail=delta_fail, seed=seed
-        )])
+        self.group = build_l2_ann(
+            dataset.ids, dataset.vectors, r=1.0, delta_fail=delta_fail, seeds=[seed]
+        )
 
     def query(self, q):
         hits = query_l2_ann(self.group, q)

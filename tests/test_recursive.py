@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import lpann
 from lpann import (
     Dataset,
     SchemeConfig,
@@ -23,8 +24,6 @@ from lpann import (
 from lpann import (
     build_coarse_ann,
     build_l2_ann,
-    coarse_group,
-    l2_group,
     query_coarse_ann,
     query_l2_ann,
 )
@@ -37,6 +36,16 @@ from lpann.recursive import MAX_COPIES, normalize_exponent, norm_level_copies
 
 def cfg(p=4.0, r=1.0, **kw):
     return SchemeConfig(p=p, r=r, **kw)
+
+
+def test_every_export_resolves_once():
+    # a stale name in __all__ would fail only at ``from lpann import *``
+    assert len(set(lpann.__all__)) == len(lpann.__all__)
+    missing = [name for name in lpann.__all__ if not hasattr(lpann, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from lpann import *", namespace)
+    assert set(lpann.__all__) <= namespace.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +361,8 @@ def entry_points():
     x = np.eye(4)
     ds = Dataset(x, 4.0)
     scheme = preprocess(ds, cfg())
-    leaf = l2_group([build_l2_ann(ds.ids, x, 1.0, 0.1, seed=1)])
-    grid = coarse_group([[build_coarse_ann(ds.ids, x, 4.0, 1.0, seed=1)]])
+    leaf = build_l2_ann(ds.ids, x, 1.0, 0.1, seeds=[1])
+    grid = build_coarse_ann(ds.ids, x, 4.0, 1.0, seeds=[[1]])
     return {
         "query": lambda q: query(scheme, q),
         "nns_search": lambda q: nns_search(ds, 4.0, 0.5, q),
@@ -415,7 +424,7 @@ def test_space_single_point():
         assert all(reduction.child is None for reduction in level.children)
     report = space_usage(scheme)
     copies = root.nodes * root.node_copies
-    assert report.total == len(root.group.schemes) + copies * len(root.ladder)
+    assert report.total == root.group.copy_of.size + copies * len(root.ladder)
     assert report.total == sum(report.per_level.values())
 
 

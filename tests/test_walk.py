@@ -4,14 +4,15 @@
 every copy's ladder on its own, looks up each l2 leaf as a group of one,
 answers each copy of a scanned l2 set with the set's nearest point by an
 exact scan, looks up each node's grids as a group of its copies, and keeps
-the first node and copy at the least distance. It takes each copy's base
-schemes from its point set's group by copy index (a leaf's index, or
-``copy_of``). ``recursive._walk`` must give the same id, distance bits and
-trace, with the l2 sets scanned as built and with LSH leaves in their place
-(``with_lsh_leaves``), and it must also do so when the copies over one
-point set route to different clusters at one ladder step, so that a group
-is looked up for some of its copies only, and when copies tie. A scanned
-set is scanned once per query that reaches it, whatever its copies.
+the first node and copy at the least distance. It constructs each of these
+groups from a slice of its point set's group's draws, by copy index (a
+leaf's index, or ``copy_of``). ``recursive._walk`` must give the same id,
+distance bits and trace, with the l2 sets scanned as built and with LSH
+leaves in their place (``with_lsh_leaves``), and it must also do so when
+the copies over one point set route to different clusters at one ladder
+step, so that a group is looked up for some of its copies only, and when
+copies tie. A scanned set is scanned once per query that reaches it,
+whatever its copies.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 
 from lpann import Dataset, SchemeConfig, base_schemes, preprocess, query, recursive
 from lpann import _kernels
-from test_base_schemes import per_copy
+from test_base_schemes import coarse_part, l2_part, per_copy
 from test_golden import line_points, with_lsh_leaves
 
 
@@ -51,17 +52,17 @@ class _Reference:
             return (x_id, float(_kernels.dists_to_point(group.vectors[row], q, 2.0)[0]), [x_id])
         if pset.t == 2.0:
             per = pset.nodes * pset.node_copies
-            for leaf in group.leaves[owner * per:(owner + 1) * per]:
-                alone = self._group(id(leaf), lambda: base_schemes.l2_group([leaf]))
+            for leaf in range(owner * per, (owner + 1) * per):
+                alone = self._group((id(group), leaf),
+                                    lambda: l2_part(group, range(leaf, leaf + 1)))
                 hits = per_copy(base_schemes.query_l2_ann(alone, q), 1)
                 if hits is not None and (best is None or hits[0][1] < best[1]):
                     best = (hits[0][0], hits[0][1], [hits[0][0]])
             return best
         for node in range(owner * pset.nodes, (owner + 1) * pset.nodes):
             copies = range(node * pset.node_copies, (node + 1) * pset.node_copies)
-            alone = self._group((id(pset), node), lambda: base_schemes.coarse_group(
-                [[group.schemes[s] for s in np.flatnonzero(group.copy_of == i)]
-                 for i in copies]))
+            schemes = range(*group.copy_of.searchsorted([copies.start, copies.stop]))
+            alone = self._group((id(pset), node), lambda: coarse_part(group, schemes))
             starts = per_copy(base_schemes.query_coarse_ann(alone, q), len(copies))
             for copy, start in zip(copies, starts or ()):
                 if start is None:
