@@ -22,7 +22,10 @@ re-verified and a bad candidate set yields ``None`` instead.
 
 Every copy of a scheme over one point array is looked up with the others
 as one group (``L2Group``, ``CoarseGroup``), which holds all their draws,
-one seed's after another, and the scalars derived from them. A builder
+one seed's after another, and the scalars derived from them. Its copies
+are all of one size (an l2 leaf's L tables, or a grid copy's schemes of G
+grids each), so a table's leaf, scheme or copy is its number divided by
+that size, and the group keeps no array of them. A builder
 draws each seed's arrays straight into the group's, and the group builds
 its buckets and cells from them, a table at a time (an l2 leaf's points
 hashed with one matrix product, a grid's cells computed per point only in
@@ -139,7 +142,7 @@ class _BucketTable:
     b's fingerprint under ``multipliers`` (see ``_fingerprints``), all
     distinct and ascending, so the position a search finds is the bucket.
     Bucket b belongs to table ``tables[b]`` and keeps the lowest local
-    indices of its points, ascending, at most its table's cap:
+    indices of its points, ascending, at most the cap the table was built with:
     ``members[starts[b]:starts[b + 1]]``, or ``members[b]`` alone where
     ``starts`` is None, as it is when every bucket keeps one member (every
     grid table). Its int key is ``keys[b]``, or, where ``keys`` is None,
@@ -224,18 +227,18 @@ def _split(multipliers, t: int, keys: np.ndarray, box=None):
     return order, first, fp[first]
 
 
-def _bucket_table(tables: Callable, keep_keys: bool = True) -> _BucketTable:
-    """Group the points of each table into buckets by key, a table at a time.
+def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _BucketTable:
+    """Group the points of each table into buckets by key, a table at a time,
+    each bucket keeping at most ``cap`` members.
 
-    ``tables()`` yields one (keys, cap, box) triple per table, numbered in
-    order: the points' int keys, an (m, k) array, the most members a bucket
-    of the table keeps, and None, or, where keys holds only some columns of
-    width-k keys, the box that gives the others (see ``_fingerprints``).
-    Each table is split on its own by ``_split`` and leaves only its runs,
-    members and fingerprints, and its buckets' keys if ``keep_keys`` (which
-    takes whole keys); a table's keys are dropped before the next table's
-    are made. Sorting all fingerprints and capping the members run once at
-    the end.
+    ``tables()`` yields one (keys, box) pair per table, numbered in order:
+    the points' int keys, an (m, k) array, and None, or, where keys holds
+    only some columns of width-k keys, the box that gives the others (see
+    ``_fingerprints``). Each table is split on its own by ``_split`` and
+    leaves only its runs, members and fingerprints, and its buckets' keys if
+    ``keep_keys`` (which takes whole keys); a table's keys are dropped
+    before the next table's are made. Sorting all fingerprints and capping
+    the members run once at the end.
 
     A pass fingerprints every table under one salt's multipliers, from salt
     0 on. A fingerprint run holding two keys, or two buckets sharing a
@@ -247,8 +250,8 @@ def _bucket_table(tables: Callable, keep_keys: bool = True) -> _BucketTable:
     """
     for salt in itertools.count():
         multipliers, base = None, 0
-        keys, runs, members, caps, fps = [], [], [], [], []
-        for table_keys, cap, box in tables():
+        keys, runs, members, fps = [], [], [], []
+        for table_keys, box in tables():
             if multipliers is None:
                 multipliers = _multipliers(salt, (table_keys if box is None else box[1]).shape[-1])
             split = _split(multipliers, len(fps), table_keys, box)
@@ -262,7 +265,6 @@ def _bucket_table(tables: Callable, keep_keys: bool = True) -> _BucketTable:
             runs.append(first + base)
             members.append(order.astype(np.int32))
             base += order.size
-            caps.append(cap)
             fps.append(fp)
         else:
             fp = np.concatenate(fps)
@@ -271,12 +273,12 @@ def _bucket_table(tables: Callable, keep_keys: bool = True) -> _BucketTable:
             if not (fp[1:] == fp[:-1]).any():
                 break
     # number the buckets in fingerprint order, each keeping its first
-    # members, at most its table's cap; the per-table parts are joined or
-    # dropped before the members are gathered (the build's peak memory)
+    # members, at most cap; the per-table parts are joined or dropped
+    # before the members are gathered (the build's peak memory)
     counts = [f.size for f in fps]
     first, members = np.concatenate(runs), np.concatenate(members)
     del fps, runs
-    kept = np.minimum(np.diff(first, append=base), np.repeat(caps, counts))[order]
+    kept = np.minimum(np.diff(first, append=base), cap)[order]
     first = first[order]
     ends = np.cumsum(kept)
     members = members[np.arange(ends[-1]) + np.repeat(first - (ends - kept), kept)]
@@ -345,6 +347,16 @@ def _is_seed_list(seeds) -> bool:
     return isinstance(seeds, (list, tuple)) and len(seeds) > 0
 
 
+def _live_mask(live, copies: int) -> np.ndarray:
+    """A new boolean mask over a group's copies: live, or all if None."""
+    if live is None:
+        return np.ones(copies, dtype=bool)
+    mask = np.array(live, dtype=bool)
+    if mask.shape != (copies,):
+        raise UsageError(f"live needs one flag per copy: shape {mask.shape} for {copies} copies")
+    return mask
+
+
 def _l2_keys(projections, offsets, w: float, vecs: np.ndarray) -> np.ndarray:
     """Bucket keys for each (table, vector): int array (L, m, k), from one
     matrix product of the vectors with all L k projections. The offsets,
@@ -387,20 +399,19 @@ def build_l2_ann(ids, vectors, r: float, delta_fail: float, seeds) -> L2Group:
         rng, part = _rng(seed), slice(i * big_l, (i + 1) * big_l)
         projections[part] = rng.standard_normal((big_l, k, d))
         offsets[part] = rng.uniform(0.0, BUCKET_WIDTH_FACTOR * r, size=(big_l, k))
-    return L2Group(ids, vectors, float(r), projections, offsets,
-                   np.repeat(np.arange(len(seeds)), big_l))
+    return L2Group(ids, vectors, float(r), projections, offsets, len(seeds))
 
 
 @dataclass
 class L2Group:
     """l2 leaves over one point array and radius, looked up together.
 
-    Table i (``projections[i]``, ``offsets[i]``) belongs to leaf
-    ``leaf_of[i]``, ascending, is that leaf's first table where
-    ``first[i]``, and is table i of ``table``, whose buckets keep the first
-    ``max_probe[i]`` members, 3L for a leaf of L tables, all a query probes.
-    The draws fix everything else: bucket width w = 4r, the leaf count and
-    the table, which the constructor builds.
+    The T tables (``projections[i]``, ``offsets[i]``) make ``leaves`` leaves
+    of L = T / leaves tables each: table i belongs to leaf i // L, is that
+    leaf's first table where i % L == 0, and is table i of ``table``, whose
+    buckets keep the first ``max_probe`` = 3L members, all a query probes.
+    The draws fix everything else: bucket width w = 4r, L and the table,
+    which the constructor builds a leaf's tables at a time.
     """
 
     ids: np.ndarray
@@ -408,24 +419,21 @@ class L2Group:
     r: float
     projections: np.ndarray  # (T, k, d)
     offsets: np.ndarray      # (T, k)
-    leaf_of: np.ndarray      # (T,)
+    leaves: int
     w: float = field(init=False)
-    first: np.ndarray = field(init=False)      # (T,) bool
-    max_probe: np.ndarray = field(init=False)  # (T,)
-    leaves: int = field(init=False)
+    leaf_tables: int = field(init=False)  # L
+    max_probe: int = field(init=False)
     table: _BucketTable = field(init=False, repr=False)
 
     def __post_init__(self):
         self.w = BUCKET_WIDTH_FACTOR * self.r
-        self.first = _run_starts(self.leaf_of)
-        counts = np.bincount(self.leaf_of)
-        self.leaves = counts.size
-        self.max_probe = 3 * counts[self.leaf_of]
-        bounds = [*self.first.nonzero()[0].tolist(), self.leaf_of.size]
+        big_l = self.leaf_tables = len(self.projections) // self.leaves
+        self.max_probe = 3 * big_l
         self.table = _bucket_table(lambda: (
-            (keys, int(self.max_probe[a]), None) for a, b in zip(bounds, bounds[1:])
-            for keys in _l2_keys(self.projections[a:b], self.offsets[a:b], self.w, self.vectors)
-        ))
+            (keys, None) for a in range(0, len(self.projections), big_l)
+            for keys in _l2_keys(self.projections[a:a + big_l], self.offsets[a:a + big_l],
+                                 self.w, self.vectors)
+        ), self.max_probe)
 
 
 @dataclass
@@ -493,19 +501,17 @@ def query_l2_ann(group: L2Group, q, live=None):
     measured.
     """
     q = check_query(q, group.vectors.shape[1])
-    members, m = group.table.members, len(group.vectors)
+    members, m, big_l = group.table.members, len(group.vectors), group.leaf_tables
     hit_row = np.zeros(group.leaves, dtype=np.intp)
     hit_dist = np.full(group.leaves, np.inf)
-    pending = np.ones(group.leaves, dtype=bool)
-    if live is not None:
-        pending = np.array(live, dtype=bool)  # a copy: leaves that hit leave it
+    pending = _live_mask(live, group.leaves)  # leaves that hit leave it
     hit = False
-    for first_pass in (True, False):
-        tables = ((group.first == first_pass) & pending[group.leaf_of]).nonzero()[0]
+    for a, b in ((0, 1), (1, big_l)):  # each live leaf's first table, then the rest
+        tables = (pending.nonzero()[0][:, None] * big_l + np.arange(a, b)).reshape(-1)
         if not tables.size:
             break
         found, buckets = _lookup(group.table, tables, _query_keys(group, tables, q))
-        leaf = group.leaf_of[tables[found]]  # ascends: stacked tables are in leaf order
+        leaf = tables[found] // big_l  # ascends: stacked tables are in leaf order
         rank = np.arange(found.size) - leaf.searchsorted(leaf)
         for j in range(rank.max() + 1 if found.size else 0):
             sel = ((rank == j) & pending[leaf]).nonzero()[0]
@@ -544,9 +550,10 @@ def build_coarse_ann(ids, vectors, p: float, r: float, seeds) -> CoarseGroup:
     ids, vectors = _check_inputs("build_coarse_ann", ids, vectors, r)
     if p < 2.0:
         raise UsageError(f"coarse scheme requires p >= 2, got {p}")
-    if not (_is_seed_list(seeds) and all(map(_is_seed_list, seeds))):
+    if not (_is_seed_list(seeds) and all(map(_is_seed_list, seeds))
+            and len(set(map(len, seeds))) == 1):
         raise UsageError("build_coarse_ann needs a non-empty list of copies, each a "
-                         "non-empty list of seeds, one per grid scheme")
+                         "non-empty list of seeds, one per grid scheme, as many in each")
 
     n, d = vectors.shape
     side = grid_cell_side(d, r)
@@ -557,9 +564,7 @@ def build_coarse_ann(ids, vectors, p: float, r: float, seeds) -> CoarseGroup:
     shifts = np.empty((len(schemes) * grids, d))
     for i, seed in enumerate(schemes):
         shifts[i * grids:(i + 1) * grids] = _rng(seed).uniform(0.0, side, size=(grids, d))
-    return CoarseGroup(ids, vectors, float(p), float(r), shifts,
-                       np.repeat(np.arange(len(schemes)), grids),
-                       np.repeat(np.arange(len(seeds)), [len(copy) for copy in seeds]))
+    return CoarseGroup(ids, vectors, float(p), float(r), shifts, grids, len(seeds))
 
 
 def _grid_tables(vectors: np.ndarray, shifts: np.ndarray, side: float):
@@ -574,41 +579,38 @@ def _grid_tables(vectors: np.ndarray, shifts: np.ndarray, side: float):
         low, high = _cells(box, shift, side)
         cols = (low != high).nonzero()[0]
         low[cols] = 0
-        yield _cells(vectors[:, cols], shift[cols], side), 1, (cols, low)
+        yield _cells(vectors[:, cols], shift[cols], side), (cols, low)
 
 
 @dataclass
 class CoarseGroup:
     """The grid schemes of node copies over one point array, for one norm
-    and radius, looked up together. Grid i (``shifts[i]``) belongs to
-    scheme ``scheme_of[i]``, which belongs to copy ``copy_of[scheme]``, both
-    ascending, and is table i of ``table``, which keeps one member per
-    occupied cell, its lowest local index, and no cell: ``query_coarse_ann``
-    recomputes it with ``_cells``. The draws fix everything else: cell side
-    4 d r, approximation c0 = 4 d^(1+1/p), the copy count and the table,
-    which the constructor builds from the cells of each grid's varying
-    coordinates only (``_grid_tables``), the table of the full cells, bit
-    for bit."""
+    and radius, looked up together. Grid i (``shifts[i]``) of T belongs to
+    scheme i // ``grids`` and to copy i // (T / ``copies``), and is table i
+    of ``table``, which keeps one member per occupied cell, its lowest
+    local index, and no cell: ``query_coarse_ann`` recomputes it with
+    ``_cells``. The draws fix everything else: cell side 4 d r,
+    approximation c0 = 4 d^(1+1/p) and the table, which the constructor
+    builds from the cells of each grid's varying coordinates only
+    (``_grid_tables``), the table of the full cells, bit for bit."""
 
     ids: np.ndarray
     vectors: np.ndarray
     p: float
     r: float
-    shifts: np.ndarray     # (T, d)
-    scheme_of: np.ndarray  # (T,)
-    copy_of: np.ndarray    # (S,)
+    shifts: np.ndarray  # (T, d)
+    grids: int
+    copies: int
     c0: float = field(init=False)
     cell_side: float = field(init=False)
-    copies: int = field(init=False)
     table: _BucketTable = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.vectors.shape[1]
         self.c0 = coarse_approximation(d, self.p)
         self.cell_side = grid_cell_side(d, self.r)
-        self.copies = int(self.copy_of.max()) + 1
         self.table = _bucket_table(lambda: _grid_tables(self.vectors, self.shifts, self.cell_side),
-                                   keep_keys=False)
+                                   1, keep_keys=False)
 
 
 def query_coarse_ann(group: CoarseGroup, q, live=None):
@@ -624,8 +626,9 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
     cells = _cells(q, group.shifts, group.cell_side)
     # fingerprint matches, cells unconfirmed
     found, buckets = _lookup(group.table, np.arange(len(cells)), cells)
+    copy_grids = len(cells) // group.copies
     if live is not None:
-        keep = np.asarray(live, dtype=bool)[group.copy_of[group.scheme_of[found]]]
+        keep = _live_mask(live, group.copies)[found // copy_grids]
         found, buckets = found[keep], buckets[keep]
     if not found.size:
         return None
@@ -635,8 +638,7 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
     dists = _kernels.dists_to_point(group.vectors[cand], q, group.p)[inv]
     ok = (dists <= group.c0 * group.r).nonzero()[0]
     grids, reps, dists = found[ok], reps[ok], dists[ok]
-    which = group.scheme_of[grids]
-    copy = group.copy_of[which]
+    which, copy = grids // group.grids, grids // copy_grids
     # per copy: least distance, then first scheme, then lowest row; a match
     # counts once its representative's recomputed cell is the query's, so
     # only each copy's best match still untried is recomputed (``_cells`` is

@@ -169,7 +169,8 @@ def cmd_query(args) -> int:
 
 
 def run_bench_campaign(spec_dict: dict) -> dict:
-    """Run trials across the spec's n-grid and assemble the report."""
+    """Run trials across the spec's n-grid and assemble the report; a build
+    that fails fails the campaign with its error."""
     spec_dict = {**SPEC_DEFAULTS, **spec_dict}
     n_grid = sorted(spec_dict["n_grid"])
     p, d, r = float(spec_dict["p"]), int(spec_dict["d"]), float(spec_dict["r"])
@@ -194,6 +195,8 @@ def run_bench_campaign(spec_dict: dict) -> dict:
             seed=n_seed,
         )
         rep = run_trials(make_scheme_builder(p, r, delta), trial_spec, c_target)
+        if rep.build_error is not None:
+            raise rep.build_error
         reports[n] = rep
         per_n[str(n)] = {
             "success_rate": rep.success_rate,

@@ -35,13 +35,14 @@ blobs are never measured.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import UsageError
-from .geometry import Dataset, subset_diameter
+from .geometry import Dataset, _is_int, subset_diameter
 
 
 @dataclass
@@ -87,10 +88,10 @@ def build_sparse_cover(dataset: Dataset, radius: float, beta: float) -> SparseCo
     construction is deterministic."""
     if dataset.n == 0:
         raise UsageError("cannot cover an empty dataset")
-    if radius <= 0.0:
-        raise UsageError(f"cover radius must be positive, got {radius}")
-    if beta <= 1.0:
-        raise UsageError(f"beta must exceed 1, got {beta}")
+    if not 0.0 < radius < math.inf:
+        raise UsageError(f"cover radius must be positive and finite, got {radius}")
+    if not 1.0 < beta < math.inf:
+        raise UsageError(f"beta must be finite and exceed 1, got {beta}")
 
     vectors = dataset.vectors
     ids = dataset.ids
@@ -149,7 +150,7 @@ def build_sparse_cover(dataset: Dataset, radius: float, beta: float) -> SparseCo
 def cover_lookup(cover: SparseCover, row: int) -> int:
     """Index of the cluster containing B(point, radius) for the point at
     ``row`` of the covered dataset; rows outside the dataset are errors."""
-    if not 0 <= row < cover.covering_ref.shape[0]:
+    if not (_is_int(row) and 0 <= row < cover.covering_ref.shape[0]):
         raise UsageError(f"row {row} is not covered by this cover")
     return int(cover.covering_ref[row])
 

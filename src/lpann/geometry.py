@@ -8,7 +8,7 @@ through ``x ** p``.
 from __future__ import annotations
 
 import math
-import sys
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +35,11 @@ def check_query(q, d: int) -> np.ndarray:
     return q
 
 
+def _is_int(value) -> bool:
+    # numpy integers count; bools (Python's and numpy's) do not
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(eq=False)
 class Dataset:
     """An indexed collection of d-dimensional vectors under an lp norm.
@@ -57,7 +62,14 @@ class Dataset:
         if self.ids is None:
             self.ids = np.arange(self.vectors.shape[0], dtype=np.int64)
         else:
-            self.ids = np.ascontiguousarray(self.ids, dtype=np.int64)
+            ids = np.asarray(self.ids)
+            if ids.ndim != 1 or (ids.dtype.kind not in "iuf" and ids.size):
+                raise UsageError(f"dataset ids must be a 1-d array of integers, got "
+                                 f"{ids.dtype} of shape {ids.shape}")
+            with np.errstate(invalid="ignore"):  # non-integers are refused below
+                self.ids = np.ascontiguousarray(ids, dtype=np.int64)
+            if not (self.ids == ids).all():
+                raise UsageError("dataset ids must be integers")
             if self.ids.shape[0] != self.vectors.shape[0]:
                 raise UsageError("ids and vectors length mismatch")
             if np.unique(self.ids).shape[0] != self.ids.shape[0]:
@@ -76,23 +88,14 @@ def lp_distance(x, y, p: float) -> float:
     """(sum_i |x_i - y_i|^p)^(1/p).
 
     Raises UsageError on dimension mismatch and NumericRangeError if the
-    result overflows float64. When the largest |x_i - y_i|**p would fall
-    below the normal float64 range, the differences are first scaled by a
-    power of two (exact both ways) so the powers keep their digits.
+    result overflows float64. Differences whose powers fall below the
+    normal float64 range keep their digits (see ``_kernels``).
     """
     p = check_norm_param(p)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise UsageError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    with np.errstate(over="ignore"):  # reported below as NumericRangeError
-        diff = np.abs(x - y).ravel()
-    m = float(diff.max()) if diff.size else 0.0
-    if 0.0 < m < sys.float_info.min ** (1.0 / p):
-        e = math.frexp(m)[1] - 1  # m / 2**e lies in [1, 2)
-        scaled = np.ldexp(diff, -e).reshape(1, -1)
-        d = float(_kernels.dists_to_point(scaled, np.zeros_like(diff), p)[0])
-        return math.ldexp(d, e)
     d = float(_kernels.dists_to_point(x.reshape(1, -1), y.ravel(), p)[0])
     if not math.isfinite(d):
         raise NumericRangeError(f"lp distance overflowed for p={p}")

@@ -152,10 +152,11 @@ class TrialReport:
     ratio_quantiles: dict
     mean_query_time_s: float
     build_time_s: float
-    build_error: str | None = None
+    build_error: Exception | None = None  # what the builder raised
     space: object = None  # SpaceReport when the index provides one
 
     def as_dict(self, include_timing: bool = True) -> dict:
+        error = self.build_error
         out = {
             "spec": {
                 "n": self.spec.n,
@@ -170,7 +171,7 @@ class TrialReport:
             "c_target": self.c_target,
             "success_rate": self.success_rate,
             "ratio_quantiles": dict(self.ratio_quantiles),
-            "build_error": self.build_error,
+            "build_error": None if error is None else f"{type(error).__name__}: {error}",
             "outcomes": [o.as_dict(include_timing) for o in self.outcomes],
         }
         if self.space is not None:
@@ -209,7 +210,7 @@ def run_trials(builder, spec: TrialSpec, c_target: float) -> TrialReport:
     try:
         index = builder(dataset, build_seed)
     except Exception as exc:  # noqa: BLE001 - recorded, counted as failure
-        build_error = f"{type(exc).__name__}: {exc}"
+        build_error = exc
     build_time = time.perf_counter() - t0
 
     planted_vec = dataset.vectors[planted_id]

@@ -48,7 +48,6 @@ exactly and folded into the reported bound.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -68,7 +67,14 @@ from .base_schemes import (
 )
 from .cover import Cluster, SparseCover, build_sparse_cover, diameter_bound_for
 from .errors import NumericRangeError, UsageError
-from .geometry import Dataset, MazurMapSpec, check_query, mazur_map_apply, mazur_map_points
+from .geometry import (
+    Dataset,
+    MazurMapSpec,
+    _is_int,
+    check_query,
+    mazur_map_apply,
+    mazur_map_points,
+)
 
 L2_LEAF_APPROX = 2.0
 PRIMITIVE_FAILURE = 1.0 / 3.0  # each unamplified randomized structure
@@ -92,6 +98,10 @@ def _seed(root_seed: int, path: tuple) -> np.random.SeedSequence:
 # already fail together with probability 3**-16 < 1e-7, and the bound keeps
 # a build (and so the load of an edited file) from asking for unbounded work.
 MAX_COPIES = 16
+# Most rungs nns_search's radius ladder may take: each is a float and a
+# scheme the binary search may build, so a c_slack too small for the
+# ladder's span is refused before any is made.
+MAX_RUNGS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -128,11 +138,6 @@ class SchemeConfig:
         # keep plain ints (numpy integers pass the checks) so a save can write them
         for name in ("seed", "base_copies", "child_copies"):
             object.__setattr__(self, name, int(getattr(self, name)))
-
-
-def _is_int(value) -> bool:
-    # numpy integers count; bools (Python's and numpy's) do not
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def normalize_exponent(p: float, d: int) -> tuple[float, float]:
@@ -600,7 +605,8 @@ def space_usage(scheme: LpScheme) -> SpaceReport:
         copies = owners * pset.nodes * pset.node_copies
         group = pset.group
         coarse = isinstance(group, CoarseGroup)
-        add(pset, "base", (group.copy_of.size if coarse else copies) * int(pset.ids.size))
+        schemes = len(group.shifts) // group.grids if coarse else copies
+        add(pset, "base", schemes * int(pset.ids.size))
         if isinstance(group, L2Scan):
             l2_sets["scan"] += 1
         else:
@@ -642,6 +648,20 @@ def _pairwise_extremes(dataset: Dataset) -> tuple[float, float]:
     return min_nz, diam
 
 
+def _check_rungs(low: float, top: float, c_slack: float) -> None:
+    """Raise UsageError if growing low by factors (1 + c_slack) takes more
+    than ``MAX_RUNGS`` steps to reach top (or never does, from 0), and
+    NumericRangeError if top, an lp distance, overflowed."""
+    if not low < top:
+        return
+    if top == math.inf:
+        raise NumericRangeError("an lp distance overflowed: the radius ladder has no top")
+    rungs = (math.log(top) - math.log(low)) / math.log1p(c_slack) if low > 0.0 else math.inf
+    if not rungs <= MAX_RUNGS:
+        raise UsageError(f"a radius ladder from {low} to {top} at c_slack = {c_slack} "
+                         f"needs {rungs:.3g} rungs, more than {MAX_RUNGS}")
+
+
 def nns_search(
     dataset: Dataset,
     p: float,
@@ -679,6 +699,7 @@ def nns_search(
         if not math.isfinite(min_nz):  # all points coincide
             min_nz, diam = 1.0, 1.0
         radii = [min_nz / 2.0]
+        _check_rungs(radii[0], diam, c_slack)
         while radii[-1] < diam:
             radii.append(radii[-1] * (1.0 + c_slack))
         cache["radii"] = radii
@@ -686,6 +707,7 @@ def nns_search(
 
     radii = cache["radii"]
     anchor = float(_kernels.dists_to_point(dataset.vectors[:1], q, p)[0])
+    _check_rungs(radii[-1], anchor, c_slack)
     while radii[-1] < anchor:
         radii.append(radii[-1] * (1.0 + c_slack))
 

@@ -63,33 +63,31 @@ def _coarse_id(scheme, q):
 def l2_part(group: L2Group, leaves: range) -> L2Group:
     """Leaves ``leaves`` of an l2 group as a group of their own, constructed
     from a slice of its draws."""
-    a, b = group.leaf_of.searchsorted([leaves.start, leaves.stop])
-    return L2Group(group.ids, group.vectors, group.r, group.projections[a:b],
-                   group.offsets[a:b], group.leaf_of[a:b] - leaves.start)
+    part = slice(leaves.start * group.leaf_tables, leaves.stop * group.leaf_tables)
+    return L2Group(group.ids, group.vectors, group.r, group.projections[part],
+                   group.offsets[part], len(leaves))
 
 
-def coarse_part(group: CoarseGroup, schemes: range) -> CoarseGroup:
-    """Grid schemes ``schemes`` of a coarse group, with their copies, as a
-    group of their own, constructed from a slice of its shifts."""
-    a, b = group.scheme_of.searchsorted([schemes.start, schemes.stop])
-    copy_of = group.copy_of[schemes.start:schemes.stop]
-    return CoarseGroup(group.ids, group.vectors, group.p, group.r, group.shifts[a:b],
-                       group.scheme_of[a:b] - schemes.start, copy_of - copy_of[0])
+def coarse_part(group: CoarseGroup, schemes: range, copies: int = 1) -> CoarseGroup:
+    """Grid schemes ``schemes`` of a coarse group as a group of their own,
+    of ``copies`` copies, constructed from a slice of its shifts."""
+    part = slice(schemes.start * group.grids, schemes.stop * group.grids)
+    return CoarseGroup(group.ids, group.vectors, group.p, group.r, group.shifts[part],
+                       group.grids, copies)
 
 
 def _one_scheme(ids, vectors, p, r, shifts) -> CoarseGroup:
     """A group of one copy of one grid scheme with the given shifts."""
-    return CoarseGroup(ids, vectors, p, r, shifts, np.zeros(len(shifts), dtype=np.int64),
-                       np.zeros(1, dtype=np.int64))
+    return CoarseGroup(ids, vectors, p, r, shifts, len(shifts), 1)
 
 
 def _regroup(group):
     """A new group constructed from the draws of group."""
     if isinstance(group, CoarseGroup):
         return CoarseGroup(group.ids, group.vectors, group.p, group.r, group.shifts,
-                           group.scheme_of, group.copy_of)
+                           group.grids, group.copies)
     return L2Group(group.ids, group.vectors, group.r, group.projections, group.offsets,
-                   group.leaf_of)
+                   group.leaves)
 
 
 def test_collision_probability_design_point():
@@ -258,9 +256,18 @@ def test_build_precondition_errors():
     for seeds in ([], 7):
         with pytest.raises(UsageError):
             build_l2_ann([0, 1, 2], three, 1.0, 0.1, seeds)
-    for seeds in ([], 7, [[0], []], [[]], [0]):
+    # ... or copies of unequal numbers of schemes
+    for seeds in ([], 7, [[0], []], [[]], [0], [[0], [1, 2]]):
         with pytest.raises(UsageError):
             build_coarse_ann([0, 1, 2], three, 4.0, 1.0, seeds)
+    # a live mask needs one flag per copy
+    leaves = build_l2_ann([0, 1, 2], three, 1.0, 0.1, [0, 1])
+    grids = build_coarse_ann([0, 1, 2], three, 4.0, 1.0, [[0], [1]])
+    for live in ([True], [True, False, True], [[True], [False]]):
+        with pytest.raises(UsageError, match="one flag per copy"):
+            query_l2_ann(leaves, three[0], live)
+        with pytest.raises(UsageError, match="one flag per copy"):
+            query_coarse_ann(grids, three[0], live)
 
 
 # (tables, bits, d, vectors): one tiny product, a leaf's build, and the
@@ -344,7 +351,7 @@ def _dict_reference_check(keys, probes, cap=2**31 - 1):
     for t in range(keys.shape[0]):
         for local, key in enumerate(map(tuple, keys[t])):
             reference.setdefault((t, key), []).append(local)
-    table = _bucket_table(lambda: ((table_keys, cap, None) for table_keys in keys))
+    table = _bucket_table(lambda: ((table_keys, None) for table_keys in keys), cap)
     assert table.members.size == sum(min(len(v), cap) for v in reference.values())
     # every stored key of every point, then arbitrary (often absent) keys
     for probe in [keys[:, i, :] for i in range(keys.shape[1])] + probes:
@@ -475,7 +482,7 @@ def test_degenerate_salt_gives_the_table_of_the_salt_it_ends_at(multipliers):
     keys = np.tile(rng.integers(-2, 3, size=(1, 6, 70)), (3, 5, 1))  # repeats in every table
     keys[0, 1:3, 67] += 1
     for build in (lambda: _regroup(grids).table, lambda: _regroup(leaves).table,
-                  lambda: _bucket_table(lambda: ((table_keys, 2, None) for table_keys in keys))):
+                  lambda: _bucket_table(lambda: ((table_keys, None) for table_keys in keys), 2)):
         patch, salts = _degenerate(multipliers)
         with patch:
             forced = build()
@@ -623,8 +630,8 @@ def test_l2_build_draws_its_projections_once():
 def _dense_grid_table(vectors, shifts, side):
     """The grid table as built before the box: every point's cell in every
     coordinate of every grid, through the same splitter."""
-    return _bucket_table(lambda: ((_cells(vectors, shift, side), 1, None) for shift in shifts),
-                         keep_keys=False)
+    return _bucket_table(lambda: ((_cells(vectors, shift, side), None) for shift in shifts),
+                         1, keep_keys=False)
 
 
 def _varying(vectors, shifts, side) -> np.ndarray:
@@ -789,8 +796,8 @@ def _l2_case(draw):
     d, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 2))
     x, q = draw(_points(d, m, 2))
     leaves = []
+    n_tables = draw(st.integers(1, 2))  # max_probe = 3 n_tables: buckets often exceed it
     for _ in range(draw(st.integers(1, 4))):
-        n_tables = draw(st.integers(1, 2))  # max_probe = 3 n_tables: buckets often exceed it
         proj = draw(arrays(np.float64, (n_tables, k, d), elements=st.integers(-2, 2)))
         offsets = draw(arrays(np.float64, (n_tables, k), elements=st.integers(0, 3)))
         leaves.append((proj, offsets))
@@ -878,8 +885,7 @@ def test_l2_group_matches_per_leaf_loops(case):
     x, q, draws, live = case
     ids = 100 + np.arange(len(x))
     group = L2Group(ids, x, 1.0, np.concatenate([proj for proj, _ in draws]),
-                    np.concatenate([offsets for _, offsets in draws]),
-                    np.repeat(np.arange(len(draws)), [len(proj) for proj, _ in draws]))
+                    np.concatenate([offsets for _, offsets in draws]), len(draws))
     # each leaf alone, from its slice of the group's draws
     leaves = [l2_part(group, range(i, i + 1)) for i in range(len(draws))]
     for leaf, (proj, offsets) in zip(leaves, draws):
@@ -912,12 +918,10 @@ def _coarse_case(draw):
     d, m = draw(st.integers(1, 2)), draw(st.integers(1, 10))
     side = 2 * d  # grid_cell_side(d, r=0.5)
     x, q = draw(_points(d, m, 4))
+    grids, schemes = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     copies = [
-        [
-            draw(arrays(np.float64, (draw(st.integers(1, 3)), d),
-                        elements=st.integers(0, side - 1)))
-            for _ in range(draw(st.integers(1, 3)))
-        ]
+        [draw(arrays(np.float64, (grids, d), elements=st.integers(0, side - 1)))
+         for _ in range(schemes)]
         for _ in range(draw(st.integers(1, 3)))
     ]
     return x, q, copies, draw(st.lists(st.booleans(), min_size=len(copies), max_size=len(copies)))
@@ -950,9 +954,8 @@ def test_coarse_group_matches_per_scheme_loops(case):
     x, q, draws, live = case
     ids = 100 + np.arange(len(x))
     schemes = [shifts for base in draws for shifts in base]
-    group = CoarseGroup(ids, x, 4.0, 0.5, np.concatenate(schemes),
-                        np.repeat(np.arange(len(schemes)), [len(shifts) for shifts in schemes]),
-                        np.repeat(np.arange(len(draws)), [len(base) for base in draws]))
+    group = CoarseGroup(ids, x, 4.0, 0.5, np.concatenate(schemes), len(schemes[0]),
+                        len(draws))
     # each scheme alone, from its slice of the group's shifts
     first = np.cumsum([0] + [len(base) for base in draws])
     copies = [[coarse_part(group, range(s, s + 1)) for s in range(a, b)]

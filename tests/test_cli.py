@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lpann import cli
 from lpann.cli import (
     main,
     parse_dataset_file,
@@ -269,6 +270,30 @@ def test_bench_spec_non_finite_number_is_usage_error(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"non-finite number {value}" in err
     assert not out.exists() and list(tmp_path.iterdir()) == [spec_path]
+
+
+def test_bench_fails_with_the_error_of_its_builds(tmp_path, capsys, monkeypatch):
+    # at r = 1.7e308 every build raises NumericRangeError, which the campaign
+    # must report, not a report of zero successes and empty space; a build's
+    # usage error exits 2
+    spec_path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec_path.write_text(json.dumps({"n_grid": [20, 40, 80], "d": 8, "p": 4.0, "r": 1.7e308,
+                                     "trials": 3, "seed": 7}))
+    assert run_cli(["bench", "--spec", str(spec_path), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("numeric-range error: ")
+    assert not out.exists()
+
+    def refusing(p, r, delta):
+        def builder(dataset, seed):
+            raise UsageError("refused")
+        return builder
+
+    monkeypatch.setattr(cli, "make_scheme_builder", refusing)
+    spec_path.write_text(json.dumps({"n_grid": [20], "d": 8, "p": 4.0, "r": 1.0,
+                                     "trials": 3, "seed": 7}))
+    assert run_cli(["bench", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: refused\n"
+    assert not out.exists()
 
 
 def test_bench_campaign_determinism():

@@ -1,4 +1,5 @@
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,13 +127,18 @@ def test_usage_errors():
     with pytest.raises(UsageError):
         build_sparse_cover(ds, 1.0, 2.0)
     good = Dataset(np.zeros((1, 3)), 2.0)
-    with pytest.raises(UsageError):
-        build_sparse_cover(good, -1.0, 2.0)
-    with pytest.raises(UsageError):
-        build_sparse_cover(good, 1.0, 1.0)
+    # refused before any distance is measured: a NaN radius covers no point
+    # and never ends the carving, and a NaN or infinite beta breaks its cap
+    with mock.patch.object(_kernels, "dists_to_point", side_effect=AssertionError("measured")):
+        for radius, beta in [(-1.0, 2.0), (1.0, 1.0), (np.nan, 2.0), (np.inf, 2.0),
+                             (1.0, np.nan), (1.0, np.inf)]:
+            with pytest.raises(UsageError):
+                build_sparse_cover(good, radius, beta)
     cover = build_sparse_cover(good, 1.0, 2.0)
-    with pytest.raises(UsageError):
-        cover_lookup(cover, 17)
+    for row in (17, -1, 0.5, 1.5):
+        with pytest.raises(UsageError):
+            cover_lookup(cover, row)
+    assert cover_lookup(cover, np.int64(0)) == 0
 
 
 def _carve_reference(ds, radius, beta):

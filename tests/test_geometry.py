@@ -204,5 +204,10 @@ def test_dataset_validation():
         Dataset(np.array([[np.inf, 0.0]]), 2.0)
     with pytest.raises(UsageError):
         Dataset(np.zeros((2, 2)), 0.5)
+    # ids that are not integers, or not one per row of a 1-d array
+    for ids in ([1.5, 2.7], [1.0, np.nan], [[1], [2]], ["a", "b"], [True, False], [0]):
+        with pytest.raises(UsageError):
+            Dataset(np.zeros((2, 2)), 2.0, ids=ids)
     ds = Dataset(np.zeros((3, 2)), 2.0)
     assert list(ds.ids) == [0, 1, 2]
+    assert Dataset(np.zeros((2, 2)), 2.0, ids=[4.0, 7.0]).ids.tolist() == [4, 7]

@@ -482,7 +482,7 @@ def test_one_group_per_point_set_built_and_loaded(kind, tmp_path):
             group = pset.group
             if isinstance(group, base_schemes.CoarseGroup):
                 assert group.copies == copies
-                assert (group.copy_of == np.arange(copies).repeat(index.config.base_copies)).all()
+                assert len(group.shifts) == copies * index.config.base_copies * group.grids
             else:  # every l2 set scans, and its copies set its cutoff only
                 assert isinstance(group, base_schemes.L2Scan)
                 assert base_schemes.scan_fits(*pset.vectors.shape, copies,
@@ -518,10 +518,10 @@ def test_tables_keep_only_what_a_query_reads(tmp_path):
                     kind = "coarse"
                 else:
                     probes = group.max_probe
-                    assert (probes == 3 * np.bincount(group.leaf_of)[group.leaf_of]).all()
+                    assert probes == 3 * len(group.projections) // group.leaves
                     assert table.keys.shape[0] == table.fingerprints.size
-                    assert (sizes >= 1).all() and (sizes <= probes[table.tables]).all()
-                    capped += (sizes == probes[table.tables]).sum()
+                    assert (sizes >= 1).all() and (sizes <= probes).all()
+                    capped += (sizes == probes).sum()
                     kind = "l2"
                 expected[kind] += sum(a.nbytes for a in vars(table).values()
                                       if isinstance(a, np.ndarray))
@@ -612,17 +612,19 @@ def test_every_point_finds_its_own_bucket_in_every_table(instance, monkeypatch):
     for group in groups:
         table, vectors = group.table, group.vectors
         tables, m = group.projections.shape[0], vectors.shape[0]
-        firsts, rest = np.flatnonzero(group.first), np.flatnonzero(~group.first)
+        big_l = group.leaf_tables
+        is_first = np.arange(tables) % big_l == 0
+        firsts, rest = np.flatnonzero(is_first), np.flatnonzero(~is_first)
         assert firsts.size == 27 and rest.size == tables - 27
         built = np.concatenate([
-            base_schemes._l2_keys(group.projections[group.leaf_of == leaf],
-                                  group.offsets[group.leaf_of == leaf], group.w, vectors)
-            for leaf in range(group.leaves)])
+            base_schemes._l2_keys(group.projections[a:a + big_l],
+                                  group.offsets[a:a + big_l], group.w, vectors)
+            for a in range(0, tables, big_l)])
         first, size = table.spans(np.arange(table.fingerprints.size))
         kept = np.zeros((tables, m), dtype=bool)
         kept[np.repeat(table.tables, size), table.members] = True
         last = table.members[first + size - 1]
-        cap = 3 * np.bincount(group.leaf_of)[group.leaf_of]
+        cap = group.max_probe
         keys = np.empty_like(built[:, 0])
         for row, x in enumerate(vectors):
             hashed.clear()
@@ -641,13 +643,12 @@ def _hits_in_first_table(group, leaf: int, q) -> bool:
     """Whether the first table of the group's leaf holds a candidate within
     2r of q among the members its bucket keeps (3L for a leaf of L tables),
     computed from the build's keys."""
-    tables = np.flatnonzero(group.leaf_of == leaf)
-    first = tables[:1]
+    first = [leaf * group.leaf_tables]
     key = base_schemes._l2_keys(group.projections[first], group.offsets[first], group.w,
                                 q[None])[0, 0]
     built = base_schemes._l2_keys(group.projections[first], group.offsets[first], group.w,
                                   group.vectors)[0]
-    bucket = np.flatnonzero((built == key).all(axis=1))[: 3 * tables.size]
+    bucket = np.flatnonzero((built == key).all(axis=1))[: group.max_probe]
     return bool((np.linalg.norm(group.vectors[bucket] - q, axis=1) <= 2.0 * group.r).any())
 
 

@@ -4,7 +4,8 @@ kernel bit for bit, and its blocks respect the temporary-size cap."""
 import numpy as np
 import pytest
 
-from lpann import _kernels
+from lpann import Dataset, SchemeConfig, _kernels, lp_distance, preprocess, query
+from lpann.oracle import exact_nn
 
 EXPONENTS = [1.0, 2.0, 2.5, 3.0, 4.0, 8.0]
 
@@ -59,3 +60,27 @@ def test_pow2_exponent_detection():
     assert _kernels._pow2_exponent(3.0) == -1
     assert _kernels._pow2_exponent(2.5) == -1
     assert _kernels._pow2_exponent(1.0) == -1
+
+
+
+@pytest.mark.parametrize("p", [3.0, 128.0])
+def test_rows_whose_powers_underflow_keep_their_digits(p):
+    # at p = 128, 1e-3**128 underflows to 0: measured directly, both rows
+    # lay at distance 0 from q and the exact scan answered the first
+    x, q = np.array([[0.0, 0.0], [1e-3, 1e-3]]), np.array([9e-4, 9e-4])
+    dists = _kernels.dists_to_point(x, q, p)
+    assert dists == pytest.approx(2.0 ** (1.0 / p) * np.array([9e-4, 1e-4]), rel=1e-14)
+    assert [lp_distance(row, q, p) for row in x] == dists.tolist()
+    assert exact_nn(Dataset(x, p), q) == (1, dists[1])
+    # a pairwise block rescales the same entries as the per-point kernel
+    rows, cols = np.vstack([x, [[0.5, 0.5]]]), np.vstack([q, x])
+    for i, _, block in _kernels.pairwise_blocks(rows, cols, p):
+        for k in range(block.shape[0]):
+            assert block[k].tolist() == _kernels.dists_to_point(cols, rows[i + k], p).tolist()
+    # an index of points 1e-3 apart reports a nearby point's distance
+    pts = 1e-3 * np.random.default_rng(0).uniform(size=(200, 8))
+    scheme = preprocess(Dataset(pts, p), SchemeConfig(p=p, r=1e-4, seed=1))
+    near = pts[5] + 1e-6
+    answer = query(scheme, near)
+    assert answer is not None and answer.distance > 0.0
+    assert answer.distance == lp_distance(pts[answer.id], near, p)

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -424,7 +425,9 @@ def test_space_single_point():
         assert all(reduction.child is None for reduction in level.children)
     report = space_usage(scheme)
     copies = root.nodes * root.node_copies
-    assert report.total == root.group.copy_of.size + copies * len(root.ladder)
+    schemes = len(root.group.shifts) // root.group.grids
+    assert schemes == copies * scheme.config.base_copies
+    assert report.total == schemes + copies * len(root.ladder)
     assert report.total == sum(report.per_level.values())
 
 
@@ -463,6 +466,28 @@ def test_nns_accepts_a_numpy_integer_seed():
     ds = Dataset(np.random.default_rng(12).standard_normal((20, 8)), 4.0)
     q = np.full(8, 0.1)
     assert nns_search(ds, 4.0, 0.5, q, seed=np.int64(3)) == nns_search(ds, 4.0, 0.5, q, seed=3)
+
+
+@pytest.mark.parametrize("c_slack, far", [(1e-300, 0.0), (1e-12, 0.0), (1e-4, 1e60)])
+def test_nns_refuses_a_radius_ladder_of_too_many_rungs(monkeypatch, c_slack, far):
+    # the ladder's span, 0.5 to the diameter 2, or on to a query far out,
+    # takes more than MAX_RUNGS rungs (1 + 1e-300 == 1 takes them forever),
+    # so the call is refused before any rung is made; the timer fails the
+    # test before a missing check can exhaust memory
+    monkeypatch.setattr(lpann.recursive, "_pairwise_extremes", lambda dataset: (1.0, 2.0))
+    ds = Dataset(np.random.default_rng(0).standard_normal((30, 4)), 4.0)
+
+    def expire(signum, frame):
+        raise TimeoutError("the radius ladder did not stop")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(UsageError, match="rungs"):
+            nns_search(ds, 4.0, c_slack, np.full(4, far))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_nns_coincident_query_returns_it():

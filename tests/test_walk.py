@@ -6,12 +6,12 @@ answers each copy of a scanned l2 set with the set's nearest point by an
 exact scan, looks up each node's grids as a group of its copies, and keeps
 the first node and copy at the least distance. It constructs each of these
 groups from a slice of its point set's group's draws, by copy index (a
-leaf's index, or ``copy_of``). ``recursive._walk`` must give the same id,
-distance bits and trace, with the l2 sets scanned as built and with LSH
-leaves in their place (``with_lsh_leaves``), and it must also do so when
-the copies over one point set route to different clusters at one ladder
-step, so that a group is looked up for some of its copies only, and when
-copies tie. A scanned set is scanned once per query that reaches it,
+leaf's index, or a copy's ``base_copies`` schemes). ``recursive._walk``
+must give the same id, distance bits and trace, with the l2 sets scanned
+as built and with LSH leaves in their place (``with_lsh_leaves``), and it
+must also do so when the copies over one point set route to different
+clusters at one ladder step, so that a group is looked up for some of its
+copies only, and when copies tie. A scanned set is scanned once per query that reaches it,
 whatever its copies.
 """
 
@@ -61,8 +61,10 @@ class _Reference:
             return best
         for node in range(owner * pset.nodes, (owner + 1) * pset.nodes):
             copies = range(node * pset.node_copies, (node + 1) * pset.node_copies)
-            schemes = range(*group.copy_of.searchsorted([copies.start, copies.stop]))
-            alone = self._group((id(pset), node), lambda: coarse_part(group, schemes))
+            per = len(group.shifts) // group.grids // group.copies
+            schemes = range(copies.start * per, copies.stop * per)
+            alone = self._group((id(pset), node),
+                                lambda: coarse_part(group, schemes, len(copies)))
             starts = per_copy(base_schemes.query_coarse_ann(alone, q), len(copies))
             for copy, start in zip(copies, starts or ()):
                 if start is None:
@@ -276,7 +278,7 @@ def test_masked_owners_hash_no_tables_when_copies_split(seed, monkeypatch):
         tables = [np.flatnonzero((group.projections == block).all(axis=(1, 2)))
                   for projections in blocks for block in projections]
         assert all(t.size == 1 for t in tables)
-        assert live[group.leaf_of[np.concatenate(tables)]].all()
+        assert live[np.concatenate(tables) // group.leaf_tables].all()
         masked += not live.all()
     assert masked
 
