@@ -1,9 +1,10 @@
 """Command-line front end: dataset generation, index build/query, benchmarks.
 
-Exit codes are a stable contract: 0 success, 2 usage error, 3 I/O error,
-4 numeric-range error. All randomness flows from --seed through the
-documented per-component derivation, so campaigns reproduce in CI. Output
-files are written atomically (temp file + rename).
+Exit codes are a stable contract: 0 success, 2 usage error (a request too
+large to allocate included), 3 I/O error, 4 numeric-range error. All
+randomness flows from --seed through the documented per-component
+derivation, so campaigns reproduce in CI. Output files are written
+atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import NumericRangeError, UsageError
 from .geometry import Dataset
 from .oracle import TAG_GEN, TrialSpec, fit_scaling, run_trials, sample_background
 from .recursive import LpScheme, SchemeConfig, approximation_bound, preprocess, query, space_usage
+from .recursive import _int_seed, _seed
 from .container import atomic_write, load_index, save_index
 
 TAG_CAMPAIGN = 10
@@ -111,7 +113,7 @@ def cmd_gen(args) -> int:
         n=args.n, d=args.d, p=args.p, r=1.0,
         distribution=args.dist, rho=0.0, seed=args.seed,
     )
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(TAG_GEN,)))
+    rng = np.random.default_rng(_seed(args.seed, (TAG_GEN,)))
     vectors = sample_background(spec, args.n, rng)
     dataset = Dataset(vectors, args.p)
     atomic_write(args.out, [format_dataset_file(dataset).encode("utf-8")])
@@ -182,17 +184,12 @@ def run_bench_campaign(spec_dict: dict) -> dict:
     per_n = {}
     reports = {}
     for n in n_grid:
-        n_seed = int(
-            np.random.SeedSequence(
-                spec_dict["seed"], spawn_key=(TAG_CAMPAIGN, n)
-            ).generate_state(1, dtype=np.uint64)[0]
-        )
         trial_spec = TrialSpec(
             n=n, d=d, p=p, r=r,
             distribution=spec_dict["distribution"],
             rho=spec_dict["rho_fraction"] * r,
             trials=int(spec_dict["trials"]),
-            seed=n_seed,
+            seed=_int_seed(spec_dict["seed"], (TAG_CAMPAIGN, n)),
         )
         rep = run_trials(make_scheme_builder(p, r, delta), trial_spec, c_target)
         if rep.build_error is not None:
@@ -200,13 +197,13 @@ def run_bench_campaign(spec_dict: dict) -> dict:
         reports[n] = rep
         per_n[str(n)] = {
             "success_rate": rep.success_rate,
-            "total_points": rep.space.total if rep.space else 0,
+            "total_points": rep.space.total,
             "ratio_quantiles": dict(rep.ratio_quantiles),
         }
 
     top = reports[n_grid[-1]]
     slope = None
-    if len(n_grid) >= 3 and all(reports[n].space for n in n_grid):
+    if len(n_grid) >= 3:
         slope = fit_scaling([(n, reports[n].space.total) for n in n_grid])
 
     top_ladder = list(bound.levels[-1].ladder) if bound.levels else []
@@ -217,10 +214,10 @@ def run_bench_campaign(spec_dict: dict) -> dict:
         "success_rate": top.success_rate,
         "ratio_quantiles": dict(top.ratio_quantiles),
         "space": {
-            "per_level": dict(top.space.per_level) if top.space else {},
-            "total": top.space.total if top.space else 0,
+            "per_level": dict(top.space.per_level),
+            "total": top.space.total,
             "fit_slope": slope,
-            **({"l2_sets": dict(top.space.l2_sets)} if top.space else {}),
+            "l2_sets": dict(top.space.l2_sets),
         },
         "timing": {
             "build_ms": top.build_time_s * 1e3,
@@ -310,7 +307,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericRangeError as exc:

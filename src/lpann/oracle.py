@@ -18,8 +18,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import UsageError
-from .geometry import Dataset, check_query
-from .recursive import _is_int
+from .geometry import Dataset, _is_int, check_query
+from .recursive import _int_seed, _seed
 
 DISTRIBUTIONS = ("gaussian", "uniform-cube", "clustered")
 CLUSTERED_BLOBS = 4
@@ -29,10 +29,6 @@ CLUSTERED_SPACING = 100.0  # times sqrt(d), keeps blobs far apart
 TAG_GEN = 7
 TAG_TRIAL = 8
 TAG_BUILD = 9
-
-
-def _seed(root_seed: int, path: tuple) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=root_seed, spawn_key=path)
 
 
 @dataclass(frozen=True)
@@ -93,13 +89,25 @@ def sample_background(spec: TrialSpec, count: int, rng: np.random.Generator) -> 
     return centers[assign] + rng.standard_normal((count, spec.d))
 
 
+def _lp_norm(g: np.ndarray, p: float) -> float:
+    return float(_kernels.dists_to_point(g.reshape(1, -1), np.zeros_like(g), p)[0])
+
+
 def _planted_query(planted: np.ndarray, rho: float, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Point at lp distance exactly rho from ``planted`` along a random direction."""
+    """Point at lp distance exactly rho from ``planted`` along a random direction.
+
+    Where the direction's lp norm overflows, as it does at large p, the
+    direction is first divided by the power of two that puts its largest
+    coordinate in [1, 2), an exact division.
+    """
     if rho == 0.0:
         return planted.copy()
     while True:
         g = rng.standard_normal(planted.shape[0])
-        norm = float(_kernels.dists_to_point(g.reshape(1, -1), np.zeros_like(g), p)[0])
+        norm = _lp_norm(g, p)
+        if not math.isfinite(norm):
+            g = np.ldexp(g, 1 - np.frexp(np.abs(g).max())[1])
+            norm = _lp_norm(g, p)
         if norm > 0.0:
             return planted + (rho / norm) * g
 
@@ -203,7 +211,7 @@ def run_trials(builder, spec: TrialSpec, c_target: float) -> TrialReport:
     are recomputed here, so a misreporting index cannot inflate its rate.
     """
     dataset, first_query, planted_id = make_planted_instance(spec)
-    build_seed = int(_seed(spec.seed, (TAG_BUILD,)).generate_state(1, dtype=np.uint64)[0])
+    build_seed = _int_seed(spec.seed, (TAG_BUILD,))
 
     t0 = time.perf_counter()
     index, build_error = None, None

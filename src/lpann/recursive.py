@@ -10,12 +10,13 @@ leaves with approximation 2: LSH leaves, or, over a point set small enough
 that one exact scan is the cheaper lookup and measures no more rows than
 its leaves could probe (``scan_fits``), one scan answering every leaf.
 Covers and cluster images draw no randomness, so each carved point set is
-one ``PointSet``, carved once (``carve``), and every copy over it shares
-its ladder; only the base schemes' draws differ per copy, each from its
-seed path under ``config.seed``, drawn into the set's one group. The whole
-index is thus a function of the points and the config: an index file
-stores only those, and loading it runs ``preprocess`` again (see
-``container``).
+one ``PointSet``, built in one pass (``_build_set``): per ladder step its
+cover, the step's one map and each cluster's child set, then its group.
+Every copy over the set shares its ladder; only the base schemes' draws
+differ per copy, each from its seed path under ``config.seed``, drawn into
+the set's one group. The whole index is thus a function of the points and
+the config: an index file stores only those, and loading it runs
+``preprocess`` again (see ``container``).
 
 A refinement step improves the bound to
 
@@ -29,16 +30,16 @@ while they strictly improve.
 
 Query time runs the same chain: coarse answer, then per level look up the
 covering cluster of the current iterate, query the cluster's child scheme
-with the mapped query, lift the answer back by id, and keep it only if it
-improves the true distance. All distances are re-verified in the node's own
-norm, so a failed stage can never make the answer worse. A set's copies
-are numbered parent copy, then child copy, then node copy (see
-``PointSet``), and a query visits each point set once (``_walk``): one
-lookup of the set's group answers per copy, every copy's grids or every
-l2 leaf, each copy that it answers walks the set's ladder in lock-step
-with the others, and the walk alone picks each owner's answer, the first
-of its copies at the least distance. A scanned l2 set answers once, for
-all its owners; its copies only set its scan cutoff.
+with the query mapped by the level's map, lift the answer back by id, and
+keep it only if it improves the true distance. All distances are
+re-verified in the node's own norm, so a failed stage can never make the
+answer worse. A set's copies are numbered parent copy, then child copy,
+then node copy (see ``PointSet``), and a query visits each point set once
+(``_walk``): one lookup of the set's group answers per copy, every copy's
+grids or every l2 leaf, each copy that it answers walks the set's ladder in
+lock-step with the others, and the walk alone picks each owner's answer,
+the first of its copies at the least distance. A scanned l2 set answers
+once, for all its owners; its copies only set its scan cutoff.
 
 Arbitrary exponents are first clamped to min(p, log2 d) and rounded down to
 a power of two; the constant-factor norm distortion this costs is computed
@@ -92,6 +93,11 @@ TAG_RADIUS = 6
 
 def _seed(root_seed: int, path: tuple) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=root_seed, spawn_key=path)
+
+
+def _int_seed(root_seed: int, path: tuple) -> int:
+    """A 64-bit integer seed drawn from the seed path's sequence."""
+    return int(_seed(root_seed, path).generate_state(1, dtype=np.uint64)[0])
 
 
 # Most copies of a 1/3-failure primitive a config may ask for: 16 copies
@@ -324,11 +330,9 @@ class PointSet:
 
 @dataclass
 class Reduction:
-    """A cover cluster's scaled map and the child set of its mapped members.
-    A singleton has neither: a lookup returns its lone member, the
-    cluster's center."""
+    """The child set of a cover cluster's mapped members. A singleton has
+    none: a lookup returns its lone member, the cluster's center."""
 
-    mazur: MazurMapSpec | None = None
     child: PointSet | None = None
 
     @property
@@ -340,14 +344,13 @@ class Reduction:
 
 @dataclass
 class LadderLevel:
-    """One refinement step of a point set: its cover and, per cover
-    cluster, the cluster's reduction."""
+    """One refinement step of a point set: its cover, the one scaled map
+    that takes every cluster, centered on its center, into l_{t/2}, and per
+    cover cluster, the cluster's reduction."""
 
-    index: int
-    base_approx: float
-    new_approx: float
     cover: SparseCover
-    children: list
+    mazur: MazurMapSpec
+    children: list = field(default_factory=list)
 
 
 @dataclass
@@ -420,13 +423,12 @@ def ladder_steps(t: float, r: float, bound: ApproxBound) -> list:
     return steps
 
 
-def map_cluster(pset: PointSet, cluster: Cluster, cover: SparseCover, nodes: int) -> Reduction:
-    """The reduction of a cover's cluster: its map, and as the child set,
-    with ``nodes`` nodes per owner, its members centered on its center and
-    mapped into l_{t/2}."""
+def map_cluster(pset: PointSet, cluster: Cluster, mazur: MazurMapSpec, nodes: int) -> Reduction:
+    """The reduction of a cover's cluster: as the child set, with ``nodes``
+    nodes per owner, its members centered on its center and mapped into
+    l_{t/2} by its level's map."""
     if len(cluster.member_ids) == 1:
         return Reduction()
-    mazur = MazurMapSpec(p=pset.t, q=pset.t / 2.0, c0=cover.diameter_bound)
     rows = pset.ids.searchsorted(cluster.member_ids)
     try:
         image = mazur_map_points(mazur, pset.vectors[rows] - pset.vector_of(cluster.center_id))
@@ -435,52 +437,42 @@ def map_cluster(pset: PointSet, cluster: Cluster, cover: SparseCover, nodes: int
             f"signed-power map overflow in cluster centered at id "
             f"{cluster.center_id} (t={pset.t}): {exc}"
         ) from exc
-    return Reduction(mazur, PointSet(pset.t / 2.0, cluster.member_ids, image, nodes,
-                                     pset.node_copies))
+    return Reduction(PointSet(pset.t / 2.0, cluster.member_ids, image, nodes, pset.node_copies))
 
 
-def carve(pset: PointSet, r: float, bound: ApproxBound, child_copies: int) -> None:
-    """Fill the ladder of a point set, and of every set carved from it:
-    per ladder step its cover and each cluster's reduction.
+def _build_set(pset: PointSet, paths: list, r: float, bound: ApproxBound,
+               config: SchemeConfig) -> None:
+    """Build a point set, given the seed path of each of its nodes in order.
 
-    Carving draws nothing at random, so it runs once per point set, and
-    every copy over the set shares its covers, maps and child sets; only
-    their base schemes and seed paths differ.
-    """
-    for j, (radius, c_base, c_new) in enumerate(ladder_steps(pset.t, r, bound), start=1):
-        cover = build_sparse_cover(Dataset(pset.vectors, pset.t, ids=pset.ids), radius, bound.beta)
-        children = [map_cluster(pset, cluster, cover, child_copies) for cluster in cover.clusters]
-        for reduction in children:
-            if reduction.child is not None:
-                carve(reduction.child, r, bound, child_copies)
-        pset.ladder.append(LadderLevel(j, c_base, c_new, cover, children))
-
-
-def _build_set(pset: PointSet, paths: list, r: float, config: SchemeConfig) -> None:
-    """Build the group of a carved point set, given the seed path of each of
-    its nodes in order, after those of every set carved from it: one
-    ``build_l2_ann`` or ``build_coarse_ann`` call draws every copy's base
-    schemes, each from its seed path, into the group. An l2 set that
-    ``scan_fits`` its copies draws nothing: its group is an ``L2Scan``.
+    Per ladder step it carves the step's cover, makes the step's map, maps
+    each cluster and builds each child set; carving draws nothing at random,
+    so every copy over the set shares these. Then one ``build_coarse_ann``
+    or ``build_l2_ann`` call draws every copy's base schemes, each from its
+    seed path, into the set's group. An l2 set that ``scan_fits`` its
+    copies draws nothing: its group is an ``L2Scan``.
     """
     copies = [path + (TAG_NODE_COPY, ci) for path in paths for ci in range(pset.node_copies)]
-    if pset.t == 2.0 and scan_fits(*pset.vectors.shape, len(copies), PRIMITIVE_FAILURE):
+    for j, (radius, _, _) in enumerate(ladder_steps(pset.t, r, bound), start=1):
+        cover = build_sparse_cover(Dataset(pset.vectors, pset.t, ids=pset.ids), radius, bound.beta)
+        level = LadderLevel(cover, MazurMapSpec(p=pset.t, q=pset.t / 2.0, c0=cover.diameter_bound))
+        for ki, cluster in enumerate(cover.clusters):
+            reduction = map_cluster(pset, cluster, level.mazur, config.child_copies)
+            if reduction.child is not None:
+                tail = (TAG_LADDER, j, TAG_CLUSTER, ki, TAG_CHILD)
+                _build_set(reduction.child, [path + tail + (cc,) for path in copies
+                                             for cc in range(reduction.child.nodes)],
+                           r, bound, config)
+            level.children.append(reduction)
+        pset.ladder.append(level)
+    if pset.t > 2.0:
+        pset.group = build_coarse_ann(pset.ids, pset.vectors, pset.t, r, [
+            [_seed(config.seed, path + (TAG_BASE, bi)) for bi in range(config.base_copies)]
+            for path in copies])
+    elif scan_fits(*pset.vectors.shape, len(copies), PRIMITIVE_FAILURE):
         pset.group = L2Scan(pset.ids, pset.vectors, r)
-        return
-    if pset.t == 2.0:
+    else:
         pset.group = build_l2_ann(pset.ids, pset.vectors, r, PRIMITIVE_FAILURE,
                                   [_seed(config.seed, path + (TAG_BASE, 0)) for path in copies])
-        return
-    for level in pset.ladder:
-        for ki, reduction in enumerate(level.children):
-            if reduction.child is not None:
-                tail = (TAG_LADDER, level.index, TAG_CLUSTER, ki, TAG_CHILD)
-                _build_set(reduction.child,
-                           [path + tail + (cc,) for path in copies
-                            for cc in range(reduction.child.nodes)], r, config)
-    pset.group = build_coarse_ann(pset.ids, pset.vectors, pset.t, r, [
-        [_seed(config.seed, path + (TAG_BASE, bi)) for bi in range(config.base_copies)]
-        for path in copies])
 
 
 def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
@@ -493,12 +485,9 @@ def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
         )
     bound = approximation_bound(config, dataset.d)
     ids, vectors = _dedup(dataset)
-    scheme = LpScheme(config=config, d=dataset.d, bound=bound, root=None)
     root = PointSet(bound.p_effective, ids, vectors, 1, norm_level_copies(bound.p_effective))
-    carve(root, scheme.r_effective, bound, config.child_copies)
-    _build_set(root, [()], scheme.r_effective, config)
-    scheme.root = root
-    return scheme
+    _build_set(root, [()], bound.holder_factor * config.r, bound, config)
+    return LpScheme(config=config, d=dataset.d, bound=bound, root=root)
 
 
 def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
@@ -536,7 +525,7 @@ def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
             if reduction.child is None:
                 cand[routed], has[routed] = center_id, True
                 continue
-            img_q = mazur_map_apply(reduction.mazur, q - pset.vector_of(center_id))
+            img_q = mazur_map_apply(level.mazur, q - pset.vector_of(center_id))
             sub_live = np.zeros(found.size, dtype=bool)
             sub_live[walkers[routed]] = True
             res = _walk(reduction.child, sub_live, img_q)
@@ -612,9 +601,9 @@ def space_usage(scheme: LpScheme) -> SpaceReport:
         else:
             table_bytes["coarse" if coarse else "l2"] += group.table.nbytes
             l2_sets["lsh"] += not coarse
-        for level in pset.ladder:
+        for j, level in enumerate(pset.ladder, start=1):
             members = sum(len(cl.member_ids) for cl in level.cover.clusters)
-            add(pset, f"ladder{level.index}", copies * members)
+            add(pset, f"ladder{j}", copies * members)
             for reduction in level.children:
                 if reduction.child is not None:
                     visit(reduction.child, copies)
@@ -713,10 +702,7 @@ def nns_search(
 
     def scheme_at(j: int) -> LpScheme:
         if j not in cache["schemes"]:
-            radius_seed = int(
-                _seed(seed, (TAG_RADIUS, j)).generate_state(1, dtype=np.uint64)[0]
-            )
-            cfg = SchemeConfig(p=p, r=radii[j], delta=delta, seed=radius_seed)
+            cfg = SchemeConfig(p=p, r=radii[j], delta=delta, seed=_int_seed(seed, (TAG_RADIUS, j)))
             cache["schemes"][j] = preprocess(dataset, cfg)
         return cache["schemes"][j]
 

@@ -32,6 +32,7 @@ from lpann import (
 )
 from lpann.cli import make_scheme_builder, run_bench_campaign
 from lpann.oracle import TrialSpec, make_planted_instance
+from lpann.recursive import ladder_steps
 
 
 def _line(key: str, ok: bool, detail: str = "") -> None:
@@ -196,7 +197,8 @@ def p4_run():
         queries.append(planted_vec + 0.9 * g / _lp_norms(g.reshape(1, -1), 4.0)[0])
 
     level1 = scheme.root.ladder[0]
-    base_bound = level1.base_approx * scheme.r_effective
+    _, c_base, _ = ladder_steps(scheme.root.t, scheme.r_effective, bound)[0]
+    base_bound = c_base * scheme.r_effective
 
     records = []
     for q in queries:

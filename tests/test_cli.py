@@ -142,6 +142,16 @@ def test_missing_input_is_io_error(tmp_path, capsys):
     assert run_cli(["build", "--input", str(tmp_path / "nope.txt"), "--r", "1.0", "--out", str(idx)]) == 3
 
 
+def test_unallocatable_dataset_is_usage_error(tmp_path, capsys):
+    # 10**9 x 10**6 float64s, 7.11 PiB: numpy refuses the allocation at once
+    out = tmp_path / "x.txt"
+    assert run_cli(["gen", "--n", "1000000000", "--d", "1000000", "--p", "4",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _not_utf8(tmp_path):
     bad = tmp_path / "latin.txt"
     bad.write_bytes(b"\xff\xfe\x00x\n")

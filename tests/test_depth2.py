@@ -86,8 +86,8 @@ def test_depth2_shape_covers_answers_and_reload(tmp_path, monkeypatch):
     assert ladders == {(8.0, plan[8.0]), (4.0, plan[4.0]), (2.0, 0)}
 
     # one cover per point set and ladder step, shared by every copy over it
-    covers = {(pset.t, pset.vectors.tobytes(), level.index): (pset, level.cover)
-              for pset in _sets(scheme.root) for level in pset.ladder}
+    covers = {(pset.t, pset.vectors.tobytes(), j): (pset, level.cover)
+              for pset in _sets(scheme.root) for j, level in enumerate(pset.ladder)}
     assert len(carves) == len(covers) == 24
 
     # each cover, at both norm levels, holds every point's r-ball in the

@@ -116,6 +116,14 @@ def test_mazur_map_unit_coordinates():
     assert np.array_equal(out, [0.5, -0.5])
 
 
+def test_mazur_map_is_one_function_for_vectors_and_rows():
+    spec = MazurMapSpec(p=4.0, q=2.0, c0=3.0)
+    mat = np.random.default_rng(7).standard_normal((5, 6))
+    assert mazur_map_apply is mazur_map_points
+    assert np.array_equal(mazur_map_points(spec, mat),
+                          np.vstack([mazur_map_points(spec, row) for row in mat]))
+
+
 def test_mazur_map_zero_fixed_point():
     spec = MazurMapSpec(p=8.0, q=4.0, c0=2.0)
     assert np.array_equal(mazur_map_apply(spec, np.zeros(5)), np.zeros(5))

@@ -417,26 +417,27 @@ def _carved(scheme) -> dict:
     """{(t, points, ladder step): non-singleton clusters of its cover} over
     the index, with point sets compared by content."""
     return {
-        (pset.t, pset.vectors.tobytes(), level.index):
+        (pset.t, pset.vectors.tobytes(), j):
             sum(len(cl.member_ids) > 1 for cl in level.cover.clusters)
-        for pset in _sets(scheme.root) for level in pset.ladder
+        for pset in _sets(scheme.root) for j, level in enumerate(pset.ladder)
     }
 
 
 @pytest.mark.parametrize("kind", ["gauss", "blobs"])
 def test_one_cover_per_point_set_and_one_map_per_cluster(kind, monkeypatch):
     # carving draws no randomness: the node copies and the child copies over
-    # one point set share its covers, and each cluster is mapped once
+    # one point set share its covers, each ladder step makes one map, and
+    # each cluster is mapped by it once
     calls = Counter()
-    for attr in ("build_sparse_cover", "mazur_map_points"):
-        def counting(*args, _fn=getattr(recursive, attr), _attr=attr):
+    for attr in ("build_sparse_cover", "mazur_map_points", "MazurMapSpec"):
+        def counting(*args, _fn=getattr(recursive, attr), _attr=attr, **kwargs):
             calls[_attr] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(recursive, attr, counting)
     scheme, _ = _instance(kind, 5)
     carved = _carved(scheme)
-    assert calls["build_sparse_cover"] == len(carved) == 4
+    assert calls["build_sparse_cover"] == calls["MazurMapSpec"] == len(carved) == 4
     assert calls["mazur_map_points"] == sum(carved.values()) > 0
 
 
@@ -447,16 +448,16 @@ def _sharing(scheme) -> list:
     first: dict = {}
     out = []
     for pset in _sets(scheme.root):
-        objs = [pset.vectors] + [
-            obj for level in pset.ladder
-            for obj in (level.cover, *(ch.mazur for ch in level.children if ch.child is not None))
-        ]
+        objs = [pset.vectors] + [obj for level in pset.ladder for obj in (level.cover, level.mazur)]
         out.append([first.setdefault(id(obj), len(first)) for obj in objs])
     return out
 
 
 @pytest.mark.parametrize("kind", ["gauss", "blobs"])
 def test_loaded_tree_shares_covers_and_images_as_built(kind, tmp_path):
+    # each ladder step holds one cover and one map, the signed-power map
+    # from l_t to l_{t/2} scaled to the cover's diameter bound, and every
+    # copy over the step's point set reads them
     scheme, _ = _instance(kind, 5)
     save_index(scheme, str(tmp_path / "golden.lpann"))
     loaded = load_index(str(tmp_path / "golden.lpann"))
@@ -464,6 +465,14 @@ def test_loaded_tree_shares_covers_and_images_as_built(kind, tmp_path):
     for index in (scheme, loaded):
         levels = [lvl for pset in _sets(index.root) for lvl in pset.ladder]
         assert len({id(lvl.cover) for lvl in levels}) == len(_carved(index)) == len(levels)
+        assert len({id(lvl.mazur) for lvl in levels}) == len(levels)
+        for pset in _sets(index.root):
+            for j, level in enumerate(pset.ladder):
+                assert {id(copy.ladder[j].mazur) for copy in pset.copies} == {id(level.mazur)}
+                assert (level.mazur.p, level.mazur.q, level.mazur.c0) == (
+                    pset.t, pset.t / 2.0, level.cover.diameter_bound)
+                assert vars(level).keys() == {"cover", "mazur", "children"}
+                assert all(vars(ch).keys() == {"child"} for ch in level.children)
 
 
 @pytest.mark.parametrize("kind", ["gauss", "blobs"])

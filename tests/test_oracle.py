@@ -65,6 +65,17 @@ def test_planted_instance_exact_distance():
         assert nn_dist <= 1.3 + 1e-12
 
 
+def test_planted_queries_keep_their_distance_where_the_direction_norm_overflows():
+    # at p = 1000 the lp norm of most standard normal directions in d = 32
+    # overflows to inf; dividing by it put the query on the planted point
+    spec = TrialSpec(n=300, d=32, p=1000.0, r=1.0, trials=60, seed=4)
+    report = run_trials(make_scheme_builder(1000.0, 1.0, 1.0), spec, c_target=1.0)
+    assert report.build_error is None
+    assert not any(o.exact_distance == 0.0 for o in report.outcomes)
+    dataset, q, planted = make_planted_instance(spec)
+    assert lp_distance(dataset.vectors[planted], q, 1000.0) == pytest.approx(0.9, rel=1e-9)
+
+
 def test_planted_instance_rejects_bad_rho():
     with pytest.raises(UsageError):
         TrialSpec(n=10, d=4, p=4.0, r=1.0, rho=2.0)

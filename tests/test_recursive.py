@@ -32,7 +32,7 @@ from lpann.base_schemes import L2Scan, query_l2_scan
 from lpann.cli import make_scheme_builder
 from lpann.geometry import mazur_map_apply
 from lpann.oracle import TrialSpec, make_planted_instance
-from lpann.recursive import MAX_COPIES, normalize_exponent, norm_level_copies
+from lpann.recursive import MAX_COPIES, ladder_steps, normalize_exponent, norm_level_copies
 
 
 def cfg(p=4.0, r=1.0, **kw):
@@ -229,13 +229,13 @@ def test_planted_success_rate_small():
 def test_mazur_image_and_liftback_contracts(small_scheme):
     dataset, _, planted, scheme = small_scheme
     level = scheme.root.ladder[0]
-    child = next(ch for ch in level.children if ch.mazur is not None)
     cluster = level.cover.clusters[
-        next(i for i, ch in enumerate(level.children) if ch is child)
+        next(i for i, ch in enumerate(level.children) if ch.child is not None)
     ]
-    mazur = child.mazur
+    mazur = level.mazur
     y = scheme.root.vector_of(cluster.center_id)
     r = scheme.r_effective
+    new_approx = ladder_steps(scheme.root.t, r, scheme.bound)[0][2]
     tol = 1e-9 * mazur.c0
     rng = np.random.default_rng(3)
     members = [scheme.root.vector_of(int(m)) for m in cluster.member_ids]
@@ -253,7 +253,7 @@ def test_mazur_image_and_liftback_contracts(small_scheme):
         for z in members[:40]:
             img_z = mazur_map_apply(mazur, z - y)
             if lp_distance(img_z, img_q, 2.0) <= 2.0 * r:
-                assert lp_distance(z, q, 4.0) <= level.new_approx * r + tol
+                assert lp_distance(z, q, 4.0) <= new_approx * r + tol
 
 
 def test_clustered_routing_uses_multiple_clusters():
@@ -437,10 +437,10 @@ def test_space_cover_entries_match_sparsity(small_scheme):
     *_, scheme = small_scheme
     expected = {}
     for pset, copies in _copies_over(scheme.root):
-        for level in pset.ladder:
+        for j, level in enumerate(pset.ladder, start=1):
             members = sum(len(cl.member_ids) for cl in level.cover.clusters)
             assert members == level.cover.sparsity
-            key = f"t={int(pset.t)}/ladder{level.index}"
+            key = f"t={int(pset.t)}/ladder{j}"
             expected[key] = expected.get(key, 0) + copies * level.cover.sparsity
     ladders = {k: v for k, v in space_usage(scheme).per_level.items() if "ladder" in k}
     assert expected and ladders == expected

@@ -76,13 +76,13 @@ class _Reference:
 
     def refine(self, pset, copy: int, x_id: int, x_dist: float, q: np.ndarray):
         trace = [x_id]
-        for lvl in pset.ladder:
+        for j, lvl in enumerate(pset.ladder):
             ci = lvl.cover.covering_ref[pset.row_of(x_id)]
-            self.routes.setdefault((id(pset), lvl.index), set()).add(int(ci))
+            self.routes.setdefault((id(pset), j), set()).add(int(ci))
             reduction, center_id = lvl.children[ci], lvl.cover.clusters[ci].center_id
             cand_id = center_id
             if reduction.child is not None:
-                img_q = recursive.mazur_map_apply(reduction.mazur, q - pset.vector_of(center_id))
+                img_q = recursive.mazur_map_apply(lvl.mazur, q - pset.vector_of(center_id))
                 res = self.query_nodes(reduction.child, copy, img_q)
                 cand_id = None if res is None else res[0]
             if cand_id is not None:
@@ -230,10 +230,9 @@ def test_walk_answers_each_owner_of_a_shared_set(seed):
     bound = recursive.approximation_bound(config, dataset.d)
     pset = recursive.PointSet(4.0, dataset.ids, dataset.vectors, config.child_copies,
                               recursive.norm_level_copies(bound.p_effective))
-    recursive.carve(pset, config.r, bound, config.child_copies)
     owners = 2
     recursive._build_set(pset, [(o, cc) for o in range(owners) for cc in range(pset.nodes)],
-                         config.r, config)
+                         config.r, bound, config)
     assert pset.group.copies == owners * pset.nodes * pset.node_copies
     for _ in range(2):
         reference, answered = _Reference(), 0
@@ -299,7 +298,7 @@ def test_walk_keeps_the_first_of_tied_copies(seed, monkeypatch):
                               recursive.norm_level_copies(4.0))
     owners = 2
     recursive._build_set(pset, [(o, cc) for o in range(owners) for cc in range(pset.nodes)],
-                         config.r, config)
+                         config.r, recursive.approximation_bound(config, d), config)
     per = pset.nodes * pset.node_copies
     for scanned in (True, False):
         if scanned:
