@@ -9,9 +9,10 @@ pairwise block equals the matching ``dists_to_point`` call bit for bit.
 Distance kernels coerce their input to C-contiguous float64. Powers use exact
 repeated squaring whenever the exponent is an integer power of two (every
 exponent on the recursion path is), and fall back to ``x ** p`` otherwise.
-A row whose sum of powers falls below the normal float64 range is measured
-again with its differences scaled by a power of two (exact both ways), so
-its powers keep their digits; every other row keeps its bits.
+A row whose sum of powers falls below the normal float64 range, or
+overflows it while the distance itself is finite, is measured again with its
+differences divided by their largest, so its powers keep their digits and
+none overflows; every other row keeps its bits.
 """
 
 from __future__ import annotations
@@ -55,29 +56,49 @@ def _power_sums(diff: np.ndarray, p: float) -> np.ndarray:
     return diff.sum(axis=-1)
 
 
+def _abs_power_sums(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    """sum_i |x_i - y_i|**p along the last axis of the broadcast difference."""
+    diff = np.subtract(x, y)
+    np.abs(diff, out=diff)  # in place: one temporary, not one per step
+    return _power_sums(diff, p)
+
+
 def _lp_reduce(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     """lp norm of the broadcast difference x - y along the last axis, for x
     (m, d) and y (d,), or x (rows, 1, d) and y (cols, d).
 
-    Overflow is allowed to produce inf; callers decide whether that is an
-    error (lp_distance raises NumericRangeError on non-finite results).
-    Where a sum of powers is below ``TINY``, the row's differences are
-    measured again divided by 2**e, e the exponent of their largest, which
-    puts the largest in [1, 2), and the result is multiplied back.
+    A difference too large for float64 makes the distance inf; callers
+    decide whether that is an error (lp_distance raises NumericRangeError
+    on non-finite results). Where a sum of powers is below ``TINY`` or
+    overflows, the row's differences are measured again divided by their
+    largest, whose power is then exactly 1, and the result is multiplied
+    back (a row of zeros, or one holding an infinite difference, keeps its
+    0 or inf). Overflow is caught by the floating-point status of the
+    powers and sums, so a call without it pays no check beyond the one
+    ``min`` over the sums that finds underflow.
     """
-    with np.errstate(over="ignore"):
-        diff = np.subtract(x, y)
-        np.abs(diff, out=diff)  # in place: one temporary, not one per step
-        sums = _power_sums(diff, p)
-        out = sums ** (1.0 / p)
-        if sums.min(initial=np.inf) < TINY:
-            low = sums < TINY
-            at = low.nonzero()  # (row,) or (row, col): gather only those rows
-            small = x[at[0]].reshape(-1, x.shape[-1]) - (y[at[-1]] if y.ndim > 1 else y)
-            np.abs(small, out=small)
-            e = np.frexp(small.max(axis=-1, initial=0.0))[1] - 1
-            out[low] = np.ldexp(_power_sums(np.ldexp(small, -e[:, None]), p) ** (1.0 / p), e)
-        return out
+    try:
+        with np.errstate(over="raise"):
+            sums = _abs_power_sums(x, y, p)
+        bad = None
+    except FloatingPointError:  # a difference, power or sum overflowed
+        with np.errstate(over="ignore"):
+            sums = _abs_power_sums(x, y, p)
+        bad = sums == np.inf
+    out = sums ** (1.0 / p)
+    if sums.min(initial=np.inf) < TINY:
+        bad = sums < TINY if bad is None else bad | (sums < TINY)
+    if bad is not None:
+        at = bad.nonzero()  # (row,) or (row, col): gather only those rows
+        with np.errstate(over="ignore"):
+            rows = x[at[0]].reshape(-1, x.shape[-1]) - (y[at[-1]] if y.ndim > 1 else y)
+            np.abs(rows, out=rows)
+            top = rows.max(axis=-1, initial=0.0)
+            fine = (top > 0.0) & (top < np.inf)
+            rows, top = rows[fine], top[fine]
+            rows /= top[:, None]
+            out[tuple(a[fine] for a in at)] = top * _power_sums(rows, p) ** (1.0 / p)
+    return out
 
 
 def dists_to_point(mat: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:

@@ -73,6 +73,7 @@ BUCKET_WIDTH_FACTOR = 4.0  # w = 4r, design collision at distance exactly r
 # cost per entry doubles, and at d = 32 it costs more than the l2 lookup
 # through LSH leaves that it replaces (measured at m = 4000 and 8000)
 SCAN_MAX_ENTRIES = 1 << 17
+CAST_BLOCK = 1 << 16  # entries ``_to_cell_index`` casts at a time: 512 KiB
 
 
 def _rng(seed) -> np.random.Generator:
@@ -81,9 +82,14 @@ def _rng(seed) -> np.random.Generator:
 
 def _to_cell_index(values: np.ndarray) -> np.ndarray:
     """Floor to int64, clipping astronomically scaled inputs into +-9.2e18;
-    the float array values is overwritten on the way. The clip runs only
-    when the floored values' minimum or maximum lies outside that range (or
-    is NaN, or values is empty), for it leaves in-range values as they are.
+    the C-contiguous float array values is overwritten on the way. The clip
+    runs only when the floored values' minimum or maximum lies outside that
+    range (or is NaN, or values is empty), for it leaves in-range values as
+    they are. Past ``CAST_BLOCK`` entries the cast goes into an int64 view
+    of values, a block at a time, each block read before it is overwritten,
+    so it holds one block, not a second array of values' size (42.7 MB for
+    an l2 leaf of 16000 points and 350 hash functions); a smaller array is
+    cast by one ``astype``, which is faster and holds no more.
 
     Clipping can only merge cells of points that distance re-checking would
     reject anyway, so answers stay within their bounds.
@@ -91,7 +97,13 @@ def _to_cell_index(values: np.ndarray) -> np.ndarray:
     np.floor(values, out=values)
     if not (values.size and -9.2e18 <= values.min() and values.max() <= 9.2e18):
         np.clip(values, -9.2e18, 9.2e18, out=values)
-    return values.astype(np.int64)
+    if values.size <= CAST_BLOCK:
+        return values.astype(np.int64)
+    flat = values.reshape(-1)
+    out = flat.view(np.int64)
+    for a in range(0, flat.size, CAST_BLOCK):
+        out[a:a + CAST_BLOCK] = flat[a:a + CAST_BLOCK]
+    return out.reshape(values.shape)
 
 
 def _cells(points: np.ndarray, shifts: np.ndarray, side: float) -> np.ndarray:
@@ -235,10 +247,14 @@ def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _Bucket
     the points' int keys, an (m, k) array, and None, or, where keys holds
     only some columns of width-k keys, the box that gives the others (see
     ``_fingerprints``). Each table is split on its own by ``_split`` and
-    leaves only its runs, members and fingerprints, and its buckets' keys if
-    ``keep_keys`` (which takes whole keys); a table's keys are dropped
-    before the next table's are made. Sorting all fingerprints and capping
-    the members run once at the end.
+    leaves only its fingerprints, the members its buckets keep (each run's
+    first ``cap`` entries of the split's order; a run's first alone where
+    ``cap`` is 1) and, where some bucket keeps more than one, each bucket's
+    member count, and its buckets' keys if ``keep_keys`` (which takes whole
+    keys); a table's keys are dropped before the next table's are made.
+    Sorting all fingerprints then numbers the buckets, by permuting only the
+    per-bucket arrays, or, where every bucket keeps one member, the members
+    themselves.
 
     A pass fingerprints every table under one salt's multipliers, from salt
     0 on. A fingerprint run holding two keys, or two buckets sharing a
@@ -249,8 +265,8 @@ def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _Bucket
     (table, key) pairs with probability at least 1/2, so the passes end.
     """
     for salt in itertools.count():
-        multipliers, base = None, 0
-        keys, runs, members, fps = [], [], [], []
+        multipliers = None
+        keys, sizes, members, fps = [], [], [], []
         for table_keys, box in tables():
             if multipliers is None:
                 multipliers = _multipliers(salt, (table_keys if box is None else box[1]).shape[-1])
@@ -262,30 +278,37 @@ def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _Bucket
             if keep_keys:
                 keys.append(table_keys[order[first]])
             del table_keys  # before the next table's keys are made
-            runs.append(first + base)
+            if cap == 1:
+                order = order[first]
+            else:
+                run = np.diff(first, append=order.size)
+                sizes.append(np.minimum(run, cap))
+                if (run > cap).any():  # keep each run's first cap entries
+                    order = order[np.arange(order.size) - np.repeat(first, run) < cap]
             members.append(order.astype(np.int32))
-            base += order.size
             fps.append(fp)
         else:
+            counts = [f.size for f in fps]
             fp = np.concatenate(fps)
+            fps.clear()  # only the joined column is held from here
             order = fp.argsort()
             fp = fp[order]
             if not (fp[1:] == fp[:-1]).any():
                 break
-    # number the buckets in fingerprint order, each keeping its first
-    # members, at most cap; the per-table parts are joined or dropped
-    # before the members are gathered (the build's peak memory)
-    counts = [f.size for f in fps]
-    first, members = np.concatenate(runs), np.concatenate(members)
-    del fps, runs
-    kept = np.minimum(np.diff(first, append=base), cap)[order]
-    first = first[order]
-    ends = np.cumsum(kept)
-    members = members[np.arange(ends[-1]) + np.repeat(first - (ends - kept), kept)]
-    starts = None if ends[-1] == ends.size else np.concatenate([[0], ends])
     table_of = np.repeat(np.arange(len(counts), dtype=np.int32), counts)[order]
-    keys = np.concatenate(keys)[order] if keep_keys else None
-    return _BucketTable(fp, table_of, starts, members, multipliers, keys)
+    members = np.concatenate(members)
+    if members.size == order.size:  # one member a bucket: permute them
+        members, starts = members[order], None
+    else:  # permute the buckets' spans, then gather their members
+        size = np.concatenate(sizes)
+        lo = (np.cumsum(size) - size)[order]
+        size = size[order]
+        ends = np.cumsum(size)
+        members = members[np.arange(ends[-1]) + np.repeat(lo - (ends - size), size)]
+        starts = np.concatenate([[0], ends])
+    keys = np.concatenate(keys) if keep_keys else None  # the parts go before the permutation
+    return _BucketTable(fp, table_of, starts, members, multipliers,
+                        None if keys is None else keys[order])
 
 
 def _lookup(table: _BucketTable, tables: np.ndarray, keys: np.ndarray):
@@ -411,7 +434,9 @@ class L2Group:
     leaf's first table where i % L == 0, and is table i of ``table``, whose
     buckets keep the first ``max_probe`` = 3L members, all a query probes.
     The draws fix everything else: bucket width w = 4r, L and the table,
-    which the constructor builds a leaf's tables at a time.
+    which the constructor builds a leaf's tables at a time, holding one
+    leaf's keys (one int64 array, hashed in its product's buffer) and, of
+    the tables split so far, only what the table stores.
     """
 
     ids: np.ndarray
@@ -427,13 +452,20 @@ class L2Group:
 
     def __post_init__(self):
         self.w = BUCKET_WIDTH_FACTOR * self.r
-        big_l = self.leaf_tables = len(self.projections) // self.leaves
-        self.max_probe = 3 * big_l
-        self.table = _bucket_table(lambda: (
-            (keys, None) for a in range(0, len(self.projections), big_l)
-            for keys in _l2_keys(self.projections[a:a + big_l], self.offsets[a:a + big_l],
-                                 self.w, self.vectors)
-        ), self.max_probe)
+        self.leaf_tables = len(self.projections) // self.leaves
+        self.max_probe = 3 * self.leaf_tables
+        self.table = _bucket_table(self._leaf_tables, self.max_probe)
+
+    def _leaf_tables(self):
+        """Each table's keys for ``_bucket_table``, a leaf at a time; a
+        leaf's keys are dropped before the next leaf's are hashed."""
+        big_l = self.leaf_tables
+        for a in range(0, len(self.projections), big_l):
+            keys = _l2_keys(self.projections[a:a + big_l], self.offsets[a:a + big_l],
+                            self.w, self.vectors)
+            for t in range(big_l):
+                yield keys[t], None
+            del keys
 
 
 @dataclass
@@ -592,7 +624,9 @@ class CoarseGroup:
     ``_cells``. The draws fix everything else: cell side 4 d r,
     approximation c0 = 4 d^(1+1/p) and the table, which the constructor
     builds from the cells of each grid's varying coordinates only
-    (``_grid_tables``), the table of the full cells, bit for bit."""
+    (``_grid_tables``), the table of the full cells, bit for bit, holding
+    one grid's cells at a time and, of the grids split so far, only their
+    cells' fingerprints and representatives."""
 
     ids: np.ndarray
     vectors: np.ndarray

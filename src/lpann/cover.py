@@ -27,10 +27,10 @@ candidate (at most the cluster's radius 2r(j+1)). This leaves every result
 unchanged: a candidate x has d(v, x) <= D, so by the triangle inequality
 (which holds in lp for every p >= 1) an outside point y within r of x has
 d(v, y) <= D + r. The second r of slack dwarfs the relative rounding of the
-computed distances (about d * 1e-16), and a d(v, y) that overflowed to inf
-keeps y. The distances to v are the ones the ball counts already
-computed, so pruning costs no distance work, and points in other far-off
-blobs are never measured.
+computed distances (about d * 1e-16); the kernel measures every distance
+within the float range, so such a d(v, y) never reads inf. The distances to
+v are the ones the ball counts already computed, so pruning costs no
+distance work, and points in other far-off blobs are never measured.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def build_sparse_cover(dataset: Dataset, radius: float, beta: float) -> SparseCo
         candidates = np.flatnonzero(inside & ~covered)
         if candidates.size:
             # only outside points near v can block a candidate (module docstring)
-            near = ~inside & ((dist <= dist[candidates].max() + 2.0 * radius) | np.isinf(dist))
+            near = ~inside & (dist <= dist[candidates].max() + 2.0 * radius)
             newly = candidates[_coverable(vectors[candidates], dataset.p, radius, vectors[near])]
             covering_local[newly] = cluster_index
             covered[newly] = True

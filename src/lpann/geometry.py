@@ -88,8 +88,9 @@ def lp_distance(x, y, p: float) -> float:
     """(sum_i |x_i - y_i|^p)^(1/p).
 
     Raises UsageError on dimension mismatch and NumericRangeError if the
-    result overflows float64. Differences whose powers fall below the
-    normal float64 range keep their digits (see ``_kernels``).
+    distance itself lies past the float64 range. Differences whose powers
+    fall below or above the normal float64 range keep their digits (see
+    ``_kernels``).
     """
     p = check_norm_param(p)
     x = np.asarray(x, dtype=np.float64)

@@ -94,20 +94,12 @@ def _lp_norm(g: np.ndarray, p: float) -> float:
 
 
 def _planted_query(planted: np.ndarray, rho: float, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Point at lp distance exactly rho from ``planted`` along a random direction.
-
-    Where the direction's lp norm overflows, as it does at large p, the
-    direction is first divided by the power of two that puts its largest
-    coordinate in [1, 2), an exact division.
-    """
+    """Point at lp distance exactly rho from ``planted`` along a random direction."""
     if rho == 0.0:
         return planted.copy()
     while True:
         g = rng.standard_normal(planted.shape[0])
         norm = _lp_norm(g, p)
-        if not math.isfinite(norm):
-            g = np.ldexp(g, 1 - np.frexp(np.abs(g).max())[1])
-            norm = _lp_norm(g, p)
         if norm > 0.0:
             return planted + (rho / norm) * g
 

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -982,3 +984,171 @@ def test_coarse_group_matches_per_scheme_loops(case):
     assert per_copy(answer, len(copies)) == (None if expected == [None] * len(copies) else expected)
     assert rows == len(set().union(*(
         _coarse_reps(scheme, x, q) for base, alive in zip(copies, live) if alive for scheme in base)))
+
+
+def _reference_bucket_table(tables, cap, keep_keys=True):
+    """``_bucket_table`` as it was before builds kept only the members they
+    store, kept as its oracle: it joins every table's whole member order
+    and caps the buckets only after the global fingerprint sort."""
+    for salt in itertools.count():
+        multipliers, base = None, 0
+        keys, runs, members, fps = [], [], [], []
+        for table_keys, box in tables():
+            if multipliers is None:
+                width = (table_keys if box is None else box[1]).shape[-1]
+                multipliers = base_schemes._multipliers(salt, width)
+            split = _split(multipliers, len(fps), table_keys, box)
+            if split is None:
+                break
+            order, first, fp = split
+            if keep_keys:
+                keys.append(table_keys[order[first]])
+            runs.append(first + base)
+            members.append(order.astype(np.int32))
+            base += order.size
+            fps.append(fp)
+        else:
+            fp = np.concatenate(fps)
+            order = fp.argsort()
+            fp = fp[order]
+            if not (fp[1:] == fp[:-1]).any():
+                break
+    counts = [f.size for f in fps]
+    first, members = np.concatenate(runs), np.concatenate(members)
+    kept = np.minimum(np.diff(first, append=base), cap)[order]
+    first = first[order]
+    ends = np.cumsum(kept)
+    members = members[np.arange(ends[-1]) + np.repeat(first - (ends - kept), kept)]
+    starts = None if ends[-1] == ends.size else np.concatenate([[0], ends])
+    table_of = np.repeat(np.arange(len(counts), dtype=np.int32), counts)[order]
+    keys = np.concatenate(keys)[order] if keep_keys else None
+    return base_schemes._BucketTable(fp, table_of, starts, members, multipliers, keys)
+
+
+def _same_tables(a, b):
+    assert vars(a).keys() == vars(b).keys()
+    for name, x in vars(a).items():
+        y = getattr(b, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+            continue
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+def _salts(degenerate):
+    """Ordinary multipliers, or a ``_degenerate`` salt 0."""
+    return nullcontext() if degenerate is None else _degenerate(degenerate)[0]
+
+
+TABLE_SHAPES = ["free", "singletons", "one-run", "mixed"]
+
+
+@st.composite
+def _table_keys(draw):
+    """(t, m, k) int keys of t tables: drawn freely from a few values (runs
+    of every length), all distinct in every table, one key per table, or
+    tables of each of those kinds."""
+    shape = draw(st.sampled_from(TABLE_SHAPES))
+    t, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    free = draw(arrays(np.int64, (t, m, k), elements=st.sampled_from(KEY_VALUES)))
+    distinct = free.copy()
+    distinct[:, :, 0] = draw(st.permutations(range(m)))
+    one = np.repeat(free[:, :1], m, axis=1)
+    pick = {"free": [free] * t, "singletons": [distinct] * t, "one-run": [one] * t,
+            "mixed": [(free, distinct, one)[draw(st.integers(0, 2))] for _ in range(t)]}[shape]
+    return shape, np.stack([kind[i] for i, kind in enumerate(pick)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_keys(), st.sampled_from(["1", "2", "3L"]), st.booleans(),
+       st.sampled_from([None, *DEGENERATE]))
+def test_bucket_table_matches_the_table_capped_after_the_sort(case, cap, keep_keys, degenerate):
+    # keeping only the members a table stores, and numbering the buckets by
+    # permuting per-bucket arrays, gives the table that joined every
+    # member and capped after the global sort, array for array
+    shape, keys = case
+    cap = 3 * len(keys) if cap == "3L" else int(cap)
+
+    def build(fn):
+        with _salts(degenerate):
+            return fn(lambda: ((table_keys, None) for table_keys in keys), cap, keep_keys)
+
+    table, reference = build(_bucket_table), build(_reference_bucket_table)
+    _same_tables(table, reference)
+    if shape == "singletons":
+        assert table.starts is None
+    elif shape == "one-run":
+        assert table.fingerprints.size == len(keys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_box_case(), st.integers(1, 3))
+def test_grid_and_l2_groups_build_the_reference_tables(case, duplicates):
+    # grid tables (cap 1, no keys, built under a box) and l2 tables (cap
+    # 3L) of point sets whose points repeat, so runs outrun their cap
+    kind, vectors, r, shifts, degenerate = case
+    vectors = np.repeat(vectors, duplicates, axis=0)
+    m = len(vectors)
+
+    def build():
+        with _salts(degenerate):
+            return (_one_scheme(np.arange(m), vectors, 4.0, r, shifts),
+                    build_l2_ann(np.arange(m), vectors, 0.5, 0.3, seeds=[1, 2]))
+
+    built = build()
+    with mock.patch.object(base_schemes, "_bucket_table", _reference_bucket_table):
+        reference = build()
+    for group, ref in zip(built, reference):
+        _same_tables(group.table, ref.table)
+
+
+def _four_blobs(n: int, d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    centers = np.zeros((4, d))
+    centers[:, 0] = 100.0 * math.sqrt(d) * np.arange(4)
+    return centers[rng.integers(0, 4, size=n)] + rng.standard_normal((n, d))
+
+
+def test_grid_build_holds_only_the_members_it_stores():
+    # a 504-grid root group over four blobs of 1000 x 32 (3 copies of 3
+    # schemes of 56 grids) stores one member of 53,571 cells out of 504,000
+    # points; its build peaks below twice the finished table plus 1 MB
+    # (joining every grid's whole member order first took 5.3 MB)
+    pts = _four_blobs(1000, 32, 1)
+    seeds = [[3 * copy + s for s in range(3)] for copy in range(3)]
+    group, peak = _build_peak(lambda: build_coarse_ann(np.arange(1000), pts, 4.0, 0.2, seeds))
+    assert len(group.shifts) == 504
+    assert group.table.members.size < 504_000 / 4
+    assert peak < 2 * group.table.nbytes + 2**20
+
+
+def test_l2_leaf_hashing_holds_one_key_array():
+    # one leaf of 4000 x 32 (L = 16 tables of k = 12 bits) hashes into its
+    # float product's own buffer, so hashing peaks below 1.5 times the key
+    # array (a cast into a new int array held two)
+    m, d = 4000, 32
+    big_l, k = num_tables(m, 1.0 / 3.0), base_schemes.num_hash_bits(m)
+    rng = np.random.default_rng(2)
+    pts, projections = rng.standard_normal((m, d)), rng.standard_normal((big_l, k, d))
+    offsets = rng.uniform(0.0, 4.0, size=(big_l, k))
+    keys, peak = _build_peak(lambda: _l2_keys(projections, offsets, 4.0, pts))
+    assert keys.shape == (big_l, m, k) and keys.dtype == np.int64
+    assert peak < 1.5 * keys.nbytes
+    # and a group of 4 leaves holds one leaf's keys at a time: over points
+    # packed far inside one bucket (as Mazur images of gauss sets are)
+    # a table keeps one or two buckets, so the keys are all it holds
+    group, peak = _build_peak(lambda: build_l2_ann(np.arange(m), 1e-3 * pts, 1.0, 1.0 / 3.0,
+                                                   seeds=[1, 2, 3, 4]))
+    assert group.table.fingerprints.size <= 2 * 4 * big_l
+    assert peak < 1.5 * keys.nbytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 5)), elements=st.one_of(
+    st.floats(-1e18, 1e18), st.sampled_from(CELL_EDGES + [-x for x in CELL_EDGES]))),
+    st.integers(1, 4))
+def test_to_cell_index_casts_block_by_block_as_astype(values, block):
+    expected = np.clip(np.floor(values), -9.2e18, 9.2e18).astype(np.int64)
+    with mock.patch.object(base_schemes, "CAST_BLOCK", block):
+        got = _to_cell_index(values.copy())
+    assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())

@@ -1,0 +1,72 @@
+"""The verdict arithmetic of tools/bench_pairs.py."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from bench_pairs import compare, quartiles  # noqa: E402
+
+PARENT = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]
+
+
+def test_quartiles_interpolate_like_numpy():
+    assert quartiles(PARENT) == pytest.approx((10.225, 10.45, 10.675))
+    assert quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert quartiles([1.0, 2.0]) == (1.25, 1.5, 1.75)
+
+
+def test_a_gain_in_nine_of_ten_pairs_past_the_iqr_is_met():
+    change = [p - 1.0 for p in PARENT]
+    change[0] = 10.5  # one pair lost
+    out = compare(PARENT, change, "lower", 0.1)
+    assert (out["wins"], out["ties"], out["pairs"]) == (9, 0, 10)
+    assert out["parent_iqr"] == pytest.approx(0.45)
+    assert out["verdict"] == "met"
+    # the same runs read as a loss where higher is better: past a 5 %
+    # bound, 0.52, not past a 10 % one, 1.045
+    assert compare(PARENT, change, "higher", 0.05)["verdict"] == "worse"
+    assert compare(PARENT, change, "higher", 0.1)["verdict"] == "within"
+
+
+def test_eight_wins_or_a_gap_inside_the_iqr_is_not_met():
+    change = [p - 1.0 for p in PARENT]
+    change[:2] = [10.5, 10.6]
+    assert compare(PARENT, change, "lower", 0.1)["verdict"] == "within"
+    small = [p - 0.1 for p in PARENT]  # wins every pair, gap 0.1 < IQR 0.45
+    out = compare(PARENT, small, "lower", 0.1)
+    assert out["wins"] == 10 and out["verdict"] == "within"
+
+
+def test_ties_count_for_neither_side():
+    out = compare([1.0] * 10, [1.0] * 10, "lower", 0.05)
+    assert (out["wins"], out["ties"], out["verdict"]) == (0, 10, "within")
+    assert out["rel"] == 0.0
+
+
+def test_worse_past_the_bound():
+    out = compare(PARENT, [p * 1.2 for p in PARENT], "lower", 0.1)
+    assert out["verdict"] == "worse" and out["rel"] == pytest.approx(0.2)
+    assert compare(PARENT, [p * 1.05 for p in PARENT], "lower", 0.1)["verdict"] == "within"
+    assert compare(PARENT, [p * 0.8 for p in PARENT], "higher", 0.1)["verdict"] == "worse"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    wide = [5.0, 6.0, 7.0, 8.0, 9.0, 11.0, 12.0, 13.0, 14.0, 15.0]  # IQR 5.5, median 10
+    assert compare(wide, [w * 1.02 for w in wide], "lower", 0.25)["verdict"] == "unresolved"
+    # unless every change run reads better than every parent run: then the
+    # gain is met past the IQR, and within it is within the bound
+    assert compare(wide, [4.0] * 10, "lower", 0.25)["verdict"] == "met"
+    assert compare(wide, [15.1] * 10, "higher", 0.25)["verdict"] == "within"
+    assert compare(wide, [15.6] * 10, "higher", 0.25)["verdict"] == "met"
+
+
+def test_compare_refuses_unpaired_runs_and_unknown_directions():
+    with pytest.raises(ValueError):
+        compare([1.0, 2.0], [1.0], "lower", 0.1)
+    with pytest.raises(ValueError):
+        compare([], [], "lower", 0.1)
+    with pytest.raises(ValueError):
+        compare([1.0], [1.0], "faster", 0.1)

@@ -216,12 +216,15 @@ def test_carving_matches_measuring_every_outside_point(case):
 
 
 def test_a_point_whose_distance_to_the_center_overflows_still_blocks():
-    # d(v, y)**4 overflows to inf, yet y lies within radius of x, so y
-    # must still keep x from being covered by v's cluster
-    ds = Dataset(np.array([[0.0], [1.1e77], [1.16e77]]), 4.0)
-    assert np.isinf(_kernels.dists_to_point(ds.vectors, ds.vectors[0], 4.0)[2])
-    cover = build_sparse_cover(ds, 6e76, 2.0)
-    clusters, ref, sparsity = _carve_reference(ds, 6e76, 2.0)
+    # d(v, y)**4 overflows to inf, yet the kernel measures d(v, y) itself;
+    # y lies outside v's cluster (radius 2r) but within r of x, so it must
+    # keep x from being covered by that cluster
+    ds = Dataset(np.array([[0.0], [1.1e77], [1.3e77]]), 4.0)
+    with np.errstate(over="ignore"):
+        assert np.isinf(ds.vectors[2, 0] ** 4)
+    assert _kernels.dists_to_point(ds.vectors, ds.vectors[0], 4.0)[2] == 1.3e77
+    cover = build_sparse_cover(ds, 6e76, 1.5)
+    clusters, ref, sparsity = _carve_reference(ds, 6e76, 1.5)
     assert cover.clusters[0].member_ids.tolist() == [0, 1] and ref[1] != 0
     assert cover.covering_ref.tolist() == ref.tolist()
     assert [(cl.member_ids.tolist(), cl.center_id) for cl in cover.clusters] == clusters

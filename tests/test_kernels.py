@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lpann import Dataset, SchemeConfig, _kernels, lp_distance, preprocess, query
+from lpann.geometry import subset_diameter
 from lpann.oracle import exact_nn
 
 EXPONENTS = [1.0, 2.0, 2.5, 3.0, 4.0, 8.0]
@@ -84,3 +85,36 @@ def test_rows_whose_powers_underflow_keep_their_digits(p):
     answer = query(scheme, near)
     assert answer is not None and answer.distance > 0.0
     assert answer.distance == lp_distance(pts[answer.id], near, p)
+
+
+def test_rows_whose_powers_overflow_keep_their_distance():
+    # at p = 64, (2e6)**64 overflows: measured directly, every row lay at
+    # distance inf from q and the exact scan answered the first, the
+    # farthest; the same at p = 1024 with coordinates 5, 3 and 2
+    assert exact_nn(Dataset([[5e6, 0.0], [3e6, 0.0], [2e6, 0.0]], 64.0), [0.0, 0.0]) == (2, 2e6)
+    assert exact_nn(Dataset([[5.0, 0.0], [3.0, 0.0], [2.0, 0.0]], 1024.0), [0.0, 0.0]) == (2, 2.0)
+    assert lp_distance([2e6, 0.0], [0.0, 0.0], 64.0) == 2e6
+    # the largest difference's power is exactly 1 after the division
+    want = 4e6 * (1.0 + 0.75 ** 64) ** (1.0 / 64)
+    assert _kernels.dists_to_point(np.array([[3e6, 4e6]]), np.zeros(2), 64.0)[0] == (
+        pytest.approx(want, rel=1e-15))
+    # a pairwise block rescales the same entries as the per-point kernel:
+    # rows that overflow, underflow, or neither, a zero row, and a
+    # difference past the float range, whose distance is inf
+    rng = np.random.default_rng(7)
+    rows = np.vstack([1e6 * rng.standard_normal((6, 3)), 1e-9 * rng.standard_normal((3, 3)),
+                      rng.standard_normal((3, 3)), np.zeros((1, 3)), [[1.7e308, 0.0, 0.0]]])
+    cols = np.vstack([rows[:4], [[-1.7e308, 0.0, 0.0]]])
+    for p in (64.0, 100.0, 2048.0):
+        full = np.empty((len(rows), len(cols)))
+        for i, j, block in _kernels.pairwise_blocks(rows, cols, p):
+            full[i:i + block.shape[0], j:j + block.shape[1]] = block
+        for k, row in enumerate(rows):
+            assert full[k].tobytes() == _kernels.dists_to_point(cols, row, p).tobytes()
+        assert np.isfinite(full[:, :4]).all() and np.isfinite(full[:-1, 4]).all()
+        assert np.isinf(full[-1, 4])
+    # 40 points of N(0, 9) in d = 4 at p = 512: a finite diameter, the
+    # largest coordinate gap give or take the other coordinates' share
+    pts = 3.0 * np.random.default_rng(0).standard_normal((40, 4))
+    gap = max(np.abs(a - b).max() for a in pts for b in pts)
+    assert gap <= subset_diameter(pts, 512.0) <= gap * 4.0 ** (1.0 / 512)

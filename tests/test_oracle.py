@@ -17,6 +17,7 @@ from lpann import (
     run_trials,
 )
 from lpann.cli import make_scheme_builder
+from lpann.oracle import _planted_query
 
 
 def test_exact_nn_single_point():
@@ -186,3 +187,14 @@ def test_fit_scaling_errors():
 def test_fit_scaling_rejects_non_positive_n_and_non_finite_measurements(points):
     with pytest.raises(UsageError, match="positive and finite"):
         fit_scaling(points)
+
+
+@pytest.mark.parametrize("p", [1500.0, 2000.0, 5000.0])
+def test_planted_queries_keep_their_distance_past_p_1024(p):
+    # past p = 1024 even a direction scaled into [1, 2) overflowed its lp
+    # norm wherever a coordinate's p-th power did, and the query fell on
+    # the planted point (44, 69 and 132 of these 200 directions)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        q = _planted_query(np.zeros(32), 0.9, p, rng)
+        assert lp_distance(q, np.zeros(32), p) == pytest.approx(0.9, rel=1e-9)
