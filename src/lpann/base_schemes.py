@@ -85,11 +85,10 @@ def _to_cell_index(values: np.ndarray) -> np.ndarray:
     the C-contiguous float array values is overwritten on the way. The clip
     runs only when the floored values' minimum or maximum lies outside that
     range (or is NaN, or values is empty), for it leaves in-range values as
-    they are. Past ``CAST_BLOCK`` entries the cast goes into an int64 view
-    of values, a block at a time, each block read before it is overwritten,
-    so it holds one block, not a second array of values' size (42.7 MB for
-    an l2 leaf of 16000 points and 350 hash functions); a smaller array is
-    cast by one ``astype``, which is faster and holds no more.
+    they are. The cast goes into an int64 view of values, ``CAST_BLOCK``
+    entries at a time, each block read before it is overwritten, so it
+    holds one block, not a second array of values' size (42.7 MB for an l2
+    leaf of 16000 points and 350 hash functions).
 
     Clipping can only merge cells of points that distance re-checking would
     reject anyway, so answers stay within their bounds.
@@ -97,21 +96,21 @@ def _to_cell_index(values: np.ndarray) -> np.ndarray:
     np.floor(values, out=values)
     if not (values.size and -9.2e18 <= values.min() and values.max() <= 9.2e18):
         np.clip(values, -9.2e18, 9.2e18, out=values)
-    if values.size <= CAST_BLOCK:
-        return values.astype(np.int64)
-    flat = values.reshape(-1)
-    out = flat.view(np.int64)
+    out = values.view(np.int64)
+    flat, cast = values.reshape(-1), out.reshape(-1)
     for a in range(0, flat.size, CAST_BLOCK):
-        out[a:a + CAST_BLOCK] = flat[a:a + CAST_BLOCK]
-    return out.reshape(values.shape)
+        cast[a:a + CAST_BLOCK] = flat[a:a + CAST_BLOCK]
+    return out
 
 
 def _cells(points: np.ndarray, shifts: np.ndarray, side: float) -> np.ndarray:
     """Grid cells of points + shifts (broadcast) for cells of the given side,
-    through one float buffer. Cells past the float range overflow to inf,
-    which ``_to_cell_index`` clips like any far cell."""
+    through one C-ordered float buffer (points may be columns picked from a
+    wider array, which numpy lays out in Fortran order). Cells past the
+    float range overflow to inf, which ``_to_cell_index`` clips like any
+    far cell."""
     with np.errstate(over="ignore"):
-        buf = points + shifts
+        buf = np.add(points, shifts, order="C")
         buf /= side
     return _to_cell_index(buf)
 

@@ -87,6 +87,29 @@ def test_rows_whose_powers_underflow_keep_their_digits(p):
     assert answer.distance == lp_distance(pts[answer.id], near, p)
 
 
+
+def _rescaled_by_a_power_of_two(rows: np.ndarray, p: float) -> np.ndarray:
+    """The distance from each row to the origin with the row divided by
+    2**e, e the exponent of its largest magnitude, and multiplied back:
+    exact scalings both ways, valid while 2**p stays finite."""
+    rows = np.abs(rows)
+    e = np.frexp(rows.max(axis=-1))[1] - 1
+    return np.ldexp(_kernels._power_sums(np.ldexp(rows, -e[:, None]), p) ** (1.0 / p), e)
+
+
+@pytest.mark.parametrize("p, scale", [(2.5, 1e-130), (3.0, 1e-110), (128.0, 1e-3), (1000.0, 0.1)])
+def test_underflowing_rows_stay_within_an_ulp_or_two_of_an_exact_rescale(p, scale):
+    # a row whose sum of powers underflows is divided by its largest
+    # difference, which rounds: its distance may differ in the last bits
+    # from dividing by a power of two, but by at most 1e-15 relative
+    x = scale * np.random.default_rng(5).standard_normal((2000, 8))
+    low = _kernels._power_sums(np.abs(x), p) < _kernels.TINY
+    assert low.mean() > 0.9
+    dists = _kernels.dists_to_point(x, np.zeros(8), p)
+    want = _rescaled_by_a_power_of_two(x, p)
+    assert (np.abs(dists - want) <= 1e-15 * want).all()
+    assert [lp_distance(row, np.zeros(8), p) for row in x[:50]] == dists[:50].tolist()
+
 def test_rows_whose_powers_overflow_keep_their_distance():
     # at p = 64, (2e6)**64 overflows: measured directly, every row lay at
     # distance inf from q and the exact scan answered the first, the

@@ -2,23 +2,23 @@
 """Compare two checkouts of lpann with the benchmark, in alternating pairs.
 
     python3 tools/bench_pairs.py pairs --parent DIR --change DIR --out FILE.json
-        [--pairs 10] [--first-seed 1] [--workload W ...] [--seconds S]
-    python3 tools/bench_pairs.py builds --parent DIR --change DIR --out FILE.json
-        [--size line:16000 ...] [--runs 3] [--limit-mb 2000]
+    python3 tools/bench_pairs.py builds --parent DIR --change DIR --out FILE.json \
+        --size line:16000 [--size gauss:8000 ...]
 
 ``pairs`` runs ``perfbench/run.py`` of each checkout for every workload of
 ``BENCHMARK.json`` (read from the change's checkout) at its ``run_seconds``,
-seed by seed, the parent first on odd seeds and the change first on even
-ones. It then compares, per workload and end-to-end metric, the two sides'
-runs by ``compare``, with the metric's ``better`` and ``bound`` from
-``BENCHMARK.json``: medians, quartiles, wins, ties and a verdict.
+for ``PAIRS`` pairs of seeds 1, 2, ..., the parent first on odd seeds and
+the change first on even ones. It then compares, per workload and
+end-to-end metric, the two sides' runs by ``compare``, with the metric's
+``better`` and ``bound`` from ``BENCHMARK.json``: medians, quartiles, wins,
+ties and a verdict.
 
-``builds`` builds one instance per fresh process of each checkout, the two
-sides alternating, each process capped by an address-space limit (as
-``ulimit -v``) and one BLAS thread. It records the build time, the
-process's peak RSS and the index digest. An instance is d = 32, p = 4,
-r = 1, seed 1: "gauss" is N(0, 1) in every coordinate, and "line" N(0, 0.2^2)
-plus U(0, 3n) on coordinate 0.
+``builds`` builds each instance ``RUNS`` times per checkout, one fresh
+process a build, the two sides alternating, each process capped by an
+address-space limit of ``LIMIT_MB`` (as ``ulimit -v``) and one BLAS
+thread. It records the build time, the process's peak RSS and the index
+digest. An instance is d = 32, p = 4, r = 1, seed 1: "gauss" is N(0, 1) in
+every coordinate, and "line" N(0, 0.2^2) plus U(0, 3n) on coordinate 0.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ import time
 from pathlib import Path
 
 MB = 2**20
+PAIRS = 10  # the change wins at least 9 of them for a gain to be met
+RUNS = 3  # fresh-process builds of each instance per side
+LIMIT_MB = 2000  # address-space cap on every build process
 
 
 def quartiles(values: list) -> tuple:
@@ -111,9 +114,9 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
 def pairs(args) -> dict:
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
-    names = args.workload or [w["name"] for w in bench["workloads"]]
-    seeds = range(args.first_seed, args.first_seed + args.pairs)
+    seconds = bench["run_seconds"]
+    names = [w["name"] for w in bench["workloads"]]
+    seeds = range(1, PAIRS + 1)
     runs = []
     for name in names:
         for seed in seeds:
@@ -177,9 +180,9 @@ def build_one(kind: str, n: int) -> dict:
             "digest": index_digest(scheme)}
 
 
-def _fresh_build(root: Path, kind: str, n: int, limit_mb: int) -> dict:
+def _fresh_build(root: Path, kind: str, n: int) -> dict:
     def cap():
-        limit = limit_mb * MB
+        limit = LIMIT_MB * MB
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
@@ -193,14 +196,14 @@ def _fresh_build(root: Path, kind: str, n: int, limit_mb: int) -> dict:
 
 def builds(args) -> dict:
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
-    out = {"limit_mb": args.limit_mb, "blas_threads": 1, "instances": {}}
+    out = {"limit_mb": LIMIT_MB, "blas_threads": 1, "instances": {}}
     for spec in args.size:
         kind, n = spec.split(":")
         rows = []
-        for i in range(args.runs):
+        for i in range(RUNS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                row = dict(side=side, **_fresh_build(sides[side], kind, int(n), args.limit_mb))
+                row = dict(side=side, **_fresh_build(sides[side], kind, int(n)))
                 rows.append(row)
                 print(spec, json.dumps(row), flush=True)
         summary = {}
@@ -222,17 +225,11 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True)
     p.add_argument("--change", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--workload", action="append")
-    p.add_argument("--seconds", type=float)
     b = sub.add_parser("builds")
     b.add_argument("--parent", required=True)
     b.add_argument("--change", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--size", action="append", required=True)
-    b.add_argument("--runs", type=int, default=3)
-    b.add_argument("--limit-mb", type=int, default=2000)
     one = sub.add_parser("build-one")
     one.add_argument("kind")
     one.add_argument("n", type=int)
