@@ -12,11 +12,14 @@ its leaves could probe (``scan_fits``), one scan answering every leaf.
 Covers and cluster images draw no randomness, so each carved point set is
 one ``PointSet``, built in one pass (``_build_set``): per ladder step its
 cover, the step's one map and each cluster's child set, then its group.
-Every copy over the set shares its ladder; only the base schemes' draws
-differ per copy, each from its seed path under ``config.seed``, drawn into
-the set's one group. The whole index is thus a function of the points and
-the config: an index file stores only those, and loading it runs
-``preprocess`` again (see ``container``).
+A step whose cover repeats the step before it, as a partition over scanned
+child sets, could change no answer; it keeps its cover only, and a query
+passes it without work (see ``LadderLevel``). Every copy over the set
+shares its ladder; only the base schemes' draws differ per copy, each from
+its seed path under ``config.seed``, drawn into the set's one group. The
+whole index is thus a function of the points and the config: an index file
+stores only those, and loading it runs ``preprocess`` again (see
+``container``).
 
 A refinement step improves the bound to
 
@@ -31,7 +34,8 @@ while they strictly improve.
 Query time runs the same chain: coarse answer, then per level look up the
 covering cluster of the current iterate, query the cluster's child scheme
 with the query mapped by the level's map, lift the answer back by id, and
-keep it only if it improves the true distance. All distances are
+keep it only if it improves the true distance; a repeated level passes
+every iterate on unchanged. All distances are
 re-verified in the node's own norm, so a failed stage can never make the
 answer worse. A set's copies are numbered parent copy, then child copy,
 then node copy (see ``PointSet``), and a query visits each point set once
@@ -346,10 +350,35 @@ class Reduction:
 class LadderLevel:
     """One refinement step of a point set: its cover, the one scaled map
     that takes every cluster, centered on its center, into l_{t/2}, and per
-    cover cluster, the cluster's reduction."""
+    cover cluster, the cluster's reduction.
+
+    A level without a map (and without children) repeats the one before
+    it: the build stores no map and no child sets for it, and the walk
+    leaves every iterate as it is. A level is a repeat when its cover
+    equals the previous level's (clusters, centers and ``covering_ref``),
+    the cover is a partition (every member of cluster k routes to k), and
+    every non-singleton child of the last level with a map scans
+    (``L2Scan``). It could then change no answer, in exact arithmetic:
+
+    - After the last built level, a walker's iterate is unchanged or a
+      member of the cluster it was routed to; a partition routes that
+      member to the same cluster, so the walker is routed as before.
+    - That cluster's child set would be the built one times one scalar,
+      the ratio of the two maps' scales. An exact l2 scan picks the same
+      nearest point at any scale, and a singleton gives its center again.
+    - The iterate is already no farther than that candidate, so it would
+      not replace it. A candidate the built level rejected against 2r
+      would be rejected again: the cover radius shrinks along the ladder,
+      so the map's scale does too, and images only grow.
+    - The level's contract holds: the map is non-expansive, so the nearest
+      mapped point lies within r of the mapped query whenever an r-near
+      neighbour exists.
+
+    Children with grids or LSH draws are independent trials, not repeats.
+    """
 
     cover: SparseCover
-    mazur: MazurMapSpec
+    mazur: MazurMapSpec | None
     children: list = field(default_factory=list)
 
 
@@ -440,20 +469,47 @@ def map_cluster(pset: PointSet, cluster: Cluster, mazur: MazurMapSpec, nodes: in
     return Reduction(PointSet(pset.t / 2.0, cluster.member_ids, image, nodes, pset.node_copies))
 
 
+def _repeats(pset: PointSet, cover: SparseCover) -> bool:
+    """Whether a ladder step of pset that carves ``cover`` repeats the step
+    before it (see ``LadderLevel``): the same clusters, centers and
+    ``covering_ref``, a partition, and only scanned child sets at the last
+    step with a map."""
+    if not pset.ladder:
+        return False
+    last, clusters = pset.ladder[-1].cover, cover.clusters
+    if not (len(clusters) == len(last.clusters)
+            and np.array_equal(cover.covering_ref, last.covering_ref)
+            and all(a.center_id == b.center_id and np.array_equal(a.member_ids, b.member_ids)
+                    for a, b in zip(clusters, last.clusters))):
+        return False
+    members = np.concatenate([cl.member_ids for cl in clusters])
+    labels = np.repeat(np.arange(len(clusters)), [len(cl.member_ids) for cl in clusters])
+    if members.size != pset.ids.size or (cover.covering_ref[pset.ids.searchsorted(members)]
+                                         != labels).any():
+        return False
+    built = next(level for level in reversed(pset.ladder) if level.mazur is not None)
+    return all(isinstance(reduction.child.group, L2Scan)
+               for reduction in built.children if reduction.child is not None)
+
+
 def _build_set(pset: PointSet, paths: list, r: float, bound: ApproxBound,
                config: SchemeConfig) -> None:
     """Build a point set, given the seed path of each of its nodes in order.
 
     Per ladder step it carves the step's cover, makes the step's map, maps
     each cluster and builds each child set; carving draws nothing at random,
-    so every copy over the set shares these. Then one ``build_coarse_ann``
-    or ``build_l2_ann`` call draws every copy's base schemes, each from its
-    seed path, into the set's group. An l2 set that ``scan_fits`` its
+    so every copy over the set shares these. A step that repeats the one
+    before it (``_repeats``) keeps its cover only. Then one
+    ``build_coarse_ann`` or ``build_l2_ann`` call draws every copy's base
+    schemes, each from its seed path, into the set's group. An l2 set that ``scan_fits`` its
     copies draws nothing: its group is an ``L2Scan``.
     """
     copies = [path + (TAG_NODE_COPY, ci) for path in paths for ci in range(pset.node_copies)]
     for j, (radius, _, _) in enumerate(ladder_steps(pset.t, r, bound), start=1):
         cover = build_sparse_cover(Dataset(pset.vectors, pset.t, ids=pset.ids), radius, bound.beta)
+        if _repeats(pset, cover):
+            pset.ladder.append(LadderLevel(cover, None))
+            continue
         level = LadderLevel(cover, MazurMapSpec(p=pset.t, q=pset.t / 2.0, c0=cover.diameter_bound))
         for ki, cluster in enumerate(cover.clusters):
             reduction = map_cluster(pset, cluster, level.mazur, config.child_copies)
@@ -490,6 +546,38 @@ def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
     return LpScheme(config=config, d=dataset.d, bound=bound, root=root)
 
 
+def _climb(pset: PointSet, level: LadderLevel, q: np.ndarray, copies: int,
+           walkers: np.ndarray, x_id: np.ndarray, x_dist: np.ndarray) -> None:
+    """Take the walkers, copy numbers out of pset's ``copies``, up one
+    ladder level with a map, updating their iterates in place. One gather
+    routes them all, each routed cluster's map is applied once and its
+    child set is walked once for every walker routed there (there, the
+    set's copies are the owners), and one distance call re-verifies every
+    candidate."""
+    routes = level.cover.covering_ref[pset.ids.searchsorted(x_id)]
+    cand = np.zeros(walkers.size, dtype=np.int64)
+    has = np.zeros(walkers.size, dtype=bool)
+    for k in sorted(set(routes.tolist())):
+        routed = (routes == k).nonzero()[0]
+        reduction, center_id = level.children[k], level.cover.clusters[k].center_id
+        if reduction.child is None:
+            cand[routed], has[routed] = center_id, True
+            continue
+        img_q = mazur_map_apply(level.mazur, q - pset.vector_of(center_id))
+        sub_live = np.zeros(copies, dtype=bool)
+        sub_live[walkers[routed]] = True
+        res = _walk(reduction.child, sub_live, img_q)
+        for w in routed:
+            if res[walkers[w]] is not None:
+                cand[w], has[w] = res[walkers[w]][0], True
+    w = has.nonzero()[0]
+    if w.size:
+        d_cand = _kernels.dists_to_point(pset.vectors[pset.ids.searchsorted(cand[w])], q, pset.t)
+        better = d_cand < x_dist[w]
+        w = w[better]
+        x_id[w], x_dist[w] = cand[w], d_cand[better]
+
+
 def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
     """Per owner of a point set, (id, distance in the set's norm, trace) of
     the first of its copies, in copy order, at the least distance, or None;
@@ -498,10 +586,10 @@ def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
     A scanned l2 set's one answer is every live owner's. Otherwise every
     copy of a live owner that its base schemes answer (an l2 leaf at
     t == 2, grids above) is a walker, and the walkers climb the set's
-    ladder, empty at t == 2, in lock-step. Per level, one gather routes
-    them all, each routed cluster's map is applied once and its child set
-    is walked once for every walker routed there (there, the set's copies
-    are the owners), and one distance call re-verifies every candidate.
+    ladder, empty at t == 2, in lock-step (``_climb``). A level without a
+    map repeats the one before it (see ``LadderLevel``): the walkers pass
+    it unchanged, with no routing, mapping, lookup or distance call, and
+    each trace records its iterate again.
     """
     if isinstance(pset.group, L2Scan):
         hit = query_l2_scan(pset.group, q)
@@ -516,30 +604,10 @@ def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
     x_id, x_dist = x_id[walkers], x_dist[walkers]
     traces = [[x] for x in x_id.tolist()]
     for level in pset.ladder:
-        routes = level.cover.covering_ref[pset.ids.searchsorted(x_id)]
-        cand = np.zeros(walkers.size, dtype=np.int64)
-        has = np.zeros(walkers.size, dtype=bool)
-        for k in sorted(set(routes.tolist())):
-            routed = (routes == k).nonzero()[0]
-            reduction, center_id = level.children[k], level.cover.clusters[k].center_id
-            if reduction.child is None:
-                cand[routed], has[routed] = center_id, True
-                continue
-            img_q = mazur_map_apply(level.mazur, q - pset.vector_of(center_id))
-            sub_live = np.zeros(found.size, dtype=bool)
-            sub_live[walkers[routed]] = True
-            res = _walk(reduction.child, sub_live, img_q)
-            for w in routed:
-                if res[walkers[w]] is not None:
-                    cand[w], has[w] = res[walkers[w]][0], True
-        w = has.nonzero()[0]
-        if w.size:
-            d_cand = _kernels.dists_to_point(pset.vectors[pset.ids.searchsorted(cand[w])], q, pset.t)
-            better = d_cand < x_dist[w]
-            w = w[better]
-            x_id[w], x_dist[w] = cand[w], d_cand[better]
-        for trace, x in zip(traces, x_id):
-            trace.append(int(x))
+        if level.mazur is not None:
+            _climb(pset, level, q, found.size, walkers, x_id, x_dist)
+        for trace, x in zip(traces, x_id.tolist()):
+            trace.append(x)
     best = [None] * live.size
     for w, i in enumerate(walkers):
         o = i // per
@@ -565,7 +633,9 @@ def query(scheme: LpScheme, q) -> QueryAnswer | None:
 
 @dataclass
 class SpaceReport:
-    total: int
+    total: int  # points actually stored: the sum of per_level
+    model_total: int  # the paper's construction count: repeats counted as built
+    repeated_levels: int  # ladder levels that repeat the one before (LadderLevel)
     per_level: dict  # "t=<t>/base" or "t=<t>/ladder<i>": points stored there
     copy_counts: dict
     table_bytes: dict  # "l2" and "coarse": bytes of the groups' derived tables
@@ -579,38 +649,52 @@ def space_usage(scheme: LpScheme) -> SpaceReport:
     """Exact recursive count of points stored across all substructures, per
     norm level and ladder step: every base scheme (every l2 leaf, scanned or
     not) stores its point set, and every copy's ladder step its cover's
-    members. Also the bytes of the bucket tables its groups derive, and how
-    many l2 point sets scan and how many hold tables. Each point set is
-    visited once and its counts are multiplied by its copy count."""
+    members. A repeated ladder level stores its cover only; ``model_total``
+    counts the child sets the paper's construction would build for it, the
+    same as the level's last built step, and ``total`` does not. Also the
+    bytes of the bucket tables its groups derive, and how many l2 point
+    sets scan and how many hold tables. Each point set is visited once and
+    its counts are multiplied by its copy count."""
     per_level: dict = {}
     table_bytes = {"l2": 0, "coarse": 0}
     l2_sets = {"scan": 0, "lsh": 0}
+    repeated = 0
 
-    def add(pset: PointSet, step: str, points: int) -> None:
+    def add(pset: PointSet, step: str, points: int) -> int:
         key = f"t={int(pset.t)}/{step}"
         per_level[key] = per_level.get(key, 0) + points
+        return points
 
-    def visit(pset: PointSet, owners: int) -> None:
+    def visit(pset: PointSet, owners: int) -> int:
+        """The model count of pset and every set below it."""
+        nonlocal repeated
         copies = owners * pset.nodes * pset.node_copies
         group = pset.group
         coarse = isinstance(group, CoarseGroup)
         schemes = len(group.shifts) // group.grids if coarse else copies
-        add(pset, "base", schemes * int(pset.ids.size))
+        model = add(pset, "base", schemes * int(pset.ids.size))
         if isinstance(group, L2Scan):
             l2_sets["scan"] += 1
         else:
             table_bytes["coarse" if coarse else "l2"] += group.table.nbytes
             l2_sets["lsh"] += not coarse
+        built = 0
         for j, level in enumerate(pset.ladder, start=1):
             members = sum(len(cl.member_ids) for cl in level.cover.clusters)
-            add(pset, f"ladder{j}", copies * members)
-            for reduction in level.children:
-                if reduction.child is not None:
-                    visit(reduction.child, copies)
+            model += add(pset, f"ladder{j}", copies * members)
+            if level.mazur is None:
+                repeated += 1
+            else:
+                built = sum(visit(reduction.child, copies) for reduction in level.children
+                            if reduction.child is not None)
+            model += built
+        return model
 
-    visit(scheme.root, 1)
+    model_total = visit(scheme.root, 1)
     return SpaceReport(
         total=sum(per_level.values()),
+        model_total=model_total,
+        repeated_levels=repeated,
         per_level=per_level,
         copy_counts={
             "norm_level_copies": norm_level_copies(scheme.p_effective),

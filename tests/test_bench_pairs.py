@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from bench_pairs import compare, quartiles  # noqa: E402
+from bench_pairs import compare, quartiles, query_vs_scan  # noqa: E402
 
 PARENT = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]
 
@@ -70,3 +70,9 @@ def test_compare_refuses_unpaired_runs_and_unknown_directions():
         compare([], [], "lower", 0.1)
     with pytest.raises(ValueError):
         compare([1.0], [1.0], "faster", 0.1)
+
+
+def test_query_vs_scan_divides_the_medians():
+    rows = [{"query_p90_us": q, "scan_p50_us": s}
+            for q, s in ((900.0, 200.0), (600.0, 150.0), (1200.0, 100.0))]
+    assert query_vs_scan(rows) == 900.0 / 150.0

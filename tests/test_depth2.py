@@ -96,10 +96,18 @@ def test_depth2_shape_covers_answers_and_reload(tmp_path, monkeypatch):
     for pset, cover in covers.values():
         assert verify_cover(cover, Dataset(pset.vectors, pset.t, ids=pset.ids)).cover_ok
 
+    # the t = 8 steps have grid children, so none repeats; every t = 4 set
+    # carves one cover, a partition over a scanned l2 set, at each step,
+    # so its steps after the first repeat it
+    repeats = {(pset.t, j, level.mazur is None)
+               for pset in _sets(scheme.root) for j, level in enumerate(pset.ladder)}
+    assert repeats == ({(8.0, j, False) for j in range(plan[8.0])}
+                       | {(4.0, j, j > 0) for j in range(plan[4.0])})
+
     # a query looks up each point set it visits once: the root's grids, at
     # each t = 8 step the grids of the t = 4 set its copies route to, and
-    # at each t = 4 step under it one scan of a t = 2 set, which makes no
-    # leaf-group lookup
+    # at the first t = 4 step under it one scan of a t = 2 set, which makes
+    # no leaf-group lookup
     calls = Counter()
     for attr in ("query_l2_ann", "query_l2_scan", "query_coarse_ann"):
         def counting(*args, _fn=getattr(recursive, attr), _attr=attr):
@@ -112,8 +120,8 @@ def test_depth2_shape_covers_answers_and_reload(tmp_path, monkeypatch):
         calls.clear()
         built += _answers(scheme, [q])
         assert calls == {"query_coarse_ann": 1 + plan[8.0],
-                         "query_l2_scan": plan[8.0] * plan[4.0]} == {
-                             "query_coarse_ann": 5, "query_l2_scan": 20}
+                         "query_l2_scan": plan[8.0]} == {
+                             "query_coarse_ann": 5, "query_l2_scan": 4}
 
     # the r-near queries succeed within c_p r
     assert all(float.fromhex(a[1]) <= scheme.bound.c_p * R for a in built[:3])

@@ -198,8 +198,8 @@ GOLDEN_LSHROOT = [(203, '0x1.2983a5cf8c3b7p+0', [203]),
 # change to any table, draw or cover byte fails here even when the answers
 # happen to survive it
 GOLDEN_DIGEST = {
-    "gauss": "61d43df9159305304edc79c0481a9f0f81264443ee870d66c69cc10cc5886356",
-    "blobs": "53e335918d970885939c6434059d0e56eccfc891930f232b761e5879bffa27df",
+    "gauss": "6c62537650cca22e843719bd81d1e65326955ef9af1570624e412d307cbce488",
+    "blobs": "c608d0aa76cbaaaeb6abc4aec921ace6d092b90f9f0616f85d112219a6ba4e1e",
     "l2root": "4c88cc913af306a46f4a148c40449a43993ffdba1f8af52640666d09a72ebfc5",
     "lshroot": "a6fcc1fc9484c37322f83a23eb8dff4e3034760ae5cc81412220df816dc9123e",
 }
@@ -229,29 +229,31 @@ GOLDEN_LINE = [(58, '0x1.cccccccccccccp-1', [12, 58, 58, 58, 58]),
                (81, '0x1.ccccccccccccdp-1', [81, 81, 81, 81, 81])]
 
 # space_usage(...).as_dict() of each GOLDEN_DIGEST instance at seed 5;
-# its total is the benchmark's stored_points
+# its total is the benchmark's stored_points; at gauss and blobs, ladder
+# levels 2-4 repeat level 1, so they store no child sets, and model_total
+# counts the ones the paper's construction builds for them
 GOLDEN_SPACE = {
-    "gauss": {"total": 25800,
-              "per_level": {"t=4/base": 1800, "t=4/ladder1": 600, "t=2/base": 21600,
+    "gauss": {"total": 9600, "model_total": 25800, "repeated_levels": 3,
+              "per_level": {"t=4/base": 1800, "t=4/ladder1": 600, "t=2/base": 5400,
                             "t=4/ladder2": 600, "t=4/ladder3": 600, "t=4/ladder4": 600},
               "copy_counts": {"norm_level_copies": 3, "base_copies": 3,
                               "cluster_child_copies": 3},
               "table_bytes": {"l2": 0, "coarse": 17832},
-              "l2_sets": {"scan": 4, "lsh": 0}},
-    "blobs": {"total": 25800,
-              "per_level": {"t=4/base": 1800, "t=4/ladder1": 600, "t=2/base": 21600,
+              "l2_sets": {"scan": 1, "lsh": 0}},
+    "blobs": {"total": 9600, "model_total": 25800, "repeated_levels": 3,
+              "per_level": {"t=4/base": 1800, "t=4/ladder1": 600, "t=2/base": 5400,
                             "t=4/ladder2": 600, "t=4/ladder3": 600, "t=4/ladder4": 600},
               "copy_counts": {"norm_level_copies": 3, "base_copies": 3,
                               "cluster_child_copies": 3},
               "table_bytes": {"l2": 0, "coarse": 332168},
-              "l2_sets": {"scan": 16, "lsh": 0}},
-    "l2root": {"total": 400,
+              "l2_sets": {"scan": 4, "lsh": 0}},
+    "l2root": {"total": 400, "model_total": 400, "repeated_levels": 0,
                "per_level": {"t=2/base": 400},
                "copy_counts": {"norm_level_copies": 2, "base_copies": 3,
                                "cluster_child_copies": 3},
                "table_bytes": {"l2": 0, "coarse": 0},
                "l2_sets": {"scan": 1, "lsh": 0}},
-    "lshroot": {"total": 2000,
+    "lshroot": {"total": 2000, "model_total": 2000, "repeated_levels": 0,
                 "per_level": {"t=2/base": 2000},
                 "copy_counts": {"norm_level_copies": 2, "base_copies": 3,
                                 "cluster_child_copies": 3},
@@ -427,7 +429,8 @@ def _carved(scheme) -> dict:
 def test_one_cover_per_point_set_and_one_map_per_cluster(kind, monkeypatch):
     # carving draws no randomness: the node copies and the child copies over
     # one point set share its covers, each ladder step makes one map, and
-    # each cluster is mapped by it once
+    # each cluster is mapped by it once; a step that repeats the one before
+    # it (levels 2-4 here) makes no map and maps nothing
     calls = Counter()
     for attr in ("build_sparse_cover", "mazur_map_points", "MazurMapSpec"):
         def counting(*args, _fn=getattr(recursive, attr), _attr=attr, **kwargs):
@@ -437,8 +440,12 @@ def test_one_cover_per_point_set_and_one_map_per_cluster(kind, monkeypatch):
         monkeypatch.setattr(recursive, attr, counting)
     scheme, _ = _instance(kind, 5)
     carved = _carved(scheme)
-    assert calls["build_sparse_cover"] == calls["MazurMapSpec"] == len(carved) == 4
-    assert calls["mazur_map_points"] == sum(carved.values()) > 0
+    built = {(pset.t, pset.vectors.tobytes(), j)
+             for pset in _sets(scheme.root) for j, level in enumerate(pset.ladder)
+             if level.mazur is not None}
+    assert calls["build_sparse_cover"] == len(carved) == 4
+    assert calls["MazurMapSpec"] == len(built) == 1
+    assert calls["mazur_map_points"] == sum(carved[key] for key in built) > 0
 
 
 def _sharing(scheme) -> list:
@@ -457,7 +464,8 @@ def _sharing(scheme) -> list:
 def test_loaded_tree_shares_covers_and_images_as_built(kind, tmp_path):
     # each ladder step holds one cover and one map, the signed-power map
     # from l_t to l_{t/2} scaled to the cover's diameter bound, and every
-    # copy over the step's point set reads them
+    # copy over the step's point set reads them; a step that repeats the
+    # one before it (levels 2-4 here) holds its cover only
     scheme, _ = _instance(kind, 5)
     save_index(scheme, str(tmp_path / "golden.lpann"))
     loaded = load_index(str(tmp_path / "golden.lpann"))
@@ -465,10 +473,14 @@ def test_loaded_tree_shares_covers_and_images_as_built(kind, tmp_path):
     for index in (scheme, loaded):
         levels = [lvl for pset in _sets(index.root) for lvl in pset.ladder]
         assert len({id(lvl.cover) for lvl in levels}) == len(_carved(index)) == len(levels)
-        assert len({id(lvl.mazur) for lvl in levels}) == len(levels)
+        built = [lvl for lvl in levels if lvl.mazur is not None]
+        assert len({id(lvl.mazur) for lvl in built}) == len(built) == 1
         for pset in _sets(index.root):
             for j, level in enumerate(pset.ladder):
                 assert {id(copy.ladder[j].mazur) for copy in pset.copies} == {id(level.mazur)}
+                if level.mazur is None:
+                    assert j > 0 and level.children == []
+                    continue
                 assert (level.mazur.p, level.mazur.q, level.mazur.c0) == (
                     pset.t, pset.t / 2.0, level.cover.diameter_bound)
                 assert vars(level).keys() == {"cover", "mazur", "children"}
@@ -686,7 +698,7 @@ def test_l2_lookups_hash_only_the_tables_they_read(monkeypatch):
     monkeypatch.setattr(base_schemes, "_l2_keys", hashing)
     for q in queries[:25]:
         query(scheme, q)
-    assert len(calls) == 4 * 25
+    assert len(calls) == 25  # ladder levels 2-4 repeat level 1: one l2 lookup per query
     for group, q, live, rows in calls:
         live_leaves = np.flatnonzero(live)
         assert live.size == group.leaves and len(live_leaves) == 27

@@ -76,10 +76,10 @@ def test_probes_see_calls(tmp_path, monkeypatch):
 
 def test_one_lookup_per_group(monkeypatch):
     # a query looks up each point set once: the root's grids, over all its
-    # copies, with one query_coarse_ann call, and at each ladder step the
-    # scanned l2 set of the cluster the root copies route to, for all of
-    # its child and node copies, with one query_l2_scan call and no
-    # query_l2_ann call
+    # copies, with one query_coarse_ann call, and at the first ladder step
+    # the scanned l2 set of the cluster the root copies route to, for all
+    # of its child and node copies, with one query_l2_scan call and no
+    # query_l2_ann call; the later steps repeat the first and look up nothing
     rng = np.random.default_rng(0)
     centers = np.zeros((4, 32))
     centers[:, 0] = 100.0 * math.sqrt(32) * np.arange(4)
@@ -96,12 +96,12 @@ def test_one_lookup_per_group(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(lpann.recursive, attr, counting)
-    steps = len(levels)
-    assert steps == 4 and scheme.root.node_copies == 3
+    assert len(levels) == 4 and scheme.root.node_copies == 3
+    assert [lvl.mazur is None for lvl in levels] == [False, True, True, True]
     for q in data[:8] + 0.01:
         calls.clear()
         assert lpann.query(scheme, q) is not None
-        assert calls == {"query_coarse_ann": 1, "query_l2_scan": steps}
+        assert calls == {"query_coarse_ann": 1, "query_l2_scan": 1}
 
 
 def _sets(pset):
@@ -154,13 +154,15 @@ def _shape_reads(node) -> tuple:
     return copies, subs
 
 
-# check_shape's facts and _shape_reads of a 40-point index of one and of
-# four blobs, as recorded before the index kept one object per point set
+# check_shape's facts of a 40-point index of one and of four blobs, as
+# recorded before the index kept one object per point set, and its
+# _shape_reads, which count no child copies below ladder levels 2-4: they
+# repeat level 1 and hold no child sets
 SHAPE = {
     "gauss-d32": ({"covers": 12, "clusters_per_cover": 1.0, "singleton_frac": 0.0,
-                   "root_ladder_lengths": [4, 4, 4]}, (111, 36)),
+                   "root_ladder_lengths": [4, 4, 4]}, (30, 9)),
     "clustered-d32": ({"covers": 12, "clusters_per_cover": 4.0, "singleton_frac": 0.0,
-                       "root_ladder_lengths": [4, 4, 4]}, (435, 144)),
+                       "root_ladder_lengths": [4, 4, 4]}, (111, 36)),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import signal
 
@@ -28,11 +29,19 @@ from lpann import (
     query_coarse_ann,
     query_l2_ann,
 )
-from lpann.base_schemes import L2Scan, query_l2_scan
+from lpann import recursive
+from lpann.base_schemes import CoarseGroup, L2Scan, query_l2_scan
+from lpann.cover import Cluster
 from lpann.cli import make_scheme_builder
 from lpann.geometry import mazur_map_apply
 from lpann.oracle import TrialSpec, make_planted_instance
-from lpann.recursive import MAX_COPIES, ladder_steps, normalize_exponent, norm_level_copies
+from lpann.recursive import (
+    MAX_COPIES,
+    LadderLevel,
+    ladder_steps,
+    normalize_exponent,
+    norm_level_copies,
+)
 
 
 def cfg(p=4.0, r=1.0, **kw):
@@ -396,6 +405,114 @@ def test_determinism_same_seed(small_scheme):
         if a is not None:
             assert a.id == b.id and a.distance == b.distance
     assert space_usage(scheme).per_level == space_usage(twin).per_level
+
+
+# ---------------------------------------------------------------------------
+# repeated ladder levels
+# ---------------------------------------------------------------------------
+
+def _blob_index(blobs: int):
+    """A 40-point index of one gaussian blob at r = 1, or of four blobs
+    100 sqrt(d) apart at r = 0.2: the benchmark workloads' shapes."""
+    rng = np.random.default_rng(0)
+    centers = np.zeros((blobs, 32))
+    centers[:, 0] = 100.0 * math.sqrt(32) * np.arange(blobs)
+    data = centers[np.arange(40) % blobs] + rng.standard_normal((40, 32))
+    return preprocess(Dataset(data, 4.0), cfg(r=1.0 if blobs == 1 else 0.2))
+
+
+def _clusters(cover) -> list:
+    return [(cl.center_id, cl.member_ids.tolist()) for cl in cover.clusters]
+
+
+@pytest.mark.parametrize("blobs", [1, 4])
+def test_levels_that_repeat_the_first_store_no_children(blobs):
+    # every level carves the first level's cover, a partition into one
+    # cluster per blob, over scanned child sets: levels 2-4 repeat level 1,
+    # keep their cover, and hold no map and no child set
+    scheme = _blob_index(blobs)
+    first, *rest = scheme.root.ladder
+    assert len(rest) == 3 and len(first.cover.clusters) == blobs
+    assert first.mazur is not None and len(first.children) == blobs
+    assert all(isinstance(ch.child.group, L2Scan) for ch in first.children)
+    for level in rest:
+        assert level.mazur is None and level.children == []
+        assert _clusters(level.cover) == _clusters(first.cover)
+        assert level.cover.covering_ref.tolist() == first.cover.covering_ref.tolist()
+    report = space_usage(scheme)
+    assert report.repeated_levels == 3
+    assert report.model_total == report.total + 3 * report.per_level["t=2/base"]
+
+
+def test_line_levels_carve_differing_covers_and_all_build():
+    # points along one axis at n = 1000: every level carves a different
+    # cover, so every level keeps its map and child sets
+    rng = np.random.default_rng(1)
+    data = 0.2 * rng.standard_normal((1000, 32))
+    data[:, 0] += rng.uniform(0.0, 3000.0, size=1000)
+    scheme = preprocess(Dataset(data, 4.0), cfg(seed=1))
+    ladder = scheme.root.ladder
+    assert len(ladder) == 4 and all(level.mazur is not None for level in ladder)
+    assert all(_clusters(a.cover) != _clusters(b.cover) for a, b in zip(ladder, ladder[1:]))
+    assert space_usage(scheme).repeated_levels == 0
+
+
+def _after(root, previous_cover):
+    """The root with one built level: its first level's map and child sets
+    under ``previous_cover``."""
+    level = root.ladder[0]
+    return dataclasses.replace(root, ladder=[LadderLevel(previous_cover, level.mazur,
+                                                         level.children)])
+
+
+def test_a_repeat_needs_a_partition_and_the_same_routing():
+    # hand-made covers over the four-blob root's first level: the unchanged
+    # cover repeats; an overlapping cover (one point of cluster 1 also in
+    # cluster 0), though equal to the previous one, does not; nor does the
+    # partition after a cover that routes one point elsewhere, nor the same
+    # partition carved around another center, nor one that merges two
+    # clusters
+    root = _blob_index(4).root
+    cover = root.ladder[0].cover
+    assert recursive._repeats(_after(root, cover), dataclasses.replace(cover))
+
+    extra = cover.clusters[1].member_ids[0]
+    grown = np.sort(np.append(cover.clusters[0].member_ids, extra))
+    overlapping = dataclasses.replace(cover, clusters=[
+        Cluster(grown, cover.clusters[0].center_id), *cover.clusters[1:]])
+    assert not recursive._repeats(_after(root, overlapping), dataclasses.replace(overlapping))
+
+    rerouted = cover.covering_ref.copy()
+    rerouted[root.row_of(cover.clusters[0].member_ids[0])] = 1
+    before = dataclasses.replace(cover, covering_ref=rerouted)
+    assert not recursive._repeats(_after(root, before), dataclasses.replace(cover))
+
+    members = cover.clusters[0].member_ids
+    moved = dataclasses.replace(cover, clusters=[
+        Cluster(members, int(members[members != cover.clusters[0].center_id][0])),
+        *cover.clusters[1:]])
+    assert not recursive._repeats(_after(root, cover), moved)
+
+    merged = dataclasses.replace(cover, clusters=[
+        Cluster(np.union1d(members, cover.clusters[1].member_ids), cover.clusters[0].center_id),
+        *cover.clusters[2:]], covering_ref=np.maximum(cover.covering_ref - 1, 0))
+    assert not recursive._repeats(_after(root, cover), merged)
+
+
+def test_coarse_children_never_repeat():
+    # the depth-2 root's t = 8 levels carve one and the same partition, but
+    # their children are t = 4 grid sets, independent trials, so every
+    # level keeps its map and child sets
+    from test_depth2 import _instance
+
+    dataset, config, _ = _instance()
+    ladder = preprocess(dataset, config).root.ladder
+    assert len(ladder) == 4
+    for level in ladder:
+        assert _clusters(level.cover) == [(0, list(range(dataset.n)))]
+        assert level.cover.covering_ref.tolist() == [0] * dataset.n
+        assert level.mazur is not None
+        assert [type(ch.child.group) for ch in level.children] == [CoarseGroup]
 
 
 # ---------------------------------------------------------------------------

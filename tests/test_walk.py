@@ -12,7 +12,9 @@ as built and with LSH leaves in their place (``with_lsh_leaves``), and it
 must also do so when the copies over one point set route to different
 clusters at one ladder step, so that a group is looked up for some of its
 copies only, and when copies tie. A scanned set is scanned once per query that reaches it,
-whatever its copies.
+whatever its copies. Where a ladder level repeats the one before it, the
+reference does not pass it as the walk does: it walks the last built
+level's child set again and re-verifies the result.
 """
 
 import numpy as np
@@ -75,14 +77,20 @@ class _Reference:
         return best
 
     def refine(self, pset, copy: int, x_id: int, x_dist: float, q: np.ndarray):
-        trace = [x_id]
+        """Walk one copy up pset's ladder. A level without a map repeats
+        the one before it: the copy is routed by the level's own cover and
+        walks the child set of the last level with a map, with that map,
+        and the result is re-verified, so that the exactness of passing
+        the level is checked, not assumed."""
+        trace, built = [x_id], None
         for j, lvl in enumerate(pset.ladder):
+            built = lvl if lvl.mazur is not None else built
             ci = lvl.cover.covering_ref[pset.row_of(x_id)]
             self.routes.setdefault((id(pset), j), set()).add(int(ci))
-            reduction, center_id = lvl.children[ci], lvl.cover.clusters[ci].center_id
+            reduction, center_id = built.children[ci], lvl.cover.clusters[ci].center_id
             cand_id = center_id
             if reduction.child is not None:
-                img_q = recursive.mazur_map_apply(lvl.mazur, q - pset.vector_of(center_id))
+                img_q = recursive.mazur_map_apply(built.mazur, q - pset.vector_of(center_id))
                 res = self.query_nodes(reduction.child, copy, img_q)
                 cand_id = None if res is None else res[0]
             if cand_id is not None:

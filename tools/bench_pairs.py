@@ -11,7 +11,7 @@ for ``PAIRS`` pairs of seeds 1, 2, ..., the parent first on odd seeds and
 the change first on even ones. It then compares, per workload and
 end-to-end metric, the two sides' runs by ``compare``, with the metric's
 ``better`` and ``bound`` from ``BENCHMARK.json``: medians, quartiles, wins,
-ties and a verdict.
+ties and a verdict. Per workload and side it also gives ``query_vs_scan``.
 
 ``builds`` builds each instance ``RUNS`` times per checkout, one fresh
 process a build, the two sides alternating, each process capped by an
@@ -97,6 +97,13 @@ def compare(parent: list, change: list, better: str, bound: float) -> dict:
     }
 
 
+def query_vs_scan(rows: list) -> float:
+    """The median ``query_p90_us`` of the runs over their median
+    ``scan_p50_us``: how many exact scans' time a query takes."""
+    return (statistics.median(r["query_p90_us"] for r in rows)
+            / statistics.median(r["scan_p50_us"] for r in rows))
+
+
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced ``perfbench/run.py`` run in checkout root: the JSON of
     its last stdout line."""
@@ -140,6 +147,8 @@ def pairs(args) -> dict:
                                m["better"], m["bound"])
             for m in bench["end_to_end"]
         }
+        results[name]["query_vs_scan"] = {side: query_vs_scan(rows)
+                                          for side, rows in by_side.items()}
         results[name]["failed_frac"] = {
             side: sum(r["failed"] for r in rows) / max(1, sum(r["attempted"] for r in rows))
             for side, rows in by_side.items()}
