@@ -63,6 +63,8 @@ def test_build_and_query_roundtrip(tmp_path, capsys):
     # d = 8 normalizes to an l2 root, whose 40 points are scanned, not hashed
     assert summary["space"]["l2_sets"] == {"scan": 1, "lsh": 0}
     assert summary["space"]["table_bytes"] == {"l2": 0, "coarse": 0}
+    assert summary["space"]["repeated_levels"] == 0  # an l2 root has no ladder
+    assert summary["space"]["model_total"] == summary["space"]["total"]
     assert summary["approximation_bound"]["c_p"] > 0
 
     # self-queries at a tiny radius return each point at distance zero
@@ -222,6 +224,11 @@ def test_subnormal_radius_builds_and_finds_each_point(tmp_path, capsys, d, n):
     if d == 8:
         assert summary["space"]["l2_sets"] == ({"scan": 1, "lsh": 0} if n == 50 else
                                                {"scan": 0, "lsh": 1})
+    else:
+        # every cover is one singleton per point, the same at every level,
+        # so levels 2-4 repeat level 1, which has no child set to store
+        space = summary["space"]
+        assert (space["repeated_levels"], space["model_total"]) == (3, space["total"])
     queries = tmp_path / "queries.txt"
     queries.write_text("\n".join([f"3 {d} 4.0"] + data.read_text().splitlines()[1:4]) + "\n")
     assert run_cli(["query", "--index", str(idx), "--query-file", str(queries)]) == 0

@@ -478,13 +478,13 @@ def test_loaded_tree_shares_covers_and_images_as_built(kind, tmp_path):
         for pset in _sets(index.root):
             for j, level in enumerate(pset.ladder):
                 assert {id(copy.ladder[j].mazur) for copy in pset.copies} == {id(level.mazur)}
-                if level.mazur is None:
-                    assert j > 0 and level.children == []
-                    continue
-                assert (level.mazur.p, level.mazur.q, level.mazur.c0) == (
-                    pset.t, pset.t / 2.0, level.cover.diameter_bound)
                 assert vars(level).keys() == {"cover", "mazur", "children"}
                 assert all(vars(ch).keys() == {"child"} for ch in level.children)
+                if level.mazur is None:
+                    assert j > 0 and level.children == []
+                else:
+                    assert (level.mazur.p, level.mazur.q, level.mazur.c0) == (
+                        pset.t, pset.t / 2.0, level.cover.diameter_bound)
 
 
 @pytest.mark.parametrize("kind", ["gauss", "blobs"])
