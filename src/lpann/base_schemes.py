@@ -25,34 +25,44 @@ as one group (``L2Group``, ``CoarseGroup``), which holds all their draws,
 one seed's after another, and the scalars derived from them. Its copies
 are all of one size (an l2 leaf's L tables, or a grid copy's schemes of G
 grids each), so a table's leaf, scheme or copy is its number divided by
-that size, and the group keeps no array of them. A builder
-draws each seed's arrays straight into the group's, and the group builds
-its buckets and cells from them, a table at a time (an l2 leaf's points
-hashed with one matrix product, a grid's cells computed per point only in
-the coordinates where a cell boundary cuts the points' bounding box), into
-one flat table, never saved, that keeps only what a query reads: a sorted
+that size, and the group keeps no array of them. A builder draws each
+seed's arrays straight into the group's, and the group derives from them,
+never saved, one flat table that keeps only what a query reads: a sorted
 column of 64-bit fingerprints of (table, key), all under one salt's
 multipliers, the E2LSH layout of Datar, Immorlica, Indyk and Mirrokni
 (SoCG 2004), and per bucket, numbered in fingerprint order, its table
 number and CSR members. An l2 bucket keeps its full int64 key and its first
 ``max_probe`` members; a grid cell keeps one member, its representative,
-and no key, for the cell is recomputed from the representative. A grid
-query hashes every grid of the group at once, finds its cell in every grid
-with one ``searchsorted`` over the fingerprints, whose positions are the
-buckets, confirms only the matches it answers with on the full cell, and
-measures the distinct representatives, found by a scatter over the group's
-points, with one distance call. An l2 query walks the tables in order and
-stops early, as E2LSH's does, in two passes: it hashes the first table of
-every leaf with one matrix product and looks those keys up with one
-search, and then, with one more product and search, all remaining tables
-of the leaves still without a candidate within 2r. Each pass confirms its
-matches on the full key and measures its buckets in rounds, one distance
-call a round. A query answers per copy of the group: an l2 copy is one
-leaf, a grid copy a contiguous block of grid schemes. Its answer is three
-arrays over the copies, a found mask, ids and distances, or None if no copy
+and no key, for the cell is recomputed from the representative. An l2
+leaf's points are hashed with one matrix product, and each table is split
+by one stable sort. A grid group also keeps the points' bounding box as
+each grid sees it (``_GridBox``): in which coordinates a cell boundary
+cuts the box, and the fingerprint term of the others, whose cell every
+point shares. Its build computes each point's cells only in those
+"varying" coordinates, and splits each grid by one unstable sort, keeping
+each cell's least point.
+
+A grid query computes its cells only in the varying coordinates and in
+those where it leaves the box, finds each grid's fingerprint from the
+box's term and a segment sum, its cells with one ``searchsorted`` over the
+fingerprints, whose positions are the buckets, confirms only the matches
+it answers with on the full cell, and measures the distinct
+representatives, found by a scatter over the group's points, with one
+distance call. An l2 query walks the tables in order and stops early, as
+E2LSH's does, in two passes: it hashes the first table of every leaf with
+one matrix product and looks those keys up with one search, and then,
+with one more product and search, all remaining tables of the leaves
+still without a candidate within 2r. Each pass confirms its matches on
+the full key and measures its buckets in rounds, one distance call a
+round. A query answers per copy of the group: an l2 copy is one leaf, a
+grid copy a contiguous block of grid schemes. Its answer is three arrays
+over the copies, a found mask, ids and distances, or None if no copy
 answers. A mask leaves copies out: their cells are never measured, and
 their l2 tables are neither hashed nor measured. A lone scheme is a group
-of one copy. A scanned l2 set answers once per query, not per copy.
+of one copy. A scanned l2 set answers once per query, not per copy. Each
+public query checks its query point and calls an unchecked core
+(``_query_l2``, ``_query_coarse``, ``_query_scan``), which the recursive
+walk calls directly with its already checked points.
 """
 
 from __future__ import annotations
@@ -74,6 +84,9 @@ BUCKET_WIDTH_FACTOR = 4.0  # w = 4r, design collision at distance exactly r
 # through LSH leaves that it replaces (measured at m = 4000 and 8000)
 SCAN_MAX_ENTRIES = 1 << 17
 CAST_BLOCK = 1 << 16  # entries ``_to_cell_index`` casts at a time: 512 KiB
+BOX_BLOCK = 1 << 16  # cells of box corners, or of a query beside them, computed at a time
+GRID_BLOCK = 1 << 13  # cells of points a grid build computes at a time
+NO_RANK = np.iinfo(np.int64).max  # a grid a coarse query no longer tries
 
 
 def _rng(seed) -> np.random.Generator:
@@ -194,40 +207,31 @@ def _multipliers(salt: int, width: int) -> np.ndarray:
     return _rng(salt).integers(0, 2**64, size=width + 1, dtype=np.uint64)
 
 
-def _fingerprints(multipliers, tables, keys: np.ndarray, box=None) -> np.ndarray:
+def _fingerprints(multipliers, tables, keys: np.ndarray) -> np.ndarray:
     """The uint64 fingerprint of each (tables[i], keys[i]): a linear form in
     the key's ints and the table number, wrapping mod 2**64. Under uniform
     multipliers two distinct pairs share a fingerprint with probability at
     most 2**(v - 64), where bit v is the lowest bit in which they differ.
-
-    With ``box = (cols, row)``, keys holds only columns cols of the keys,
-    and every key's other columns are row's (row is zero at cols): their
-    term, one scalar, is added like the table number's. The form is linear
-    mod 2**64, so the fingerprints are the full keys' bit for bit."""
-    if box is None:
-        out = keys.view(np.uint64) @ multipliers[:-1]
-    else:
-        cols, row = box
-        out = keys.view(np.uint64) @ multipliers[cols]
-        out += row.view(np.uint64) @ multipliers[:-1]
+    The form is linear mod 2**64, so it may be summed in any order and in
+    any parts (``_GridBox``) and stays the same, bit for bit."""
+    out = keys.view(np.uint64) @ multipliers[:-1]
     out += np.asarray(tables, dtype=np.uint64) * multipliers[-1]
     return out
 
 
-def _split(multipliers, t: int, keys: np.ndarray, box=None):
+def _split(multipliers, t: int, keys: np.ndarray):
     """(order, first, fingerprints) grouping the rows of table t's keys by
     fingerprint: order sorts them stably, and run j of equal fingerprints
     begins at order[first[j]] and has fingerprints[j]; None if a run holds
-    two different keys. keys and box are as in ``_fingerprints``.
+    two different keys.
 
     The table number enters the fingerprints as one scalar term. The run
     check gathers the keys once in sorted order and compares each row with
-    the one before it wherever no run begins, in keys' columns only (under
-    a box every key agrees in the others); when one run spans the table
+    the one before it wherever no run begins; when one run spans the table
     (most tables of an l2 leaf), order is the identity and the keys are
     already in sorted order.
     """
-    fp = _fingerprints(multipliers, t, keys, box)
+    fp = _fingerprints(multipliers, t, keys)
     order = fp.argsort(kind="stable")
     fp = fp[order]
     new = _run_starts(fp)
@@ -238,22 +242,45 @@ def _split(multipliers, t: int, keys: np.ndarray, box=None):
     return order, first, fp[first]
 
 
+def _numbered(fps: list, runs):
+    """(fingerprints, order, table numbers) of the buckets whose
+    fingerprints, table by table, are the arrays fps (emptied here), table
+    t holding runs[t] of them: all fingerprints ascending, the permutation
+    that sorts the joined ones, and each bucket's table, int32; None if two
+    buckets share a fingerprint."""
+    fp = np.concatenate(fps)
+    fps.clear()  # only the joined column is held from here
+    order = fp.argsort()
+    fp = fp[order]
+    if (fp[1:] == fp[:-1]).any():
+        return None
+    return fp, order, np.repeat(np.arange(len(runs), dtype=np.int32), runs)[order]
+
+
+def _compact(keys: np.ndarray) -> np.ndarray:
+    """keys in the narrowest integer type that holds them all."""
+    if not keys.size:
+        return keys
+    return keys.astype(np.result_type(np.min_scalar_type(keys.min()),
+                                      np.min_scalar_type(keys.max())))
+
+
 def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _BucketTable:
     """Group the points of each table into buckets by key, a table at a time,
     each bucket keeping at most ``cap`` members.
 
-    ``tables()`` yields one (keys, box) pair per table, numbered in order:
-    the points' int keys, an (m, k) array, and None, or, where keys holds
-    only some columns of width-k keys, the box that gives the others (see
-    ``_fingerprints``). Each table is split on its own by ``_split`` and
-    leaves only its fingerprints, the members its buckets keep (each run's
-    first ``cap`` entries of the split's order; a run's first alone where
-    ``cap`` is 1) and, where some bucket keeps more than one, each bucket's
-    member count, and its buckets' keys if ``keep_keys`` (which takes whole
-    keys); a table's keys are dropped before the next table's are made.
-    Sorting all fingerprints then numbers the buckets, by permuting only the
-    per-bucket arrays, or, where every bucket keeps one member, the members
-    themselves.
+    ``tables()`` yields the points' int keys, an (m, k) array, one table
+    after another. Each table is split on its own by ``_split`` and leaves
+    only its fingerprints, the members its buckets keep (each run's first
+    ``cap`` entries of the split's order; a run's first alone where ``cap``
+    is 1) and, where some bucket keeps more than one, each bucket's member
+    count, and its buckets' keys if ``keep_keys``, held in the narrowest
+    integer type that holds them (l2 keys are small integers); a table's
+    keys are dropped before the next table's are made. Sorting all
+    fingerprints then numbers the buckets, by permuting only the per-bucket
+    arrays, or, where every bucket keeps one member, the members themselves;
+    each table's kept keys are scattered to its buckets' places, as int64,
+    and dropped, so the keys are held about once.
 
     A pass fingerprints every table under one salt's multipliers, from salt
     0 on. A fingerprint run holding two keys, or two buckets sharing a
@@ -266,16 +293,16 @@ def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _Bucket
     for salt in itertools.count():
         multipliers = None
         keys, sizes, members, fps = [], [], [], []
-        for table_keys, box in tables():
+        for table_keys in tables():
             if multipliers is None:
-                multipliers = _multipliers(salt, (table_keys if box is None else box[1]).shape[-1])
-            split = _split(multipliers, len(fps), table_keys, box)
+                multipliers = _multipliers(salt, table_keys.shape[-1])
+            split = _split(multipliers, len(fps), table_keys)
             if split is None:
                 del table_keys  # before the next pass makes any
                 break
             order, first, fp = split
             if keep_keys:
-                keys.append(table_keys[order[first]])
+                keys.append(_compact(table_keys[order[first]]))
             del table_keys  # before the next table's keys are made
             if cap == 1:
                 order = order[first]
@@ -287,14 +314,10 @@ def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _Bucket
             members.append(order.astype(np.int32))
             fps.append(fp)
         else:
-            counts = [f.size for f in fps]
-            fp = np.concatenate(fps)
-            fps.clear()  # only the joined column is held from here
-            order = fp.argsort()
-            fp = fp[order]
-            if not (fp[1:] == fp[:-1]).any():
+            numbered = _numbered(fps, [f.size for f in fps])
+            if numbered is not None:
                 break
-    table_of = np.repeat(np.arange(len(counts), dtype=np.int32), counts)[order]
+    fp, order, table_of = numbered
     members = np.concatenate(members)
     if members.size == order.size:  # one member a bucket: permute them
         members, starts = members[order], None
@@ -305,25 +328,34 @@ def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _Bucket
         ends = np.cumsum(size)
         members = members[np.arange(ends[-1]) + np.repeat(lo - (ends - size), size)]
         starts = np.concatenate([[0], ends])
-    keys = np.concatenate(keys) if keep_keys else None  # the parts go before the permutation
-    return _BucketTable(fp, table_of, starts, members, multipliers,
-                        None if keys is None else keys[order])
+    if keep_keys:
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        out, at = np.empty((order.size, multipliers.size - 1), dtype=np.int64), 0
+        while keys:  # a table's keys go once they are in place
+            part = keys.pop(0)
+            out[place[at:at + len(part)]] = part
+            at += len(part)
+        keys = out
+    return _BucketTable(fp, table_of, starts, members, multipliers, keys if keep_keys else None)
+
+
+def _find(table: _BucketTable, tables: np.ndarray, fp: np.ndarray):
+    """(found, bucket): for each fingerprint fp[i] of stacked table
+    tables[i], the bucket a search over the fingerprint column finds, the
+    position clipped to the last bucket, and whether it has that
+    fingerprint and table number."""
+    bucket = np.minimum(table.fingerprints.searchsorted(fp), table.fingerprints.size - 1)
+    return (table.tables[bucket] == tables) & (table.fingerprints[bucket] == fp), bucket
 
 
 def _lookup(table: _BucketTable, tables: np.ndarray, keys: np.ndarray):
     """(i, bucket) for every keys[i] found in stacked table tables[i], in
-    order of i, from one search over the fingerprint column: the position
-    it finds, clipped to the last bucket, is the bucket. A match counts
-    only if its bucket's table number is tables[i] and its key is keys[i]
-    (and then so is its fingerprint). A table without keys matches on the
-    fingerprint and leaves the key to the caller (``query_coarse_ann``
-    recomputes it for the matches it would answer with)."""
-    fp = _fingerprints(table.multipliers, tables, keys)
-    bucket = np.minimum(table.fingerprints.searchsorted(fp), table.fingerprints.size - 1)
-    found = table.tables[bucket] == tables
-    if table.keys is None:
-        found &= table.fingerprints[bucket] == fp
-    else:
+    order of i, from one search over the fingerprint column (``_find``). A
+    match counts only if its bucket's key is keys[i] too; a table without
+    keys matches on the fingerprint and leaves the key to the caller."""
+    found, bucket = _find(table, tables, _fingerprints(table.multipliers, tables, keys))
+    if table.keys is not None:
         found &= (table.keys[bucket] == keys).all(axis=1)
     found = found.nonzero()[0]
     return found, bucket[found]
@@ -462,8 +494,7 @@ class L2Group:
         for a in range(0, len(self.projections), big_l):
             keys = _l2_keys(self.projections[a:a + big_l], self.offsets[a:a + big_l],
                             self.w, self.vectors)
-            for t in range(big_l):
-                yield keys[t], None
+            yield from keys
             del keys
 
 
@@ -496,7 +527,12 @@ def query_l2_scan(scan: L2Scan, q):
     least in |x - c|^2 - 2 x.(q - c), c the set's mean, which is |x - q|^2
     less a constant, from one matrix-vector product (ties to the lowest
     row; an exact l2 scan picks where that overflows), and re-measured."""
-    q = check_query(q, scan.vectors.shape[1])
+    return _query_scan(scan, check_query(q, scan.vectors.shape[1]))
+
+
+def _query_scan(scan: L2Scan, q: np.ndarray):
+    """``query_l2_scan`` for a checked query: a float64 vector of the set's
+    dimension with finite coordinates."""
     with np.errstate(over="ignore", invalid="ignore"):
         score = scan.sq_norms - 2.0 * (scan.vectors @ (q - scan.center))
     if not np.isfinite(score).all():
@@ -531,7 +567,11 @@ def query_l2_ann(group: L2Group, q, live=None):
     is hashed, and no bucket of one, or past a leaf's first candidate, is
     measured.
     """
-    q = check_query(q, group.vectors.shape[1])
+    return _query_l2(group, check_query(q, group.vectors.shape[1]), live)
+
+
+def _query_l2(group: L2Group, q: np.ndarray, live=None):
+    """``query_l2_ann`` for a checked query (see ``_query_scan``)."""
     members, m, big_l = group.table.members, len(group.vectors), group.leaf_tables
     hit_row = np.zeros(group.leaves, dtype=np.intp)
     hit_dist = np.full(group.leaves, np.inf)
@@ -598,19 +638,124 @@ def build_coarse_ann(ids, vectors, p: float, r: float, seeds) -> CoarseGroup:
     return CoarseGroup(ids, vectors, float(p), float(r), shifts, grids, len(seeds))
 
 
-def _grid_tables(vectors: np.ndarray, shifts: np.ndarray, side: float):
-    """Each grid's cells for ``_bucket_table``, a grid at a time, computed
-    only in the coordinates where a cell boundary cuts the points' bounding
-    box. ``_cells`` is monotone in each coordinate, so where the box's two
-    corners share a cell every point has it too: that coordinate's cell
-    enters the key as the box's fixed row, and only the other ("varying")
-    coordinates are computed per point."""
-    box = np.stack([vectors.min(axis=0), vectors.max(axis=0)])
-    for shift in shifts:
-        low, high = _cells(box, shift, side)
-        cols = (low != high).nonzero()[0]
-        low[cols] = 0
-        yield _cells(vectors[:, cols], shift[cols], side), (cols, low)
+@dataclass
+class _GridBox:
+    """The points' bounding box as every grid of a group sees it, derived
+    with the group's table under its multipliers and never saved.
+
+    ``_cells`` is monotone in each coordinate, so where a grid's cells of
+    the box's two corners agree, every point of the box has that cell: the
+    coordinate is fixed in that grid, and every other one varies. Grid g's
+    varying (grid, coordinate) pairs are ``ptr[g]:ptr[g + 1]`` of the flat
+    ``coords``, ``shifts`` and ``mults`` (the coordinate's multiplier), and
+    ``fixed[g]`` is its fingerprint's term of every fixed coordinate's cell
+    and of the grid number. A key's fingerprint is a linear form mod 2**64
+    (``_fingerprints``), so ``fixed[g]`` plus the sum of a point's varying
+    cells times their multipliers is the fingerprint of its full key, bit
+    for bit. No (grids, d) array is kept: grid g's fixed cells are known
+    only through ``fixed[g]``.
+    """
+
+    low: np.ndarray     # (d,) the points' least coordinates
+    high: np.ndarray    # (d,) and greatest
+    ptr: np.ndarray     # (T + 1,) int64
+    coords: np.ndarray  # (P,) intp
+    shifts: np.ndarray  # (P,) float64
+    mults: np.ndarray   # (P,) uint64
+    fixed: np.ndarray   # (T,) uint64
+
+
+def _grid_box(vectors: np.ndarray, shifts: np.ndarray, side: float, multipliers) -> _GridBox:
+    """The box of the points as the grids of ``shifts`` see it, under
+    ``multipliers``, from one pass over the grids that computes the cells of
+    both corners of ``BOX_BLOCK`` // (2 d) grids (at least one) a call."""
+    low, high = vectors.min(axis=0), vectors.max(axis=0)
+    grids, d = shifts.shape
+    corners = np.stack([low, high])[:, None]
+    fixed, coords, counts = [], [], []
+    step = max(1, BOX_BLOCK // (2 * d))
+    for a in range(0, grids, step):
+        lo, hi = _cells(corners, shifts[a:a + step], side)
+        varying = lo != hi
+        lo[varying] = 0
+        fixed.append(lo.view(np.uint64) @ multipliers[:-1])
+        coords.append(varying.nonzero()[1])
+        counts.append(varying.sum(axis=1))
+    fixed = np.concatenate(fixed)
+    fixed += np.arange(grids, dtype=np.uint64) * multipliers[-1]
+    counts, coords = np.concatenate(counts), np.concatenate(coords)
+    ptr = np.zeros(grids + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    owner = np.repeat(np.arange(grids), counts)
+    return _GridBox(low, high, ptr, coords, shifts[owner, coords], multipliers[coords], fixed)
+
+
+def _grid_runs(vectors: np.ndarray, shifts: np.ndarray, side: float, box: _GridBox):
+    """Each grid's cells grouped into buckets by fingerprint, a grid at a
+    time: per grid (fingerprints, representatives), its buckets in
+    fingerprint order, each represented by its lowest point; None, and no
+    more, once a bucket holds two cells.
+
+    The points' cells at the varying pairs (see ``_GridBox``) come from one
+    ``_cells`` call per block of grids holding at most ``GRID_BLOCK`` of
+    them (or one grid). A grid's fingerprints are its fixed term plus one
+    product of its cells with their multipliers, and its buckets come from
+    one sort, unstable, for a bucket's representative is its run's least
+    point (``minimum.reduceat``) whatever the order within it. The run
+    check compares each point's cells with the ones of the point before it
+    in sorted order wherever no run begins."""
+    m, grids = len(vectors), len(box.fixed)
+    per = max(1, GRID_BLOCK // m)
+    g = 0
+    while g < grids:
+        end = box.ptr.searchsorted(box.ptr[g] + per, side="right") - 1
+        end = max(g + 1, min(end, grids))
+        a = box.ptr[g]
+        cells = _cells(vectors[:, box.coords[a:box.ptr[end]]].T,
+                       box.shifts[a:box.ptr[end], None], side).view(np.uint64)  # (pairs, m)
+        for t in range(g, end):
+            keys = cells[box.ptr[t] - a:box.ptr[t + 1] - a]
+            fp = box.mults[box.ptr[t]:box.ptr[t + 1]] @ keys
+            fp += box.fixed[t]
+            order = fp.argsort()
+            fp = fp[order]
+            new = _run_starts(fp)
+            ranked = keys.take(order, axis=1)
+            if ((ranked[:, 1:] != ranked[:, :-1]) & ~new[1:]).any():
+                yield None
+                return
+            first = new.nonzero()[0]
+            yield fp[first], np.minimum.reduceat(order, first)
+        g = end
+
+
+def _grid_table(vectors: np.ndarray, shifts: np.ndarray, side: float):
+    """(table, box) of the grids of ``shifts`` over the points: the table
+    keeps one member per occupied cell, its lowest point, and no cell; box
+    is the ``_GridBox`` under the table's multipliers.
+
+    A pass draws one salt's multipliers, makes the box under them and
+    splits every grid (``_grid_runs``), from salt 0 on; a fingerprint run
+    holding two cells, or two buckets sharing a fingerprint, starts a new
+    pass under the next salt. This is the table ``_bucket_table`` builds
+    from every point's full cells, array for array (one member a bucket,
+    no keys): the same fingerprints, the same salt, the same members."""
+    for salt in itertools.count():
+        multipliers = _multipliers(salt, shifts.shape[1])
+        box = _grid_box(vectors, shifts, side, multipliers)
+        fps, reps = [], []
+        for part in _grid_runs(vectors, shifts, side, box):
+            if part is None:
+                break
+            fps.append(part[0])
+            reps.append(part[1].astype(np.int32))
+        else:
+            numbered = _numbered(fps, [f.size for f in fps])
+            if numbered is not None:
+                break
+    fp, order, table_of = numbered
+    members = np.concatenate(reps)[order]
+    return _BucketTable(fp, table_of, None, members, multipliers, None), box
 
 
 @dataclass
@@ -621,11 +766,16 @@ class CoarseGroup:
     of ``table``, which keeps one member per occupied cell, its lowest
     local index, and no cell: ``query_coarse_ann`` recomputes it with
     ``_cells``. The draws fix everything else: cell side 4 d r,
-    approximation c0 = 4 d^(1+1/p) and the table, which the constructor
-    builds from the cells of each grid's varying coordinates only
-    (``_grid_tables``), the table of the full cells, bit for bit, holding
-    one grid's cells at a time and, of the grids split so far, only their
-    cells' fingerprints and representatives."""
+    approximation c0 = 4 d^(1+1/p), the table and ``box``, the points' box
+    as each grid sees it (``_GridBox``), never saved. The constructor
+    builds both together (``_grid_table``): one blocked pass over the
+    grids' box corners, then each point's cells only in each grid's varying
+    coordinates, a block of grids at a time, split a grid at a time into
+    the table of the full cells, bit for bit, holding one block's cells at
+    a time and, of the grids split so far, only their cells' fingerprints
+    and representatives. A query computes its cells only at the varying
+    pairs and in the coordinates where it leaves the box, never in every
+    coordinate of every grid, and keeps no (grids, d) array."""
 
     ids: np.ndarray
     vectors: np.ndarray
@@ -637,13 +787,13 @@ class CoarseGroup:
     c0: float = field(init=False)
     cell_side: float = field(init=False)
     table: _BucketTable = field(init=False, repr=False)
+    box: _GridBox = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.vectors.shape[1]
         self.c0 = coarse_approximation(d, self.p)
         self.cell_side = grid_cell_side(d, self.r)
-        self.table = _bucket_table(lambda: _grid_tables(self.vectors, self.shifts, self.cell_side),
-                                   1, keep_keys=False)
+        self.table, self.box = _grid_table(self.vectors, self.shifts, self.cell_side)
 
 
 def query_coarse_ann(group: CoarseGroup, q, live=None):
@@ -653,37 +803,86 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
     the lowest row), is nearest to q, where found; not found for a copy
     without one or left out by ``live``, a boolean mask over copies (all by
     default). None if no copy has one. Every distinct representative of a
-    live copy's cells is measured with one distance call.
+    live copy's matched cells is measured with one distance call.
     """
-    q = check_query(q, group.vectors.shape[1])
-    cells = _cells(q, group.shifts, group.cell_side)
-    # fingerprint matches, cells unconfirmed
-    found, buckets = _lookup(group.table, np.arange(len(cells)), cells)
-    copy_grids = len(cells) // group.copies
-    if live is not None:
-        keep = _live_mask(live, group.copies)[found // copy_grids]
-        found, buckets = found[keep], buckets[keep]
-    if not found.size:
+    return _query_coarse(group, check_query(q, group.vectors.shape[1]), live)
+
+
+def _inside(group: CoarseGroup, q: np.ndarray, out: np.ndarray, grids: np.ndarray) -> np.ndarray:
+    """Whether q's cell is the box's in each grid of ``grids`` in every
+    coordinate of ``out``, where q leaves the box: whether it is the
+    nearest corner's cell there, both from one ``_cells`` call. Where it is
+    not, q's cell lies outside every point's cell in that coordinate
+    (``_cells`` is monotone), so the grid cannot match."""
+    ends = np.empty((2, out.size))
+    ends[0] = q[out]
+    np.clip(ends[0], group.box.low[out], group.box.high[out], out=ends[1])
+    inside = np.empty(grids.size, dtype=bool)
+    step = max(1, BOX_BLOCK // (2 * out.size))
+    for a in range(0, grids.size, step):
+        cells = _cells(ends, group.shifts[grids[a:a + step, None], out][:, None], group.cell_side)
+        inside[a:a + step] = (cells[:, 0] == cells[:, 1]).all(axis=1)
+    return inside
+
+
+def _query_coarse(group: CoarseGroup, q: np.ndarray, live=None):
+    """``query_coarse_ann`` for a checked query (see ``_query_scan``).
+
+    q's cell in a grid's fixed coordinate is the grid's cell of the box
+    wherever q lies inside the box there (``_GridBox``). So a live grid's
+    fingerprint is its fixed term plus q's cells at its varying pairs times
+    their multipliers, summed per grid as differences of one uint64
+    cumulative sum. A sum mod 2**64 is the same in any order and any parts,
+    so this is the fingerprint of q's full cells, bit for bit, in every
+    grid where q's cells in the coordinates it leaves the box in are the
+    box's. Those coordinates are checked for every matched grid at once
+    (``_inside``); a grid where they are not cannot match and is dropped,
+    so only the representatives of q's occupied cells are measured. A
+    query outside the box in every coordinate takes the same path.
+
+    Each copy then answers with its matched grid least in (distance,
+    scheme, row, grid): each grid's rank in (distance, scheme, row) is one
+    integer, laid out over (copies, grids per copy), whose argmin per copy
+    breaks the last ties to the first grid. A pick counts once its
+    representative's cell, recomputed with q's in one ``_cells`` call for
+    all copies, is q's in every coordinate; else the copy tries its next.
+    """
+    box, shifts, side, m = group.box, group.shifts, group.cell_side, len(group.vectors)
+    copy_grids = len(shifts) // group.copies
+    terms = np.zeros(box.coords.size + 1, dtype=np.uint64)
+    np.cumsum(_cells(q[box.coords], box.shifts, side).view(np.uint64) * box.mults, out=terms[1:])
+    fp = box.fixed + terms[box.ptr[1:]] - terms[box.ptr[:-1]]
+    on = np.repeat(_live_mask(live, group.copies), copy_grids).nonzero()[0]
+    found, buckets = _find(group.table, on, fp[on])  # fingerprint matches
+    on, buckets = on[found], buckets[found]
+    out = ((q < box.low) | (q > box.high)).nonzero()[0]
+    if out.size and on.size:
+        inside = _inside(group, q, out, on)
+        on, buckets = on[inside], buckets[inside]
+    if not on.size:
         return None
     # a cell's representative is its lowest local index, its one member
-    reps = group.table.members[buckets]
-    cand, inv = _distinct(reps, len(group.vectors))
-    dists = _kernels.dists_to_point(group.vectors[cand], q, group.p)[inv]
-    ok = (dists <= group.c0 * group.r).nonzero()[0]
-    grids, reps, dists = found[ok], reps[ok], dists[ok]
-    which, copy = grids // group.grids, grids // copy_grids
-    # per copy: least distance, then first scheme, then lowest row; a match
-    # counts once its representative's recomputed cell is the query's, so
-    # only each copy's best match still untried is recomputed (``_cells`` is
-    # elementwise, so a point's cell is the same bit for bit in any batch)
-    order = np.lexsort((reps, which, dists, copy))
-    answered, tried = np.zeros(group.copies, dtype=bool), np.zeros(reps.size, dtype=bool)
+    cand, inv = _distinct(group.table.members[buckets], m)
+    dists = _kernels.dists_to_point(group.vectors[cand], q, group.p)
+    ok = (dists[inv] <= group.c0 * group.r).nonzero()[0]
+    grid, c = on[ok], inv[ok]
+    rank = np.full(len(shifts), NO_RANK, dtype=np.int64)
+    rank[grid] = (np.sort(dists).searchsorted(dists)[c] * (copy_grids // group.grids)
+                  + grid % copy_grids // group.grids) * cand.size + c
+    flat, rank = rank, rank.reshape(group.copies, copy_grids)
+    answered = np.zeros(group.copies, dtype=bool)
     ids, start_dists = np.zeros(group.copies, dtype=np.int64), np.zeros(group.copies)
-    while order.size:
-        best = order[_run_starts(copy[order])]
-        rep_cells = _cells(group.vectors[reps[best]], group.shifts[grids[best]], group.cell_side)
-        sure = best[(rep_cells == cells[grids[best]]).all(axis=1)]
-        ids[copy[sure]], start_dists[copy[sure]] = group.ids[reps[sure]], dists[sure]
-        answered[copy[sure]], tried[best] = True, True
-        order = order[~(answered[copy[order]] | tried[order])]
+    while (todo := (rank.min(axis=1) < NO_RANK).nonzero()[0]).size:
+        picks = todo * copy_grids + rank[todo].argmin(axis=1)
+        c = flat[picks] % cand.size
+        # q's cells and the representative's in each picked grid; ``_cells``
+        # is elementwise, so a point's cell is the same bit for bit in any batch
+        points = np.empty((2, todo.size, q.size))
+        points[0], points[1] = q, group.vectors[cand[c]]
+        cells = _cells(points, shifts[picks], side)
+        sure = (cells[0] == cells[1]).all(axis=1)
+        won = todo[sure]
+        answered[won], ids[won], start_dists[won] = True, group.ids[cand[c[sure]]], dists[c[sure]]
+        rank[won] = NO_RANK
+        flat[picks[~sure]] = NO_RANK
     return (answered, ids, start_dists) if answered.any() else None

@@ -62,12 +62,12 @@ from .base_schemes import (
     CoarseGroup,
     L2Group,
     L2Scan,
+    _query_coarse,
+    _query_l2,
+    _query_scan,
     build_coarse_ann,
     build_l2_ann,
     coarse_approximation,
-    query_coarse_ann,
-    query_l2_ann,
-    query_l2_scan,
     scan_fits,
 )
 from .cover import Cluster, SparseCover, build_sparse_cover, diameter_bound_for
@@ -80,6 +80,11 @@ from .geometry import (
     mazur_map_apply,
     mazur_map_points,
 )
+
+# The walk's group lookups, under the names of the public group queries,
+# which a tracer wraps: their unchecked cores, for the walk's query point is
+# checked once, by ``query``, and each Mazur image of it by the map.
+query_l2_ann, query_coarse_ann, query_l2_scan = _query_l2, _query_coarse, _query_scan
 
 L2_LEAF_APPROX = 2.0
 PRIMITIVE_FAILURE = 1.0 / 3.0  # each unamplified randomized structure
@@ -590,6 +595,9 @@ def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
     map repeats the one before it (see ``LadderLevel``): the walkers pass
     it unchanged, with no routing, mapping, lookup or distance call, and
     each trace records its iterate again.
+
+    q is already checked, so the lookups are the group queries' unchecked
+    cores.
     """
     if isinstance(pset.group, L2Scan):
         hit = query_l2_scan(pset.group, q)

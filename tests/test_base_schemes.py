@@ -353,7 +353,7 @@ def _dict_reference_check(keys, probes, cap=2**31 - 1):
     for t in range(keys.shape[0]):
         for local, key in enumerate(map(tuple, keys[t])):
             reference.setdefault((t, key), []).append(local)
-    table = _bucket_table(lambda: ((table_keys, None) for table_keys in keys), cap)
+    table = _bucket_table(lambda: iter(keys), cap)
     assert table.members.size == sum(min(len(v), cap) for v in reference.values())
     # every stored key of every point, then arbitrary (often absent) keys
     for probe in [keys[:, i, :] for i in range(keys.shape[1])] + probes:
@@ -484,7 +484,7 @@ def test_degenerate_salt_gives_the_table_of_the_salt_it_ends_at(multipliers):
     keys = np.tile(rng.integers(-2, 3, size=(1, 6, 70)), (3, 5, 1))  # repeats in every table
     keys[0, 1:3, 67] += 1
     for build in (lambda: _regroup(grids).table, lambda: _regroup(leaves).table,
-                  lambda: _bucket_table(lambda: ((table_keys, None) for table_keys in keys), 2)):
+                  lambda: _bucket_table(lambda: iter(keys), 2)):
         patch, salts = _degenerate(multipliers)
         with patch:
             forced = build()
@@ -632,8 +632,8 @@ def test_l2_build_draws_its_projections_once():
 def _dense_grid_table(vectors, shifts, side):
     """The grid table as built before the box: every point's cell in every
     coordinate of every grid, through the same splitter."""
-    return _bucket_table(lambda: ((_cells(vectors, shift, side), None) for shift in shifts),
-                         1, keep_keys=False)
+    return _bucket_table(lambda: (_cells(vectors, shift, side) for shift in shifts), 1,
+                         keep_keys=False)
 
 
 def _varying(vectors, shifts, side) -> np.ndarray:
@@ -736,6 +736,24 @@ def test_grid_build_computes_cells_only_where_a_boundary_cuts_the_points():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1]
+    # a query computes its cells at the varying pairs, q's and the nearest
+    # corner's for every matched grid in each coordinate where it leaves
+    # the box, and q's and the picked representative's in the one grid it
+    # answers with: near points, outside the box in 0, 1 and 3 coordinates
+    low, high = pts.min(axis=0), pts.max(axis=0)
+    queries = pts[:20] + 0.3 * rng.standard_normal((20, d))
+    queries[10:15, 0] = high[0] + 0.5
+    queries[15:, :3] = low[:3] - 0.5
+    leaving = 0
+    for q in queries:
+        out = int(((q < low) | (q > high)).sum())
+        leaving += out > 0
+        entries.clear()
+        with mock.patch.object(base_schemes, "_cells", recording):
+            answer = query_coarse_ann(scheme, q)
+        assert sum(entries) <= varying + 2 * grids * out + 2 * d * (answer is not None)
+        assert sum(entries) < grids * d / (8 if out == 0 else 2)  # the dense query's
+    assert leaving == 10
 
 
 def test_grid_match_counts_only_where_the_cell_is_confirmed():
@@ -993,11 +1011,10 @@ def _reference_bucket_table(tables, cap, keep_keys=True):
     for salt in itertools.count():
         multipliers, base = None, 0
         keys, runs, members, fps = [], [], [], []
-        for table_keys, box in tables():
+        for table_keys in tables():
             if multipliers is None:
-                width = (table_keys if box is None else box[1]).shape[-1]
-                multipliers = base_schemes._multipliers(salt, width)
-            split = _split(multipliers, len(fps), table_keys, box)
+                multipliers = base_schemes._multipliers(salt, table_keys.shape[-1])
+            split = _split(multipliers, len(fps), table_keys)
             if split is None:
                 break
             order, first, fp = split
@@ -1071,7 +1088,7 @@ def test_bucket_table_matches_the_table_capped_after_the_sort(case, cap, keep_ke
 
     def build(fn):
         with _salts(degenerate):
-            return fn(lambda: ((table_keys, None) for table_keys in keys), cap, keep_keys)
+            return fn(lambda: iter(keys), cap, keep_keys)
 
     table, reference = build(_bucket_table), build(_reference_bucket_table)
     _same_tables(table, reference)
@@ -1084,22 +1101,27 @@ def test_bucket_table_matches_the_table_capped_after_the_sort(case, cap, keep_ke
 @settings(max_examples=100, deadline=None)
 @given(_box_case(), st.integers(1, 3))
 def test_grid_and_l2_groups_build_the_reference_tables(case, duplicates):
-    # grid tables (cap 1, no keys, built under a box) and l2 tables (cap
-    # 3L) of point sets whose points repeat, so runs outrun their cap
+    # grid tables (cap 1, no keys, built under a box, against the
+    # reference over every point's full cells) and l2 tables (cap 3L) of
+    # point sets whose points repeat, so runs outrun their cap
     kind, vectors, r, shifts, degenerate = case
     vectors = np.repeat(vectors, duplicates, axis=0)
     m = len(vectors)
+    side = grid_cell_side(vectors.shape[1], r)
 
     def build():
         with _salts(degenerate):
-            return (_one_scheme(np.arange(m), vectors, 4.0, r, shifts),
-                    build_l2_ann(np.arange(m), vectors, 0.5, 0.3, seeds=[1, 2]))
+            return (_one_scheme(np.arange(m), vectors, 4.0, r, shifts).table,
+                    build_l2_ann(np.arange(m), vectors, 0.5, 0.3, seeds=[1, 2]).table)
 
     built = build()
     with mock.patch.object(base_schemes, "_bucket_table", _reference_bucket_table):
-        reference = build()
-    for group, ref in zip(built, reference):
-        _same_tables(group.table, ref.table)
+        reference = build()[1]
+    with _salts(degenerate):
+        dense = _reference_bucket_table(lambda: (_cells(vectors, s, side) for s in shifts), 1,
+                                        keep_keys=False)
+    for table, ref in zip(built, (dense, reference)):
+        _same_tables(table, ref)
 
 
 def _four_blobs(n: int, d: int, seed: int) -> np.ndarray:
@@ -1152,3 +1174,132 @@ def test_to_cell_index_casts_block_by_block_as_astype(values, block):
     with mock.patch.object(base_schemes, "CAST_BLOCK", block):
         got = _to_cell_index(values.copy())
     assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
+def test_l2_table_build_holds_its_keys_about_once():
+    # a group of 4 leaves over 4000 x 32 N(0, 1) points keeps about one
+    # bucket per point in each of its 64 tables, so its table is mostly
+    # keys; each table's keys are held as the small ints they are and
+    # scattered into their buckets' places, so the build peaks below the
+    # table plus its keys (joining them and then permuting them held them
+    # twice: 62.9 MiB for a 29.3 MiB table)
+    m, d = 4000, 32
+    pts = np.random.default_rng(2).standard_normal((m, d))
+    group, peak = _build_peak(lambda: build_l2_ann(np.arange(m), pts, 1.0, 1.0 / 3.0,
+                                                   seeds=[1, 2, 3, 4]))
+    table = group.table
+    assert table.keys.dtype == np.int64 and table.keys.nbytes > 0.75 * table.nbytes
+    assert peak < table.nbytes + table.keys.nbytes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.integers(50, 300), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_unstable_split_keeps_the_stable_representatives(distinct, m, d, seed):
+    # m points drawn from a few distinct rows in random order, so every
+    # occupied cell holds a long run that an unstable sort permutes: the
+    # grid table still keeps each cell's least point, the table a stable
+    # split of every point's full cells gives, array for array
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-3, 4, size=(distinct, d)).astype(np.float64)
+    vectors = rows[rng.integers(0, distinct, size=m)]
+    r = 0.5 / d  # cells of side 2
+    shifts = rng.uniform(0.0, 2.0, size=(8, d))
+    group = _one_scheme(np.arange(m), vectors, 4.0, r, shifts)
+    assert group.table.members.size < m * len(shifts)
+    _same_tables(group.table, _dense_grid_table(vectors, shifts, grid_cell_side(d, r)))
+
+
+def _dense_query(group: CoarseGroup, q, live=None):
+    """``query_coarse_ann`` as it was before the box, kept as its oracle:
+    q's full cells in every grid, one lookup of their fingerprints, and the
+    matches ordered by one lexsort over (copy, distance, scheme, row)."""
+    cells = _cells(q, group.shifts, group.cell_side)
+    found, buckets = _lookup(group.table, np.arange(len(cells)), cells)
+    copy_grids = len(cells) // group.copies
+    if live is not None:
+        keep = np.asarray(live, dtype=bool)[found // copy_grids]
+        found, buckets = found[keep], buckets[keep]
+    if not found.size:
+        return None
+    reps = group.table.members[buckets]
+    cand, inv = _distinct(reps, len(group.vectors))
+    dists = _kernels.dists_to_point(group.vectors[cand], q, group.p)[inv]
+    ok = (dists <= group.c0 * group.r).nonzero()[0]
+    grids, reps, dists = found[ok], reps[ok], dists[ok]
+    which, copy = grids // group.grids, grids // copy_grids
+    order = np.lexsort((reps, which, dists, copy))
+    answered, tried = np.zeros(group.copies, dtype=bool), np.zeros(reps.size, dtype=bool)
+    ids, start_dists = np.zeros(group.copies, dtype=np.int64), np.zeros(group.copies)
+    while order.size:
+        best = order[base_schemes._run_starts(copy[order])]
+        rep_cells = _cells(group.vectors[reps[best]], group.shifts[grids[best]], group.cell_side)
+        sure = best[(rep_cells == cells[grids[best]]).all(axis=1)]
+        ids[copy[sure]], start_dists[copy[sure]] = group.ids[reps[sure]], dists[sure]
+        answered[copy[sure]], tried[best] = True, True
+        order = order[~(answered[copy[order]] | tried[order])]
+    return (answered, ids, start_dists) if answered.any() else None
+
+
+QUERY_PLACES = ["inside", "some", "all"]
+
+
+@st.composite
+def _box_query_case(draw):
+    """(group, q, live): a ``_box_case`` point set under 1-3 copies of 1-2
+    schemes, a query inside the points' box, outside it in some
+    coordinates or in all (just past a face, up to a few cells past it, or
+    at +-1.7e308), and a live mask over the copies."""
+    kind, vectors, r, shifts, _ = draw(_box_case())
+    m, d = vectors.shape
+    side = grid_cell_side(d, r)
+    copies, schemes = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    more = side * draw(arrays(np.float64, (copies * schemes - 1, len(shifts), d), elements=unit))
+    group = CoarseGroup(100 + np.arange(m), vectors, 4.0, r,
+                        np.concatenate([shifts, *more]), len(shifts), copies)
+    low, high = vectors.min(axis=0), vectors.max(axis=0)
+    u = draw(arrays(np.float64, d, elements=unit))
+    q = np.clip(low * (1.0 - u) + high * u, low, high)
+    place = draw(st.sampled_from(QUERY_PLACES))
+    leave = {"inside": np.zeros(d, dtype=bool), "all": np.ones(d, dtype=bool),
+             "some": draw(arrays(np.bool_, d))}[place]
+    for j in leave.nonzero()[0]:
+        up = draw(st.booleans())
+        face = high[j] if up else low[j]
+        step = draw(st.sampled_from(["next", "cells", "far"]))
+        if step == "next":
+            q[j] = np.nextafter(face, np.inf if up else -np.inf)
+        elif step == "cells":
+            q[j] = face + (1 if up else -1) * side * draw(st.floats(1e-3, 3.0))
+        else:
+            q[j] = 1.7e308 if up else -1.7e308
+        if not np.isfinite(q[j]) or low[j] <= q[j] <= high[j]:
+            q[j] = 1.7e308 if up else -1.7e308
+    return group, q, draw(st.lists(st.booleans(), min_size=copies, max_size=copies))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_box_query_case())
+def test_box_lookup_matches_the_dense_lookup(case):
+    # the box lookup gives every copy's found flag, id and distance bits of
+    # the dense lookup, with all copies live and under the drawn mask, and
+    # measures the same rows
+    group, q, live = case
+    for mask in (None, live):
+        answers, rows = [], []
+        for lookup in (query_coarse_ann, _dense_query):
+            measured, real = [], _kernels.dists_to_point
+
+            def measuring(mat, point, p, _real=real, _measured=measured):
+                _measured.extend(np.flatnonzero((group.vectors == mat[:, None]).all(axis=2)
+                                                .any(axis=0)).tolist())
+                return _real(mat, point, p)
+
+            with mock.patch.object(_kernels, "dists_to_point", measuring):
+                answers.append(lookup(group, q, mask))
+            rows.append(sorted(set(measured)))
+        box, dense = answers
+        assert (box is None) == (dense is None)
+        for a, b in zip(box or (), dense or ()):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+        assert rows[0] == rows[1]

@@ -114,17 +114,19 @@ def _sets(pset):
 
 def test_one_table_build_per_group(tmp_path, monkeypatch):
     # each group builds its bucket table once, from its schemes' draws, at
-    # build and at load; no scheme builds a table of its own, and a scanned
-    # l2 set builds none: on four blobs, whose l2 sets scan, and on an l2
-    # root whose leaves hash
+    # build and at load (an l2 group with _bucket_table, a grid group with
+    # _grid_table); no scheme builds a table of its own, and a scanned l2
+    # set builds none: on four blobs, whose l2 sets scan, and on an l2 root
+    # whose leaves hash
     rng = np.random.default_rng(0)
     centers = np.zeros((4, 32))
     centers[:, 0] = 100.0 * math.sqrt(32) * np.arange(4)
     data = centers[np.arange(40) % 4] + rng.standard_normal((40, 32))
     calls = []
-    real = lpann.base_schemes._bucket_table
-    monkeypatch.setattr(lpann.base_schemes, "_bucket_table",
-                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    for name in ("_bucket_table", "_grid_table"):
+        real = getattr(lpann.base_schemes, name)
+        monkeypatch.setattr(lpann.base_schemes, name, lambda *args, _real=real, **kwargs:
+                            calls.append(args) or _real(*args, **kwargs))
     for build in (lambda: lpann.preprocess(lpann.Dataset(data, 4.0),
                                            lpann.SchemeConfig(p=4.0, r=0.2)), _lsh_root):
         calls.clear()

@@ -3,7 +3,7 @@
 
     python3 tools/bench_pairs.py pairs --parent DIR --change DIR --out FILE.json
     python3 tools/bench_pairs.py builds --parent DIR --change DIR --out FILE.json \
-        --size line:16000 [--size gauss:8000 ...]
+        --size line:16000 [--size gauss:8000 ...] [--size depth2]
 
 ``pairs`` runs ``perfbench/run.py`` of each checkout for every workload of
 ``BENCHMARK.json`` (read from the change's checkout) at its ``run_seconds``,
@@ -19,6 +19,10 @@ address-space limit of ``LIMIT_MB`` (as ``ulimit -v``) and one BLAS
 thread. It records the build time, the process's peak RSS and the index
 digest. An instance is d = 32, p = 4, r = 1, seed 1: "gauss" is N(0, 1) in
 every coordinate, and "line" N(0, 0.2^2) plus U(0, 3n) on coordinate 0.
+"depth2" is the depth-2 instance of tests/test_depth2.py (12 points at
+d = 4096, p = 8, r = 1, seed 5) at the default copy counts; its process
+also times each of the instance's six queries and reads the peak RSS after
+them.
 """
 
 from __future__ import annotations
@@ -157,11 +161,31 @@ def pairs(args) -> dict:
             "seeds": [seeds.start, seeds.stop - 1], "results": results, "runs": runs}
 
 
-def _instance(kind: str, n: int):
+def _depth2():
+    """The depth-2 instance of tests/test_depth2.py at the default copy
+    counts: (dataset, config, queries), three queries at 0.9 r from a point
+    and three near the midpoint of two points."""
     import numpy as np
 
     from lpann import Dataset, SchemeConfig
 
+    n, d, p, r, seed = 12, 4096, 8.0, 1.0, 5
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, d))
+    direction = rng.standard_normal((6, d))
+    step = (0.9 * r / (np.abs(direction) ** p).sum(axis=1) ** (1.0 / p))[:, None] * direction
+    queries = np.vstack([data[:3] + step[:3], 0.5 * (data[3:6] + data[6:9]) + step[3:]])
+    return Dataset(data, p), SchemeConfig(p=p, r=r, seed=seed), queries
+
+
+def _instance(kind: str, n: int):
+    """(dataset, config, queries to time or None) of one instance."""
+    import numpy as np
+
+    from lpann import Dataset, SchemeConfig
+
+    if kind == "depth2":
+        return _depth2()
     rng = np.random.default_rng(1)
     if kind == "line":
         data = 0.2 * rng.standard_normal((n, 32))
@@ -170,23 +194,33 @@ def _instance(kind: str, n: int):
         data = rng.standard_normal((n, 32))
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
-    return Dataset(data, 4.0), SchemeConfig(p=4.0, r=1.0, seed=1)
+    return Dataset(data, 4.0), SchemeConfig(p=4.0, r=1.0, seed=1), None
 
 
 def build_one(kind: str, n: int) -> dict:
     """Build one instance in this process (lpann on sys.path): build time,
-    peak RSS before and after the build, and the index digest."""
-    from lpann import preprocess
+    peak RSS before and after the build, and the index digest; where the
+    instance has queries, each one's time in ms and the peak RSS after
+    them."""
+    from lpann import preprocess, query
     from lpann.container import index_digest
 
-    dataset, config = _instance(kind, n)
+    dataset, config, queries = _instance(kind, n)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     start = time.perf_counter()
     scheme = preprocess(dataset, config)
     build_s = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {"build_s": build_s, "peak_rss_mb_before": before, "peak_rss_mb": peak,
-            "digest": index_digest(scheme)}
+    out = {"build_s": build_s, "peak_rss_mb_before": before, "peak_rss_mb": peak,
+           "digest": index_digest(scheme)}
+    if queries is not None:
+        out["query_ms"] = []
+        for q in queries:
+            start = time.perf_counter()
+            query(scheme, q)
+            out["query_ms"].append(1e3 * (time.perf_counter() - start))
+        out["peak_rss_mb_queries"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
 
 
 def _fresh_build(root: Path, kind: str, n: int) -> dict:
@@ -207,7 +241,8 @@ def builds(args) -> dict:
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     out = {"limit_mb": LIMIT_MB, "blas_threads": 1, "instances": {}}
     for spec in args.size:
-        kind, n = spec.split(":")
+        kind, _, n = spec.partition(":")
+        n = n or "0"
         rows = []
         for i in range(RUNS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -223,6 +258,14 @@ def builds(args) -> dict:
                     "build_s_median": statistics.median(r["build_s"] for r in mine),
                     "peak_rss_mb_median": statistics.median(r["peak_rss_mb"] for r in mine),
                     "digests": sorted({r["digest"] for r in mine})}
+                if "query_ms" in mine[0]:
+                    # per query, the median over the runs; then their median
+                    per_query = [statistics.median(q) for q in zip(*(r["query_ms"] for r in mine))]
+                    summary[side].update(
+                        query_ms_medians=per_query,
+                        query_ms_median=statistics.median(per_query),
+                        peak_rss_mb_queries_median=statistics.median(
+                            r["peak_rss_mb_queries"] for r in mine))
         out["instances"][spec] = {"summary": summary, "runs": rows}
     return out
 
@@ -241,7 +284,7 @@ def main(argv=None) -> int:
     b.add_argument("--size", action="append", required=True)
     one = sub.add_parser("build-one")
     one.add_argument("kind")
-    one.add_argument("n", type=int)
+    one.add_argument("n", type=int, nargs="?", default=0)
     args = parser.parse_args(argv)
     if args.mode == "build-one":
         print(json.dumps(build_one(args.kind, args.n)))
