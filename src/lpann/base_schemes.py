@@ -84,8 +84,8 @@ BUCKET_WIDTH_FACTOR = 4.0  # w = 4r, design collision at distance exactly r
 # through LSH leaves that it replaces (measured at m = 4000 and 8000)
 SCAN_MAX_ENTRIES = 1 << 17
 CAST_BLOCK = 1 << 16  # entries ``_to_cell_index`` casts at a time: 512 KiB
-BOX_BLOCK = 1 << 16  # cells of box corners, or of a query beside them, computed at a time
-GRID_BLOCK = 1 << 13  # cells of points a grid build computes at a time
+BOX_BLOCK = 1 << 16  # cells of box corners a grid build computes at a time
+GRID_BLOCK = 1 << 13  # cells of points a grid build, or of a query by the box, computes at a time
 NO_RANK = np.iinfo(np.int64).max  # a grid a coarse query no longer tries
 
 
@@ -818,7 +818,7 @@ def _inside(group: CoarseGroup, q: np.ndarray, out: np.ndarray, grids: np.ndarra
     ends[0] = q[out]
     np.clip(ends[0], group.box.low[out], group.box.high[out], out=ends[1])
     inside = np.empty(grids.size, dtype=bool)
-    step = max(1, BOX_BLOCK // (2 * out.size))
+    step = max(1, GRID_BLOCK // (2 * out.size))
     for a in range(0, grids.size, step):
         cells = _cells(ends, group.shifts[grids[a:a + step, None], out][:, None], group.cell_side)
         inside[a:a + step] = (cells[:, 0] == cells[:, 1]).all(axis=1)
@@ -835,10 +835,11 @@ def _query_coarse(group: CoarseGroup, q: np.ndarray, live=None):
     cumulative sum. A sum mod 2**64 is the same in any order and any parts,
     so this is the fingerprint of q's full cells, bit for bit, in every
     grid where q's cells in the coordinates it leaves the box in are the
-    box's. Those coordinates are checked for every matched grid at once
-    (``_inside``); a grid where they are not cannot match and is dropped,
-    so only the representatives of q's occupied cells are measured. A
-    query outside the box in every coordinate takes the same path.
+    box's (``_inside``); a grid where they are not cannot match. So a
+    representative is measured only once one of its matched grids is
+    inside: one matched grid of each is checked, then every matched grid
+    of those whose checked grid is outside, which are dropped. A query
+    outside the box in every coordinate takes the same path.
 
     Each copy then answers with its matched grid least in (distance,
     scheme, row, grid): each grid's rank in (distance, scheme, row) is one
@@ -846,6 +847,9 @@ def _query_coarse(group: CoarseGroup, q: np.ndarray, live=None):
     breaks the last ties to the first grid. A pick counts once its
     representative's cell, recomputed with q's in one ``_cells`` call for
     all copies, is q's in every coordinate; else the copy tries its next.
+    The first pick that fails so makes every pending grid not yet checked
+    be checked at once, and the outside ones dropped, so a query that
+    leaves the cells of many grids takes a few rounds, not one a grid.
     """
     box, shifts, side, m = group.box, group.shifts, group.cell_side, len(group.vectors)
     copy_grids = len(shifts) // group.copies
@@ -854,21 +858,39 @@ def _query_coarse(group: CoarseGroup, q: np.ndarray, live=None):
     fp = box.fixed + terms[box.ptr[1:]] - terms[box.ptr[:-1]]
     on = np.repeat(_live_mask(live, group.copies), copy_grids).nonzero()[0]
     found, buckets = _find(group.table, on, fp[on])  # fingerprint matches
-    on, buckets = on[found], buckets[found]
-    out = ((q < box.low) | (q > box.high)).nonzero()[0]
-    if out.size and on.size:
-        inside = _inside(group, q, out, on)
-        on, buckets = on[inside], buckets[inside]
+    on = on[found]
     if not on.size:
         return None
     # a cell's representative is its lowest local index, its one member
-    cand, inv = _distinct(group.table.members[buckets], m)
+    cand, inv = _distinct(group.table.members[buckets[found]], m)
+    out = ((q < box.low) | (q > box.high)).nonzero()[0]
+    unchecked = np.zeros(on.size, dtype=bool)
+    if out.size:
+        # one matched grid of each representative, then every grid of the
+        # representatives whose checked grid is outside
+        some = np.empty(cand.size, dtype=np.intp)
+        some[inv] = np.arange(on.size)
+        seen = _inside(group, q, out, on[some])
+        unchecked = seen[inv]
+        unchecked[some] = False
+        rest = (~seen[inv]).nonzero()[0]
+        if rest.size:
+            inside = _inside(group, q, out, on[rest])
+            seen[inv[rest[inside]]] = True
+            keep = np.ones(on.size, dtype=bool)
+            keep[rest[~inside]] = False
+            on, inv, unchecked = on[keep], inv[keep], unchecked[keep]
+        if not seen.all():
+            cand, inv = cand[seen], (np.cumsum(seen) - 1)[inv]
+        if not on.size:
+            return None
     dists = _kernels.dists_to_point(group.vectors[cand], q, group.p)
     ok = (dists[inv] <= group.c0 * group.r).nonzero()[0]
     grid, c = on[ok], inv[ok]
     rank = np.full(len(shifts), NO_RANK, dtype=np.int64)
     rank[grid] = (np.sort(dists).searchsorted(dists)[c] * (copy_grids // group.grids)
                   + grid % copy_grids // group.grids) * cand.size + c
+    unsure = grid[unchecked[ok]]  # pending grids where q may leave the box's cells
     flat, rank = rank, rank.reshape(group.copies, copy_grids)
     answered = np.zeros(group.copies, dtype=bool)
     ids, start_dists = np.zeros(group.copies, dtype=np.int64), np.zeros(group.copies)
@@ -885,4 +907,8 @@ def _query_coarse(group: CoarseGroup, q: np.ndarray, live=None):
         answered[won], ids[won], start_dists[won] = True, group.ids[cand[c[sure]]], dists[c[sure]]
         rank[won] = NO_RANK
         flat[picks[~sure]] = NO_RANK
+        if unsure.size and not sure.all():  # check them at once, not pick by pick
+            unsure = unsure[flat[unsure] < NO_RANK]
+            flat[unsure[~_inside(group, q, out, unsure)]] = NO_RANK
+            unsure = unsure[:0]
     return (answered, ids, start_dists) if answered.any() else None

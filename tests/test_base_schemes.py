@@ -737,9 +737,10 @@ def test_grid_build_computes_cells_only_where_a_boundary_cuts_the_points():
             tracemalloc.stop()
     assert peaks[0] <= peaks[1]
     # a query computes its cells at the varying pairs, q's and the nearest
-    # corner's for every matched grid in each coordinate where it leaves
-    # the box, and q's and the picked representative's in the one grid it
-    # answers with: near points, outside the box in 0, 1 and 3 coordinates
+    # corner's for at most every matched grid in each coordinate where it
+    # leaves the box, and q's and the picked representative's in the one
+    # grid it answers with: near points, outside the box in 0, 1 and 3
+    # coordinates
     low, high = pts.min(axis=0), pts.max(axis=0)
     queries = pts[:20] + 0.3 * rng.standard_normal((20, d))
     queries[10:15, 0] = high[0] + 0.5
@@ -1303,3 +1304,24 @@ def test_box_lookup_matches_the_dense_lookup(case):
         for a, b in zip(box or (), dense or ()):
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
         assert rows[0] == rows[1]
+
+
+def test_a_failed_pick_drops_every_grid_outside_the_box_at_once():
+    # one point, a query 0.5 past it, and three grids of side 4: in grids 0
+    # and 1 the query's cell is the next one, in grid 2 the point's; the
+    # query checks one grid of the point, so its first pick may be a grid
+    # it leaves; whichever it checks, it answers from grid 2 as the dense
+    # lookup does, with no more than one check past the first
+    group = _one_scheme(np.array([7]), np.zeros((1, 1)), 4.0, 1.0,
+                        np.array([[3.6], [3.8], [1.0]]))
+    q = np.array([0.5])
+    checks, real = [], base_schemes._inside
+
+    def checking(*args):
+        checks.append(args[-1].tolist())
+        return real(*args)
+
+    with mock.patch.object(base_schemes, "_inside", checking):
+        answer = query_coarse_ann(group, q)
+    assert per_copy(answer, 1) == per_copy(_dense_query(group, q), 1) == [(7, 0.5)]
+    assert len(checks) == 2 and len(checks[0]) == 1

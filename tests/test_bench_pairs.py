@@ -1,4 +1,4 @@
-"""The verdict arithmetic of tools/bench_pairs.py."""
+"""The verdict arithmetic and the instances of tools/bench_pairs.py."""
 
 import sys
 from pathlib import Path
@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import bench_pairs  # noqa: E402
 from bench_pairs import compare, quartiles, query_vs_scan  # noqa: E402
 
 PARENT = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]
@@ -76,3 +77,17 @@ def test_query_vs_scan_divides_the_medians():
     rows = [{"query_p90_us": q, "scan_p50_us": s}
             for q, s in ((900.0, 200.0), (600.0, 150.0), (1200.0, 100.0))]
     assert query_vs_scan(rows) == 900.0 / 150.0
+
+
+def test_depth2_size_is_the_depth2_instance_at_default_copies():
+    from test_depth2 import _instance
+
+    from lpann import SchemeConfig
+
+    dataset, config, queries = bench_pairs._depth2()
+    expected, test_config, expected_queries = _instance()
+    assert dataset.vectors.tobytes() == expected.vectors.tobytes() and dataset.p == expected.p
+    assert queries.tobytes() == expected_queries.tobytes()
+    assert (config.p, config.r, config.seed) == (test_config.p, test_config.r, test_config.seed)
+    default = SchemeConfig(p=config.p, r=config.r)
+    assert (config.base_copies, config.child_copies) == (default.base_copies, default.child_copies)
