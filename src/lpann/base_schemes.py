@@ -84,8 +84,8 @@ BUCKET_WIDTH_FACTOR = 4.0  # w = 4r, design collision at distance exactly r
 # through LSH leaves that it replaces (measured at m = 4000 and 8000)
 SCAN_MAX_ENTRIES = 1 << 17
 CAST_BLOCK = 1 << 16  # entries ``_to_cell_index`` casts at a time: 512 KiB
-BOX_BLOCK = 1 << 16  # cells of box corners a grid build computes at a time
-GRID_BLOCK = 1 << 13  # cells of points a grid build, or of a query by the box, computes at a time
+BOX_GRIDS = 16  # grids whose box corners a grid build computes in one call
+GRID_BLOCK = 1 << 12  # cells of points a grid build, or of a query by the box, computes at a time
 NO_RANK = np.iinfo(np.int64).max  # a grid a coarse query no longer tries
 
 
@@ -668,14 +668,13 @@ class _GridBox:
 def _grid_box(vectors: np.ndarray, shifts: np.ndarray, side: float, multipliers) -> _GridBox:
     """The box of the points as the grids of ``shifts`` see it, under
     ``multipliers``, from one pass over the grids that computes the cells of
-    both corners of ``BOX_BLOCK`` // (2 d) grids (at least one) a call."""
+    both corners of ``BOX_GRIDS`` grids a call."""
     low, high = vectors.min(axis=0), vectors.max(axis=0)
     grids, d = shifts.shape
     corners = np.stack([low, high])[:, None]
     fixed, coords, counts = [], [], []
-    step = max(1, BOX_BLOCK // (2 * d))
-    for a in range(0, grids, step):
-        lo, hi = _cells(corners, shifts[a:a + step], side)
+    for a in range(0, grids, BOX_GRIDS):
+        lo, hi = _cells(corners, shifts[a:a + BOX_GRIDS], side)
         varying = lo != hi
         lo[varying] = 0
         fixed.append(lo.view(np.uint64) @ multipliers[:-1])
