@@ -33,22 +33,14 @@ multipliers, the E2LSH layout of Datar, Immorlica, Indyk and Mirrokni
 (SoCG 2004), and per bucket, numbered in fingerprint order, its table
 number and CSR members. An l2 bucket keeps its full int64 key and its first
 ``max_probe`` members; a grid cell keeps one member, its representative,
-and no key, for the cell is recomputed from the representative. An l2
-leaf's points are hashed with one matrix product, and each table is split
-by one stable sort. A grid group also keeps the points' bounding box as
-each grid sees it (``_GridBox``): in which coordinates a cell boundary
-cuts the box, and the fingerprint term of the others, whose cell every
-point shares. Its build computes each point's cells only in those
-"varying" coordinates, and splits each grid by one unstable sort, keeping
-each cell's least point.
-
-A grid query computes its cells only in the varying coordinates and in
-those where it leaves the box, finds each grid's fingerprint from the
-box's term and a segment sum, its cells with one ``searchsorted`` over the
-fingerprints, whose positions are the buckets, confirms only the matches
-it answers with on the full cell, and measures the distinct
-representatives, found by a scatter over the group's points, with one
-distance call. An l2 query walks the tables in order and stops early, as
+and no key, for the cell is recomputed from the representative. A grid
+group also keeps the points' box as each grid sees it (``_GridBox``), so
+its build and its queries compute cells only where a cell boundary cuts
+the box or the query leaves it. A grid query finds its cell in every grid
+with one ``searchsorted`` over the fingerprints, whose positions are the
+buckets, confirms only the matches it answers with on the full cell, and
+measures the distinct representatives, found by a scatter over the group's
+points, with one distance call. An l2 query walks the tables in order and stops early, as
 E2LSH's does, in two passes: it hashes the first table of every leaf with
 one matrix product and looks those keys up with one search, and then,
 with one more product and search, all remaining tables of the leaves
@@ -59,10 +51,9 @@ grid copy a contiguous block of grid schemes. Its answer is three arrays
 over the copies, a found mask, ids and distances, or None if no copy
 answers. A mask leaves copies out: their cells are never measured, and
 their l2 tables are neither hashed nor measured. A lone scheme is a group
-of one copy. A scanned l2 set answers once per query, not per copy. Each
-public query checks its query point and calls an unchecked core
-(``_query_l2``, ``_query_coarse``, ``_query_scan``), which the recursive
-walk calls directly with its already checked points.
+of one copy. A scanned l2 set answers once per query, not per copy. The
+recursive walk calls each public query's unchecked core (``_query_l2``,
+``_query_coarse``, ``_query_scan``) with its already checked point.
 """
 
 from __future__ import annotations
@@ -212,8 +203,8 @@ def _fingerprints(multipliers, tables, keys: np.ndarray) -> np.ndarray:
     the key's ints and the table number, wrapping mod 2**64. Under uniform
     multipliers two distinct pairs share a fingerprint with probability at
     most 2**(v - 64), where bit v is the lowest bit in which they differ.
-    The form is linear mod 2**64, so it may be summed in any order and in
-    any parts (``_GridBox``) and stays the same, bit for bit."""
+    The form is linear mod 2**64, so a sum of its terms in any order and
+    parts (``_GridBox``) is the same, bit for bit."""
     out = keys.view(np.uint64) @ multipliers[:-1]
     out += np.asarray(tables, dtype=np.uint64) * multipliers[-1]
     return out
@@ -243,11 +234,9 @@ def _split(multipliers, t: int, keys: np.ndarray):
 
 
 def _numbered(fps: list, runs):
-    """(fingerprints, order, table numbers) of the buckets whose
-    fingerprints, table by table, are the arrays fps (emptied here), table
-    t holding runs[t] of them: all fingerprints ascending, the permutation
-    that sorts the joined ones, and each bucket's table, int32; None if two
-    buckets share a fingerprint."""
+    """(fingerprints ascending, the order sorting them, each one's table)
+    of the buckets whose fingerprints are fps (emptied here) table by
+    table, table t holding runs[t]; None if two share a fingerprint."""
     fp = np.concatenate(fps)
     fps.clear()  # only the joined column is held from here
     order = fp.argsort()
@@ -274,13 +263,13 @@ def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _Bucket
     only its fingerprints, the members its buckets keep (each run's first
     ``cap`` entries of the split's order; a run's first alone where ``cap``
     is 1) and, where some bucket keeps more than one, each bucket's member
-    count, and its buckets' keys if ``keep_keys``, held in the narrowest
-    integer type that holds them (l2 keys are small integers); a table's
-    keys are dropped before the next table's are made. Sorting all
-    fingerprints then numbers the buckets, by permuting only the per-bucket
-    arrays, or, where every bucket keeps one member, the members themselves;
-    each table's kept keys are scattered to its buckets' places, as int64,
-    and dropped, so the keys are held about once.
+    count, and its buckets' keys if ``keep_keys``, in the narrowest integer
+    type that holds them; a table's keys are dropped before the next
+    table's are made. Sorting all fingerprints then numbers the buckets, by
+    permuting only the per-bucket arrays, or, where every bucket keeps one
+    member, the members themselves; each table's kept keys are then
+    scattered to their buckets' places and dropped, so they are held about
+    once.
 
     A pass fingerprints every table under one salt's multipliers, from salt
     0 on. A fingerprint run holding two keys, or two buckets sharing a
@@ -332,8 +321,9 @@ def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _Bucket
         place = np.empty_like(order)
         place[order] = np.arange(order.size)
         out, at = np.empty((order.size, multipliers.size - 1), dtype=np.int64), 0
+        keys.reverse()
         while keys:  # a table's keys go once they are in place
-            part = keys.pop(0)
+            part = keys.pop()
             out[place[at:at + len(part)]] = part
             at += len(part)
         keys = out
@@ -341,10 +331,8 @@ def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _Bucket
 
 
 def _find(table: _BucketTable, tables: np.ndarray, fp: np.ndarray):
-    """(found, bucket): for each fingerprint fp[i] of stacked table
-    tables[i], the bucket a search over the fingerprint column finds, the
-    position clipped to the last bucket, and whether it has that
-    fingerprint and table number."""
+    """(found, bucket): the bucket a search for fp[i] finds, clipped to the
+    last, and whether it has fingerprint fp[i] and table tables[i]."""
     bucket = np.minimum(table.fingerprints.searchsorted(fp), table.fingerprints.size - 1)
     return (table.tables[bucket] == tables) & (table.fingerprints[bucket] == fp), bucket
 
@@ -640,21 +628,17 @@ def build_coarse_ann(ids, vectors, p: float, r: float, seeds) -> CoarseGroup:
 
 @dataclass
 class _GridBox:
-    """The points' bounding box as every grid of a group sees it, derived
-    with the group's table under its multipliers and never saved.
+    """The points' bounding box as each grid of a group sees it, derived
+    with the table, under its multipliers, and never saved.
 
     ``_cells`` is monotone in each coordinate, so where a grid's cells of
-    the box's two corners agree, every point of the box has that cell: the
-    coordinate is fixed in that grid, and every other one varies. Grid g's
-    varying (grid, coordinate) pairs are ``ptr[g]:ptr[g + 1]`` of the flat
-    ``coords``, ``shifts`` and ``mults`` (the coordinate's multiplier), and
-    ``fixed[g]`` is its fingerprint's term of every fixed coordinate's cell
-    and of the grid number. A key's fingerprint is a linear form mod 2**64
-    (``_fingerprints``), so ``fixed[g]`` plus the sum of a point's varying
-    cells times their multipliers is the fingerprint of its full key, bit
-    for bit. No (grids, d) array is kept: grid g's fixed cells are known
-    only through ``fixed[g]``.
-    """
+    the box's two corners agree, every point has that cell: the coordinate
+    is fixed in that grid; else it varies. Grid g's varying pairs are
+    ``ptr[g]:ptr[g + 1]`` of ``coords``, ``shifts`` and ``mults`` (their
+    multipliers), and ``fixed[g]`` is its fingerprint term of the fixed
+    cells and the grid number, so ``fixed[g]`` plus a point's varying cells
+    times their multipliers is its full key's fingerprint, bit for bit
+    (``_fingerprints``). No (grids, d) array is kept."""
 
     low: np.ndarray     # (d,) the points' least coordinates
     high: np.ndarray    # (d,) and greatest
@@ -666,9 +650,8 @@ class _GridBox:
 
 
 def _grid_box(vectors: np.ndarray, shifts: np.ndarray, side: float, multipliers) -> _GridBox:
-    """The box of the points as the grids of ``shifts`` see it, under
-    ``multipliers``, from one pass over the grids that computes the cells of
-    both corners of ``BOX_GRIDS`` grids a call."""
+    """The ``_GridBox`` of the points under ``multipliers``, from one pass
+    computing both corners' cells in ``BOX_GRIDS`` grids a call."""
     low, high = vectors.min(axis=0), vectors.max(axis=0)
     grids, d = shifts.shape
     corners = np.stack([low, high])[:, None]
@@ -690,19 +673,14 @@ def _grid_box(vectors: np.ndarray, shifts: np.ndarray, side: float, multipliers)
 
 
 def _grid_runs(vectors: np.ndarray, shifts: np.ndarray, side: float, box: _GridBox):
-    """Each grid's cells grouped into buckets by fingerprint, a grid at a
-    time: per grid (fingerprints, representatives), its buckets in
-    fingerprint order, each represented by its lowest point; None, and no
-    more, once a bucket holds two cells.
-
-    The points' cells at the varying pairs (see ``_GridBox``) come from one
-    ``_cells`` call per block of grids holding at most ``GRID_BLOCK`` of
-    them (or one grid). A grid's fingerprints are its fixed term plus one
-    product of its cells with their multipliers, and its buckets come from
-    one sort, unstable, for a bucket's representative is its run's least
-    point (``minimum.reduceat``) whatever the order within it. The run
-    check compares each point's cells with the ones of the point before it
-    in sorted order wherever no run begins."""
+    """Per grid, its buckets' fingerprints, ascending, and representatives
+    (each its lowest point); None, and no more, once a bucket holds two
+    cells. The points' cells at the varying pairs come from one ``_cells``
+    call per block of at most ``GRID_BLOCK`` of them (or one grid). A grid's
+    fingerprints are its fixed term plus one product of its cells with
+    their multipliers; its sort may be unstable, for a bucket's
+    representative is its run's least point (``minimum.reduceat``). The run
+    check is ``_split``'s, in the grid's varying columns."""
     m, grids = len(vectors), len(box.fixed)
     per = max(1, GRID_BLOCK // m)
     g = 0
@@ -729,16 +707,11 @@ def _grid_runs(vectors: np.ndarray, shifts: np.ndarray, side: float, box: _GridB
 
 
 def _grid_table(vectors: np.ndarray, shifts: np.ndarray, side: float):
-    """(table, box) of the grids of ``shifts`` over the points: the table
-    keeps one member per occupied cell, its lowest point, and no cell; box
-    is the ``_GridBox`` under the table's multipliers.
-
-    A pass draws one salt's multipliers, makes the box under them and
-    splits every grid (``_grid_runs``), from salt 0 on; a fingerprint run
-    holding two cells, or two buckets sharing a fingerprint, starts a new
-    pass under the next salt. This is the table ``_bucket_table`` builds
-    from every point's full cells, array for array (one member a bucket,
-    no keys): the same fingerprints, the same salt, the same members."""
+    """(table, box): the table ``_bucket_table`` builds from every point's
+    full cells in every grid (one member a bucket, no keys), array for
+    array, and the ``_GridBox`` under its multipliers. A pass makes the box
+    under one salt's multipliers and splits every grid (``_grid_runs``);
+    the salts go as in ``_bucket_table``."""
     for salt in itertools.count():
         multipliers = _multipliers(salt, shifts.shape[1])
         box = _grid_box(vectors, shifts, side, multipliers)
@@ -765,16 +738,10 @@ class CoarseGroup:
     of ``table``, which keeps one member per occupied cell, its lowest
     local index, and no cell: ``query_coarse_ann`` recomputes it with
     ``_cells``. The draws fix everything else: cell side 4 d r,
-    approximation c0 = 4 d^(1+1/p), the table and ``box``, the points' box
-    as each grid sees it (``_GridBox``), never saved. The constructor
-    builds both together (``_grid_table``): one blocked pass over the
-    grids' box corners, then each point's cells only in each grid's varying
-    coordinates, a block of grids at a time, split a grid at a time into
-    the table of the full cells, bit for bit, holding one block's cells at
-    a time and, of the grids split so far, only their cells' fingerprints
-    and representatives. A query computes its cells only at the varying
-    pairs and in the coordinates where it leaves the box, never in every
-    coordinate of every grid, and keeps no (grids, d) array."""
+    approximation c0 = 4 d^(1+1/p), the table and ``box`` (``_GridBox``),
+    which the constructor builds together (``_grid_table``), holding one
+    block of cells at a time and, of the grids split so far, only their
+    cells' fingerprints and representatives."""
 
     ids: np.ndarray
     vectors: np.ndarray
@@ -808,11 +775,10 @@ def query_coarse_ann(group: CoarseGroup, q, live=None):
 
 
 def _inside(group: CoarseGroup, q: np.ndarray, out: np.ndarray, grids: np.ndarray) -> np.ndarray:
-    """Whether q's cell is the box's in each grid of ``grids`` in every
-    coordinate of ``out``, where q leaves the box: whether it is the
-    nearest corner's cell there, both from one ``_cells`` call. Where it is
-    not, q's cell lies outside every point's cell in that coordinate
-    (``_cells`` is monotone), so the grid cannot match."""
+    """Whether q's cells in each grid of ``grids`` are the nearest box
+    corner's in every coordinate of ``out``, where q leaves the box. Where
+    one is not, it lies past every point's cell there (``_cells`` is
+    monotone), so the grid cannot match."""
     ends = np.empty((2, out.size))
     ends[0] = q[out]
     np.clip(ends[0], group.box.low[out], group.box.high[out], out=ends[1])
@@ -827,28 +793,22 @@ def _inside(group: CoarseGroup, q: np.ndarray, out: np.ndarray, grids: np.ndarra
 def _query_coarse(group: CoarseGroup, q: np.ndarray, live=None):
     """``query_coarse_ann`` for a checked query (see ``_query_scan``).
 
-    q's cell in a grid's fixed coordinate is the grid's cell of the box
-    wherever q lies inside the box there (``_GridBox``). So a live grid's
-    fingerprint is its fixed term plus q's cells at its varying pairs times
-    their multipliers, summed per grid as differences of one uint64
-    cumulative sum. A sum mod 2**64 is the same in any order and any parts,
-    so this is the fingerprint of q's full cells, bit for bit, in every
-    grid where q's cells in the coordinates it leaves the box in are the
-    box's (``_inside``); a grid where they are not cannot match. So a
-    representative is measured only once one of its matched grids is
-    inside: one matched grid of each is checked, then every matched grid
-    of those whose checked grid is outside, which are dropped. A query
-    outside the box in every coordinate takes the same path.
+    Inside the box in a fixed coordinate, q's cell is the box's there. So a
+    grid's fingerprint is its fixed term plus q's varying cells times their
+    multipliers, summed as differences of one uint64 cumulative sum: mod
+    2**64 the order of a sum changes no bit, so it is q's full key's in
+    every grid where q's cells are the box's where q leaves it
+    (``_inside``), and no other grid can match. So a representative is
+    measured once one of its matched grids is inside: one grid of each is
+    checked, then every grid of those whose checked grid is outside, which
+    are dropped. A query outside the box in every coordinate takes the
+    same path.
 
-    Each copy then answers with its matched grid least in (distance,
-    scheme, row, grid): each grid's rank in (distance, scheme, row) is one
-    integer, laid out over (copies, grids per copy), whose argmin per copy
-    breaks the last ties to the first grid. A pick counts once its
-    representative's cell, recomputed with q's in one ``_cells`` call for
-    all copies, is q's in every coordinate; else the copy tries its next.
-    The first pick that fails so makes every pending grid not yet checked
-    be checked at once, and the outside ones dropped, so a query that
-    leaves the cells of many grids takes a few rounds, not one a grid.
+    Each copy answers with its match least in (distance, scheme, row,
+    grid), by argmin over (copies, grids per copy) of one rank per grid,
+    once the representative's cell, recomputed with q's in one ``_cells``
+    call for all copies, is q's; else with its next. The first failed pick
+    checks every pending grid not yet checked at once.
     """
     box, shifts, side, m = group.box, group.shifts, group.cell_side, len(group.vectors)
     copy_grids = len(shifts) // group.copies
