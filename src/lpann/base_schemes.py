@@ -75,8 +75,8 @@ BUCKET_WIDTH_FACTOR = 4.0  # w = 4r, design collision at distance exactly r
 # through LSH leaves that it replaces (measured at m = 4000 and 8000)
 SCAN_MAX_ENTRIES = 1 << 17
 CAST_BLOCK = 1 << 16  # entries ``_to_cell_index`` casts at a time: 512 KiB
-BOX_GRIDS = 16  # grids whose box corners a grid build computes in one call
-GRID_BLOCK = 1 << 12  # cells of points a grid build, or of a query by the box, computes at a time
+BOX_GRIDS = 8  # grids whose box corners a grid build computes in one call
+GRID_BLOCK = 1 << 13  # cells of points a grid build, or of a query by the box, computes at a time
 NO_RANK = np.iinfo(np.int64).max  # a grid a coarse query no longer tries
 
 
