@@ -53,7 +53,8 @@ answers. A mask leaves copies out: their cells are never measured, and
 their l2 tables are neither hashed nor measured. A lone scheme is a group
 of one copy. A scanned l2 set answers once per query, not per copy. The
 recursive walk calls each public query's unchecked core (``_query_l2``,
-``_query_coarse``, ``_query_scan``) with its already checked point.
+``_query_coarse``, ``_query_scan``) with its already checked point. Both
+kinds of group build their table with one builder, ``_bucket_table``.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ CAST_BLOCK = 1 << 16  # entries ``_to_cell_index`` casts at a time: 512 KiB
 BOX_GRIDS = 8  # grids whose box corners a grid build computes in one call
 GRID_BLOCK = 1 << 13  # cells of points a grid build, or of a query by the box, computes at a time
 NO_RANK = np.iinfo(np.int64).max  # a grid a coarse query no longer tries
-
-
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def _to_cell_index(values: np.ndarray) -> np.ndarray:
@@ -195,7 +192,7 @@ class _BucketTable:
 def _multipliers(salt: int, width: int) -> np.ndarray:
     """Fingerprint salt ``salt``'s uniform 64-bit multipliers for keys of
     ``width`` ints, then for the table number."""
-    return _rng(salt).integers(0, 2**64, size=width + 1, dtype=np.uint64)
+    return np.random.default_rng(salt).integers(0, 2**64, size=width + 1, dtype=np.uint64)
 
 
 def _fingerprints(multipliers, tables, keys: np.ndarray) -> np.ndarray:
@@ -210,40 +207,27 @@ def _fingerprints(multipliers, tables, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split(multipliers, t: int, keys: np.ndarray):
-    """(order, first, fingerprints) grouping the rows of table t's keys by
-    fingerprint: order sorts them stably, and run j of equal fingerprints
-    begins at order[first[j]] and has fingerprints[j]; None if a run holds
-    two different keys.
-
-    The table number enters the fingerprints as one scalar term. The run
-    check gathers the keys once in sorted order and compares each row with
-    the one before it wherever no run begins; when one run spans the table
-    (most tables of an l2 leaf), order is the identity and the keys are
-    already in sorted order.
-    """
-    fp = _fingerprints(multipliers, t, keys)
-    order = fp.argsort(kind="stable")
+def _split(fp: np.ndarray, keys: np.ndarray, stable: bool):
+    """(order, first, fingerprints) grouping one table's points by their
+    fingerprints fp: order sorts fp, stably if ``stable``, and run j of
+    equal fingerprints begins at order[first[j]] and has fingerprints[j];
+    None if a run holds two different keys (keys holds the points' int keys
+    along its last axis). The check is skipped where every run holds one
+    point. Else it gathers the keys once in sorted order, a point's key at
+    a time where its ints lie together (an l2 table's), or not at all where
+    one run spans the table (most tables of an l2 leaf), for any order of
+    one run is sorted, and compares each point's key with the one before it
+    wherever no run begins."""
+    order = fp.argsort(kind="stable" if stable else None)
     fp = fp[order]
     new = _run_starts(fp)
     first = new.nonzero()[0]
-    ranked = keys if first.size == 1 else keys.take(order, axis=0)
-    if ((ranked[1:] != ranked[:-1]) & ~new[1:, None]).any():
-        return None
+    if first.size < fp.size:
+        ranked = keys if first.size == 1 else (
+            keys.T[order].T if keys.strides[0] < keys.strides[-1] else keys.take(order, axis=-1))
+        if ((ranked[..., 1:] != ranked[..., :-1]) & ~new[1:]).any():
+            return None
     return order, first, fp[first]
-
-
-def _numbered(fps: list, runs):
-    """(fingerprints ascending, the order sorting them, each one's table)
-    of the buckets whose fingerprints are fps (emptied here) table by
-    table, table t holding runs[t]; None if two share a fingerprint."""
-    fp = np.concatenate(fps)
-    fps.clear()  # only the joined column is held from here
-    order = fp.argsort()
-    fp = fp[order]
-    if (fp[1:] == fp[:-1]).any():
-        return None
-    return fp, order, np.repeat(np.arange(len(runs), dtype=np.int32), runs)[order]
 
 
 def _compact(keys: np.ndarray) -> np.ndarray:
@@ -254,47 +238,47 @@ def _compact(keys: np.ndarray) -> np.ndarray:
                                       np.min_scalar_type(keys.max())))
 
 
-def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _BucketTable:
+def _bucket_table(tables: Callable, width: int, cap: int, keep_keys: bool = True) -> _BucketTable:
     """Group the points of each table into buckets by key, a table at a time,
     each bucket keeping at most ``cap`` members.
 
-    ``tables()`` yields the points' int keys, an (m, k) array, one table
-    after another. Each table is split on its own by ``_split`` and leaves
-    only its fingerprints, the members its buckets keep (each run's first
-    ``cap`` entries of the split's order; a run's first alone where ``cap``
-    is 1) and, where some bucket keeps more than one, each bucket's member
-    count, and its buckets' keys if ``keep_keys``, in the narrowest integer
-    type that holds them; a table's keys are dropped before the next
-    table's are made. Sorting all fingerprints then numbers the buckets, by
-    permuting only the per-bucket arrays, or, where every bucket keeps one
-    member, the members themselves; each table's kept keys are then
-    scattered to their buckets' places and dropped, so they are held about
-    once.
+    A pass draws one salt's multipliers for keys of ``width`` ints, and
+    ``tables(multipliers)`` yields, a table at a time, the points'
+    fingerprints under them (``_fingerprints``) and int keys, points along
+    the last axis. Each table is split on its own (``_split``), stably if
+    ``cap`` exceeds 1, and leaves only its fingerprints, the members its
+    buckets keep (each run's first ``cap`` entries of the split's order, or,
+    where ``cap`` is 1, its least point by ``minimum.reduceat``, whatever
+    the order within the run) and, where ``cap`` exceeds 1, each bucket's
+    member count, and its buckets' keys if ``keep_keys``, in the narrowest
+    integer type that holds them; a table's keys are dropped before the
+    next table's are made. Sorting all fingerprints then numbers the
+    buckets, by permuting only the per-bucket arrays, or, where every bucket
+    keeps one member, the members themselves; each table's kept keys are
+    then scattered to their buckets' places and dropped, so they are held
+    about once.
 
-    A pass fingerprints every table under one salt's multipliers, from salt
-    0 on. A fingerprint run holding two keys, or two buckets sharing a
-    fingerprint, makes the salt bad for the whole table: the next salt
-    starts a new pass over ``tables()``. So the table is the one under the
+    Passes run from salt 0 on. A fingerprint run holding two keys, or two
+    buckets sharing a fingerprint, makes the salt bad for the whole table:
+    the next salt starts a new pass. So the table is the one under the
     smallest salt that gives every (table, key) its own fingerprint, and a
     rebuild gives the same table. Each salt separates two given distinct
     (table, key) pairs with probability at least 1/2, so the passes end.
     """
     for salt in itertools.count():
-        multipliers = None
+        multipliers = _multipliers(salt, width)
         keys, sizes, members, fps = [], [], [], []
-        for table_keys in tables():
-            if multipliers is None:
-                multipliers = _multipliers(salt, table_keys.shape[-1])
-            split = _split(multipliers, len(fps), table_keys)
+        for fp, table_keys in tables(multipliers):
+            split = _split(fp, table_keys, cap > 1)
             if split is None:
                 del table_keys  # before the next pass makes any
                 break
             order, first, fp = split
             if keep_keys:
-                keys.append(_compact(table_keys[order[first]]))
+                keys.append(_compact(table_keys.T[order[first]]))
             del table_keys  # before the next table's keys are made
             if cap == 1:
-                order = order[first]
+                order = np.minimum.reduceat(order, first)
             else:
                 run = np.diff(first, append=order.size)
                 sizes.append(np.minimum(run, cap))
@@ -302,11 +286,15 @@ def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _Bucket
                     order = order[np.arange(order.size) - np.repeat(first, run) < cap]
             members.append(order.astype(np.int32))
             fps.append(fp)
-        else:
-            numbered = _numbered(fps, [f.size for f in fps])
-            if numbered is not None:
+        else:  # number the buckets in fingerprint order
+            runs = [f.size for f in fps]
+            fp = np.concatenate(fps)
+            fps.clear()  # only the joined column is held from here
+            order = fp.argsort()
+            fp = fp[order]
+            if not (fp[1:] == fp[:-1]).any():
                 break
-    fp, order, table_of = numbered
+    table_of = np.repeat(np.arange(len(runs), dtype=np.int32), runs)[order]
     members = np.concatenate(members)
     if members.size == order.size:  # one member a bucket: permute them
         members, starts = members[order], None
@@ -320,7 +308,7 @@ def _bucket_table(tables: Callable, cap: int, keep_keys: bool = True) -> _Bucket
     if keep_keys:
         place = np.empty_like(order)
         place[order] = np.arange(order.size)
-        out, at = np.empty((order.size, multipliers.size - 1), dtype=np.int64), 0
+        out, at = np.empty((order.size, width), dtype=np.int64), 0
         keys.reverse()
         while keys:  # a table's keys go once they are in place
             part = keys.pop()
@@ -438,7 +426,7 @@ def build_l2_ann(ids, vectors, r: float, delta_fail: float, seeds) -> L2Group:
     projections = np.empty((len(seeds) * big_l, k, d))
     offsets = np.empty((len(seeds) * big_l, k))
     for i, seed in enumerate(seeds):
-        rng, part = _rng(seed), slice(i * big_l, (i + 1) * big_l)
+        rng, part = np.random.default_rng(seed), slice(i * big_l, (i + 1) * big_l)
         projections[part] = rng.standard_normal((big_l, k, d))
         offsets[part] = rng.uniform(0.0, BUCKET_WIDTH_FACTOR * r, size=(big_l, k))
     return L2Group(ids, vectors, float(r), projections, offsets, len(seeds))
@@ -473,17 +461,18 @@ class L2Group:
         self.w = BUCKET_WIDTH_FACTOR * self.r
         self.leaf_tables = len(self.projections) // self.leaves
         self.max_probe = 3 * self.leaf_tables
-        self.table = _bucket_table(self._leaf_tables, self.max_probe)
+        self.table = _bucket_table(self._leaf_tables, self.projections.shape[1], self.max_probe)
 
-    def _leaf_tables(self):
-        """Each table's keys for ``_bucket_table``, a leaf at a time; a
-        leaf's keys are dropped before the next leaf's are hashed."""
+    def _leaf_tables(self, multipliers):
+        """Each table's fingerprints under multipliers and keys, a leaf at a
+        time; a leaf's keys are dropped before the next leaf's are hashed."""
         big_l = self.leaf_tables
         for a in range(0, len(self.projections), big_l):
             keys = _l2_keys(self.projections[a:a + big_l], self.offsets[a:a + big_l],
                             self.w, self.vectors)
-            yield from keys
-            del keys
+            for t, table_keys in enumerate(keys, a):
+                yield _fingerprints(multipliers, t, table_keys), table_keys.T
+            del keys, table_keys
 
 
 @dataclass
@@ -622,7 +611,8 @@ def build_coarse_ann(ids, vectors, p: float, r: float, seeds) -> CoarseGroup:
     schemes = [seed for copy in seeds for seed in copy]
     shifts = np.empty((len(schemes) * grids, d))
     for i, seed in enumerate(schemes):
-        shifts[i * grids:(i + 1) * grids] = _rng(seed).uniform(0.0, side, size=(grids, d))
+        rng = np.random.default_rng(seed)
+        shifts[i * grids:(i + 1) * grids] = rng.uniform(0.0, side, size=(grids, d))
     return CoarseGroup(ids, vectors, float(p), float(r), shifts, grids, len(seeds))
 
 
@@ -672,64 +662,6 @@ def _grid_box(vectors: np.ndarray, shifts: np.ndarray, side: float, multipliers)
     return _GridBox(low, high, ptr, coords, shifts[owner, coords], multipliers[coords], fixed)
 
 
-def _grid_runs(vectors: np.ndarray, shifts: np.ndarray, side: float, box: _GridBox):
-    """Per grid, its buckets' fingerprints, ascending, and representatives
-    (each its lowest point); None, and no more, once a bucket holds two
-    cells. The points' cells at the varying pairs come from one ``_cells``
-    call per block of at most ``GRID_BLOCK`` of them (or one grid). A grid's
-    fingerprints are its fixed term plus one product of its cells with
-    their multipliers; its sort may be unstable, for a bucket's
-    representative is its run's least point (``minimum.reduceat``). The run
-    check is ``_split``'s, in the grid's varying columns."""
-    m, grids = len(vectors), len(box.fixed)
-    per = max(1, GRID_BLOCK // m)
-    g = 0
-    while g < grids:
-        end = box.ptr.searchsorted(box.ptr[g] + per, side="right") - 1
-        end = max(g + 1, min(end, grids))
-        a = box.ptr[g]
-        cells = _cells(vectors[:, box.coords[a:box.ptr[end]]].T,
-                       box.shifts[a:box.ptr[end], None], side).view(np.uint64)  # (pairs, m)
-        for t in range(g, end):
-            keys = cells[box.ptr[t] - a:box.ptr[t + 1] - a]
-            fp = box.mults[box.ptr[t]:box.ptr[t + 1]] @ keys
-            fp += box.fixed[t]
-            order = fp.argsort()
-            fp = fp[order]
-            new = _run_starts(fp)
-            ranked = keys.take(order, axis=1)
-            if ((ranked[:, 1:] != ranked[:, :-1]) & ~new[1:]).any():
-                yield None
-                return
-            first = new.nonzero()[0]
-            yield fp[first], np.minimum.reduceat(order, first)
-        g = end
-
-
-def _grid_table(vectors: np.ndarray, shifts: np.ndarray, side: float):
-    """(table, box): the table ``_bucket_table`` builds from every point's
-    full cells in every grid (one member a bucket, no keys), array for
-    array, and the ``_GridBox`` under its multipliers. A pass makes the box
-    under one salt's multipliers and splits every grid (``_grid_runs``);
-    the salts go as in ``_bucket_table``."""
-    for salt in itertools.count():
-        multipliers = _multipliers(salt, shifts.shape[1])
-        box = _grid_box(vectors, shifts, side, multipliers)
-        fps, reps = [], []
-        for part in _grid_runs(vectors, shifts, side, box):
-            if part is None:
-                break
-            fps.append(part[0])
-            reps.append(part[1].astype(np.int32))
-        else:
-            numbered = _numbered(fps, [f.size for f in fps])
-            if numbered is not None:
-                break
-    fp, order, table_of = numbered
-    members = np.concatenate(reps)[order]
-    return _BucketTable(fp, table_of, None, members, multipliers, None), box
-
-
 @dataclass
 class CoarseGroup:
     """The grid schemes of node copies over one point array, for one norm
@@ -739,7 +671,7 @@ class CoarseGroup:
     local index, and no cell: ``query_coarse_ann`` recomputes it with
     ``_cells``. The draws fix everything else: cell side 4 d r,
     approximation c0 = 4 d^(1+1/p), the table and ``box`` (``_GridBox``),
-    which the constructor builds together (``_grid_table``), holding one
+    which the constructor builds together (``_grid_tables``), holding one
     block of cells at a time and, of the grids split so far, only their
     cells' fingerprints and representatives."""
 
@@ -759,7 +691,30 @@ class CoarseGroup:
         d = self.vectors.shape[1]
         self.c0 = coarse_approximation(d, self.p)
         self.cell_side = grid_cell_side(d, self.r)
-        self.table, self.box = _grid_table(self.vectors, self.shifts, self.cell_side)
+        self.table = _bucket_table(self._grid_tables, d, 1, keep_keys=False)
+
+    def _grid_tables(self, multipliers):
+        """For a ``_bucket_table`` pass under multipliers: ``box`` under them,
+        then each grid's fingerprints, its fixed term plus one product of its
+        cells at its varying pairs with their multipliers, and those cells, a
+        (pairs, m) slice of a block of at most ``GRID_BLOCK`` cells (or one
+        grid) from one ``_cells`` call."""
+        vectors, side = self.vectors, self.cell_side
+        self.box = box = _grid_box(vectors, self.shifts, side, multipliers)
+        per, grids = max(1, GRID_BLOCK // len(vectors)), len(box.fixed)
+        g = 0
+        while g < grids:
+            end = box.ptr.searchsorted(box.ptr[g] + per, side="right") - 1
+            end = max(g + 1, min(end, grids))
+            a = box.ptr[g]
+            cells = _cells(vectors[:, box.coords[a:box.ptr[end]]].T,
+                           box.shifts[a:box.ptr[end], None], side).view(np.uint64)
+            for t in range(g, end):
+                keys = cells[box.ptr[t] - a:box.ptr[t + 1] - a]
+                fp = box.mults[box.ptr[t]:box.ptr[t + 1]] @ keys
+                fp += box.fixed[t]
+                yield fp, keys
+            g = end
 
 
 def query_coarse_ann(group: CoarseGroup, q, live=None):
@@ -800,9 +755,9 @@ def _query_coarse(group: CoarseGroup, q: np.ndarray, live=None):
     every grid where q's cells are the box's where q leaves it
     (``_inside``), and no other grid can match. So a representative is
     measured once one of its matched grids is inside: one grid of each is
-    checked, then every grid of those whose checked grid is outside, which
-    are dropped. A query outside the box in every coordinate takes the
-    same path.
+    checked, then the other grids of those whose checked grid is outside,
+    and the grids found outside are dropped; no grid is checked twice. A
+    query outside the box in every coordinate takes the same path.
 
     Each copy answers with its match least in (distance, scheme, row,
     grid), by argmin over (copies, grids per copy) of one rank per grid,
@@ -825,19 +780,19 @@ def _query_coarse(group: CoarseGroup, q: np.ndarray, live=None):
     out = ((q < box.low) | (q > box.high)).nonzero()[0]
     unchecked = np.zeros(on.size, dtype=bool)
     if out.size:
-        # one matched grid of each representative, then every grid of the
-        # representatives whose checked grid is outside
+        # one matched grid of each representative, then the other grids of
+        # the representatives whose checked grid is outside, which is dropped
         some = np.empty(cand.size, dtype=np.intp)
         some[inv] = np.arange(on.size)
         seen = _inside(group, q, out, on[some])
-        unchecked = seen[inv]
-        unchecked[some] = False
-        rest = (~seen[inv]).nonzero()[0]
+        checked, keep = some[inv] == np.arange(on.size), seen[inv]
+        unchecked = keep & ~checked
+        rest = (~keep & ~checked).nonzero()[0]
         if rest.size:
             inside = _inside(group, q, out, on[rest])
             seen[inv[rest[inside]]] = True
-            keep = np.ones(on.size, dtype=bool)
-            keep[rest[~inside]] = False
+            keep[rest[inside]] = True
+        if not keep.all():
             on, inv, unchecked = on[keep], inv[keep], unchecked[keep]
         if not seen.all():
             cand, inv = cand[seen], (np.cumsum(seen) - 1)[inv]

@@ -9,20 +9,24 @@ Layout (documented in docs/index_format.md):
     then            the root's vectors, n x d little-endian float64
     last 4 bytes    CRC32 of every preceding byte, little-endian uint32
 
-An index is a function of its points, its configuration and numpy's random
-streams, so a file stores only the build's inputs: the root's deduplicated
-ids and vectors, and in the header the dimension and the build
-configuration. n is not stored: it is the length of the body divided by
-the row size, 8 (1 + d) bytes. The header also records the numpy version
-that saved the file and ``digest``, a blake2b over every array the built
-index holds (``index_digest``).
+An index is a function of its points, its configuration, numpy's random
+streams and the BLAS that rounds its l2 keys' matrix products, so a file
+stores only the build's inputs: the root's deduplicated ids and vectors,
+and in the header the dimension and the build configuration. n is not
+stored: it is the length of the body divided by the row size, 8 (1 + d)
+bytes. The header also records the numpy version that saved the file and
+``digest``, a blake2b over every array the built index holds
+(``index_digest``).
 
 ``load_index`` rebuilds the index with ``preprocess``, so a loaded index is
 a built index by construction, and then recomputes the digest. NumPy does
-not promise that its random streams stay the same across versions
-(NEP 19), so a rebuild that differs from the saved index raises
-``UsageError`` naming both numpy versions instead of answering with other
-draws. Loading costs a build of the stored configuration.
+not promise that its random streams stay the same across versions (NEP 19),
+another BLAS may round an l2 key's product to the other side of a bucket
+edge, and an lpann whose build changed under the same ``FORMAT_VERSION``
+builds another index; so a rebuild that differs from the saved index raises
+``UsageError`` naming both numpy versions and those causes instead of
+answering with other draws. Loading costs a build of the stored
+configuration.
 
 Only the current format version loads. The loader reads the file once, in
 order, the two arrays straight into arrays of their own, and rebuilds only
@@ -221,6 +225,7 @@ def load_index(path: str) -> LpScheme:
         raise UsageError(
             f"{path}: digest mismatch: the rebuilt index differs from the saved one (saved "
             f"with numpy {saved_with}, rebuilt with numpy {np.__version__}); the file is "
-            f"corrupt or this numpy draws other random streams"
+            f"corrupt, this numpy draws other random streams, this BLAS rounds an l2 key "
+            f"differently, or this lpann builds another index under format {FORMAT_VERSION}"
         )
     return scheme

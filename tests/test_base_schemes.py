@@ -1,7 +1,7 @@
 import itertools
 import math
 import tracemalloc
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -345,6 +345,14 @@ def _keys_and_probes(draw):
     return keys, probes
 
 
+def _keyed(keys):
+    """``_bucket_table``'s tables over the (t, m, k) keys: under a pass's
+    multipliers each table's fingerprints, and its keys with the points
+    along the last axis."""
+    return lambda multipliers: ((_fingerprints(multipliers, t, part), part.T)
+                                for t, part in enumerate(keys))
+
+
 def _dict_reference_check(keys, probes, cap=2**31 - 1):
     """The table of keys, keeping at most cap members a bucket, finds the
     first cap members of every stored key of every point, then of every
@@ -353,7 +361,7 @@ def _dict_reference_check(keys, probes, cap=2**31 - 1):
     for t in range(keys.shape[0]):
         for local, key in enumerate(map(tuple, keys[t])):
             reference.setdefault((t, key), []).append(local)
-    table = _bucket_table(lambda: iter(keys), cap)
+    table = _bucket_table(_keyed(keys), keys.shape[-1], cap)
     assert table.members.size == sum(min(len(v), cap) for v in reference.values())
     # every stored key of every point, then arbitrary (often absent) keys
     for probe in [keys[:, i, :] for i in range(keys.shape[1])] + probes:
@@ -484,7 +492,7 @@ def test_degenerate_salt_gives_the_table_of_the_salt_it_ends_at(multipliers):
     keys = np.tile(rng.integers(-2, 3, size=(1, 6, 70)), (3, 5, 1))  # repeats in every table
     keys[0, 1:3, 67] += 1
     for build in (lambda: _regroup(grids).table, lambda: _regroup(leaves).table,
-                  lambda: _bucket_table(lambda: iter(keys), 2)):
+                  lambda: _bucket_table(_keyed(keys), keys.shape[-1], 2)):
         patch, salts = _degenerate(multipliers)
         with patch:
             forced = build()
@@ -526,15 +534,18 @@ def _reference_split(multipliers, t, keys):
 
 @st.composite
 def _split_case(draw, shape):
-    """(multipliers, t, keys) of one table whose keys are all distinct, all
-    equal, few and repeating, or, under the key-sum multipliers of
-    ``_degenerate``, hold two distinct keys with one fingerprint among
-    freely drawn ones."""
+    """(multipliers, t, keys) of one table whose keys are all distinct (far
+    apart, or differing in one small entry), all equal, few and repeating,
+    or, under the key-sum multipliers of ``_degenerate``, hold two distinct
+    keys with one fingerprint among freely drawn ones."""
     m, k = draw(st.integers(1, 40)), draw(st.integers(2, 5))
     t = draw(st.integers(0, 2**31 - 1))
     multipliers = _multipliers(draw(st.integers(0, 7)), k)
     if shape == "single":
         keys = draw(arrays(np.int64, (m, k), elements=st.integers(-2**62, 2**62), unique=True))
+    elif shape == "distinct":
+        keys = np.tile(draw(arrays(np.int64, (1, k), elements=st.sampled_from(KEY_VALUES))), (m, 1))
+        keys[:, draw(st.integers(0, k - 1))] = draw(st.permutations(range(m)))
     elif shape == "one":
         keys = np.tile(draw(arrays(np.int64, (1, k), elements=st.sampled_from(KEY_VALUES))), (m, 1))
     elif shape == "runs":
@@ -547,24 +558,42 @@ def _split_case(draw, shape):
         twin = keys[draw(st.integers(0, m - 1))].copy()
         twin[:2] += (1, -1)  # another key with the same sum
         keys = np.insert(keys, draw(st.integers(0, m)), twin, axis=0)
-    # tables come to _split as (m, k) views of a leaf's (L, m, k) keys
+    # l2 tables come to _split as transposes of (m, k) views of a leaf's
+    # (L, m, k) keys
     strided = np.empty((keys.shape[0], 3, k), dtype=np.int64)
     strided[:, 1] = keys
     return multipliers, t, strided[:, 1]
 
 
-@pytest.mark.parametrize("shape", ["single", "one", "runs", "collision"])
+def _runs(order, first) -> list:
+    """The points of each run of a split, as sorted lists."""
+    return [sorted(run.tolist()) for run in np.split(order, first[1:])]
+
+
+@pytest.mark.parametrize("shape", ["single", "distinct", "one", "runs", "collision"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_split_matches_reference(shape, data):
+    # a stable split is the reference's, array for array, with the keys laid
+    # out as an l2 table's (a transposed view) or a grid's (contiguous
+    # (k, m)); an unstable one finds the same runs of the same points
     multipliers, t, keys = data.draw(_split_case(shape))
-    got, expected = _split(multipliers, t, keys), _reference_split(multipliers, t, keys)
-    assert (got is None) == (expected is None) == (shape == "collision")
-    for a, b in zip(got or (), expected or ()):
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-    runs = {"single": keys.shape[0], "one": 1}
+    fp, expected = _fingerprints(multipliers, t, keys), _reference_split(multipliers, t, keys)
+    for layout in (keys.T, np.ascontiguousarray(keys.T)):
+        got, loose = _split(fp, layout, True), _split(fp, layout, False)
+        assert (got is None) == (loose is None) == (expected is None) == (shape == "collision")
+        for a, b in zip(got or (), expected or ()):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        if got is not None:
+            assert loose[1].tobytes() == got[1].tobytes() and loose[2].tobytes() == got[2].tobytes()
+            assert _runs(*loose[:2]) == _runs(*got[:2])
+    runs = {"single": keys.shape[0], "distinct": keys.shape[0], "one": 1}
     if shape in runs:
         assert got[1].size == runs[shape]
+    if got is not None and got[1].size == keys.shape[0]:
+        # every run holds one point: the split reads no key
+        for stable in (True, False):
+            assert _split(fp, None, stable)[1].tobytes() == got[1].tobytes()
 
 
 CELL_EDGES = [np.nextafter(9.2e18, np.inf), np.nextafter(9.2e18, -np.inf), 9.2e18, 9.3e18,
@@ -630,10 +659,15 @@ def test_l2_build_draws_its_projections_once():
 
 
 def _dense_grid_table(vectors, shifts, side):
-    """The grid table as built before the box: every point's cell in every
-    coordinate of every grid, through the same splitter."""
-    return _bucket_table(lambda: (_cells(vectors, shift, side) for shift in shifts), 1,
-                         keep_keys=False)
+    """The grid table as built before the box: ``_bucket_table`` fed every
+    point's cell in every coordinate of every grid, a grid at a time."""
+    def tables(multipliers):
+        for t, shift in enumerate(shifts):
+            cells = _cells(vectors, shift, side)
+            yield _fingerprints(multipliers, t, cells), cells.T
+            del cells
+
+    return _bucket_table(tables, vectors.shape[1], 1, keep_keys=False)
 
 
 def _varying(vectors, shifts, side) -> np.ndarray:
@@ -1005,17 +1039,17 @@ def test_coarse_group_matches_per_scheme_loops(case):
         _coarse_reps(scheme, x, q) for base, alive in zip(copies, live) if alive for scheme in base)))
 
 
-def _reference_bucket_table(tables, cap, keep_keys=True):
+def _reference_bucket_table(tables, width, cap, keep_keys=True):
     """``_bucket_table`` as it was before builds kept only the members they
-    store, kept as its oracle: it joins every table's whole member order
+    store, kept as its oracle: it fingerprints and splits each table's full
+    keys with ``_reference_split``, joins every table's whole member order
     and caps the buckets only after the global fingerprint sort."""
     for salt in itertools.count():
-        multipliers, base = None, 0
+        multipliers, base = base_schemes._multipliers(salt, width), 0
         keys, runs, members, fps = [], [], [], []
-        for table_keys in tables():
-            if multipliers is None:
-                multipliers = base_schemes._multipliers(salt, table_keys.shape[-1])
-            split = _split(multipliers, len(fps), table_keys)
+        for _, table_keys in tables(multipliers):
+            table_keys = table_keys.T
+            split = _reference_split(multipliers, len(fps), table_keys)
             if split is None:
                 break
             order, first, fp = split
@@ -1089,7 +1123,7 @@ def test_bucket_table_matches_the_table_capped_after_the_sort(case, cap, keep_ke
 
     def build(fn):
         with _salts(degenerate):
-            return fn(lambda: iter(keys), cap, keep_keys)
+            return fn(_keyed(keys), keys.shape[-1], cap, keep_keys)
 
     table, reference = build(_bucket_table), build(_reference_bucket_table)
     _same_tables(table, reference)
@@ -1110,17 +1144,20 @@ def test_grid_and_l2_groups_build_the_reference_tables(case, duplicates):
     m = len(vectors)
     side = grid_cell_side(vectors.shape[1], r)
 
-    def build():
+    def grid():
         with _salts(degenerate):
-            return (_one_scheme(np.arange(m), vectors, 4.0, r, shifts).table,
-                    build_l2_ann(np.arange(m), vectors, 0.5, 0.3, seeds=[1, 2]).table)
+            return _one_scheme(np.arange(m), vectors, 4.0, r, shifts).table
 
-    built = build()
+    def l2():
+        with _salts(degenerate):
+            return build_l2_ann(np.arange(m), vectors, 0.5, 0.3, seeds=[1, 2]).table
+
+    built = (grid(), l2())
     with mock.patch.object(base_schemes, "_bucket_table", _reference_bucket_table):
-        reference = build()[1]
+        reference = l2()
+    cells = np.stack([_cells(vectors, s, side) for s in shifts])
     with _salts(degenerate):
-        dense = _reference_bucket_table(lambda: (_cells(vectors, s, side) for s in shifts), 1,
-                                        keep_keys=False)
+        dense = _reference_bucket_table(_keyed(cells), vectors.shape[1], 1, keep_keys=False)
     for table, ref in zip(built, (dense, reference)):
         _same_tables(table, ref)
 
@@ -1241,6 +1278,19 @@ def _dense_query(group: CoarseGroup, q, live=None):
     return (answered, ids, start_dists) if answered.any() else None
 
 
+@contextmanager
+def _recording_inside():
+    """Records the grids of each ``_inside`` call, as a list of lists."""
+    checks, real = [], base_schemes._inside
+
+    def checking(*args):
+        checks.append(args[-1].tolist())
+        return real(*args)
+
+    with mock.patch.object(base_schemes, "_inside", checking):
+        yield checks
+
+
 QUERY_PLACES = ["inside", "some", "all"]
 
 
@@ -1284,7 +1334,7 @@ def _box_query_case(draw):
 def test_box_lookup_matches_the_dense_lookup(case):
     # the box lookup gives every copy's found flag, id and distance bits of
     # the dense lookup, with all copies live and under the drawn mask, and
-    # measures the same rows
+    # measures the same rows; it checks no grid against the box twice
     group, q, live = case
     for mask in (None, live):
         answers, rows = [], []
@@ -1296,9 +1346,12 @@ def test_box_lookup_matches_the_dense_lookup(case):
                                                 .any(axis=0)).tolist())
                 return _real(mat, point, p)
 
-            with mock.patch.object(_kernels, "dists_to_point", measuring):
+            with mock.patch.object(_kernels, "dists_to_point", measuring), \
+                    _recording_inside() as checks:
                 answers.append(lookup(group, q, mask))
             rows.append(sorted(set(measured)))
+            checked = [g for grids in checks for g in grids]
+            assert len(checked) == len(set(checked))
         box, dense = answers
         assert (box is None) == (dense is None)
         for a, b in zip(box or (), dense or ()):
@@ -1315,13 +1368,20 @@ def test_a_failed_pick_drops_every_grid_outside_the_box_at_once():
     group = _one_scheme(np.array([7]), np.zeros((1, 1)), 4.0, 1.0,
                         np.array([[3.6], [3.8], [1.0]]))
     q = np.array([0.5])
-    checks, real = [], base_schemes._inside
-
-    def checking(*args):
-        checks.append(args[-1].tolist())
-        return real(*args)
-
-    with mock.patch.object(base_schemes, "_inside", checking):
+    with _recording_inside() as checks:
         answer = query_coarse_ann(group, q)
     assert per_copy(answer, 1) == per_copy(_dense_query(group, q), 1) == [(7, 0.5)]
     assert len(checks) == 2 and len(checks[0]) == 1
+
+
+def test_an_outside_grid_is_checked_once():
+    # the same point and query with the grids reordered: the grid checked
+    # first for the point (grid 2) is outside, so the other two are checked
+    # next, and grid 2 not again; the query answers from grid 0
+    group = _one_scheme(np.array([7]), np.zeros((1, 1)), 4.0, 1.0,
+                        np.array([[1.0], [3.6], [3.8]]))
+    q = np.array([0.5])
+    with _recording_inside() as checks:
+        answer = query_coarse_ann(group, q)
+    assert per_copy(answer, 1) == per_copy(_dense_query(group, q), 1) == [(7, 0.5)]
+    assert checks == [[2], [0, 1]]

@@ -1,5 +1,10 @@
-"""The verdict arithmetic and the instances of tools/bench_pairs.py."""
+"""The verdict arithmetic, the instances and the source line counts of
+tools/bench_pairs.py."""
 
+import argparse
+import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -91,3 +96,40 @@ def test_depth2_size_is_the_depth2_instance_at_default_copies():
     assert (config.p, config.r, config.seed) == (test_config.p, test_config.r, test_config.seed)
     default = SchemeConfig(p=config.p, r=config.r)
     assert (config.base_copies, config.child_copies) == (default.base_copies, default.child_copies)
+
+
+def _checkout(root, files: dict):
+    """A checkout at root whose src/lpann holds files (name: text)."""
+    package = root / "src" / "lpann"
+    package.mkdir(parents=True)
+    for name, text in files.items():
+        (package / name).write_text(text)
+    return root
+
+
+def test_source_lines_counts_as_wc(tmp_path):
+    # newlines of the package's .py files: a last line without one counts
+    # for nothing, as in wc -l, and other files do not count
+    root = _checkout(tmp_path, {"a.py": "x = 1\n\ny = 2\n", "b.py": "z = 3\nw = 4",
+                                "notes.txt": "\n\n\n"})
+    assert bench_pairs.source_lines(root) == 4
+    repo = Path(__file__).resolve().parent.parent
+    if shutil.which("wc") and shutil.which("sh"):
+        done = subprocess.run(["sh", "-c", "cat src/lpann/*.py | wc -l"], cwd=repo,
+                              capture_output=True, text=True, check=True)
+        assert bench_pairs.source_lines(repo) == int(done.stdout)
+
+
+def test_pairs_and_builds_record_each_sides_source_lines(tmp_path, monkeypatch, capsys):
+    parent = _checkout(tmp_path / "parent", {"a.py": "1\n2\n3\n"})
+    change = _checkout(tmp_path / "change", {"a.py": "1\n", "b.py": "2\n"})
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "query_p90_us", "better": "lower", "bound": 0.25}]}))
+    metrics = {"query_p90_us": {"value": 2.0}, "scan_p50_us": {"value": 1.0}}
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: {
+        "exit": 0, "correct": 1, "attempted": 1, "failed": 0, "metrics": metrics})
+    args = argparse.Namespace(parent=str(parent), change=str(change), size=[])
+    expected = {"parent": 3, "change": 2}
+    assert bench_pairs.pairs(args)["source_lines"] == expected
+    assert bench_pairs.builds(args)["source_lines"] == expected

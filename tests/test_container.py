@@ -452,5 +452,9 @@ def test_rebuild_that_differs_names_both_numpy_versions(built, tmp_path, capsys,
     assert calls
     assert "numpy 0.0.1" in str(err.value)
     assert f"numpy {np.__version__}" in str(err.value)
+    # and the other causes of a rebuild that differs: another BLAS's
+    # rounding of l2 keys, and another lpann under the same format version
+    assert "this BLAS rounds an l2 key differently" in str(err.value)
+    assert f"this lpann builds another index under format {FORMAT_VERSION}" in str(err.value)
     calls.clear()
     assert _cli_query_exit(old, tmp_path) == 2

@@ -113,33 +113,33 @@ def _sets(pset):
 
 
 def test_one_table_build_per_group(tmp_path, monkeypatch):
-    # each group builds its bucket table once, from its schemes' draws, at
-    # build and at load (an l2 group with _bucket_table, a grid group with
-    # _grid_table); no scheme builds a table of its own, and a scanned l2
-    # set builds none: on four blobs, whose l2 sets scan, and on an l2 root
-    # whose leaves hash
+    # each group, l2 or grid, builds its bucket table with one _bucket_table
+    # call, from its schemes' draws, at build and at load; no scheme builds
+    # a table of its own, and a scanned l2 set builds none: on four blobs,
+    # whose l2 sets scan, and on an l2 root whose leaves hash
     rng = np.random.default_rng(0)
     centers = np.zeros((4, 32))
     centers[:, 0] = 100.0 * math.sqrt(32) * np.arange(4)
     data = centers[np.arange(40) % 4] + rng.standard_normal((40, 32))
-    calls = []
-    for name in ("_bucket_table", "_grid_table"):
-        real = getattr(lpann.base_schemes, name)
-        monkeypatch.setattr(lpann.base_schemes, name, lambda *args, _real=real, **kwargs:
-                            calls.append(args) or _real(*args, **kwargs))
+    calls, kinds, real = [], set(), lpann.base_schemes._bucket_table
+    monkeypatch.setattr(lpann.base_schemes, "_bucket_table", lambda *args, **kwargs:
+                        calls.append(args) or real(*args, **kwargs))
     for build in (lambda: lpann.preprocess(lpann.Dataset(data, 4.0),
                                            lpann.SchemeConfig(p=4.0, r=0.2)), _lsh_root):
         calls.clear()
         scheme = build()
-        built_calls = len(calls)
+        built_calls = list(calls)
         path = tmp_path / "x.lpann"
         lpann.save_index(scheme, str(path))
         calls.clear()
         loaded = lpann.load_index(str(path))
-        for index, count in ((scheme, built_calls), (loaded, len(calls))):
+        for index, made in ((scheme, built_calls), (loaded, calls)):
             groups = [pset.group for pset in _sets(index.root)]
-            tabled = {id(g) for g in groups if not isinstance(g, lpann.base_schemes.L2Scan)}
-            assert tabled and count == len(tabled)
+            tabled = {id(g): g for g in groups if not isinstance(g, lpann.base_schemes.L2Scan)}
+            # the one call of each group passes its own tables method
+            assert tabled and sorted(id(args[0].__self__) for args in made) == sorted(tabled)
+            kinds.update(type(g).__name__ for g in tabled.values())
+    assert kinds == {"CoarseGroup", "L2Group"}
 
 
 def _shape_reads(node) -> tuple:

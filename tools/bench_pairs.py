@@ -23,6 +23,8 @@ every coordinate, and "line" N(0, 0.2^2) plus U(0, 3n) on coordinate 0.
 d = 4096, p = 8, r = 1, seed 5) at the default copy counts; its process
 also times each of the instance's six queries and reads the peak RSS after
 them.
+
+Both record each side's ``wc -l src/lpann/*.py`` total (``source_lines``).
 """
 
 from __future__ import annotations
@@ -108,6 +110,12 @@ def query_vs_scan(rows: list) -> float:
             / statistics.median(r["scan_p50_us"] for r in rows))
 
 
+def source_lines(root: Path) -> int:
+    """``wc -l src/lpann/*.py`` of checkout root: the newlines of its
+    package's Python files, summed."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "lpann").glob("*.py"))
+
+
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced ``perfbench/run.py`` run in checkout root: the JSON of
     its last stdout line."""
@@ -158,7 +166,9 @@ def pairs(args) -> dict:
             for side, rows in by_side.items()}
     return {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
                        "--trace 0",
-            "seeds": [seeds.start, seeds.stop - 1], "results": results, "runs": runs}
+            "seeds": [seeds.start, seeds.stop - 1],
+            "source_lines": {side: source_lines(root) for side, root in sides.items()},
+            "results": results, "runs": runs}
 
 
 def _depth2():
@@ -239,7 +249,9 @@ def _fresh_build(root: Path, kind: str, n: int) -> dict:
 
 def builds(args) -> dict:
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
-    out = {"limit_mb": LIMIT_MB, "blas_threads": 1, "instances": {}}
+    out = {"limit_mb": LIMIT_MB, "blas_threads": 1,
+           "source_lines": {side: source_lines(root) for side, root in sides.items()},
+           "instances": {}}
     for spec in args.size:
         kind, _, n = spec.partition(":")
         n = n or "0"
