@@ -73,23 +73,15 @@ def _lp_reduce(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     overflows, the row's differences are measured again divided by their
     largest, whose power is then exactly 1, and the result is multiplied
     back (a row of zeros, or one holding an infinite difference, keeps its
-    0 or inf). Overflow is caught by the floating-point status of the
-    powers and sums, so a call without it pays no check beyond the one
-    ``min`` over the sums that finds underflow.
+    0 or inf). The sums are computed once, overflowing to inf, and a call
+    where none is inf or below ``TINY`` pays no check beyond one ``min``
+    and one ``max`` over them.
     """
-    try:
-        with np.errstate(over="raise"):
-            sums = _abs_power_sums(x, y, p)
-        bad = None
-    except FloatingPointError:  # a difference, power or sum overflowed
-        with np.errstate(over="ignore"):
-            sums = _abs_power_sums(x, y, p)
-        bad = sums == np.inf
+    with np.errstate(over="ignore"):
+        sums = _abs_power_sums(x, y, p)
     out = sums ** (1.0 / p)
-    if sums.min(initial=np.inf) < TINY:
-        bad = sums < TINY if bad is None else bad | (sums < TINY)
-    if bad is not None:
-        at = bad.nonzero()  # (row,) or (row, col): gather only those rows
+    if not (TINY <= sums.min(initial=np.inf) and sums.max(initial=0.0) < np.inf):
+        at = ((sums < TINY) | (sums == np.inf)).nonzero()  # (row,) or (row, col)
         with np.errstate(over="ignore"):
             rows = x[at[0]].reshape(-1, x.shape[-1]) - (y[at[-1]] if y.ndim > 1 else y)
             np.abs(rows, out=rows)

@@ -89,14 +89,16 @@ def _to_cell_index(values: np.ndarray) -> np.ndarray:
     they are. The cast goes into an int64 view of values, ``CAST_BLOCK``
     entries at a time, each block read before it is overwritten, so it
     holds one block, not a second array of values' size (42.7 MB for an l2
-    leaf of 16000 points and 350 hash functions).
+    leaf of 16000 points and 350 hash functions). NaN, an l2 key whose
+    product summed +inf and -inf terms, gets key 0 on every platform.
 
-    Clipping can only merge cells of points that distance re-checking would
-    reject anyway, so answers stay within their bounds.
+    Clipping, and NaN's key, can only merge cells of points that distance
+    re-checking would reject anyway, so answers stay within their bounds.
     """
     np.floor(values, out=values)
     if not (values.size and -9.2e18 <= values.min() and values.max() <= 9.2e18):
         np.clip(values, -9.2e18, 9.2e18, out=values)
+        np.nan_to_num(values, copy=False, nan=0.0)
     out = values.view(np.int64)
     flat, cast = values.reshape(-1), out.reshape(-1)
     for a in range(0, flat.size, CAST_BLOCK):
@@ -394,11 +396,12 @@ def _l2_keys(projections, offsets, w: float, vecs: np.ndarray) -> np.ndarray:
     product, and only the result is viewed as (L, m, k): every step is
     elementwise, so the order changes no bit. Build, load and query all
     hash through it, so a point and a query at the point agree. Keys past
-    the float range (a tiny w) overflow to inf and are clipped like any far
-    key by ``_to_cell_index``."""
+    the float range (a tiny w, or astronomically scaled vectors) overflow to
+    inf and are clipped like any far key by ``_to_cell_index``, which also
+    keys the NaN of a product summing +inf and -inf terms."""
     big_l, k, d = projections.shape
-    proj = vecs @ projections.reshape(big_l * k, d).T
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = vecs @ projections.reshape(big_l * k, d).T
         proj += offsets.reshape(-1)
         proj /= w
     return _to_cell_index(proj).reshape(len(vecs), big_l, k).transpose(1, 0, 2)

@@ -61,7 +61,7 @@ class TrialSpec:
             raise UsageError("trials must be >= 1")
         if not _is_int(self.seed) or self.seed < 0:
             raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("n", "d", "trials", "seed"):  # plain ints: a report writes them as JSON
+        for name in ("n", "d", "trials", "seed"):  # plain ints, whatever integer type came in
             object.__setattr__(self, name, int(getattr(self, name)))
 
 
@@ -128,20 +128,6 @@ class TrialOutcome:
     success: bool
     query_time_s: float
 
-    def as_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "trial": self.trial,
-            "returned_id": self.returned_id,
-            "returned_distance": self.returned_distance,
-            "exact_id": self.exact_id,
-            "exact_distance": self.exact_distance,
-            "ratio": None if math.isinf(self.ratio) else self.ratio,
-            "success": self.success,
-        }
-        if include_timing:
-            out["query_time_s"] = self.query_time_s
-        return out
-
 
 @dataclass
 class TrialReport:
@@ -155,49 +141,21 @@ class TrialReport:
     build_error: Exception | None = None  # what the builder raised
     space: object = None  # SpaceReport when the index provides one
 
-    def as_dict(self, include_timing: bool = True) -> dict:
-        error = self.build_error
-        out = {
-            "spec": {
-                "n": self.spec.n,
-                "d": self.spec.d,
-                "p": self.spec.p,
-                "r": self.spec.r,
-                "distribution": self.spec.distribution,
-                "rho": self.spec.rho,
-                "trials": self.spec.trials,
-                "seed": self.spec.seed,
-            },
-            "c_target": self.c_target,
-            "success_rate": self.success_rate,
-            "ratio_quantiles": dict(self.ratio_quantiles),
-            "build_error": None if error is None else f"{type(error).__name__}: {error}",
-            "outcomes": [o.as_dict(include_timing) for o in self.outcomes],
-        }
-        if self.space is not None:
-            out["space"] = self.space.as_dict()
-        if include_timing:
-            out["mean_query_time_s"] = self.mean_query_time_s
-            out["build_time_s"] = self.build_time_s
-        return out
-
 
 def _normalize_result(res):
     if res is None:
         return None
     if hasattr(res, "id"):
         return int(res.id)
-    if isinstance(res, tuple):
-        return int(res[0])
-    return int(res)
+    return int(res[0])
 
 
 def run_trials(builder, spec: TrialSpec, c_target: float) -> TrialReport:
     """Build once on a planted dataset, run ``spec.trials`` fresh planted
     queries against it, and aggregate.
 
-    ``builder(dataset, seed)`` must return an object with ``query(q)``
-    (or be directly callable) yielding an id-bearing answer or None; an
+    ``builder(dataset, seed)`` must return an object whose ``query(q)``
+    yields an answer with an ``id``, an (id, ...) tuple, or None; an
     optional ``space_report`` attribute is propagated. Build failures are
     recorded and every trial counts as a non-success. Returned distances
     are recomputed here, so a misreporting index cannot inflate its rate.
@@ -224,7 +182,7 @@ def run_trials(builder, spec: TrialSpec, c_target: float) -> TrialReport:
         rid, elapsed = None, 0.0
         if index is not None:
             t1 = time.perf_counter()
-            raw = index.query(q) if hasattr(index, "query") else index(q)
+            raw = index.query(q)
             elapsed = time.perf_counter() - t1
             rid = _normalize_result(raw)
         exact_id, exact_dist = exact_nn(dataset, q)

@@ -551,30 +551,30 @@ def preprocess(dataset: Dataset, config: SchemeConfig) -> LpScheme:
     return LpScheme(config=config, d=dataset.d, bound=bound, root=root)
 
 
-def _climb(pset: PointSet, level: LadderLevel, q: np.ndarray, copies: int,
-           walkers: np.ndarray, x_id: np.ndarray, x_dist: np.ndarray) -> None:
-    """Take the walkers, copy numbers out of pset's ``copies``, up one
-    ladder level with a map, updating their iterates in place. One gather
-    routes them all, each routed cluster's map is applied once and its
-    child set is walked once for every walker routed there (there, the
-    set's copies are the owners), and one distance call re-verifies every
-    candidate."""
-    routes = level.cover.covering_ref[pset.ids.searchsorted(x_id)]
-    cand = np.zeros(walkers.size, dtype=np.int64)
-    has = np.zeros(walkers.size, dtype=bool)
+def _climb(pset: PointSet, level: LadderLevel, q: np.ndarray, found: np.ndarray,
+           x_id: np.ndarray, x_dist: np.ndarray) -> None:
+    """Take the walkers, the copies of pset that ``found`` marks, up one
+    ladder level with a map, updating their iterates in x_id and x_dist in
+    place. One gather routes them all, each routed cluster's map is applied
+    once, its child set is walked once with the copies routed there as its
+    live owners, and the child walk's arrays are read at those copies; one
+    distance call re-verifies every candidate."""
+    walkers = found.nonzero()[0]
+    routes = level.cover.covering_ref[pset.ids.searchsorted(x_id[walkers])]
+    cand = np.zeros(found.size, dtype=np.int64)
+    has = np.zeros(found.size, dtype=bool)
     for k in sorted(set(routes.tolist())):
-        routed = (routes == k).nonzero()[0]
+        routed = walkers[routes == k]
         reduction, center_id = level.children[k], level.cover.clusters[k].center_id
         if reduction.child is None:
             cand[routed], has[routed] = center_id, True
             continue
         img_q = mazur_map_apply(level.mazur, q - pset.vector_of(center_id))
-        sub_live = np.zeros(copies, dtype=bool)
-        sub_live[walkers[routed]] = True
+        sub_live = np.zeros(found.size, dtype=bool)
+        sub_live[routed] = True
         res = _walk(reduction.child, sub_live, img_q)
-        for w in routed:
-            if res[walkers[w]] is not None:
-                cand[w], has[w] = res[walkers[w]][0], True
+        if res is not None:
+            cand[routed], has[routed] = res[1][routed], res[0][routed]
     w = has.nonzero()[0]
     if w.size:
         d_cand = _kernels.dists_to_point(pset.vectors[pset.ids.searchsorted(cand[w])], q, pset.t)
@@ -583,56 +583,63 @@ def _climb(pset: PointSet, level: LadderLevel, q: np.ndarray, copies: int,
         x_id[w], x_dist[w] = cand[w], d_cand[better]
 
 
-def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> list:
-    """Per owner of a point set, (id, distance in the set's norm, trace) of
-    the first of its copies, in copy order, at the least distance, or None;
-    ``live`` marks the owners to answer.
+def _walk(pset: PointSet, live: np.ndarray, q: np.ndarray) -> tuple | None:
+    """The group contract over the owners of a point set, ``live`` marking
+    those to answer: (found, ids, dists, traces) arrays over the owners, or
+    None where no live owner is answered. An owner's answer is the id and
+    distance, in the set's norm, of the first of its copies, in copy
+    order, at the least distance; its column of the int64 (levels + 1,
+    owners) array traces holds that copy's iterate before the set's ladder
+    and after each level of it.
 
     A scanned l2 set's one answer is every live owner's. Otherwise every
     copy of a live owner that its base schemes answer (an l2 leaf at
     t == 2, grids above) is a walker, and the walkers climb the set's
-    ladder, empty at t == 2, in lock-step (``_climb``). A level without a
-    map repeats the one before it (see ``LadderLevel``): the walkers pass
-    it unchanged, with no routing, mapping, lookup or distance call, and
-    each trace records its iterate again.
+    ladder, empty at t == 2, in lock-step (``_climb``): x_id and x_dist
+    hold every copy's iterate, at distance inf where a copy is not a
+    walker, and each level stores x_id as one row of the traces. A level
+    without a map repeats the one before it (see ``LadderLevel``): the
+    walkers pass it unchanged, with no routing, mapping, lookup or
+    distance call, and its row repeats the one before.
 
     q is already checked, so the lookups are the group queries' unchecked
     cores.
     """
     if isinstance(pset.group, L2Scan):
         hit = query_l2_scan(pset.group, q)
-        return [(*hit, [hit[0]]) if on and hit else None for on in live.tolist()]
+        if hit is None:
+            return None
+        ids = np.full(live.size, hit[0])
+        return live.copy(), ids, np.full(live.size, hit[1]), ids[None]
     per = pset.nodes * pset.node_copies
     lookup = query_l2_ann if pset.t == 2.0 else query_coarse_ann
     starts = lookup(pset.group, q, np.repeat(live, per))
     if starts is None:
-        return [None] * live.size
+        return None
     found, x_id, x_dist = starts
-    walkers = found.nonzero()[0]
-    x_id, x_dist = x_id[walkers], x_dist[walkers]
-    traces = [[x] for x in x_id.tolist()]
-    for level in pset.ladder:
+    x_dist = np.where(found, x_dist, np.inf)
+    traces = np.empty((len(pset.ladder) + 1, found.size), dtype=np.int64)
+    traces[0] = x_id
+    for j, level in enumerate(pset.ladder, start=1):
         if level.mazur is not None:
-            _climb(pset, level, q, found.size, walkers, x_id, x_dist)
-        for trace, x in zip(traces, x_id.tolist()):
-            trace.append(x)
-    best = [None] * live.size
-    for w, i in enumerate(walkers):
-        o = i // per
-        if best[o] is None or x_dist[w] < best[o][1]:
-            best[o] = (int(x_id[w]), float(x_dist[w]), traces[w])
-    return best
+            _climb(pset, level, q, found, x_id, x_dist)
+        traces[j] = x_id
+    first = np.arange(live.size) * per
+    pick = first + x_dist.reshape(live.size, per).argmin(axis=1)
+    # an owner whose walkers all lie at distance inf keeps the first of them
+    pick = np.where(found[pick], pick, first + found.reshape(live.size, per).argmax(axis=1))
+    return found[pick], x_id[pick], x_dist[pick], traces[:, pick]
 
 
 def query(scheme: LpScheme, q) -> QueryAnswer | None:
     """Answer a near-neighbor query; distance is reported in the original lp."""
     q = check_query(q, scheme.d)
-    res = _walk(scheme.root, np.ones(1, dtype=bool), q)[0]
+    res = _walk(scheme.root, np.ones(1, dtype=bool), q)
     if res is None:
         return None
-    pid, _, trace = res
+    pid = int(res[1][0])
     true_dist = float(_kernels.dists_to_point(scheme.root.vector_of(pid), q, scheme.p)[0])
-    return QueryAnswer(id=int(pid), distance=true_dist, trace=trace)
+    return QueryAnswer(id=pid, distance=true_dist, trace=res[3][:, 0].tolist())
 
 
 # ---------------------------------------------------------------------------

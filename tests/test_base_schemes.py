@@ -609,6 +609,15 @@ def test_to_cell_index_matches_a_full_clip(values):
     assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
 
 
+def test_to_cell_index_keys_nan_as_zero():
+    # NaN, an l2 key whose product summed +inf and -inf terms, gets key 0
+    # instead of the platform's cast of NaN; the rest clip as always
+    top = int(np.float64(9.2e18))
+    values = np.array([[np.nan, -np.inf, 1.5], [np.inf, -np.nan, -2.5e19]])
+    assert _to_cell_index(values).tolist() == [[0, -top, 1], [top, 0, -top]]
+    assert _to_cell_index(np.array([np.nan, 2.5])).tolist() == [0, 2]
+
+
 def test_grid_group_holds_one_grid_of_cells_at_a_time():
     # every point has a cell of its own in every grid, so all the grids'
     # cells would take 86 grids' worth, 8.8 MB; the build holds one

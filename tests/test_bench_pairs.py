@@ -133,3 +133,39 @@ def test_pairs_and_builds_record_each_sides_source_lines(tmp_path, monkeypatch, 
     expected = {"parent": 3, "change": 2}
     assert bench_pairs.pairs(args)["source_lines"] == expected
     assert bench_pairs.builds(args)["source_lines"] == expected
+
+
+def _build_row(side, digest="abc", rss=90.0, query_ms=None):
+    row = {"side": side, "build_s": 1.0, "peak_rss_mb_before": 40.0, "peak_rss_mb": rss,
+           "digest": digest}
+    if query_ms is not None:
+        row.update(query_ms=query_ms, peak_rss_mb_queries=rss + 1.0)
+    return row
+
+
+def test_builds_verdicts_on_digests_and_peak_rss():
+    rows = [_build_row("parent", rss=r) for r in (90.0, 90.3, 90.1)]
+    rows += [_build_row("change", rss=r) for r in (90.6, 90.7, 99.0)]
+    verdicts = bench_pairs.summarize(rows)["verdicts"]
+    # the change's median, 90.7, is 0.4 MB above the parent's largest run,
+    # within the tolerance; its one run at 99.0 does not count
+    assert verdicts["same_digest"] and not verdicts["rss_worse"]
+    assert verdicts["rss_over_mb"] == pytest.approx(0.4)
+    assert "query_ms_ratio" not in verdicts
+    rows[4]["peak_rss_mb"] = 90.9
+    assert bench_pairs.summarize(rows)["verdicts"]["rss_worse"]
+    # a digest that differs, on either side, or two on one side, is not equal
+    for at in (0, 3):
+        other = [dict(r) for r in rows]
+        other[at]["digest"] = "abd"
+        assert not bench_pairs.summarize(other)["verdicts"]["same_digest"]
+
+
+def test_builds_verdicts_need_both_sides_and_time_depth2_queries():
+    rows = [_build_row("parent", query_ms=[2.0, 4.0]), _build_row("parent", query_ms=[2.0, 6.0]),
+            _build_row("change", query_ms=[1.0, 2.0]), {"side": "change", "error": ["boom"]}]
+    summary = bench_pairs.summarize(rows)
+    # per query the median over runs, then their median: 3.5 ms and 1.5 ms
+    assert summary["parent"]["query_ms_median"] == 3.5
+    assert summary["verdicts"]["query_ms_ratio"] == pytest.approx(1.5 / 3.5)
+    assert "verdicts" not in bench_pairs.summarize(rows[:2])

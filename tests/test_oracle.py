@@ -1,4 +1,4 @@
-import json
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +17,7 @@ from lpann import (
     run_trials,
 )
 from lpann.cli import make_scheme_builder
-from lpann.oracle import _planted_query
+from lpann.oracle import TrialOutcome, _planted_query
 
 
 def test_exact_nn_single_point():
@@ -109,8 +109,7 @@ def test_trial_spec_needs_integer_sizes(field, value):
 def test_trial_spec_keeps_numpy_integer_sizes_as_ints():
     spec = TrialSpec(n=np.int64(10), d=np.int64(4), p=4.0, r=1.0, trials=np.int64(3), seed=2)
     assert all(type(v) is int for v in (spec.n, spec.d, spec.trials))
-    report = run_trials(make_scheme_builder(4.0, 1.0, 1.0), spec, c_target=10.0)
-    json.dumps(report.as_dict())
+    run_trials(make_scheme_builder(4.0, 1.0, 1.0), spec, c_target=10.0)
 
 
 def test_run_trials_single_point():
@@ -161,7 +160,13 @@ def test_run_trials_deterministic():
     builder = make_scheme_builder(4.0, 1.0, 1.0)
     a = run_trials(builder, spec, c_target=300.0)
     b = run_trials(builder, spec, c_target=300.0)
-    assert a.as_dict(include_timing=False) == b.as_dict(include_timing=False)
+    untimed = [f.name for f in dataclasses.fields(TrialOutcome) if f.name != "query_time_s"]
+    assert len(a.outcomes) == len(b.outcomes) == spec.trials
+    for x, y in zip(a.outcomes, b.outcomes):
+        assert [getattr(x, name) for name in untimed] == [getattr(y, name) for name in untimed]
+    assert (a.spec, a.c_target, a.success_rate, a.ratio_quantiles, a.build_error) == (
+        b.spec, b.c_target, b.success_rate, b.ratio_quantiles, b.build_error)
+    assert a.space.as_dict() == b.space.as_dict()
 
 
 def test_fit_scaling_exact_slopes():

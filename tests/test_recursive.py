@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from lpann import (
     query_l2_ann,
 )
 from lpann import recursive
-from lpann.base_schemes import CoarseGroup, L2Scan, query_l2_scan
+from lpann.base_schemes import CoarseGroup, L2Group, L2Scan, query_l2_scan
 from lpann.cover import Cluster
 from lpann.cli import make_scheme_builder
 from lpann.geometry import mazur_map_apply
@@ -631,3 +632,17 @@ def test_nns_ratio_contract():
         if got <= c_p * (1.0 + slack) * exact:
             good += 1
     assert good / queries >= 2.0 / 3.0
+
+
+def test_an_astronomically_scaled_l2_root_keys_its_points_without_warnings():
+    # at d = 4 the root is an l2 set past its row bound, so it holds LSH
+    # leaves; at coordinates of +-1.7e308 a key's matrix product overflows,
+    # and sums +inf and -inf terms to NaN, which must be keyed without a
+    # RuntimeWarning and as the same key on every platform
+    x = np.clip(np.random.default_rng(0).standard_normal((1000, 4)), -1, 1) * 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scheme = preprocess(Dataset(x, 4.0), SchemeConfig(p=4.0, r=1.0))
+        assert isinstance(scheme.root.group, L2Group)
+        answer = query(scheme, x[3])
+    assert (answer.id, answer.distance) == (3, 0.0)

@@ -17,6 +17,8 @@ reference does not pass it as the walk does: it walks the last built
 level's child set again and re-verifies the result.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,18 @@ class _Reference:
         dist = float(_kernels.dists_to_point(
             scheme.root.vector_of(res[0]).reshape(1, -1), q, scheme.p)[0])
         return (int(res[0]), float.hex(dist), [int(x) for x in res[2]]), splits
+
+
+def _per_owner(walked, owners: int) -> list:
+    """``recursive._walk``'s arrays over the owners as the reference's list:
+    per owner, (id, distance, trace) where it is found, else None."""
+    if walked is None:
+        return [None] * owners
+    found, ids, dists, traces = walked
+    assert found.shape == ids.shape == dists.shape == (owners,)
+    assert traces.dtype == np.int64 and traces.shape[1] == owners
+    return [(int(i), float(x), t.tolist()) if f else None
+            for f, i, x, t in zip(found.tolist(), ids, dists, traces.T)]
 
 
 def _answer(scheme, q):
@@ -248,8 +262,8 @@ def test_walk_answers_each_owner_of_a_shared_set(seed):
             expected = [reference.query_nodes(pset, o, q) for o in range(owners)]
             answered += sum(e is not None for e in expected)
             for live in (np.ones(owners, dtype=bool), *np.eye(owners, dtype=bool)):
-                assert recursive._walk(pset, live, q) == [e if on else None
-                                                          for e, on in zip(expected, live)]
+                assert _per_owner(recursive._walk(pset, live, q), owners) == [
+                    e if on else None for e, on in zip(expected, live)]
         assert answered
         with_lsh_leaves(pset, owners)
 
@@ -321,6 +335,31 @@ def test_walk_keeps_the_first_of_tied_copies(seed, monkeypatch):
         expected = [reference.query_nodes(pset, o, origin) for o in range(owners)]
         assert expected == [(x, 1.0, [x]) for x in firsts]
         for live in (np.ones(owners, dtype=bool), *np.eye(owners, dtype=bool)):
-            assert recursive._walk(pset, live, origin) == [e if on else None
-                                                          for e, on in zip(expected, live)]
+            assert _per_owner(recursive._walk(pset, live, origin), owners) == [
+                e if on else None for e, on in zip(expected, live)]
         with_lsh_leaves(pset, owners)
+
+
+def test_an_owner_whose_walkers_lie_at_inf_keeps_the_first_walker():
+    # at delta = 0.1 a d = 32 root keeps no ladder level, and at r = 1.3e306
+    # its grid cells (side 4 d r) are finite while c0 r is inf, so a grid
+    # answers with a point in q's cell at any distance, inf included. Point
+    # 1 at the origin lies at distance inf from a query 0.9 cell sides off
+    # it in 3 coordinates, and point 0 farther; an owner whose first copy
+    # does not answer keeps its first answering copy, not its first copy
+    d = 32
+    data = np.zeros((2, d))
+    data[0] = -1.7e308
+    scheme = preprocess(Dataset(data, 4.0), SchemeConfig(p=4.0, r=1.3e306, delta=0.1))
+    assert not scheme.root.ladder
+    side, skipped = scheme.root.group.cell_side, 0
+    for coords in itertools.islice(itertools.combinations(range(d), 3), 400):
+        q = np.zeros(d)
+        q[list(coords)] = 0.9 * side
+        starts = base_schemes.query_coarse_ann(scheme.root.group, q)
+        if starts is None:
+            assert query(scheme, q) is None
+            continue
+        assert _answer(scheme, q) == (1, float.hex(np.inf), [1])
+        skipped += not starts[0][0]
+    assert skipped

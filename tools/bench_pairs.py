@@ -17,8 +17,11 @@ ties and a verdict. Per workload and side it also gives ``query_vs_scan``.
 process a build, the two sides alternating, each process capped by an
 address-space limit of ``LIMIT_MB`` (as ``ulimit -v``) and one BLAS
 thread. It records the build time, the process's peak RSS and the index
-digest. An instance is d = 32, p = 4, r = 1, seed 1: "gauss" is N(0, 1) in
-every coordinate, and "line" N(0, 0.2^2) plus U(0, 3n) on coordinate 0.
+digest, and per instance gives verdicts (``summarize``): one equal digest
+on both sides, the change's peak RSS against the parent's largest, and
+for depth2 the ratio of the two sides' median query times. An instance
+is d = 32, p = 4, r = 1, seed 1: "gauss" is N(0, 1) in every
+coordinate, and "line" N(0, 0.2^2) plus U(0, 3n) on coordinate 0.
 "depth2" is the depth-2 instance of tests/test_depth2.py (12 points at
 d = 4096, p = 8, r = 1, seed 5) at the default copy counts; its process
 also times each of the instance's six queries and reads the peak RSS after
@@ -43,6 +46,10 @@ MB = 2**20
 PAIRS = 10  # the change wins at least 9 of them for a gain to be met
 RUNS = 3  # fresh-process builds of each instance per side
 LIMIT_MB = 2000  # address-space cap on every build process
+# peak RSS the change may read above the parent's largest run: fresh
+# processes of one checkout differ by up to 0.36 MB on line:16000 through
+# heap layout alone
+RSS_TOLERANCE_MB = 0.5
 
 
 def quartiles(values: list) -> tuple:
@@ -262,24 +269,47 @@ def builds(args) -> dict:
                 row = dict(side=side, **_fresh_build(sides[side], kind, int(n)))
                 rows.append(row)
                 print(spec, json.dumps(row), flush=True)
-        summary = {}
-        for side in sides:
-            mine = [r for r in rows if r["side"] == side and "error" not in r]
-            if mine:
-                summary[side] = {
-                    "build_s_median": statistics.median(r["build_s"] for r in mine),
-                    "peak_rss_mb_median": statistics.median(r["peak_rss_mb"] for r in mine),
-                    "digests": sorted({r["digest"] for r in mine})}
-                if "query_ms" in mine[0]:
-                    # per query, the median over the runs; then their median
-                    per_query = [statistics.median(q) for q in zip(*(r["query_ms"] for r in mine))]
-                    summary[side].update(
-                        query_ms_medians=per_query,
-                        query_ms_median=statistics.median(per_query),
-                        peak_rss_mb_queries_median=statistics.median(
-                            r["peak_rss_mb_queries"] for r in mine))
-        out["instances"][spec] = {"summary": summary, "runs": rows}
+        out["instances"][spec] = {"summary": summarize(rows), "runs": rows}
     return out
+
+
+def summarize(rows: list) -> dict:
+    """Per side, the medians of one instance's ``builds`` rows (those
+    without an error), and where both sides built, the verdicts:
+
+      * ``same_digest``: both sides built one digest, the same;
+      * ``rss_over_mb``: the change's median peak RSS less the parent's
+        largest, and ``rss_worse``, whether that exceeds ``RSS_TOLERANCE_MB``;
+      * ``query_ms_ratio``, for an instance with queries: the change's
+        median query time over the parent's.
+    """
+    summary = {}
+    for side in ("parent", "change"):
+        mine = [r for r in rows if r["side"] == side and "error" not in r]
+        if mine:
+            summary[side] = {
+                "build_s_median": statistics.median(r["build_s"] for r in mine),
+                "peak_rss_mb_median": statistics.median(r["peak_rss_mb"] for r in mine),
+                "peak_rss_mb_max": max(r["peak_rss_mb"] for r in mine),
+                "digests": sorted({r["digest"] for r in mine})}
+            if "query_ms" in mine[0]:
+                # per query, the median over the runs; then their median
+                per_query = [statistics.median(q) for q in zip(*(r["query_ms"] for r in mine))]
+                summary[side].update(
+                    query_ms_medians=per_query,
+                    query_ms_median=statistics.median(per_query),
+                    peak_rss_mb_queries_median=statistics.median(
+                        r["peak_rss_mb_queries"] for r in mine))
+    if len(summary) == 2:
+        parent, change = summary["parent"], summary["change"]
+        over = change["peak_rss_mb_median"] - parent["peak_rss_mb_max"]
+        verdicts = {"same_digest": len(parent["digests"]) == 1
+                    and parent["digests"] == change["digests"],
+                    "rss_over_mb": over, "rss_worse": over > RSS_TOLERANCE_MB}
+        if "query_ms_median" in parent:
+            verdicts["query_ms_ratio"] = change["query_ms_median"] / parent["query_ms_median"]
+        summary["verdicts"] = verdicts
+    return summary
 
 
 def main(argv=None) -> int:
