@@ -756,17 +756,15 @@ def _query_coarse(group: CoarseGroup, q: np.ndarray, live=None):
     multipliers, summed as differences of one uint64 cumulative sum: mod
     2**64 the order of a sum changes no bit, so it is q's full key's in
     every grid where q's cells are the box's where q leaves it
-    (``_inside``), and no other grid can match. So a representative is
-    measured once one of its matched grids is inside: one grid of each is
-    checked, then the other grids of those whose checked grid is outside,
-    and the grids found outside are dropped; no grid is checked twice. A
-    query outside the box in every coordinate takes the same path.
+    (``_inside``), and no other grid can match. Every distinct
+    representative of the matched grids is measured with one distance call.
 
     Each copy answers with its match least in (distance, scheme, row,
     grid), by argmin over (copies, grids per copy) of one rank per grid,
     once the representative's cell, recomputed with q's in one ``_cells``
-    call for all copies, is q's; else with its next. The first failed pick
-    checks every pending grid not yet checked at once.
+    call for all copies, is q's; else with its next. Where q leaves the
+    box, the first failed pick drops every pending grid that q leaves, with
+    one ``_inside`` call; a later failure is a fingerprint collision.
     """
     box, shifts, side, m = group.box, group.shifts, group.cell_side, len(group.vectors)
     copy_grids = len(shifts) // group.copies
@@ -780,34 +778,13 @@ def _query_coarse(group: CoarseGroup, q: np.ndarray, live=None):
         return None
     # a cell's representative is its lowest local index, its one member
     cand, inv = _distinct(group.table.members[buckets[found]], m)
-    out = ((q < box.low) | (q > box.high)).nonzero()[0]
-    unchecked = np.zeros(on.size, dtype=bool)
-    if out.size:
-        # one matched grid of each representative, then the other grids of
-        # the representatives whose checked grid is outside, which is dropped
-        some = np.empty(cand.size, dtype=np.intp)
-        some[inv] = np.arange(on.size)
-        seen = _inside(group, q, out, on[some])
-        checked, keep = some[inv] == np.arange(on.size), seen[inv]
-        unchecked = keep & ~checked
-        rest = (~keep & ~checked).nonzero()[0]
-        if rest.size:
-            inside = _inside(group, q, out, on[rest])
-            seen[inv[rest[inside]]] = True
-            keep[rest[inside]] = True
-        if not keep.all():
-            on, inv, unchecked = on[keep], inv[keep], unchecked[keep]
-        if not seen.all():
-            cand, inv = cand[seen], (np.cumsum(seen) - 1)[inv]
-        if not on.size:
-            return None
     dists = _kernels.dists_to_point(group.vectors[cand], q, group.p)
     ok = (dists[inv] <= group.c0 * group.r).nonzero()[0]
     grid, c = on[ok], inv[ok]
     rank = np.full(len(shifts), NO_RANK, dtype=np.int64)
     rank[grid] = (np.sort(dists).searchsorted(dists)[c] * (copy_grids // group.grids)
                   + grid % copy_grids // group.grids) * cand.size + c
-    unsure = grid[unchecked[ok]]  # pending grids where q may leave the box's cells
+    out = ((q < box.low) | (q > box.high)).nonzero()[0]
     flat, rank = rank, rank.reshape(group.copies, copy_grids)
     answered = np.zeros(group.copies, dtype=bool)
     ids, start_dists = np.zeros(group.copies, dtype=np.int64), np.zeros(group.copies)
@@ -824,8 +801,8 @@ def _query_coarse(group: CoarseGroup, q: np.ndarray, live=None):
         answered[won], ids[won], start_dists[won] = True, group.ids[cand[c[sure]]], dists[c[sure]]
         rank[won] = NO_RANK
         flat[picks[~sure]] = NO_RANK
-        if unsure.size and not sure.all():  # check them at once, not pick by pick
-            unsure = unsure[flat[unsure] < NO_RANK]
-            flat[unsure[~_inside(group, q, out, unsure)]] = NO_RANK
-            unsure = unsure[:0]
+        if out.size and not sure.all():  # drop every pending grid q leaves, at once
+            pending = grid[flat[grid] < NO_RANK]
+            flat[pending[~_inside(group, q, out, pending)]] = NO_RANK
+            out = out[:0]
     return (answered, ids, start_dists) if answered.any() else None

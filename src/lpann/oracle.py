@@ -138,7 +138,6 @@ class TrialReport:
     ratio_quantiles: dict
     mean_query_time_s: float
     build_time_s: float
-    build_error: Exception | None = None  # what the builder raised
     space: object = None  # SpaceReport when the index provides one
 
 
@@ -156,19 +155,15 @@ def run_trials(builder, spec: TrialSpec, c_target: float) -> TrialReport:
 
     ``builder(dataset, seed)`` must return an object whose ``query(q)``
     yields an answer with an ``id``, an (id, ...) tuple, or None; an
-    optional ``space_report`` attribute is propagated. Build failures are
-    recorded and every trial counts as a non-success. Returned distances
-    are recomputed here, so a misreporting index cannot inflate its rate.
+    optional ``space_report`` attribute is propagated. What the builder
+    raises propagates. Returned distances are recomputed here, so a
+    misreporting index cannot inflate its rate.
     """
     dataset, first_query, planted_id = make_planted_instance(spec)
     build_seed = _int_seed(spec.seed, (TAG_BUILD,))
 
     t0 = time.perf_counter()
-    index, build_error = None, None
-    try:
-        index = builder(dataset, build_seed)
-    except Exception as exc:  # noqa: BLE001 - recorded, counted as failure
-        build_error = exc
+    index = builder(dataset, build_seed)
     build_time = time.perf_counter() - t0
 
     planted_vec = dataset.vectors[planted_id]
@@ -179,12 +174,10 @@ def run_trials(builder, spec: TrialSpec, c_target: float) -> TrialReport:
 
     def one_trial(t: int) -> TrialOutcome:
         q = queries[t]
-        rid, elapsed = None, 0.0
-        if index is not None:
-            t1 = time.perf_counter()
-            raw = index.query(q)
-            elapsed = time.perf_counter() - t1
-            rid = _normalize_result(raw)
+        t1 = time.perf_counter()
+        raw = index.query(q)
+        elapsed = time.perf_counter() - t1
+        rid = _normalize_result(raw)
         exact_id, exact_dist = exact_nn(dataset, q)
         rdist = None
         if rid is not None:
@@ -229,7 +222,6 @@ def run_trials(builder, spec: TrialSpec, c_target: float) -> TrialReport:
         ratio_quantiles=quantiles,
         mean_query_time_s=float(np.mean([o.query_time_s for o in outcomes])),
         build_time_s=build_time,
-        build_error=build_error,
         space=getattr(index, "space_report", None),
     )
 

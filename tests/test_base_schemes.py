@@ -1012,6 +1012,22 @@ def _coarse_reference(scheme, x, q):
     return best
 
 
+def _box_key_reps(group: CoarseGroup, q, live=None) -> dict:
+    """{grid: representative} of the cells a box lookup finds: in each grid
+    of a live copy, the cell keyed by q's cells where a cell boundary cuts
+    the points' box and by the box's cells elsewhere, where a point has it."""
+    x, shifts, side = group.vectors, group.shifts, group.cell_side
+    keys = np.where(_varying(x, shifts, side), _cells(q, shifts, side),
+                    _cells(x.min(axis=0), shifts, side))
+    alive = np.ones(group.copies, dtype=bool) if live is None else np.asarray(live, dtype=bool)
+    reps = {}
+    for g in np.repeat(alive, len(shifts) // group.copies).nonzero()[0]:
+        same = (_cells(x, shifts[g], side) == keys[g]).all(axis=1).nonzero()[0]
+        if same.size:
+            reps[int(g)] = int(same[0])
+    return reps
+
+
 @settings(max_examples=400, deadline=None)
 @given(_coarse_case())
 def test_coarse_group_matches_per_scheme_loops(case):
@@ -1040,12 +1056,11 @@ def test_coarse_group_matches_per_scheme_loops(case):
     answer = per_copy(query_coarse_ann(group, q), len(copies))
     assert answer == (None if expected == [None] * len(copies) else expected)
     # a left-out copy answers None, and only the live copies' distinct
-    # representatives are measured
+    # representatives of their box keys' cells are measured
     expected = [start if alive else None for start, alive in zip(expected, live)]
     answer, rows, _ = _rows_measured(query_coarse_ann, group, q, live)
     assert per_copy(answer, len(copies)) == (None if expected == [None] * len(copies) else expected)
-    assert rows == len(set().union(*(
-        _coarse_reps(scheme, x, q) for base, alive in zip(copies, live) if alive for scheme in base)))
+    assert rows == len(set(_box_key_reps(group, q, live).values()))
 
 
 def _reference_bucket_table(tables, width, cap, keep_keys=True):
@@ -1338,59 +1353,68 @@ def _box_query_case(draw):
     return group, q, draw(st.lists(st.booleans(), min_size=copies, max_size=copies))
 
 
+def _equal_rows(vectors, mat) -> list:
+    """The rows of vectors equal to some row of mat."""
+    return np.flatnonzero((vectors == mat[:, None]).all(axis=2).any(axis=0)).tolist()
+
+
 @settings(max_examples=400, deadline=None)
 @given(_box_query_case())
 def test_box_lookup_matches_the_dense_lookup(case):
     # the box lookup gives every copy's found flag, id and distance bits of
-    # the dense lookup, with all copies live and under the drawn mask, and
-    # measures the same rows; it checks no grid against the box twice
+    # the dense lookup, with all copies live and under the drawn mask; it
+    # measures the representatives of its box keys' cells, and checks
+    # grids against the box at most once, after a pick whose grid q leaves
     group, q, live = case
+    x, shifts, side = group.vectors, group.shifts, group.cell_side
     for mask in (None, live):
-        answers, rows = [], []
-        for lookup in (query_coarse_ann, _dense_query):
-            measured, real = [], _kernels.dists_to_point
+        measured, real = [], _kernels.dists_to_point
 
-            def measuring(mat, point, p, _real=real, _measured=measured):
-                _measured.extend(np.flatnonzero((group.vectors == mat[:, None]).all(axis=2)
-                                                .any(axis=0)).tolist())
-                return _real(mat, point, p)
+        def measuring(mat, point, p, _real=real, _measured=measured):
+            _measured.extend(_equal_rows(x, mat))
+            return _real(mat, point, p)
 
-            with mock.patch.object(_kernels, "dists_to_point", measuring), \
-                    _recording_inside() as checks:
-                answers.append(lookup(group, q, mask))
-            rows.append(sorted(set(measured)))
-            checked = [g for grids in checks for g in grids]
-            assert len(checked) == len(set(checked))
-        box, dense = answers
+        with mock.patch.object(_kernels, "dists_to_point", measuring), \
+                _recording_inside() as checks:
+            box = query_coarse_ann(group, q, mask)
+        dense = _dense_query(group, q, mask)
         assert (box is None) == (dense is None)
         for a, b in zip(box or (), dense or ()):
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
-        assert rows[0] == rows[1]
+        reps = _box_key_reps(group, q, mask)
+        cand = np.array(sorted(set(reps.values())), dtype=np.intp)
+        assert sorted(set(measured)) == sorted(set(_equal_rows(x, x[cand])))
+        dist = dict(zip(cand.tolist(), _kernels.dists_to_point(x[cand], q, group.p).tolist()))
+        near = {g for g, i in reps.items() if dist[i] <= group.c0 * group.r}
+        failing = {g for g in near
+                   if (_cells(x[reps[g]], shifts[g], side) != _cells(q, shifts[g], side)).any()}
+        assert len(checks) <= 1
+        if checks:  # pending grids, once the grid of a failed pick is not
+            assert set(checks[0]) <= near and failing - set(checks[0])
 
 
 def test_a_failed_pick_drops_every_grid_outside_the_box_at_once():
     # one point, a query 0.5 past it, and three grids of side 4: in grids 0
     # and 1 the query's cell is the next one, in grid 2 the point's; the
-    # query checks one grid of the point, so its first pick may be a grid
-    # it leaves; whichever it checks, it answers from grid 2 as the dense
-    # lookup does, with no more than one check past the first
+    # pick of grid 0 fails, so one check of the pending grids 1 and 2 drops
+    # grid 1, and the query answers from grid 2 as the dense lookup does
     group = _one_scheme(np.array([7]), np.zeros((1, 1)), 4.0, 1.0,
                         np.array([[3.6], [3.8], [1.0]]))
     q = np.array([0.5])
     with _recording_inside() as checks:
         answer = query_coarse_ann(group, q)
     assert per_copy(answer, 1) == per_copy(_dense_query(group, q), 1) == [(7, 0.5)]
-    assert len(checks) == 2 and len(checks[0]) == 1
+    assert checks == [[1, 2]]
 
 
-def test_an_outside_grid_is_checked_once():
-    # the same point and query with the grids reordered: the grid checked
-    # first for the point (grid 2) is outside, so the other two are checked
-    # next, and grid 2 not again; the query answers from grid 0
+def test_a_pick_that_holds_checks_no_grid_against_the_box():
+    # the same point and query with the grids reordered: the first pick,
+    # grid 0, is the point's cell, so the query answers from it and no grid
+    # is checked against the box
     group = _one_scheme(np.array([7]), np.zeros((1, 1)), 4.0, 1.0,
                         np.array([[1.0], [3.6], [3.8]]))
     q = np.array([0.5])
     with _recording_inside() as checks:
         answer = query_coarse_ann(group, q)
     assert per_copy(answer, 1) == per_copy(_dense_query(group, q), 1) == [(7, 0.5)]
-    assert checks == [[2], [0, 1]]
+    assert checks == []

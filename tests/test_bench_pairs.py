@@ -135,11 +135,11 @@ def test_pairs_and_builds_record_each_sides_source_lines(tmp_path, monkeypatch, 
     assert bench_pairs.builds(args)["source_lines"] == expected
 
 
-def _build_row(side, digest="abc", rss=90.0, query_ms=None):
+def _build_row(side, digest="abc", rss=90.0, query_ms=None, answers="def"):
     row = {"side": side, "build_s": 1.0, "peak_rss_mb_before": 40.0, "peak_rss_mb": rss,
            "digest": digest}
     if query_ms is not None:
-        row.update(query_ms=query_ms, peak_rss_mb_queries=rss + 1.0)
+        row.update(query_ms=query_ms, answers=answers, peak_rss_mb_queries=rss + 1.0)
     return row
 
 
@@ -151,7 +151,7 @@ def test_builds_verdicts_on_digests_and_peak_rss():
     # within the tolerance; its one run at 99.0 does not count
     assert verdicts["same_digest"] and not verdicts["rss_worse"]
     assert verdicts["rss_over_mb"] == pytest.approx(0.4)
-    assert "query_ms_ratio" not in verdicts
+    assert "query_ms_ratio" not in verdicts and "same_answers" not in verdicts
     rows[4]["peak_rss_mb"] = 90.9
     assert bench_pairs.summarize(rows)["verdicts"]["rss_worse"]
     # a digest that differs, on either side, or two on one side, is not equal
@@ -169,3 +169,25 @@ def test_builds_verdicts_need_both_sides_and_time_depth2_queries():
     assert summary["parent"]["query_ms_median"] == 3.5
     assert summary["verdicts"]["query_ms_ratio"] == pytest.approx(1.5 / 3.5)
     assert "verdicts" not in bench_pairs.summarize(rows[:2])
+
+
+def test_builds_verdicts_compare_the_answers_of_depth2_queries():
+    rows = [_build_row(side, query_ms=[2.0]) for side in ("parent", "change", "change", "parent")]
+    assert bench_pairs.summarize(rows)["verdicts"]["same_answers"]
+    # answers that differ, on either side, or two on one side, are not equal
+    for at in (0, 1):
+        other = [dict(r) for r in rows]
+        other[at]["answers"] = "deg"
+        assert not bench_pairs.summarize(other)["verdicts"]["same_answers"]
+
+
+def test_answers_digest_reads_ids_distance_bits_and_traces():
+    from lpann import QueryAnswer
+
+    answers = [QueryAnswer(3, 0.5, [1, 3]), None]
+    digest = bench_pairs.answers_digest(answers)
+    assert digest == bench_pairs.answers_digest([QueryAnswer(3, 0.5, [1, 3]), None])
+    for other in ([QueryAnswer(3, float.fromhex("0x1.0000000000001p-1"), [1, 3]), None],
+                  [QueryAnswer(3, 0.5, [2, 3]), None], [QueryAnswer(4, 0.5, [1, 3]), None],
+                  [None, QueryAnswer(3, 0.5, [1, 3])], answers[:1]):
+        assert bench_pairs.answers_digest(other) != digest

@@ -254,6 +254,19 @@ def test_bench_spec_schema_violations_enumerated():
     assert "n_grid" in msg and "d" in msg and "p" in msg
 
 
+@pytest.mark.parametrize("n_grid", [[20, 20, 40], [20, 20, 40, 80]])
+def test_bench_spec_with_a_repeated_n_is_usage_error(tmp_path, capsys, n_grid):
+    # a repeated n would build that size twice and fit the slope over a
+    # repeated point, or fail the fit with too few distinct sizes
+    spec_path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec_path.write_text(json.dumps({"n_grid": n_grid, "d": 8, "p": 4.0, "r": 1.0,
+                                     "trials": 2, "seed": 7}))
+    assert run_cli(["bench", "--spec", str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bench spec violates schema:") and "n_grid: " in err
+    assert "non-unique" in err and not out.exists()
+
+
 def test_bench_small_campaign(tmp_path, capsys):
     spec = {
         "n_grid": [40, 80],

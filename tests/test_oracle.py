@@ -71,7 +71,6 @@ def test_planted_queries_keep_their_distance_where_the_direction_norm_overflows(
     # overflows to inf; dividing by it put the query on the planted point
     spec = TrialSpec(n=300, d=32, p=1000.0, r=1.0, trials=60, seed=4)
     report = run_trials(make_scheme_builder(1000.0, 1.0, 1.0), spec, c_target=1.0)
-    assert report.build_error is None
     assert not any(o.exact_distance == 0.0 for o in report.outcomes)
     dataset, q, planted = make_planted_instance(spec)
     assert lp_distance(dataset.vectors[planted], q, 1000.0) == pytest.approx(0.9, rel=1e-9)
@@ -116,7 +115,6 @@ def test_run_trials_single_point():
     spec = TrialSpec(n=1, d=8, p=4.0, r=1.0, trials=5, seed=2)
     report = run_trials(make_scheme_builder(4.0, 1.0, 1.0), spec, c_target=10.0)
     assert report.success_rate == 1.0
-    assert report.build_error is None
 
 
 class _L2Index:
@@ -145,14 +143,13 @@ def test_run_trials_ratio_sanity():
             assert o.ratio >= 1.0 - 1e-12
 
 
-def test_run_trials_build_failure_counts_as_nonsuccess():
+def test_run_trials_propagates_a_build_error():
     def broken_builder(dataset, seed):
         raise RuntimeError("nope")
 
     spec = TrialSpec(n=10, d=4, p=4.0, r=1.0, trials=4, seed=1)
-    report = run_trials(broken_builder, spec, c_target=2.0)
-    assert report.build_error is not None
-    assert report.success_rate == 0.0
+    with pytest.raises(RuntimeError, match="nope"):
+        run_trials(broken_builder, spec, c_target=2.0)
 
 
 def test_run_trials_deterministic():
@@ -164,8 +161,8 @@ def test_run_trials_deterministic():
     assert len(a.outcomes) == len(b.outcomes) == spec.trials
     for x, y in zip(a.outcomes, b.outcomes):
         assert [getattr(x, name) for name in untimed] == [getattr(y, name) for name in untimed]
-    assert (a.spec, a.c_target, a.success_rate, a.ratio_quantiles, a.build_error) == (
-        b.spec, b.c_target, b.success_rate, b.ratio_quantiles, b.build_error)
+    assert (a.spec, a.c_target, a.success_rate, a.ratio_quantiles) == (
+        b.spec, b.c_target, b.success_rate, b.ratio_quantiles)
     assert a.space.as_dict() == b.space.as_dict()
 
 

@@ -24,8 +24,8 @@ is d = 32, p = 4, r = 1, seed 1: "gauss" is N(0, 1) in every
 coordinate, and "line" N(0, 0.2^2) plus U(0, 3n) on coordinate 0.
 "depth2" is the depth-2 instance of tests/test_depth2.py (12 points at
 d = 4096, p = 8, r = 1, seed 5) at the default copy counts; its process
-also times each of the instance's six queries and reads the peak RSS after
-them.
+also times each of the instance's six queries, digests their answers
+(``answers_digest``) and reads the peak RSS after them.
 
 Both record each side's ``wc -l src/lpann/*.py`` total (``source_lines``).
 """
@@ -33,6 +33,7 @@ Both record each side's ``wc -l src/lpann/*.py`` total (``source_lines``).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -214,11 +215,21 @@ def _instance(kind: str, n: int):
     return Dataset(data, 4.0), SchemeConfig(p=4.0, r=1.0, seed=1), None
 
 
+def answers_digest(answers) -> str:
+    """sha256 over each answer's (id, ``float.hex`` of its distance,
+    trace), or None where a query has no answer: equal digests are equal
+    answers, bit for bit."""
+    h = hashlib.sha256()
+    for a in answers:
+        h.update(repr(None if a is None else (a.id, float(a.distance).hex(), a.trace)).encode())
+    return h.hexdigest()
+
+
 def build_one(kind: str, n: int) -> dict:
     """Build one instance in this process (lpann on sys.path): build time,
     peak RSS before and after the build, and the index digest; where the
-    instance has queries, each one's time in ms and the peak RSS after
-    them."""
+    instance has queries, each one's time in ms, their answers' digest and
+    the peak RSS after them."""
     from lpann import preprocess, query
     from lpann.container import index_digest
 
@@ -231,11 +242,12 @@ def build_one(kind: str, n: int) -> dict:
     out = {"build_s": build_s, "peak_rss_mb_before": before, "peak_rss_mb": peak,
            "digest": index_digest(scheme)}
     if queries is not None:
-        out["query_ms"] = []
+        out["query_ms"], answers = [], []
         for q in queries:
             start = time.perf_counter()
-            query(scheme, q)
+            answers.append(query(scheme, q))
             out["query_ms"].append(1e3 * (time.perf_counter() - start))
+        out["answers"] = answers_digest(answers)
         out["peak_rss_mb_queries"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
@@ -278,6 +290,8 @@ def summarize(rows: list) -> dict:
     without an error), and where both sides built, the verdicts:
 
       * ``same_digest``: both sides built one digest, the same;
+      * ``same_answers``, for an instance with queries: both sides gave
+        one answers digest, the same;
       * ``rss_over_mb``: the change's median peak RSS less the parent's
         largest, and ``rss_worse``, whether that exceeds ``RSS_TOLERANCE_MB``;
       * ``query_ms_ratio``, for an instance with queries: the change's
@@ -296,6 +310,7 @@ def summarize(rows: list) -> dict:
                 # per query, the median over the runs; then their median
                 per_query = [statistics.median(q) for q in zip(*(r["query_ms"] for r in mine))]
                 summary[side].update(
+                    answers=sorted({r["answers"] for r in mine}),
                     query_ms_medians=per_query,
                     query_ms_median=statistics.median(per_query),
                     peak_rss_mb_queries_median=statistics.median(
@@ -307,6 +322,8 @@ def summarize(rows: list) -> dict:
                     and parent["digests"] == change["digests"],
                     "rss_over_mb": over, "rss_worse": over > RSS_TOLERANCE_MB}
         if "query_ms_median" in parent:
+            verdicts["same_answers"] = (len(parent["answers"]) == 1
+                                        and parent["answers"] == change["answers"])
             verdicts["query_ms_ratio"] = change["query_ms_median"] / parent["query_ms_median"]
         summary["verdicts"] = verdicts
     return summary
