@@ -40,21 +40,22 @@ the box or the query leaves it. A grid query finds its cell in every grid
 with one ``searchsorted`` over the fingerprints, whose positions are the
 buckets, confirms only the matches it answers with on the full cell, and
 measures the distinct representatives, found by a scatter over the group's
-points, with one distance call. An l2 query walks the tables in order and stops early, as
-E2LSH's does, in two passes: it hashes the first table of every leaf with
-one matrix product and looks those keys up with one search, and then,
-with one more product and search, all remaining tables of the leaves
-still without a candidate within 2r. Each pass confirms its matches on
-the full key and measures its buckets in rounds, one distance call a
-round. A query answers per copy of the group: an l2 copy is one leaf, a
-grid copy a contiguous block of grid schemes. Its answer is three arrays
-over the copies, a found mask, ids and distances, or None if no copy
-answers. A mask leaves copies out: their cells are never measured, and
-their l2 tables are neither hashed nor measured. A lone scheme is a group
-of one copy. A scanned l2 set answers once per query, not per copy. The
-recursive walk calls each public query's unchecked core (``_query_l2``,
-``_query_coarse``, ``_query_scan``) with its already checked point. Both
-kinds of group build their table with one builder, ``_bucket_table``.
+points, with one distance call. An l2 query stops early, as E2LSH's does,
+in two passes: first the first table of every leaf, then all remaining
+tables of the leaves still without a candidate within 2r. Every lookup
+pass is one search and one distance call: one matrix product hashes the
+pass's tables, one search finds their buckets, confirmed on the full key,
+and one distance call measures the distinct members of all of them, of
+which each leaf keeps its first within 2r in table order. A query answers
+per copy of the group: an l2 copy is one leaf, a grid copy a contiguous
+block of grid schemes. Its answer is three arrays over the copies, a
+found mask, ids and distances, or None if no copy answers. A mask leaves
+copies out: their cells are never measured, and their l2 tables are
+neither hashed nor measured. A lone scheme is a group of one copy. A
+scanned l2 set answers once per query, not per copy. The recursive walk
+calls each public query's unchecked core (``_query_l2``, ``_query_coarse``,
+``_query_scan``) with its already checked point. Both kinds of group build
+their table with one builder, ``_bucket_table``.
 """
 
 from __future__ import annotations
@@ -522,13 +523,6 @@ def _query_scan(scan: L2Scan, q: np.ndarray):
     return (int(scan.ids[row]), dist) if dist <= 2.0 * scan.r else None
 
 
-def _query_keys(group: L2Group, tables: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The query's key in each of the stacked tables, an (len(tables), k)
-    array, from one matrix product with their projections only."""
-    return _l2_keys(group.projections[tables], group.offsets[tables], group.w,
-                    q.reshape(1, -1))[:, 0, :]
-
-
 def query_l2_ann(group: L2Group, q, live=None):
     """Each leaf's answer, as (found, ids, dists) arrays over the leaves:
     the id and l2 distance of its first scanned candidate within 2r of q,
@@ -538,14 +532,14 @@ def query_l2_ann(group: L2Group, q, live=None):
 
     The tables are hashed and looked up in two passes: first the first
     table of every live leaf, then all remaining tables of the leaves
-    still without a candidate, each pass with one matrix product
-    (``_query_keys``) and one ``_lookup``. A pass measures its matched
-    buckets in rounds: round j measures the distinct members of the j-th
-    matched bucket of every leaf still without a candidate, with one
-    distance call. So each leaf tries its matched buckets in table order
-    and keeps its first member within 2r, and no table of a left-out leaf
-    is hashed, and no bucket of one, or past a leaf's first candidate, is
-    measured.
+    still without a candidate. A pass makes one matrix product
+    (``_l2_keys``), one ``_lookup``, and one distance call over the
+    distinct members of all its matched buckets; each leaf then keeps its
+    first member within 2r, in table order and then member order. No table
+    of a left-out leaf is hashed and no bucket of one is measured, and a
+    leaf that hits in its first table has no other table hashed. Within a
+    pass, a leaf's buckets after its first candidate are measured too, at
+    most 3L rows a matched table.
     """
     return _query_l2(group, check_query(q, group.vectors.shape[1]), live)
 
@@ -556,31 +550,27 @@ def _query_l2(group: L2Group, q: np.ndarray, live=None):
     hit_row = np.zeros(group.leaves, dtype=np.intp)
     hit_dist = np.full(group.leaves, np.inf)
     pending = _live_mask(live, group.leaves)  # leaves that hit leave it
-    hit = False
     for a, b in ((0, 1), (1, big_l)):  # each live leaf's first table, then the rest
         tables = (pending.nonzero()[0][:, None] * big_l + np.arange(a, b)).reshape(-1)
         if not tables.size:
             break
-        found, buckets = _lookup(group.table, tables, _query_keys(group, tables, q))
-        leaf = tables[found] // big_l  # ascends: stacked tables are in leaf order
-        rank = np.arange(found.size) - leaf.searchsorted(leaf)
-        for j in range(rank.max() + 1 if found.size else 0):
-            sel = ((rank == j) & pending[leaf]).nonzero()[0]
-            if not sel.size:
-                break
-            lo, size = group.table.spans(buckets[sel])
-            cand = members[np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)]
-            rows, inv = _distinct(cand, m)  # leaves share candidates
-            dists = _kernels.dists_to_point(group.vectors[rows], q, 2.0)[inv]
-            ok = (dists <= 2.0 * group.r).nonzero()[0]
-            if not ok.size:
-                continue
-            hit = True
-            owner = np.repeat(sel, size)
-            first = ok[_run_starts(owner[ok])]  # ok ascends
-            won = leaf[owner[first]]
-            hit_row[won], hit_dist[won], pending[won] = cand[first], dists[first], False
-    return (hit_dist < np.inf, group.ids[hit_row], hit_dist) if hit else None
+        keys = _l2_keys(group.projections[tables], group.offsets[tables], group.w, q[None])
+        found, buckets = _lookup(group.table, tables, keys[:, 0])
+        if not found.size:
+            continue
+        lo, size = group.table.spans(buckets)
+        cand = members[np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)]
+        rows, inv = _distinct(cand, m)  # leaves share candidates
+        dists = _kernels.dists_to_point(group.vectors[rows], q, 2.0)[inv]
+        ok = (dists <= 2.0 * group.r).nonzero()[0]
+        if not ok.size:
+            continue
+        leaf = np.repeat(tables[found] // big_l, size)[ok]  # ascends: tables are in leaf order
+        first = _run_starts(leaf)
+        won, ok = leaf[first], ok[first]
+        hit_row[won], hit_dist[won], pending[won] = cand[ok], dists[ok], False
+    hit = hit_dist < np.inf
+    return (hit, group.ids[hit_row], hit_dist) if hit.any() else None
 
 
 def coarse_approximation(d: int, p: float) -> float:

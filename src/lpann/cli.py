@@ -109,12 +109,8 @@ def cmd_gen(args) -> int:
         raise UsageError("--n and --d must be >= 1")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    spec = TrialSpec(
-        n=args.n, d=args.d, p=args.p, r=1.0,
-        distribution=args.dist, rho=0.0, seed=args.seed,
-    )
     rng = np.random.default_rng(_seed(args.seed, (TAG_GEN,)))
-    vectors = sample_background(spec, args.n, rng)
+    vectors = sample_background(args.dist, args.d, args.n, rng)
     dataset = Dataset(vectors, args.p)
     atomic_write(args.out, [format_dataset_file(dataset).encode("utf-8")])
     print(f"wrote {args.n} x {args.d} dataset (p={args.p}) to {args.out}")

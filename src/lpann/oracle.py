@@ -77,16 +77,17 @@ def exact_nn(dataset: Dataset, q) -> tuple[int, float]:
     return int(winners.min()), float(best)
 
 
-def sample_background(spec: TrialSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    if spec.distribution == "gaussian":
-        return rng.standard_normal((count, spec.d))
-    if spec.distribution == "uniform-cube":
-        return rng.random((count, spec.d))
-    spacing = CLUSTERED_SPACING * math.sqrt(spec.d)
-    centers = np.zeros((CLUSTERED_BLOBS, spec.d))
+def sample_background(distribution: str, d: int, count: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    if distribution == "gaussian":
+        return rng.standard_normal((count, d))
+    if distribution == "uniform-cube":
+        return rng.random((count, d))
+    spacing = CLUSTERED_SPACING * math.sqrt(d)
+    centers = np.zeros((CLUSTERED_BLOBS, d))
     centers[:, 0] = spacing * np.arange(CLUSTERED_BLOBS)
     assign = rng.integers(0, CLUSTERED_BLOBS, size=count)
-    return centers[assign] + rng.standard_normal((count, spec.d))
+    return centers[assign] + rng.standard_normal((count, d))
 
 
 def _lp_norm(g: np.ndarray, p: float) -> float:
@@ -110,7 +111,7 @@ def make_planted_instance(spec: TrialSpec) -> tuple[Dataset, np.ndarray, int]:
     Guarantees d(q, X) <= rho <= r; the planted point carries the highest id.
     """
     rng = np.random.default_rng(_seed(spec.seed, (TAG_GEN,)))
-    points = sample_background(spec, spec.n, rng)
+    points = sample_background(spec.distribution, spec.d, spec.n, rng)
     dataset = Dataset(points, spec.p)
     planted_id = spec.n - 1
     q = _planted_query(points[planted_id], spec.rho, spec.p, rng)

@@ -766,7 +766,9 @@ def nns_search(
     when the query is farther than that), finds the smallest radius whose
     query succeeds, and returns its answer. Overall approximation is
     c_p * (1 + c_slack). Pass ``cache`` (any dict) to reuse built schemes
-    across calls.
+    across calls on one dataset object with one c_slack, delta and seed: the
+    call that fills it records them, and a later call with others raises
+    UsageError.
     """
     if dataset.n == 0:
         raise UsageError("cannot search an empty dataset")
@@ -782,6 +784,10 @@ def nns_search(
 
     if cache is None:
         cache = {}
+    params = (c_slack, delta, seed)
+    if cache.get("dataset", dataset) is not dataset or cache.get("params", params) != params:
+        raise UsageError("nns_search: this cache was filled for another dataset, c_slack, "
+                         "delta or seed")
     if "radii" not in cache:
         min_nz, diam = _pairwise_extremes(dataset)
         if not math.isfinite(min_nz):  # all points coincide
@@ -790,8 +796,7 @@ def nns_search(
         _check_rungs(radii[0], diam, c_slack)
         while radii[-1] < diam:
             radii.append(radii[-1] * (1.0 + c_slack))
-        cache["radii"] = radii
-        cache["schemes"] = {}
+        cache.update(radii=radii, schemes={}, dataset=dataset, params=params)
 
     radii = cache["radii"]
     anchor = float(_kernels.dists_to_point(dataset.vectors[:1], q, p)[0])

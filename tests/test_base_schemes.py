@@ -872,13 +872,16 @@ def _l2_case(draw):
 def _l2_reference(leaves, x, q):
     """Per leaf (a group of one leaf): the first candidate within 2r in
     table order, then member order, among at most 3L members of each bucket
-    of its L tables, and the (table, candidates) of each bucket it
-    searched, in order."""
+    of its L tables, and the (table, candidates) of each bucket a two-pass
+    lookup measures, in order: its first table's, and, where no candidate
+    lies there, those of all its other tables."""
     per_leaf, searched = [], []
     for leaf in leaves:
         hit, buckets = None, []
         assert leaf.leaves == 1 and leaf.w == 4.0 * leaf.r
         for t, (proj, offset) in enumerate(zip(leaf.projections, leaf.offsets)):
+            if t == 1 and hit is not None:
+                break
             key = np.floor((proj @ q + offset) / leaf.w)
             bucket = [i for i in range(len(x))
                       if (np.floor((proj @ x[i] + offset) / leaf.w) == key).all()]
@@ -888,30 +891,21 @@ def _l2_reference(leaves, x, q):
             buckets.append((t, cand))
             hits = [(i, lp_distance(x[i], q, 2.0)) for i in cand]
             hits = [h for h in hits if h[1] <= 2.0 * leaf.r]
-            if hits:
+            if hits and hit is None:
                 hit = hits[0]
-                break
         per_leaf.append(hit)
         searched.append(buckets)
     return per_leaf, searched
 
 
-def _rounds(passes) -> int:
-    """Rows measured when round j measures the distinct candidates of the
-    j-th bucket of every leaf's list of a pass."""
-    rounds = max((len(buckets) for buckets in passes), default=0)
-    return sum(len({i for buckets in passes if j < len(buckets) for i in buckets[j]})
-               for j in range(rounds))
-
-
-def _rows_in_two_passes(searched) -> int:
-    """Rows measured when the first tables of all leaves are measured in one
-    pass, then the other tables of the leaves still without a hit in a
-    second, each in rounds. A leaf that hits in its first table searched
-    nothing after it, so its second-pass list is empty."""
-    first = [[cand for t, cand in buckets if t == 0] for buckets in searched]
-    rest = [[cand for t, cand in buckets if t > 0] for buckets in searched]
-    return _rounds(first) + _rounds(rest)
+def _rows_in_two_passes(searched) -> list:
+    """The distinct rows each pass measures, ascending, when the first
+    tables of all leaves are measured in one pass, then the other tables of
+    the leaves still without a hit in a second. A leaf that hits in its
+    first table searched nothing after it, so it adds nothing to the
+    second."""
+    return [sorted({i for buckets in searched for t, cand in buckets if (t == 0) == first
+                    for i in cand}) for first in (True, False)]
 
 
 def _tables_in_two_passes(leaves, per_leaf, searched) -> int:
@@ -961,11 +955,10 @@ def test_l2_group_matches_per_leaf_loops(case):
     answer, rows, hashed = _rows_measured(query_l2_ann, group, q, live)
     assert per_copy(answer, len(leaves)) == (None if expected == [None] * len(leaves) else expected)
     # the first tables of every live leaf, then the other tables of the live
-    # leaves without a hit, are hashed and measured, each pass in rounds,
-    # each distinct candidate once a round, none past a leaf's first hit
-    # and none of a left-out leaf
+    # leaves without a hit, are hashed and measured, each distinct candidate
+    # once a pass, none of a left-out leaf
     alive = np.flatnonzero(live)
-    assert rows == _rows_in_two_passes([searched[i] for i in alive])
+    assert rows == sum(map(len, _rows_in_two_passes([searched[i] for i in alive])))
     tables = _tables_in_two_passes([leaves[i] for i in alive], [per_leaf[i] for i in alive],
                                    [searched[i] for i in alive])
     assert hashed == tables * group.projections.shape[1]
@@ -975,6 +968,47 @@ def test_l2_group_matches_per_leaf_loops(case):
     # each leaf answers alone as a group of one
     for leaf, hit in zip(leaves, hits):
         assert per_copy(query_l2_ann(leaf, q), 1) == (None if hit is None else [hit])
+
+
+@st.composite
+def _l2_pass_case(draw):
+    """(x, q, draws, live): leaves of 3-5 tables each, so a pass often
+    matches several buckets of one leaf, and a query among the points or,
+    in one case of two, more than 2r from all of them, so that every live
+    leaf searches all its tables."""
+    d, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 2))
+    x, q = draw(_points(d, m, 2))
+    if draw(st.booleans()):
+        q = q + 8.0
+    leaves, n_tables = draw(st.integers(2, 4)), draw(st.integers(3, 5))
+    proj = draw(arrays(np.float64, (leaves, n_tables, k, d), elements=st.integers(-2, 2)))
+    offsets = draw(arrays(np.float64, (leaves, n_tables, k), elements=st.integers(0, 3)))
+    live = draw(st.lists(st.booleans(), min_size=leaves, max_size=leaves))
+    return x, q, list(zip(proj, offsets)), live
+
+
+@settings(max_examples=200, deadline=None)
+@given(_l2_pass_case())
+def test_l2_pass_measures_all_its_matched_buckets_with_one_call(case):
+    x, q, draws, live = case
+    group = L2Group(np.arange(len(x)), x, 1.0, np.concatenate([proj for proj, _ in draws]),
+                    np.concatenate([offsets for _, offsets in draws]), len(draws))
+    leaves = [l2_part(group, range(i, i + 1)) for i in range(len(draws))]
+    _, searched = _l2_reference(leaves, x, q)
+    passes = _rows_in_two_passes([searched[i] for i in np.flatnonzero(live)])
+    calls, real = [], _kernels.dists_to_point
+
+    def recording(mat, v, p):
+        calls.append(sorted(map(tuple, mat)))
+        return real(mat, v, p)
+
+    with mock.patch.object(_kernels, "dists_to_point", recording):
+        query_l2_ann(group, q, live)
+    # at most one distance call a pass, none where a pass matches no
+    # bucket, measuring once each distinct member of every matched bucket
+    # of the pass's pending leaves, those past a leaf's first hit included
+    assert len(calls) <= 2
+    assert calls == [sorted(map(tuple, x[rows])) for rows in passes if rows]
 
 
 @st.composite

@@ -135,12 +135,10 @@ def test_pairs_and_builds_record_each_sides_source_lines(tmp_path, monkeypatch, 
     assert bench_pairs.builds(args)["source_lines"] == expected
 
 
-def _build_row(side, digest="abc", rss=90.0, query_ms=None, answers="def"):
-    row = {"side": side, "build_s": 1.0, "peak_rss_mb_before": 40.0, "peak_rss_mb": rss,
-           "digest": digest}
-    if query_ms is not None:
-        row.update(query_ms=query_ms, answers=answers, peak_rss_mb_queries=rss + 1.0)
-    return row
+def _build_row(side, digest="abc", rss=90.0, query_ms=(1.0,), answers="def"):
+    return {"side": side, "build_s": 1.0, "peak_rss_mb_before": 40.0, "peak_rss_mb": rss,
+            "digest": digest, "query_ms": list(query_ms), "answers": answers,
+            "peak_rss_mb_queries": rss + 1.0}
 
 
 def test_builds_verdicts_on_digests_and_peak_rss():
@@ -151,7 +149,7 @@ def test_builds_verdicts_on_digests_and_peak_rss():
     # within the tolerance; its one run at 99.0 does not count
     assert verdicts["same_digest"] and not verdicts["rss_worse"]
     assert verdicts["rss_over_mb"] == pytest.approx(0.4)
-    assert "query_ms_ratio" not in verdicts and "same_answers" not in verdicts
+    assert verdicts["same_answers"] and verdicts["query_ms_ratio"] == 1.0
     rows[4]["peak_rss_mb"] = 90.9
     assert bench_pairs.summarize(rows)["verdicts"]["rss_worse"]
     # a digest that differs, on either side, or two on one side, is not equal
@@ -191,3 +189,55 @@ def test_answers_digest_reads_ids_distance_bits_and_traces():
                   [QueryAnswer(3, 0.5, [2, 3]), None], [QueryAnswer(4, 0.5, [1, 3]), None],
                   [None, QueryAnswer(3, 0.5, [1, 3])], answers[:1]):
         assert bench_pairs.answers_digest(other) != digest
+
+
+@pytest.mark.parametrize("kind", ["gauss", "line", "l2root"])
+def test_instances_keep_their_data_and_plant_queries_at_distinct_rows(kind):
+    import numpy as np
+
+    from lpann import preprocess
+    from lpann._kernels import dists_to_point
+
+    n = 1000  # past the l2 root's scan bound
+    dataset, config, queries = bench_pairs._instance(kind, n)
+    assert (dataset.p, config.p, config.r, config.seed) == (4.0, 4.0, 1.0, 1)
+    # the data are seed 1's draws, as they were before the queries came
+    rng = np.random.default_rng(1)
+    if kind == "line":
+        data = 0.2 * rng.standard_normal((n, 32))
+        data[:, 0] += rng.uniform(0.0, 3.0 * n, size=n)
+    else:
+        data = (3.0 if kind == "l2root" else 1.0) * rng.standard_normal((n, dataset.d))
+    assert dataset.d == (8 if kind == "l2root" else 32)
+    assert dataset.vectors.tobytes() == data.tobytes()
+    # each query lies at l4 distance 0.9 r from a row of its own
+    assert queries.shape == (bench_pairs.QUERIES, dataset.d)
+    sources = []
+    for q in queries:
+        at = np.flatnonzero(np.isclose(dists_to_point(data, q, 4.0), 0.9, rtol=1e-9, atol=0.0))
+        assert at.size == 1
+        sources.append(int(at[0]))
+    assert len(set(sources)) == len(sources)
+    if kind == "l2root":  # its root is one l2 set of LSH leaves
+        root = preprocess(dataset, config).root
+        assert root.t == 2.0 and type(root.group).__name__ == "L2Group"
+        assert root.group.leaves > 1
+
+
+def test_builds_give_answer_and_query_time_verdicts_for_every_instance(monkeypatch):
+    row = bench_pairs.build_one("l2root", 1000)
+    assert len(row["query_ms"]) == bench_pairs.QUERIES and len(row["answers"]) == 64
+
+    def fresh(root, kind, n):  # a row as a build process prints it: no side
+        row = _build_row(None, query_ms=[1.0, 3.0], answers=kind)
+        del row["side"]
+        return row
+
+    monkeypatch.setattr(bench_pairs, "_fresh_build", fresh)
+    args = argparse.Namespace(parent=".", change=".", size=["gauss:10", "l2root:10", "depth2"])
+    instances = bench_pairs.builds(args)["instances"]
+    assert list(instances) == args.size
+    for spec, out in instances.items():
+        verdicts = out["summary"]["verdicts"]
+        assert verdicts["same_digest"] and verdicts["same_answers"]
+        assert verdicts["query_ms_ratio"] == 1.0

@@ -616,20 +616,20 @@ def _l2_groups(instance: str) -> list:
 @pytest.mark.parametrize("instance", ["gauss-d32", "blobs"])
 def test_every_point_finds_its_own_bucket_in_every_table(instance, monkeypatch):
     # a point queried exactly hashes as it was hashed at the build: the keys
-    # that the query's hashing step gives it, for the first tables (as the
-    # query hashes them) and for the others (as a second pass would), are
+    # that the query looks up first, in the first tables, and those that
+    # _l2_keys gives it in the others (as a second pass would hash them), are
     # its build keys, and in every table of its group they find the bucket
     # of that key, which keeps it unless the bucket is full of lower points
     groups = _l2_groups(instance)
     assert groups and all(group.leaves == 27 for group in groups)
-    hashed = []
-    real = base_schemes._query_keys
+    looked_up = []
+    real = base_schemes._lookup
 
-    def recording(group, tables, q):
-        hashed.append((tables, real(group, tables, q)))
-        return hashed[-1][1]
+    def recording(table, tables, keys):
+        looked_up.append((tables, keys))
+        return real(table, tables, keys)
 
-    monkeypatch.setattr(base_schemes, "_query_keys", recording)
+    monkeypatch.setattr(base_schemes, "_lookup", recording)
     for group in groups:
         table, vectors = group.table, group.vectors
         tables, m = group.projections.shape[0], vectors.shape[0]
@@ -648,13 +648,14 @@ def test_every_point_finds_its_own_bucket_in_every_table(instance, monkeypatch):
         cap = group.max_probe
         keys = np.empty_like(built[:, 0])
         for row, x in enumerate(vectors):
-            hashed.clear()
+            looked_up.clear()
             base_schemes.query_l2_ann(group, x)
-            asked, keys[firsts] = hashed[0]
+            asked, keys[firsts] = looked_up[0]
             assert asked.tolist() == firsts.tolist()
-            keys[rest] = real(group, rest, x)
+            keys[rest] = base_schemes._l2_keys(group.projections[rest], group.offsets[rest],
+                                               group.w, x[None])[:, 0]
             assert (keys == built[:, row]).all()
-            found, buckets = base_schemes._lookup(table, np.arange(tables), keys)
+            found, buckets = real(table, np.arange(tables), keys)
             assert found.tolist() == list(range(tables))
             assert (table.keys[buckets] == built[:, row]).all()
             assert (kept[found, row] | ((size[buckets] == cap) & (last[buckets] < row))).all()

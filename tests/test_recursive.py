@@ -614,6 +614,25 @@ def test_nns_coincident_query_returns_it():
     assert nns_search(ds, 4.0, 0.5, ds.vectors[0], seed=3, cache=cache) == 0
 
 
+def test_nns_cache_refuses_another_dataset_or_parameters():
+    # a cache answers only for the dataset object and the c_slack, delta and
+    # seed it was filled for: reused on B it held A's schemes, and answered
+    # with an id of A
+    rng = np.random.default_rng(0)
+    a = Dataset(rng.standard_normal((30, 4)), 4.0)
+    b = Dataset(rng.standard_normal((30, 4)), 4.0, ids=np.arange(100, 130))
+    q = b.vectors[3] + 0.01
+    cache = {}
+    assert nns_search(a, 4.0, 0.5, a.vectors[0], seed=1, cache=cache) == 0
+    with pytest.raises(UsageError, match="cache"):
+        nns_search(b, 4.0, 0.5, q, seed=1, cache=cache)
+    for c_slack, delta, seed in ((0.25, 1.0, 1), (0.5, 0.5, 1), (0.5, 1.0, 2)):
+        with pytest.raises(UsageError, match="cache"):
+            nns_search(a, 4.0, c_slack, a.vectors[0], delta=delta, seed=seed, cache=cache)
+    assert nns_search(a, 4.0, 0.5, a.vectors[1], seed=1, cache=cache) == 1
+    assert nns_search(b, 4.0, 0.5, q, seed=1) == 103
+
+
 def test_nns_ratio_contract():
     rng = np.random.default_rng(31)
     n, d, p, slack = 500, 32, 4.0, 0.5

@@ -17,15 +17,18 @@ ties and a verdict. Per workload and side it also gives ``query_vs_scan``.
 process a build, the two sides alternating, each process capped by an
 address-space limit of ``LIMIT_MB`` (as ``ulimit -v``) and one BLAS
 thread. It records the build time, the process's peak RSS and the index
-digest, and per instance gives verdicts (``summarize``): one equal digest
-on both sides, the change's peak RSS against the parent's largest, and
-for depth2 the ratio of the two sides' median query times. An instance
-is d = 32, p = 4, r = 1, seed 1: "gauss" is N(0, 1) in every
-coordinate, and "line" N(0, 0.2^2) plus U(0, 3n) on coordinate 0.
-"depth2" is the depth-2 instance of tests/test_depth2.py (12 points at
-d = 4096, p = 8, r = 1, seed 5) at the default copy counts; its process
-also times each of the instance's six queries, digests their answers
-(``answers_digest``) and reads the peak RSS after them.
+digest; it also times each of the instance's queries, digests their
+answers (``answers_digest``) and reads the peak RSS after them. Per
+instance it gives verdicts (``summarize``): one equal digest on both
+sides, one equal answers digest, the change's peak RSS against the
+parent's largest, and the ratio of the two sides' median query times.
+"gauss" and "line" are d = 32, p = 4, r = 1, seed 1: "gauss" is N(0, 1)
+in every coordinate, and "line" N(0, 0.2^2) plus U(0, 3n) on coordinate
+0. "l2root" is N(0, 3^2) in every coordinate at d = 8, p = 4, r = 1,
+seed 1, whose root is one l2 set of LSH leaves (p_eff = 2). Each has
+``QUERIES`` planted queries (``_planted``). "depth2" is the depth-2
+instance of tests/test_depth2.py (12 points at d = 4096, p = 8, r = 1,
+seed 5) at the default copy counts, with its six queries.
 
 Both record each side's ``wc -l src/lpann/*.py`` total (``source_lines``).
 """
@@ -46,6 +49,7 @@ from pathlib import Path
 MB = 2**20
 PAIRS = 10  # the change wins at least 9 of them for a gain to be met
 RUNS = 3  # fresh-process builds of each instance per side
+QUERIES = 200  # planted queries of a gauss, line or l2root instance
 LIMIT_MB = 2000  # address-space cap on every build process
 # peak RSS the change may read above the parent's largest run: fresh
 # processes of one checkout differ by up to 0.36 MB on line:16000 through
@@ -196,8 +200,21 @@ def _depth2():
     return Dataset(data, p), SchemeConfig(p=p, r=r, seed=seed), queries
 
 
+def _planted(data, p: float, r: float):
+    """Up to ``QUERIES`` queries at lp distance 0.9 r from distinct rows of
+    data, drawn from a generator of their own (seed 2), so the instance's
+    data stay as its seed draws them."""
+    import numpy as np
+
+    rng = np.random.default_rng(2)
+    sources = rng.choice(len(data), size=min(QUERIES, len(data)), replace=False)
+    direction = rng.standard_normal((sources.size, data.shape[1]))
+    norms = (np.abs(direction) ** p).sum(axis=1) ** (1.0 / p)
+    return data[sources] + (0.9 * r / norms)[:, None] * direction
+
+
 def _instance(kind: str, n: int):
-    """(dataset, config, queries to time or None) of one instance."""
+    """(dataset, config, queries) of one instance."""
     import numpy as np
 
     from lpann import Dataset, SchemeConfig
@@ -210,9 +227,11 @@ def _instance(kind: str, n: int):
         data[:, 0] += rng.uniform(0.0, 3.0 * n, size=n)
     elif kind == "gauss":
         data = rng.standard_normal((n, 32))
+    elif kind == "l2root":
+        data = 3.0 * rng.standard_normal((n, 8))
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
-    return Dataset(data, 4.0), SchemeConfig(p=4.0, r=1.0, seed=1), None
+    return Dataset(data, 4.0), SchemeConfig(p=4.0, r=1.0, seed=1), _planted(data, 4.0, 1.0)
 
 
 def answers_digest(answers) -> str:
@@ -227,9 +246,8 @@ def answers_digest(answers) -> str:
 
 def build_one(kind: str, n: int) -> dict:
     """Build one instance in this process (lpann on sys.path): build time,
-    peak RSS before and after the build, and the index digest; where the
-    instance has queries, each one's time in ms, their answers' digest and
-    the peak RSS after them."""
+    peak RSS before and after the build, the index digest, each query's
+    time in ms, their answers' digest and the peak RSS after them."""
     from lpann import preprocess, query
     from lpann.container import index_digest
 
@@ -240,15 +258,14 @@ def build_one(kind: str, n: int) -> dict:
     build_s = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     out = {"build_s": build_s, "peak_rss_mb_before": before, "peak_rss_mb": peak,
-           "digest": index_digest(scheme)}
-    if queries is not None:
-        out["query_ms"], answers = [], []
-        for q in queries:
-            start = time.perf_counter()
-            answers.append(query(scheme, q))
-            out["query_ms"].append(1e3 * (time.perf_counter() - start))
-        out["answers"] = answers_digest(answers)
-        out["peak_rss_mb_queries"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+           "digest": index_digest(scheme), "query_ms": []}
+    answers = []
+    for q in queries:
+        start = time.perf_counter()
+        answers.append(query(scheme, q))
+        out["query_ms"].append(1e3 * (time.perf_counter() - start))
+    out["answers"] = answers_digest(answers)
+    out["peak_rss_mb_queries"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
 
@@ -290,41 +307,37 @@ def summarize(rows: list) -> dict:
     without an error), and where both sides built, the verdicts:
 
       * ``same_digest``: both sides built one digest, the same;
-      * ``same_answers``, for an instance with queries: both sides gave
-        one answers digest, the same;
+      * ``same_answers``: both sides gave one answers digest, the same;
       * ``rss_over_mb``: the change's median peak RSS less the parent's
         largest, and ``rss_worse``, whether that exceeds ``RSS_TOLERANCE_MB``;
-      * ``query_ms_ratio``, for an instance with queries: the change's
-        median query time over the parent's.
+      * ``query_ms_ratio``: the change's median query time over the
+        parent's.
     """
     summary = {}
     for side in ("parent", "change"):
         mine = [r for r in rows if r["side"] == side and "error" not in r]
         if mine:
+            # per query, the median over the runs; then their median
+            per_query = [statistics.median(q) for q in zip(*(r["query_ms"] for r in mine))]
             summary[side] = {
                 "build_s_median": statistics.median(r["build_s"] for r in mine),
                 "peak_rss_mb_median": statistics.median(r["peak_rss_mb"] for r in mine),
                 "peak_rss_mb_max": max(r["peak_rss_mb"] for r in mine),
-                "digests": sorted({r["digest"] for r in mine})}
-            if "query_ms" in mine[0]:
-                # per query, the median over the runs; then their median
-                per_query = [statistics.median(q) for q in zip(*(r["query_ms"] for r in mine))]
-                summary[side].update(
-                    answers=sorted({r["answers"] for r in mine}),
-                    query_ms_medians=per_query,
-                    query_ms_median=statistics.median(per_query),
-                    peak_rss_mb_queries_median=statistics.median(
-                        r["peak_rss_mb_queries"] for r in mine))
+                "digests": sorted({r["digest"] for r in mine}),
+                "answers": sorted({r["answers"] for r in mine}),
+                "query_ms_medians": per_query,
+                "query_ms_median": statistics.median(per_query),
+                "peak_rss_mb_queries_median": statistics.median(
+                    r["peak_rss_mb_queries"] for r in mine)}
     if len(summary) == 2:
         parent, change = summary["parent"], summary["change"]
         over = change["peak_rss_mb_median"] - parent["peak_rss_mb_max"]
         verdicts = {"same_digest": len(parent["digests"]) == 1
                     and parent["digests"] == change["digests"],
-                    "rss_over_mb": over, "rss_worse": over > RSS_TOLERANCE_MB}
-        if "query_ms_median" in parent:
-            verdicts["same_answers"] = (len(parent["answers"]) == 1
-                                        and parent["answers"] == change["answers"])
-            verdicts["query_ms_ratio"] = change["query_ms_median"] / parent["query_ms_median"]
+                    "same_answers": len(parent["answers"]) == 1
+                    and parent["answers"] == change["answers"],
+                    "rss_over_mb": over, "rss_worse": over > RSS_TOLERANCE_MB,
+                    "query_ms_ratio": change["query_ms_median"] / parent["query_ms_median"]}
         summary["verdicts"] = verdicts
     return summary
 
