@@ -46,12 +46,12 @@ from .oracle import (
 from .recursive import (
     ApproxBound,
     LpScheme,
+    NNSIndex,
     QueryAnswer,
     SchemeConfig,
     SpaceReport,
     approximation_bound,
     literal_closed_form,
-    nns_search,
     normalize_exponent,
     preprocess,
     query,
@@ -69,6 +69,7 @@ __all__ = [
     "Dataset",
     "LpScheme",
     "MazurMapSpec",
+    "NNSIndex",
     "NumericRangeError",
     "QueryAnswer",
     "SchemeConfig",
@@ -92,7 +93,6 @@ __all__ = [
     "mazur_map_apply",
     "mazur_map_points",
     "mazur_scale_factor",
-    "nns_search",
     "normalize_exponent",
     "preprocess",
     "query",

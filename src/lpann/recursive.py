@@ -53,7 +53,7 @@ exactly and folded into the reported bound.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -113,8 +113,8 @@ def _int_seed(root_seed: int, path: tuple) -> int:
 # already fail together with probability 3**-16 < 1e-7, and the bound keeps
 # a build (and so the load of an edited file) from asking for unbounded work.
 MAX_COPIES = 16
-# Most rungs nns_search's radius ladder may take: each is a float and a
-# scheme the binary search may build, so a c_slack too small for the
+# Most rungs an NNSIndex's radius ladder may take: each is a float and a
+# scheme a query's binary search may build, so a c_slack too small for the
 # ladder's span is refused before any is made.
 MAX_RUNGS = 1 << 20
 
@@ -750,87 +750,81 @@ def _check_rungs(low: float, top: float, c_slack: float) -> None:
                          f"needs {rungs:.3g} rungs, more than {MAX_RUNGS}")
 
 
-def nns_search(
-    dataset: Dataset,
-    p: float,
-    c_slack: float,
-    q,
-    delta: float = 1.0,
-    seed: int = 0,
-    cache: dict | None = None,
-) -> int | None:
-    """Nearest-neighbor search via binary search over a radius ladder.
+class NNSIndex:
+    """Nearest-neighbor search over a geometric radius ladder.
 
-    Builds (c_p, r)-schemes for radii r_min * (1 + c_slack)^j spanning half
-    the closest-pair distance up to the dataset diameter (extended upward
-    when the query is farther than that), finds the smallest radius whose
-    query succeeds, and returns its answer. Overall approximation is
-    c_p * (1 + c_slack). Pass ``cache`` (any dict) to reuse built schemes
-    across calls on one dataset object with one c_slack, delta and seed: the
-    call that fills it records them, and a later call with others raises
-    UsageError.
+    ``NNSIndex(dataset, c_slack, delta, seed)`` holds the radii
+    r_j = r_0 * (1 + c_slack)^j, from r_0, half the closest-pair distance,
+    up to the dataset diameter, and a (c_p, r_j)-scheme per rung, each
+    built the first time a query probes it and kept. ``query(q)`` extends
+    the ladder to q's distance from the first point if q lies farther out,
+    binary-searches it for the least rung whose answer lies within c_p * r_j
+    of q, and returns that answer's id (or, should that rung fail, the
+    first higher rung's that succeeds; None if none does).
+
+    The guarantee, with d* the exact nearest distance from q: whenever every
+    probed rung with r_j >= d* meets its (c_p, r_j) contract, the answer
+    lies within c_p * max((1 + c_slack) * d*, r_0) of q. Below r_0 the
+    ratio to d* is unbounded: a query at a data point is promised only
+    c_p * r_0.
     """
-    if dataset.n == 0:
-        raise UsageError("cannot search an empty dataset")
-    if dataset.p != p:
-        raise UsageError(f"dataset exponent {dataset.p} disagrees with p={p}")
-    if not (c_slack > 0.0):
-        raise UsageError(f"c_slack must be positive, got {c_slack}")
-    if not _is_int(seed) or seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
-    q = check_query(q, dataset.d)
-    if dataset.n == 1:
-        return int(dataset.ids[0])
 
-    if cache is None:
-        cache = {}
-    params = (c_slack, delta, seed)
-    if cache.get("dataset", dataset) is not dataset or cache.get("params", params) != params:
-        raise UsageError("nns_search: this cache was filled for another dataset, c_slack, "
-                         "delta or seed")
-    if "radii" not in cache:
+    def __init__(self, dataset: Dataset, c_slack: float, delta: float = 1.0, seed: int = 0):
+        if dataset.n == 0:
+            raise UsageError("cannot search an empty dataset")
+        if not 0.0 < c_slack < math.inf:
+            raise UsageError(f"c_slack must be positive and finite, got {c_slack}")
         min_nz, diam = _pairwise_extremes(dataset)
-        if not math.isfinite(min_nz):  # all points coincide
+        if not math.isfinite(min_nz):  # one point, or all coincide
             min_nz, diam = 1.0, 1.0
-        radii = [min_nz / 2.0]
-        _check_rungs(radii[0], diam, c_slack)
-        while radii[-1] < diam:
-            radii.append(radii[-1] * (1.0 + c_slack))
-        cache.update(radii=radii, schemes={}, dataset=dataset, params=params)
+        self.dataset, self.c_slack = dataset, c_slack
+        self.radii = [min_nz / 2.0]
+        self.config = SchemeConfig(p=dataset.p, r=self.radii[0], delta=delta, seed=seed)
+        self.schemes: dict[int, LpScheme] = {}
+        self._extend(diam)
 
-    radii = cache["radii"]
-    anchor = float(_kernels.dists_to_point(dataset.vectors[:1], q, p)[0])
-    _check_rungs(radii[-1], anchor, c_slack)
-    while radii[-1] < anchor:
-        radii.append(radii[-1] * (1.0 + c_slack))
+    def _extend(self, top: float) -> None:
+        """Grow the ladder by factors (1 + c_slack) until it reaches top."""
+        _check_rungs(self.radii[-1], top, self.c_slack)
+        while self.radii[-1] < top:
+            self.radii.append(self.radii[-1] * (1.0 + self.c_slack))
 
-    def scheme_at(j: int) -> LpScheme:
-        if j not in cache["schemes"]:
-            cfg = SchemeConfig(p=p, r=radii[j], delta=delta, seed=_int_seed(seed, (TAG_RADIUS, j)))
-            cache["schemes"][j] = preprocess(dataset, cfg)
-        return cache["schemes"][j]
+    def _scheme(self, j: int) -> LpScheme:
+        """Rung j's scheme, built on first use under its own seed path."""
+        if j not in self.schemes:
+            config = replace(self.config, r=self.radii[j],
+                             seed=_int_seed(self.config.seed, (TAG_RADIUS, j)))
+            self.schemes[j] = preprocess(self.dataset, config)
+        return self.schemes[j]
 
-    probes: dict = {}
+    def query(self, q) -> int | None:
+        """The id the ladder's binary search answers q with (see the class)."""
+        dataset = self.dataset
+        q = check_query(q, dataset.d)
+        if dataset.n == 1:
+            return int(dataset.ids[0])
+        self._extend(float(_kernels.dists_to_point(dataset.vectors[:1], q, dataset.p)[0]))
+        probes: dict = {}
 
-    def probe(j: int):
-        if j not in probes:
-            sch = scheme_at(j)
-            ans = query(sch, q)
-            ok = ans is not None and ans.distance <= sch.bound.c_p * radii[j]
-            probes[j] = ans if ok else None
-        return probes[j]
+        def probe(j: int):
+            if j not in probes:
+                scheme = self._scheme(j)
+                ans = query(scheme, q)
+                ok = ans is not None and ans.distance <= scheme.bound.c_p * self.radii[j]
+                probes[j] = ans if ok else None
+            return probes[j]
 
-    lo, hi = 0, len(radii) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if probe(mid) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    ans = probe(lo)
-    if ans is None:
-        for j in range(lo + 1, len(radii)):
-            ans = probe(j)
-            if ans is not None:
-                break
-    return None if ans is None else ans.id
+        lo, hi = 0, len(self.radii) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if probe(mid) is not None:
+                hi = mid
+            else:
+                lo = mid + 1
+        ans = probe(lo)
+        if ans is None:
+            for j in range(lo + 1, len(self.radii)):
+                ans = probe(j)
+                if ans is not None:
+                    break
+        return None if ans is None else ans.id

@@ -1,5 +1,5 @@
-"""The verdict arithmetic, the instances and the source line counts of
-tools/bench_pairs.py."""
+"""The verdict arithmetic, the instances, the in-process A/B and the source
+line counts of tools/bench_pairs.py."""
 
 import argparse
 import json
@@ -89,7 +89,7 @@ def test_depth2_size_is_the_depth2_instance_at_default_copies():
 
     from lpann import SchemeConfig
 
-    dataset, config, queries = bench_pairs._depth2()
+    dataset, config, queries = bench_pairs._instance("depth2", 0)
     expected, test_config, expected_queries = _instance()
     assert dataset.vectors.tobytes() == expected.vectors.tobytes() and dataset.p == expected.p
     assert queries.tobytes() == expected_queries.tobytes()
@@ -135,10 +135,9 @@ def test_pairs_and_builds_record_each_sides_source_lines(tmp_path, monkeypatch, 
     assert bench_pairs.builds(args)["source_lines"] == expected
 
 
-def _build_row(side, digest="abc", rss=90.0, query_ms=(1.0,), answers="def"):
+def _build_row(side, digest="abc", rss=90.0, answers="def"):
     return {"side": side, "build_s": 1.0, "peak_rss_mb_before": 40.0, "peak_rss_mb": rss,
-            "digest": digest, "query_ms": list(query_ms), "answers": answers,
-            "peak_rss_mb_queries": rss + 1.0}
+            "digest": digest, "answers": answers, "peak_rss_mb_queries": rss + 1.0}
 
 
 def test_builds_verdicts_on_digests_and_peak_rss():
@@ -149,7 +148,7 @@ def test_builds_verdicts_on_digests_and_peak_rss():
     # within the tolerance; its one run at 99.0 does not count
     assert verdicts["same_digest"] and not verdicts["rss_worse"]
     assert verdicts["rss_over_mb"] == pytest.approx(0.4)
-    assert verdicts["same_answers"] and verdicts["query_ms_ratio"] == 1.0
+    assert verdicts["same_answers"]
     rows[4]["peak_rss_mb"] = 90.9
     assert bench_pairs.summarize(rows)["verdicts"]["rss_worse"]
     # a digest that differs, on either side, or two on one side, is not equal
@@ -159,18 +158,20 @@ def test_builds_verdicts_on_digests_and_peak_rss():
         assert not bench_pairs.summarize(other)["verdicts"]["same_digest"]
 
 
-def test_builds_verdicts_need_both_sides_and_time_depth2_queries():
-    rows = [_build_row("parent", query_ms=[2.0, 4.0]), _build_row("parent", query_ms=[2.0, 6.0]),
-            _build_row("change", query_ms=[1.0, 2.0]), {"side": "change", "error": ["boom"]}]
+def test_builds_verdicts_need_both_sides():
+    rows = [_build_row("parent"), _build_row("parent", rss=92.0), _build_row("change"),
+            {"side": "change", "error": ["boom"]}]
     summary = bench_pairs.summarize(rows)
-    # per query the median over runs, then their median: 3.5 ms and 1.5 ms
-    assert summary["parent"]["query_ms_median"] == 3.5
-    assert summary["verdicts"]["query_ms_ratio"] == pytest.approx(1.5 / 3.5)
+    # the change's failed run counts for nothing: its median is its one row
+    assert summary["change"]["peak_rss_mb_median"] == 90.0
+    assert summary["verdicts"]["same_digest"] and summary["verdicts"]["same_answers"]
+    assert "query_ms_median" not in summary["parent"]
     assert "verdicts" not in bench_pairs.summarize(rows[:2])
+    assert "verdicts" not in bench_pairs.summarize(rows[:1] + rows[3:])
 
 
 def test_builds_verdicts_compare_the_answers_of_depth2_queries():
-    rows = [_build_row(side, query_ms=[2.0]) for side in ("parent", "change", "change", "parent")]
+    rows = [_build_row(side) for side in ("parent", "change", "change", "parent")]
     assert bench_pairs.summarize(rows)["verdicts"]["same_answers"]
     # answers that differ, on either side, or two on one side, are not equal
     for at in (0, 1):
@@ -224,12 +225,13 @@ def test_instances_keep_their_data_and_plant_queries_at_distinct_rows(kind):
         assert root.group.leaves > 1
 
 
-def test_builds_give_answer_and_query_time_verdicts_for_every_instance(monkeypatch):
+def test_builds_give_answer_verdicts_for_every_instance(monkeypatch):
+    # builds digest the answers and leave query timing to ab
     row = bench_pairs.build_one("l2root", 1000)
-    assert len(row["query_ms"]) == bench_pairs.QUERIES and len(row["answers"]) == 64
+    assert len(row["answers"]) == 64 and "query_ms" not in row
 
     def fresh(root, kind, n):  # a row as a build process prints it: no side
-        row = _build_row(None, query_ms=[1.0, 3.0], answers=kind)
+        row = _build_row(None, answers=kind)
         del row["side"]
         return row
 
@@ -240,4 +242,57 @@ def test_builds_give_answer_and_query_time_verdicts_for_every_instance(monkeypat
     for spec, out in instances.items():
         verdicts = out["summary"]["verdicts"]
         assert verdicts["same_digest"] and verdicts["same_answers"]
-        assert verdicts["query_ms_ratio"] == 1.0
+        assert "query_ms_ratio" not in verdicts
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_ab_loads_one_source_twice_as_distinct_packages_that_answer_alike():
+    import lpann
+
+    one = bench_pairs.load_checkout(REPO, "lpann_one")
+    two = bench_pairs.load_checkout(REPO, "lpann_two")
+    assert one is not two and lpann not in (one, two)
+    assert one.recursive is not two.recursive and one.recursive.__name__ == "lpann_one.recursive"
+    assert one.Dataset is not two.Dataset
+    built = {}
+    for package in (one, two):
+        dataset, config, queries = bench_pairs._instance("gauss", 300, package)
+        assert isinstance(dataset, package.Dataset)
+        scheme = package.preprocess(dataset, config)
+        built[package.__name__] = (package.container.index_digest(scheme),
+                                   bench_pairs.answers_digest(
+                                       [package.query(scheme, q) for q in queries]))
+    assert built["lpann_one"] == built["lpann_two"]
+
+
+def test_ab_ratios_take_each_querys_least_time_per_order():
+    # two rounds of three queries: the parent is timed first at (round 0,
+    # queries 0 and 2) and at (round 1, query 1)
+    times = {"parent": [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
+             "change": [[2.0, 2.0, 2.0], [1.0, 1.0, 1.0]]}
+    out = bench_pairs.ab_ratios(times)
+    assert out["all"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
+    # parent first: ratios 2, 0.5 and 2; change first: 0.5, 2 and 0.5
+    assert out["parent_first"] == {"q1": 1.25, "median": 2.0, "q3": 2.0}
+    assert out["change_first"] == {"q1": 0.5, "median": 0.5, "q3": 1.25}
+    slower = {"parent": times["parent"], "change": [[2 * t for t in r] for r in times["parent"]]}
+    assert bench_pairs.ab_ratios(slower)["all"]["median"] == 2.0
+    with pytest.raises(ValueError):
+        bench_pairs.ab_ratios({"parent": [[1.0]], "change": [[1.0]]})
+
+
+def test_ab_times_both_sides_of_one_checkout_alike(monkeypatch):
+    monkeypatch.setattr(bench_pairs, "AB_ROUNDS", 2)
+    monkeypatch.setattr(bench_pairs, "RUNS", 1)
+    for name, value in bench_pairs.ONE_THREAD.items():  # restored after the test
+        monkeypatch.setenv(name, value)
+    args = argparse.Namespace(parent=str(REPO), change=str(REPO), size=["gauss:100"])
+    out = bench_pairs.ab(args)
+    assert out["source_lines"]["parent"] == out["source_lines"]["change"]
+    row = out["instances"]["gauss:100"]
+    assert row["same_digest"] and row["same_answers"] and row["queries"] == 100
+    assert len(row["build_s"]["parent"]) == len(row["build_s"]["change"]) == 1
+    assert set(row["query_ratio"]) == {"all", "parent_first", "change_first"}
+    assert row["query_ratio"]["all"]["q1"] <= row["query_ratio"]["all"]["median"]

@@ -26,9 +26,9 @@ import pytest
 
 from lpann import (
     Dataset,
+    NNSIndex,
     SchemeConfig,
     load_index,
-    nns_search,
     preprocess,
     query,
     save_index,
@@ -168,7 +168,7 @@ GOLDEN_L2ROOT = [(117, '0x1.ccccccccccccep-1', [117]),
                  (169, '0x1.b703a9b6ed44ap+0', [169]),
                  (11, '0x1.0eccf631fdf10p+0', [11]),
                  (40, '0x1.ff0367ee7cba0p+0', [40])]
-# nns_search(c_slack=0.5, seed=5) on every 4th query of that instance
+# NNSIndex(c_slack=0.5, seed=5).query on every 4th query of that instance
 GOLDEN_L2ROOT_NNS = [117, 113, 71, 58, 40]
 
 # the l2 root at n = 1000 and seed 5, whose copies are LSH leaves: the
@@ -339,18 +339,16 @@ def test_golden_lsh_root(tmp_path):
 
 def test_golden_l2_root_nns_search(tmp_path):
     dataset, _, queries = _points("l2root", 5)
-
-    def search(cache):
-        return [nns_search(dataset, dataset.p, 0.5, q, seed=5, cache=cache)
-                for q in queries[::4]]
-
-    built = {}
-    assert search(built) == GOLDEN_L2ROOT_NNS
-    loaded = {"radii": built["radii"], "schemes": {}}
-    for j, scheme in built["schemes"].items():
+    built = NNSIndex(dataset, 0.5, seed=5)
+    assert [built.query(q) for q in queries[::4]] == GOLDEN_L2ROOT_NNS
+    # a fresh index over the same points whose rungs are the built ones,
+    # saved and loaded, answers the same
+    loaded = NNSIndex(dataset, 0.5, seed=5)
+    for j, scheme in built.schemes.items():
         save_index(scheme, str(tmp_path / f"r{j}.lpann"))
-        loaded["schemes"][j] = load_index(str(tmp_path / f"r{j}.lpann"))
-    assert search(loaded) == GOLDEN_L2ROOT_NNS
+        loaded.schemes[j] = load_index(str(tmp_path / f"r{j}.lpann"))
+    assert [loaded.query(q) for q in queries[::4]] == GOLDEN_L2ROOT_NNS
+    assert loaded.schemes.keys() == built.schemes.keys()
 
 
 def _assert_same(a, b, where="scheme"):

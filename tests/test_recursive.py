@@ -9,6 +9,7 @@ import pytest
 import lpann
 from lpann import (
     Dataset,
+    NNSIndex,
     SchemeConfig,
     UsageError,
     approximation_bound,
@@ -16,7 +17,6 @@ from lpann import (
     literal_closed_form,
     load_index,
     lp_distance,
-    nns_search,
     preprocess,
     query,
     refine_approx,
@@ -361,7 +361,7 @@ def test_non_finite_query_rejected(small_scheme, bad):
         query(scheme, q)
     ds = Dataset(np.eye(4), 4.0)
     with np.errstate(all="raise"), pytest.raises(UsageError, match="non-finite"):
-        nns_search(ds, 4.0, 0.5, np.full(4, bad))
+        NNSIndex(ds, 0.5).query(np.full(4, bad))
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +375,7 @@ def entry_points():
     grid = build_coarse_ann(ds.ids, x, 4.0, 1.0, seeds=[[1]])
     return {
         "query": lambda q: query(scheme, q),
-        "nns_search": lambda q: nns_search(ds, 4.0, 0.5, q),
+        "NNSIndex.query": NNSIndex(ds, 0.5).query,
         "query_l2_ann": lambda q: query_l2_ann(leaf, q),
         "query_l2_scan": lambda q: query_l2_scan(L2Scan(ds.ids, x, 1.0), q),
         "query_coarse_ann": lambda q: query_coarse_ann(grid, q),
@@ -383,8 +383,8 @@ def entry_points():
     }
 
 
-@pytest.mark.parametrize("entry", ["query", "nns_search", "query_l2_ann", "query_l2_scan",
-                                   "query_coarse_ann", "exact_nn"])
+@pytest.mark.parametrize("entry", ["query", "NNSIndex.query", "query_l2_ann",
+                                   "query_l2_scan", "query_coarse_ann", "exact_nn"])
 @pytest.mark.parametrize("bad", ["length", "nan", "inf"])
 def test_every_entry_point_checks_its_query(entry_points, entry, bad):
     q = {"length": np.zeros(3), "nan": np.array([0.0, math.nan, 0.0, 0.0]),
@@ -564,33 +564,53 @@ def test_space_cover_entries_match_sparsity(small_scheme):
 
 
 # ---------------------------------------------------------------------------
-# nearest-neighbor wrapper
+# nearest-neighbor index over a radius ladder
 # ---------------------------------------------------------------------------
 
 def test_nns_single_point():
     ds = Dataset(np.array([[1.0] * 8]), 4.0)
-    assert nns_search(ds, 4.0, 0.5, np.zeros(8)) == 0
+    assert NNSIndex(ds, 0.5).query(np.zeros(8)) == 0
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(-1)])
 def test_nns_needs_a_non_negative_integer_seed(seed):
     ds = Dataset(np.random.default_rng(12).standard_normal((20, 8)), 4.0)
     with pytest.raises(UsageError):
-        nns_search(ds, 4.0, 0.5, np.zeros(8), seed=seed)
+        NNSIndex(ds, 0.5, seed=seed)
+
+
+@pytest.mark.parametrize("n", [1, 30])
+def test_nns_index_refuses_every_bad_parameter_at_construction(n):
+    # an infinite c_slack once made the second rung infinite, and a bad
+    # delta went unchecked on one point: each is refused before any rung
+    ds = Dataset(np.random.default_rng(0).standard_normal((n, 4)), 4.0)
+    for c_slack in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(UsageError, match="c_slack"):
+            NNSIndex(ds, c_slack)
+    for delta in (0.0, 7.0, math.nan):
+        with pytest.raises(UsageError, match="delta"):
+            NNSIndex(ds, 0.5, delta=delta)
+    for seed in (-1, 1.5, True):
+        with pytest.raises(UsageError, match="seed"):
+            NNSIndex(ds, 0.5, seed=seed)
+    with pytest.raises(UsageError, match="exponent"):
+        NNSIndex(Dataset(ds.vectors, 2.0), 0.5)
+    with pytest.raises(UsageError, match="empty"):
+        NNSIndex(Dataset(np.zeros((0, 4)), 4.0), 0.5)
 
 
 def test_nns_accepts_a_numpy_integer_seed():
     ds = Dataset(np.random.default_rng(12).standard_normal((20, 8)), 4.0)
     q = np.full(8, 0.1)
-    assert nns_search(ds, 4.0, 0.5, q, seed=np.int64(3)) == nns_search(ds, 4.0, 0.5, q, seed=3)
+    assert NNSIndex(ds, 0.5, seed=np.int64(3)).query(q) == NNSIndex(ds, 0.5, seed=3).query(q)
 
 
 @pytest.mark.parametrize("c_slack, far", [(1e-300, 0.0), (1e-12, 0.0), (1e-4, 1e60)])
 def test_nns_refuses_a_radius_ladder_of_too_many_rungs(monkeypatch, c_slack, far):
     # the ladder's span, 0.5 to the diameter 2, or on to a query far out,
     # takes more than MAX_RUNGS rungs (1 + 1e-300 == 1 takes them forever),
-    # so the call is refused before any rung is made; the timer fails the
-    # test before a missing check can exhaust memory
+    # so the index or the query is refused before any rung is made; the
+    # timer fails the test before a missing check can exhaust memory
     monkeypatch.setattr(lpann.recursive, "_pairwise_extremes", lambda dataset: (1.0, 2.0))
     ds = Dataset(np.random.default_rng(0).standard_normal((30, 4)), 4.0)
 
@@ -601,7 +621,7 @@ def test_nns_refuses_a_radius_ladder_of_too_many_rungs(monkeypatch, c_slack, far
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
         with pytest.raises(UsageError, match="rungs"):
-            nns_search(ds, 4.0, c_slack, np.full(4, far))
+            NNSIndex(ds, c_slack).query(np.full(4, far))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
@@ -610,27 +630,75 @@ def test_nns_refuses_a_radius_ladder_of_too_many_rungs(monkeypatch, c_slack, far
 def test_nns_coincident_query_returns_it():
     rng = np.random.default_rng(12)
     ds = Dataset(rng.standard_normal((40, 16)), 4.0)
-    cache = {}
-    assert nns_search(ds, 4.0, 0.5, ds.vectors[0], seed=3, cache=cache) == 0
+    assert NNSIndex(ds, 0.5, seed=3).query(ds.vectors[0]) == 0
 
 
-def test_nns_cache_refuses_another_dataset_or_parameters():
-    # a cache answers only for the dataset object and the c_slack, delta and
-    # seed it was filled for: reused on B it held A's schemes, and answered
-    # with an id of A
+def test_nns_index_answers_only_with_its_own_datasets_ids():
+    # an index owns its dataset and its rungs: when a caller held them in a
+    # dict, B's query over A's rungs answered 5, an id of A
     rng = np.random.default_rng(0)
     a = Dataset(rng.standard_normal((30, 4)), 4.0)
     b = Dataset(rng.standard_normal((30, 4)), 4.0, ids=np.arange(100, 130))
+    on_a, on_b = NNSIndex(a, 0.5, seed=1), NNSIndex(b, 0.5, seed=1)
     q = b.vectors[3] + 0.01
-    cache = {}
-    assert nns_search(a, 4.0, 0.5, a.vectors[0], seed=1, cache=cache) == 0
-    with pytest.raises(UsageError, match="cache"):
-        nns_search(b, 4.0, 0.5, q, seed=1, cache=cache)
-    for c_slack, delta, seed in ((0.25, 1.0, 1), (0.5, 0.5, 1), (0.5, 1.0, 2)):
-        with pytest.raises(UsageError, match="cache"):
-            nns_search(a, 4.0, c_slack, a.vectors[0], delta=delta, seed=seed, cache=cache)
-    assert nns_search(a, 4.0, 0.5, a.vectors[1], seed=1, cache=cache) == 1
-    assert nns_search(b, 4.0, 0.5, q, seed=1) == 103
+    assert on_a.query(a.vectors[0]) == 0
+    assert on_b.query(q) == 103
+    assert on_a.query(a.vectors[1]) == 1
+
+
+def test_nns_index_builds_each_rung_once(monkeypatch):
+    built = []
+    real = recursive.preprocess
+
+    def counting(dataset, config):
+        built.append(config.r)
+        return real(dataset, config)
+
+    monkeypatch.setattr(recursive, "preprocess", counting)
+    rng = np.random.default_rng(12)
+    ds = Dataset(rng.standard_normal((40, 16)), 4.0)
+    index = NNSIndex(ds, 0.5, seed=3)
+    assert built == []  # a rung is built the first time a query probes it
+    # near queries, and far ones that extend the ladder
+    queries = np.vstack([ds.vectors[:10] + 0.1 * rng.standard_normal((10, 16)),
+                         30.0 * rng.standard_normal((10, 16))])
+    ids = [index.query(q) for q in queries]
+    assert len(index.radii) > len(set(built))
+    assert sorted(built) == sorted(set(built)) == sorted(index.radii[j] for j in index.schemes)
+    count = len(built)
+    assert [index.query(q) for q in queries] == ids and len(built) == count
+
+
+def _nns_instance(kind: str):
+    """n = 200 points at d = 32, p = 4 from seed 7: N(0, 1) draws, or four
+    unit blobs strung along coordinate 0."""
+    rng = np.random.default_rng(7)
+    n, d = 200, 32
+    data = rng.standard_normal((n, d))
+    if kind == "blobs":
+        data[:, 0] += 100.0 * math.sqrt(d) * rng.integers(0, 4, size=n)
+    return Dataset(data, 4.0)
+
+
+@pytest.mark.parametrize("kind", ["gauss", "blobs"])
+def test_nns_answers_within_the_proved_bound_below_and_above_r0(kind):
+    # the binary search proves an answer within c_p * max((1 + c_slack) d*,
+    # r_0) of q, d* being q's exact nearest distance, whenever each probed
+    # rung at or above d* meets its contract; below r_0 the ratio to d* is
+    # unbounded, so the probes at 0 to 1e-1 r_0 check the absolute term
+    ds, slack = _nns_instance(kind), 0.5
+    index = NNSIndex(ds, slack, seed=7)
+    r0 = index.radii[0]
+    c_p = approximation_bound(index.config, ds.d).c_p
+    rng = np.random.default_rng(8)
+    for i in range(0, ds.n, 10):
+        direction = rng.standard_normal(ds.d)
+        direction /= lp_distance(direction, np.zeros(ds.d), ds.p)
+        for scale in (0.0, 1e-3, 1e-2, 1e-1, 1.0, 3.0):
+            q = ds.vectors[i] + scale * r0 * direction
+            _, exact = exact_nn(ds, q)
+            got = lp_distance(ds.vectors[index.query(q)], q, ds.p)
+            assert got <= c_p * max((1.0 + slack) * exact, r0)
 
 
 def test_nns_ratio_contract():
@@ -638,12 +706,12 @@ def test_nns_ratio_contract():
     n, d, p, slack = 500, 32, 4.0, 0.5
     ds = Dataset(rng.standard_normal((n, d)), p)
     c_p = approximation_bound(SchemeConfig(p=p, r=1.0), d).c_p
-    cache = {}
+    index = NNSIndex(ds, slack, seed=7)
     good = 0
     queries = 200
     for _ in range(queries):
         q = rng.standard_normal(d)
-        rid = nns_search(ds, p, slack, q, seed=7, cache=cache)
+        rid = index.query(q)
         assert rid is not None
         _, exact = exact_nn(ds, q)
         got = lp_distance(ds.vectors[rid], q, p)
